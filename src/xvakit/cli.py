@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PRESETS, ConfigError, load_config, validate_config
-from .pde import Grid, PdeProblem, verify_decomposition
+from .pde import Grid, PdeProblem, PdeSolution, verify_decomposition
 from .report import RENDERERS
 from .runner import run_config
 
@@ -141,7 +141,7 @@ def _cmd_pde_verify(args) -> int:
     print(f"funding-condition residual (max over nodes): {report.max_funding_residual:.3e}")
     if args.out is not None:
         try:
-            _write_surfaces(args.out, problem, grid)
+            _write_surfaces(args.out, report.solution)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -152,17 +152,14 @@ def _cmd_pde_verify(args) -> int:
     return EXIT_OK
 
 
-def _write_surfaces(path: Path, problem: PdeProblem, grid: Grid) -> None:
-    from .pde import solve_vhat
-
-    solution = solve_vhat(problem, grid)
+def _write_surfaces(path: Path, solution: PdeSolution) -> None:
+    # Plain floats: repr of a numpy scalar would write "np.float64(...)".
+    s_nodes = solution.s_nodes.tolist()
     lines = ["t,S,economic,adjustment"]
-    adjustment = solution.adjustment
-    for i, t in enumerate(solution.t_nodes):
-        for j, s in enumerate(solution.s_nodes):
-            lines.append(
-                f"{t!r},{s!r},{solution.economic[i, j]!r},{adjustment[i, j]!r}"
-            )
+    for t, economic, adjustment in zip(solution.t_nodes.tolist(), solution.economic.tolist(),
+                                       solution.adjustment.tolist()):
+        for s, e, a in zip(s_nodes, economic, adjustment):
+            lines.append(f"{t!r},{s!r},{e!r},{a!r}")
     path.write_text("\n".join(lines) + "\n")
 
 

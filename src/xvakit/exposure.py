@@ -11,6 +11,15 @@ exact on payment dates and a standard desk approximation in between; it keeps
 the revaluation state-free (no fixing carried along the path) and makes the
 payer/receiver symmetry exact pathwise.
 
+Under the affine bond formula ``P(t, T) = A(t, T) exp(-x B(t, T))`` a book
+is linear in the bonds on the union of its payment dates.  So the book is
+netted once per run into, per grid point, a constant ``c_k`` and one weight
+per live date with ``A`` folded in, and each path is revalued as
+``c_k + (w_k A_k) @ exp(-B_k x_k)``: one exponential per (path, date), not
+per (path, swap, date).  A posted-collateral book is a second weight row
+on the same product.  Paths arrive grid-major in blocks and are revalued in
+tiles of ``TILE_SIZE`` paths, so the exponential temporary stays near 1 MB.
+
 Exposure profiles report the Monte Carlo means of the pathwise-discounted
 positive and negative parts of the value, with standard errors computed on
 antithetic-pair means when antithetic sampling is on.  Accumulation happens
@@ -20,13 +29,14 @@ profile is byte-identical for a given seed no matter how many workers ran.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import DiscountCurve
-from .ratemodel import ShortRateModel, _block_sizes, _simulate_block, _validate_grid
+from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
+
+TILE_SIZE = 1024  # paths per matrix product; the (dates, tile) temporary stays <= 1 MB
 
 
 @dataclass(frozen=True)
@@ -101,15 +111,52 @@ def swap_value(spec: SwapSpec, model: ShortRateModel, curve: DiscountCurve, t: f
     return float(out[0]) if scalar else out
 
 
+def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> list:
+    """Per grid point ``(c, -B, w A)`` netting each book over its live payment dates.
+
+    ``c`` is a ``(books, 1)`` column, ``-B`` has one entry per live date and
+    ``w A`` is shaped ``(books, live dates)``.  A date is live after
+    ``t + 1e-12``, as in ``swap_value``; a swap with no live date adds nothing.
+    """
+    times = [s.payment_times() for book in books for s in book]
+    dates = np.unique(np.concatenate([np.empty(0), *times]))
+    weights = np.zeros((len(books), len(dates)))
+    last = np.zeros((len(books), len(dates)))  # sign * notional ending on each date
+    for j, book in enumerate(books):
+        for s in book:
+            idx = np.searchsorted(dates, s.payment_times())
+            weights[j, idx] -= s.sign * s.notional * s.fixed_rate / s.frequency
+            weights[j, idx[-1:]] -= s.sign * s.notional
+            last[j, idx[-1:]] += s.sign * s.notional
+    g = np.asarray(grid, dtype=float)
+    log_a, b = model.affine(curve, g[:, None], dates[None, :])
+    plan = []
+    for k, t in enumerate(g):
+        live = np.searchsorted(dates, t + 1e-12, side="right")
+        plan.append((last[:, live:].sum(axis=1, keepdims=True), -b[k, live:],
+                     weights[:, live:] * np.exp(log_a[k, live:])))
+    return plan
+
+
+def _revalue(x: np.ndarray, point, buf: np.ndarray) -> np.ndarray:
+    """``c + (w A) @ exp(-B x)`` for one grid point: shaped ``(books, len(x))``.
+
+    The exponentials go to the flat scratch ``buf``; reusing it spares a
+    megabyte allocation per tile, which concurrent workers contend on.
+    """
+    const, neg_b, wa = point
+    e = buf[: len(neg_b) * len(x)].reshape(len(neg_b), len(x))
+    np.multiply.outer(neg_b, x, out=e)
+    return const + wa @ np.exp(e, out=e)
+
+
 def portfolio_value(
     swaps, model: ShortRateModel, curve: DiscountCurve, t: float, x: np.ndarray
 ) -> np.ndarray:
-    """Netted value of several swaps on the same paths."""
-    total = np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
-    for spec in swaps:
-        if t <= spec.maturity + 1e-12:
-            total = total + swap_value(spec, model, curve, t, x)
-    return total
+    """Netted value of several swaps on the same paths: one point of the kernel."""
+    (point,) = _netted_plan([tuple(swaps)], model, curve, [t])
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _revalue(x, point, np.empty(len(point[1]) * len(x)))[0]
 
 
 @dataclass
@@ -134,6 +181,7 @@ class ExposureProfile:
     n_paths: int
     seed: int
     antithetic: bool = True
+    collateral: ExposureProfile | None = None  # the posted book on the same paths
 
     def __post_init__(self):
         n = len(self.grid)
@@ -160,9 +208,9 @@ def make_exposure_grid(maturity: float, frequency: int, points_per_year: int = 4
 def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool) -> dict:
     """Per-block accumulators for one simulated block.
 
-    ``values_by_point`` has shape (n_points, n_paths_in_block).
+    ``values_by_point`` and ``discount`` have shape (n_points, n_paths_in_block).
     """
-    dv = values_by_point * discount.T
+    dv = values_by_point * discount
     dv_pos = np.maximum(dv, 0.0)
     dv_neg = np.minimum(dv, 0.0)
     v_pos = np.maximum(values_by_point, 0.0)
@@ -186,67 +234,12 @@ def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: 
     }
 
 
-def exposure_profile(
-    swaps,
-    model: ShortRateModel,
-    curve: DiscountCurve,
-    grid,
-    n_paths: int,
-    seed: int,
-    antithetic: bool = True,
-    n_workers: int = 1,
-) -> ExposureProfile:
-    """Monte Carlo exposure profile of the netted uncollateralized swaps.
-
-    ``swaps`` may be a single SwapSpec or a sequence; collateralized swaps
-    contribute nothing here.  Streams through the same deterministic block
-    substreams as ``simulate_paths``, never materializing the full path set.
-    """
-    if isinstance(swaps, SwapSpec):
-        swaps = (swaps,)
-    swaps = tuple(swaps)
-    g = _validate_grid(grid)
-    live = tuple(s for s in swaps if not s.collateralized)
-    if not live:
-        return ExposureProfile.zeros(g, n_paths=n_paths, seed=seed)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
-
-    def run_block(idx_size):
-        idx, size = idx_size
-        x, y = _simulate_block(model, g, size, seed, idx, antithetic)
-        int_shift = np.asarray(model._integrated_shift(curve, g))
-        discount = np.exp(-(int_shift[None, :] + y))
-        values = np.empty((len(g), size))
-        for k, t in enumerate(g):
-            values[k] = portfolio_value(live, model, curve, float(t), x[:, k])
-        return _block_stats(values, discount, antithetic)
-
-    jobs = list(enumerate(_block_sizes(n_paths)))
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_block, jobs))
-    else:
-        parts = [run_block(j) for j in jobs]
-
-    # Ordered reduction over blocks keeps results worker-count invariant.
-    keys = [k for k in parts[0] if k.startswith("sum_")]
-    acc = {k: parts[0][k].copy() for k in keys}
-    n = parts[0]["n"]
-    n_units = parts[0]["n_units"]
-    for p in parts[1:]:
-        for k in keys:
-            acc[k] += p[k]
-        n += p["n"]
-        n_units += p["n_units"]
-
+def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) -> ExposureProfile:
+    """Ordered reduction over blocks, which keeps results worker-count invariant."""
+    acc = {k: sum((p[k] for p in parts[1:]), parts[0][k]) for k in parts[0]}
+    n, n_units = acc["n"], acc["n_units"]
     epe = acc["sum_dv_pos"] / n
     ene = acc["sum_dv_neg"] / n
-    # V+ + V- == V holds per path in floating point, so the discounted mean
-    # is the sum of the two parts by construction.
-    mean_dv = epe + ene
 
     def _se(total, total_sq):
         mean = total / n_units
@@ -256,10 +249,12 @@ def exposure_profile(
         return np.sqrt(var / n_units)
 
     return ExposureProfile(
-        grid=g,
+        grid=grid,
         epe=epe,
         ene=ene,
-        mean_value=mean_dv,
+        # V+ + V- == V holds per path in floating point, so the discounted
+        # mean is the sum of the two parts by construction.
+        mean_value=epe + ene,
         epe_undiscounted=acc["sum_v_pos"] / n,
         mean_value_undiscounted=acc["sum_v"] / n,
         se_epe=_se(acc["sum_unit_pos"], acc["sum_unit_pos2"]),
@@ -268,3 +263,52 @@ def exposure_profile(
         seed=seed,
         antithetic=antithetic,
     )
+
+
+def exposure_profile(
+    swaps,
+    model: ShortRateModel,
+    curve: DiscountCurve,
+    grid,
+    n_paths: int,
+    seed: int,
+    antithetic: bool = True,
+    n_workers: int = 1,
+    collateral_book=(),
+) -> ExposureProfile:
+    """Monte Carlo exposure profile of the netted uncollateralized swaps.
+
+    ``swaps`` may be a single SwapSpec or a sequence; collateralized swaps
+    contribute nothing here.  Swaps in ``collateral_book`` are valued on the
+    same paths, whatever their flag, into the result's ``collateral``
+    profile.  Streams through the same deterministic block substreams as
+    ``simulate_paths``, never materializing the full path set.
+    """
+    if isinstance(swaps, SwapSpec):
+        swaps = (swaps,)
+    g = _validate_grid(grid)
+    live = tuple(s for s in swaps if not s.collateralized)
+    posted = tuple(collateral_book)
+    if not (live or posted):
+        return ExposureProfile.zeros(g, n_paths=n_paths, seed=seed)
+    books = [live, posted] if posted else [live]
+    plan = _netted_plan(books, model, curve, g)
+    int_shift = np.asarray(model._integrated_shift(curve, g))[:, None]
+
+    def run_block(idx, size):
+        x, y = _simulate_block(model, g, size, seed, idx, antithetic)
+        values = np.empty((len(books), len(g), size))
+        buf = np.empty(len(plan[0][1]) * min(size, TILE_SIZE))  # t = 0 has every date live
+        for k, point in enumerate(plan):
+            for lo in range(0, size, TILE_SIZE):
+                values[:, k, lo:lo + TILE_SIZE] = _revalue(x[k, lo:lo + TILE_SIZE], point, buf)
+        del x
+        y += int_shift
+        discount = np.exp(np.negative(y, out=y), out=y)
+        return [_block_stats(v, discount, antithetic) for v in values]
+
+    parts = map_blocks(run_block, n_paths, antithetic, n_workers)
+    profile = _reduce([p[0] for p in parts], g, seed, antithetic)
+    if posted:
+        profile.collateral = _reduce([p[1] for p in parts], g, seed, antithetic)
+    return profile

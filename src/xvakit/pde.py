@@ -545,6 +545,7 @@ class VerificationReport:
     tax_rel_error: float
     max_funding_residual: float
     tolerance: float
+    solution: PdeSolution
 
     @property
     def passed(self) -> bool:
@@ -584,4 +585,5 @@ def verify_decomposition(
         tax_rel_error=tax_rel,
         max_funding_residual=residual,
         tolerance=tolerance,
+        solution=solution,
     )

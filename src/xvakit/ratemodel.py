@@ -14,9 +14,11 @@ so pathwise discount factors are unbiased at any step size and their mean
 reproduces the input curve in expectation.
 
 Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
-from ``SeedSequence(seed, spawn_key=(b,))``.  Results are therefore
-bit-identical for a given (seed, n_paths, antithetic) regardless of how many
-workers execute the blocks.
+from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` returns the
+blocks' results in block order.  Results are therefore bit-identical for a
+given (seed, n_paths, antithetic) regardless of how many workers execute the
+blocks.  Within a block, paths are stored grid-major, ``(n_grid, n_block)``,
+so each time step reads and writes one contiguous row.
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ BLOCK_SIZE = 8192  # paths per deterministic substream; even, so antithetic pair
 class ShortRateModel:
     """Model parameters: mean-reversion speed (1/years) and absolute volatility.
 
-    With ``fit_to_curve`` (the default) the drift reproduces today's discount
-    curve; otherwise the curve is collapsed to its instantaneous short rate,
-    which is only useful as a diagnostic mode.
+    The drift reproduces today's discount curve.
     """
 
     mean_reversion: float
     sigma: float
-    fit_to_curve: bool = True
 
     def __post_init__(self):
         if not self.mean_reversion > 0:
@@ -55,11 +54,6 @@ class ShortRateModel:
     def b_factor(self, dt):
         a = self.mean_reversion
         return (1.0 - np.exp(-a * np.asarray(dt, dtype=float))) / a
-
-    def _log_df0(self, curve: DiscountCurve, t):
-        if self.fit_to_curve:
-            return curve.log_df(t)
-        return -curve.forward(0.0) * np.asarray(t, dtype=float)
 
     def _convexity(self, t, dt):
         """Deterministic part of the bond-price exponent at time t, tenor dt."""
@@ -75,25 +69,26 @@ class ShortRateModel:
         t_arr = np.asarray(t, dtype=float)
         b = self.b_factor(t_arr)
         v_int = (t_arr - 2.0 * b + (1.0 - np.exp(-2.0 * a * t_arr)) / (2.0 * a)) / (a * a)
-        return -self._log_df0(curve, t_arr) + 0.5 * s * s * v_int
+        return -curve.log_df(t_arr) + 0.5 * s * s * v_int
 
     def shift(self, curve: DiscountCurve, t):
         """alpha(t): short-rate level around which the factor fluctuates."""
         a, s = self.mean_reversion, self.sigma
         one_m = 1.0 - np.exp(-a * np.asarray(t, dtype=float))
-        base = curve.forward(t) if self.fit_to_curve else curve.forward(0.0)
-        return base + s * s * one_m * one_m / (2.0 * a * a)
+        return curve.forward(t) + s * s * one_m * one_m / (2.0 * a * a)
+
+    def affine(self, curve: DiscountCurve, t, maturity):
+        """``(log A, B)`` with P(t, T) = A(t, T) exp(-x B(t, T)); t and T broadcast."""
+        dt = np.maximum(np.asarray(maturity, dtype=float) - t, 0.0)
+        log_a = curve.log_df(maturity) - curve.log_df(t) - self._convexity(t, dt)
+        return log_a, self.b_factor(dt)
 
     def bond_price(self, curve: DiscountCurve, t, maturity, x):
         """Zero-coupon bond P(t, maturity) given the factor value(s) x at t."""
-        dt = np.asarray(maturity, dtype=float) - t
-        if np.any(dt < -1e-12):
+        if np.any(np.asarray(maturity, dtype=float) - t < -1e-12):
             raise ValueError("bond maturity before observation time")
-        dt = np.maximum(dt, 0.0)
-        b = self.b_factor(dt)
-        log_ratio = self._log_df0(curve, maturity) - self._log_df0(curve, t)
-        return np.exp(log_ratio - np.multiply.outer(np.asarray(x, dtype=float), b)
-                      - self._convexity(t, dt))
+        log_a, b = self.affine(curve, t, maturity)
+        return np.exp(log_a - np.multiply.outer(np.asarray(x, dtype=float), b))
 
     def step_moments(self, dt: float) -> tuple[float, float, float, float]:
         """(decay, var_x, cov_xy, var_y) of (x(t+dt), int_t^{t+dt} x ds) given x(t)."""
@@ -146,20 +141,42 @@ def _block_sizes(n_paths: int) -> list[int]:
     return sizes
 
 
+def map_blocks(fn, n_paths: int, antithetic: bool, n_workers: int = 1) -> list:
+    """``fn(block_index, block_size)`` over the deterministic path blocks.
+
+    Runs on up to ``n_workers`` threads; results come back in block order,
+    so any reduction over them is independent of the worker count.
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling needs an even path count")
+    jobs = list(enumerate(_block_sizes(n_paths)))
+    if n_workers > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(lambda job: fn(*job), jobs))
+    return [fn(*job) for job in jobs]
+
+
 def _simulate_block(
     model: ShortRateModel, grid: np.ndarray, n_block: int, seed: int, block_index: int,
     antithetic: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factor paths and integrated factor for one deterministic block."""
+    """Factor paths and integrated factor for one deterministic block.
+
+    Both come back grid-major, shaped ``(len(grid), n_block)``.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
     n_steps = len(grid) - 1
     n_draw = n_block // 2 if antithetic else n_block
-    z = rng.standard_normal((n_draw, n_steps, 2))
+    # z[k, j] holds step k's pair component j; antithetic twins follow in place.
+    z = np.empty((n_steps, 2, n_block))
+    z[:, :, :n_draw] = rng.standard_normal((n_draw, n_steps, 2)).transpose(1, 2, 0)
     if antithetic:
-        z = np.concatenate([z, -z], axis=0)
+        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
 
-    x = np.zeros((n_block, len(grid)))
-    y = np.zeros((n_block, len(grid)))  # integrated factor
+    x = np.zeros((len(grid), n_block))
+    y = np.zeros((len(grid), n_block))  # integrated factor
     for k in range(n_steps):
         dt = grid[k + 1] - grid[k]
         decay, var_x, cov, var_y = model.step_moments(dt)
@@ -167,8 +184,8 @@ def _simulate_block(
         l21 = cov / l11 if l11 > 0 else 0.0
         l22 = np.sqrt(max(var_y - l21 * l21, 0.0))
         b = float(model.b_factor(dt))
-        x[:, k + 1] = x[:, k] * decay + l11 * z[:, k, 0]
-        y[:, k + 1] = y[:, k] + x[:, k] * b + l21 * z[:, k, 0] + l22 * z[:, k, 1]
+        x[k + 1] = x[k] * decay + l11 * z[k, 0]
+        y[k + 1] = y[k] + x[k] * b + l21 * z[k, 0] + l22 * z[k, 1]
     return x, y
 
 
@@ -183,26 +200,12 @@ def simulate_paths(
 ) -> PathSet:
     """Simulate factor paths and pathwise discount factors on the given grid."""
     g = _validate_grid(grid)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
-
-    sizes = _block_sizes(n_paths)
-
-    def run(idx_size):
-        idx, size = idx_size
-        return _simulate_block(model, g, size, seed, idx, antithetic)
-
-    jobs = list(enumerate(sizes))
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-
-    x = np.concatenate([p[0] for p in parts], axis=0)
-    y = np.concatenate([p[1] for p in parts], axis=0)
+    parts = map_blocks(
+        lambda idx, size: _simulate_block(model, g, size, seed, idx, antithetic),
+        n_paths, antithetic, n_workers,
+    )
+    x = np.concatenate([p[0] for p in parts], axis=1).T
+    y = np.concatenate([p[1] for p in parts], axis=1).T
     int_shift = np.asarray(model._integrated_shift(curve, g))
     discount = np.exp(-(int_shift[None, :] + y))
     short_rate = x + np.asarray(model.shift(curve, g))[None, :]

@@ -9,7 +9,7 @@ configuration order, regardless of any parallelism in the path simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import RunConfig
 from .credit import CreditCurve, HedgePolicy, TaxPolicy, hazard_from_spread
@@ -68,24 +68,16 @@ def run_config(config: RunConfig) -> RunResult:
     horizon = max(s.maturity for s in config.swaps)
     frequency = max(s.frequency for s in config.swaps)
     grid = make_exposure_grid(horizon, frequency)
+    # Collateral held equals the collateralized legs' value; its expected
+    # discounted profile, priced on the same paths, feeds the collateral-spread carry.
+    posted = tuple(s for s in config.swaps if s.collateralized) if config.collateral_spread else ()
     profile = exposure_profile(
         config.swaps, model, curve, grid,
         n_paths=config.paths, seed=config.seed,
         antithetic=config.antithetic, n_workers=config.workers,
+        collateral_book=posted,
     )
-    collateral = None
-    if config.collateral_spread != 0.0:
-        # Collateral held equals the collateralized legs' value; its expected
-        # discounted profile feeds the collateral-spread carry.
-        posted = tuple(
-            replace(s, collateralized=False) for s in config.swaps if s.collateralized
-        )
-        if posted:
-            collateral = exposure_profile(
-                posted, model, curve, grid,
-                n_paths=config.paths, seed=config.seed,
-                antithetic=config.antithetic, n_workers=config.workers,
-            ).mean_value
+    collateral = None if profile.collateral is None else profile.collateral.mean_value
     notional = sum(s.notional for s in uncollateralized)
     table = config.rating_table
     provider = table.get(config.provider_rating) if config.provider_rating else None

@@ -1,6 +1,7 @@
 """Configuration schema, presets, report formats and the command line."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -306,8 +307,13 @@ class TestCli:
         path = self.write_config(tmp_path, pde={"nSpace": 100, "nTime": 100})
         out = tmp_path / "surfaces.csv"
         assert main(["pde-verify", str(path), "--out", str(out)]) == 0
-        header = out.read_text().splitlines()[0]
+        header, *rows = out.read_text().splitlines()
         assert header == "t,S,economic,adjustment"
+        assert len(rows) == 101 * 101
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 4 and "np." not in row
+            assert all(math.isfinite(float(c)) for c in cells)
 
     def test_pde_verify_tolerance_breach_fails(self, tmp_path, capsys):
         path = self.write_config(tmp_path, pde={"nSpace": 48, "nTime": 24,

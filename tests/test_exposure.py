@@ -1,24 +1,49 @@
 """Swap valuation and Monte Carlo exposure profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xvakit import (
+    DiscountCurve,
     ShortRateModel,
     SwapSpec,
     annuity,
     exposure_profile,
     make_exposure_grid,
     par_rate,
+    portfolio_value,
+    simulate_paths,
     swap_value,
 )
+from xvakit.ratemodel import BLOCK_SIZE
 
 # independent oracle for the 10y 2.7% payer on a flat 2% curve, plain discounting
 _ANNUITY = sum(0.5 * math.exp(-0.02 * 0.5 * j) for j in range(1, 21))
 _FLOAT_LEG = 1.0 - math.exp(-0.02 * 10.0)
 _PAYER_VALUE = _FLOAT_LEG - 0.027 * _ANNUITY  # per unit notional
+
+
+# Payer and receiver legs at frequencies 1, 2 and 4 on a 7y quarterly grid:
+# the 3y swap matures exactly on a grid point and the 1.5y swap has expired
+# for most of the grid.
+MIXED_BOOK = (
+    SwapSpec(notional=100.0, fixed_rate=0.022, maturity=5.0, frequency=4, payer=True),
+    SwapSpec(notional=60.0, fixed_rate=0.019, maturity=3.0, frequency=1, payer=False),
+    SwapSpec(notional=80.0, fixed_rate=0.025, maturity=7.0, frequency=2, payer=True),
+    SwapSpec(notional=50.0, fixed_rate=0.018, maturity=1.5, frequency=2, payer=False),
+)
+MIXED_GRID = make_exposure_grid(7.0, 4)
+GROSS = sum(s.notional for s in MIXED_BOOK)
+SLOPED = DiscountCurve((1.0, 5.0, 10.0), (0.01, 0.02, 0.03))
+
+
+def per_swap_sum(book, model, curve, t, x):
+    """Reference revaluation: one swap_value per live swap."""
+    return sum((swap_value(s, model, curve, t, x) for s in book
+                if t <= s.maturity + 1e-12), np.zeros_like(x))
 
 
 class TestSwapSpec:
@@ -118,13 +143,17 @@ class TestExposureProfile:
         assert np.array_equal(a.epe, -b.ene)
         assert np.array_equal(a.ene, -b.epe)
 
-    def test_worker_count_invariance(self, flat_curve, model, payer_swap, quarterly_grid):
-        a = exposure_profile(payer_swap, model, flat_curve, quarterly_grid, 20000, seed=3,
+    def test_worker_count_invariance(self, model):
+        # The tail block (1000 paths) is shorter than a tile and not a multiple of one.
+        n_paths = 2 * BLOCK_SIZE + 1000
+        a = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=3,
                              n_workers=1)
-        b = exposure_profile(payer_swap, model, flat_curve, quarterly_grid, 20000, seed=3,
-                             n_workers=3)
-        for name in ("epe", "ene", "mean_value", "se_epe", "se_ene"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for workers in (2, 3, 4):
+            b = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=3,
+                                 n_workers=workers)
+            for name in ("epe", "ene", "mean_value", "epe_undiscounted",
+                         "mean_value_undiscounted", "se_epe", "se_ene"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_odd_path_count_with_antithetic_rejected(self, flat_curve, model, payer_swap):
         with pytest.raises(ValueError):
@@ -150,3 +179,49 @@ class TestExposureProfile:
         )
         profile = exposure_profile(legs, model, flat_curve, quarterly_grid, 200, seed=2)
         assert np.all(profile.epe == 0.0) and np.all(profile.ene == 0.0)
+
+
+class TestNettedKernel:
+    def test_portfolio_value_matches_per_swap_sum(self, model):
+        x = np.random.default_rng(5).normal(0.0, 0.02, 257)
+        for t in MIXED_GRID:
+            netted = portfolio_value(MIXED_BOOK, model, SLOPED, float(t), x)
+            reference = per_swap_sum(MIXED_BOOK, model, SLOPED, float(t), x)
+            np.testing.assert_allclose(netted, reference, rtol=1e-12, atol=1e-12 * GROSS)
+
+    def test_profile_matches_per_swap_revaluation(self, model):
+        n_paths = 2 * BLOCK_SIZE + 1000
+        profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=13)
+        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=13)
+        values = np.array([per_swap_sum(MIXED_BOOK, model, SLOPED, float(t), paths.factor[:, k])
+                           for k, t in enumerate(MIXED_GRID)])
+        dv = values * paths.discount.T
+        expected = {
+            "epe": np.maximum(dv, 0.0).mean(axis=1),
+            "ene": np.minimum(dv, 0.0).mean(axis=1),
+            "epe_undiscounted": np.maximum(values, 0.0).mean(axis=1),
+            "mean_value_undiscounted": values.mean(axis=1),
+        }
+        for name, reference in expected.items():
+            np.testing.assert_allclose(getattr(profile, name), reference,
+                                       rtol=1e-12, atol=1e-12 * GROSS)
+
+    def test_collateral_book_priced_on_the_same_paths(self, model):
+        posted = (SwapSpec(notional=90.0, fixed_rate=0.021, maturity=7.0, frequency=4,
+                           payer=False, collateralized=True),)
+        book = MIXED_BOOK + posted
+        joint = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2,
+                                 collateral_book=posted)
+        alone = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2)
+        # The two-call form: the posted legs re-simulated as an uncollateralized book.
+        separate = exposure_profile(tuple(replace(s, collateralized=False) for s in posted),
+                                    model, SLOPED, MIXED_GRID, 4000, seed=19)
+        assert alone.collateral is None
+        for name in ("epe", "ene", "mean_value", "se_epe", "se_ene"):
+            # Standard errors come from sum(u^2) - n mean^2, which turns
+            # last-bit differences into ~sqrt(eps) ones where the variance is 0.
+            tol = 1e-8 if name.startswith("se_") else 1e-12
+            np.testing.assert_allclose(getattr(joint.collateral, name),
+                                       getattr(separate, name), rtol=tol, atol=tol * 90.0)
+            np.testing.assert_allclose(getattr(joint, name), getattr(alone, name),
+                                       rtol=tol, atol=tol * GROSS)
