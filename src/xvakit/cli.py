@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import PRESETS, ConfigError, load_config, validate_config
-from .pde import Grid, PdeProblem, PdeSolution, verify_decomposition
+from .pde import PdeSolution, verify_decomposition
 from .report import RENDERERS
 from .runner import run_config
 
@@ -116,21 +116,7 @@ def _cmd_pde_verify(args) -> int:
         code, message = err
         print(message, file=sys.stderr)
         return code
-    p = cfg.pde
-    problem = PdeProblem(
-        spot=p.spot, strike=p.strike, maturity=p.maturity, sigma=p.sigma,
-        rate=p.rate, payoff=p.payoff,
-        issuer_hazard=p.issuer_hazard, counterparty_hazard=p.counterparty_hazard,
-        issuer_recovery=p.issuer_recovery, counterparty_recovery=p.counterparty_recovery,
-        hedge_fraction=p.hedge_fraction, price_of_risk=p.price_of_risk,
-        capital_funding_fraction=p.capital_funding_fraction,
-        cost_of_capital=p.cost_of_capital, tax_rate=p.tax_rate,
-        collateral_spread=p.collateral_spread, collateral_fraction=p.collateral_fraction,
-        capital_factor=p.capital_factor, capital_relief_factor=p.capital_relief_factor,
-        accruals_taxed=p.accruals_taxed,
-    )
-    grid = Grid(n_space=p.n_space, n_time=p.n_time)
-    report = verify_decomposition(problem, grid, tolerance=p.tolerance)
+    report = verify_decomposition(cfg.pde.problem, cfg.pde.grid, tolerance=cfg.pde.tolerance)
     oracle = report.oracle
     print(f"adjustment  pde {report.pde_adjustment:+.6f}   quadrature {oracle.total:+.6f}   "
           f"rel error {report.rel_error:.3e} (tolerance {report.tolerance:.3e})")
@@ -153,14 +139,16 @@ def _cmd_pde_verify(args) -> int:
 
 
 def _write_surfaces(path: Path, solution: PdeSolution) -> None:
-    # Plain floats: repr of a numpy scalar would write "np.float64(...)".
-    s_nodes = solution.s_nodes.tolist()
-    lines = ["t,S,economic,adjustment"]
-    for t, economic, adjustment in zip(solution.t_nodes.tolist(), solution.economic.tolist(),
-                                       solution.adjustment.tolist()):
-        for s, e, a in zip(s_nodes, economic, adjustment):
-            lines.append(f"{t!r},{s!r},{e!r},{a!r}")
-    path.write_text("\n".join(lines) + "\n")
+    # One chunk per time level; plain floats, since repr of a numpy scalar
+    # would write "np.float64(...)".
+    s_text = [repr(s) for s in solution.s_nodes.tolist()]
+    with path.open("w") as out:
+        out.write("t,S,economic,adjustment\n")
+        for t, economic, adjustment in zip(solution.t_nodes.tolist(), solution.economic.tolist(),
+                                           solution.adjustment.tolist()):
+            t_text = repr(t)
+            out.write("".join([f"{t_text},{s},{e!r},{a!r}\n"
+                               for s, e, a in zip(s_text, economic, adjustment)]))
 
 
 def main(argv=None) -> int:

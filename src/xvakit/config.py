@@ -33,10 +33,12 @@ per rating); supplying both is an error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .exposure import SwapSpec
+from .pde import Grid, PdeProblem
 from .regcap import RATING_TABLE, CounterpartyProfile
 
 SCHEMA_VERSION = 1
@@ -61,30 +63,24 @@ class MarketConfig:
     issuer_recovery: float
 
 
+# Defaults of the ``pde`` block: the verifier's reference problem.
+_PDE_DEFAULTS = dict(
+    spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
+    issuer_hazard=0.0167, counterparty_hazard=0.04, hedge_fraction=0.25, price_of_risk=0.3,
+    capital_funding_fraction=0.5, cost_of_capital=0.10, tax_rate=0.21,
+    collateral_spread=0.002, collateral_fraction=0.2,
+    capital_factor=0.4, capital_relief_factor=0.25,
+)
+_PDE_KINDS = {"payoff": str, "accruals_taxed": bool, "compensator_taxed": bool,
+              "n_space": int, "n_time": int}  # every other field is a number
+
+
 @dataclass(frozen=True)
 class PdeVerifyConfig:
-    spot: float = 100.0
-    strike: float = 100.0
-    maturity: float = 5.0
-    sigma: float = 0.25
-    rate: float = 0.02
-    payoff: str = "call"
-    issuer_hazard: float = 0.0167
-    counterparty_hazard: float = 0.04
-    issuer_recovery: float = 0.4
-    counterparty_recovery: float = 0.4
-    hedge_fraction: float = 0.25
-    price_of_risk: float = 0.3
-    capital_funding_fraction: float = 0.5
-    cost_of_capital: float = 0.10
-    tax_rate: float = 0.21
-    collateral_spread: float = 0.002
-    collateral_fraction: float = 0.2
-    capital_factor: float = 0.4
-    capital_relief_factor: float = 0.25
-    accruals_taxed: bool = False
-    n_space: int = 400
-    n_time: int = 400
+    """The ``pde`` block: the verifier's problem, grid and tolerance."""
+
+    problem: PdeProblem = PdeProblem(**_PDE_DEFAULTS)
+    grid: Grid = Grid()
     tolerance: float = 0.005
 
 
@@ -194,6 +190,35 @@ def _validate_market(raw: dict, diags: list[str]) -> MarketConfig | None:
         issuer_spread_bp=spread,
         issuer_recovery=recovery,
     )
+
+
+def _build_pde(kind, diags: list[str], **kwargs):
+    """``kind(**kwargs)``, its ``"field: message"`` ValueError made a diagnostic."""
+    try:
+        return kind(**kwargs)
+    except ValueError as exc:
+        name, _, message = str(exc).partition(": ")
+        diags.append(f"pde.{_camel(name)}: {message}")
+        return None
+
+
+def _validate_pde(raw: dict, diags: list[str]) -> PdeVerifyConfig:
+    names = [f.name for f in fields(PdeProblem)] + ["n_space", "n_time", "tolerance"]
+    keys = {key: name for name in names for key in (name, _camel(name))}
+    for key in sorted(set(raw) - set(keys)):
+        diags.append(f"pde.{key}: unknown field")
+    values = {name: value for key, name in keys.items()
+              if (value := _get(raw, key, _PDE_KINDS.get(name, float), diags, "pde.")) is not None}
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            diags.append(f"pde.{_camel(name)}: must be finite")
+    tolerance = values.pop("tolerance", PdeVerifyConfig.tolerance)
+    if not tolerance > 0:
+        diags.append("pde.tolerance: must be > 0")
+    grid = _build_pde(Grid, diags, **{k: values.pop(k) for k in ("n_space", "n_time")
+                                      if k in values})
+    problem = _build_pde(PdeProblem, diags, **{**_PDE_DEFAULTS, **values})
+    return PdeVerifyConfig(problem, grid, tolerance)
 
 
 def _validate_swap(raw: dict, i: int, diags: list[str]) -> SwapSpec | None:
@@ -350,21 +375,7 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
         diags.append("paths: must be even with antithetic sampling")
 
     pde_raw = _get(raw, "pde", dict, diags, "", default=None)
-    pde_cfg = PdeVerifyConfig()
-    if pde_raw is not None:
-        known = {f.name for f in fields(PdeVerifyConfig)}
-        unknown = set(pde_raw) - {_camel(k) for k in known} - known
-        for k in sorted(unknown):
-            diags.append(f"pde.{k}: unknown field")
-        updates = {}
-        for f in fields(PdeVerifyConfig):
-            for key in (f.name, _camel(f.name)):
-                if key in pde_raw:
-                    updates[f.name] = pde_raw[key]
-        try:
-            pde_cfg = replace(pde_cfg, **updates)
-        except (TypeError, ValueError) as exc:
-            diags.append(f"pde: {exc}")
+    pde_cfg = PdeVerifyConfig() if pde_raw is None else _validate_pde(pde_raw, diags)
 
     if diags:
         return None, diags

@@ -205,6 +205,24 @@ def make_exposure_grid(maturity: float, frequency: int, points_per_year: int = 4
     return np.union1d(np.round(uniform, 12), np.round(pay, 12))
 
 
+def _moments(units: np.ndarray):
+    """Per-row (count, mean, centred sum of squares); overwrites ``units``."""
+    first = units[:, :1].copy()
+    units -= first  # shifted first, a row of equal values centres to exactly 0
+    shift = units.mean(axis=1, keepdims=True)
+    units -= shift
+    return units.shape[1], (first + shift)[:, 0], np.square(units, out=units).sum(axis=1)
+
+
+def _merge_moments(a, b):
+    """Chan, Golub & LeVeque's (1983) pairwise update of two ``_moments`` triples."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)
+
+
 def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool) -> dict:
     """Per-block accumulators for one simulated block.
 
@@ -212,41 +230,36 @@ def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: 
     """
     dv = values_by_point * discount
     dv_pos = np.maximum(dv, 0.0)
-    dv_neg = np.minimum(dv, 0.0)
-    v_pos = np.maximum(values_by_point, 0.0)
-    if antithetic:
-        h = dv.shape[1] // 2
-        unit_pos = 0.5 * (dv_pos[:, :h] + dv_pos[:, h:])
-        unit_neg = 0.5 * (dv_neg[:, :h] + dv_neg[:, h:])
-    else:
-        unit_pos, unit_neg = dv_pos, dv_neg
-    return {
+    dv_neg = np.minimum(dv, 0.0, out=dv)
+    stats = {
         "n": dv.shape[1],
-        "n_units": unit_pos.shape[1],
         "sum_dv_pos": dv_pos.sum(axis=1),
         "sum_dv_neg": dv_neg.sum(axis=1),
-        "sum_v_pos": v_pos.sum(axis=1),
+        "sum_v_pos": np.maximum(values_by_point, 0.0).sum(axis=1),
         "sum_v": values_by_point.sum(axis=1),
-        "sum_unit_pos": unit_pos.sum(axis=1),
-        "sum_unit_pos2": (unit_pos ** 2).sum(axis=1),
-        "sum_unit_neg": unit_neg.sum(axis=1),
-        "sum_unit_neg2": (unit_neg ** 2).sum(axis=1),
     }
+    for side, part in (("pos", dv_pos), ("neg", dv_neg)):
+        if antithetic:
+            h = part.shape[1] // 2
+            part = 0.5 * (part[:, :h] + part[:, h:])
+        stats["unit_" + side] = _moments(part)
+    return stats
 
 
 def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) -> ExposureProfile:
     """Ordered reduction over blocks, which keeps results worker-count invariant."""
-    acc = {k: sum((p[k] for p in parts[1:]), parts[0][k]) for k in parts[0]}
-    n, n_units = acc["n"], acc["n_units"]
+    acc = dict(parts[0])
+    for part in parts[1:]:
+        for key, value in part.items():
+            acc[key] = (_merge_moments(acc[key], value) if key.startswith("unit_")
+                        else acc[key] + value)
+    n = acc["n"]
     epe = acc["sum_dv_pos"] / n
     ene = acc["sum_dv_neg"] / n
 
-    def _se(total, total_sq):
-        mean = total / n_units
-        if n_units < 2:
-            return np.zeros_like(mean)
-        var = np.maximum(total_sq - n_units * mean ** 2, 0.0) / (n_units - 1)
-        return np.sqrt(var / n_units)
+    def _se(moments):
+        n_units, _, m2 = moments
+        return np.sqrt(m2 / (n_units - 1) / n_units) if n_units > 1 else np.zeros_like(m2)
 
     return ExposureProfile(
         grid=grid,
@@ -257,8 +270,8 @@ def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) ->
         mean_value=epe + ene,
         epe_undiscounted=acc["sum_v_pos"] / n,
         mean_value_undiscounted=acc["sum_v"] / n,
-        se_epe=_se(acc["sum_unit_pos"], acc["sum_unit_pos2"]),
-        se_ene=_se(acc["sum_unit_neg"], acc["sum_unit_neg2"]),
+        se_epe=_se(acc["unit_pos"]),
+        se_ene=_se(acc["unit_neg"]),
         n_paths=n,
         seed=seed,
         antithetic=antithetic,

@@ -121,7 +121,7 @@ class TestPresets:
     def test_shipped_pde_config_valid(self):
         root = Path(__file__).resolve().parent.parent
         cfg = load_config(root / "configs" / "pde_verify.json")
-        assert cfg.pde.n_space == 400
+        assert cfg.pde.grid.n_space == 400
         assert cfg.pde.tolerance == 0.005
 
     def test_base_case_produces_eight_ordered_rows(self):
@@ -314,6 +314,33 @@ class TestCli:
             cells = row.split(",")
             assert len(cells) == 4 and "np." not in row
             assert all(math.isfinite(float(c)) for c in cells)
+
+    @pytest.mark.parametrize(
+        "pde, field",
+        [
+            ({"capitalFactor": 0.2, "capitalReliefFactor": 0.3}, "pde.capitalReliefFactor"),
+            ({"nSpace": 101}, "pde.nSpace"),
+            ({"nTime": "400"}, "pde.nTime"),
+            ({"accruals_taxed": 1}, "pde.accruals_taxed"),
+            ({"repoRate": "0.03"}, "pde.repoRate"),
+            ({"rate": math.nan}, "pde.rate"),
+        ],
+    )
+    def test_pde_verify_bad_field_is_a_diagnostic(self, tmp_path, capsys, pde, field):
+        path = self.write_config(tmp_path, pde=pde)
+        assert main(["pde-verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(field + ":") and "Traceback" not in err
+
+    def test_pde_block_reaches_every_problem_field(self):
+        _, diags = validate_config(small_config(pde={"foo": 1}))
+        assert diags == ["pde.foo: unknown field"]
+        cfg, diags = validate_config(small_config(pde={
+            "compensatorTaxed": True, "dividendYield": 0.01, "repoRate": 0.03, "nTime": 60}))
+        assert diags == []
+        assert cfg.pde.problem.compensator_taxed
+        assert (cfg.pde.problem.dividend_yield, cfg.pde.problem.repo_rate) == (0.01, 0.03)
+        assert (cfg.pde.grid.n_space, cfg.pde.grid.n_time) == (400, 60)
 
     def test_pde_verify_tolerance_breach_fails(self, tmp_path, capsys):
         path = self.write_config(tmp_path, pde={"nSpace": 48, "nTime": 24,

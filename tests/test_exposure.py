@@ -218,10 +218,27 @@ class TestNettedKernel:
                                     model, SLOPED, MIXED_GRID, 4000, seed=19)
         assert alone.collateral is None
         for name in ("epe", "ene", "mean_value", "se_epe", "se_ene"):
-            # Standard errors come from sum(u^2) - n mean^2, which turns
-            # last-bit differences into ~sqrt(eps) ones where the variance is 0.
-            tol = 1e-8 if name.startswith("se_") else 1e-12
             np.testing.assert_allclose(getattr(joint.collateral, name),
-                                       getattr(separate, name), rtol=tol, atol=tol * 90.0)
+                                       getattr(separate, name), rtol=1e-12, atol=1e-12 * 90.0)
             np.testing.assert_allclose(getattr(joint, name), getattr(alone, name),
-                                       rtol=tol, atol=tol * GROSS)
+                                       rtol=1e-12, atol=1e-12 * GROSS)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_standard_errors_match_unit_sample_std(self, model, antithetic):
+        n_paths = 2 * BLOCK_SIZE + 1000
+        profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=23,
+                                   antithetic=antithetic, n_workers=2)
+        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23,
+                               antithetic=antithetic)
+        dv = np.array([portfolio_value(MIXED_BOOK, model, SLOPED, float(t), paths.factor[:, k])
+                       for k, t in enumerate(MIXED_GRID)]) * paths.discount.T
+        for name, part in (("se_epe", np.maximum(dv, 0.0)), ("se_ene", np.minimum(dv, 0.0))):
+            units = part
+            if antithetic:  # twins are the two halves of each block
+                blocks = np.split(part, [BLOCK_SIZE, 2 * BLOCK_SIZE], axis=1)
+                units = np.hstack([0.5 * (b[:, :b.shape[1] // 2] + b[:, b.shape[1] // 2:])
+                                   for b in blocks])
+            expected = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
+            np.testing.assert_allclose(getattr(profile, name), expected, rtol=1e-12, atol=1e-15)
+            # Every path starts at the same value, so the error there is exactly 0.
+            assert getattr(profile, name)[0] == 0.0

@@ -1,7 +1,10 @@
 """Finite-difference solver vs closed forms and the quadrature oracle."""
 
+import json
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from xvakit import (
     GridResolutionWarning,
     PdeProblem,
     black_scholes_value,
+    density_expectations,
     quadrature_oracle,
     replication_state,
     solve_vhat,
     verify_decomposition,
 )
+from xvakit.cli import _write_surfaces, main
 
 FULL_PROBLEM = PdeProblem(
     spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
@@ -204,3 +209,85 @@ class TestReplication:
         state = replication_state(FULL_PROBLEM, solution)
         # call-like economic value rises in S, so the stock hedge is short
         assert np.all(state.stock_delta[0] <= 1e-10)
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("problem", [
+        FULL_PROBLEM,
+        replace(FULL_PROBLEM, payoff="put", spot=90.0),
+        FORWARD_PROBLEM,
+        replace(FULL_PROBLEM, accruals_taxed=True),
+        replace(FULL_PROBLEM, compensator_taxed=True),
+    ], ids=["call", "put", "forward", "accruals_taxed", "compensator_taxed"])
+    def test_untaxed_column_is_the_tax_off_solve(self, problem):
+        joint = solve_vhat(problem, Grid(100, 100))
+        tax_off = solve_vhat(replace(problem, tax_rate=0.0), Grid(100, 100))
+        assert np.array_equal(joint.untaxed, tax_off.economic)
+        assert np.array_equal(joint.risk_free, tax_off.risk_free)
+        assert not np.array_equal(joint.untaxed, joint.economic)
+
+    @pytest.mark.parametrize("problem", [FULL_PROBLEM, FORWARD_PROBLEM], ids=["call", "forward"])
+    def test_density_expectations_match_per_node_rule(self, problem):
+        times = np.linspace(0.0, problem.maturity, 23)
+        expected = per_node_density_expectations(problem, times, 40)
+        for got, want in zip(density_expectations(problem, times, 40), expected):
+            assert np.array_equal(got, want)
+
+    def test_surface_file_matches_one_string_writer(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridResolutionWarning)
+            solution = solve_vhat(FULL_PROBLEM, Grid(20, 20))
+        streamed, joined = tmp_path / "streamed.csv", tmp_path / "joined.csv"
+        _write_surfaces(streamed, solution)
+        write_surfaces_joined(joined, solution)
+        assert streamed.read_bytes() == joined.read_bytes()
+        assert len(streamed.read_text().splitlines()) == 1 + 21 * 21
+
+    def test_unwritable_surface_file_exits_3(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parent.parent
+        raw = json.loads((root / "configs" / "pde_verify.json").read_text())
+        raw["market"] = json.loads((root / "configs" / "market_gbp_flat.json").read_text())
+        raw["pde"].update(nSpace=100, nTime=100)
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "missing" / "surface.csv"
+        assert main(["pde-verify", str(config), "--out", str(out)]) == 3
+        assert "cannot write" in capsys.readouterr().err
+
+
+def per_node_density_expectations(problem, times, n_density):
+    """The oracle's inner integrals with the Gauss-Legendre rule rebuilt per node."""
+    p = problem
+    drift = p.carry - 0.5 * p.sigma**2
+    out = np.empty((3, len(times)))
+    for i, u in enumerate(times):
+        if u <= 0.0:
+            v = np.atleast_1d(black_scholes_value(p, p.spot, p.maturity))
+            w = np.ones(1)
+        else:
+            vol = p.sigma * np.sqrt(u)
+            tau = p.maturity - u
+            s_kink = p.strike * np.exp(-p.carry * tau) if p.payoff == "forward" else p.strike
+            z_kink = (np.log(s_kink / p.spot) - drift * u) / vol
+            breaks = [-8.5] + ([float(z_kink)] if -8.5 < z_kink < 8.5 else []) + [8.5]
+            gl_x, gl_w = np.polynomial.legendre.leggauss(n_density)
+            z = np.concatenate([0.5 * (b - a) * gl_x + 0.5 * (a + b)
+                                for a, b in zip(breaks, breaks[1:])])
+            w = np.concatenate([0.5 * (b - a) * gl_w for a, b in zip(breaks, breaks[1:])])
+            w = w * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+            v = black_scholes_value(p, p.spot * np.exp(drift * u + vol * z), tau)
+        vx = (1.0 - p.collateral_fraction) * v
+        out[:, i] = (np.dot(w, np.maximum(vx, 0.0)), np.dot(w, np.minimum(vx, 0.0)),
+                     np.dot(w, v))
+    return out
+
+
+def write_surfaces_joined(path, solution):
+    """The surface file built as one string of f-string rows."""
+    s_nodes = solution.s_nodes.tolist()
+    lines = ["t,S,economic,adjustment"]
+    for t, economic, adjustment in zip(solution.t_nodes.tolist(), solution.economic.tolist(),
+                                       solution.adjustment.tolist()):
+        for s, e, a in zip(s_nodes, economic, adjustment):
+            lines.append(f"{t!r},{s!r},{e!r},{a!r}")
+    path.write_text("\n".join(lines) + "\n")
