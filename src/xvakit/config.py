@@ -119,6 +119,14 @@ class RunConfig:
         return tuple((xi, None) for xi in self.xi_values)
 
 
+def _as_float(value: int | float) -> float:
+    """``value`` as a float; an integer too large for one becomes inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _get(d: dict, key: str, kind, diags: list[str], prefix: str, default=None, required=False):
     if key not in d:
         if required:
@@ -126,7 +134,10 @@ def _get(d: dict, key: str, kind, diags: list[str], prefix: str, default=None, r
         return default
     value = d[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        if not math.isfinite(value := _as_float(value)):
+            diags.append(f"{prefix}{key}: must be finite")
+            return default
+        return value
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is bool and isinstance(value, bool):
@@ -147,10 +158,12 @@ def _number_list(d: dict, key: str, diags: list[str], prefix: str = "") -> list[
         return None
     out = []
     for i, v in enumerate(raw):
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(float(v))
-        else:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
             diags.append(f"{prefix}{key}[{i}]: expected number")
+        elif not math.isfinite(v := _as_float(v)):
+            diags.append(f"{prefix}{key}[{i}]: must be finite")
+        else:
+            out.append(v)
     return out
 
 
@@ -209,9 +222,6 @@ def _validate_pde(raw: dict, diags: list[str]) -> PdeVerifyConfig:
         diags.append(f"pde.{key}: unknown field")
     values = {name: value for key, name in keys.items()
               if (value := _get(raw, key, _PDE_KINDS.get(name, float), diags, "pde.")) is not None}
-    for name, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            diags.append(f"pde.{_camel(name)}: must be finite")
     tolerance = values.pop("tolerance", PdeVerifyConfig.tolerance)
     if not tolerance > 0:
         diags.append("pde.tolerance: must be > 0")
@@ -350,6 +360,8 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
             diags.append(f"phi: value {v} outside [0, 1]")
 
     gamma_k = _get(raw, "costOfCapital", float, diags, "", default=0.10)
+    if gamma_k is not None and gamma_k < 0:
+        diags.append("costOfCapital: must be >= 0")
     gamma_e = _get(raw, "taxRate", float, diags, "", default=0.21)
     if gamma_e is not None and not 0 <= gamma_e < 1:
         diags.append("taxRate: must lie in [0, 1)")
@@ -367,6 +379,8 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     if provider is not None and provider not in table:
         diags.append(f"providerRating: unknown rating {provider!r}")
     min_ratio = _get(raw, "minCapitalRatio", float, diags, "", default=0.08)
+    if min_ratio is not None and min_ratio < 0:
+        diags.append("minCapitalRatio: must be >= 0")
     warn_se = _get(raw, "warnSeBp", float, diags, "", default=1.0)
     workers = _get(raw, "workers", int, diags, "", default=1)
     antithetic = _get(raw, "antithetic", bool, diags, "", default=True)

@@ -14,11 +14,23 @@ payer/receiver symmetry exact pathwise.
 Under the affine bond formula ``P(t, T) = A(t, T) exp(-x B(t, T))`` a book
 is linear in the bonds on the union of its payment dates.  So the book is
 netted once per run into, per grid point, a constant ``c_k`` and one weight
-per live date with ``A`` folded in, and each path is revalued as
-``c_k + (w_k A_k) @ exp(-B_k x_k)``: one exponential per (path, date), not
-per (path, swap, date).  A posted-collateral book is a second weight row
-on the same product.  Paths arrive grid-major in blocks and are revalued in
-tiles of ``TILE_SIZE`` paths, so the exponential temporary stays near 1 MB.
+per live date with ``A`` folded in: ``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)``
+is the exact kernel, and a posted-collateral book is a second weight row.
+
+``f_k`` is an entire function of one scalar, so each grid row of a path
+block is revalued through a Chebyshev proxy rather than one exponential per
+(path, date).  The row is fitted on its own range ``mid_k ± h_k`` of the
+simulated factor, so no path is extrapolated: the exact kernel is evaluated
+at ``n`` Chebyshev nodes, a DCT-II turns those values into coefficients and
+Clenshaw's recurrence evaluates every path.  ``n`` is not a setting: with
+``r = h_k max B_k``, the coefficients of ``exp(-B h s)`` are Bessel values
+``I_m(B h)``, and ``n`` is the smallest count for which the tail bound
+``2 (r/2)^n e^r / n!`` is at most 2^-53 of each term's value at the centre
+(``_chebyshev_terms``).  About 15-20 terms serve where the exact kernel
+spends up to 120 exponentials per path.  Rows where every path agrees
+(``t = 0``, or ``sigma = 0``) and rows with no live date have nothing to fit
+and take the exact value.  Rows go in chunks of ``CHUNK_ROWS``, so the
+recurrence's temporaries stay in a core's cache.
 
 Exposure profiles report the Monte Carlo means of the pathwise-discounted
 positive and negative parts of the value, with standard errors computed on
@@ -29,6 +41,7 @@ profile is byte-identical for a given seed no matter how many workers ran.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +49,7 @@ import numpy as np
 from .curves import DiscountCurve
 from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
 
-TILE_SIZE = 1024  # paths per matrix product; the (dates, tile) temporary stays <= 1 MB
+CHUNK_ROWS = 8  # grid rows per Clenshaw pass: 8 x 8192 paths is 0.5 MB per temporary and book
 
 
 @dataclass(frozen=True)
@@ -138,16 +151,10 @@ def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> li
     return plan
 
 
-def _revalue(x: np.ndarray, point, buf: np.ndarray) -> np.ndarray:
-    """``c + (w A) @ exp(-B x)`` for one grid point: shaped ``(books, len(x))``.
-
-    The exponentials go to the flat scratch ``buf``; reusing it spares a
-    megabyte allocation per tile, which concurrent workers contend on.
-    """
+def _revalue(x: np.ndarray, point) -> np.ndarray:
+    """``c + (w A) @ exp(-B x)`` for one grid point: shaped ``(books, len(x))``."""
     const, neg_b, wa = point
-    e = buf[: len(neg_b) * len(x)].reshape(len(neg_b), len(x))
-    np.multiply.outer(neg_b, x, out=e)
-    return const + wa @ np.exp(e, out=e)
+    return const + wa @ np.exp(np.multiply.outer(neg_b, x))
 
 
 def portfolio_value(
@@ -155,8 +162,90 @@ def portfolio_value(
 ) -> np.ndarray:
     """Netted value of several swaps on the same paths: one point of the kernel."""
     (point,) = _netted_plan([tuple(swaps)], model, curve, [t])
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _revalue(x, point, np.empty(len(point[1]) * len(x)))[0]
+    return _revalue(np.atleast_1d(np.asarray(x, dtype=float)), point)[0]
+
+
+def _chebyshev_terms(r: float) -> int:
+    """Chebyshev terms that fit ``exp(-B x)`` to rounding where ``B h <= r``.
+
+    On ``x = mid + h s``, ``s`` in [-1, 1], a term is ``exp(-B mid)`` times
+    ``exp(-B h s) = I_0(B h) + 2 sum_{m>=1} (-1)^m I_m(B h) T_m(s)``.  From the
+    series of ``I_m`` and ``(m + k)! >= n! (m - n + k)!`` for ``m >= n``,
+
+        sum_{m>=n} I_m(r) <= (r/2)^n / n! * sum_{j>=0} I_j(r) <= (r/2)^n e^r / n!,
+
+    so dropping the terms from degree ``n`` on costs at most
+    ``2 (r/2)^n e^r / n!`` times the term at the centre of the interval; the
+    bound grows with ``r``, so ``r = h max B`` covers every date at once.
+    The smallest ``n`` with that bound <= 2^-53 is returned; interpolating at
+    ``n`` nodes instead of truncating at most doubles the error (aliasing
+    moves each dropped coefficient onto one kept one).
+    """
+    if not math.isfinite(r):
+        raise ValueError(f"Chebyshev radius must be finite, got {r}")
+    n = 1
+    if r > 0:  # in logs, since e^r alone overflows past r = 709
+        log_eps, log_half_r = -53 * math.log(2.0), math.log(r / 2.0)
+        while math.log(2.0) + r + n * log_half_r - math.lgamma(n + 1) > log_eps:
+            n += 1
+    return n
+
+
+def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev nodes ``cos(theta_i)`` and the DCT-II matrix ``(2/n) cos(m theta_i)``.
+
+    ``theta_i = pi (i + 1/2) / n``, so ``m theta_i = k pi / 2n`` with
+    ``k = m (2i + 1)``.  Folding ``k`` in integers to an angle in [0, pi/2]
+    keeps each cosine within an ulp or so; ``cos`` of the rounded product
+    ``m * theta_i`` errs by up to ``m`` ulps, which put several ulps of the
+    book into every fitted value.
+    """
+    k = np.outer(2 * np.arange(n) + 1, np.arange(n + 1)) % (4 * n)  # m = 1 gives the nodes
+    k = np.minimum(k, 4 * n - k)  # cos is even and 2 pi periodic
+    sign = np.where(k > n, -1.0, 1.0)  # cos(pi - a) = -cos(a)
+    cosines = sign * np.cos(np.pi / (2 * n) * np.where(k > n, 2 * n - k, k))
+    return cosines[:, 1], (2.0 / n) * cosines[:, :n]
+
+
+def _chebyshev_revalue(x: np.ndarray, plan: list, out: np.ndarray) -> None:
+    """The netted books at every path of a grid-major block, into ``out``.
+
+    Row ``k`` is fitted on its own range ``mid_k ± h_k`` of ``x[k]``, so no
+    path is extrapolated: the exact kernel ``_revalue`` is evaluated at the
+    Chebyshev nodes of that interval, one cosine matrix (a DCT-II) turns the
+    node values into coefficients, and Clenshaw's recurrence evaluates every
+    path.  Rows where every path agrees (``h_k = 0``) or no date is live have
+    nothing to fit: their exact value at ``mid_k`` becomes the constant
+    coefficient and passes through the recurrence unchanged.  Rows go in
+    chunks of ``CHUNK_ROWS`` at the chunk's largest term count.
+    """
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    b_max = np.array([np.max(-neg_b, initial=0.0) for _, neg_b, _ in plan])  # 0: none live
+    fit = (half > 0) & (b_max > 0)
+    for k0 in range(0, len(plan), CHUNK_ROWS):
+        k1 = min(k0 + CHUNK_ROWS, len(plan))
+        n = _chebyshev_terms(np.max(half[k0:k1] * b_max[k0:k1], where=fit[k0:k1], initial=0.0))
+        nodes, cosines = _chebyshev_basis(n)
+        coef = np.zeros((len(out), k1 - k0, n))
+        for i, k in enumerate(range(k0, k1)):
+            if fit[k]:
+                coef[:, i] = _revalue(mid[k] + half[k] * nodes, plan[k]) @ cosines
+            else:
+                coef[:, i, 0] = 2.0 * _revalue(mid[k:k + 1], plan[k])[:, 0]
+        h = half[k0:k1, None]
+        s2 = np.divide(x[k0:k1] - mid[k0:k1, None], 0.5 * h,  # 2 s; 0 where h = 0
+                       out=np.zeros_like(x[k0:k1]), where=h > 0)
+        b1, b2 = np.zeros((2, *coef.shape[:2], x.shape[1]))
+        tmp = np.empty_like(b1)
+        for m in range(n - 1, -1, -1):  # b_m = a_m + 2 s b_{m+1} - b_{m+2}
+            np.multiply(s2, b1, out=tmp)
+            tmp -= b2
+            tmp += coef[:, :, m, None]
+            b1, b2, tmp = tmp, b1, b2
+        chunk = out[:, k0:k1]
+        np.subtract(b1, tmp, out=chunk)  # f = (b_0 - b_2) / 2
+        chunk *= 0.5
 
 
 @dataclass
@@ -311,10 +400,7 @@ def exposure_profile(
     def run_block(idx, size):
         x, y = _simulate_block(model, g, size, seed, idx, antithetic)
         values = np.empty((len(books), len(g), size))
-        buf = np.empty(len(plan[0][1]) * min(size, TILE_SIZE))  # t = 0 has every date live
-        for k, point in enumerate(plan):
-            for lo in range(0, size, TILE_SIZE):
-                values[:, k, lo:lo + TILE_SIZE] = _revalue(x[k, lo:lo + TILE_SIZE], point, buf)
+        _chebyshev_revalue(x, plan, values)
         del x
         y += int_shift
         discount = np.exp(np.negative(y, out=y), out=y)

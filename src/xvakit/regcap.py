@@ -89,38 +89,51 @@ RATING_TABLE: dict[str, CounterpartyProfile] = {
 }
 
 
+_MR_UPPERS = np.array([u for u, _ in MR_BAND_WEIGHTS])
+_MR_WEIGHTS = np.array([w for _, w in MR_BAND_WEIGHTS])
+
+
+def _addon_factor(residual_maturity):
+    """CEM add-on factor of each residual maturity."""
+    return np.where(residual_maturity < 1.0, CEM_ADDON_FACTORS[0],
+                    np.where(residual_maturity <= 5.0, CEM_ADDON_FACTORS[1], CEM_ADDON_FACTORS[2]))
+
+
+def _mr_band(residual_maturity):
+    """Index of the maturity-ladder band: the first whose upper bound exceeds the maturity."""
+    return np.searchsorted(_MR_UPPERS, residual_maturity, side="right")
+
+
 def ead_cem(mtm: float, notional: float, residual_maturity: float) -> float:
     """Exposure at default under the current exposure method."""
     if notional < 0:
         raise ValueError("notional must be >= 0")
     if residual_maturity < 0:
         raise ValueError("residual maturity must be >= 0")
-    if residual_maturity < 1.0:
-        factor = CEM_ADDON_FACTORS[0]
-    elif residual_maturity <= 5.0:
-        factor = CEM_ADDON_FACTORS[1]
-    else:
-        factor = CEM_ADDON_FACTORS[2]
-    return max(mtm, 0.0) + notional * factor
+    return max(mtm, 0.0) + notional * float(_addon_factor(residual_maturity))
 
 
-def ccr_capital(ead: float, risk_weight: float, min_ratio: float) -> float:
-    """Counterparty-credit-risk capital: EAD x weight x minimum ratio."""
-    if ead < 0 or risk_weight < 0 or min_ratio < 0:
+def ccr_capital(ead, risk_weight: float, min_ratio: float):
+    """Counterparty-credit-risk capital: EAD x weight x minimum ratio; ``ead`` may be an array."""
+    if np.any(np.asarray(ead) < 0) or risk_weight < 0 or min_ratio < 0:
         raise ValueError("inputs must be >= 0")
     return ead * risk_weight * min_ratio
 
 
 def cva_var_capital(
-    ead: float,
+    ead,
     cva_weight: float,
-    maturity: float,
+    maturity,
     hedge_notional: float = 0.0,
     hedge_maturity: float = 0.0,
     horizon: float = CVA_VAR_HORIZON,
-) -> float:
-    """Standardized CVA volatility charge, large-portfolio approximation."""
-    if min(ead, cva_weight, maturity, hedge_notional, hedge_maturity, horizon) < 0:
+):
+    """Standardized CVA volatility charge, large-portfolio approximation.
+
+    ``ead`` and ``maturity`` may be arrays over a grid.
+    """
+    if min(np.min(ead), cva_weight, np.min(maturity), hedge_notional, hedge_maturity,
+           horizon) < 0:
         raise ValueError("inputs must be >= 0")
     net = maturity * ead - hedge_maturity * hedge_notional
     return CVA_VAR_QUANTILE * np.sqrt(horizon) * abs(cva_weight * net)
@@ -132,25 +145,27 @@ def market_risk_capital(positions) -> float:
     ``positions`` is an iterable of (residual_maturity, signed_notional);
     positions netting to zero within every band attract no charge.
     """
-    uppers = [u for u, _ in MR_BAND_WEIGHTS]
-    nets = np.zeros(len(uppers))
+    nets = np.zeros(len(MR_BAND_WEIGHTS))
     for maturity, amount in positions:
         if maturity < 0:
             raise ValueError("residual maturity must be >= 0")
-        band = next(i for i, u in enumerate(uppers) if maturity < u or u == float("inf"))
-        nets[band] += amount
-    weights = np.array([w for _, w in MR_BAND_WEIGHTS])
-    return float(np.abs(nets) @ weights)
+        nets[_mr_band(maturity)] += amount
+    return float(np.abs(nets) @ _MR_WEIGHTS)
 
 
-def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t: float) -> float:
-    """Discount-weighted average time to the swap's remaining payments."""
+def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t):
+    """Discount-weighted average time to the swap's remaining payments.
+
+    Vectorized over ``t``: a float for a scalar, an array for an array; 0
+    where no payment remains.
+    """
     times = spec.payment_times()
-    alive = times > t + 1e-12
-    if not alive.any():
-        return 0.0
-    dfs = np.asarray(curve.df(times[alive]))
-    return float(np.sum((times[alive] - t) * dfs) / np.sum(dfs))
+    t_col = np.asarray(t, dtype=float)[..., None]
+    dfs = np.where(times > t_col + 1e-12, curve.df(times), 0.0)
+    total = dfs.sum(axis=-1)
+    out = np.divide(((times - t_col) * dfs).sum(axis=-1), total,
+                    out=np.zeros_like(total), where=total > 0)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 @dataclass
@@ -196,60 +211,91 @@ class CapitalProfile:
         return mr + ccr + cva
 
 
-def capital_profile(
-    profile: ExposureProfile,
-    counterparty: CounterpartyProfile,
-    swaps,
-    curve: DiscountCurve,
-    min_ratio: float = 0.08,
-    provider: CounterpartyProfile | None = None,
-    mr_swaps=None,
-) -> CapitalProfile:
-    """Deterministic capital profile from an exposure profile.
+@dataclass(frozen=True)
+class CapitalBase:
+    """The rating-free part of a capital profile along the exposure grid.
+
+    ``ead`` is the CEM exposure at default, ``duration`` the notional-weighted
+    remaining duration (the CVA charge's effective maturity) and ``k_mr`` the
+    market-risk charge.  A rating only scales these by its weights, so a run
+    builds this once and passes it to ``capital_profile`` for each rating.
+    """
+
+    grid: np.ndarray
+    ead: np.ndarray
+    duration: np.ndarray
+    k_mr: np.ndarray
+
+    def for_rating(self, counterparty: CounterpartyProfile, min_ratio: float = 0.08,
+                   provider: CounterpartyProfile | None = None) -> CapitalProfile:
+        """CCR capital from the risk weights and CVA capital from the CVA weight."""
+        hedged_weight = counterparty.risk_weight
+        if provider is not None:
+            hedged_weight = min(hedged_weight, provider.risk_weight)
+        return CapitalProfile(
+            grid=self.grid,
+            k_mr=self.k_mr,
+            k_ccr=ccr_capital(self.ead, counterparty.risk_weight, min_ratio),
+            k_ccr_hedged=ccr_capital(self.ead, hedged_weight, min_ratio),
+            k_cva=cva_var_capital(self.ead, counterparty.cva_weight, self.duration),
+        )
+
+
+def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
+                 mr_swaps=None) -> CapitalBase:
+    """EAD, effective maturity and market-risk charge at every grid point.
 
     The CEM mark-to-market at each grid point is the undiscounted expected
     value of the netting set (floored at zero inside the EAD, as the current
     exposure method prescribes).  ``swaps`` are the uncollateralized trades
-    backing the exposure (add-ons, durations); ``mr_swaps`` is the full book
-    for market-risk netting and defaults to ``swaps``.  ``provider`` is the
-    credit-protection seller whose risk weight caps the hedged CCR weight.
+    backing the exposure (add-ons, durations), one add-on per live trade;
+    ``mr_swaps`` is the full book for market-risk netting and defaults to
+    ``swaps``.
     """
     if isinstance(swaps, SwapSpec):
         swaps = (swaps,)
     swaps = tuple(swaps)
     mr_swaps = swaps if mr_swaps is None else tuple(mr_swaps)
     grid = profile.grid
-    mtm = profile.mean_value_undiscounted
+    addons = np.zeros_like(grid)
+    weighted_duration = np.zeros_like(grid)
+    total_notional = np.zeros_like(grid)
+    for spec in swaps:
+        residual = spec.maturity - grid
+        live = residual > 1e-12
+        addons += np.where(live, spec.notional * _addon_factor(residual), 0.0)
+        weighted_duration += np.where(live, spec.notional * remaining_duration(curve, spec, grid),
+                                      0.0)
+        total_notional += np.where(live, spec.notional, 0.0)
+    # One add-on per trade; the netted MtM enters once.
+    ead = addons + np.maximum(profile.mean_value_undiscounted, 0.0)
+    duration = np.divide(weighted_duration, total_notional, out=np.zeros_like(grid),
+                         where=total_notional > 0)
 
-    hedged_weight = counterparty.risk_weight
-    if provider is not None:
-        hedged_weight = min(hedged_weight, provider.risk_weight)
+    nets = np.zeros((len(grid), len(MR_BAND_WEIGHTS)))
+    for spec in mr_swaps:
+        residual = spec.maturity - grid
+        live = np.flatnonzero(residual > 1e-12)
+        nets[live, _mr_band(residual[live])] += spec.sign * spec.notional
+    return CapitalBase(grid=grid, ead=ead, duration=duration, k_mr=np.abs(nets) @ _MR_WEIGHTS)
 
-    k_mr = np.zeros_like(grid)
-    k_ccr = np.zeros_like(grid)
-    k_ccr_h = np.zeros_like(grid)
-    k_cva = np.zeros_like(grid)
-    for i, u in enumerate(grid):
-        ead = 0.0
-        weighted_duration = 0.0
-        total_notional = 0.0
-        for spec in swaps:
-            residual = spec.maturity - u
-            if residual <= 1e-12:
-                continue
-            # One add-on per trade; the netted MtM enters once.
-            ead += ead_cem(0.0, spec.notional, residual)
-            weighted_duration += spec.notional * remaining_duration(curve, spec, u)
-            total_notional += spec.notional
-        ead += max(float(mtm[i]), 0.0)
-        duration = weighted_duration / total_notional if total_notional else 0.0
 
-        k_ccr[i] = ccr_capital(ead, counterparty.risk_weight, min_ratio)
-        k_ccr_h[i] = ccr_capital(ead, hedged_weight, min_ratio)
-        k_cva[i] = cva_var_capital(ead, counterparty.cva_weight, duration)
-        k_mr[i] = market_risk_capital(
-            (s.maturity - u, s.sign * s.notional)
-            for s in mr_swaps
-            if s.maturity - u > 1e-12
-        )
-    return CapitalProfile(grid=grid, k_mr=k_mr, k_ccr=k_ccr, k_ccr_hedged=k_ccr_h, k_cva=k_cva)
+def capital_profile(
+    profile: ExposureProfile | CapitalBase,
+    counterparty: CounterpartyProfile,
+    swaps=(),
+    curve: DiscountCurve | None = None,
+    min_ratio: float = 0.08,
+    provider: CounterpartyProfile | None = None,
+    mr_swaps=None,
+) -> CapitalProfile:
+    """Deterministic capital profile of one counterparty rating.
+
+    ``profile``, ``swaps``, ``curve`` and ``mr_swaps`` are as in
+    ``capital_base``; ``profile`` may instead be a ``CapitalBase`` already
+    built from them, which a run shares across its ratings.  ``provider`` is
+    the credit-protection seller whose risk weight caps the hedged CCR weight.
+    """
+    if not isinstance(profile, CapitalBase):
+        profile = capital_base(profile, swaps, curve, mr_swaps)
+    return profile.for_rating(counterparty, min_ratio, provider)

@@ -16,7 +16,7 @@ from .credit import CreditCurve, HedgePolicy, TaxPolicy, hazard_from_spread
 from .curves import DiscountCurve
 from .exposure import ExposureProfile, exposure_profile, make_exposure_grid
 from .ratemodel import ShortRateModel
-from .regcap import capital_profile
+from .regcap import capital_base, capital_profile
 from .xva import XvaBreakdown, XvaInputs, breakdown
 
 
@@ -82,6 +82,7 @@ def run_config(config: RunConfig) -> RunResult:
     table = config.rating_table
     provider = table.get(config.provider_rating) if config.provider_rating else None
 
+    base = capital_base(profile, uncollateralized, curve, mr_swaps=config.swaps)
     capitals = {}
     counterparties = {}
     for rating in config.ratings:
@@ -90,10 +91,7 @@ def run_config(config: RunConfig) -> RunResult:
             hazard_from_spread(cpty.cds_spread, cpty.recovery), cpty.recovery
         )
         capitals[rating] = capital_profile(
-            profile, cpty, uncollateralized, curve,
-            min_ratio=config.min_capital_ratio,
-            provider=provider,
-            mr_swaps=config.swaps,
+            base, cpty, min_ratio=config.min_capital_ratio, provider=provider
         )
 
     tax = TaxPolicy(

@@ -332,6 +332,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(field + ":") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "path, value, diagnostic",
+        [
+            (("market", "model", "sigma"), math.nan, "market.model.sigma: must be finite"),
+            (("costOfCapital",), math.nan, "costOfCapital: must be finite"),
+            (("costOfCapital",), math.inf, "costOfCapital: must be finite"),
+            (("taxRate",), 10**400, "taxRate: must be finite"),
+            (("swaps", 0, "fixedRate"), -math.inf, "swaps[0].fixedRate: must be finite"),
+            (("market", "curve", "zeroRates"), [0.02, math.nan],
+             "market.curve.zeroRates[1]: must be finite"),
+            (("costOfCapital",), -5, "costOfCapital: must be >= 0"),
+            (("minCapitalRatio",), -0.1, "minCapitalRatio: must be >= 0"),
+        ],
+        ids=["nan-sigma", "nan-cost", "inf-cost", "huge-int-tax", "inf-fixed-rate",
+             "nan-zero-rate", "negative-cost", "negative-min-ratio"],
+    )
+    def test_run_bad_number_is_a_diagnostic(self, tmp_path, capsys, path, value, diagnostic):
+        raw = small_config()
+        owner = raw
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert diagnostic in err.splitlines() and "Traceback" not in err
+
     def test_pde_block_reaches_every_problem_field(self):
         _, diags = validate_config(small_config(pde={"foo": 1}))
         assert diags == ["pde.foo: unknown field"]

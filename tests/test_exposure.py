@@ -18,7 +18,8 @@ from xvakit import (
     simulate_paths,
     swap_value,
 )
-from xvakit.ratemodel import BLOCK_SIZE
+from xvakit.exposure import _chebyshev_revalue, _chebyshev_terms, _netted_plan, _revalue
+from xvakit.ratemodel import BLOCK_SIZE, _simulate_block
 
 # independent oracle for the 10y 2.7% payer on a flat 2% curve, plain discounting
 _ANNUITY = sum(0.5 * math.exp(-0.02 * 0.5 * j) for j in range(1, 21))
@@ -38,6 +39,24 @@ MIXED_BOOK = (
 MIXED_GRID = make_exposure_grid(7.0, 4)
 GROSS = sum(s.notional for s in MIXED_BOOK)
 SLOPED = DiscountCurve((1.0, 5.0, 10.0), (0.01, 0.02, 0.03))
+
+# The benchmark's 30y book, and a stressed one: 3% absolute volatility with
+# slow mean reversion moves rates by tens of percent, and a 50y swap carries
+# B up to 39, so each block's Chebyshev radius reaches 13 and 40-odd terms.
+LONG_BOOK = (
+    SwapSpec(notional=100.0, fixed_rate=0.022, maturity=5.0, frequency=4, payer=True),
+    SwapSpec(notional=100.0, fixed_rate=0.019, maturity=10.0, frequency=2, payer=False),
+    SwapSpec(notional=100.0, fixed_rate=0.024, maturity=20.0, frequency=4, payer=True),
+    SwapSpec(notional=100.0, fixed_rate=0.018, maturity=30.0, frequency=4, payer=False),
+)
+POSTED = (SwapSpec(notional=100.0, fixed_rate=0.021, maturity=30.0, frequency=4, payer=False,
+                   collateralized=True),)
+PROXY_CASES = {
+    "long-book": (LONG_BOOK, ShortRateModel(0.05, 0.011), make_exposure_grid(30.0, 4)),
+    "stressed": (LONG_BOOK + (SwapSpec(notional=100.0, fixed_rate=0.025, maturity=50.0),),
+                 ShortRateModel(0.01, 0.03), make_exposure_grid(50.0, 2)),
+}
+FLAT = DiscountCurve.flat(0.02)
 
 
 def per_swap_sum(book, model, curve, t, x):
@@ -242,3 +261,58 @@ class TestNettedKernel:
             np.testing.assert_allclose(getattr(profile, name), expected, rtol=1e-12, atol=1e-15)
             # Every path starts at the same value, so the error there is exactly 0.
             assert getattr(profile, name)[0] == 0.0
+
+    @staticmethod
+    def proxy_block(book, model, grid, antithetic, seed=29):
+        """One block's paths, its netted plan (book and posted rows) and the proxy values."""
+        x, _ = _simulate_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
+        plan = _netted_plan([book, POSTED], model, FLAT, grid)
+        proxy = np.empty((2, len(grid), BLOCK_SIZE))
+        _chebyshev_revalue(x, plan, proxy)
+        return x, plan, proxy
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_chebyshev_proxy_matches_exact_kernel(self, case, antithetic):
+        x, plan, proxy = self.proxy_block(*PROXY_CASES[case], antithetic)
+        for k, point in enumerate(plan):
+            const, neg_b, wa = point
+            # The exact kernel's own rounding: each exp(-B x) holds about
+            # (1 + B |x|) ulps of its value, and every term is largest at the
+            # low end of the row's range.  In the long book that scale is
+            # within 1.5x of the gross notional.
+            scale = np.abs(const[:, 0]) + np.abs(wa) @ np.exp(neg_b * x[k].min())
+            scale *= 1.0 + np.abs(neg_b).max(initial=0.0) * np.abs(x[k]).max()
+            error = np.abs(proxy[:, k] - _revalue(x[k], point)).max(axis=1)
+            assert np.all(error <= 8 * 2.0**-52 * scale), (k, error / scale / 2.0**-52)
+
+    def test_rows_with_nothing_to_fit_are_exact(self, model):
+        x, plan, proxy = self.proxy_block(*PROXY_CASES["long-book"], antithetic=True)
+        # t = 0: every path sits at x = 0; at 30y no date is live.
+        for k in (0, len(plan) - 1):
+            assert np.all(proxy[:, k] == _revalue(x[k, :1], plan[k]))
+        frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
+        x, plan, proxy = self.proxy_block(LONG_BOOK, frozen, MIXED_GRID, antithetic=False)
+        assert not x.any()
+        for k, point in enumerate(plan):
+            assert np.all(proxy[:, k] == _revalue(np.zeros(1), point))
+
+    def test_term_count_is_the_smallest_meeting_the_bessel_bound(self):
+        def bound(r, n):
+            return 2.0 * (r / 2.0) ** n * math.exp(r) / math.factorial(n)
+
+        assert _chebyshev_terms(0.0) == 1
+        for r in (1e-3, 0.3, 1.25, 4.0, 13.0, 40.0):
+            n = _chebyshev_terms(r)
+            assert bound(r, n) <= 2.0**-53 < bound(r, n - 1), r
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_raises(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            _chebyshev_terms(radius)
+
+    def test_non_finite_path_raises(self, model):
+        plan = _netted_plan([LONG_BOOK], model, FLAT, [0.0, 1.0])
+        x = np.array([[0.0, 0.0], [0.01, np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            _chebyshev_revalue(x, plan, np.empty((1, 2, 2)))

@@ -14,9 +14,11 @@ from xvakit import (
     ccr_capital,
     cva_var_capital,
     ead_cem,
+    make_exposure_grid,
     market_risk_capital,
     remaining_duration,
 )
+from xvakit.regcap import MR_BAND_WEIGHTS, capital_base
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -187,3 +189,79 @@ def test_rating_table_contents():
     assert RATING_TABLE["BB"].cds_spread == pytest.approx(0.025)
     assert RATING_TABLE["CCC"].risk_weight == pytest.approx(1.5)
     assert RATING_TABLE["AAA"].cva_weight == pytest.approx(0.007)
+
+
+def loop_capital(profile, counterparty, swaps, curve, min_ratio, provider, mr_swaps):
+    """Reference: the scalar rules at one grid point and one swap at a time."""
+    hedged = min(counterparty.risk_weight, provider.risk_weight)
+    rows = []
+    for i, u in enumerate(profile.grid):
+        live = [s for s in swaps if s.maturity - u > 1e-12]
+        ead = sum(ead_cem(0.0, s.notional, s.maturity - u) for s in live)
+        ead += max(float(profile.mean_value_undiscounted[i]), 0.0)
+        weighted = 0.0
+        for s in live:
+            times = s.payment_times()
+            dfs = curve.df(times[times > u + 1e-12])
+            weighted += s.notional * np.sum((times[times > u + 1e-12] - u) * dfs) / np.sum(dfs)
+        notional = sum(s.notional for s in live)
+        duration = weighted / notional if notional else 0.0
+        nets = np.zeros(len(MR_BAND_WEIGHTS))
+        for s in mr_swaps:
+            if s.maturity - u > 1e-12:
+                band = next(j for j, (upper, _) in enumerate(MR_BAND_WEIGHTS)
+                            if s.maturity - u < upper)
+                nets[band] += s.sign * s.notional
+        k_mr = float(np.abs(nets) @ [w for _, w in MR_BAND_WEIGHTS])
+        rows.append((k_mr, ccr_capital(ead, counterparty.risk_weight, min_ratio),
+                     ccr_capital(ead, hedged, min_ratio),
+                     cva_var_capital(ead, counterparty.cva_weight, duration)))
+    return np.array(rows).T
+
+
+class TestCapitalBase:
+    curve = DiscountCurve((1.0, 10.0, 30.0), (0.015, 0.02, 0.025))
+    # Maturities land on the 1y and 5y add-on edges and on ladder band edges.
+    swaps = (
+        SwapSpec(notional=100.0, fixed_rate=0.022, maturity=5.0, frequency=4, payer=True),
+        SwapSpec(notional=60.0, fixed_rate=0.019, maturity=10.0, frequency=2, payer=False),
+        SwapSpec(notional=80.0, fixed_rate=0.024, maturity=20.0, frequency=1, payer=True),
+        SwapSpec(notional=40.0, fixed_rate=0.018, maturity=0.75, frequency=4, payer=False),
+    )
+    book = swaps + (SwapSpec(notional=100.0, fixed_rate=0.021, maturity=20.0, frequency=4,
+                             payer=False, collateralized=True),)
+    grid = make_exposure_grid(20.0, 4)
+
+    def profile(self):
+        mean = np.random.default_rng(3).normal(0.0, 4.0, len(self.grid))
+        z = np.zeros_like(mean)
+        return ExposureProfile(grid=self.grid, epe=np.maximum(mean, 0.0),
+                               ene=np.minimum(mean, 0.0), mean_value=mean,
+                               epe_undiscounted=np.maximum(mean, 0.0),
+                               mean_value_undiscounted=mean, se_epe=z, se_ene=z,
+                               n_paths=0, seed=0)
+
+    def test_matches_the_per_point_loop(self):
+        prof = self.profile()
+        for cpty in RATING_TABLE.values():
+            cap = capital_profile(prof, cpty, self.swaps, self.curve, min_ratio=0.08,
+                                  provider=RATING_TABLE["A"], mr_swaps=self.book)
+            reference = loop_capital(prof, cpty, self.swaps, self.curve, 0.08,
+                                     RATING_TABLE["A"], self.book)
+            computed = np.array([cap.k_mr, cap.k_ccr, cap.k_ccr_hedged, cap.k_cva])
+            np.testing.assert_allclose(computed, reference, rtol=1e-14, atol=0.0)
+
+    def test_shared_base_gives_each_ratings_profile(self):
+        prof = self.profile()
+        base = capital_base(prof, self.swaps, self.curve, mr_swaps=self.book)
+        for cpty in RATING_TABLE.values():
+            shared = capital_profile(base, cpty, min_ratio=0.08, provider=RATING_TABLE["A"])
+            alone = capital_profile(prof, cpty, self.swaps, self.curve, min_ratio=0.08,
+                                    provider=RATING_TABLE["A"], mr_swaps=self.book)
+            for name in ("k_mr", "k_ccr", "k_ccr_hedged", "k_cva"):
+                assert np.array_equal(getattr(shared, name), getattr(alone, name))
+
+    def test_negative_min_ratio_rejected(self):
+        base = capital_base(self.profile(), self.swaps, self.curve)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            base.for_rating(RATING_TABLE["A"], min_ratio=-0.1)
