@@ -6,18 +6,21 @@
 
 ``<config>`` is a JSON file or one of the built-in presets (base-case,
 warehouse-pos, warehouse-neg).  Exit codes: 0 success, 1 validation failure,
-2 numerical tolerance breach, 3 I/O failure.
+2 numerical tolerance breach, 3 I/O failure, 4 internal error (any other
+exception, reported as one stderr line).
+
+``run`` and ``validate`` import only numpy; scipy is loaded by the PDE solver
+on the first ``pde-verify`` solve.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import PRESETS, ConfigError, load_config, validate_config
+from .config import PRESETS, ConfigError, load_config
 from .pde import PdeSolution, verify_decomposition
 from .report import RENDERERS
 from .runner import run_config
@@ -26,6 +29,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -49,27 +53,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Failure(Exception):
+    """An expected failure: its message goes to stderr and ``main`` returns its code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _load(path: str):
     try:
-        return load_config(path), None
+        return load_config(path)
     except FileNotFoundError as exc:
-        return None, (EXIT_IO, str(exc))
+        raise _Failure(EXIT_IO, str(exc)) from None
     except ConfigError as exc:
-        return None, (EXIT_VALIDATION, "\n".join(exc.diagnostics))
+        raise _Failure(EXIT_VALIDATION, "\n".join(exc.diagnostics)) from None
 
 
 def _cmd_run(args) -> int:
-    cfg, err = _load(args.config)
-    if err:
-        code, message = err
-        print(message, file=sys.stderr)
-        return code
+    cfg = _load(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise _Failure(EXIT_VALIDATION, "seed: must be >= 0")
         cfg = replace(cfg, seed=args.seed)
     if args.paths is not None:
         if cfg.antithetic and args.paths % 2:
-            print("paths: must be even with antithetic sampling", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise _Failure(EXIT_VALIDATION, "paths: must be even with antithetic sampling")
         cfg = replace(cfg, paths=args.paths)
     if args.format is not None:
         cfg = replace(cfg, output_format=args.format)
@@ -80,42 +89,23 @@ def _cmd_run(args) -> int:
         try:
             args.out.write_text(text)
         except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise _Failure(EXIT_IO, f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
+    _load(args.config)
     if args.config in PRESETS:
         print(f"ok: built-in preset {args.config}")
-        return EXIT_OK
-    path = Path(args.config)
-    if not path.exists():
-        print(f"configuration file not found: {path}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    cfg, diags = validate_config(raw, base_dir=path.parent)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return EXIT_VALIDATION
-    print(f"ok: {path}")
+    else:
+        print(f"ok: {Path(args.config)}")
     return EXIT_OK
 
 
 def _cmd_pde_verify(args) -> int:
-    cfg, err = _load(args.config)
-    if err:
-        code, message = err
-        print(message, file=sys.stderr)
-        return code
+    cfg = _load(args.config)
     report = verify_decomposition(cfg.pde.problem, cfg.pde.grid, tolerance=cfg.pde.tolerance)
     oracle = report.oracle
     print(f"adjustment  pde {report.pde_adjustment:+.6f}   quadrature {oracle.total:+.6f}   "
@@ -129,8 +119,7 @@ def _cmd_pde_verify(args) -> int:
         try:
             _write_surfaces(args.out, report.solution)
         except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise _Failure(EXIT_IO, f"cannot write {args.out}: {exc}") from None
     if not report.passed:
         print("FAIL: discrepancy above tolerance", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -151,13 +140,20 @@ def _write_surfaces(path: Path, solution: PdeSolution) -> None:
                                for s, e, a in zip(s_text, economic, adjustment)]))
 
 
+_COMMANDS = {"run": _cmd_run, "validate": _cmd_validate, "pde-verify": _cmd_pde_verify}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_pde_verify(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .credit import hazard_from_spread
 from .exposure import SwapSpec
 from .pde import Grid, PdeProblem
 from .regcap import RATING_TABLE, CounterpartyProfile
@@ -152,10 +153,14 @@ def _get(d: dict, key: str, kind, diags: list[str], prefix: str, default=None, r
     return default
 
 
-def _number_list(d: dict, key: str, diags: list[str], prefix: str = "") -> list[float] | None:
-    raw = _get(d, key, list, diags, prefix)
+def _number_list(d: dict, key: str, diags: list[str], prefix: str = "",
+                 required: bool = False) -> list[float] | None:
+    """The finite numbers of a non-empty list; each rejected element is named."""
+    raw = _get(d, key, list, diags, prefix, required=required)
     if raw is None:
         return None
+    if not raw:
+        diags.append(f"{prefix}{key}: list must not be empty")
     out = []
     for i, v in enumerate(raw):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -172,10 +177,8 @@ def _validate_market(raw: dict, diags: list[str]) -> MarketConfig | None:
     curve = _get(raw, "curve", dict, local, "market.", required=True) or {}
     model = _get(raw, "model", dict, local, "market.", required=True) or {}
     issuer = _get(raw, "issuer", dict, local, "market.", required=True) or {}
-    pillars = _number_list(curve, "pillars", local, "market.curve.") or []
-    rates = _number_list(curve, "zeroRates", local, "market.curve.") or []
-    if not pillars:
-        local.append("market.curve.pillars: missing or empty")
+    pillars = _number_list(curve, "pillars", local, "market.curve.", required=True) or []
+    rates = _number_list(curve, "zeroRates", local, "market.curve.", required=True) or []
     if pillars and rates and len(pillars) != len(rates):
         local.append("market.curve: pillars and zeroRates lengths differ")
     if pillars and (pillars[0] <= 0 or any(b <= a for a, b in zip(pillars, pillars[1:]))):
@@ -307,6 +310,9 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
             weight = _get(entry, "riskWeight", float, diags, prefix, required=True)
             cva_w = _get(entry, "cvaWeight", float, diags, prefix, required=True)
             recovery = _get(entry, "recovery", float, diags, prefix, default=0.4)
+            if recovery is not None and not 0 <= recovery < 1:
+                diags.append(f"{prefix}recovery: must lie in [0, 1)")
+                continue
             if None in (spread, weight, cva_w, recovery):
                 continue
             try:
@@ -315,24 +321,20 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
                 diags.append(f"ratingTable.{label}: {exc}")
 
     ratings = _get(raw, "ratings", list, diags, "", required=True) or []
+    known = [r for r in ratings if isinstance(r, str) and r in table]
     for r in ratings:
-        if r not in table:
+        if r not in known:
             diags.append(f"ratings: unknown rating {r!r} (known: {', '.join(table)})")
     if "ratings" in raw and not ratings:
         diags.append("ratings: list must not be empty")
 
-    psi = _number_list(raw, "psi", diags) if "psi" in raw else None
-    if psi is None:
-        diags.append("psi: missing required field")
-        psi = []
+    psi = _number_list(raw, "psi", diags, required=True) or []
     for v in psi:
         if not 0 <= v <= 1:
             diags.append(f"psi: value {v} outside [0, 1]")
-    if "psi" in raw and not psi:
-        diags.append("psi: list must not be empty")
 
-    xi = _number_list(raw, "priceOfRiskXi", diags) if "priceOfRiskXi" in raw else None
-    m_lambda = _number_list(raw, "mLambda", diags) if "mLambda" in raw else None
+    xi = _number_list(raw, "priceOfRiskXi", diags)
+    m_lambda = _number_list(raw, "mLambda", diags)
     if xi is not None and m_lambda is not None:
         diags.append("priceOfRiskXi/mLambda: supply one or the other, not both")
     if xi is None and m_lambda is None:
@@ -340,21 +342,21 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     for v in xi or []:
         if v > 1:
             diags.append(f"priceOfRiskXi: value {v} above 1 implies a negative physical hazard")
+    hazards = {r: hazard_from_spread(table[r].cds_spread, table[r].recovery) for r in known}
+    if m_lambda is not None:
+        # xi = mLambda / hazard, so a rating without default risk has none
+        for r, hazard in hazards.items():
+            if hazard == 0:
+                diags.append(f"mLambda: rating {r} has zero hazard; use priceOfRiskXi")
     for v in m_lambda or []:
-        for r in ratings:
-            if r in table:
-                cpty = table[r]
-                hazard = cpty.cds_spread / (1.0 - cpty.recovery)
-                if hazard > 0 and v / hazard > 1:
-                    diags.append(
-                        f"mLambda: value {v} exceeds the {r} hazard rate, "
-                        "implying a negative physical hazard"
-                    )
+        for r, hazard in hazards.items():
+            if hazard > 0 and v / hazard > 1:
+                diags.append(
+                    f"mLambda: value {v} exceeds the {r} hazard rate, "
+                    "implying a negative physical hazard"
+                )
 
-    phi = _number_list(raw, "phi", diags) if "phi" in raw else None
-    if phi is None:
-        diags.append("phi: missing required field")
-        phi = []
+    phi = _number_list(raw, "phi", diags, required=True) or []
     for v in phi:
         if not 0 <= v <= 1:
             diags.append(f"phi: value {v} outside [0, 1]")
@@ -369,6 +371,8 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     compensator = _get(raw, "compensatorTaxed", bool, diags, "", default=False)
     s_x = _get(raw, "collateralSpread", float, diags, "", default=0.0)
     seed = _get(raw, "seed", int, diags, "", default=20150106)
+    if seed is not None and seed < 0:
+        diags.append("seed: must be >= 0")
     paths = _get(raw, "paths", int, diags, "", default=50000)
     if paths is not None and paths < 1:
         diags.append("paths: must be >= 1")
@@ -382,7 +386,11 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     if min_ratio is not None and min_ratio < 0:
         diags.append("minCapitalRatio: must be >= 0")
     warn_se = _get(raw, "warnSeBp", float, diags, "", default=1.0)
+    if warn_se is not None and warn_se < 0:
+        diags.append("warnSeBp: must be >= 0")
     workers = _get(raw, "workers", int, diags, "", default=1)
+    if workers is not None and workers < 1:
+        diags.append("workers: must be >= 1")
     antithetic = _get(raw, "antithetic", bool, diags, "", default=True)
     label = _get(raw, "hedgeSourceLabel", str, diags, "", default=provider or "A")
     if antithetic and paths is not None and paths % 2:

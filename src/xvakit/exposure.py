@@ -25,12 +25,12 @@ at ``n`` Chebyshev nodes, a DCT-II turns those values into coefficients and
 Clenshaw's recurrence evaluates every path.  ``n`` is not a setting: with
 ``r = h_k max B_k``, the coefficients of ``exp(-B h s)`` are Bessel values
 ``I_m(B h)``, and ``n`` is the smallest count for which the tail bound
-``2 (r/2)^n e^r / n!`` is at most 2^-53 of each term's value at the centre
-(``_chebyshev_terms``).  About 15-20 terms serve where the exact kernel
-spends up to 120 exponentials per path.  Rows where every path agrees
-(``t = 0``, or ``sigma = 0``) and rows with no live date have nothing to fit
-and take the exact value.  Rows go in chunks of ``CHUNK_ROWS``, so the
-recurrence's temporaries stay in a core's cache.
+``2 (r/2)^n e^{r^2/4(n+1)} / (n! (1 - r/2(n+1)))`` is at most 2^-53 of each
+term's value at the centre (``_chebyshev_terms``).  About 15 terms serve
+where the exact kernel spends up to 120 exponentials per path.  Rows where
+every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
+have nothing to fit and take the exact value.  Rows go in chunks of
+``CHUNK_ROWS``, so the recurrence's temporaries stay in a core's cache.
 
 Exposure profiles report the Monte Carlo means of the pathwise-discounted
 positive and negative parts of the value, with standard errors computed on
@@ -170,23 +170,31 @@ def _chebyshev_terms(r: float) -> int:
 
     On ``x = mid + h s``, ``s`` in [-1, 1], a term is ``exp(-B mid)`` times
     ``exp(-B h s) = I_0(B h) + 2 sum_{m>=1} (-1)^m I_m(B h) T_m(s)``.  From the
-    series of ``I_m`` and ``(m + k)! >= n! (m - n + k)!`` for ``m >= n``,
+    series of ``I_m`` and ``(m + k)! >= m! (m + 1)^k``,
 
-        sum_{m>=n} I_m(r) <= (r/2)^n / n! * sum_{j>=0} I_j(r) <= (r/2)^n e^r / n!,
+        I_m(r) <= (r/2)^m / m! * e^{r^2 / 4(m+1)},
 
-    so dropping the terms from degree ``n`` on costs at most
-    ``2 (r/2)^n e^r / n!`` times the term at the centre of the interval; the
-    bound grows with ``r``, so ``r = h max B`` covers every date at once.
-    The smallest ``n`` with that bound <= 2^-53 is returned; interpolating at
-    ``n`` nodes instead of truncating at most doubles the error (aliasing
-    moves each dropped coefficient onto one kept one).
+    and with ``m! >= n! (n + 1)^(m-n)`` for ``m >= n`` and ``q = r / 2(n+1) < 1``,
+
+        sum_{m>=n} I_m(r) <= (r/2)^n / n! * e^{r^2 / 4(n+1)} / (1 - q),
+
+    so dropping the terms from degree ``n`` on costs at most twice that
+    times the term at the centre of the interval; the bound grows with
+    ``r``, so ``r = h max B`` covers every date at once.  The smallest ``n``
+    with that bound <= 2^-53 is returned; interpolating at ``n`` nodes
+    instead of truncating at most doubles the error (aliasing moves each
+    dropped coefficient onto one kept one).
     """
     if not math.isfinite(r):
         raise ValueError(f"Chebyshev radius must be finite, got {r}")
     n = 1
-    if r > 0:  # in logs, since e^r alone overflows past r = 709
+    if r > 0:  # in logs, since the factors overflow long before their product is small
         log_eps, log_half_r = -53 * math.log(2.0), math.log(r / 2.0)
-        while math.log(2.0) + r + n * log_half_r - math.lgamma(n + 1) > log_eps:
+        while True:
+            q = r / (2.0 * (n + 1))
+            if q < 1 and (math.log(2.0) + n * log_half_r - math.lgamma(n + 1)
+                          + r * r / (4.0 * (n + 1)) - math.log1p(-q)) <= log_eps:
+                break
             n += 1
     return n
 

@@ -36,8 +36,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtr
 
 from .credit import compensator_rate, counterparty_hedge_error, effective_hazard
 
@@ -171,6 +169,9 @@ def _march(operator, terminal: np.ndarray, source: np.ndarray, dt: float, grid: 
     nodes)``; one banded solve per step serves every column.  Returns
     ``(columns, levels, nodes)``.
     """
+    # Imported here so that ``run`` and ``validate`` never load scipy.
+    from scipy.linalg import solve_banded
+
     lower, diag, upper = operator
     out = np.empty((terminal.shape[0], grid.n_time + 1, terminal.shape[1]))
     out[:, -1] = terminal
@@ -308,6 +309,9 @@ def _cell_average_kink(problem: PdeProblem, x: np.ndarray, payoff: np.ndarray) -
 
 def black_scholes_value(problem: PdeProblem, s, remaining: float):
     """Closed-form risk-free value with carry ``repo - dividend_yield``."""
+    # Imported here so that ``run`` and ``validate`` never load scipy.
+    from scipy.special import ndtr
+
     p = problem
     s = np.asarray(s, dtype=float)
     if remaining <= 0:

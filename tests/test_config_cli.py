@@ -40,6 +40,17 @@ def small_config(**overrides):
     return raw
 
 
+def zero_hazard_config():
+    """``mLambda`` against a rating whose CDS spread, and so hazard, is zero."""
+    raw = small_config(
+        ratings=["ZERO"],
+        ratingTable={"ZERO": {"cdsSpreadBp": 0, "riskWeight": 0.2, "cvaWeight": 0.007}},
+        mLambda=[0.001],
+    )
+    raw.pop("priceOfRiskXi")
+    return raw
+
+
 class TestValidation:
     def test_valid_config_has_no_diagnostics(self):
         cfg, diags = validate_config(small_config())
@@ -85,6 +96,28 @@ class TestValidation:
         _, first = validate_config(raw)
         _, second = validate_config(raw)
         assert first == second
+
+    @pytest.mark.parametrize("key", ["psi", "priceOfRiskXi", "phi"])
+    def test_rejected_element_reported_once(self, key):
+        _, diags = validate_config(small_config(**{key: [math.nan]}))
+        assert diags == [f"{key}[0]: must be finite"]
+        _, diags = validate_config(small_config(**{key: ["0.5"]}))
+        assert diags == [f"{key}[0]: expected number"]
+
+    @pytest.mark.parametrize("key", ["psi", "priceOfRiskXi", "phi"])
+    def test_empty_sweep_list_rejected(self, key):
+        _, diags = validate_config(small_config(**{key: []}))
+        assert diags == [f"{key}: list must not be empty"]
+
+    def test_curve_lists_required(self):
+        raw = small_config()
+        del raw["market"]["curve"]["zeroRates"]
+        _, diags = validate_config(raw)
+        assert diags == ["market.curve.zeroRates: missing required field"]
+        raw["market"]["curve"] = {"pillars": [], "zeroRates": [math.nan]}
+        _, diags = validate_config(raw)
+        assert diags == ["market.curve.pillars: list must not be empty",
+                         "market.curve.zeroRates[0]: must be finite"]
 
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -176,6 +209,21 @@ class TestPresets:
         _, diags = validate_config(raw)
         assert any("ratingTable.XX" in d and "cvaWeight" in d for d in diags)
 
+    def test_rating_table_recovery_range_checked(self):
+        raw = small_config(ratingTable={
+            "XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01, "recovery": 1.0}})
+        _, diags = validate_config(raw)
+        assert "ratingTable.XX.recovery: must lie in [0, 1)" in diags
+
+    def test_m_lambda_with_zero_hazard_rating_rejected(self):
+        _, diags = validate_config(zero_hazard_config())
+        assert diags == ["mLambda: rating ZERO has zero hazard; use priceOfRiskXi"]
+        # the same rating is fine under priceOfRiskXi
+        raw = zero_hazard_config()
+        raw.pop("mLambda")
+        raw["priceOfRiskXi"] = [0.0]
+        assert validate_config(raw)[1] == []
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -255,6 +303,12 @@ class TestCli:
         assert main(["validate", str(path)]) == 1
         assert "psi" in capsys.readouterr().err
 
+    def test_validate_stdout(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        assert main(["validate", "base-case"]) == 0
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == f"ok: built-in preset base-case\nok: {path}\n"
+
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.json")]) == 3
 
@@ -293,9 +347,31 @@ class TestCli:
                      "--paths", "1000", "--out", str(out_b)]) == 0
         assert out_a.read_text() != out_b.read_text()
 
+    def test_internal_error_is_exit_4_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("kernel broke\non two lines")
+
+        monkeypatch.setattr("xvakit.cli.run_config", broken)
+        assert main(["run", str(self.write_config(tmp_path))]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: kernel broke on two lines\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_validate_and_run_agree_on_zero_hazard_m_lambda(self, tmp_path, capsys, command):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(zero_hazard_config()))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "mLambda: rating ZERO has zero hazard; use priceOfRiskXi\n")
+
     def test_run_rejects_odd_path_override(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         assert main(["run", str(path), "--paths", "999"]) == 1
+
+    def test_run_rejects_negative_seed_override(self, tmp_path, capsys):
+        assert main(["run", str(self.write_config(tmp_path)), "--seed", "-5"]) == 1
+        assert capsys.readouterr().err == "seed: must be >= 0\n"
 
     def test_pde_verify_passes(self, tmp_path, capsys):
         path = self.write_config(tmp_path, pde={"nSpace": 200, "nTime": 200})
@@ -344,9 +420,14 @@ class TestCli:
              "market.curve.zeroRates[1]: must be finite"),
             (("costOfCapital",), -5, "costOfCapital: must be >= 0"),
             (("minCapitalRatio",), -0.1, "minCapitalRatio: must be >= 0"),
+            (("seed",), -5, "seed: must be >= 0"),
+            (("workers",), 0, "workers: must be >= 1"),
+            (("warnSeBp",), -1.0, "warnSeBp: must be >= 0"),
+            (("ratings",), [["A"]], "ratings: unknown rating ['A'] (known: AAA, A, BB, CCC)"),
         ],
         ids=["nan-sigma", "nan-cost", "inf-cost", "huge-int-tax", "inf-fixed-rate",
-             "nan-zero-rate", "negative-cost", "negative-min-ratio"],
+             "nan-zero-rate", "negative-cost", "negative-min-ratio", "negative-seed",
+             "zero-workers", "negative-warn", "unhashable-rating"],
     )
     def test_run_bad_number_is_a_diagnostic(self, tmp_path, capsys, path, value, diagnostic):
         raw = small_config()

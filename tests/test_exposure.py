@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from xvakit import (
     DiscountCurve,
@@ -299,12 +300,30 @@ class TestNettedKernel:
 
     def test_term_count_is_the_smallest_meeting_the_bessel_bound(self):
         def bound(r, n):
-            return 2.0 * (r / 2.0) ** n * math.exp(r) / math.factorial(n)
+            q = r / (2.0 * (n + 1))
+            if q >= 1:
+                return math.inf
+            return (2.0 * (r / 2.0) ** n * math.exp(r * r / (4.0 * (n + 1)))
+                    / (math.factorial(n) * (1.0 - q)))
 
         assert _chebyshev_terms(0.0) == 1
         for r in (1e-3, 0.3, 1.25, 4.0, 13.0, 40.0):
             n = _chebyshev_terms(r)
             assert bound(r, n) <= 2.0**-53 < bound(r, n - 1), r
+
+    def test_term_count_never_below_the_exact_bessel_tail(self):
+        # 2 sum_{m>=n} I_m(r) is the exact truncation error relative to the
+        # centre value; the count must make it at most 2^-53.
+        def exact_tail(r, n):
+            return 2.0 * math.exp(r) * ive(np.arange(n, n + 200), r).sum()
+
+        for r in np.linspace(0.1, 20.0, 400):
+            n = _chebyshev_terms(r)
+            assert exact_tail(r, n) <= 2.0**-53, r
+        # at these radii the bound is tight: one term fewer breaks the tolerance
+        for r, n in ((1, 15), (2, 19), (3, 22), (5, 27), (8, 33), (13, 42)):
+            assert _chebyshev_terms(r) == n
+            assert exact_tail(r, n - 1) > 2.0**-53, r
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_non_finite_radius_raises(self, radius):
