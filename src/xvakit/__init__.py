@@ -59,62 +59,3 @@ from .regcap import (
 from .xva import XvaBreakdown, XvaErrors, XvaInputs, breakdown, colva, cva, dva, fca, kva, tva
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CloseOutState",
-    "CreditCurve",
-    "HedgePolicy",
-    "TaxPolicy",
-    "closeout_values",
-    "compensator_rate",
-    "counterparty_hedge_error",
-    "effective_hazard",
-    "hazard_from_spread",
-    "tax_jump",
-    "taxable_flow",
-    "DiscountCurve",
-    "ExposureProfile",
-    "SwapSpec",
-    "annuity",
-    "exposure_profile",
-    "make_exposure_grid",
-    "par_rate",
-    "portfolio_value",
-    "swap_value",
-    "Grid",
-    "GridResolutionWarning",
-    "OracleDecomposition",
-    "PdeProblem",
-    "PdeSolution",
-    "ReplicationState",
-    "VerificationReport",
-    "black_scholes_value",
-    "density_expectations",
-    "quadrature_oracle",
-    "replication_state",
-    "solve_vhat",
-    "verify_decomposition",
-    "PathSet",
-    "ShortRateModel",
-    "simulate_paths",
-    "RATING_TABLE",
-    "CapitalProfile",
-    "CounterpartyProfile",
-    "capital_profile",
-    "ccr_capital",
-    "cva_var_capital",
-    "ead_cem",
-    "market_risk_capital",
-    "remaining_duration",
-    "XvaBreakdown",
-    "XvaErrors",
-    "XvaInputs",
-    "breakdown",
-    "colva",
-    "cva",
-    "dva",
-    "fca",
-    "kva",
-    "tva",
-    "__version__",
-]

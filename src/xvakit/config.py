@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .credit import hazard_from_spread
-from .exposure import SwapSpec
+from .exposure import SwapSpec, on_schedule
 from .pde import Grid, PdeProblem
 from .regcap import RATING_TABLE, CounterpartyProfile
 
@@ -249,6 +249,8 @@ def _validate_swap(raw: dict, i: int, diags: list[str]) -> SwapSpec | None:
         diags.append(f"{prefix}maturity: must be > 0")
     if frequency not in (1, 2, 4):
         diags.append(f"{prefix}frequency: must be one of 1, 2, 4")
+    elif maturity is not None and not on_schedule(maturity, frequency):
+        diags.append(f"{prefix}maturity: must be a whole number of 1/frequency periods")
     if None in (notional, fixed, maturity) or len(diags) > before:
         return None
     return SwapSpec(
@@ -321,9 +323,10 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
                 diags.append(f"ratingTable.{label}: {exc}")
 
     ratings = _get(raw, "ratings", list, diags, "", required=True) or []
+    rejected = set(table_raw or ()) - set(table)  # reported above, under ratingTable
     known = [r for r in ratings if isinstance(r, str) and r in table]
     for r in ratings:
-        if r not in known:
+        if r not in known and not (isinstance(r, str) and r in rejected):
             diags.append(f"ratings: unknown rating {r!r} (known: {', '.join(table)})")
     if "ratings" in raw and not ratings:
         diags.append("ratings: list must not be empty")
@@ -380,7 +383,7 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     if fmt not in OUTPUT_FORMATS:
         diags.append(f"format: must be one of {', '.join(OUTPUT_FORMATS)}")
     provider = _get(raw, "providerRating", str, diags, "", default="A")
-    if provider is not None and provider not in table:
+    if provider is not None and provider not in table and provider not in rejected:
         diags.append(f"providerRating: unknown rating {provider!r}")
     min_ratio = _get(raw, "minCapitalRatio", float, diags, "", default=0.08)
     if min_ratio is not None and min_ratio < 0:

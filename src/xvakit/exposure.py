@@ -29,14 +29,18 @@ Clenshaw's recurrence evaluates every path.  ``n`` is not a setting: with
 term's value at the centre (``_chebyshev_terms``).  About 15 terms serve
 where the exact kernel spends up to 120 exponentials per path.  Rows where
 every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
-have nothing to fit and take the exact value.  Rows go in chunks of
-``CHUNK_ROWS``, so the recurrence's temporaries stay in a core's cache.
+have nothing to fit and take the exact value.
 
 Exposure profiles report the Monte Carlo means of the pathwise-discounted
 positive and negative parts of the value, with standard errors computed on
-antithetic-pair means when antithetic sampling is on.  Accumulation happens
-per deterministic path block and blocks are reduced in index order, so a
-profile is byte-identical for a given seed no matter how many workers ran.
+antithetic-pair means when antithetic sampling is on.  A path block is
+streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk is simulated,
+revalued, discounted and reduced to per-row sums and moments while it is in
+a core's cache, so apart from its normal draws a block never holds a
+``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
+the Chebyshev term count is chosen per chunk.  Blocks are reduced in index
+order, so a profile is byte-identical for a given seed no matter how many
+workers ran.
 """
 
 from __future__ import annotations
@@ -47,9 +51,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DiscountCurve
-from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
+from .ratemodel import (ShortRateModel, _draw_block, _simulate_block, _step_table, _validate_grid,
+                        map_blocks)
 
-CHUNK_ROWS = 8  # grid rows per Clenshaw pass: 8 x 8192 paths is 0.5 MB per temporary and book
+CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
+
+
+def on_schedule(maturity: float, frequency: int) -> bool:
+    """Whether ``maturity`` is a whole number of ``1/frequency`` periods, to 1e-9 of one."""
+    return abs((maturity * frequency + 0.5) % 1.0 - 0.5) <= 1e-9  # NaN, so False, if infinite
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,8 @@ class SwapSpec:
             raise ValueError("maturity must be > 0")
         if self.frequency not in (1, 2, 4):
             raise ValueError("frequency must be one of 1, 2, 4")
+        if not on_schedule(self.maturity, self.frequency):
+            raise ValueError("maturity must be a whole number of 1/frequency periods")
         if not np.isfinite(self.fixed_rate):
             raise ValueError("fixed_rate must be finite")
 
@@ -216,7 +228,7 @@ def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chebyshev_revalue(x: np.ndarray, plan: list, out: np.ndarray) -> None:
-    """The netted books at every path of a grid-major block, into ``out``.
+    """The netted books at every path of grid-major rows ``x``, into ``out``.
 
     Row ``k`` is fitted on its own range ``mid_k ± h_k`` of ``x[k]``, so no
     path is extrapolated: the exact kernel ``_revalue`` is evaluated at the
@@ -224,36 +236,33 @@ def _chebyshev_revalue(x: np.ndarray, plan: list, out: np.ndarray) -> None:
     node values into coefficients, and Clenshaw's recurrence evaluates every
     path.  Rows where every path agrees (``h_k = 0``) or no date is live have
     nothing to fit: their exact value at ``mid_k`` becomes the constant
-    coefficient and passes through the recurrence unchanged.  Rows go in
-    chunks of ``CHUNK_ROWS`` at the chunk's largest term count.
+    coefficient and passes through the recurrence unchanged.  Every row takes
+    the rows' largest term count; a streamed block passes one chunk of
+    ``CHUNK_ROWS`` rows at a time.
     """
     lo, hi = x.min(axis=1), x.max(axis=1)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     b_max = np.array([np.max(-neg_b, initial=0.0) for _, neg_b, _ in plan])  # 0: none live
     fit = (half > 0) & (b_max > 0)
-    for k0 in range(0, len(plan), CHUNK_ROWS):
-        k1 = min(k0 + CHUNK_ROWS, len(plan))
-        n = _chebyshev_terms(np.max(half[k0:k1] * b_max[k0:k1], where=fit[k0:k1], initial=0.0))
-        nodes, cosines = _chebyshev_basis(n)
-        coef = np.zeros((len(out), k1 - k0, n))
-        for i, k in enumerate(range(k0, k1)):
-            if fit[k]:
-                coef[:, i] = _revalue(mid[k] + half[k] * nodes, plan[k]) @ cosines
-            else:
-                coef[:, i, 0] = 2.0 * _revalue(mid[k:k + 1], plan[k])[:, 0]
-        h = half[k0:k1, None]
-        s2 = np.divide(x[k0:k1] - mid[k0:k1, None], 0.5 * h,  # 2 s; 0 where h = 0
-                       out=np.zeros_like(x[k0:k1]), where=h > 0)
-        b1, b2 = np.zeros((2, *coef.shape[:2], x.shape[1]))
-        tmp = np.empty_like(b1)
-        for m in range(n - 1, -1, -1):  # b_m = a_m + 2 s b_{m+1} - b_{m+2}
-            np.multiply(s2, b1, out=tmp)
-            tmp -= b2
-            tmp += coef[:, :, m, None]
-            b1, b2, tmp = tmp, b1, b2
-        chunk = out[:, k0:k1]
-        np.subtract(b1, tmp, out=chunk)  # f = (b_0 - b_2) / 2
-        chunk *= 0.5
+    n = _chebyshev_terms(np.max(half * b_max, where=fit, initial=0.0))
+    nodes, cosines = _chebyshev_basis(n)
+    coef = np.zeros((len(out), len(plan), n))
+    for k, point in enumerate(plan):
+        if fit[k]:
+            coef[:, k] = _revalue(mid[k] + half[k] * nodes, point) @ cosines
+        else:
+            coef[:, k, 0] = 2.0 * _revalue(mid[k:k + 1], point)[:, 0]
+    h = half[:, None]
+    s2 = np.divide(x - mid[:, None], 0.5 * h, out=np.zeros_like(x), where=h > 0)  # 2 s, or 0
+    b1, b2 = np.zeros((2, *coef.shape[:2], x.shape[1]))
+    tmp = np.empty_like(b1)
+    for m in range(n - 1, -1, -1):  # b_m = a_m + 2 s b_{m+1} - b_{m+2}
+        np.multiply(s2, b1, out=tmp)
+        tmp -= b2
+        tmp += coef[:, :, m, None]
+        b1, b2, tmp = tmp, b1, b2
+    np.subtract(b1, tmp, out=out)  # f = (b_0 - b_2) / 2
+    out *= 0.5
 
 
 @dataclass
@@ -343,6 +352,19 @@ def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: 
     return stats
 
 
+def _join_rows(chunks: tuple[dict, ...]) -> dict:
+    """One block's ``_block_stats`` from those of its consecutive row chunks."""
+    joined = {}
+    for key, first in chunks[0].items():
+        if key == "n":
+            joined[key] = first
+        elif key.startswith("unit_"):  # (count, per-row mean, per-row M2)
+            joined[key] = (first[0], *map(np.concatenate, zip(*(c[key][1:] for c in chunks))))
+        else:
+            joined[key] = np.concatenate([c[key] for c in chunks])
+    return joined
+
+
 def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) -> ExposureProfile:
     """Ordered reduction over blocks, which keeps results worker-count invariant."""
     acc = dict(parts[0])
@@ -391,8 +413,8 @@ def exposure_profile(
     ``swaps`` may be a single SwapSpec or a sequence; collateralized swaps
     contribute nothing here.  Swaps in ``collateral_book`` are valued on the
     same paths, whatever their flag, into the result's ``collateral``
-    profile.  Streams through the same deterministic block substreams as
-    ``simulate_paths``, never materializing the full path set.
+    profile.  Streams each of ``simulate_paths``' deterministic blocks in
+    ``CHUNK_ROWS`` row chunks, never materializing a block's paths.
     """
     if isinstance(swaps, SwapSpec):
         swaps = (swaps,)
@@ -403,16 +425,25 @@ def exposure_profile(
         return ExposureProfile.zeros(g, n_paths=n_paths, seed=seed)
     books = [live, posted] if posted else [live]
     plan = _netted_plan(books, model, curve, g)
+    steps = _step_table(model, g)
     int_shift = np.asarray(model._integrated_shift(curve, g))[:, None]
 
     def run_block(idx, size):
-        x, y = _simulate_block(model, g, size, seed, idx, antithetic)
-        values = np.empty((len(books), len(g), size))
-        _chebyshev_revalue(x, plan, values)
-        del x
-        y += int_shift
-        discount = np.exp(np.negative(y, out=y), out=y)
-        return [_block_stats(v, discount, antithetic) for v in values]
+        draws = _draw_block(len(steps), size, seed, idx, antithetic)
+        x, y = np.zeros((2, CHUNK_ROWS + 1, size))  # row CHUNK_ROWS carries to the next chunk
+        z = np.empty((CHUNK_ROWS, 2, size))
+        values = np.empty((len(books), CHUNK_ROWS, size))
+        chunks = []
+        for k0 in range(0, len(g), CHUNK_ROWS):
+            rows = min(CHUNK_ROWS, len(g) - k0)
+            _simulate_block(steps, draws, k0, x, y, z)
+            _chebyshev_revalue(x[:rows], plan[k0:k0 + rows], values[:, :rows])
+            discount = y[:rows]
+            discount += int_shift[k0:k0 + rows]
+            np.exp(np.negative(discount, out=discount), out=discount)
+            chunks.append([_block_stats(v[:rows], discount, antithetic) for v in values])
+            x[0], y[0] = x[rows], y[rows]
+        return [_join_rows(book) for book in zip(*chunks)]
 
     parts = map_blocks(run_block, n_paths, antithetic, n_workers)
     profile = _reduce([p[0] for p in parts], g, seed, antithetic)

@@ -17,8 +17,11 @@ Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
 from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` returns the
 blocks' results in block order.  Results are therefore bit-identical for a
 given (seed, n_paths, antithetic) regardless of how many workers execute the
-blocks.  Within a block, paths are stored grid-major, ``(n_grid, n_block)``,
-so each time step reads and writes one contiguous row.
+blocks.  A block's normals are drawn at once, path-major; ``_simulate_block``
+advances a run of grid rows from them in place, grid-major ``(rows, n_block)``,
+so each time step reads and writes one contiguous row.  ``exposure_profile``
+streams a block in chunks of ``CHUNK_ROWS`` rows, ``simulate_paths`` takes it
+whole.
 """
 
 from __future__ import annotations
@@ -158,35 +161,52 @@ def map_blocks(fn, n_paths: int, antithetic: bool, n_workers: int = 1) -> list:
     return [fn(*job) for job in jobs]
 
 
-def _simulate_block(
-    model: ShortRateModel, grid: np.ndarray, n_block: int, seed: int, block_index: int,
-    antithetic: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factor paths and integrated factor for one deterministic block.
-
-    Both come back grid-major, shaped ``(len(grid), n_block)``.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
-    n_steps = len(grid) - 1
-    n_draw = n_block // 2 if antithetic else n_block
-    # z[k, j] holds step k's pair component j; antithetic twins follow in place.
-    z = np.empty((n_steps, 2, n_block))
-    z[:, :, :n_draw] = rng.standard_normal((n_draw, n_steps, 2)).transpose(1, 2, 0)
-    if antithetic:
-        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
-
-    x = np.zeros((len(grid), n_block))
-    y = np.zeros((len(grid), n_block))  # integrated factor
-    for k in range(n_steps):
-        dt = grid[k + 1] - grid[k]
+def _step_table(model: ShortRateModel, grid: np.ndarray) -> np.ndarray:
+    """Per step, ``(decay, l11, l21, l22, B(dt))``: the Cholesky factors of its exact law."""
+    rows = []
+    for dt in np.diff(grid):
         decay, var_x, cov, var_y = model.step_moments(dt)
         l11 = np.sqrt(var_x)
         l21 = cov / l11 if l11 > 0 else 0.0
-        l22 = np.sqrt(max(var_y - l21 * l21, 0.0))
-        b = float(model.b_factor(dt))
-        x[k + 1] = x[k] * decay + l11 * z[k, 0]
-        y[k + 1] = y[k] + x[k] * b + l21 * z[k, 0] + l22 * z[k, 1]
-    return x, y
+        rows.append((decay, l11, l21, np.sqrt(max(var_y - l21 * l21, 0.0)), model.b_factor(dt)))
+    return np.array(rows)
+
+
+def _draw_block(n_steps: int, n_block: int, seed: int, block_index: int,
+                antithetic: bool) -> np.ndarray:
+    """Block ``block_index``'s normals, path-major ``(paths drawn, n_steps, 2)``.
+
+    With antithetic sampling only the first half of the block is drawn.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
+    return rng.standard_normal((n_block // 2 if antithetic else n_block, n_steps, 2))
+
+
+def _simulate_block(steps: np.ndarray, draws: np.ndarray, k0: int, x: np.ndarray,
+                    y: np.ndarray, z: np.ndarray) -> None:
+    """Advance one grid-major row chunk of a block in place by its ``n`` steps.
+
+    ``x[0]`` and ``y[0]`` hold the factor and the integrated factor at grid
+    row ``k0``; steps ``k0 .. k0 + n - 1`` fill rows ``1 .. n``, with
+    ``n = min(len(x) - 1, len(steps) - k0)``.  ``z`` is scratch shaped
+    ``(len(x) - 1, 2, n_block)`` for the chunk's normals: the draws, then
+    their negated antithetic twins when ``draws`` holds half the paths.
+    """
+    n = min(len(x) - 1, len(steps) - k0)
+    n_draw = len(draws)
+    z = z[:n]
+    z[:, :, :n_draw] = draws[:, k0:k0 + n].transpose(1, 2, 0)
+    if n_draw < x.shape[1]:
+        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
+    tmp = np.empty(x.shape[1])
+    for i, (decay, l11, l21, l22, b) in enumerate(steps[k0:k0 + n]):
+        z0, z1 = z[i]
+        np.multiply(x[i], b, out=y[i + 1])  # ((y + x b) + l21 z0) + l22 z1
+        y[i + 1] += y[i]
+        y[i + 1] += np.multiply(z0, l21, out=tmp)
+        y[i + 1] += np.multiply(z1, l22, out=z1)
+        np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z0
+        x[i + 1] += np.multiply(z0, l11, out=z0)
 
 
 def simulate_paths(
@@ -200,10 +220,15 @@ def simulate_paths(
 ) -> PathSet:
     """Simulate factor paths and pathwise discount factors on the given grid."""
     g = _validate_grid(grid)
-    parts = map_blocks(
-        lambda idx, size: _simulate_block(model, g, size, seed, idx, antithetic),
-        n_paths, antithetic, n_workers,
-    )
+    steps = _step_table(model, g)
+
+    def run_block(idx, size):  # the whole block as one chunk
+        x, y = np.zeros((2, len(g), size))
+        draws = _draw_block(len(steps), size, seed, idx, antithetic)
+        _simulate_block(steps, draws, 0, x, y, np.empty((len(steps), 2, size)))
+        return x, y
+
+    parts = map_blocks(run_block, n_paths, antithetic, n_workers)
     x = np.concatenate([p[0] for p in parts], axis=1).T
     y = np.concatenate([p[1] for p in parts], axis=1).T
     int_shift = np.asarray(model._integrated_shift(curve, g))

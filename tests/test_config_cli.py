@@ -34,6 +34,9 @@ VALID_CONFIG = {
 }
 
 
+OFF_SCHEDULE = "swaps[0].maturity: must be a whole number of 1/frequency periods"
+
+
 def small_config(**overrides):
     raw = json.loads(json.dumps(VALID_CONFIG))
     raw.update(overrides)
@@ -214,6 +217,16 @@ class TestPresets:
             "XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01, "recovery": 1.0}})
         _, diags = validate_config(raw)
         assert "ratingTable.XX.recovery: must lie in [0, 1)" in diags
+
+    def test_rejected_rating_table_entry_is_one_diagnostic(self, tmp_path, capsys):
+        # The rejected entry is not also an unknown rating where it is named.
+        raw = small_config(ratings=["XX"], providerRating="XX", ratingTable={
+            "XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01, "recovery": 1.0}})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw))
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ratingTable.XX.recovery: must lie in [0, 1)"]
 
     def test_m_lambda_with_zero_hazard_rating_rejected(self):
         _, diags = validate_config(zero_hazard_config())
@@ -424,10 +437,16 @@ class TestCli:
             (("workers",), 0, "workers: must be >= 1"),
             (("warnSeBp",), -1.0, "warnSeBp: must be >= 0"),
             (("ratings",), [["A"]], "ratings: unknown rating ['A'] (known: AAA, A, BB, CCC)"),
+            # Off the semiannual schedule: the first would drop its stub, the
+            # second would pay at 10.5.
+            (("swaps", 0, "maturity"), 10.1, OFF_SCHEDULE),
+            (("swaps", 0, "maturity"), 10.3, OFF_SCHEDULE),
+            (("swaps", 0, "maturity"), 1e308, OFF_SCHEDULE),
         ],
         ids=["nan-sigma", "nan-cost", "inf-cost", "huge-int-tax", "inf-fixed-rate",
              "nan-zero-rate", "negative-cost", "negative-min-ratio", "negative-seed",
-             "zero-workers", "negative-warn", "unhashable-rating"],
+             "zero-workers", "negative-warn", "unhashable-rating", "maturity-stub-dropped",
+             "maturity-paid-late", "maturity-periods-overflow"],
     )
     def test_run_bad_number_is_a_diagnostic(self, tmp_path, capsys, path, value, diagnostic):
         raw = small_config()

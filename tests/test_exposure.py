@@ -1,7 +1,8 @@
 """Swap valuation and Monte Carlo exposure profiles."""
 
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,16 @@ from xvakit import (
     simulate_paths,
     swap_value,
 )
-from xvakit.exposure import _chebyshev_revalue, _chebyshev_terms, _netted_plan, _revalue
-from xvakit.ratemodel import BLOCK_SIZE, _simulate_block
+from xvakit.exposure import (
+    CHUNK_ROWS,
+    _block_stats,
+    _chebyshev_revalue,
+    _chebyshev_terms,
+    _netted_plan,
+    _reduce,
+    _revalue,
+)
+from xvakit.ratemodel import BLOCK_SIZE, _block_sizes
 
 # independent oracle for the 10y 2.7% payer on a flat 2% curve, plain discounting
 _ANNUITY = sum(0.5 * math.exp(-0.02 * 0.5 * j) for j in range(1, 21))
@@ -60,6 +69,68 @@ PROXY_CASES = {
 FLAT = DiscountCurve.flat(0.02)
 
 
+def reference_block(model, grid, n_block, seed, block_index, antithetic):
+    """Whole-block recursion: grid-major ``(x, y)`` of one block, every row at once."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
+    n_steps = len(grid) - 1
+    n_draw = n_block // 2 if antithetic else n_block
+    z = np.empty((n_steps, 2, n_block))
+    z[:, :, :n_draw] = rng.standard_normal((n_draw, n_steps, 2)).transpose(1, 2, 0)
+    if antithetic:
+        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
+    x = np.zeros((len(grid), n_block))
+    y = np.zeros((len(grid), n_block))
+    for k in range(n_steps):
+        dt = grid[k + 1] - grid[k]
+        decay, var_x, cov, var_y = model.step_moments(dt)
+        l11 = np.sqrt(var_x)
+        l21 = cov / l11 if l11 > 0 else 0.0
+        l22 = np.sqrt(max(var_y - l21 * l21, 0.0))
+        b = float(model.b_factor(dt))
+        x[k + 1] = x[k] * decay + l11 * z[k, 0]
+        y[k + 1] = y[k] + x[k] * b + l21 * z[k, 0] + l22 * z[k, 1]
+    return x, y
+
+
+def revalue_in_chunks(x, plan, out):
+    """``_chebyshev_revalue`` over a whole block, one ``CHUNK_ROWS`` chunk at a time."""
+    for k0 in range(0, len(plan), CHUNK_ROWS):
+        rows = slice(k0, k0 + CHUNK_ROWS)
+        _chebyshev_revalue(x[rows], plan[rows], out[:, rows])
+
+
+def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, posted=()):
+    """Whole blocks through simulate, revalue, discount, ``_block_stats`` and ``_reduce``."""
+    books = [book, posted] if posted else [book]
+    plan = _netted_plan(books, model, curve, grid)
+    int_shift = np.asarray(model._integrated_shift(curve, grid))[:, None]
+    parts = []
+    for idx, size in enumerate(_block_sizes(n_paths)):
+        x, y = reference_block(model, grid, size, seed, idx, antithetic)
+        values = np.empty((len(books), len(grid), size))
+        revalue_in_chunks(x, plan, values)
+        discount = np.exp(-(y + int_shift))
+        parts.append([_block_stats(v, discount, antithetic) for v in values])
+    profile = _reduce([p[0] for p in parts], grid, seed, antithetic)
+    if posted:
+        profile.collateral = _reduce([p[1] for p in parts], grid, seed, antithetic)
+    return profile
+
+
+def assert_identical(a, b):
+    """Every field of two profiles equal bit for bit, collateral profile included."""
+    for field in fields(a):
+        u, v = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "collateral":
+            assert (u is None) == (v is None)
+            if u is not None:
+                assert_identical(u, v)
+        elif isinstance(u, np.ndarray):
+            assert np.array_equal(u, v), field.name
+        else:
+            assert u == v, field.name
+
+
 def per_swap_sum(book, model, curve, t, x):
     """Reference revaluation: one swap_value per live swap."""
     return sum((swap_value(s, model, curve, t, x) for s in book
@@ -74,6 +145,11 @@ class TestSwapSpec:
             SwapSpec(notional=1.0, fixed_rate=0.02, maturity=-1.0)
         with pytest.raises(ValueError):
             SwapSpec(notional=1.0, fixed_rate=0.02, maturity=10.0, frequency=3)
+        for maturity in (10.1, 10.3, math.inf):  # off the semiannual schedule
+            with pytest.raises(ValueError, match="whole number of 1/frequency periods"):
+                SwapSpec(notional=1.0, fixed_rate=0.02, maturity=maturity, frequency=2)
+        spec = SwapSpec(notional=1.0, fixed_rate=0.02, maturity=10.0 + 1e-10, frequency=2)
+        assert spec.payment_times()[-1] == 10.0
 
     def test_payment_times(self):
         spec = SwapSpec(notional=1.0, fixed_rate=0.02, maturity=2.0, frequency=4)
@@ -201,6 +277,53 @@ class TestExposureProfile:
         assert np.all(profile.epe == 0.0) and np.all(profile.ene == 0.0)
 
 
+# Grids of 1 more than a multiple of CHUNK_ROWS rows (a one-row last chunk that
+# takes no step), of exactly CHUNK_ROWS rows, of fewer, and a ragged one.
+STREAM_CASES = {
+    "long-book": (LONG_BOOK, make_exposure_grid(30.0, 4)),
+    "mixed": (MIXED_BOOK, MIXED_GRID),
+    "mixed-2-chunks-and-1-row": (MIXED_BOOK, MIXED_GRID[:2 * CHUNK_ROWS + 1]),
+    "mixed-1-chunk": (MIXED_BOOK, MIXED_GRID[:CHUNK_ROWS]),
+    "mixed-short": (MIXED_BOOK, MIXED_GRID[:CHUNK_ROWS - 3]),
+}
+
+
+class TestStreamedBlocks:
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_profile_matches_whole_block_pipeline(self, model, case, antithetic):
+        book, grid = STREAM_CASES[case]
+        n_paths = 2 * BLOCK_SIZE + 1000
+        streamed = exposure_profile(book + POSTED, model, SLOPED, grid, n_paths, seed=37,
+                                    antithetic=antithetic, collateral_book=POSTED)
+        whole = reference_profile(book, model, SLOPED, grid, n_paths, 37, antithetic, POSTED)
+        assert_identical(streamed, whole)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_simulate_paths_matches_whole_block_recursion(self, model, antithetic):
+        n_paths = BLOCK_SIZE + 1000
+        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=41,
+                               antithetic=antithetic)
+        blocks = [reference_block(model, MIXED_GRID, size, 41, idx, antithetic)
+                  for idx, size in enumerate(_block_sizes(n_paths))]
+        assert np.array_equal(paths.factor.T, np.hstack([x for x, _ in blocks]))
+        int_shift = model._integrated_shift(SLOPED, MIXED_GRID)[:, None]
+        discount = np.exp(-(int_shift + np.hstack([y for _, y in blocks])))
+        assert np.array_equal(paths.discount.T, discount)
+
+    def test_block_working_set_is_its_draws_and_a_few_chunks(self, model):
+        book, grid = STREAM_CASES["long-book"]
+        draws = BLOCK_SIZE // 2 * (len(grid) - 1) * 2 * 8  # antithetic: half the paths
+        tracemalloc.start()
+        try:
+            exposure_profile(book + POSTED, model, FLAT, grid, BLOCK_SIZE, seed=43,
+                             collateral_book=POSTED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws + 16 * CHUNK_ROWS * BLOCK_SIZE * 8, peak / 2**20
+
+
 class TestNettedKernel:
     def test_portfolio_value_matches_per_swap_sum(self, model):
         x = np.random.default_rng(5).normal(0.0, 0.02, 257)
@@ -266,10 +389,10 @@ class TestNettedKernel:
     @staticmethod
     def proxy_block(book, model, grid, antithetic, seed=29):
         """One block's paths, its netted plan (book and posted rows) and the proxy values."""
-        x, _ = _simulate_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
+        x, _ = reference_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
         plan = _netted_plan([book, POSTED], model, FLAT, grid)
         proxy = np.empty((2, len(grid), BLOCK_SIZE))
-        _chebyshev_revalue(x, plan, proxy)
+        revalue_in_chunks(x, plan, proxy)
         return x, plan, proxy
 
     @pytest.mark.parametrize("antithetic", [True, False])
