@@ -13,16 +13,20 @@ from dataclasses import replace
 
 import numpy as np
 
+from run_presets import positive_even
 from xvakit.config import PRESETS
 from xvakit.runner import run_config
 
 
 def main() -> None:
+    preset = PRESETS["warehouse-neg"]()
     rating = sys.argv[1] if len(sys.argv) > 1 else "BB"
-    paths = int(sys.argv[2]) if len(sys.argv) > 2 else 50_000
+    if rating not in preset.rating_table:
+        sys.exit(f"rating: unknown {rating!r}, expected one of {', '.join(preset.rating_table)}")
+    paths = positive_even(sys.argv[2]) if len(sys.argv) > 2 else 50_000
     xis = tuple(np.round(np.linspace(-0.75, 0.75, 13), 4))
     cfg = replace(
-        PRESETS["warehouse-neg"](),
+        preset,
         ratings=(rating,),
         xi_values=xis,
         phi_values=(0.0,),

@@ -44,7 +44,7 @@ from .pde import (
     solve_vhat,
     verify_decomposition,
 )
-from .ratemodel import PathSet, ShortRateModel, simulate_paths
+from .ratemodel import ShortRateModel
 from .regcap import (
     RATING_TABLE,
     CapitalProfile,

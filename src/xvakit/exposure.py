@@ -21,8 +21,10 @@ is the exact kernel, and a posted-collateral book is a second weight row.
 block is revalued through a Chebyshev proxy rather than one exponential per
 (path, date).  The row is fitted on its own range ``mid_k ± h_k`` of the
 simulated factor, so no path is extrapolated: the exact kernel is evaluated
-at ``n`` Chebyshev nodes, a DCT-II turns those values into coefficients and
-Clenshaw's recurrence evaluates every path.  ``n`` is not a setting: with
+at ``n`` Chebyshev nodes, a DCT-II turns those values into coefficients, and
+these become power coefficients whose even and odd parts are evaluated by
+Horner in ``s^2``, for ``s`` the path's place in the range, as ``E + s G``.
+``n`` is not a setting: with
 ``r = h_k max B_k``, the coefficients of ``exp(-B h s)`` are Bessel values
 ``I_m(B h)``, and ``n`` is the smallest count for which the tail bound
 ``2 (r/2)^n e^{r^2/4(n+1)} / (n! (1 - r/2(n+1)))`` is at most 2^-53 of each
@@ -33,14 +35,18 @@ have nothing to fit and take the exact value.
 
 Exposure profiles report the Monte Carlo means of the pathwise-discounted
 positive and negative parts of the value, with standard errors computed on
-antithetic-pair means when antithetic sampling is on.  A path block is
-streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk is simulated,
-revalued, discounted and reduced to per-row sums and moments while it is in
-a core's cache, so apart from its normal draws a block never holds a
-``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
-the Chebyshev term count is chosen per chunk.  Blocks are reduced in index
-order, so a profile is byte-identical for a given seed no matter how many
-workers ran.
+antithetic-pair means when antithetic sampling is on.  Only a block's drawn
+half is then simulated: each twin path is the exact negation of its drawn
+path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
+``mid_k`` is 0), its value is ``E - s G`` and its discount factor is
+``exp(-(shift - y))``, each bit for bit what stepping the twin would give.
+A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk
+is simulated, revalued, discounted and reduced to per-row sums and moments
+while it is in a core's cache, so apart from its normal draws a block never
+holds a ``(grid x block)`` array.  Chunks start at multiples of
+``CHUNK_ROWS``, as the Chebyshev term count is chosen per chunk.  Blocks are
+reduced in index order, so a profile is byte-identical for a given seed no
+matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -227,20 +233,45 @@ def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cosines[:, 1], (2.0 / n) * cosines[:, :n]
 
 
+def _power_basis(n: int) -> np.ndarray:
+    """``P`` with ``a @ P`` the power coefficients in ``s`` of ``a_0 / 2 + sum a_m T_m(s)``.
+
+    Row ``m`` holds ``T_m``'s integer coefficients from ``T_{m+1} = 2 s T_m -
+    T_{m-1}``, row 0 halved.  They grow like ``2^m``, so ``P`` multiplies the
+    fast-decaying coefficients, never node values.
+    """
+    basis = np.eye(n)  # T_0 = 1, T_1 = s
+    for m in range(2, n):
+        basis[m, 1:] = 2.0 * basis[m - 1, :-1]
+        basis[m] -= basis[m - 2]
+    basis[0, 0] = 0.5
+    return basis
+
+
 def _chebyshev_revalue(x: np.ndarray, plan: list, out: np.ndarray) -> None:
     """The netted books at every path of grid-major rows ``x``, into ``out``.
 
-    Row ``k`` is fitted on its own range ``mid_k ± h_k`` of ``x[k]``, so no
-    path is extrapolated: the exact kernel ``_revalue`` is evaluated at the
-    Chebyshev nodes of that interval, one cosine matrix (a DCT-II) turns the
-    node values into coefficients, and Clenshaw's recurrence evaluates every
-    path.  Rows where every path agrees (``h_k = 0``) or no date is live have
-    nothing to fit: their exact value at ``mid_k`` becomes the constant
-    coefficient and passes through the recurrence unchanged.  Every row takes
-    the rows' largest term count; a streamed block passes one chunk of
-    ``CHUNK_ROWS`` rows at a time.
+    When ``out`` is twice as wide as ``x``, its second half receives the
+    antithetic twins, the paths at ``-x``.  Row ``k`` is fitted on its own
+    range ``mid_k ± h_k`` of the paths written (``[-max|x[k]|, max|x[k]|]``
+    with twins), so no path is extrapolated: the exact kernel ``_revalue``
+    is evaluated at the Chebyshev nodes of that interval and one cosine
+    matrix (a DCT-II) turns the node values into coefficients.  These become
+    power coefficients in ``s = (x - mid_k) / h_k``, and the even and odd
+    parts ``E`` and ``G`` of the polynomial are evaluated together by Horner
+    in ``s^2``: a path takes ``E + s G`` and its twin ``E - s G``, bit for bit
+    what evaluating at ``-x`` gives.  Rows where every path agrees
+    (``h_k = 0``) or no date is live have nothing to fit: their exact value
+    at ``mid_k`` becomes the constant coefficient and passes through
+    unchanged.  Every row takes the rows' largest term count; a streamed
+    block passes one chunk of ``CHUNK_ROWS`` rows at a time.
     """
-    lo, hi = x.min(axis=1), x.max(axis=1)
+    n_x = x.shape[1]
+    if out.shape[-1] == n_x:
+        lo, hi = x.min(axis=1), x.max(axis=1)
+    else:
+        hi = np.maximum(x.max(axis=1), -x.min(axis=1))
+        lo = -hi
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     b_max = np.array([np.max(-neg_b, initial=0.0) for _, neg_b, _ in plan])  # 0: none live
     fit = (half > 0) & (b_max > 0)
@@ -252,17 +283,22 @@ def _chebyshev_revalue(x: np.ndarray, plan: list, out: np.ndarray) -> None:
             coef[:, k] = _revalue(mid[k] + half[k] * nodes, point) @ cosines
         else:
             coef[:, k, 0] = 2.0 * _revalue(mid[k:k + 1], point)[:, 0]
+    power = coef @ _power_basis(n)
+    parts = np.zeros((2, *coef.shape[:2], (n + 1) // 2))  # E's and G's coefficients in s^2
+    parts[0], parts[1, ..., :n // 2] = power[..., ::2], power[..., 1::2]
     h = half[:, None]
-    s2 = np.divide(x - mid[:, None], 0.5 * h, out=np.zeros_like(x), where=h > 0)  # 2 s, or 0
-    b1, b2 = np.zeros((2, *coef.shape[:2], x.shape[1]))
-    tmp = np.empty_like(b1)
-    for m in range(n - 1, -1, -1):  # b_m = a_m + 2 s b_{m+1} - b_{m+2}
-        np.multiply(s2, b1, out=tmp)
-        tmp -= b2
-        tmp += coef[:, :, m, None]
-        b1, b2, tmp = tmp, b1, b2
-    np.subtract(b1, tmp, out=out)  # f = (b_0 - b_2) / 2
-    out *= 0.5
+    s = np.divide(x - mid[:, None], h, out=np.zeros_like(x), where=h > 0)
+    w = s * s
+    acc = np.empty((*parts.shape[:3], n_x))
+    acc[...] = parts[..., -1:]
+    for i in range(parts.shape[-1] - 2, -1, -1):
+        acc *= w
+        acc += parts[..., i, None]
+    even, odd = acc
+    odd *= s
+    np.add(even, odd, out=out[..., :n_x])
+    if out.shape[-1] > n_x:
+        np.subtract(even, odd, out=out[..., n_x:])
 
 
 @dataclass
@@ -287,7 +323,7 @@ class ExposureProfile:
     n_paths: int
     seed: int
     antithetic: bool = True
-    collateral: ExposureProfile | None = None  # the posted book on the same paths
+    collateral: np.ndarray | None = None  # the posted book's discounted mean, same paths
 
     def __post_init__(self):
         n = len(self.grid)
@@ -365,13 +401,19 @@ def _join_rows(chunks: tuple[dict, ...]) -> dict:
     return joined
 
 
-def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) -> ExposureProfile:
-    """Ordered reduction over blocks, which keeps results worker-count invariant."""
+def _sum_blocks(parts: list[dict]) -> dict:
+    """Blocks' accumulators summed (moments merged) in block order."""
     acc = dict(parts[0])
     for part in parts[1:]:
         for key, value in part.items():
             acc[key] = (_merge_moments(acc[key], value) if key.startswith("unit_")
                         else acc[key] + value)
+    return acc
+
+
+def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) -> ExposureProfile:
+    """Ordered reduction over blocks, which keeps results worker-count invariant."""
+    acc = _sum_blocks(parts)
     n = acc["n"]
     epe = acc["sum_dv_pos"] / n
     ene = acc["sum_dv_neg"] / n
@@ -412,8 +454,8 @@ def exposure_profile(
 
     ``swaps`` may be a single SwapSpec or a sequence; collateralized swaps
     contribute nothing here.  Swaps in ``collateral_book`` are valued on the
-    same paths, whatever their flag, into the result's ``collateral``
-    profile.  Streams each of ``simulate_paths``' deterministic blocks in
+    same paths, whatever their flag, into the result's ``collateral``, the
+    book's discounted mean value.  Streams each deterministic block in
     ``CHUNK_ROWS`` row chunks, never materializing a block's paths.
     """
     if isinstance(swaps, SwapSpec):
@@ -430,23 +472,32 @@ def exposure_profile(
 
     def run_block(idx, size):
         draws = _draw_block(len(steps), size, seed, idx, antithetic)
-        x, y = np.zeros((2, CHUNK_ROWS + 1, size))  # row CHUNK_ROWS carries to the next chunk
-        z = np.empty((CHUNK_ROWS, 2, size))
+        n_draw = len(draws)  # with antithetic sampling, twins fill columns n_draw onward
+        x, y = np.zeros((2, CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
+        z = np.empty((CHUNK_ROWS, 2, n_draw))
         values = np.empty((len(books), CHUNK_ROWS, size))
-        chunks = []
+        discount = np.empty((CHUNK_ROWS, size))
+        chunks, posted_sums = [], []
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(steps, draws, k0, x, y, z)
             _chebyshev_revalue(x[:rows], plan[k0:k0 + rows], values[:, :rows])
-            discount = y[:rows]
-            discount += int_shift[k0:k0 + rows]
-            np.exp(np.negative(discount, out=discount), out=discount)
-            chunks.append([_block_stats(v[:rows], discount, antithetic) for v in values])
+            d, shift = discount[:rows], int_shift[k0:k0 + rows]
+            np.negative(np.add(y[:rows], shift, out=d[:, :n_draw]), out=d[:, :n_draw])
+            if antithetic:  # the twins' -(shift - y)
+                np.subtract(y[:rows], shift, out=d[:, n_draw:])
+            np.exp(d, out=d)
+            chunks.append(_block_stats(values[0, :rows], d, antithetic))
+            if posted:  # only its discounted mean is used: keep the two signed sums
+                dv = values[1, :rows] * d
+                posted_sums.append({"n": size, "sum_dv_pos": np.maximum(dv, 0.0).sum(axis=1),
+                                    "sum_dv_neg": np.minimum(dv, 0.0, out=dv).sum(axis=1)})
             x[0], y[0] = x[rows], y[rows]
-        return [_join_rows(book) for book in zip(*chunks)]
+        return _join_rows(chunks), _join_rows(posted_sums) if posted else None
 
     parts = map_blocks(run_block, n_paths, antithetic, n_workers)
     profile = _reduce([p[0] for p in parts], g, seed, antithetic)
     if posted:
-        profile.collateral = _reduce([p[1] for p in parts], g, seed, antithetic)
+        acc = _sum_blocks([p[1] for p in parts])
+        profile.collateral = acc["sum_dv_pos"] / acc["n"] + acc["sum_dv_neg"] / acc["n"]
     return profile

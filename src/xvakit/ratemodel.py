@@ -18,10 +18,12 @@ from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` returns the
 blocks' results in block order.  Results are therefore bit-identical for a
 given (seed, n_paths, antithetic) regardless of how many workers execute the
 blocks.  A block's normals are drawn at once, path-major; ``_simulate_block``
-advances a run of grid rows from them in place, grid-major ``(rows, n_block)``,
-so each time step reads and writes one contiguous row.  ``exposure_profile``
-streams a block in chunks of ``CHUNK_ROWS`` rows, ``simulate_paths`` takes it
-whole.
+advances a run of grid rows from them in place, grid-major ``(rows, paths)``,
+so each time step reads and writes one contiguous row.  With antithetic
+sampling only the drawn half of a block is stepped: negation commutes with
+every multiply and add of the recursion, so each twin path is the exact
+IEEE negation of its drawn path and ``exposure_profile`` derives it from
+the drawn half.
 """
 
 from __future__ import annotations
@@ -74,12 +76,6 @@ class ShortRateModel:
         v_int = (t_arr - 2.0 * b + (1.0 - np.exp(-2.0 * a * t_arr)) / (2.0 * a)) / (a * a)
         return -curve.log_df(t_arr) + 0.5 * s * s * v_int
 
-    def shift(self, curve: DiscountCurve, t):
-        """alpha(t): short-rate level around which the factor fluctuates."""
-        a, s = self.mean_reversion, self.sigma
-        one_m = 1.0 - np.exp(-a * np.asarray(t, dtype=float))
-        return curve.forward(t) + s * s * one_m * one_m / (2.0 * a * a)
-
     def affine(self, curve: DiscountCurve, t, maturity):
         """``(log A, B)`` with P(t, T) = A(t, T) exp(-x B(t, T)); t and T broadcast."""
         dt = np.maximum(np.asarray(maturity, dtype=float) - t, 0.0)
@@ -103,27 +99,6 @@ class ShortRateModel:
         cov = s * s / (a * a) * ((1.0 - e1) - 0.5 * (1.0 - e2))
         var_y = s * s / (a * a) * (dt - 2.0 * b + (1.0 - e2) / (2.0 * a))
         return e1, var_x, cov, var_y
-
-
-@dataclass
-class PathSet:
-    """Simulated factor paths with their pathwise discount factors.
-
-    ``factor[p, k]`` is x at ``grid[k]`` on path p, ``short_rate`` the full
-    rate x + alpha, and ``discount[p, k]`` is exp(-integral of r over
-    [0, grid[k]]) accumulated along the path.
-    """
-
-    grid: np.ndarray
-    factor: np.ndarray
-    short_rate: np.ndarray
-    discount: np.ndarray
-    seed: int
-    antithetic: bool
-
-    @property
-    def n_paths(self) -> int:
-        return self.factor.shape[0]
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -184,20 +159,18 @@ def _draw_block(n_steps: int, n_block: int, seed: int, block_index: int,
 
 def _simulate_block(steps: np.ndarray, draws: np.ndarray, k0: int, x: np.ndarray,
                     y: np.ndarray, z: np.ndarray) -> None:
-    """Advance one grid-major row chunk of a block in place by its ``n`` steps.
+    """Advance one grid-major row chunk of a block's drawn paths in place by its ``n`` steps.
 
     ``x[0]`` and ``y[0]`` hold the factor and the integrated factor at grid
-    row ``k0``; steps ``k0 .. k0 + n - 1`` fill rows ``1 .. n``, with
-    ``n = min(len(x) - 1, len(steps) - k0)``.  ``z`` is scratch shaped
-    ``(len(x) - 1, 2, n_block)`` for the chunk's normals: the draws, then
-    their negated antithetic twins when ``draws`` holds half the paths.
+    row ``k0`` of the ``len(draws)`` drawn paths; steps ``k0 .. k0 + n - 1``
+    fill rows ``1 .. n``, with ``n = min(len(x) - 1, len(steps) - k0)``.
+    ``z`` is scratch shaped ``(len(x) - 1, 2, len(draws))`` for the chunk's
+    normals.  Antithetic twins are never stepped: each step only multiplies
+    and adds, so a twin's ``x`` and ``y`` are exactly ``-x`` and ``-y``.
     """
     n = min(len(x) - 1, len(steps) - k0)
-    n_draw = len(draws)
     z = z[:n]
-    z[:, :, :n_draw] = draws[:, k0:k0 + n].transpose(1, 2, 0)
-    if n_draw < x.shape[1]:
-        np.negative(z[:, :, :n_draw], out=z[:, :, n_draw:])
+    z[...] = draws[:, k0:k0 + n].transpose(1, 2, 0)
     tmp = np.empty(x.shape[1])
     for i, (decay, l11, l21, l22, b) in enumerate(steps[k0:k0 + n]):
         z0, z1 = z[i]
@@ -207,32 +180,3 @@ def _simulate_block(steps: np.ndarray, draws: np.ndarray, k0: int, x: np.ndarray
         y[i + 1] += np.multiply(z1, l22, out=z1)
         np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z0
         x[i + 1] += np.multiply(z0, l11, out=z0)
-
-
-def simulate_paths(
-    model: ShortRateModel,
-    curve: DiscountCurve,
-    grid,
-    n_paths: int,
-    seed: int,
-    antithetic: bool = True,
-    n_workers: int = 1,
-) -> PathSet:
-    """Simulate factor paths and pathwise discount factors on the given grid."""
-    g = _validate_grid(grid)
-    steps = _step_table(model, g)
-
-    def run_block(idx, size):  # the whole block as one chunk
-        x, y = np.zeros((2, len(g), size))
-        draws = _draw_block(len(steps), size, seed, idx, antithetic)
-        _simulate_block(steps, draws, 0, x, y, np.empty((len(steps), 2, size)))
-        return x, y
-
-    parts = map_blocks(run_block, n_paths, antithetic, n_workers)
-    x = np.concatenate([p[0] for p in parts], axis=1).T
-    y = np.concatenate([p[1] for p in parts], axis=1).T
-    int_shift = np.asarray(model._integrated_shift(curve, g))
-    discount = np.exp(-(int_shift[None, :] + y))
-    short_rate = x + np.asarray(model.shift(curve, g))[None, :]
-    return PathSet(grid=g, factor=x, short_rate=short_rate, discount=discount,
-                   seed=seed, antithetic=antithetic)

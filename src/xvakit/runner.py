@@ -77,7 +77,6 @@ def run_config(config: RunConfig) -> RunResult:
         antithetic=config.antithetic, n_workers=config.workers,
         collateral_book=posted,
     )
-    collateral = None if profile.collateral is None else profile.collateral.mean_value
     notional = sum(s.notional for s in uncollateralized)
     table = config.rating_table
     provider = table.get(config.provider_rating) if config.provider_rating else None
@@ -129,7 +128,7 @@ def run_config(config: RunConfig) -> RunResult:
                         notional=notional,
                         capital=capitals[rating],
                         collateral_spread=config.collateral_spread,
-                        collateral=collateral,
+                        collateral=profile.collateral,
                     )
                     result = breakdown(inputs)
                     se_bp = result.bps(result.se.total) if result.se else 0.0

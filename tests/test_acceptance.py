@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from pathsim import simulate_paths
 from xvakit import (
     CreditCurve,
     DiscountCurve,
@@ -29,7 +30,6 @@ from xvakit import (
     portfolio_value,
     quadrature_oracle,
     replication_state,
-    simulate_paths,
     solve_vhat,
     tva,
     verify_decomposition,

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from xvakit import DiscountCurve, ShortRateModel, simulate_paths
+from pathsim import simulate_paths
+from xvakit import DiscountCurve, ShortRateModel, exposure_profile
 
 
 def test_parameter_validation():
@@ -13,15 +14,16 @@ def test_parameter_validation():
         ShortRateModel(mean_reversion=0.1, sigma=-0.01)
 
 
-def test_grid_validation(flat_curve, model):
+def test_grid_validation(flat_curve, model, payer_swap):
     with pytest.raises(ValueError):
-        simulate_paths(model, flat_curve, [0.5, 1.0], 10, seed=1, antithetic=False)
+        exposure_profile(payer_swap, model, flat_curve, [0.5, 1.0], 10, seed=1, antithetic=False)
     with pytest.raises(ValueError):
-        simulate_paths(model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1, antithetic=False)
+        exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1,
+                         antithetic=False)
     with pytest.raises(ValueError):
-        simulate_paths(model, flat_curve, [0.0, 1.0], 0, seed=1)
+        exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0], 0, seed=1)
     with pytest.raises(ValueError):
-        simulate_paths(model, flat_curve, [0.0, 1.0], 11, seed=1, antithetic=True)
+        exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0], 11, seed=1, antithetic=True)
 
 
 def test_zero_volatility_reproduces_curve(flat_curve):
@@ -58,7 +60,12 @@ def test_antithetic_pairs_mirror(flat_curve, model):
     grid = np.linspace(0.0, 5.0, 11)
     paths = simulate_paths(model, flat_curve, grid, 512, seed=5, antithetic=True)
     h = 256
+    # Twins stepped from the negated draws are the exact negation of their
+    # drawn paths, factor and integrated factor alike: exposure_profile never
+    # steps them and takes -x and -y instead.
     assert np.array_equal(paths.factor[:h], -paths.factor[h:])
+    assert np.array_equal(paths.integrated[:h], -paths.integrated[h:])
+    assert paths.factor[:h, 1:].all()
 
 
 def test_pathwise_discount_martingale(flat_curve, model):
