@@ -22,12 +22,9 @@ from .curves import DiscountCurve
 from .exposure import (
     ExposureProfile,
     SwapSpec,
-    annuity,
     exposure_profile,
     make_exposure_grid,
-    par_rate,
     portfolio_value,
-    swap_value,
 )
 from .pde import (
     Grid,
@@ -52,8 +49,6 @@ from .regcap import (
     capital_profile,
     ccr_capital,
     cva_var_capital,
-    ead_cem,
-    market_risk_capital,
     remaining_duration,
 )
 from .xva import XvaBreakdown, XvaErrors, XvaInputs, breakdown, colva, cva, dva, fca, kva, tva

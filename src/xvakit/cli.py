@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,8 +67,6 @@ def _load(path: str):
         return load_config(path)
     except FileNotFoundError as exc:
         raise _Failure(EXIT_IO, str(exc)) from None
-    except ConfigError as exc:
-        raise _Failure(EXIT_VALIDATION, "\n".join(exc.diagnostics)) from None
 
 
 def _cmd_run(args) -> int:
@@ -77,13 +76,17 @@ def _cmd_run(args) -> int:
             raise _Failure(EXIT_VALIDATION, "seed: must be >= 0")
         cfg = replace(cfg, seed=args.seed)
     if args.paths is not None:
+        if args.paths < 1:
+            raise _Failure(EXIT_VALIDATION, "paths: must be >= 1")
         if cfg.antithetic and args.paths % 2:
             raise _Failure(EXIT_VALIDATION, "paths: must be even with antithetic sampling")
         cfg = replace(cfg, paths=args.paths)
     if args.format is not None:
         cfg = replace(cfg, output_format=args.format)
 
-    result = run_config(cfg)
+    with warnings.catch_warnings():  # an overflow is refused as a ConfigError instead
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_config(cfg)
     text = RENDERERS[cfg.output_format](result)
     if args.out is not None:
         try:
@@ -150,6 +153,9 @@ def main(argv=None) -> int:
     except _Failure as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except ConfigError as exc:  # from loading, or a run the configuration makes overflow
+        print("\n".join(exc.diagnostics), file=sys.stderr)
+        return EXIT_VALIDATION
     except Exception as exc:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -298,6 +298,9 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
             swaps.append(spec)
     if "swaps" in raw and not swaps_raw:
         diags.append("swaps: list must not be empty")
+    elif swaps and all(s.collateralized for s in swaps):
+        diags.append("swaps: at least one must be uncollateralized "
+                     "(figures are bp of its notional)")
 
     # Optional overrides/extensions of the built-in counterparty table.
     table = dict(RATING_TABLE)

@@ -12,18 +12,20 @@ the revaluation state-free (no fixing carried along the path) and makes the
 payer/receiver symmetry exact pathwise.
 
 Under the affine bond formula ``P(t, T) = A(t, T) exp(-x B(t, T))`` a book
-is linear in the bonds on the union of its payment dates.  So the book is
-netted once per run into, per grid point, a constant ``c_k`` and one weight
-per live date with ``A`` folded in: ``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)``
-is the exact kernel, and a posted-collateral book is a second weight row.
+is linear in the bonds on the union of its payment dates.  So each book is
+netted once per run into ``(grid row, date)`` arrays: a constant ``c_k`` and
+one weight per date with ``A`` folded in, zero once the date is paid, so
+``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)`` is the exact kernel; a
+posted-collateral book is a second weight row.
 
-``f_k`` is an entire function of one scalar, so each grid row of a path
-block is revalued through a Chebyshev proxy rather than one exponential per
-(path, date).  The row is fitted on its own range ``mid_k ± h_k`` of the
+``f_k`` is an entire function of one scalar, so a chunk of grid rows is
+revalued through Chebyshev proxies rather than one exponential per (path,
+date).  Each row is fitted on its own range ``mid_k ± h_k`` of the
 simulated factor, so no path is extrapolated: the exact kernel is evaluated
-at ``n`` Chebyshev nodes, a DCT-II turns those values into coefficients, and
-these become power coefficients whose even and odd parts are evaluated by
-Horner in ``s^2``, for ``s`` the path's place in the range, as ``E + s G``.
+at ``n`` Chebyshev nodes of every row of the chunk in one call, a DCT-II
+turns those values into coefficients, and these become power coefficients
+whose even and odd parts are evaluated by Horner in ``s^2``, for ``s`` the
+path's place in the range, as ``E + s G``.
 ``n`` is not a setting: with
 ``r = h_k max B_k``, the coefficients of ``exp(-B h s)`` are Bessel values
 ``I_m(B h)``, and ``n`` is the smallest count for which the tail bound
@@ -51,6 +53,7 @@ matter how many workers ran.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +64,7 @@ from .ratemodel import (ShortRateModel, _draw_block, _simulate_block, _step_tabl
                         map_blocks)
 
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
 
 def on_schedule(maturity: float, frequency: int) -> bool:
@@ -105,50 +109,31 @@ class SwapSpec:
         return np.arange(1, n + 1) / self.frequency
 
 
-def annuity(curve: DiscountCurve, spec: SwapSpec, t: float = 0.0) -> float:
-    """Discounted accrual factor of the remaining fixed leg, seen from time 0."""
-    times = spec.payment_times()
-    alive = times > t + 1e-12
-    if not alive.any():
-        return 0.0
-    return float(np.sum(curve.df(times[alive])) / spec.frequency)
+@dataclass(frozen=True)
+class _NettedPlan:
+    """Books netted per grid row: ``f_k(x) = const[k] + wa[k] @ exp(neg_b[k] x)`` per book.
 
-
-def par_rate(curve: DiscountCurve, spec: SwapSpec) -> float:
-    """Fixed rate that makes the swap worth zero today."""
-    a = annuity(curve, spec)
-    return float((1.0 - curve.df(spec.maturity)) / a)
-
-
-def swap_value(spec: SwapSpec, model: ShortRateModel, curve: DiscountCurve, t: float, x):
-    """Swap value at time t given short-rate factor value(s) x.
-
-    Vectorized over paths; returns an array shaped like ``x`` (scalar in,
-    scalar out).  Zero at and only from the final payment date onward.
+    ``const`` is ``(rows, books)``, ``neg_b`` is ``(rows, dates)`` and ``wa``
+    is ``(rows, books, dates)`` over the union of the books' payment dates.
+    A date is live after ``t + 1e-12`` (paid at ``t`` it is not); a dead date has
+    zero weight and zero ``neg_b``.  ``b_max`` is each row's largest live
+    ``B``, 0 with none live.  Indexing selects rows.
     """
-    if t < 0 or t > spec.maturity + 1e-12:
-        raise ValueError("valuation time outside the swap's life")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    times = spec.payment_times()
-    alive = times > t + 1e-12
-    if not alive.any():
-        out = np.zeros_like(x_arr)
-        return float(out[0]) if scalar else out
-    p = model.bond_price(curve, t, times[alive], x_arr)
-    ann = p.sum(axis=-1) / spec.frequency
-    floating = 1.0 - p[..., -1]
-    out = spec.sign * spec.notional * (floating - spec.fixed_rate * ann)
-    return float(out[0]) if scalar else out
+
+    const: np.ndarray
+    neg_b: np.ndarray
+    wa: np.ndarray
+    b_max: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.b_max)
+
+    def __getitem__(self, rows) -> "_NettedPlan":
+        return _NettedPlan(self.const[rows], self.neg_b[rows], self.wa[rows], self.b_max[rows])
 
 
-def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> list:
-    """Per grid point ``(c, -B, w A)`` netting each book over its live payment dates.
-
-    ``c`` is a ``(books, 1)`` column, ``-B`` has one entry per live date and
-    ``w A`` is shaped ``(books, live dates)``.  A date is live after
-    ``t + 1e-12``, as in ``swap_value``; a swap with no live date adds nothing.
-    """
+def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> _NettedPlan:
+    """Each book netted once, at every grid point, into the affine kernel's arrays."""
     times = [s.payment_times() for book in books for s in book]
     dates = np.unique(np.concatenate([np.empty(0), *times]))
     weights = np.zeros((len(books), len(dates)))
@@ -161,26 +146,25 @@ def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> li
             last[j, idx[-1:]] += s.sign * s.notional
     g = np.asarray(grid, dtype=float)
     log_a, b = model.affine(curve, g[:, None], dates[None, :])
-    plan = []
-    for k, t in enumerate(g):
-        live = np.searchsorted(dates, t + 1e-12, side="right")
-        plan.append((last[:, live:].sum(axis=1, keepdims=True), -b[k, live:],
-                     weights[:, live:] * np.exp(log_a[k, live:])))
-    return plan
+    live = dates[None, :] > g[:, None] + 1e-12
+    return _NettedPlan(const=np.where(live[:, None], last, 0.0).sum(axis=2),
+                       neg_b=np.where(live, -b, 0.0),
+                       wa=np.where(live[:, None], weights * np.exp(log_a)[:, None], 0.0),
+                       b_max=np.max(b, axis=1, where=live, initial=0.0))
 
 
-def _revalue(x: np.ndarray, point) -> np.ndarray:
-    """``c + (w A) @ exp(-B x)`` for one grid point: shaped ``(books, len(x))``."""
-    const, neg_b, wa = point
-    return const + wa @ np.exp(np.multiply.outer(neg_b, x))
+def _revalue(x: np.ndarray, plan: _NettedPlan) -> np.ndarray:
+    """The exact kernel at each row's points ``x`` ``(rows, m)``: shaped ``(books, rows, m)``."""
+    e = np.multiply(plan.neg_b[:, :, None], x[:, None, :])
+    return (plan.const[:, :, None] + plan.wa @ np.exp(e, out=e)).transpose(1, 0, 2)
 
 
 def portfolio_value(
     swaps, model: ShortRateModel, curve: DiscountCurve, t: float, x: np.ndarray
 ) -> np.ndarray:
     """Netted value of several swaps on the same paths: one point of the kernel."""
-    (point,) = _netted_plan([tuple(swaps)], model, curve, [t])
-    return _revalue(np.atleast_1d(np.asarray(x, dtype=float)), point)[0]
+    plan = _netted_plan([tuple(swaps)], model, curve, [t])
+    return _revalue(np.atleast_1d(np.asarray(x, dtype=float))[None], plan)[0, 0]
 
 
 def _chebyshev_terms(r: float) -> int:
@@ -217,6 +201,7 @@ def _chebyshev_terms(r: float) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=64)
 def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev nodes ``cos(theta_i)`` and the DCT-II matrix ``(2/n) cos(m theta_i)``.
 
@@ -230,9 +215,12 @@ def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.minimum(k, 4 * n - k)  # cos is even and 2 pi periodic
     sign = np.where(k > n, -1.0, 1.0)  # cos(pi - a) = -cos(a)
     cosines = sign * np.cos(np.pi / (2 * n) * np.where(k > n, 2 * n - k, k))
-    return cosines[:, 1], (2.0 / n) * cosines[:, :n]
+    nodes, dct = cosines[:, 1].copy(), (2.0 / n) * cosines[:, :n]
+    nodes.flags.writeable = dct.flags.writeable = False  # cached: shared by every caller
+    return nodes, dct
 
 
+@functools.lru_cache(maxsize=64)
 def _power_basis(n: int) -> np.ndarray:
     """``P`` with ``a @ P`` the power coefficients in ``s`` of ``a_0 / 2 + sum a_m T_m(s)``.
 
@@ -245,49 +233,63 @@ def _power_basis(n: int) -> np.ndarray:
         basis[m, 1:] = 2.0 * basis[m - 1, :-1]
         basis[m] -= basis[m - 2]
     basis[0, 0] = 0.5
+    basis.flags.writeable = False  # cached: shared by every caller
     return basis
 
 
-def _chebyshev_revalue(x: np.ndarray, plan: list, out: np.ndarray) -> None:
+def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan, twins: bool):
+    """``(mid, half, coef)``: each row's range ``mid_k ± h_k`` of the paths
+    (``[-max|x[k]|, max|x[k]|]`` with ``twins``) and its Chebyshev coefficients.
+
+    The exact kernel is evaluated at the nodes of every row's range in one
+    call and one cosine matrix (a DCT-II) turns the values into coefficients
+    ``(books, rows, n)``, ``n`` the rows' largest term count.  Rows where
+    every path agrees (``h_k = 0``) or no date is live have nothing to fit:
+    their exact value at ``mid_k`` is the constant coefficient.  ``coef`` is
+    None when a radius ``h_k B_k`` passes ``log`` of the largest float.
+    """
+    if twins:
+        hi = np.maximum(x.max(axis=1), -x.min(axis=1))
+        lo = -hi
+    else:
+        lo, hi = x.min(axis=1), x.max(axis=1)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fit = (half > 0) & (plan.b_max > 0)
+    radius = np.max(half * plan.b_max, where=fit, initial=0.0)
+    if _LOG_MAX < radius < math.inf:
+        return mid, half, None
+    nodes, cosines = _chebyshev_basis(_chebyshev_terms(radius))
+    coef = _revalue(mid[:, None] + half[:, None] * nodes, plan) @ cosines
+    coef[:, ~fit] = 0.0
+    coef[:, ~fit, 0] = 2.0 * _revalue(mid[~fit, None], plan[~fit])[..., 0]
+    return mid, half, coef
+
+
+def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> None:
     """The netted books at every path of grid-major rows ``x``, into ``out``.
 
     When ``out`` is twice as wide as ``x``, its second half receives the
-    antithetic twins, the paths at ``-x``.  Row ``k`` is fitted on its own
-    range ``mid_k ± h_k`` of the paths written (``[-max|x[k]|, max|x[k]|]``
-    with twins), so no path is extrapolated: the exact kernel ``_revalue``
-    is evaluated at the Chebyshev nodes of that interval and one cosine
-    matrix (a DCT-II) turns the node values into coefficients.  These become
-    power coefficients in ``s = (x - mid_k) / h_k``, and the even and odd
-    parts ``E`` and ``G`` of the polynomial are evaluated together by Horner
-    in ``s^2``: a path takes ``E + s G`` and its twin ``E - s G``, bit for bit
-    what evaluating at ``-x`` gives.  Rows where every path agrees
-    (``h_k = 0``) or no date is live have nothing to fit: their exact value
-    at ``mid_k`` becomes the constant coefficient and passes through
-    unchanged.  Every row takes the rows' largest term count; a streamed
-    block passes one chunk of ``CHUNK_ROWS`` rows at a time.
+    antithetic twins, the paths at ``-x``.  Each row is fitted on its own
+    range of the paths written (``_chebyshev_fit``), so no path is
+    extrapolated.  The coefficients become power coefficients in
+    ``s = (x - mid_k) / h_k``, and the even and odd parts ``E`` and ``G`` of
+    the polynomial are evaluated together by Horner in ``s^2``: a path takes
+    ``E + s G`` and its twin ``E - s G``, bit for bit what evaluating at
+    ``-x`` gives.  A streamed block passes one chunk of ``CHUNK_ROWS`` rows
+    at a time.  Where the kernel overflows, ``out`` is NaN.
     """
     n_x = x.shape[1]
-    if out.shape[-1] == n_x:
-        lo, hi = x.min(axis=1), x.max(axis=1)
-    else:
-        hi = np.maximum(x.max(axis=1), -x.min(axis=1))
-        lo = -hi
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    b_max = np.array([np.max(-neg_b, initial=0.0) for _, neg_b, _ in plan])  # 0: none live
-    fit = (half > 0) & (b_max > 0)
-    n = _chebyshev_terms(np.max(half * b_max, where=fit, initial=0.0))
-    nodes, cosines = _chebyshev_basis(n)
-    coef = np.zeros((len(out), len(plan), n))
-    for k, point in enumerate(plan):
-        if fit[k]:
-            coef[:, k] = _revalue(mid[k] + half[k] * nodes, point) @ cosines
-        else:
-            coef[:, k, 0] = 2.0 * _revalue(mid[k:k + 1], point)[:, 0]
+    mid, half, coef = _chebyshev_fit(x, plan, out.shape[-1] > n_x)
+    if coef is None:
+        out[...] = np.nan
+        return
+    n = coef.shape[-1]
     power = coef @ _power_basis(n)
     parts = np.zeros((2, *coef.shape[:2], (n + 1) // 2))  # E's and G's coefficients in s^2
     parts[0], parts[1, ..., :n // 2] = power[..., ::2], power[..., 1::2]
     h = half[:, None]
-    s = np.divide(x - mid[:, None], h, out=np.zeros_like(x), where=h > 0)
+    s = np.subtract(x, mid[:, None])  # 0 on rows with h = 0, where every path is at mid
+    np.divide(s, h, out=s, where=h > 0)
     w = s * s
     acc = np.empty((*parts.shape[:3], n_x))
     acc[...] = parts[..., -1:]
@@ -368,24 +370,29 @@ def _merge_moments(a, b):
 def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool) -> dict:
     """Per-block accumulators for one simulated block.
 
-    ``values_by_point`` and ``discount`` have shape (n_points, n_paths_in_block).
+    ``values_by_point`` and ``discount`` have shape (n_points, n_paths_in_block);
+    the discounted value's positive and negative parts are reduced stacked.
     """
-    dv = values_by_point * discount
-    dv_pos = np.maximum(dv, 0.0)
-    dv_neg = np.minimum(dv, 0.0, out=dv)
-    stats = {
-        "n": dv.shape[1],
-        "sum_dv_pos": dv_pos.sum(axis=1),
-        "sum_dv_neg": dv_neg.sum(axis=1),
-        "sum_v_pos": np.maximum(values_by_point, 0.0).sum(axis=1),
+    rows, n = values_by_point.shape
+    parts = np.empty((2, rows, n))
+    dv = np.multiply(values_by_point, discount, out=parts[1])
+    np.maximum(dv, 0.0, out=parts[0])
+    np.minimum(dv, 0.0, out=parts[1])
+    sums = parts.sum(axis=2)
+    units = parts
+    if antithetic:
+        units = np.add(parts[..., :n // 2], parts[..., n // 2:])
+        units *= 0.5
+    count, mean, m2 = _moments(units.reshape(2 * rows, -1))  # may overwrite parts
+    return {
+        "n": n,
+        "sum_dv_pos": sums[0],
+        "sum_dv_neg": sums[1],
+        "sum_v_pos": np.maximum(values_by_point, 0.0, out=parts[0]).sum(axis=1),
         "sum_v": values_by_point.sum(axis=1),
+        "unit_pos": (count, mean[:rows], m2[:rows]),
+        "unit_neg": (count, mean[rows:], m2[rows:]),
     }
-    for side, part in (("pos", dv_pos), ("neg", dv_neg)):
-        if antithetic:
-            h = part.shape[1] // 2
-            part = 0.5 * (part[:, :h] + part[:, h:])
-        stats["unit_" + side] = _moments(part)
-    return stats
 
 
 def _join_rows(chunks: tuple[dict, ...]) -> dict:
@@ -474,7 +481,7 @@ def exposure_profile(
         draws = _draw_block(len(steps), size, seed, idx, antithetic)
         n_draw = len(draws)  # with antithetic sampling, twins fill columns n_draw onward
         x, y = np.zeros((2, CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
-        z = np.empty((CHUNK_ROWS, 2, n_draw))
+        z = np.empty((CHUNK_ROWS, 3, n_draw))
         values = np.empty((len(books), CHUNK_ROWS, size))
         discount = np.empty((CHUNK_ROWS, size))
         chunks, posted_sums = [], []

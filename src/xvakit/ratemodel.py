@@ -164,19 +164,21 @@ def _simulate_block(steps: np.ndarray, draws: np.ndarray, k0: int, x: np.ndarray
     ``x[0]`` and ``y[0]`` hold the factor and the integrated factor at grid
     row ``k0`` of the ``len(draws)`` drawn paths; steps ``k0 .. k0 + n - 1``
     fill rows ``1 .. n``, with ``n = min(len(x) - 1, len(steps) - k0)``.
-    ``z`` is scratch shaped ``(len(x) - 1, 2, len(draws))`` for the chunk's
-    normals.  Antithetic twins are never stepped: each step only multiplies
-    and adds, so a twin's ``x`` and ``y`` are exactly ``-x`` and ``-y``.
+    ``z`` is scratch shaped ``(len(x) - 1, 3, len(draws))`` for the chunk's
+    normals times their Cholesky factors, ``(z0 l11, z0 l21, z1 l22)``,
+    scaled once per chunk, so each step only adds.  Antithetic twins are
+    never stepped: each step only multiplies and adds, so a twin's ``x`` and
+    ``y`` are exactly ``-x`` and ``-y``.
     """
     n = min(len(x) - 1, len(steps) - k0)
-    z = z[:n]
-    z[...] = draws[:, k0:k0 + n].transpose(1, 2, 0)
-    tmp = np.empty(x.shape[1])
-    for i, (decay, l11, l21, l22, b) in enumerate(steps[k0:k0 + n]):
-        z0, z1 = z[i]
+    chunk, z = steps[k0:k0 + n], z[:n]
+    normals = draws[:, k0:k0 + n].transpose(1, 2, 0)
+    np.multiply(normals[:, :1], chunk[:, 1:3, None], out=z[:, :2])
+    np.multiply(normals[:, 1], chunk[:, 3, None], out=z[:, 2])
+    for i, (decay, b) in enumerate(chunk[:, [0, 4]]):
         np.multiply(x[i], b, out=y[i + 1])  # ((y + x b) + l21 z0) + l22 z1
         y[i + 1] += y[i]
-        y[i + 1] += np.multiply(z0, l21, out=tmp)
-        y[i + 1] += np.multiply(z1, l22, out=z1)
+        y[i + 1] += z[i, 1]
+        y[i + 1] += z[i, 2]
         np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z0
-        x[i + 1] += np.multiply(z0, l11, out=z0)
+        x[i + 1] += z[i, 0]

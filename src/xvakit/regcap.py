@@ -104,15 +104,6 @@ def _mr_band(residual_maturity):
     return np.searchsorted(_MR_UPPERS, residual_maturity, side="right")
 
 
-def ead_cem(mtm: float, notional: float, residual_maturity: float) -> float:
-    """Exposure at default under the current exposure method."""
-    if notional < 0:
-        raise ValueError("notional must be >= 0")
-    if residual_maturity < 0:
-        raise ValueError("residual maturity must be >= 0")
-    return max(mtm, 0.0) + notional * float(_addon_factor(residual_maturity))
-
-
 def ccr_capital(ead, risk_weight: float, min_ratio: float):
     """Counterparty-credit-risk capital: EAD x weight x minimum ratio; ``ead`` may be an array."""
     if np.any(np.asarray(ead) < 0) or risk_weight < 0 or min_ratio < 0:
@@ -139,20 +130,6 @@ def cva_var_capital(
     return CVA_VAR_QUANTILE * np.sqrt(horizon) * abs(cva_weight * net)
 
 
-def market_risk_capital(positions) -> float:
-    """General interest-rate market-risk charge from net banded positions.
-
-    ``positions`` is an iterable of (residual_maturity, signed_notional);
-    positions netting to zero within every band attract no charge.
-    """
-    nets = np.zeros(len(MR_BAND_WEIGHTS))
-    for maturity, amount in positions:
-        if maturity < 0:
-            raise ValueError("residual maturity must be >= 0")
-        nets[_mr_band(maturity)] += amount
-    return float(np.abs(nets) @ _MR_WEIGHTS)
-
-
 def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t):
     """Discount-weighted average time to the swap's remaining payments.
 
@@ -176,7 +153,7 @@ class CapitalProfile:
     relief from a fully eligible credit hedge is the whole CVA charge plus
     the CCR saving from substituting the protection provider's risk weight
     (``k_ccr - k_ccr_hedged``).  The net requirement interpolates linearly in
-    the hedge fraction.
+    the hedge fraction.  Components may be stacked ``(rows, grid)``.
     """
 
     grid: np.ndarray
@@ -188,7 +165,7 @@ class CapitalProfile:
     def __post_init__(self):
         n = len(self.grid)
         for name in ("k_mr", "k_ccr", "k_ccr_hedged", "k_cva"):
-            if len(getattr(self, name)) != n:
+            if np.shape(getattr(self, name))[-1:] != (n,):
                 raise ValueError(f"{name} must match the grid length")
 
     @property

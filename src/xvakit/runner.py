@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import RunConfig
+import numpy as np
+
+from .config import ConfigError, RunConfig
 from .credit import CreditCurve, HedgePolicy, TaxPolicy, hazard_from_spread
 from .curves import DiscountCurve
 from .exposure import ExposureProfile, exposure_profile, make_exposure_grid
 from .ratemodel import ShortRateModel
 from .regcap import capital_base, capital_profile
-from .xva import XvaBreakdown, XvaInputs, breakdown
+from .xva import XvaBreakdown, XvaInputs, XvaSweep, breakdown
 
 
 @dataclass(frozen=True)
@@ -77,72 +79,43 @@ def run_config(config: RunConfig) -> RunResult:
         antithetic=config.antithetic, n_workers=config.workers,
         collateral_book=posted,
     )
+    if not np.isfinite(np.concatenate(
+            [v for v in vars(profile).values() if isinstance(v, np.ndarray)])).all():
+        raise ConfigError([f"market.model.sigma: {model.sigma} (meanReversion "
+                           f"{model.mean_reversion}) makes the exposure profile overflow"])
     notional = sum(s.notional for s in uncollateralized)
     table = config.rating_table
     provider = table.get(config.provider_rating) if config.provider_rating else None
 
     base = capital_base(profile, uncollateralized, curve, mr_swaps=config.swaps)
-    capitals = {}
-    counterparties = {}
+    parties = []  # per rating, its (counterparty curve, capital profile)
     for rating in config.ratings:
         cpty = table[rating]
-        counterparties[rating] = CreditCurve.flat(
-            hazard_from_spread(cpty.cds_spread, cpty.recovery), cpty.recovery
-        )
-        capitals[rating] = capital_profile(
-            base, cpty, min_ratio=config.min_capital_ratio, provider=provider
-        )
-
-    tax = TaxPolicy(
-        rate=config.tax_rate,
-        accruals_taxed=config.accruals_taxed,
-        compensator_taxed=config.compensator_taxed,
-    )
-
+        parties.append((
+            CreditCurve.flat(hazard_from_spread(cpty.cds_spread, cpty.recovery), cpty.recovery),
+            capital_profile(base, cpty, min_ratio=config.min_capital_ratio, provider=provider),
+        ))
     # With an absolute market price of risk, xi varies per rating.
-    xi_pairs_by_rating = {
-        rating: config.price_of_risk_grid(counterparties[rating].hazard_rates[0])
-        for rating in config.ratings
-    }
-    n_xi = len(next(iter(xi_pairs_by_rating.values())))
-
-    rows: list[ReportRow] = []
-    for psi in config.psi_values:
-        for xi_index in range(n_xi):
-            for phi in config.phi_values:
-                for rating in config.ratings:
-                    xi, m_lambda = xi_pairs_by_rating[rating][xi_index]
-                    hedge = HedgePolicy(
-                        hedge_fraction=psi,
-                        price_of_risk=xi,
-                        capital_funding_fraction=phi,
-                    )
-                    inputs = XvaInputs(
-                        exposure=profile,
-                        issuer=issuer,
-                        counterparty=counterparties[rating],
-                        hedge=hedge,
-                        tax=tax,
-                        discount=curve,
-                        cost_of_capital=config.cost_of_capital,
-                        notional=notional,
-                        capital=capitals[rating],
-                        collateral_spread=config.collateral_spread,
-                        collateral=profile.collateral,
-                    )
-                    result = breakdown(inputs)
-                    se_bp = result.bps(result.se.total) if result.se else 0.0
-                    rows.append(
-                        ReportRow(
-                            source=config.hedge_source_label,
-                            hedge_fraction=psi,
-                            price_of_risk=xi,
-                            m_lambda=m_lambda,
-                            capital_funding_fraction=phi,
-                            rating=rating,
-                            result=result,
-                            se_bp=se_bp,
-                            warn=se_bp > config.warn_se_bp,
-                        )
-                    )
+    xi_pairs = [config.price_of_risk_grid(cpty.hazard_rates[0]) for cpty, _ in parties]
+    cells = [(psi, *xi_pairs[j][xi_index], phi, j)
+             for psi in config.psi_values for xi_index in range(len(xi_pairs[0]))
+             for phi in config.phi_values for j in range(len(parties))]
+    psis, xis, _, phis, party = (np.array(column) for column in zip(*cells))
+    first = XvaInputs(
+        exposure=profile, issuer=issuer, counterparty=parties[0][0],
+        hedge=HedgePolicy(psis[0], xis[0], phis[0]),
+        tax=TaxPolicy(config.tax_rate, config.accruals_taxed, config.compensator_taxed),
+        discount=curve, cost_of_capital=config.cost_of_capital, notional=notional,
+        capital=parties[0][1], collateral_spread=config.collateral_spread,
+        collateral=profile.collateral,
+    )
+    results = breakdown(XvaSweep(first, tuple(parties), party, psis, xis, phis))
+    rows = []
+    for (psi, xi, m_lambda, phi, j), result in zip(cells, results):
+        se_bp = result.bps(result.se.total)
+        rows.append(ReportRow(
+            source=config.hedge_source_label, hedge_fraction=psi, price_of_risk=xi,
+            m_lambda=m_lambda, capital_funding_fraction=phi, rating=config.ratings[j],
+            result=result, se_bp=se_bp, warn=se_bp > config.warn_se_bp,
+        ))
     return RunResult(rows=rows, profile=profile, config=config)

@@ -51,7 +51,7 @@ def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers
         halves = []
         for half in ([draws, -draws] if antithetic else [draws]):
             x, y = np.zeros((2, len(g), len(half)))
-            _simulate_block(steps, half, 0, x, y, np.empty((len(steps), 2, len(half))))
+            _simulate_block(steps, half, 0, x, y, np.empty((len(steps), 3, len(half))))
             halves.append((x, y))
         return np.hstack([x for x, _ in halves]), np.hstack([y for _, y in halves])
 

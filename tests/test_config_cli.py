@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +61,12 @@ class TestValidation:
         assert diags == []
         assert cfg is not None
         assert cfg.ratings == ("AAA", "A")
+
+    def test_book_with_only_collateralized_swaps_is_rejected(self):
+        # Its bp figures would divide by an uncollateralized notional of 0.
+        cfg, diags = validate_config(small_config(swaps=VALID_CONFIG["swaps"][1:]))
+        assert cfg is None and diags == [
+            "swaps: at least one must be uncollateralized (figures are bp of its notional)"]
 
     def test_psi_out_of_range_names_field(self):
         _, diags = validate_config(small_config(psi=[1.2]))
@@ -381,6 +388,30 @@ class TestCli:
     def test_run_rejects_odd_path_override(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         assert main(["run", str(path), "--paths", "999"]) == 1
+
+    @pytest.mark.parametrize("paths", ["0", "-2"])
+    def test_run_rejects_non_positive_path_override(self, tmp_path, capsys, paths):
+        assert main(["run", str(self.write_config(tmp_path)), "--paths", paths]) == 1
+        assert capsys.readouterr() == ("", "paths: must be >= 1\n")
+
+    def test_run_refuses_an_overflowing_exposure(self, tmp_path, capsys):
+        # The 30y long book at 500% volatility: its exposure overflows to NaN.
+        raw = small_config(swaps=[
+            {"notional": 100.0, "fixedRate": 0.022, "maturity": 5.0, "frequency": 4},
+            {"notional": 100.0, "fixedRate": 0.019, "maturity": 10.0, "payer": False},
+            {"notional": 100.0, "fixedRate": 0.024, "maturity": 20.0, "frequency": 4},
+            {"notional": 100.0, "fixedRate": 0.018, "maturity": 30.0, "frequency": 4,
+             "payer": False},
+        ])
+        raw["market"]["model"]["sigma"] = 5.0
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--format", "csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and caught == []
+        assert err.startswith("market.model.sigma: 5.0 ") and len(err.splitlines()) == 1
 
     def test_run_rejects_negative_seed_override(self, tmp_path, capsys):
         assert main(["run", str(self.write_config(tmp_path)), "--seed", "-5"]) == 1

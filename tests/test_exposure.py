@@ -13,16 +13,15 @@ from xvakit import (
     DiscountCurve,
     ShortRateModel,
     SwapSpec,
-    annuity,
     exposure_profile,
     make_exposure_grid,
-    par_rate,
     portfolio_value,
-    swap_value,
 )
 from xvakit.exposure import (
     CHUNK_ROWS,
     _block_stats,
+    _chebyshev_basis,
+    _chebyshev_fit,
     _chebyshev_revalue,
     _chebyshev_terms,
     _netted_plan,
@@ -30,6 +29,32 @@ from xvakit.exposure import (
     _revalue,
 )
 from xvakit.ratemodel import BLOCK_SIZE, _block_sizes
+
+def annuity(curve, spec, t=0.0):
+    """Discounted accrual factor of the remaining fixed leg, seen from time 0."""
+    times = spec.payment_times()
+    alive = times > t + 1e-12
+    return float(np.sum(curve.df(times[alive])) / spec.frequency) if alive.any() else 0.0
+
+
+def swap_value(spec, model, curve, t, x):
+    """Reference value of one swap at time ``t`` and factor(s) ``x``, from its own bonds.
+
+    ``sign * notional * [(1 - P(t, T_end)) - fixed * annuity(t)]``: scalar
+    in, scalar out; zero at and only from the final payment date onward.
+    """
+    if t < 0 or t > spec.maturity + 1e-12:
+        raise ValueError("valuation time outside the swap's life")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    times = spec.payment_times()
+    alive = times > t + 1e-12
+    out = np.zeros_like(x_arr)
+    if alive.any():
+        p = model.bond_price(curve, t, times[alive], x_arr)
+        out = spec.sign * spec.notional * (1.0 - p[..., -1] - spec.fixed_rate * p.sum(axis=-1)
+                                           / spec.frequency)
+    return float(out[0]) if np.ndim(x) == 0 else out
+
 
 # independent oracle for the 10y 2.7% payer on a flat 2% curve, plain discounting
 _ANNUITY = sum(0.5 * math.exp(-0.02 * 0.5 * j) for j in range(1, 21))
@@ -99,6 +124,30 @@ def revalue_in_chunks(x, plan, out):
         _chebyshev_revalue(x[rows], plan[rows], out[:, rows])
 
 
+def reference_fit(x, plan, twins):
+    """Per-row loop of ``_chebyshev_fit``: each row's nodes valued over its live dates alone."""
+    if twins:
+        hi = np.maximum(x.max(axis=1), -x.min(axis=1))
+        lo = -hi
+    else:
+        lo, hi = x.min(axis=1), x.max(axis=1)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fit = (half > 0) & (plan.b_max > 0)
+    n = _chebyshev_terms(np.max(half * plan.b_max, where=fit, initial=0.0))
+    nodes, cosines = _chebyshev_basis(n)
+    coef = np.zeros((plan.const.shape[1], len(plan), n))
+    for k in range(len(plan)):
+        live = plan.neg_b[k] < 0
+        const, neg_b, wa = plan.const[k][:, None], plan.neg_b[k][live], plan.wa[k][:, live]
+        points = mid[k] + half[k] * nodes if fit[k] else mid[k:k + 1]
+        values = const + wa @ np.exp(np.multiply.outer(neg_b, points))
+        if fit[k]:
+            coef[:, k] = values @ cosines
+        else:
+            coef[:, k, 0] = 2.0 * values[:, 0]
+    return mid, half, coef
+
+
 def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, posted=()):
     """Whole blocks through simulate, revalue, discount, ``_block_stats`` and ``_reduce``."""
     books = [book, posted] if posted else [book]
@@ -158,7 +207,7 @@ class TestSwapSpec:
 class TestSwapValue:
     def test_par_swap_is_worth_zero(self, flat_curve, model):
         spec = SwapSpec(notional=100.0, fixed_rate=0.02, maturity=10.0)
-        fair = par_rate(flat_curve, spec)
+        fair = float((1.0 - flat_curve.df(10.0)) / annuity(flat_curve, spec))
         par_spec = SwapSpec(notional=100.0, fixed_rate=fair, maturity=10.0)
         assert abs(swap_value(par_spec, model, flat_curve, 0.0, 0.0)) < 1e-12
 
@@ -398,15 +447,16 @@ class TestNettedKernel:
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
     def test_chebyshev_proxy_matches_exact_kernel(self, case, antithetic):
         x, plan, proxy = self.proxy_block(*PROXY_CASES[case], antithetic)
-        for k, point in enumerate(plan):
-            const, neg_b, wa = point
+        for k in range(len(plan)):
+            point = plan[k:k + 1]
+            const, neg_b, wa = point.const[0], point.neg_b[0], point.wa[0]
             # The exact kernel's own rounding: each exp(-B x) holds about
             # (1 + B |x|) ulps of its value, and every term is largest at the
             # low end of the row's range.  In the long book that scale is
             # within 1.5x of the gross notional.
-            scale = np.abs(const[:, 0]) + np.abs(wa) @ np.exp(neg_b * x[k].min())
+            scale = np.abs(const) + np.abs(wa) @ np.exp(neg_b * x[k].min())
             scale *= 1.0 + np.abs(neg_b).max(initial=0.0) * np.abs(x[k]).max()
-            error = np.abs(proxy[:, k] - _revalue(x[k], point)).max(axis=1)
+            error = np.abs(proxy[:, k] - _revalue(x[k:k + 1], point)[:, 0]).max(axis=1)
             assert np.all(error <= 8 * 2.0**-52 * scale), (k, error / scale / 2.0**-52)
 
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
@@ -425,16 +475,58 @@ class TestNettedKernel:
             _chebyshev_revalue(np.hstack([x[rows], -x[rows]]), plan[rows], explicit)
             assert np.array_equal(twins, explicit), k0
 
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_batched_fit_matches_the_per_row_loop(self, case, antithetic):
+        book, model, grid = PROXY_CASES[case]
+        x, _ = reference_block(model, grid, BLOCK_SIZE, 47, 0, antithetic)
+        x = x[:, :BLOCK_SIZE // 2] if antithetic else x  # the drawn half; twins are -x
+        plan = _netted_plan([book, POSTED], model, FLAT, grid)
+        gross = sum(s.notional for s in book + POSTED)
+        for k0 in range(0, len(grid), CHUNK_ROWS):
+            rows = slice(k0, k0 + CHUNK_ROWS)
+            mid, half, coef = _chebyshev_fit(x[rows], plan[rows], antithetic)
+            ref_mid, ref_half, ref_coef = reference_fit(x[rows], plan[rows], antithetic)
+            assert np.array_equal(mid, ref_mid) and np.array_equal(half, ref_half)
+            assert coef.shape == ref_coef.shape
+            # Only the summation order of the node values differs, so the
+            # coefficients agree to a few ulps of the row's largest term,
+            # which sits at the low end of its range.  In the long book that
+            # is within 1.5x the gross notional.
+            point = plan[rows]
+            terms = np.abs(point.wa) @ np.exp(point.neg_b * (mid - half)[:, None])[..., None]
+            scale = np.maximum(np.abs(point.const) + terms[..., 0], gross).T
+            error = np.abs(coef - ref_coef).max(axis=2)
+            assert np.all(error <= 4 * 2.0**-52 * scale), (k0, (error / scale).max() / 2.0**-52)
+            if case == "long-book":
+                assert error.max() <= 2 * 2.0**-52 * gross, (k0, error.max() / gross / 2.0**-52)
+
+    def test_start_of_the_long_book_has_zero_standard_error(self, model):
+        book, _, grid = PROXY_CASES["long-book"]
+        profile = exposure_profile(book + POSTED, model, FLAT, grid, 4000, seed=53, n_workers=2,
+                                   collateral_book=POSTED)
+        assert profile.se_epe[0] == 0.0 and profile.se_ene[0] == 0.0
+
+    def test_overflowing_range_is_not_fitted(self, model):
+        # B h past log(largest float): the exact kernel overflows there too, so
+        # no fit (of some 1300 terms here) is attempted and the values are NaN.
+        plan = _netted_plan([LONG_BOOK], model, FLAT, [0.0, 1.0])
+        x = np.array([[0.0, 0.0], [-60.0, 60.0]])
+        assert _chebyshev_fit(x, plan, twins=False)[2] is None
+        out = np.zeros((1, 2, 2))
+        _chebyshev_revalue(x, plan, out)
+        assert np.isnan(out).all()
+
     def test_rows_with_nothing_to_fit_are_exact(self, model):
         x, plan, proxy = self.proxy_block(*PROXY_CASES["long-book"], antithetic=True)
         # t = 0: every path sits at x = 0; at 30y no date is live.
         for k in (0, len(plan) - 1):
-            assert np.all(proxy[:, k] == _revalue(x[k, :1], plan[k]))
+            assert np.all(proxy[:, k] == _revalue(x[k:k + 1, :1], plan[k:k + 1])[:, 0])
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
         x, plan, proxy = self.proxy_block(LONG_BOOK, frozen, MIXED_GRID, antithetic=False)
         assert not x.any()
-        for k, point in enumerate(plan):
-            assert np.all(proxy[:, k] == _revalue(np.zeros(1), point))
+        for k in range(len(plan)):
+            assert np.all(proxy[:, k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[:, 0])
 
     def test_term_count_is_the_smallest_meeting_the_bessel_bound(self):
         def bound(r, n):

@@ -13,14 +13,32 @@ from xvakit import (
     capital_profile,
     ccr_capital,
     cva_var_capital,
-    ead_cem,
     make_exposure_grid,
-    market_risk_capital,
     remaining_duration,
 )
-from xvakit.regcap import MR_BAND_WEIGHTS, capital_base
+from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base
 
 finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def ead_cem(mtm, notional, residual_maturity):
+    """Scalar CEM exposure at default: the reference for ``capital_base``'s EAD."""
+    if notional < 0 or residual_maturity < 0:
+        raise ValueError("notional and residual maturity must be >= 0")
+    band = 0 if residual_maturity < 1.0 else 1 if residual_maturity <= 5.0 else 2
+    return max(mtm, 0.0) + notional * CEM_ADDON_FACTORS[band]
+
+
+def market_risk_capital(positions):
+    """Scalar market-risk charge of (residual maturity, signed notional) positions.
+
+    The reference for ``capital_base``'s charge: positions net within each
+    maturity band, the first whose upper bound exceeds the maturity.
+    """
+    nets = np.zeros(len(MR_BAND_WEIGHTS))
+    for maturity, amount in positions:
+        nets[next(j for j, (upper, _) in enumerate(MR_BAND_WEIGHTS) if maturity < upper)] += amount
+    return float(np.abs(nets) @ [w for _, w in MR_BAND_WEIGHTS])
 
 
 class TestEadCem:

@@ -1,6 +1,7 @@
 """Adjustment integrals against closed-form constant-intensity oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ from xvakit import (
     kva,
     tva,
 )
+from xvakit.config import PRESETS
 from xvakit.regcap import CapitalProfile
+from xvakit.runner import run_config
+from xvakit.xva import XvaSweep, _Quadrature, standard_errors
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -429,3 +433,73 @@ class TestQuadratureAccuracy:
         weekly = cva(make_inputs(GRID_W, epe=100.0, lambda_c=0.03, lambda_b=0.0167))
         assert quarterly == pytest.approx(exact, rel=1e-3)
         assert weekly == pytest.approx(exact, rel=1e-4)
+
+
+# Fixtures of the tests above, each a row of a sweep in the next class.
+SWEEP_FIXTURES = {
+    "breakdown": make_inputs(
+        GRID_Q, epe=40.0, ene=-80.0, lambda_b=0.0167, lambda_c=0.0417, psi=0.4, xi=0.3, phi=0.6,
+        gamma_e=0.21, rate=0.02,
+        capital=flat_capital(GRID_Q, mr=2.0, ccr=30.0, ccr_hedged=18.0, cva_vol=20.0)),
+    "tva-warehoused": make_inputs(
+        GRID_Q, epe=60.0, lambda_b=0.0167, lambda_c=0.03, psi=0.0, xi=-0.5, gamma_e=0.21,
+        capital=flat_capital(GRID_Q, ccr=80.0), rate=0.02),
+    "accruals-taxed": make_inputs(
+        GRID_Q, epe=50.0, lambda_b=0.0167, gamma_e=0.21, capital=flat_capital(GRID_Q, ccr=10.0),
+        accruals_taxed=True),
+    "compensator-taxed": make_inputs(
+        GRID_Q, epe=100.0, lambda_c=0.04, psi=0.0, xi=-0.5, gamma_e=0.21, compensator_taxed=True),
+    "collateral": make_inputs(GRID_Q, epe=30.0, lambda_c=0.02, collateral_spread=0.001,
+                              collateral=np.full_like(GRID_Q, 100.0)),
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_FIXTURES))
+    def test_one_row_views_equal_their_row_of_the_sweep(self, name):
+        inputs = SWEEP_FIXTURES[name]
+        other = (CreditCurve.flat(0.05, 0.25),
+                 flat_capital(GRID_Q, mr=1.0, ccr=12.0, ccr_hedged=4.0, cva_vol=9.0))
+        h = inputs.hedge
+        psi = [h.hedge_fraction, 0.0, 1.0, 0.5, 0.25]
+        xi = [h.price_of_risk, -0.5, 0.9, 0.5, 1.0]
+        phi = [h.capital_funding_fraction, 1.0, 0.0, 0.3, 0.7]
+        party = [0, 1, 0, 1, 1]
+        parties = ((inputs.counterparty, inputs.capital), other)
+        sweep = breakdown(XvaSweep(inputs, parties, np.array(party), np.array(psi),
+                                   np.array(xi), np.array(phi)))
+        assert len(sweep) == len(party)
+        for i, row in enumerate(sweep):
+            counterparty, capital = parties[party[i]]
+            one = replace(inputs, counterparty=counterparty, capital=capital,
+                          hedge=HedgePolicy(psi[i], xi[i], phi[i]))
+            assert row == breakdown(one)
+            assert (row.cva, row.dva, row.fca, row.colva, row.tva) == (
+                cva(one), dva(one), fca(one), colva(one), tva(one))
+            assert (row.kva, (row.kva_mr, row.kva_ccr, row.kva_cva)) == kva(one)
+            assert row.se == standard_errors(one)
+
+    def test_sweep_rejects_out_of_range_dials(self):
+        inputs = SWEEP_FIXTURES["breakdown"]
+        parties = ((inputs.counterparty, inputs.capital),)
+        one = np.zeros(1, dtype=int)
+        for psi, xi, phi in ((1.5, 0.0, 0.0), (0.5, 1.5, 0.0), (0.5, 0.0, -0.1)):
+            with pytest.raises(ValueError):
+                XvaSweep(inputs, parties, one, np.array([psi]), np.array([xi]), np.array([phi]))
+        with pytest.raises(ValueError):
+            XvaSweep(inputs, parties, one, np.zeros(2), np.zeros(1), np.zeros(1))
+
+    def test_one_quadrature_per_run_whatever_the_row_count(self, monkeypatch):
+        built = []
+        init = _Quadrature.__init__
+
+        def counted(self, sweep):
+            built.append(len(sweep.psi))
+            init(self, sweep)
+
+        monkeypatch.setattr(_Quadrature, "__init__", counted)
+        one = replace(PRESETS["warehouse-neg"](), ratings=("BB",), phi_values=(0.0,), paths=1000)
+        many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi_values=(0.0, 0.5, 1.0),
+                       xi_values=(-0.5, 0.5), phi_values=(0.0, 1.0))
+        assert len(run_config(one).rows) == 1 and built == [1]
+        assert len(run_config(many).rows) == 48 and built == [1, 48]
