@@ -35,12 +35,12 @@ def main() -> None:
     result = run_config(cfg)
     print(f"rating {rating}, psi=0, phi=0, {paths} paths")
     print(f"{'xi':>7}  {'CVA':>8}  {'DVA':>8}  {'FCA':>8}  {'KVA':>8}  {'TVA':>8}  {'Total':>8}")
-    for row in result.rows:
-        b = row.result.as_bps()
+    b = result.breakdown.as_bps()
+    kva = b["kva_mr"] + b["kva_ccr"] + b["kva_cva"]
+    for i, (_, xi, *_) in enumerate(result.rows):
         print(
-            f"{row.price_of_risk:>+7.3f}  {b['cva']:>8.2f}  {b['dva']:>8.2f}  "
-            f"{b['fca']:>8.2f}  {b['kva_mr'] + b['kva_ccr'] + b['kva_cva']:>8.2f}  "
-            f"{b['tva']:>8.2f}  {b['total']:>8.2f}"
+            f"{xi:>+7.3f}  {b['cva'][i]:>8.2f}  {b['dva'][i]:>8.2f}  "
+            f"{b['fca'][i]:>8.2f}  {kva[i]:>8.2f}  {b['tva'][i]:>8.2f}  {b['total'][i]:>8.2f}"
         )
 
 

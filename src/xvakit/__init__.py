@@ -8,7 +8,6 @@ finite-difference verifier that recomputes the same economics independently.
 from .credit import (
     CloseOutState,
     CreditCurve,
-    HedgePolicy,
     TaxPolicy,
     closeout_values,
     compensator_rate,
@@ -51,6 +50,6 @@ from .regcap import (
     cva_var_capital,
     remaining_duration,
 )
-from .xva import XvaBreakdown, XvaErrors, XvaInputs, breakdown, colva, cva, dva, fca, kva, tva
+from .xva import XvaBreakdown, XvaInputs, breakdown
 
 __version__ = "0.1.0"

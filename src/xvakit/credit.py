@@ -85,33 +85,6 @@ class CreditCurve:
 
 
 @dataclass(frozen=True)
-class HedgePolicy:
-    """Dials of the partial default hedge.
-
-    hedge_fraction
-        Share of the full counterparty-bond hedge actually held (0 = fully
-        warehoused, 1 = fully hedged).
-    price_of_risk
-        Proportional market price of default risk: the physical-measure
-        hazard is ``(1 - price_of_risk)`` times the risk-neutral one.
-    capital_funding_fraction
-        Share of the capital requirement usable to offset bond funding.
-    """
-
-    hedge_fraction: float
-    price_of_risk: float = 0.0
-    capital_funding_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.hedge_fraction <= 1.0:
-            raise ValueError("hedge_fraction must lie in [0, 1]")
-        if not 0.0 <= self.capital_funding_fraction <= 1.0:
-            raise ValueError("capital_funding_fraction must lie in [0, 1]")
-        if self.price_of_risk > 1.0:
-            raise ValueError("price_of_risk above 1 implies a negative physical hazard")
-
-
-@dataclass(frozen=True)
 class TaxPolicy:
     """Effective tax treatment applied to profits and losses as they occur.
 

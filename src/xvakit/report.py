@@ -12,9 +12,16 @@ from __future__ import annotations
 import json
 import math
 
-from .runner import ReportRow, RunResult
+import numpy as np
+
+from .runner import RunResult
 
 _COMPONENTS = ("cva", "dva", "fca", "colva", "kva_mr", "kva_ccr", "kva_cva", "tva")
+_COLUMNS = _COMPONENTS + ("total",)
+_COLUMN_TITLES = {
+    "cva": "CVA", "dva": "DVA", "fca": "FCA", "colva": "COLVA",
+    "kva_mr": "KVA_MR", "kva_ccr": "KVA_CCR", "kva_cva": "KVA_CVA", "tva": "TVA", "total": "Total",
+}
 
 
 def round_half_away(x: float) -> int:
@@ -22,52 +29,54 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def _row_record(row: ReportRow) -> dict:
-    bps = row.result.as_bps()
-    record = {
-        "source": row.source,
-        "psi": row.hedge_fraction,
-        "mLambdaC": row.m_lambda if row.m_lambda is not None else row.price_of_risk,
-        "phi": row.capital_funding_fraction,
-        "rating": row.rating,
-    }
-    for name in _COMPONENTS:
-        record[f"{name}_bp"] = bps[name]
-    record["total_bp"] = bps["total"]
-    record["se_bp"] = row.se_bp
-    record["warn"] = row.warn
-    return record
+def _per_row(columns) -> list[list[float]]:
+    """Row-major plain floats of equal-length columns."""
+    return np.array(columns).T.tolist()
 
 
-_COLUMN_TITLES = {
-    "cva": "CVA", "dva": "DVA", "fca": "FCA", "colva": "COLVA",
-    "kva_mr": "KVA_MR", "kva_ccr": "KVA_CCR", "kva_cva": "KVA_CVA", "tva": "TVA",
-}
+def _price_of_risk_label(psi: float, xi: float, m_lambda: float | None) -> str:
+    if psi == 1.0:
+        return "na"
+    if m_lambda is not None:
+        return f"{m_lambda:+.4g}"
+    return f"{xi:+.3g}"
+
+
+def _records(result: RunResult) -> list[dict]:
+    bps = result.breakdown.as_bps()
+    source = result.config.hedge_source_label
+    records = []
+    for (psi, xi, m_lambda, phi, rating), values, se_bp, warn in zip(
+            result.rows, _per_row([bps[name] for name in _COLUMNS]),
+            result.se_bp.tolist(), result.warn.tolist()):
+        record = {"source": source, "psi": psi,
+                  "mLambdaC": m_lambda if m_lambda is not None else xi,
+                  "phi": phi, "rating": rating}
+        record.update(zip((f"{name}_bp" for name in _COLUMNS), values))
+        record["se_bp"] = se_bp
+        record["warn"] = warn
+        records.append(record)
+    return records
 
 
 def render_table(result: RunResult) -> str:
+    bps = result.breakdown.as_bps()
     # The collateral column only appears when it carries anything.
-    show_colva = any(abs(r.result.bps(r.result.colva)) >= 0.005 for r in result.rows)
-    shown = tuple(c for c in _COMPONENTS if show_colva or c != "colva")
+    show_colva = bool(np.any(np.abs(bps["colva"]) >= 0.005))
+    shown = tuple(c for c in _COLUMNS if show_colva or c != "colva")
     headers = (
         ("Source", "psi", "m_lamC", "phi", "Rating")
         + tuple(_COLUMN_TITLES[c] for c in shown)
-        + ("Total", "")
+        + ("",)
     )
     lines = []
     body = []
-    for row in result.rows:
-        bps = row.result.as_bps()
-        cells = [
-            row.source,
-            f"{row.hedge_fraction:g}",
-            row.price_of_risk_label,
-            f"{row.capital_funding_fraction:g}",
-            row.rating,
-        ]
-        cells += [str(round_half_away(bps[name])) for name in shown]
-        cells.append(str(round_half_away(bps["total"])))
-        cells.append("!" if row.warn else "")
+    source = result.config.hedge_source_label
+    for (psi, xi, m_lambda, phi, rating), values, warn in zip(
+            result.rows, _per_row([bps[c] for c in shown]), result.warn.tolist()):
+        cells = [source, f"{psi:g}", _price_of_risk_label(psi, xi, m_lambda), f"{phi:g}", rating]
+        cells += [str(round_half_away(v)) for v in values]
+        cells.append("!" if warn else "")
         body.append(cells)
     widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
               for i, h in enumerate(headers)]
@@ -77,7 +86,7 @@ def render_table(result: RunResult) -> str:
         lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip())
     lines.append("")
     lines.append(
-        f"values in bps of notional {result.rows[0].result.notional:g}; "
+        f"values in bps of notional {result.breakdown.notional:g}; "
         f"{result.profile.n_paths} paths, seed {result.config.seed}"
         if result.rows
         else "no rows"
@@ -88,12 +97,11 @@ def render_table(result: RunResult) -> str:
 def render_csv(result: RunResult) -> str:
     fields = (
         ["source", "psi", "mLambdaC", "phi", "rating"]
-        + [f"{name}_bp" for name in _COMPONENTS]
-        + ["total_bp", "se_bp", "warn"]
+        + [f"{name}_bp" for name in _COLUMNS]
+        + ["se_bp", "warn"]
     )
     lines = [",".join(fields)]
-    for row in result.rows:
-        record = _row_record(row)
+    for record in _records(result):
         cells = []
         for f in fields:
             v = record[f]
@@ -108,20 +116,17 @@ def render_csv(result: RunResult) -> str:
 
 
 def render_json(result: RunResult) -> str:
+    b = result.breakdown
     payload = {
         "schemaVersion": 1,
         "seed": result.config.seed,
         "paths": result.profile.n_paths,
-        "notional": result.rows[0].result.notional if result.rows else None,
-        "rows": [],
+        "notional": b.notional if result.rows else None,
+        "rows": _records(result),
     }
-    for row in result.rows:
-        record = _row_record(row)
-        record["currency"] = {
-            name: getattr(row.result, name) for name in _COMPONENTS
-        }
-        record["currency"]["total"] = row.result.total
-        payload["rows"].append(record)
+    currency = _per_row([getattr(b, name) for name in _COLUMNS])
+    for record, values in zip(payload["rows"], currency):
+        record["currency"] = dict(zip(_COLUMNS, values))
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Pipeline orchestration: config -> exposure -> capital -> breakdown rows.
+"""Pipeline orchestration: config -> exposure -> capital -> breakdown columns.
 
 One Monte Carlo run per configuration: the exposure profile of the netted
 uncollateralized swaps is simulated once and reused across every
@@ -14,40 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .credit import CreditCurve, HedgePolicy, TaxPolicy, hazard_from_spread
+from .credit import CreditCurve, TaxPolicy, hazard_from_spread
 from .curves import DiscountCurve
 from .exposure import ExposureProfile, exposure_profile, make_exposure_grid
 from .ratemodel import ShortRateModel
 from .regcap import capital_base, capital_profile
-from .xva import XvaBreakdown, XvaInputs, XvaSweep, breakdown
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One sweep combination with its adjustment breakdown."""
-
-    source: str
-    hedge_fraction: float
-    price_of_risk: float
-    m_lambda: float | None
-    capital_funding_fraction: float
-    rating: str
-    result: XvaBreakdown
-    se_bp: float
-    warn: bool
-
-    @property
-    def price_of_risk_label(self) -> str:
-        if self.hedge_fraction == 1.0:
-            return "na"
-        if self.m_lambda is not None:
-            return f"{self.m_lambda:+.4g}"
-        return f"{self.price_of_risk:+.3g}"
+from .xva import XvaBreakdown, XvaInputs, breakdown
 
 
 @dataclass
 class RunResult:
-    rows: list[ReportRow]
+    """The priced sweep: one key ``(psi, xi, m_lambda, phi, rating)`` per row,
+    in sweep order, beside the columns of that row's breakdown, its summed
+    standard error in bps and whether that error exceeds ``warnSeBp``."""
+
+    rows: list[tuple[float, float, float | None, float, str]]
+    breakdown: XvaBreakdown
+    se_bp: np.ndarray
+    warn: np.ndarray
     profile: ExposureProfile
     config: RunConfig
 
@@ -101,21 +85,13 @@ def run_config(config: RunConfig) -> RunResult:
              for psi in config.psi_values for xi_index in range(len(xi_pairs[0]))
              for phi in config.phi_values for j in range(len(parties))]
     psis, xis, _, phis, party = (np.array(column) for column in zip(*cells))
-    first = XvaInputs(
-        exposure=profile, issuer=issuer, counterparty=parties[0][0],
-        hedge=HedgePolicy(psis[0], xis[0], phis[0]),
+    result = breakdown(XvaInputs(
+        exposure=profile, issuer=issuer, parties=tuple(parties), party=party,
+        psi=psis, xi=xis, phi=phis,
         tax=TaxPolicy(config.tax_rate, config.accruals_taxed, config.compensator_taxed),
         discount=curve, cost_of_capital=config.cost_of_capital, notional=notional,
-        capital=parties[0][1], collateral_spread=config.collateral_spread,
-        collateral=profile.collateral,
-    )
-    results = breakdown(XvaSweep(first, tuple(parties), party, psis, xis, phis))
-    rows = []
-    for (psi, xi, m_lambda, phi, j), result in zip(cells, results):
-        se_bp = result.bps(result.se.total)
-        rows.append(ReportRow(
-            source=config.hedge_source_label, hedge_fraction=psi, price_of_risk=xi,
-            m_lambda=m_lambda, capital_funding_fraction=phi, rating=config.ratings[j],
-            result=result, se_bp=se_bp, warn=se_bp > config.warn_se_bp,
-        ))
-    return RunResult(rows=rows, profile=profile, config=config)
+        collateral_spread=config.collateral_spread, collateral=profile.collateral,
+    ))
+    se_bp = result.bps(sum(result.se))
+    rows = [(psi, xi, m_lambda, phi, config.ratings[j]) for psi, xi, m_lambda, phi, j in cells]
+    return RunResult(rows, result, se_bp, se_bp > config.warn_se_bp, profile, config)

@@ -16,21 +16,19 @@ from xvakit import (
     DiscountCurve,
     ExposureProfile,
     Grid,
-    HedgePolicy,
     PdeProblem,
     ShortRateModel,
     SwapSpec,
     TaxPolicy,
     XvaInputs,
+    breakdown,
     effective_hazard,
     exposure_profile,
-    kva,
     make_exposure_grid,
     portfolio_value,
     quadrature_oracle,
     replication_state,
     solve_vhat,
-    tva,
     verify_decomposition,
 )
 from xvakit.config import PRESETS
@@ -56,13 +54,13 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def preset_runs():
-    rows = {}
+    results = {}
     elapsed = {}
     for name in ("base-case", "warehouse-pos", "warehouse-neg"):
         start = time.perf_counter()
-        rows[name] = run_config(PRESETS[name]()).rows
+        results[name] = run_config(PRESETS[name]())
         elapsed[name] = time.perf_counter() - start
-    return rows, elapsed
+    return results, elapsed
 
 
 def test_criterion_1_effective_hazard_limits():
@@ -100,16 +98,18 @@ def test_criterion_2_tax_capital_ratio_identity():
         inputs = XvaInputs(
             exposure=profile,
             issuer=CreditCurve.flat(rng.uniform(0.0, 0.05), 0.4),
-            counterparty=CreditCurve.flat(rng.uniform(0.0, 0.2), 0.4),
-            hedge=HedgePolicy(1.0, rng.uniform(-1.0, 1.0), 0.0),
+            parties=((CreditCurve.flat(rng.uniform(0.0, 0.2), 0.4), capital),),
+            party=np.zeros(1, dtype=int),
+            psi=np.ones(1),
+            xi=np.array([rng.uniform(-1.0, 1.0)]),
+            phi=np.zeros(1),
             tax=TaxPolicy(gamma_e),
             discount=DiscountCurve.flat(rng.uniform(0.0, 0.05)),
             cost_of_capital=rng.uniform(0.05, 0.2),
             notional=100.0,
-            capital=capital,
         )
-        kva_total, _ = kva(inputs)
-        tax = tva(inputs)
+        result = breakdown(inputs)
+        kva_total, tax = result.kva[0], result.tva[0]
         if kva_total != 0.0:
             worst = max(worst, abs(tax - gamma_e * kva_total) / abs(gamma_e * kva_total))
     elapsed = time.perf_counter() - start
@@ -118,23 +118,27 @@ def test_criterion_2_tax_capital_ratio_identity():
            f"max rel dev {worst:.2e}, {elapsed:.2f}s")
 
 
+def by_phi(result, phi=0.0):
+    """Rating -> the run's bp columns at capital-funding share ``phi``."""
+    bps = result.breakdown.as_bps()
+    return {key[4]: {name: column[i] for name, column in bps.items()}
+            for i, key in enumerate(result.rows) if key[3] == phi}
+
+
 def test_criterion_3_base_case_structure(preset_runs):
-    preset_rows, elapsed_by_preset = preset_runs
-    rows = preset_rows["base-case"]
-    checks = [len(rows) == 8]
-    checks.append(all(r.result.kva_mr == 0.0 for r in rows))
-    checks.append(all(r.result.kva_cva == 0.0 for r in rows))
-    checks.append(all(abs(r.result.bps(r.result.tva)) <= 2.0 for r in rows))
+    preset_results, elapsed_by_preset = preset_runs
+    result = preset_results["base-case"]
+    xva = result.breakdown
+    checks = [len(result.rows) == 8]
+    checks.append(bool(np.all(xva.kva_mr == 0.0)))
+    checks.append(bool(np.all(xva.kva_cva == 0.0)))
+    checks.append(bool(np.all(np.abs(xva.bps(xva.tva)) <= 2.0)))
     for phi in (0.0, 1.0):
-        cva_by_rating = [
-            abs(r.result.bps(r.result.cva))
-            for r in rows if r.capital_funding_fraction == phi
-        ]
+        rows = by_phi(result, phi)
+        cva_by_rating = [abs(row["cva"]) for row in rows.values()]
         checks.append(all(a < b for a, b in zip(cva_by_rating, cva_by_rating[1:])))
-        totals = {r.rating: r.result.bps(r.result.total)
-                  for r in rows if r.capital_funding_fraction == phi}
-        checks.append(totals["AAA"] > 0.0)
-        checks.append(totals["CCC"] < 0.0)
+        checks.append(rows["AAA"]["total"] > 0.0)
+        checks.append(rows["CCC"]["total"] < 0.0)
     elapsed = elapsed_by_preset["base-case"]
     report(3, "base-case: no MR or CVA-vol capital cost, small tax, CVA ordering, "
               "total flips sign with riskiness",
@@ -142,19 +146,18 @@ def test_criterion_3_base_case_structure(preset_runs):
 
 
 def test_criterion_4_warehousing_direction(preset_runs):
-    preset_rows, elapsed_by_preset = preset_runs
+    preset_results, elapsed_by_preset = preset_runs
 
-    def cva_map(rows, phi=0.0):
-        return {r.rating: abs(r.result.bps(r.result.cva))
-                for r in rows if r.capital_funding_fraction == phi}
+    def cva_map(result):
+        return {rating: abs(row["cva"]) for rating, row in by_phi(result).items()}
 
-    base = cva_map(preset_rows["base-case"])
-    pos = cva_map(preset_rows["warehouse-pos"])
-    neg = cva_map(preset_rows["warehouse-neg"])
+    base = cva_map(preset_results["base-case"])
+    pos = cva_map(preset_results["warehouse-pos"])
+    neg = cva_map(preset_results["warehouse-neg"])
     checks = [all(pos[k] < base[k] for k in base)]
     checks.append(all(neg[k] > base[k] for k in base))
     for name in ("warehouse-pos", "warehouse-neg"):
-        checks.append(all(r.result.kva_cva < 0.0 for r in preset_rows[name]))
+        checks.append(bool(np.all(preset_results[name].breakdown.kva_cva < 0.0)))
     elapsed = elapsed_by_preset["warehouse-pos"] + elapsed_by_preset["warehouse-neg"]
     report(4, "positive price of risk shrinks CVA, negative grows it, and "
               "warehousing re-awakens CVA-vol capital",
@@ -162,12 +165,13 @@ def test_criterion_4_warehousing_direction(preset_runs):
 
 
 def test_criterion_5_positive_tax_adjustment_exists(preset_runs):
-    rows = preset_runs[0]["warehouse-neg"]
-    found = [r for r in rows if r.result.tva > 0.0 and r.result.kva < 0.0]
+    result = preset_runs[0]["warehouse-neg"]
+    xva = result.breakdown
+    found = int(np.count_nonzero((xva.tva > 0.0) & (xva.kva < 0.0)))
     report(5, "warehoused negative price of risk can make the tax adjustment "
               "positive while capital cost stays negative",
-           len(found) > 0,
-           f"{len(found)} of {len(rows)} rows")
+           found > 0,
+           f"{found} of {len(result.rows)} rows")
 
 
 def test_criterion_6_constant_intensity_closed_forms():
@@ -197,19 +201,19 @@ def test_criterion_6_constant_intensity_closed_forms():
         inputs = XvaInputs(
             exposure=profile,
             issuer=CreditCurve.flat(lam_b, 0.4),
-            counterparty=CreditCurve.flat(lam_c, 0.4),
-            hedge=HedgePolicy(psi, xi, phi),
+            parties=((CreditCurve.flat(lam_c, 0.4), capital),),
+            party=np.zeros(1, dtype=int),
+            psi=np.array([psi]),
+            xi=np.array([xi]),
+            phi=np.array([phi]),
             tax=TaxPolicy(gamma_e),
             discount=DiscountCurve.flat(rate),
             cost_of_capital=gamma_k,
             notional=100.0,
-            capital=capital,
             collateral_spread=s_x,
             collateral=np.full_like(grid, coll),
         )
-        from xvakit import breakdown as bd
-
-        result = bd(inputs)
+        result = breakdown(inputs)
         ccr_net = k_flat - psi * (k_flat - 0.25 * k_flat)
         cva_net = (1 - psi) * 0.5 * k_flat
         expected = {
@@ -224,8 +228,8 @@ def test_criterion_6_constant_intensity_closed_forms():
             ),
         }
         actual = {
-            "cva": result.cva, "dva": result.dva, "fca": result.fca,
-            "colva": result.colva, "kva": result.kva, "tva": result.tva,
+            "cva": result.cva[0], "dva": result.dva[0], "fca": result.fca[0],
+            "colva": result.colva[0], "kva": result.kva[0], "tva": result.tva[0],
         }
         return {
             name: abs(actual[name] - expected[name]) / abs(expected[name])

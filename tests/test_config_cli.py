@@ -6,6 +6,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xvakit.cli import main
@@ -171,8 +172,8 @@ class TestPresets:
         cfg = replace(PRESETS["base-case"](), paths=1000)
         rows = run_config(cfg).rows
         assert len(rows) == 8
-        assert [r.rating for r in rows] == ["AAA", "A", "BB", "CCC"] * 2
-        assert [r.capital_funding_fraction for r in rows] == [0.0] * 4 + [1.0] * 4
+        assert [rating for *_, rating in rows] == ["AAA", "A", "BB", "CCC"] * 2
+        assert [phi for _, _, _, phi, _ in rows] == [0.0] * 4 + [1.0] * 4
 
     def test_m_lambda_varies_xi_by_rating(self):
         cfg = replace(
@@ -182,12 +183,12 @@ class TestPresets:
             m_lambda_values=(0.0002,),
             paths=1000,
         )
-        rows = run_config(cfg).rows
-        by_rating = {r.rating: r.price_of_risk for r in rows if r.capital_funding_fraction == 0.0}
+        result = run_config(cfg)
+        by_rating = {rating: xi for _, xi, _, phi, rating in result.rows if phi == 0.0}
         assert by_rating["AAA"] == pytest.approx(0.0002 / 0.005, rel=1e-12)
         assert by_rating["CCC"] == pytest.approx(0.0002 / 0.125, rel=1e-12)
-        labels = {r.rating: r.price_of_risk_label for r in rows
-                  if r.capital_funding_fraction == 0.0}
+        labels = {cells[4]: cells[2] for cells in map(str.split, render_table(result).splitlines())
+                  if len(cells) > 4 and cells[3] == "0"}
         assert labels["AAA"] == "+0.0002"
 
     def test_m_lambda_beyond_hazard_rejected(self):
@@ -212,7 +213,7 @@ class TestPresets:
         # untouched built-ins survive the merge
         assert cfg.rating_table["CCC"].risk_weight == 1.5
         rows = run_config(cfg).rows
-        assert {r.rating for r in rows} == {"AAA", "BBB"}
+        assert {rating for *_, rating in rows} == {"AAA", "BBB"}
 
     def test_rating_table_bad_entry_reported(self):
         raw = small_config(ratingTable={"XX": {"cdsSpreadBp": 10, "riskWeight": 0.2}})
@@ -245,6 +246,31 @@ class TestPresets:
         assert validate_config(raw)[1] == []
 
 
+class TestRowsAreSweepsOfOne:
+    @pytest.mark.parametrize("dial, values", [("priceOfRiskXi", [-0.5, 0.3]),
+                                              ("mLambda", [-0.002, 0.001])])
+    def test_each_csv_line_equals_the_line_of_its_key_run_alone(self, dial, values):
+        """A 2 psi x 2 xi x 2 phi x 2 rating run against its 16 one-row runs."""
+        raw = small_config(psi=[0.0, 0.5], phi=[0.0, 1.0], ratings=["AAA", "BB"], paths=400,
+                           collateralSpread=0.001, warnSeBp=3.0)
+        raw.pop("priceOfRiskXi")
+        cfg, diags = validate_config(dict(raw, **{dial: values}))
+        assert not diags
+        lines = render_csv(run_config(cfg)).splitlines()[1:]
+        alone = []
+        for psi in raw["psi"]:
+            for value in values:
+                for phi in raw["phi"]:
+                    for rating in raw["ratings"]:
+                        one, _ = validate_config(dict(raw, psi=[psi], phi=[phi], ratings=[rating],
+                                                      **{dial: [value]}))
+                        alone.append(render_csv(run_config(one)).splitlines()[1])
+        assert len(lines) == 16
+        assert lines == alone
+        assert any(line.endswith("true") for line in lines)
+        assert any(line.endswith("false") for line in lines)
+
+
 @pytest.fixture(scope="module")
 def result():
     cfg, diags = validate_config(small_config())
@@ -263,10 +289,12 @@ class TestReports:
         text = render_table(result)
         lines = [l for l in text.splitlines() if l and l[0] != "-" and "Source" not in l
                  and "values" not in l]
-        for row, line in zip(result.rows, lines):
+        totals = result.breakdown.as_bps()["total"]
+        assert len(lines) == len(totals)
+        for total, line in zip(totals, lines):
             cells = line.split()
             total_cell = cells[-2] if cells[-1] == "!" else cells[-1]
-            assert total_cell == str(round_half_away(row.result.as_bps()["total"]))
+            assert total_cell == str(round_half_away(total))
 
     def test_csv_columns_and_float_precision(self, result):
         text = render_csv(result)
@@ -274,14 +302,14 @@ class TestReports:
         assert header.startswith("source,psi,mLambdaC,phi,rating,cva_bp")
         assert "se_bp" in header and "warn" in header
         cva_field = first.split(",")[5]
-        assert float(cva_field) == result.rows[0].result.as_bps()["cva"]
+        assert float(cva_field) == result.breakdown.as_bps()["cva"][0]
 
     def test_json_round_trip(self, result):
         payload = json.loads(render_json(result))
         assert payload["paths"] == 2000
         assert len(payload["rows"]) == len(result.rows)
         row = payload["rows"][0]
-        assert row["currency"]["total"] == pytest.approx(result.rows[0].result.total)
+        assert row["currency"]["total"] == pytest.approx(result.breakdown.total[0])
 
     def test_machine_formats_are_deterministic(self):
         cfg, _ = validate_config(small_config())
@@ -299,7 +327,7 @@ class TestReports:
         cfg, _ = validate_config(small_config(collateralSpread=0.001))
         res = run_config(cfg)
         # receiver collateral leg is in the money, so carrying it costs
-        assert all(r.result.colva < 0.0 for r in res.rows)
+        assert np.all(res.breakdown.colva < 0.0)
         assert "COLVA" in render_table(res)
         assert "COLVA" not in render_table(result)
 

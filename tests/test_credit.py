@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from xvakit import (
     CloseOutState,
     CreditCurve,
-    HedgePolicy,
     TaxPolicy,
     closeout_values,
     compensator_rate,
@@ -202,14 +201,6 @@ class TestTaxTerms:
 
 
 class TestPolicies:
-    def test_hedge_policy_ranges(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(hedge_fraction=1.2)
-        with pytest.raises(ValueError):
-            HedgePolicy(hedge_fraction=0.5, capital_funding_fraction=-0.1)
-        with pytest.raises(ValueError):
-            HedgePolicy(hedge_fraction=0.5, price_of_risk=1.5)
-
     def test_tax_policy_ranges(self):
         with pytest.raises(ValueError):
             TaxPolicy(rate=1.0)
