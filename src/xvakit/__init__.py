@@ -6,16 +6,12 @@ finite-difference verifier that recomputes the same economics independently.
 """
 
 from .credit import (
-    CloseOutState,
     CreditCurve,
     TaxPolicy,
-    closeout_values,
     compensator_rate,
     counterparty_hedge_error,
     effective_hazard,
     hazard_from_spread,
-    tax_jump,
-    taxable_flow,
 )
 from .curves import DiscountCurve
 from .exposure import (

@@ -1,9 +1,9 @@
 """Credit, close-out and tax building blocks.
 
 Everything in this module is a pure function of scalar (or numpy-broadcast)
-inputs: hazard-rate relations, close-out values on default, the hedging error
-and its compensating accrual when counterparty default risk is only partially
-hedged, and the cash flows that attract tax.
+inputs: hazard-rate relations, the hedging error and its compensating accrual
+when counterparty default risk is only partially hedged, and the tax policy.
+The close-out values on default are ``pde.closeout``.
 
 Sign convention: cash received by the issuer is positive.  Default losses
 therefore show up as negative hedge errors, and the compensator that offsets
@@ -104,16 +104,6 @@ class TaxPolicy:
             raise ValueError("tax rate must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class CloseOutState:
-    """Inputs of the close-out functions: portfolio value, collateral, recoveries."""
-
-    value: float
-    collateral: float = 0.0
-    issuer_recovery: float = 0.4
-    counterparty_recovery: float = 0.4
-
-
 def hazard_from_spread(spread: float, recovery: float) -> float:
     """Flat hazard rate implied by a flat credit spread: spread / (1 - R)."""
     if not 0.0 <= recovery < 1.0:
@@ -137,23 +127,6 @@ def effective_hazard(hazard: float, hedge_fraction: float, price_of_risk: float)
     if np.any(np.asarray(hazard) * (1.0 - price_of_risk) < 0):
         raise ValueError("physical hazard (1 - xi) * lam must be >= 0")
     return psi * hazard + (1.0 - psi) * (1.0 - price_of_risk) * hazard
-
-
-def closeout_values(state: CloseOutState) -> tuple[float, float]:
-    """Portfolio values just after issuer default and counterparty default.
-
-    The surviving party keeps collateral and recovers only a fraction of what
-    the defaulted party owes:
-
-        on issuer default:        (V-X)+ + R_B (V-X)- + X
-        on counterparty default:  R_C (V-X)+ + (V-X)- + X
-    """
-    gap = state.value - state.collateral
-    pos = max(gap, 0.0)
-    neg = min(gap, 0.0)
-    g_issuer = pos + state.issuer_recovery * neg + state.collateral
-    g_counterparty = state.counterparty_recovery * pos + neg + state.collateral
-    return g_issuer, g_counterparty
 
 
 def counterparty_hedge_error(
@@ -185,39 +158,3 @@ def compensator_rate(
     """
     eps = counterparty_hedge_error(closeout, economic_value, hedge_fraction, default_tax_jump)
     return -eps * hazard * (1.0 - price_of_risk)
-
-
-def tax_jump(value: float, collateral: float, counterparty_recovery: float, tax_rate: float):
-    """Tax effect of the value jump on counterparty default (fully warehoused case).
-
-    The default loss ``value - closeout`` is tax deductible, so the jump is
-    ``-tax_rate * (value - closeout)`` = ``-tax_rate * (1-R_C) * (V-X)+``.
-    """
-    if not 0.0 <= tax_rate < 1.0:
-        raise ValueError("tax rate must lie in [0, 1)")
-    gap = value - collateral
-    loss = (1.0 - counterparty_recovery) * max(gap, 0.0)
-    return -tax_rate * loss
-
-
-def taxable_flow(
-    cost_of_capital: float,
-    capital_unhedged: float,
-    capital_relief: float,
-    hedge_fraction: float,
-    issuer_hazard: float,
-    issuer_error_base: float,
-    issuer_error_capital: float,
-    accruals_taxed: bool,
-):
-    """Cash flow liable to tax at non-default times.
-
-    The return paid on held capital is always taxed; the accrual stream that
-    offsets own-credit P&L bleed is taxed only when ``accruals_taxed``.  The
-    income earned *on* the capital itself is not netted off: the source of
-    the profit is irrelevant to the tax authority.
-    """
-    flow = cost_of_capital * (capital_unhedged - hedge_fraction * capital_relief)
-    if accruals_taxed:
-        flow += issuer_hazard * (issuer_error_capital + issuer_error_base)
-    return flow

@@ -246,7 +246,8 @@ def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan, twins: bool):
     ``(books, rows, n)``, ``n`` the rows' largest term count.  Rows where
     every path agrees (``h_k = 0``) or no date is live have nothing to fit:
     their exact value at ``mid_k`` is the constant coefficient.  ``coef`` is
-    None when a radius ``h_k B_k`` passes ``log`` of the largest float.
+    None when a radius ``h_k B_k`` passes ``log`` of the largest float or is
+    not finite.
     """
     if twins:
         hi = np.maximum(x.max(axis=1), -x.min(axis=1))
@@ -256,7 +257,7 @@ def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan, twins: bool):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fit = (half > 0) & (plan.b_max > 0)
     radius = np.max(half * plan.b_max, where=fit, initial=0.0)
-    if _LOG_MAX < radius < math.inf:
+    if not radius <= _LOG_MAX:  # an infinite or NaN radius too
         return mid, half, None
     nodes, cosines = _chebyshev_basis(_chebyshev_terms(radius))
     coef = _revalue(mid[:, None] + half[:, None] * nodes, plan) @ cosines

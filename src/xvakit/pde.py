@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,15 +131,42 @@ class Grid:
             raise ValueError("n_space: must be even so the spot lies on a node")
 
 
-def _source_terms(problem: PdeProblem, v: np.ndarray) -> np.ndarray:
-    """PDE source at one time level, as a function of the risk-free value."""
+class CloseOut(NamedTuple):
+    """The close-out quantities at each node; see ``closeout``."""
+
+    collateral: np.ndarray
+    g_issuer: np.ndarray
+    g_cpty: np.ndarray
+    eps_b: np.ndarray
+    k_net: np.ndarray
+    jump_tax: np.ndarray
+    taxable: np.ndarray
+
+
+def closeout(problem: PdeProblem, v: np.ndarray) -> CloseOut:
+    """Close-out values, hedge errors, capital and tax at risk-free value ``v``.
+
+    With collateral ``X`` a fixed fraction of ``V``, the surviving party keeps
+    it and recovers only a fraction of what the defaulted party owes:
+
+        on issuer default (g_B):        (V-X)+ + R_B (V-X)- + X
+        on counterparty default (g_C):  R_C (V-X)+ + (V-X)- + X
+
+    The issuer-default hedge error is the windfall ``eps_B = (1-R_B) (V-X)+``
+    and the capital held is ``K_net = (capital - psi relief) (V-X)+``.  The
+    counterparty-default loss ``(1-R_C) (V-X)+`` is tax deductible, a jump of
+    ``-tax_rate`` times it.  Taxed at non-default times are the return paid
+    on held capital, the accruals offsetting own-credit bleed when
+    ``accruals_taxed`` and the default-risk compensator when
+    ``compensator_taxed``; the income earned on the capital itself is not
+    netted off.
+    """
     p = problem
-    vx = (1.0 - p.collateral_fraction) * v  # V - X with proportional collateral
+    vx = (1.0 - p.collateral_fraction) * v  # V - X
     collateral = p.collateral_fraction * v
     pos = np.maximum(vx, 0.0)
     neg = np.minimum(vx, 0.0)
     g_cpty = p.counterparty_recovery * pos + neg + collateral
-    g_issuer = pos + p.issuer_recovery * neg + collateral
     eps_b = (1.0 - p.issuer_recovery) * pos
     k_net = (p.capital_factor - p.hedge_fraction * p.capital_relief_factor) * pos
     jump_tax = -p.tax_rate * (1.0 - p.counterparty_recovery) * pos
@@ -149,16 +177,24 @@ def _source_terms(problem: PdeProblem, v: np.ndarray) -> np.ndarray:
         taxable = taxable + compensator_rate(
             g_cpty, v, p.hedge_fraction, p.price_of_risk, p.counterparty_hazard, jump_tax
         )
+    return CloseOut(collateral, pos + p.issuer_recovery * neg + collateral, g_cpty, eps_b,
+                    k_net, jump_tax, taxable)
+
+
+def _source_terms(problem: PdeProblem, v: np.ndarray) -> np.ndarray:
+    """PDE source at one time level, as a function of the risk-free value."""
+    p = problem
+    c = closeout(p, v)
     lam_eff = p.effective_counterparty_hazard
     warehoused_hazard = p.counterparty_hazard * (1.0 - p.price_of_risk) * (1.0 - p.hedge_fraction)
     return (
-        lam_eff * g_cpty
-        + p.issuer_hazard * g_issuer
-        - p.issuer_hazard * eps_b
-        - p.collateral_spread * collateral
-        - (p.cost_of_capital - p.rate * p.capital_funding_fraction) * k_net
-        - p.tax_rate * taxable
-        - warehoused_hazard * jump_tax
+        lam_eff * c.g_cpty
+        + p.issuer_hazard * c.g_issuer
+        - p.issuer_hazard * c.eps_b
+        - p.collateral_spread * c.collateral
+        - (p.cost_of_capital - p.rate * p.capital_funding_fraction) * c.k_net
+        - p.tax_rate * c.taxable
+        - warehoused_hazard * c.jump_tax
     )
 
 
@@ -485,18 +521,11 @@ def replication_state(problem: PdeProblem, solution: PdeSolution) -> Replication
     vh = solution.economic
     s = solution.s_nodes
 
-    collateral = p.collateral_fraction * v
-    vx = v - collateral
-    pos = np.maximum(vx, 0.0)
-    neg = np.minimum(vx, 0.0)
-    g_cpty = p.counterparty_recovery * pos + neg + collateral
-    g_issuer = pos + p.issuer_recovery * neg + collateral
-    k_net = (p.capital_factor - p.hedge_fraction * p.capital_relief_factor) * pos
-    eps_b = (1.0 - p.issuer_recovery) * pos
-    jump_tax = -p.tax_rate * (1.0 - p.counterparty_recovery) * pos
+    c = closeout(p, v)
+    collateral, k_net = c.collateral, c.k_net
 
     own = -(vh - collateral - p.capital_funding_fraction * k_net)
-    own_default = eps_b - g_issuer + collateral + p.capital_funding_fraction * k_net
+    own_default = c.eps_b - c.g_issuer + collateral + p.capital_funding_fraction * k_net
     if p.issuer_recovery > 0:
         bond_recovery = own_default / p.issuer_recovery
     else:
@@ -508,9 +537,9 @@ def replication_state(problem: PdeProblem, solution: PdeSolution) -> Replication
     delta[:, 0] = -(vh[:, 1] - vh[:, 0]) / (s[1] - s[0])
     delta[:, -1] = -(vh[:, -1] - vh[:, -2]) / (s[-1] - s[-2])
 
-    eps_c = counterparty_hedge_error(g_cpty, vh, p.hedge_fraction, jump_tax)
+    eps_c = counterparty_hedge_error(c.g_cpty, vh, p.hedge_fraction, c.jump_tax)
     gamma_c = compensator_rate(
-        g_cpty, vh, p.hedge_fraction, p.price_of_risk, p.counterparty_hazard, jump_tax
+        c.g_cpty, vh, p.hedge_fraction, p.price_of_risk, p.counterparty_hazard, c.jump_tax
     )
     residual = vh - collateral + (bond_recovery + bond_zero) - p.capital_funding_fraction * k_net
     return ReplicationState(
@@ -519,7 +548,7 @@ def replication_state(problem: PdeProblem, solution: PdeSolution) -> Replication
         bond_zero_position=bond_zero,
         own_portfolio=own,
         own_portfolio_default=own_default,
-        issuer_error=eps_b,
+        issuer_error=c.eps_b,
         counterparty_error=eps_c,
         compensator=gamma_c,
         funding_residual=residual,

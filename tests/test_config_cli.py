@@ -441,6 +441,32 @@ class TestCli:
         assert out == "" and caught == []
         assert err.startswith("market.model.sigma: 5.0 ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("sigma", [1e160, 1e200])
+    def test_run_refuses_a_sigma_whose_square_overflows(self, tmp_path, capsys, sigma):
+        # The simulated factor itself is infinite, and so is the fit's radius.
+        path = self.write_config(tmp_path, paths=200)
+        raw = json.loads(path.read_text())
+        raw["market"]["model"]["sigma"] = sigma
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--format", "csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"market.model.sigma: {sigma} (meanReversion 0.05) makes the exposure "
+                       "profile overflow\n")
+
+    def test_run_with_vanishing_mean_reversion_is_finite(self, tmp_path, capsys):
+        # a * a underflows to 0 at 1e-200; every moment has a finite limit.
+        path = self.write_config(tmp_path, paths=200)
+        raw = json.loads(path.read_text())
+        raw["market"]["model"]["meanReversion"] = 1e-200
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert err == "" and len(rows) == 2
+        numeric = [i for i, name in enumerate(header) if name.endswith("_bp")]
+        assert all(math.isfinite(float(row[i])) for row in rows for i in numeric)
+
     def test_run_rejects_negative_seed_override(self, tmp_path, capsys):
         assert main(["run", str(self.write_config(tmp_path)), "--seed", "-5"]) == 1
         assert capsys.readouterr().err == "seed: must be >= 0\n"

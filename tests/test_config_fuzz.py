@@ -3,9 +3,8 @@
 Each configuration is drawn inside the schema's ranges and then, half the
 time, has one field set to an invalid value, so both the validator and the
 pipeline are exercised.  Volatility reaches 6, far past the point where the
-long book's exposure overflows.  Mean reversion stops at 1e-150: below about
-1.5e-154 its square underflows and the run still exits 4, a known defect, as
-does a volatility whose square overflows.
+long book's exposure overflows, and up to 1e200, where its square does.
+Mean reversion reaches down to 1e-300, where its square underflows.
 """
 
 import contextlib
@@ -55,8 +54,9 @@ def configs(draw):
         "market": {
             "curve": {"pillars": [1.0, 30.0],
                       "zeroRates": draw(st.lists(st.floats(-0.01, 0.08), min_size=2, max_size=2))},
-            "model": {"meanReversion": draw(st.floats(1e-150, 1.0)),
-                      "sigma": draw(st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 6.0)))},
+            "model": {"meanReversion": draw(st.floats(1e-300, 1.0)),
+                      "sigma": draw(st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 6.0),
+                                              st.floats(0.0, 1e200)))},
             "issuer": {"spreadBp": draw(st.floats(0.0, 500.0)),
                        "recovery": draw(st.floats(0.0, 0.9))},
         },
@@ -97,8 +97,17 @@ LONG_BOOK_AT_500_PERCENT = {
 }
 
 
+def long_book(**model):
+    """The long book with other model parameters."""
+    raw = json.loads(json.dumps(LONG_BOOK_AT_500_PERCENT))
+    raw["market"]["model"].update(model)
+    return raw
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @example(LONG_BOOK_AT_500_PERCENT)
+@example(long_book(sigma=1e200))
+@example(long_book(sigma=0.011, meanReversion=1e-300))
 @given(configs())
 def test_run_exits_0_or_1_with_finite_output(tmp_path_factory, raw):
     path = tmp_path_factory.mktemp("fuzz") / "run.json"

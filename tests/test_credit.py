@@ -8,19 +8,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xvakit import (
-    CloseOutState,
     CreditCurve,
+    PdeProblem,
     TaxPolicy,
-    closeout_values,
     compensator_rate,
     counterparty_hedge_error,
     effective_hazard,
     hazard_from_spread,
-    tax_jump,
-    taxable_flow,
 )
+from xvakit.pde import closeout
 
 finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def closeout_at(v, collateral_fraction=0.0, **terms):
+    """``pde.closeout`` at value ``v``; ``terms`` are the problem's recoveries, rates, ..."""
+    problem = PdeProblem(spot=100.0, strike=100.0, maturity=1.0, sigma=0.2, rate=0.0,
+                         collateral_fraction=collateral_fraction, **terms)
+    return closeout(problem, np.asarray(v, dtype=float))
 
 
 class TestHazardFromSpread:
@@ -90,50 +95,54 @@ class TestEffectiveHazard:
 
 class TestCloseOut:
     def test_positive_exposure(self):
-        _, g_c = closeout_values(CloseOutState(10.0, 0.0, counterparty_recovery=0.4))
-        assert g_c == 4.0
+        assert closeout_at(10.0, counterparty_recovery=0.4).g_cpty == 4.0
 
     def test_negative_exposure(self):
-        g_b, g_c = closeout_values(CloseOutState(-10.0, 0.0, issuer_recovery=0.4))
-        assert g_b == -4.0
-        assert g_c == -10.0
+        c = closeout_at(-10.0, issuer_recovery=0.4)
+        assert c.g_issuer == -4.0
+        assert c.g_cpty == -10.0
 
     def test_fully_collateralized(self):
-        g_b, g_c = closeout_values(CloseOutState(7.0, 7.0))
-        assert g_b == 7.0 and g_c == 7.0
+        c = closeout_at(7.0, collateral_fraction=1.0)
+        assert c.g_issuer == 7.0 and c.g_cpty == 7.0
 
     @given(
         v=st.floats(-1e6, 1e6, **finite),
-        x=st.floats(-1e6, 1e6, **finite),
+        f=st.floats(0, 1, **finite),
         rb=st.floats(0, 1, **finite),
         rc=st.floats(0, 1, **finite),
     )
-    def test_sum_identity(self, v, x, rb, rc):
-        state = CloseOutState(v, x, issuer_recovery=rb, counterparty_recovery=rc)
-        g_b, g_c = closeout_values(state)
+    def test_sum_identity(self, v, f, rb, rc):
+        c = closeout_at(v, f, issuer_recovery=rb, counterparty_recovery=rc)
+        x = f * v
         gap = v - x
         expected = v + x + rb * min(gap, 0.0) + rc * max(gap, 0.0)
-        assert math.isclose(g_b + g_c, expected, rel_tol=1e-12, abs_tol=1e-6)
+        assert math.isclose(c.g_issuer + c.g_cpty, expected, rel_tol=1e-12, abs_tol=1e-6)
 
-    @given(v=st.floats(-1e6, 1e6, **finite), x=st.floats(-1e6, 1e6, **finite))
-    def test_full_recovery_recovers_value(self, v, x):
-        g_b, _ = closeout_values(CloseOutState(v, x, issuer_recovery=1.0))
-        _, g_c = closeout_values(CloseOutState(v, x, counterparty_recovery=1.0))
+    @given(v=st.floats(-1e6, 1e6, **finite), f=st.floats(0, 1, **finite))
+    def test_full_recovery_recovers_value(self, v, f):
+        g_b = closeout_at(v, f, issuer_recovery=1.0).g_issuer
+        g_c = closeout_at(v, f, counterparty_recovery=1.0).g_cpty
         assert math.isclose(g_b, v, rel_tol=1e-12, abs_tol=1e-9)
         assert math.isclose(g_c, v, rel_tol=1e-12, abs_tol=1e-9)
 
     @given(
         v=st.floats(-1e6, 1e6, **finite),
-        x=st.floats(-1e6, 1e6, **finite),
+        f=st.floats(0, 1, **finite),
         rc=st.floats(0, 1, **finite),
         bump=st.floats(0, 1, **finite),
     )
-    def test_issuer_closeout_dominates_when_senior(self, v, x, rc, bump):
+    def test_issuer_closeout_dominates_when_senior(self, v, f, rc, bump):
         rb = min(rc + bump * (1 - rc), 1.0)
-        if v < x:
-            return
-        g_b, g_c = closeout_values(CloseOutState(v, x, issuer_recovery=rb, counterparty_recovery=rc))
-        assert g_b >= g_c - 1e-9
+        c = closeout_at(v, f, issuer_recovery=rb, counterparty_recovery=rc)
+        assert c.g_issuer >= c.g_cpty - 1e-9
+
+    def test_one_array_of_values_at_once(self):
+        v = np.array([-10.0, 0.0, 10.0])
+        c = closeout_at(v, 0.2, issuer_recovery=0.4, counterparty_recovery=0.25)
+        for i, value in enumerate(v):
+            one = closeout_at(value, 0.2, issuer_recovery=0.4, counterparty_recovery=0.25)
+            assert all(np.array_equal(field[i], scalar) for field, scalar in zip(c, one))
 
 
 class TestHedgeError:
@@ -171,33 +180,42 @@ class TestHedgeError:
 
 class TestTaxTerms:
     def test_jump_example(self):
-        assert tax_jump(10.0, 0.0, 0.4, 0.21) == pytest.approx(-1.26, rel=1e-12)
+        jump = closeout_at(10.0, counterparty_recovery=0.4, tax_rate=0.21).jump_tax
+        assert jump == pytest.approx(-1.26, rel=1e-12)
 
     def test_jump_no_tax(self):
-        assert tax_jump(10.0, 0.0, 0.4, 0.0) == 0.0
+        assert closeout_at(10.0, counterparty_recovery=0.4, tax_rate=0.0).jump_tax == 0.0
 
     def test_jump_fully_collateralized(self):
-        assert tax_jump(7.0, 7.0, 0.4, 0.21) == 0.0
+        assert closeout_at(7.0, 1.0, counterparty_recovery=0.4, tax_rate=0.21).jump_tax == 0.0
 
     @given(
         v=st.floats(-1e5, 1e5, **finite),
-        x=st.floats(-1e5, 1e5, **finite),
+        f=st.floats(0, 1, **finite),
         scale=st.floats(0, 100, **finite),
     )
-    def test_jump_positively_homogeneous(self, v, x, scale):
-        base = tax_jump(v, x, 0.4, 0.21)
-        scaled = tax_jump(scale * v, scale * x, 0.4, 0.21)
+    def test_jump_positively_homogeneous(self, v, f, scale):
+        base = closeout_at(v, f, tax_rate=0.21).jump_tax
+        scaled = closeout_at(scale * v, f, tax_rate=0.21).jump_tax
         assert math.isclose(scaled, scale * base, rel_tol=1e-12, abs_tol=1e-6)
 
     def test_taxable_flow_capital_only(self):
-        assert taxable_flow(0.10, 100.0, 40.0, 1.0, 0.0, 0.0, 0.0, False) == pytest.approx(6.0)
+        # capital 100 less the full hedge's relief of 40, at 10%
+        flow = closeout_at(100.0, cost_of_capital=0.10, capital_factor=1.0,
+                           capital_relief_factor=0.4, hedge_fraction=1.0).taxable
+        assert flow == pytest.approx(6.0)
 
     def test_taxable_flow_zero(self):
-        assert taxable_flow(0.10, 0.0, 0.0, 1.0, 0.0167, -5.0, 0.0, False) == 0.0
+        flow = closeout_at(0.0, cost_of_capital=0.10, capital_factor=1.0, issuer_hazard=0.0167,
+                           hedge_fraction=1.0).taxable
+        assert flow == 0.0
 
     def test_taxable_flow_with_accrual_tax(self):
-        flow = taxable_flow(0.10, 100.0, 40.0, 0.0, 0.0167, -30.0, 0.0, True)
-        assert flow == pytest.approx(9.499, rel=1e-12)
+        # 10% on capital 100, plus the accrual 0.0167 * (1 - 0.4) * 100
+        flow = closeout_at(100.0, cost_of_capital=0.10, capital_factor=1.0,
+                           capital_relief_factor=0.4, hedge_fraction=0.0, issuer_hazard=0.0167,
+                           issuer_recovery=0.4, accruals_taxed=True).taxable
+        assert flow == pytest.approx(11.002, rel=1e-12)
 
 
 class TestPolicies:

@@ -105,3 +105,38 @@ def test_sloped_curve_still_fits(model):
     mean_df = paths.discount.mean(axis=0)
     se = paths.discount.std(axis=0, ddof=1) / np.sqrt(paths.n_paths)
     assert np.all(np.abs(mean_df - curve.df(grid)) <= 3.0 * se + 1e-12)
+
+
+@pytest.mark.parametrize("dt", [1.0 / 12.0, 0.25, 1.0])
+def test_moments_match_a_50_digit_reference_down_to_tiny_mean_reversion(dt):
+    # For u = a dt from 1e-12 to 5; the closed forms cancel as u -> 0 (a
+    # relative error of 0.44 in var_y at a = 1e-4 and monthly steps).
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    sigma = 0.011
+    for u in np.geomspace(1e-12, 5.0, 60):
+        model = ShortRateModel(u / dt, sigma)
+        a, t, s = mp.mpf(model.mean_reversion), mp.mpf(dt), mp.mpf(sigma)
+
+        def b(tau):
+            return -mp.expm1(-a * tau) / a
+
+        bracket = [(tau - 2 * b(tau) + b(2 * tau) / 2) / a**2 for tau in (t, 10 * t)]
+        expected = (mp.exp(-a * t), s**2 * b(2 * t) / 2, s**2 * b(t) ** 2 / 2, s**2 * bracket[0],
+                    b(t), *bracket)
+        actual = (*model.step_moments(dt), model.b_factor(dt),
+                  *model._variance_bracket(np.array([dt, 10 * dt])))
+        for name, got, want in zip(("decay", "var_x", "cov", "var_y", "B", "bracket(t)",
+                                    "bracket(10t)"), actual, expected):
+            assert abs(mp.mpf(float(got)) / want - 1) <= 1e-15, (name, u)
+
+
+def test_vanishing_mean_reversion_is_integrated_brownian_motion():
+    # a = 1e-200: a * a underflows; the limits are sigma^2 dt, sigma^2 dt^2 / 2
+    # and sigma^2 dt^3 / 3.
+    dt, sigma = 0.25, 0.011
+    decay, var_x, cov, var_y = ShortRateModel(1e-200, sigma).step_moments(dt)
+    assert decay == 1.0
+    assert var_x == pytest.approx(sigma**2 * dt, rel=1e-15)
+    assert cov == pytest.approx(sigma**2 * dt**2 / 2, rel=1e-15)
+    assert var_y == pytest.approx(sigma**2 * dt**3 / 3, rel=1e-15)
