@@ -24,7 +24,6 @@ from .exposure import (
 from .pde import (
     Grid,
     GridResolutionWarning,
-    OracleDecomposition,
     PdeProblem,
     PdeSolution,
     ReplicationState,

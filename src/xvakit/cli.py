@@ -110,12 +110,13 @@ def _cmd_validate(args) -> int:
 def _cmd_pde_verify(args) -> int:
     cfg = _load(args.config)
     report = verify_decomposition(cfg.pde.problem, cfg.pde.grid, tolerance=cfg.pde.tolerance)
-    oracle = report.oracle
-    print(f"adjustment  pde {report.pde_adjustment:+.6f}   quadrature {oracle.total:+.6f}   "
+    oracle = report.oracle  # a one-row breakdown
+    print(f"adjustment  pde {report.pde_adjustment:+.6f}   quadrature {oracle.total[0]:+.6f}   "
           f"rel error {report.rel_error:.3e} (tolerance {report.tolerance:.3e})")
-    print(f"components  cva {oracle.cva:+.6f}  dva {oracle.dva:+.6f}  fca {oracle.fca:+.6f}  "
-          f"colva {oracle.colva:+.6f}  kva {oracle.kva:+.6f}  tva {oracle.tva:+.6f}")
-    print(f"tax effect  pde {report.tax_pde:+.6f}   quadrature {oracle.tva:+.6f}   "
+    print(f"components  cva {oracle.cva[0]:+.6f}  dva {oracle.dva[0]:+.6f}  "
+          f"fca {oracle.fca[0]:+.6f}  colva {oracle.colva[0]:+.6f}  kva {oracle.kva[0]:+.6f}  "
+          f"tva {oracle.tva[0]:+.6f}")
+    print(f"tax effect  pde {report.tax_pde:+.6f}   quadrature {oracle.tva[0]:+.6f}   "
           f"rel error {report.tax_rel_error:.3e}")
     print(f"funding-condition residual (max over nodes): {report.max_funding_residual:.3e}")
     if args.out is not None:

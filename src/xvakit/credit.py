@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CreditCurve:
@@ -28,8 +26,8 @@ class CreditCurve:
     def __post_init__(self):
         if not self.hazard >= 0:
             raise ValueError("hazard rate must be >= 0")
-        if not 0.0 <= self.recovery < 1.0:
-            raise ValueError("recovery must lie in [0, 1)")
+        if not 0.0 <= self.recovery <= 1.0:
+            raise ValueError("recovery must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -61,19 +59,15 @@ def hazard_from_spread(spread: float, recovery: float) -> float:
     return spread / (1.0 - recovery)
 
 
-def effective_hazard(hazard: float, hedge_fraction: float, price_of_risk: float):
+def effective_hazard(hazard, hedge_fraction, price_of_risk):
     """Hazard rate blending the hedged (risk-neutral) and warehoused (physical) parts.
 
     Returns ``psi * lam + (1 - psi) * (1 - xi) * lam``: the risk-neutral rate
-    at full hedging, the physical rate at none, linear in between.
+    at full hedging, the physical rate at none, linear in between.  Floats or
+    numpy-broadcast arrays; the ranges are checked where the inputs are built
+    (``CreditCurve``, ``XvaInputs``, ``PdeProblem``).
     """
     psi = hedge_fraction
-    if not 0.0 <= psi <= 1.0:
-        raise ValueError("hedge_fraction must lie in [0, 1]")
-    if np.any(np.asarray(hazard) < 0):
-        raise ValueError("hazard must be >= 0")
-    if np.any(np.asarray(hazard) * (1.0 - price_of_risk) < 0):
-        raise ValueError("physical hazard (1 - xi) * lam must be >= 0")
     return psi * hazard + (1.0 - psi) * (1.0 - price_of_risk) * hazard
 
 

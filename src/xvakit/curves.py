@@ -58,10 +58,6 @@ class DiscountCurve:
             [[0.0], -np.asarray(self.zero_rates) * np.asarray(self.pillars)]
         )
 
-    @classmethod
-    def flat(cls, rate: float, horizon: float = 50.0) -> "DiscountCurve":
-        return cls((horizon,), (rate,))
-
     def log_df(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0):

@@ -456,14 +456,12 @@ def exposure_profile(
 ) -> ExposureProfile:
     """Monte Carlo exposure profile of the netted uncollateralized swaps.
 
-    ``swaps`` may be a single SwapSpec or a sequence; collateralized swaps
-    contribute nothing here.  Swaps in ``collateral_book`` are valued on the
+    ``swaps`` is a sequence of SwapSpec; collateralized swaps contribute
+    nothing here.  Swaps in ``collateral_book`` are valued on the
     same paths, whatever their flag, into the result's ``collateral``, the
     book's discounted mean value.  Streams each deterministic block in
     ``CHUNK_ROWS`` row chunks, never materializing a block's paths.
     """
-    if isinstance(swaps, SwapSpec):
-        swaps = (swaps,)
     g = _validate_grid(grid)
     live = tuple(s for s in swaps if not s.collateralized)
     posted = tuple(collateral_book)

@@ -11,13 +11,13 @@ for a derivative on one lognormal asset with flat parameters,
         - (gamma_K - r phi) K_net - gamma_E E - lam_C (1-xi)(1-psi) dE,
 
 with terminal condition the payoff, alongside the risk-free Black-Scholes
-value V.  The adjustment is U = Vh - V.  A deterministic Feynman-Kac
-quadrature (time integral of lognormal-density expectations) evaluates the
-same adjustment component by component; ``verify_decomposition`` compares the
-two routes.  The source terms depend on V alone, so V is marched once and the
-economic values with and without tax, whose difference is the PDE's TVA, are
-marched as the two columns of one banded solve per step.  The oracle builds
-its Gauss-Legendre rule once per call.
+value V.  The adjustment is U = Vh - V.  ``verify_decomposition`` compares it
+with the production integrals, ``xva.breakdown`` (trapezoid, 401 points), on
+the problem's exact lognormal profiles; Gauss-Legendre serves only the
+density integrals of ``density_expectations``.  The source terms depend on V
+alone, so V is marched once and the economic values with and without tax,
+whose difference is the PDE's TVA, are marched as the two columns of one
+banded solve per step.
 
 Funding convention: own bonds are held so that there is no shortfall on own
 default, i.e. the issuer-default hedge error is the non-capital windfall
@@ -38,7 +38,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .credit import compensator_rate, counterparty_hedge_error, effective_hazard
+from .credit import (CreditCurve, TaxPolicy, compensator_rate, counterparty_hedge_error,
+                     effective_hazard)
+from .curves import DiscountCurve
+from .exposure import ExposureProfile
+from .regcap import CapitalProfile
+from .xva import XvaBreakdown, XvaInputs, breakdown
 
 
 class GridResolutionWarning(UserWarning):
@@ -368,22 +373,6 @@ def black_scholes_value(problem: PdeProblem, s, remaining: float):
     return p.strike * df_k * ndtr(-d2) - s * df_s * ndtr(-d1)
 
 
-@dataclass(frozen=True)
-class OracleDecomposition:
-    """Adjustment components from the Feynman-Kac quadrature."""
-
-    cva: float
-    dva: float
-    fca: float
-    colva: float
-    kva: float
-    tva: float
-
-    @property
-    def total(self) -> float:
-        return self.cva + self.dva + self.fca + self.colva + self.kva + self.tva
-
-
 _DENSITY_RANGE = 8.5  # standard deviations covered by the inner integral
 
 
@@ -422,8 +411,9 @@ def _inner_quadrature(problem: PdeProblem, u: float, gl_x: np.ndarray, gl_w: np.
 def density_expectations(problem: PdeProblem, times, n_density: int = 96):
     """(E[(V-X)+], E[(V-X)-], E[V]) under the lognormal law at each horizon.
 
-    The building blocks of the quadrature decomposition; also useful to turn
-    the toy problem into synthetic exposure profiles.
+    Piecewise Gauss-Legendre over the density (``n_density`` nodes per piece,
+    split at the kink), applied to the closed-form risk-free value; these are
+    the exact profiles of ``quadrature_oracle``.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(times > problem.maturity):
@@ -448,53 +438,37 @@ def density_expectations(problem: PdeProblem, times, n_density: int = 96):
     return e_pos, e_neg, e_val
 
 
-def quadrature_oracle(
-    problem: PdeProblem, n_time: int = 200, n_density: int = 96
-) -> OracleDecomposition:
-    """Evaluate the adjustment integrals by nested deterministic quadrature.
+def quadrature_oracle(problem: PdeProblem, n_time: int = 401, n_density: int = 96) -> XvaBreakdown:
+    """The production integrals, ``xva.breakdown``, on the problem's exact profiles.
 
-    Outer integral: Gauss-Legendre in time.  Inner expectations: piecewise
-    Gauss-Legendre over the lognormal transition density (``n_density`` nodes
-    per smooth piece), applied to the closed-form risk-free value.  Flat
-    parameters let the survival-and-discount weight come out of the
-    expectation as exp(-(r + lam_B + lam_eff) u).
+    The profiles are the lognormal-density expectations of the closed-form
+    risk-free value on ``n_time`` uniform points of [0, maturity]: the
+    discounted ``(V-X)+`` and ``(V-X)-`` as EPE and ENE, the CEM-like capital
+    on ``(V-X)+`` and the discounted collateral ``X``.  Returns the one-row
+    breakdown, with the spot as its notional.
     """
     p = problem
-    nodes, weights = np.polynomial.legendre.leggauss(n_time)
-    u = 0.5 * p.maturity * (nodes + 1.0)
-    w_time = 0.5 * p.maturity * weights
-
-    lam_eff = p.effective_counterparty_hazard
-    lam_b = p.issuer_hazard
-    decay = np.exp(-(p.rate + lam_b + lam_eff) * u)
-
-    coll = p.collateral_fraction
-    lgd_c = 1.0 - p.counterparty_recovery
-    lgd_b = 1.0 - p.issuer_recovery
-    k_net_factor = p.capital_factor - p.hedge_fraction * p.capital_relief_factor
-    warehoused_hazard = p.counterparty_hazard * (1.0 - p.price_of_risk) * (1.0 - p.hedge_fraction)
-
-    e_pos, e_neg, e_val = density_expectations(p, u, n_density)
-
-    def integrate(values) -> float:
-        return float(np.dot(w_time, decay * values))
-
-    cva = -lgd_c * integrate(lam_eff * e_pos)
-    dva = -lgd_b * integrate(lam_b * e_neg)
-    fca = -lgd_b * integrate(lam_b * e_pos)
-    colva = -p.collateral_spread * integrate(coll * e_val)
-    kva = -(p.cost_of_capital - p.rate * p.capital_funding_fraction) * integrate(
-        k_net_factor * e_pos
-    )
-    taxable = p.cost_of_capital * k_net_factor * e_pos
-    if p.accruals_taxed:
-        taxable = taxable + lam_b * lgd_b * e_pos
-    if p.compensator_taxed:
-        taxable = taxable + warehoused_hazard * (1.0 + p.tax_rate) * lgd_c * e_pos
-    tva = -p.tax_rate * integrate(taxable) + p.tax_rate * warehoused_hazard * lgd_c * integrate(
-        e_pos
-    )
-    return OracleDecomposition(cva=cva, dva=dva, fca=fca, colva=colva, kva=kva, tva=tva)
+    grid = np.linspace(0.0, p.maturity, n_time)
+    e_pos, e_neg, e_val = density_expectations(p, grid, n_density)
+    df = np.exp(-p.rate * grid)
+    z = np.zeros_like(grid)
+    capital = CapitalProfile(grid, z, p.capital_factor * e_pos,
+                             (p.capital_factor - p.capital_relief_factor) * e_pos, z)
+    return breakdown(XvaInputs(
+        exposure=ExposureProfile(grid, df * e_pos, df * e_neg, e_val, z, z, 0, 0),
+        issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),
+        parties=((CreditCurve(p.counterparty_hazard, p.counterparty_recovery), capital),),
+        party=np.zeros(1, dtype=int),
+        psi=np.array([p.hedge_fraction]),
+        xi=np.array([p.price_of_risk]),
+        phi=np.array([p.capital_funding_fraction]),
+        tax=TaxPolicy(p.tax_rate, p.accruals_taxed, p.compensator_taxed),
+        discount=DiscountCurve((p.maturity,), (p.rate,)),
+        cost_of_capital=p.cost_of_capital,
+        notional=p.spot,
+        collateral_spread=p.collateral_spread,
+        collateral=df * p.collateral_fraction * e_val,
+    ))
 
 
 @dataclass
@@ -563,7 +537,7 @@ class VerificationReport:
     """Outcome of the PDE-versus-quadrature cross-check."""
 
     pde_adjustment: float
-    oracle: OracleDecomposition
+    oracle: XvaBreakdown  # one row
     abs_error: float
     rel_error: float
     tax_pde: float
@@ -588,14 +562,15 @@ def verify_decomposition(
     """
     solution = solve_vhat(problem, grid)
     oracle = quadrature_oracle(problem)
+    total, tva = float(oracle.total[0]), float(oracle.tva[0])
     u_pde = solution.value_at_spot()
-    denom = max(abs(oracle.total), 1e-8 * problem.spot)
-    rel = abs(u_pde - oracle.total) / denom
+    denom = max(abs(total), 1e-8 * problem.spot)
+    rel = abs(u_pde - total) / denom
 
     u_no_tax = solution.value_at_spot("untaxed") - solution.value_at_spot("risk_free")
     tax_pde = u_pde - u_no_tax
-    tax_denom = max(abs(oracle.tva), 1e-8 * problem.spot)
-    tax_rel = abs(tax_pde - oracle.tva) / tax_denom if oracle.tva != 0 or tax_pde != 0 else 0.0
+    tax_denom = max(abs(tva), 1e-8 * problem.spot)
+    tax_rel = abs(tax_pde - tva) / tax_denom if tva != 0 or tax_pde != 0 else 0.0
 
     state = replication_state(problem, solution)
     residual = float(np.max(np.abs(state.funding_residual)))
@@ -603,7 +578,7 @@ def verify_decomposition(
     return VerificationReport(
         pde_adjustment=u_pde,
         oracle=oracle,
-        abs_error=abs(u_pde - oracle.total),
+        abs_error=abs(u_pde - total),
         rel_error=rel,
         tax_pde=tax_pde,
         tax_rel_error=tax_rel,

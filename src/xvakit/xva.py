@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credit import CreditCurve, TaxPolicy
+from .credit import CreditCurve, TaxPolicy, effective_hazard
 from .curves import DiscountCurve
 from .exposure import ExposureProfile
 from .regcap import CapitalProfile
@@ -54,7 +54,7 @@ class XvaInputs:
 
     exposure: ExposureProfile
     issuer: CreditCurve
-    parties: tuple[tuple[CreditCurve, CapitalProfile | None], ...]
+    parties: tuple[tuple[CreditCurve, CapitalProfile], ...]
     party: np.ndarray
     psi: np.ndarray
     xi: np.ndarray
@@ -74,9 +74,7 @@ class XvaInputs:
             raise ValueError("each row needs psi and phi in [0, 1] and xi <= 1")
         grid = self.exposure.grid
         for _, capital in self.parties:
-            if capital is not None and capital.grid is not grid and not (
-                np.array_equal(capital.grid, grid)
-            ):
+            if capital.grid is not grid and not np.array_equal(capital.grid, grid):
                 raise ValueError("capital profile grid does not match the exposure grid")
         if self.collateral is not None and len(self.collateral) != len(grid):
             raise ValueError("collateral profile does not match the exposure grid")
@@ -132,8 +130,8 @@ class _Quadrature:
     """Midpoint survival weights of every row of a sweep as one ``(rows, intervals)`` array.
 
     Hazards are flat, so each default rate leaves the integral as a per-row
-    factor.  Psi and xi reach it only through the effective-hazard scale
-    ``psi + (1-psi)(1-xi)`` and the warehoused factor ``(1-psi)(1-xi)``, and
+    factor.  Psi and xi reach it only through ``credit.effective_hazard`` and
+    the warehoused factor ``(1-psi)(1-xi)``, and
     capital is affine in psi and its carry in phi, so each component is one
     ``integrate`` over all rows, returning one value per row.
     """
@@ -148,15 +146,13 @@ class _Quadrature:
         curves = [curve for curve, _ in inputs.parties]
         self.lambda_cpty = np.array([c.hazard for c in curves])[inputs.party]
         self.lgd_c = np.array([1.0 - c.recovery for c in curves])[inputs.party]
-        self.lambda_eff = (inputs.psi + self.warehoused) * self.lambda_cpty
+        self.lambda_eff = effective_hazard(self.lambda_cpty, inputs.psi, inputs.xi)
         self.lambda_issuer = inputs.issuer.hazard
         self.lgd_b = 1.0 - inputs.issuer.recovery
         w = np.multiply.outer(self.lambda_issuer + self.lambda_eff, mids)
         self.survival_mid = np.exp(np.negative(w, out=w), out=w)
-        capitals = [CapitalProfile(grid, *[np.zeros_like(grid)] * 4) if k is None else k
-                    for _, k in inputs.parties]
         capital = CapitalProfile(grid, *(
-            np.array([getattr(k, name) for k in capitals])[inputs.party]
+            np.array([getattr(k, name) for _, k in inputs.parties])[inputs.party]
             for name in ("k_mr", "k_ccr", "k_ccr_hedged", "k_cva")))
         self.capital_parts = capital.net_components(self.psi[:, None])  # (MR, CCR, CVA-vol)
 

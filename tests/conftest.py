@@ -12,7 +12,7 @@ from xvakit import (
 
 @pytest.fixture(scope="session")
 def flat_curve():
-    return DiscountCurve.flat(0.02)
+    return DiscountCurve((50.0,), (0.02,))
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def quarterly_grid():
 def small_profile(payer_swap, model, flat_curve, quarterly_grid):
     """A modest-path exposure profile shared by integral-level tests."""
     return exposure_profile(
-        payer_swap, model, flat_curve, quarterly_grid, n_paths=4000, seed=11
+        (payer_swap,), model, flat_curve, quarterly_grid, n_paths=4000, seed=11
     )
 
 

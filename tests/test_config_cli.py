@@ -477,6 +477,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "funding-condition" in out
 
+    def test_pde_verify_passes_with_full_recoveries(self, tmp_path, capsys):
+        # No loss given default on either side: the oracle's credit curves take recovery 1.
+        path = self.write_config(tmp_path, pde={"nSpace": 200, "nTime": 200,
+                                                "issuerRecovery": 1.0,
+                                                "counterpartyRecovery": 1.0})
+        assert main(["pde-verify", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "PASS" and captured.err == ""
+
     def test_pde_verify_writes_surfaces(self, tmp_path):
         path = self.write_config(tmp_path, pde={"nSpace": 100, "nTime": 100})
         out = tmp_path / "surfaces.csv"

@@ -62,15 +62,14 @@ class TestEffectiveHazard:
     def test_midpoint(self):
         assert effective_hazard(0.04, 0.5, 0.5) == pytest.approx(0.03, rel=1e-15)
 
-    def test_psi_out_of_range(self):
-        with pytest.raises(ValueError):
-            effective_hazard(0.02, 1.2, 0.0)
-        with pytest.raises(ValueError):
-            effective_hazard(0.02, -0.1, 0.0)
-
-    def test_negative_physical_hazard_rejected(self):
-        with pytest.raises(ValueError):
-            effective_hazard(0.02, 0.5, 1.5)
+    def test_arrays_match_the_float_form(self):
+        lam = np.array([0.0, 0.02, 0.04, 0.3])
+        psi = np.array([1.0, 0.0, 0.25, 0.7])
+        xi = np.array([0.5, -0.5, 0.3, 1.0])
+        rows = effective_hazard(lam, psi, xi)
+        assert rows.shape == (4,)
+        for i in range(4):
+            assert rows[i] == effective_hazard(float(lam[i]), float(psi[i]), float(xi[i]))
 
     @given(
         lam=st.floats(0, 1, **finite),
@@ -235,4 +234,7 @@ class TestCreditCurve:
         with pytest.raises(ValueError):
             CreditCurve(-0.01, 0.4)
         with pytest.raises(ValueError):
-            CreditCurve(0.01, 1.0)
+            CreditCurve(0.01, 1.1)
+        with pytest.raises(ValueError):
+            CreditCurve(0.01, -0.1)
+        assert CreditCurve(0.01, 1.0).recovery == 1.0  # no loss given default

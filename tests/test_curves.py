@@ -93,7 +93,7 @@ def test_validation_rejects_bad_pillars(pillars, rates):
 
 
 def test_negative_time_rejected():
-    curve = DiscountCurve.flat(0.02)
+    curve = DiscountCurve((50.0,), (0.02,))
     with pytest.raises(ValueError):
         curve.df(-0.5)
 

@@ -92,7 +92,7 @@ PROXY_CASES = {
     "stressed": (LONG_BOOK + (SwapSpec(notional=100.0, fixed_rate=0.025, maturity=50.0),),
                  ShortRateModel(0.01, 0.03), make_exposure_grid(50.0, 2)),
 }
-FLAT = DiscountCurve.flat(0.02)
+FLAT = DiscountCurve((50.0,), (0.02,))
 
 
 def reference_block(model, grid, n_block, seed, block_index, antithetic):
@@ -262,7 +262,7 @@ class TestExposureProfile:
 
     def test_collateralized_swap_has_zero_profile(self, flat_curve, model, quarterly_grid):
         spec = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, collateralized=True)
-        profile = exposure_profile(spec, model, flat_curve, quarterly_grid, 100, seed=1)
+        profile = exposure_profile((spec,), model, flat_curve, quarterly_grid, 100, seed=1)
         assert np.all(profile.epe == 0.0) and np.all(profile.ene == 0.0)
 
     @pytest.mark.parametrize("antithetic", [True, False])
@@ -284,7 +284,7 @@ class TestExposureProfile:
     def test_zero_vol_in_the_money_receiver(self, flat_curve, quarterly_grid):
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
         receiver = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False)
-        profile = exposure_profile(receiver, frozen, flat_curve, quarterly_grid, 2, seed=1)
+        profile = exposure_profile((receiver,), frozen, flat_curve, quarterly_grid, 2, seed=1)
         expected = np.array(
             [flat_curve.df(t) * swap_value(receiver, frozen, flat_curve, float(t), 0.0)
              for t in quarterly_grid]
@@ -295,8 +295,8 @@ class TestExposureProfile:
     def test_payer_epe_mirrors_receiver_ene(self, flat_curve, model, quarterly_grid):
         payer = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=True)
         receiver = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False)
-        a = exposure_profile(payer, model, flat_curve, quarterly_grid, 2000, seed=7)
-        b = exposure_profile(receiver, model, flat_curve, quarterly_grid, 2000, seed=7)
+        a = exposure_profile((payer,), model, flat_curve, quarterly_grid, 2000, seed=7)
+        b = exposure_profile((receiver,), model, flat_curve, quarterly_grid, 2000, seed=7)
         assert np.array_equal(a.epe, -b.ene)
         assert np.array_equal(a.ene, -b.epe)
 
@@ -313,14 +313,14 @@ class TestExposureProfile:
 
     def test_odd_path_count_with_antithetic_rejected(self, flat_curve, model, payer_swap):
         with pytest.raises(ValueError):
-            exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0], 101, seed=1)
+            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], 101, seed=1)
 
     def test_standard_error_scales_with_paths(self, flat_curve, model, payer_swap, quarterly_grid):
         ratios = []
         for seed in (101, 202, 303):
-            small = exposure_profile(payer_swap, model, flat_curve, quarterly_grid,
+            small = exposure_profile((payer_swap,), model, flat_curve, quarterly_grid,
                                      4000, seed=seed)
-            big = exposure_profile(payer_swap, model, flat_curve, quarterly_grid,
+            big = exposure_profile((payer_swap,), model, flat_curve, quarterly_grid,
                                    8000, seed=seed)
             mask = small.se_epe > 0
             ratios.append(np.median(big.se_epe[mask] / small.se_epe[mask]))

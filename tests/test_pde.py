@@ -1,4 +1,4 @@
-"""Finite-difference solver vs closed forms and the quadrature oracle."""
+"""Finite-difference solver vs closed forms and the quadrature oracle (``xva.breakdown``)."""
 
 import json
 import math
@@ -33,6 +33,9 @@ FULL_PROBLEM = PdeProblem(
 )
 
 FORWARD_PROBLEM = replace(FULL_PROBLEM, payoff="forward", strike=110.0)
+
+CVA_ONLY_CALL = PdeProblem(spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
+                           counterparty_hazard=0.03)
 
 
 def brute_force_unilateral_cva(problem, n_time=1500, n_space=3001):
@@ -108,6 +111,10 @@ class TestSolver:
             replace(FULL_PROBLEM, capital_relief_factor=0.9)
         with pytest.raises(ValueError):
             replace(FULL_PROBLEM, hedge_fraction=1.4)
+        with pytest.raises(ValueError):
+            replace(FULL_PROBLEM, hedge_fraction=-0.1)
+        with pytest.raises(ValueError):  # a negative physical hazard (1 - xi) lambda
+            replace(FULL_PROBLEM, hedge_fraction=0.5, price_of_risk=1.5)
 
 
 class TestOracle:
@@ -115,23 +122,31 @@ class TestOracle:
         problem = PdeProblem(spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.0)
         oracle = quadrature_oracle(problem)
         for name in ("cva", "dva", "fca", "colva", "kva", "tva"):
-            assert getattr(oracle, name) == pytest.approx(0.0, abs=1e-300)
+            assert getattr(oracle, name)[0] == pytest.approx(0.0, abs=1e-300)
 
     def test_cva_only_call_closed_form(self):
-        problem = PdeProblem(spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
-                             counterparty_hazard=0.03)
-        oracle = quadrature_oracle(problem)
-        c0 = black_scholes_value(problem, 100.0, 5.0)
-        exact = -(1.0 - 0.4) * c0 * (1.0 - math.exp(-0.03 * 5.0))
-        assert oracle.cva == pytest.approx(exact, rel=1e-10)
-        assert oracle.dva == 0.0 and oracle.tva == 0.0
+        """The discounted exposure of a call is the constant C0, so the trapezoid is
+        exact and the midpoint survival weights sum as a geometric series."""
+        oracle = quadrature_oracle(CVA_ONLY_CALL)
+        c0 = black_scholes_value(CVA_ONLY_CALL, 100.0, 5.0)
+        lam_h = 0.03 * 5.0 / 400
+        exact = (-(1.0 - 0.4) * c0 * lam_h * math.exp(-lam_h / 2) * (1.0 - math.exp(-0.03 * 5.0))
+                 / (1.0 - math.exp(-lam_h)))
+        assert oracle.cva[0] == pytest.approx(exact, rel=1e-10)
+        assert oracle.dva[0] == 0.0 and oracle.tva[0] == 0.0
+
+    def test_cva_only_call_error_falls_fourfold_per_doubling(self):
+        c0 = black_scholes_value(CVA_ONLY_CALL, 100.0, 5.0)
+        continuous = -(1.0 - 0.4) * c0 * (1.0 - math.exp(-0.03 * 5.0))
+        errors = [abs(quadrature_oracle(CVA_ONLY_CALL, n).cva[0] - continuous)
+                  for n in (101, 201, 401)]
+        assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.01)
+        assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.01)
 
     def test_cva_only_call_vs_brute_force(self):
-        problem = PdeProblem(spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
-                             counterparty_hazard=0.03)
-        oracle = quadrature_oracle(problem)
-        brute = brute_force_unilateral_cva(problem)
-        assert oracle.cva == pytest.approx(brute, rel=1e-6)
+        oracle = quadrature_oracle(CVA_ONLY_CALL)
+        brute = brute_force_unilateral_cva(CVA_ONLY_CALL)
+        assert oracle.cva[0] == pytest.approx(brute, rel=1e-6)
 
     def test_tax_capital_ratio_at_full_hedge(self):
         problem = PdeProblem(
@@ -142,18 +157,18 @@ class TestOracle:
             capital_factor=0.4, capital_relief_factor=0.0,
         )
         oracle = quadrature_oracle(problem)
-        assert oracle.kva < 0.0
-        assert oracle.tva == pytest.approx(0.21 * oracle.kva, rel=1e-10)
+        assert oracle.kva[0] < 0.0
+        assert oracle.tva[0] == pytest.approx(0.21 * oracle.kva[0], rel=1e-10)
 
     def test_forward_payoff_exercises_negative_exposure(self):
         oracle = quadrature_oracle(FORWARD_PROBLEM)
-        assert oracle.dva > 0.0
-        assert oracle.cva < 0.0
+        assert oracle.dva[0] > 0.0
+        assert oracle.cva[0] < 0.0
 
     def test_components_sum_to_total(self):
         oracle = quadrature_oracle(FULL_PROBLEM)
-        assert oracle.total == pytest.approx(
-            oracle.cva + oracle.dva + oracle.fca + oracle.colva + oracle.kva + oracle.tva,
+        assert oracle.total[0] == pytest.approx(
+            (oracle.cva + oracle.dva + oracle.fca + oracle.colva + oracle.kva + oracle.tva)[0],
             rel=1e-15,
         )
 
@@ -172,14 +187,14 @@ class TestVerification:
 
     def test_mismatched_price_of_risk_detected(self):
         solution = solve_vhat(FULL_PROBLEM, Grid(200, 200))
-        mismatched = quadrature_oracle(replace(FULL_PROBLEM, price_of_risk=-0.5))
-        rel = abs(solution.value_at_spot() - mismatched.total) / abs(mismatched.total)
+        mismatched = quadrature_oracle(replace(FULL_PROBLEM, price_of_risk=-0.5)).total[0]
+        rel = abs(solution.value_at_spot() - mismatched) / abs(mismatched)
         assert rel > 5e-3
 
     def test_refinement_improves_quadratically(self):
-        oracle = quadrature_oracle(FULL_PROBLEM)
+        oracle = quadrature_oracle(FULL_PROBLEM).total[0]
         errors = [
-            abs(solve_vhat(FULL_PROBLEM, Grid(n, n)).value_at_spot() - oracle.total)
+            abs(solve_vhat(FULL_PROBLEM, Grid(n, n)).value_at_spot() - oracle)
             for n in (100, 200)
         ]
         assert errors[0] / errors[1] > 2.8  # order >= 1.5 on a coarse pair

@@ -16,14 +16,15 @@ def test_parameter_validation():
 
 def test_grid_validation(flat_curve, model, payer_swap):
     with pytest.raises(ValueError):
-        exposure_profile(payer_swap, model, flat_curve, [0.5, 1.0], 10, seed=1, antithetic=False)
-    with pytest.raises(ValueError):
-        exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1,
+        exposure_profile((payer_swap,), model, flat_curve, [0.5, 1.0], 10, seed=1,
                          antithetic=False)
     with pytest.raises(ValueError):
-        exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0], 0, seed=1)
+        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1,
+                         antithetic=False)
     with pytest.raises(ValueError):
-        exposure_profile(payer_swap, model, flat_curve, [0.0, 1.0], 11, seed=1, antithetic=True)
+        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], 0, seed=1)
+    with pytest.raises(ValueError):
+        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], 11, seed=1, antithetic=True)
 
 
 def test_zero_volatility_reproduces_curve(flat_curve):

@@ -119,7 +119,7 @@ def net_total(cap, psi):
 
 
 class TestCapitalProfile:
-    curve = DiscountCurve.flat(0.02)
+    curve = DiscountCurve((50.0,), (0.02,))
     swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0)
     grid = np.linspace(0.0, 10.0, 41)
 
@@ -197,7 +197,7 @@ class TestCapitalProfile:
 
 
 def test_remaining_duration_decreases():
-    curve = DiscountCurve.flat(0.02)
+    curve = DiscountCurve((50.0,), (0.02,))
     swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0)
     durations = [remaining_duration(curve, swap, t) for t in (0.0, 3.0, 7.0, 9.8, 10.0)]
     assert durations[0] > durations[1] > durations[2] > durations[3]

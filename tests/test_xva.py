@@ -13,11 +13,13 @@ from xvakit import (
     CreditCurve,
     DiscountCurve,
     ExposureProfile,
+    Grid,
     TaxPolicy,
     XvaInputs,
     breakdown,
+    verify_decomposition,
 )
-from xvakit.config import PRESETS
+from xvakit.config import PRESETS, PdeVerifyConfig
 from xvakit.regcap import CapitalProfile
 from xvakit.runner import run_config
 from xvakit.xva import _Quadrature
@@ -72,13 +74,13 @@ def make_inputs(
     return XvaInputs(
         exposure=flat_profile(grid, epe, ene),
         issuer=CreditCurve(lambda_b, r_b),
-        parties=((CreditCurve(lambda_c, r_c), capital),),
+        parties=((CreditCurve(lambda_c, r_c), capital or flat_capital(grid)),),
         party=np.zeros(1, dtype=int),
         psi=np.array([psi]),
         xi=np.array([xi]),
         phi=np.array([phi]),
         tax=TaxPolicy(gamma_e, accruals_taxed, compensator_taxed),
-        discount=DiscountCurve.flat(rate),
+        discount=DiscountCurve((50.0,), (rate,)),
         cost_of_capital=gamma_k,
         notional=100.0,
         collateral_spread=collateral_spread,
@@ -368,61 +370,33 @@ class TestBreakdown:
         )
 
 
-class TestGeneralFormReduction:
-    """The profile integrals are the no-shortfall reduction of the general
-    decomposition; both routes must price the same toy problem alike."""
+class TestPlantedDefectsFailTheVerifier:
+    """``pde.verify_decomposition`` prices its problem with ``breakdown``, so a defect
+    planted in these integrals must fail it; the problem passes without one."""
 
-    def test_profiles_built_from_the_density_match_the_oracle(self):
-        from xvakit import PdeProblem, density_expectations, quadrature_oracle
+    PROBLEM = PdeVerifyConfig().problem  # psi 0.25, xi 0.3, tax 0.21: every term is on
 
-        problem = PdeProblem(
-            spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
-            issuer_hazard=0.0167, counterparty_hazard=0.04,
-            issuer_recovery=0.4, counterparty_recovery=0.4,
-            hedge_fraction=0.25, price_of_risk=0.3,
-            capital_funding_fraction=0.5, cost_of_capital=0.10,
-            tax_rate=0.21, collateral_spread=0.002, collateral_fraction=0.2,
-            capital_factor=0.4, capital_relief_factor=0.25,
-        )
-        grid = np.linspace(0.0, problem.maturity, 1001)
-        e_pos, e_neg, e_val = density_expectations(problem, grid)
-        df = np.exp(-problem.rate * grid)
+    def assert_defect_fails(self, monkeypatch, problem, name, defective):
+        assert verify_decomposition(problem, Grid(200, 200)).passed
+        monkeypatch.setattr(_Quadrature, name, defective)
+        assert not verify_decomposition(problem, Grid(200, 200)).passed
 
-        z = np.zeros_like(grid)
-        profile = ExposureProfile(
-            grid, df * e_pos, df * e_neg, e_val, z, z, n_paths=0, seed=0,
-        )
-        capital = CapitalProfile(
-            grid,
-            k_mr=z,
-            k_ccr=problem.capital_factor * e_pos,
-            k_ccr_hedged=(problem.capital_factor - problem.capital_relief_factor) * e_pos,
-            k_cva=z,
-        )
-        inputs = XvaInputs(
-            exposure=profile,
-            issuer=CreditCurve(problem.issuer_hazard, problem.issuer_recovery),
-            parties=((CreditCurve(problem.counterparty_hazard, problem.counterparty_recovery),
-                      capital),),
-            party=np.zeros(1, dtype=int),
-            psi=np.array([problem.hedge_fraction]),
-            xi=np.array([problem.price_of_risk]),
-            phi=np.array([problem.capital_funding_fraction]),
-            tax=TaxPolicy(problem.tax_rate),
-            discount=DiscountCurve.flat(problem.rate),
-            cost_of_capital=problem.cost_of_capital,
-            notional=100.0,
-            collateral_spread=problem.collateral_spread,
-            collateral=df * problem.collateral_fraction * e_val,
-        )
-        oracle = quadrature_oracle(problem)
-        result = breakdown(inputs)
-        assert result.cva[0] == pytest.approx(oracle.cva, rel=1e-5)
-        assert result.dva[0] == pytest.approx(oracle.dva, rel=1e-5, abs=1e-12)
-        assert result.fca[0] == pytest.approx(oracle.fca, rel=1e-5)
-        assert result.colva[0] == pytest.approx(oracle.colva, rel=1e-5)
-        assert result.kva[0] == pytest.approx(oracle.kva, rel=1e-5)
-        assert result.tva[0] == pytest.approx(oracle.tva, rel=1e-5)
+    def test_counterparty_hazard_in_place_of_the_effective_one_in_cva(self, monkeypatch):
+        def cva(q):
+            return -q.lgd_c * q.lambda_cpty * q.integrate(q.inputs.exposure.epe)
+
+        self.assert_defect_fails(monkeypatch, self.PROBLEM, "cva", cva)
+
+    def test_taxed_compensator_without_its_gross_up(self, monkeypatch):
+        correct = _Quadrature.tva
+
+        def tva(q):  # without (1 + rate), the credit is rate^2 w LGD_C lam_C int(EPE) higher
+            rate = q.inputs.tax.rate
+            return correct(q) + (rate * rate * q.warehoused * q.lgd_c * q.lambda_cpty
+                                 * q.integrate(q.inputs.exposure.epe))
+
+        problem = replace(self.PROBLEM, compensator_taxed=True)
+        self.assert_defect_fails(monkeypatch, problem, "tva", tva)
 
 
 class TestQuadratureAccuracy:
