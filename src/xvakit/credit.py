@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CreditCurve:
@@ -64,10 +66,16 @@ def effective_hazard(hazard, hedge_fraction, price_of_risk):
 
     Returns ``psi * lam + (1 - psi) * (1 - xi) * lam``: the risk-neutral rate
     at full hedging, the physical rate at none, linear in between.  Floats or
-    numpy-broadcast arrays; the ranges are checked where the inputs are built
-    (``CreditCurve``, ``XvaInputs``, ``PdeProblem``).
+    numpy-broadcast arrays; every element must have psi in [0, 1] and a
+    non-negative physical hazard ``(1 - xi) * lam``.
     """
     psi = hedge_fraction
+    if not np.all((0.0 <= np.asarray(psi)) & (np.asarray(psi) <= 1.0)):
+        raise ValueError("hedge_fraction must lie in [0, 1]")
+    if np.any(np.asarray(hazard) < 0):
+        raise ValueError("hazard must be >= 0")
+    if np.any(np.asarray(hazard) * (1.0 - np.asarray(price_of_risk)) < 0):
+        raise ValueError("physical hazard (1 - xi) * lam must be >= 0")
     return psi * hazard + (1.0 - psi) * (1.0 - price_of_risk) * hazard
 
 

@@ -62,6 +62,20 @@ class TestEffectiveHazard:
     def test_midpoint(self):
         assert effective_hazard(0.04, 0.5, 0.5) == pytest.approx(0.03, rel=1e-15)
 
+    def test_psi_out_of_range(self):
+        with pytest.raises(ValueError):
+            effective_hazard(0.02, 1.2, 0.0)
+        with pytest.raises(ValueError):
+            effective_hazard(0.02, -0.1, 0.0)
+        with pytest.raises(ValueError):
+            effective_hazard(np.array([0.02, 0.02]), np.array([0.5, 1.2]), 0.0)
+
+    def test_negative_physical_hazard_rejected(self):
+        with pytest.raises(ValueError):
+            effective_hazard(0.02, 0.5, 1.5)
+        with pytest.raises(ValueError):
+            effective_hazard(np.array([0.02, 0.02]), 0.5, np.array([0.5, 1.5]))
+
     def test_arrays_match_the_float_form(self):
         lam = np.array([0.0, 0.02, 0.04, 0.3])
         psi = np.array([1.0, 0.0, 0.25, 0.7])
