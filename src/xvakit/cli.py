@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from .config import PRESETS, ConfigError, load_config
@@ -62,27 +61,16 @@ class _Failure(Exception):
         self.code = code
 
 
-def _load(path: str):
+def _load(path: str, overrides: dict | None = None):
     try:
-        return load_config(path)
+        return load_config(path, overrides)
     except FileNotFoundError as exc:
         raise _Failure(EXIT_IO, str(exc)) from None
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise _Failure(EXIT_VALIDATION, "seed: must be >= 0")
-        cfg = replace(cfg, seed=args.seed)
-    if args.paths is not None:
-        if args.paths < 1:
-            raise _Failure(EXIT_VALIDATION, "paths: must be >= 1")
-        if cfg.antithetic and args.paths % 2:
-            raise _Failure(EXIT_VALIDATION, "paths: must be even with antithetic sampling")
-        cfg = replace(cfg, paths=args.paths)
-    if args.format is not None:
-        cfg = replace(cfg, output_format=args.format)
+    flags = {"seed": args.seed, "paths": args.paths, "format": args.format}
+    cfg = _load(args.config, {key: value for key, value in flags.items() if value is not None})
 
     with warnings.catch_warnings():  # an overflow is refused as a ConfigError instead
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -538,7 +538,6 @@ class VerificationReport:
 
     pde_adjustment: float
     oracle: XvaBreakdown  # one row
-    abs_error: float
     rel_error: float
     tax_pde: float
     tax_rel_error: float
@@ -578,7 +577,6 @@ def verify_decomposition(
     return VerificationReport(
         pde_adjustment=u_pde,
         oracle=oracle,
-        abs_error=abs(u_pde - total),
         rel_error=rel,
         tax_pde=tax_pde,
         tax_rel_error=tax_rel,

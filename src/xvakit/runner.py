@@ -67,7 +67,7 @@ def run_config(config: RunConfig) -> RunResult:
                            f"{model.mean_reversion}) makes the exposure profile overflow"])
     notional = sum(s.notional for s in uncollateralized)
     table = config.rating_table
-    provider = table.get(config.provider_rating) if config.provider_rating else None
+    provider = table[config.provider_rating]
 
     base = capital_base(profile, uncollateralized, curve, mr_swaps=config.swaps)
     parties = []  # per rating, its (counterparty curve, capital profile)

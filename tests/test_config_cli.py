@@ -45,6 +45,16 @@ def small_config(**overrides):
     return raw
 
 
+def config_with(path, value, raw=None):
+    """``raw`` (by default ``small_config()``) with the field at ``path`` set to ``value``."""
+    raw = small_config() if raw is None else raw
+    owner = raw
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return raw
+
+
 def zero_hazard_config():
     """``mLambda`` against a rating whose CDS spread, and so hazard, is zero."""
     raw = small_config(
@@ -541,23 +551,56 @@ class TestCli:
             (("swaps", 0, "maturity"), 10.1, OFF_SCHEDULE),
             (("swaps", 0, "maturity"), 10.3, OFF_SCHEDULE),
             (("swaps", 0, "maturity"), 1e308, OFF_SCHEDULE),
+            (("ratingTable",), {"XX": {"cdsSpreadBp": 10, "riskWeight": 0, "cvaWeight": 0.01}},
+             "ratingTable.XX.riskWeight: must be > 0"),
+            (("ratingTable",), {"XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0}},
+             "ratingTable.XX.cvaWeight: must be > 0"),
+            (("ratingTable",), {"XX": {"cdsSpreadBp": -1, "riskWeight": 0.2, "cvaWeight": 0.01}},
+             "ratingTable.XX.cdsSpreadBp: must be >= 0"),
         ],
         ids=["nan-sigma", "nan-cost", "inf-cost", "huge-int-tax", "inf-fixed-rate",
              "nan-zero-rate", "negative-cost", "negative-min-ratio", "negative-seed",
              "zero-workers", "negative-warn", "unhashable-rating", "maturity-stub-dropped",
-             "maturity-paid-late", "maturity-periods-overflow"],
+             "maturity-paid-late", "maturity-periods-overflow", "zero-risk-weight",
+             "zero-cva-weight", "negative-cds-spread"],
     )
     def test_run_bad_number_is_a_diagnostic(self, tmp_path, capsys, path, value, diagnostic):
-        raw = small_config()
-        owner = raw
-        for key in path[:-1]:
-            owner = owner[key]
-        owner[path[-1]] = value
         config = tmp_path / "run.json"
-        config.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+        # NaN and Infinity as Python's json writes them
+        config.write_text(json.dumps(config_with(path, value)))
         assert main(["run", str(config)]) == 1
         err = capsys.readouterr().err
         assert diagnostic in err.splitlines() and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value, diagnostic", [
+        ("notional", -1, "swaps[0].notional: must be > 0"),
+        ("frequency", 3, "swaps[0].frequency: must be one of 1, 2, 4"),
+    ])
+    def test_rejected_swap_is_one_diagnostic(self, tmp_path, capsys, field, value, diagnostic):
+        # The book's other swap is collateralized: the rejected one is not also
+        # missing from the uncollateralized notional.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_with(("swaps", 0, field), value)))
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr() == ("", diagnostic + "\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("path, name", [
+        (("accrualTaxed",), "accrualTaxed"),
+        (("market", "curves"), "market.curves"),
+        (("market", "curve", "zeroRate"), "market.curve.zeroRate"),
+        (("market", "model", "meanReverson"), "market.model.meanReverson"),
+        (("market", "issuer", "spreadbp"), "market.issuer.spreadbp"),
+        (("swaps", 0, "fixedrate"), "swaps[0].fixedrate"),
+        (("ratingTable", "XX", "riskweight"), "ratingTable.XX.riskweight"),
+    ])
+    def test_unknown_key_is_the_one_diagnostic(self, tmp_path, capsys, command, path, name):
+        raw = small_config(ratingTable={
+            "XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01}})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_with(path, True, raw)))
+        assert main([command, str(config)]) == 1
+        assert capsys.readouterr() == ("", f"{name}: unknown field\n")
 
     def test_pde_block_reaches_every_problem_field(self):
         _, diags = validate_config(small_config(pde={"foo": 1}))

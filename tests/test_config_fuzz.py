@@ -27,6 +27,7 @@ INVALID = [
     (("market", "issuer", "recovery"), 1.0), (("market", "issuer", "spreadBp"), -5.0),
     (("market", "model", "sigma"), -0.01), (("market", "model", "meanReversion"), 0.0),
     (("swaps", 0, "maturity"), 10.1), (("swaps", 0, "frequency"), 3), (("ratings",), ["XX"]),
+    (("accrualTaxed",), True), (("swaps", 0, "fixedrate"), 0.02),
 ]
 
 
