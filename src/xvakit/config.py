@@ -143,27 +143,31 @@ _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _BELOW_ONE = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
 _FRACTION = (lambda v: 0 <= v <= 1, "value {} outside [0, 1]")
+_AT_MOST_ONE = (lambda v: v <= 1, "must be <= 1")
+_RATE = (lambda v: -1 <= v <= 1, "value {} outside [-1, 1]")  # per year: a rate or spread
 _NOT_EMPTY = (bool, "list must not be empty")
 
 _MARKET = {
-    "curve": ({"pillars": (NUMBERS, REQUIRED), "zeroRates": (NUMBERS, REQUIRED)}, REQUIRED),
+    "curve": ({"pillars": (NUMBERS, REQUIRED), "zeroRates": (NUMBERS, REQUIRED, _RATE)},
+              REQUIRED),
     "model": ({"meanReversion": (float, REQUIRED, _POSITIVE),
                "sigma": (float, REQUIRED, _NON_NEGATIVE)}, REQUIRED),
     "issuer": ({"spreadBp": (float, REQUIRED, _NON_NEGATIVE),
                 "recovery": (float, 0.4, _BELOW_ONE)}, REQUIRED),
 }
 _SWAP = {  # in SwapSpec's field order
-    "notional": (float, REQUIRED, _POSITIVE),
-    "fixedRate": (float, REQUIRED),
-    "maturity": (float, REQUIRED, _POSITIVE),
+    "notional": (float, REQUIRED, _POSITIVE, (lambda v: v <= 1e15, "must be <= 1e15")),
+    "fixedRate": (float, REQUIRED, _RATE),
+    "maturity": (float, REQUIRED, _POSITIVE, (lambda v: v <= 100, "must be <= 100")),
     "frequency": (int, 2, (lambda v: v in (1, 2, 4), "must be one of 1, 2, 4")),
     "payer": (bool, True),
     "collateralized": (bool, False),
 }
 _RATING = {  # in CounterpartyProfile's field order, after the rating
     "cdsSpreadBp": (float, REQUIRED, _NON_NEGATIVE),
-    "riskWeight": (float, REQUIRED, _POSITIVE),
-    "cvaWeight": (float, REQUIRED, _POSITIVE),
+    "riskWeight": (float, REQUIRED, _POSITIVE,
+                   (lambda v: v <= 12.5, "must be <= 12.5 (the 1250% ceiling)")),
+    "cvaWeight": (float, REQUIRED, _POSITIVE, _AT_MOST_ONE),
     "recovery": (float, 0.4, _BELOW_ONE),
 }
 _RUN = {
@@ -176,20 +180,20 @@ _RUN = {
     "psi": (NUMBERS, REQUIRED, _FRACTION),
     "priceOfRiskXi": (NUMBERS, None, (lambda v: v <= 1,
                                       "value {} above 1 implies a negative physical hazard")),
-    "mLambda": (NUMBERS, None),
+    "mLambda": (NUMBERS, None, (lambda v: v >= -1, "value {} below -1")),
     "phi": (NUMBERS, REQUIRED, _FRACTION),
-    "costOfCapital": (float, 0.10, _NON_NEGATIVE),
+    "costOfCapital": (float, 0.10, _NON_NEGATIVE, _AT_MOST_ONE),
     "taxRate": (float, 0.21, _BELOW_ONE),
     "accrualsTaxed": (bool, False),
     "compensatorTaxed": (bool, False),
-    "collateralSpread": (float, 0.0),
+    "collateralSpread": (float, 0.0, _RATE),
     "seed": (int, 20150106, _NON_NEGATIVE),
     "paths": (int, 50000, _AT_LEAST_ONE),
     "format": (str, "table", (lambda v: v in OUTPUT_FORMATS,
                               f"must be one of {', '.join(OUTPUT_FORMATS)}")),
     "providerRating": (str, "A"),
     "hedgeSourceLabel": (str, None),  # None: the provider rating
-    "minCapitalRatio": (float, 0.08, _NON_NEGATIVE),
+    "minCapitalRatio": (float, 0.08, _NON_NEGATIVE, _AT_MOST_ONE),
     "warnSeBp": (float, 1.0, _NON_NEGATIVE),
     "workers": (int, 1, _AT_LEAST_ONE),
     "antithetic": (bool, True),

@@ -335,8 +335,6 @@ class ExposureProfile:
     se_epe: np.ndarray
     se_ene: np.ndarray
     n_paths: int
-    seed: int
-    antithetic: bool = True
     collateral: np.ndarray | None = None  # the posted book's discounted mean, same paths
 
     def __post_init__(self):
@@ -421,7 +419,7 @@ def _sum_blocks(parts: list[dict]) -> dict:
     return acc
 
 
-def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) -> ExposureProfile:
+def _reduce(parts: list[dict], grid: np.ndarray) -> ExposureProfile:
     """Ordered reduction over blocks, which keeps results worker-count invariant."""
     acc = _sum_blocks(parts)
     n = acc["n"]
@@ -438,8 +436,6 @@ def _reduce(parts: list[dict], grid: np.ndarray, seed: int, antithetic: bool) ->
         se_epe=_se(acc["unit_pos"]),
         se_ene=_se(acc["unit_neg"]),
         n_paths=n,
-        seed=seed,
-        antithetic=antithetic,
     )
 
 
@@ -496,7 +492,7 @@ def exposure_profile(
         return _join_rows(chunks), _join_rows(posted_sums) if posted else None
 
     parts = map_blocks(run_block, n_paths, antithetic, n_workers)
-    profile = _reduce([p[0] for p in parts], g, seed, antithetic)
+    profile = _reduce([p[0] for p in parts], g)
     if posted:
         acc = _sum_blocks([p[1] for p in parts])
         profile.collateral = acc["sum_dv_pos"] / acc["n"] + acc["sum_dv_neg"] / acc["n"]

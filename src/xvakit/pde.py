@@ -13,11 +13,11 @@ for a derivative on one lognormal asset with flat parameters,
 with terminal condition the payoff, alongside the risk-free Black-Scholes
 value V.  The adjustment is U = Vh - V.  ``verify_decomposition`` compares it
 with the production integrals, ``xva.breakdown`` (trapezoid, 401 points), on
-the problem's exact lognormal profiles; Gauss-Legendre serves only the
-density integrals of ``density_expectations``.  The source terms depend on V
-alone, so V is marched once and the economic values with and without tax,
-whose difference is the PDE's TVA, are marched as the two columns of one
-banded solve per step.
+the problem's exact lognormal profiles, which are closed forms
+(``density_expectations``).  The source terms depend on V alone, so V is
+marched once and the economic values with and without tax, whose difference
+is the PDE's TVA, are marched as the two columns of one banded solve per
+step.
 
 Funding convention: own bonds are held so that there is no shortfall on own
 default, i.e. the issuer-default hedge error is the non-capital windfall
@@ -373,89 +373,56 @@ def black_scholes_value(problem: PdeProblem, s, remaining: float):
     return p.strike * df_k * ndtr(-d2) - s * df_s * ndtr(-d1)
 
 
-_DENSITY_RANGE = 8.5  # standard deviations covered by the inner integral
-
-
-def _inner_quadrature(problem: PdeProblem, u: float, gl_x: np.ndarray, gl_w: np.ndarray):
-    """Nodes/weights in the standard-normal variable, split at the kink.
-
-    The asset at horizon u is lognormal; the relevant integrands kink where
-    the remaining value crosses zero (forward payoff) or steepen around the
-    strike (call/put near maturity), so the density integral is done with
-    Gauss-Legendre pieces split there; ``(gl_x, gl_w)`` is the rule on
-    [-1, 1] used for every piece.
-    """
-    p = problem
-    drift = p.carry - 0.5 * p.sigma**2
-    vol = p.sigma * np.sqrt(u)
-    tau = p.maturity - u
-    if p.payoff == "forward":
-        s_kink = p.strike * np.exp(-p.carry * tau)
-    else:
-        s_kink = p.strike
-    z_kink = (np.log(s_kink / p.spot) - drift * u) / vol
-    breaks = [-_DENSITY_RANGE]
-    if -_DENSITY_RANGE < z_kink < _DENSITY_RANGE:
-        breaks.append(float(z_kink))
-    breaks.append(_DENSITY_RANGE)
-    zs, ws = [], []
-    for a, b in zip(breaks, breaks[1:]):
-        zs.append(0.5 * (b - a) * gl_x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * gl_w)
-    z = np.concatenate(zs)
-    w = np.concatenate(ws) * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    s_u = p.spot * np.exp(drift * u + vol * z)
-    return s_u, w
-
-
-def density_expectations(problem: PdeProblem, times, n_density: int = 96):
+def density_expectations(problem: PdeProblem, times):
     """(E[(V-X)+], E[(V-X)-], E[V]) under the lognormal law at each horizon.
 
-    Piecewise Gauss-Legendre over the density (``n_density`` nodes per piece,
-    split at the kink), applied to the closed-form risk-free value; these are
-    the exact profiles of ``quadrature_oracle``.
+    Closed forms at every horizon ``u`` at once; these are the exact profiles
+    of ``quadrature_oracle``.  ``e^{-ru} V(u, S_u)`` is a martingale,
+    so a call's or put's mean is ``V_0 e^{ru}``, and it is never negative.  A
+    forward is ``A - K'`` in a lognormal ``A`` of total volatility
+    ``sigma sqrt(u)``, so its positive part is Black's (1976) call.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(times > problem.maturity):
+    # Imported here so that ``run`` and ``validate`` never load scipy.
+    from scipy.special import ndtr
+
+    p = problem
+    u = np.asarray(times, dtype=float)
+    if np.any(u < 0) or np.any(u > p.maturity):
         raise ValueError("times must lie within [0, maturity]")
-    coll = problem.collateral_fraction
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_density)
-    e_pos = np.empty_like(times)
-    e_neg = np.empty_like(times)
-    e_val = np.empty_like(times)
-    for i, ui in enumerate(times):
-        if ui <= 0.0:  # degenerate density: the asset is still at the spot
-            value = black_scholes_value(problem, problem.spot, problem.maturity)
-            v = np.atleast_1d(np.asarray(value, dtype=float))
-            weights = np.ones(1)
-        else:
-            s_u, weights = _inner_quadrature(problem, float(ui), gl_x, gl_w)
-            v = black_scholes_value(problem, s_u, problem.maturity - ui)
-        vx = (1.0 - coll) * v
-        e_pos[i] = np.dot(weights, np.maximum(vx, 0.0))
-        e_neg[i] = np.dot(weights, np.minimum(vx, 0.0))
-        e_val[i] = np.dot(weights, v)
-    return e_pos, e_neg, e_val
+    keep = 1.0 - p.collateral_fraction  # (V - X) = keep * V
+    if p.payoff != "forward":
+        e_val = black_scholes_value(p, p.spot, p.maturity) * np.exp(p.rate * u)
+        return keep * e_val, np.zeros_like(u), e_val
+    tau = p.maturity - u
+    fwd = p.spot * np.exp(p.carry * u + (p.carry - p.rate) * tau)
+    strike = p.strike * np.exp(-p.rate * tau)
+    vol = p.sigma * np.sqrt(u)
+    e_val = fwd - strike
+    with np.errstate(divide="ignore", invalid="ignore"):  # d1 is undefined at u = 0
+        d1 = np.log(fwd / strike) / vol + 0.5 * vol
+        e_pos = np.where(vol > 0, fwd * ndtr(d1) - strike * ndtr(d1 - vol),
+                         np.maximum(e_val, 0.0))
+    return keep * e_pos, keep * (e_val - e_pos), e_val
 
 
-def quadrature_oracle(problem: PdeProblem, n_time: int = 401, n_density: int = 96) -> XvaBreakdown:
+def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
     """The production integrals, ``xva.breakdown``, on the problem's exact profiles.
 
-    The profiles are the lognormal-density expectations of the closed-form
-    risk-free value on ``n_time`` uniform points of [0, maturity]: the
-    discounted ``(V-X)+`` and ``(V-X)-`` as EPE and ENE, the CEM-like capital
-    on ``(V-X)+`` and the discounted collateral ``X``.  Returns the one-row
-    breakdown, with the spot as its notional.
+    The profiles are the closed forms of ``density_expectations`` on
+    ``n_time`` uniform points of [0, maturity]: the discounted ``(V-X)+`` and
+    ``(V-X)-`` as EPE and ENE, the CEM-like capital on ``(V-X)+`` and the
+    discounted collateral ``X``.  Returns the one-row breakdown, with the spot
+    as its notional.
     """
     p = problem
     grid = np.linspace(0.0, p.maturity, n_time)
-    e_pos, e_neg, e_val = density_expectations(p, grid, n_density)
+    e_pos, e_neg, e_val = density_expectations(p, grid)
     df = np.exp(-p.rate * grid)
     z = np.zeros_like(grid)
     capital = CapitalProfile(grid, z, p.capital_factor * e_pos,
                              (p.capital_factor - p.capital_relief_factor) * e_pos, z)
     return breakdown(XvaInputs(
-        exposure=ExposureProfile(grid, df * e_pos, df * e_neg, e_val, z, z, 0, 0),
+        exposure=ExposureProfile(grid, df * e_pos, df * e_neg, e_val, z, z, 0),
         issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),
         parties=((CreditCurve(p.counterparty_hazard, p.counterparty_recovery), capital),),
         party=np.zeros(1, dtype=int),

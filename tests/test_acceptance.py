@@ -85,7 +85,7 @@ def test_criterion_2_tax_capital_ratio_identity():
         z = np.zeros_like(grid)
         epe = rng.uniform(0.0, 5.0, grid.shape)
         ene = -rng.uniform(0.0, 5.0, grid.shape)
-        profile = ExposureProfile(grid, epe, ene, epe + ene, z, z, n_paths=0, seed=0)
+        profile = ExposureProfile(grid, epe, ene, epe + ene, z, z, n_paths=0)
         capital = CapitalProfile(
             grid,
             k_mr=rng.uniform(0.0, 1.0, grid.shape),
@@ -191,7 +191,7 @@ def test_criterion_6_constant_intensity_closed_forms():
         z = np.zeros_like(grid)
         profile = ExposureProfile(
             grid, np.full_like(grid, epe), np.full_like(grid, ene),
-            np.full_like(grid, epe + ene), z, z, n_paths=0, seed=0,
+            np.full_like(grid, epe + ene), z, z, n_paths=0,
         )
         capital = CapitalProfile(grid, z, np.full_like(grid, k_flat),
                                  np.full_like(grid, 0.25 * k_flat),

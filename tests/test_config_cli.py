@@ -55,15 +55,48 @@ def config_with(path, value, raw=None):
     return raw
 
 
-def zero_hazard_config():
-    """``mLambda`` against a rating whose CDS spread, and so hazard, is zero."""
-    raw = small_config(
-        ratings=["ZERO"],
-        ratingTable={"ZERO": {"cdsSpreadBp": 0, "riskWeight": 0.2, "cvaWeight": 0.007}},
-        mLambda=[0.001],
-    )
+def m_lambda_config(values, **overrides):
+    """``small_config`` priced with ``mLambda`` in place of ``priceOfRiskXi``."""
+    raw = small_config(mLambda=values, **overrides)
     raw.pop("priceOfRiskXi")
     return raw
+
+
+def zero_hazard_config():
+    """``mLambda`` against a rating whose CDS spread, and so hazard, is zero."""
+    return m_lambda_config([0.001], ratings=["ZERO"], ratingTable={
+        "ZERO": {"cdsSpreadBp": 0, "riskWeight": 0.2, "cvaWeight": 0.007}})
+
+
+def warehoused_against(**entry):
+    """``small_config`` unhedged (psi 0) against rating XX, its table entry given."""
+    return small_config(psi=[0.0], ratings=["XX"], ratingTable={
+        "XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01, **entry}})
+
+
+# Finite values past a field's bound.  Without the bound each ran: to NaN or
+# -inf cells with exit 0 (an internal error as a table), or to an overflow
+# blamed on sigma.
+OUT_OF_RANGE = {
+    "huge-cost": (config_with(("costOfCapital",), 1e308), "costOfCapital: must be <= 1"),
+    "huge-min-ratio": (config_with(("minCapitalRatio",), 1e308),
+                       "minCapitalRatio: must be <= 1"),
+    "huge-collateral-spread": (config_with(("collateralSpread",), 1e308),
+                               "collateralSpread: value 1e+308 outside [-1, 1]"),
+    "huge-negative-collateral-spread": (config_with(("collateralSpread",), -1e308),
+                                        "collateralSpread: value -1e+308 outside [-1, 1]"),
+    "huge-risk-weight": (warehoused_against(riskWeight=1e308),
+                         "ratingTable.XX.riskWeight: must be <= 12.5 (the 1250% ceiling)"),
+    "huge-cva-weight": (warehoused_against(cvaWeight=1e308),
+                        "ratingTable.XX.cvaWeight: must be <= 1"),
+    "huge-negative-m-lambda": (m_lambda_config([-1e308]), "mLambda: value -1e+308 below -1"),
+    "huge-zero-rate": (config_with(("market", "curve", "zeroRates"), [0.02, 1e308]),
+                       "market.curve.zeroRates: value 1e+308 outside [-1, 1]"),
+    "huge-notional": (config_with(("swaps", 0, "notional"), 1e155),
+                      "swaps[0].notional: must be <= 1e15"),
+    "huge-fixed-rate": (config_with(("swaps", 0, "fixedRate"), 1e155),
+                        "swaps[0].fixedRate: value 1e+155 outside [-1, 1]"),
+}
 
 
 class TestValidation:
@@ -531,46 +564,65 @@ class TestCli:
         assert err.startswith(field + ":") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "path, value, diagnostic",
+        "raw, diagnostic",
         [
-            (("market", "model", "sigma"), math.nan, "market.model.sigma: must be finite"),
-            (("costOfCapital",), math.nan, "costOfCapital: must be finite"),
-            (("costOfCapital",), math.inf, "costOfCapital: must be finite"),
-            (("taxRate",), 10**400, "taxRate: must be finite"),
-            (("swaps", 0, "fixedRate"), -math.inf, "swaps[0].fixedRate: must be finite"),
-            (("market", "curve", "zeroRates"), [0.02, math.nan],
+            (config_with(("market", "model", "sigma"), math.nan),
+             "market.model.sigma: must be finite"),
+            (config_with(("costOfCapital",), math.nan), "costOfCapital: must be finite"),
+            (config_with(("costOfCapital",), math.inf), "costOfCapital: must be finite"),
+            (config_with(("taxRate",), 10**400), "taxRate: must be finite"),
+            (config_with(("swaps", 0, "fixedRate"), -math.inf),
+             "swaps[0].fixedRate: must be finite"),
+            (config_with(("market", "curve", "zeroRates"), [0.02, math.nan]),
              "market.curve.zeroRates[1]: must be finite"),
-            (("costOfCapital",), -5, "costOfCapital: must be >= 0"),
-            (("minCapitalRatio",), -0.1, "minCapitalRatio: must be >= 0"),
-            (("seed",), -5, "seed: must be >= 0"),
-            (("workers",), 0, "workers: must be >= 1"),
-            (("warnSeBp",), -1.0, "warnSeBp: must be >= 0"),
-            (("ratings",), [["A"]], "ratings: unknown rating ['A'] (known: AAA, A, BB, CCC)"),
+            (config_with(("costOfCapital",), -5), "costOfCapital: must be >= 0"),
+            (config_with(("minCapitalRatio",), -0.1), "minCapitalRatio: must be >= 0"),
+            (config_with(("seed",), -5), "seed: must be >= 0"),
+            (config_with(("workers",), 0), "workers: must be >= 1"),
+            (config_with(("warnSeBp",), -1.0), "warnSeBp: must be >= 0"),
+            (config_with(("ratings",), [["A"]]),
+             "ratings: unknown rating ['A'] (known: AAA, A, BB, CCC)"),
             # Off the semiannual schedule: the first would drop its stub, the
             # second would pay at 10.5.
-            (("swaps", 0, "maturity"), 10.1, OFF_SCHEDULE),
-            (("swaps", 0, "maturity"), 10.3, OFF_SCHEDULE),
-            (("swaps", 0, "maturity"), 1e308, OFF_SCHEDULE),
-            (("ratingTable",), {"XX": {"cdsSpreadBp": 10, "riskWeight": 0, "cvaWeight": 0.01}},
+            (config_with(("swaps", 0, "maturity"), 10.1), OFF_SCHEDULE),
+            (config_with(("swaps", 0, "maturity"), 10.3), OFF_SCHEDULE),
+            (config_with(("swaps", 0, "maturity"), 1e308), "swaps[0].maturity: must be <= 100"),
+            (config_with(("ratingTable",), {"XX": {"cdsSpreadBp": 10, "riskWeight": 0,
+                                                   "cvaWeight": 0.01}}),
              "ratingTable.XX.riskWeight: must be > 0"),
-            (("ratingTable",), {"XX": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0}},
+            (config_with(("ratingTable",), {"XX": {"cdsSpreadBp": 10, "riskWeight": 0.2,
+                                                   "cvaWeight": 0}}),
              "ratingTable.XX.cvaWeight: must be > 0"),
-            (("ratingTable",), {"XX": {"cdsSpreadBp": -1, "riskWeight": 0.2, "cvaWeight": 0.01}},
+            (config_with(("ratingTable",), {"XX": {"cdsSpreadBp": -1, "riskWeight": 0.2,
+                                                   "cvaWeight": 0.01}}),
              "ratingTable.XX.cdsSpreadBp: must be >= 0"),
+            *OUT_OF_RANGE.values(),
         ],
         ids=["nan-sigma", "nan-cost", "inf-cost", "huge-int-tax", "inf-fixed-rate",
              "nan-zero-rate", "negative-cost", "negative-min-ratio", "negative-seed",
              "zero-workers", "negative-warn", "unhashable-rating", "maturity-stub-dropped",
              "maturity-paid-late", "maturity-periods-overflow", "zero-risk-weight",
-             "zero-cva-weight", "negative-cds-spread"],
+             "zero-cva-weight", "negative-cds-spread", *OUT_OF_RANGE],
     )
-    def test_run_bad_number_is_a_diagnostic(self, tmp_path, capsys, path, value, diagnostic):
+    def test_run_bad_number_is_a_diagnostic(self, tmp_path, capsys, raw, diagnostic):
         config = tmp_path / "run.json"
         # NaN and Infinity as Python's json writes them
-        config.write_text(json.dumps(config_with(path, value)))
+        config.write_text(json.dumps(raw))
         assert main(["run", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert diagnostic in err.splitlines() and "Traceback" not in err
+        assert capsys.readouterr() == ("", diagnostic + "\n")
+
+    @pytest.mark.parametrize("raw, diagnostic", [
+        *OUT_OF_RANGE.values(),
+        # On schedule, so without the bound a run asks for a 58 TiB array.
+        # Checked by validation alone: never run.
+        (config_with(("swaps", 0, "maturity"), 1e6), "swaps[0].maturity: must be <= 100"),
+    ], ids=[*OUT_OF_RANGE, "huge-maturity"])
+    def test_validate_out_of_range_is_the_one_diagnostic(self, tmp_path, capsys, raw,
+                                                         diagnostic):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw))
+        assert main(["validate", str(config)]) == 1
+        assert capsys.readouterr() == ("", diagnostic + "\n")
 
     @pytest.mark.parametrize("field, value, diagnostic", [
         ("notional", -1, "swaps[0].notional: must be > 0"),

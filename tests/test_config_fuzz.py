@@ -28,6 +28,14 @@ INVALID = [
     (("market", "model", "sigma"), -0.01), (("market", "model", "meanReversion"), 0.0),
     (("swaps", 0, "maturity"), 10.1), (("swaps", 0, "frequency"), 3), (("ratings",), ["XX"]),
     (("accrualTaxed",), True), (("swaps", 0, "fixedrate"), 0.02),
+    # Finite but past a bound: unbounded, each gave NaN cells, an internal error
+    # or an overflow blamed on sigma.
+    (("costOfCapital",), 1e308), (("minCapitalRatio",), 1e308), (("collateralSpread",), 1e308),
+    (("collateralSpread",), -1e308), (("market", "curve", "zeroRates"), [0.02, 1e308]),
+    (("swaps", 0, "notional"), 1e308), (("swaps", 0, "fixedRate"), 1e308),
+    (("ratingTable",), {"BB": {"cdsSpreadBp": 250, "riskWeight": 1e308, "cvaWeight": 0.02}}),
+    (("ratingTable",), {"BB": {"cdsSpreadBp": 250, "riskWeight": 1.0, "cvaWeight": 1e308}}),
+    (("mLambda",), [-1e308]),  # in place of priceOfRiskXi
 ]
 
 
@@ -39,8 +47,8 @@ def fractions(lo=0.0, hi=1.0):
 def swaps(draw):
     frequency = draw(st.sampled_from([1, 2, 4]))
     return {
-        "notional": draw(st.floats(1.0, 1e3)),
-        "fixedRate": draw(st.floats(-0.01, 0.08)),
+        "notional": draw(st.one_of(st.floats(1.0, 1e3), st.floats(1.0, 1e15))),
+        "fixedRate": draw(st.one_of(st.floats(-0.01, 0.08), st.floats(-1.0, 1.0))),
         "maturity": draw(st.integers(1, 30 * frequency)) / frequency,
         "frequency": frequency,
         "payer": draw(st.booleans()),
@@ -54,7 +62,9 @@ def configs(draw):
         "schemaVersion": 1,
         "market": {
             "curve": {"pillars": [1.0, 30.0],
-                      "zeroRates": draw(st.lists(st.floats(-0.01, 0.08), min_size=2, max_size=2))},
+                      "zeroRates": draw(st.lists(st.one_of(st.floats(-0.01, 0.08),
+                                                           st.floats(-1.0, 1.0)),
+                                                 min_size=2, max_size=2))},
             "model": {"meanReversion": draw(st.floats(1e-300, 1.0)),
                       "sigma": draw(st.one_of(st.floats(0.0, 0.05), st.floats(0.0, 6.0),
                                               st.floats(0.0, 1e200)))},
@@ -66,22 +76,27 @@ def configs(draw):
         "psi": draw(fractions()),
         "priceOfRiskXi": draw(fractions(-1.0, 1.0)),
         "phi": draw(fractions()),
-        "costOfCapital": draw(st.floats(0.0, 0.3)),
+        "costOfCapital": draw(st.floats(0.0, 1.0)),
+        "minCapitalRatio": draw(st.floats(0.0, 1.0)),
         "taxRate": draw(st.floats(0.0, 0.9)),
         "accrualsTaxed": draw(st.booleans()),
         "compensatorTaxed": draw(st.booleans()),
-        "collateralSpread": draw(st.floats(0.0, 0.01)),
+        "collateralSpread": draw(st.one_of(st.floats(0.0, 0.01), st.floats(-1.0, 1.0))),
         "antithetic": draw(st.booleans()),
         "paths": 2 * draw(st.integers(1, 1000)),
         "workers": draw(st.integers(1, 2)),
         "seed": draw(st.integers(0, 2**32)),
     }
+    if draw(st.booleans()):  # the price of risk in hazard units
+        raw["mLambda"] = draw(fractions(-1.0, 0.01))
     if draw(st.booleans()):
         path, value = draw(st.sampled_from(INVALID))
         owner = raw
         for key in path[:-1]:
             owner = owner[key]
         owner[path[-1]] = value
+    if "mLambda" in raw:
+        del raw["priceOfRiskXi"]
     return raw
 
 

@@ -161,9 +161,9 @@ def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, poste
         revalue_in_chunks(x, plan, values)
         discount = np.exp(-(y + int_shift))
         parts.append([_block_stats(v, discount, antithetic) for v in values])
-    profile = _reduce([p[0] for p in parts], grid, seed, antithetic)
+    profile = _reduce([p[0] for p in parts], grid)
     if posted:
-        collateral = _reduce([p[1] for p in parts], grid, seed, antithetic)
+        collateral = _reduce([p[1] for p in parts], grid)
         profile.collateral = collateral.epe + collateral.ene
     return profile
 

@@ -33,6 +33,7 @@ FULL_PROBLEM = PdeProblem(
 )
 
 FORWARD_PROBLEM = replace(FULL_PROBLEM, payoff="forward", strike=110.0)
+PUT_PROBLEM = replace(FULL_PROBLEM, payoff="put", spot=90.0)
 
 CVA_ONLY_CALL = PdeProblem(spot=100.0, strike=100.0, maturity=5.0, sigma=0.25, rate=0.02,
                            counterparty_hazard=0.03)
@@ -165,6 +166,26 @@ class TestOracle:
         assert oracle.dva[0] > 0.0
         assert oracle.cva[0] < 0.0
 
+    @pytest.mark.parametrize("problem", [
+        FULL_PROBLEM,
+        PUT_PROBLEM,
+        FORWARD_PROBLEM,
+        replace(FORWARD_PROBLEM, repo_rate=0.05, dividend_yield=0.01),
+    ], ids=["call", "put", "forward", "forward_carry"])
+    def test_density_expectations_match_gauss_legendre(self, problem):
+        times = np.linspace(0.0, problem.maturity, 401)
+        got = density_expectations(problem, times)
+        want = per_node_density_expectations(problem, times, 96)
+        scale = np.max(np.abs(want[2]))
+        for name, g, w in zip(("E[(V-X)+]", "E[(V-X)-]", "E[V]"), got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("problem", [FULL_PROBLEM, PUT_PROBLEM], ids=["call", "put"])
+    def test_call_and_put_have_no_negative_exposure(self, problem):
+        times = np.linspace(0.0, problem.maturity, 401)
+        _, e_neg, _ = density_expectations(problem, times)
+        assert np.array_equal(e_neg, np.zeros_like(times))
+
     def test_components_sum_to_total(self):
         oracle = quadrature_oracle(FULL_PROBLEM)
         assert oracle.total[0] == pytest.approx(
@@ -229,7 +250,7 @@ class TestReplication:
 class TestSinglePass:
     @pytest.mark.parametrize("problem", [
         FULL_PROBLEM,
-        replace(FULL_PROBLEM, payoff="put", spot=90.0),
+        PUT_PROBLEM,
         FORWARD_PROBLEM,
         replace(FULL_PROBLEM, accruals_taxed=True),
         replace(FULL_PROBLEM, compensator_taxed=True),
@@ -240,13 +261,6 @@ class TestSinglePass:
         assert np.array_equal(joint.untaxed, tax_off.economic)
         assert np.array_equal(joint.risk_free, tax_off.risk_free)
         assert not np.array_equal(joint.untaxed, joint.economic)
-
-    @pytest.mark.parametrize("problem", [FULL_PROBLEM, FORWARD_PROBLEM], ids=["call", "forward"])
-    def test_density_expectations_match_per_node_rule(self, problem):
-        times = np.linspace(0.0, problem.maturity, 23)
-        expected = per_node_density_expectations(problem, times, 40)
-        for got, want in zip(density_expectations(problem, times, 40), expected):
-            assert np.array_equal(got, want)
 
     def test_surface_file_matches_one_string_writer(self, tmp_path):
         with warnings.catch_warnings():
@@ -271,7 +285,8 @@ class TestSinglePass:
 
 
 def per_node_density_expectations(problem, times, n_density):
-    """The oracle's inner integrals with the Gauss-Legendre rule rebuilt per node."""
+    """The oracle's profiles by quadrature: at each horizon, Gauss-Legendre over the
+    lognormal density, ``n_density`` nodes per piece, split at the kink."""
     p = problem
     drift = p.carry - 0.5 * p.sigma**2
     out = np.empty((3, len(times)))

@@ -105,7 +105,7 @@ def _flat_profile(grid, epe, mean=None):
     z = np.zeros_like(g)
     return ExposureProfile(
         grid=g, epe=e, ene=np.minimum(m - e, 0.0), mean_value_undiscounted=m,
-        se_epe=z, se_ene=z, n_paths=0, seed=0,
+        se_epe=z, se_ene=z, n_paths=0,
     )
 
 
@@ -259,7 +259,7 @@ class TestCapitalBase:
         return ExposureProfile(grid=self.grid, epe=np.maximum(mean, 0.0),
                                ene=np.minimum(mean, 0.0), mean_value_undiscounted=mean,
                                se_epe=z, se_ene=z,
-                               n_paths=0, seed=0)
+                               n_paths=0)
 
     def test_matches_the_per_point_loop(self):
         prof = self.profile()

@@ -34,7 +34,7 @@ def flat_profile(grid, epe=0.0, ene=0.0):
     n = np.full_like(g, float(ene))
     return ExposureProfile(
         grid=g, epe=e, ene=n, mean_value_undiscounted=e + n,
-        se_epe=z, se_ene=z, n_paths=0, seed=0,
+        se_epe=z, se_ene=z, n_paths=0,
     )
 
 
