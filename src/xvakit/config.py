@@ -188,14 +188,15 @@ _RUN = {
     "compensatorTaxed": (bool, False),
     "collateralSpread": (float, 0.0, _RATE),
     "seed": (int, 20150106, _NON_NEGATIVE),
-    "paths": (int, 50000, _AT_LEAST_ONE),
+    "paths": (int, 50000, _AT_LEAST_ONE,
+              (lambda v: v <= 100_000_000, "must be <= 100000000")),
     "format": (str, "table", (lambda v: v in OUTPUT_FORMATS,
                               f"must be one of {', '.join(OUTPUT_FORMATS)}")),
     "providerRating": (str, "A"),
     "hedgeSourceLabel": (str, None),  # None: the provider rating
     "minCapitalRatio": (float, 0.08, _NON_NEGATIVE, _AT_MOST_ONE),
     "warnSeBp": (float, 1.0, _NON_NEGATIVE),
-    "workers": (int, 1, _AT_LEAST_ONE),
+    "workers": (int, 1, _AT_LEAST_ONE, (lambda v: v <= 64, "must be <= 64")),  # one thread each
     "antithetic": (bool, True),
     "pde": (dict, None),
 }

@@ -15,8 +15,12 @@ Under the affine bond formula ``P(t, T) = A(t, T) exp(-x B(t, T))`` a book
 is linear in the bonds on the union of its payment dates.  So each book is
 netted once per run into ``(grid row, date)`` arrays: a constant ``c_k`` and
 one weight per date with ``A`` folded in, zero once the date is paid, so
-``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)`` is the exact kernel; a
-posted-collateral book is a second weight row.
+``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)`` is the exact kernel.  Several
+books can be netted side by side, one weight row each.  A pathwise-discounted
+bond is a martingale, so each book's discounted mean at ``t_k`` is known
+exactly: ``c_k P(0, t_k) + w_k @ P(0, T)``, today's value of its remaining
+flows.  The posted-collateral book needs nothing else: its discounted mean
+is this closed form, and it is never revalued on a path.
 
 ``f_k`` is an entire function of one scalar, so a chunk of grid rows is
 revalued through Chebyshev proxies rather than one exponential per (path,
@@ -35,10 +39,16 @@ where the exact kernel spends up to 120 exponentials per path.  Rows where
 every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
 have nothing to fit and take the exact value.
 
-Exposure profiles report the Monte Carlo means of the pathwise-discounted
-positive and negative parts of the value, with standard errors computed on
-antithetic-pair means when antithetic sampling is on.  Only a block's drawn
-half is then simulated: each twin path is the exact negation of its drawn
+Exposure profiles report the Monte Carlo means of the positive and
+negative parts of the pathwise-discounted value ``v``, each priced with the
+known mean of ``v`` as a control variate (Glasserman, *Monte Carlo Methods
+in Financial Engineering*, 2004, section 4.1): ``epe = mean(v+) - beta
+(mean(v) - forward)`` with ``beta = C(v+, v) / M2(v)`` over the same
+sampling units, and likewise ``ene``.  Their standard errors are those of
+the residual, ``M2(v+) - beta C(v+, v)``, on antithetic-pair means when
+antithetic sampling is on; where every unit agrees (``M2(v) = 0``) ``beta``
+is 0 and the plain mean remains.  With antithetic sampling only a block's
+drawn half is simulated: each twin path is the exact negation of its drawn
 path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
 ``mid_k`` is 0), its value is ``E - s G`` and its discount factor is
 ``exp(-(shift - y))``, each bit for bit what stepping the twin would give.
@@ -118,23 +128,32 @@ class _NettedPlan:
     is ``(rows, books, dates)`` over the union of the books' payment dates.
     A date is live after ``t + 1e-12`` (paid at ``t`` it is not); a dead date has
     zero weight and zero ``neg_b``.  ``b_max`` is each row's largest live
-    ``B``, 0 with none live.  Indexing selects rows.
+    ``B``, 0 with none live.  ``forward`` ``(rows, books)`` is each book's
+    discounted mean ``E[D_t f_k(x_t)]``, today's value of its remaining flows.
+    Indexing selects rows.
     """
 
     const: np.ndarray
     neg_b: np.ndarray
     wa: np.ndarray
     b_max: np.ndarray
+    forward: np.ndarray
 
     def __len__(self) -> int:
         return len(self.b_max)
 
     def __getitem__(self, rows) -> "_NettedPlan":
-        return _NettedPlan(self.const[rows], self.neg_b[rows], self.wa[rows], self.b_max[rows])
+        return _NettedPlan(self.const[rows], self.neg_b[rows], self.wa[rows], self.b_max[rows],
+                           self.forward[rows])
 
 
 def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> _NettedPlan:
-    """Each book netted once, at every grid point, into the affine kernel's arrays."""
+    """Each book netted once, at every grid point, into the affine kernel's arrays.
+
+    ``E[D_t P(t, T)] = P(0, T)``, so ``forward`` takes the weights before
+    ``A`` is folded in: ``c_k P(0, t_k) + sum_j w_kj P(0, T_j)`` over the
+    live dates.
+    """
     times = [s.payment_times() for book in books for s in book]
     dates = np.unique(np.concatenate([np.empty(0), *times]))
     weights = np.zeros((len(books), len(dates)))
@@ -148,10 +167,13 @@ def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> _N
     g = np.asarray(grid, dtype=float)
     log_a, b = model.affine(curve, g[:, None], dates[None, :])
     live = dates[None, :] > g[:, None] + 1e-12
-    return _NettedPlan(const=np.where(live[:, None], last, 0.0).sum(axis=2),
+    const = np.where(live[:, None], last, 0.0).sum(axis=2)
+    return _NettedPlan(const=const,
                        neg_b=np.where(live, -b, 0.0),
                        wa=np.where(live[:, None], weights * np.exp(log_a)[:, None], 0.0),
-                       b_max=np.max(b, axis=1, where=live, initial=0.0))
+                       b_max=np.max(b, axis=1, where=live, initial=0.0),
+                       forward=(const * curve.df(g)[:, None]
+                                + np.where(live[:, None], weights, 0.0) @ curve.df(dates)))
 
 
 def _revalue(x: np.ndarray, plan: _NettedPlan) -> np.ndarray:
@@ -322,10 +344,12 @@ class ExposureProfile:
     """Discounted expected exposure of a netting set on a time grid.
 
     ``epe``/``ene`` are the means of the pathwise-discounted positive and
-    negative value parts (so ``epe + ene`` is the discounted mean value); the
-    undiscounted mean value feeds the capital rules.
-    Standard errors are per grid point, on independent sampling units
-    (antithetic pairs when antithetic sampling is on).
+    negative value parts, each estimated with the book's known discounted
+    mean as a control variate (so ``epe + ene`` is that mean, to rounding,
+    wherever the value varies); the undiscounted mean value feeds the
+    capital rules.  Standard errors are per grid point, of the control
+    variate's residual on independent sampling units (antithetic pairs when
+    antithetic sampling is on).
     """
 
     grid: np.ndarray
@@ -335,7 +359,7 @@ class ExposureProfile:
     se_epe: np.ndarray
     se_ene: np.ndarray
     n_paths: int
-    collateral: np.ndarray | None = None  # the posted book's discounted mean, same paths
+    collateral: np.ndarray | None = None  # the posted book's discounted mean, exact
 
     def __post_init__(self):
         n = len(self.grid)
@@ -351,29 +375,52 @@ def make_exposure_grid(maturity: float, frequency: int, points_per_year: int = 4
     return np.union1d(np.round(uniform, 12), np.round(pay, 12))
 
 
+# The co-moments kept per row, as index pairs into the means of (pos, neg, v):
+# each one's centred sum of squares M2, then C(pos, v) and C(neg, v).
+_LEFT, _RIGHT = [0, 1, 2, 0, 1], [0, 1, 2, 2, 2]
+
+
 def _moments(units: np.ndarray):
-    """Per-row (count, mean, centred sum of squares); overwrites ``units``."""
-    first = units[:, :1].copy()
+    """Per-row (count, means, co-moments) of the parts stacked ``(2, rows, m)``; overwrites ``units``.
+
+    The means ``(3, rows)`` and co-moments ``(5, rows)`` are those of
+    the parts and of their sum ``v``, whose moments follow from the parts'
+    with their cross moment ``C(pos, neg)``: ``M2_v = M2_pos + M2_neg + 2 C``
+    and ``C(pos, v) = M2_pos + C``.  A part that is 0 on every unit leaves
+    ``v``'s moments bit for bit those of the other part.
+    """
+    first = units[..., :1].copy()
     units -= first  # shifted first, a row of equal values centres to exactly 0
-    shift = units.mean(axis=1, keepdims=True)
+    shift = units.mean(axis=-1, keepdims=True)
     units -= shift
-    return units.shape[1], (first + shift)[:, 0], np.square(units, out=units).sum(axis=1)
+    cross = np.multiply(units[0], units[1]).sum(axis=-1)
+    mean, co = np.empty((3, units.shape[1])), np.empty((len(_LEFT), units.shape[1]))
+    np.add(first, shift, out=mean[:2, :, None])
+    np.add(mean[0], mean[1], out=mean[2])
+    np.square(units, out=units).sum(axis=-1, out=co[:2])
+    np.add(co[0], co[1], out=co[2])
+    co[2] += 2.0 * cross
+    np.add(co[:2], cross, out=co[3:])
+    return units.shape[-1], mean, co
 
 
 def _merge_moments(a, b):
-    """Chan, Golub & LeVeque's (1983) pairwise update of two ``_moments`` triples."""
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
+    """Chan, Golub & LeVeque's (1983) pairwise update of two ``_moments`` triples,
+    in its covariance form: ``C = C_a + C_b + delta_x delta_y n_a n_b / n``."""
+    n_a, mean_a, co_a = a
+    n_b, mean_b, co_b = b
     n = n_a + n_b
     delta = mean_b - mean_a
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)
+    return (n, mean_a + delta * (n_b / n),
+            co_a + co_b + delta[_LEFT] * delta[_RIGHT] * (n_a * n_b / n))
 
 
 def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool) -> dict:
     """Per-block accumulators for one simulated block.
 
     ``values_by_point`` and ``discount`` have shape (n_points, n_paths_in_block);
-    the discounted value's positive and negative parts are reduced stacked.
+    the discounted value's positive and negative parts are reduced stacked,
+    and ``units`` holds their moments and those of their sum.
     """
     rows, n = values_by_point.shape
     parts = np.empty((2, rows, n))
@@ -385,14 +432,12 @@ def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: 
     if antithetic:
         units = np.add(parts[..., :n // 2], parts[..., n // 2:])
         units *= 0.5
-    count, mean, m2 = _moments(units.reshape(2 * rows, -1))  # may overwrite parts
     return {
         "n": n,
         "sum_dv_pos": sums[0],
         "sum_dv_neg": sums[1],
         "sum_v": values_by_point.sum(axis=1),
-        "unit_pos": (count, mean[:rows], m2[:rows]),
-        "unit_neg": (count, mean[rows:], m2[rows:]),
+        "units": _moments(units),  # may overwrite parts
     }
 
 
@@ -402,41 +447,42 @@ def _join_rows(chunks: tuple[dict, ...]) -> dict:
     for key, first in chunks[0].items():
         if key == "n":
             joined[key] = first
-        elif key.startswith("unit_"):  # (count, per-row mean, per-row M2)
-            joined[key] = (first[0], *map(np.concatenate, zip(*(c[key][1:] for c in chunks))))
+        elif key == "units":  # (count, per-row means, per-row co-moments)
+            joined[key] = (first[0], *(np.concatenate(rows, axis=-1)
+                                       for rows in zip(*(c[key][1:] for c in chunks))))
         else:
             joined[key] = np.concatenate([c[key] for c in chunks])
     return joined
 
 
-def _sum_blocks(parts: list[dict]) -> dict:
-    """Blocks' accumulators summed (moments merged) in block order."""
+def _reduce(parts: list[dict], grid: np.ndarray, forward: np.ndarray) -> ExposureProfile:
+    """Ordered reduction over blocks, which keeps results worker-count invariant.
+
+    Each part is estimated with the known discounted mean ``forward`` as its
+    control variate (see the module docstring); ``beta`` is 0 where
+    ``M2_v`` is.
+    """
     acc = dict(parts[0])
     for part in parts[1:]:
         for key, value in part.items():
-            acc[key] = (_merge_moments(acc[key], value) if key.startswith("unit_")
-                        else acc[key] + value)
-    return acc
-
-
-def _reduce(parts: list[dict], grid: np.ndarray) -> ExposureProfile:
-    """Ordered reduction over blocks, which keeps results worker-count invariant."""
-    acc = _sum_blocks(parts)
+            acc[key] = _merge_moments(acc[key], value) if key == "units" else acc[key] + value
     n = acc["n"]
+    n_units, _, co = acc["units"]
+    m2_v = co[2]
+    excess = (acc["sum_dv_pos"] + acc["sum_dv_neg"]) / n - forward
 
-    def _se(moments):
-        n_units, _, m2 = moments
-        return np.sqrt(m2 / (n_units - 1) / n_units) if n_units > 1 else np.zeros_like(m2)
+    def _estimate(total, m2, c):
+        beta = np.divide(c, m2_v, out=np.zeros_like(c), where=m2_v > 0)
+        if n_units > 1:
+            se = np.sqrt(np.maximum(m2 - beta * c, 0.0) / (n_units - 1) / n_units)
+        else:
+            se = np.zeros_like(m2)
+        return total / n - beta * excess, se
 
-    return ExposureProfile(
-        grid=grid,
-        epe=acc["sum_dv_pos"] / n,
-        ene=acc["sum_dv_neg"] / n,
-        mean_value_undiscounted=acc["sum_v"] / n,
-        se_epe=_se(acc["unit_pos"]),
-        se_ene=_se(acc["unit_neg"]),
-        n_paths=n,
-    )
+    epe, se_epe = _estimate(acc["sum_dv_pos"], co[0], co[3])
+    ene, se_ene = _estimate(acc["sum_dv_neg"], co[1], co[4])
+    return ExposureProfile(grid=grid, epe=epe, ene=ene, mean_value_undiscounted=acc["sum_v"] / n,
+                           se_epe=se_epe, se_ene=se_ene, n_paths=n)
 
 
 def exposure_profile(
@@ -453,16 +499,13 @@ def exposure_profile(
     """Monte Carlo exposure profile of the netted uncollateralized swaps.
 
     ``swaps`` is a sequence of SwapSpec; collateralized swaps contribute
-    nothing here.  Swaps in ``collateral_book`` are valued on the
-    same paths, whatever their flag, into the result's ``collateral``, the
-    book's discounted mean value.  Streams each deterministic block in
-    ``CHUNK_ROWS`` row chunks, never materializing a block's paths.
+    nothing here.  The result's ``collateral`` is the discounted mean value
+    of the swaps in ``collateral_book``, whatever their flag, in closed form.
+    Streams each deterministic block in ``CHUNK_ROWS`` row chunks, never
+    materializing a block's paths.
     """
     g = _validate_grid(grid)
-    live = tuple(s for s in swaps if not s.collateralized)
-    posted = tuple(collateral_book)
-    books = [live, posted] if posted else [live]
-    plan = _netted_plan(books, model, curve, g)
+    plan = _netted_plan([tuple(s for s in swaps if not s.collateralized)], model, curve, g)
     steps = _step_table(model, g)
     int_shift = np.asarray(model._integrated_shift(curve, g))[:, None]
 
@@ -471,9 +514,9 @@ def exposure_profile(
         n_draw = len(draws)  # with antithetic sampling, twins fill columns n_draw onward
         x, y = np.zeros((2, CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
         z = np.empty((CHUNK_ROWS, 3, n_draw))
-        values = np.empty((len(books), CHUNK_ROWS, size))
+        values = np.empty((1, CHUNK_ROWS, size))
         discount = np.empty((CHUNK_ROWS, size))
-        chunks, posted_sums = [], []
+        chunks = []
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(steps, draws, k0, x, y, z)
@@ -484,16 +527,10 @@ def exposure_profile(
                 np.subtract(y[:rows], shift, out=d[:, n_draw:])
             np.exp(d, out=d)
             chunks.append(_block_stats(values[0, :rows], d, antithetic))
-            if posted:  # only its discounted mean is used: keep the two signed sums
-                dv = values[1, :rows] * d
-                posted_sums.append({"n": size, "sum_dv_pos": np.maximum(dv, 0.0).sum(axis=1),
-                                    "sum_dv_neg": np.minimum(dv, 0.0, out=dv).sum(axis=1)})
             x[0], y[0] = x[rows], y[rows]
-        return _join_rows(chunks), _join_rows(posted_sums) if posted else None
+        return _join_rows(chunks)
 
-    parts = map_blocks(run_block, n_paths, antithetic, n_workers)
-    profile = _reduce([p[0] for p in parts], g)
-    if posted:
-        acc = _sum_blocks([p[1] for p in parts])
-        profile.collateral = acc["sum_dv_pos"] / acc["n"] + acc["sum_dv_neg"] / acc["n"]
+    profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, plan.forward[:, 0])
+    if collateral_book:
+        profile.collateral = _netted_plan([tuple(collateral_book)], model, curve, g).forward[:, 0]
     return profile

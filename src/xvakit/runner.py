@@ -53,7 +53,7 @@ def run_config(config: RunConfig) -> RunResult:
     frequency = max(s.frequency for s in config.swaps)
     grid = make_exposure_grid(horizon, frequency)
     # Collateral held equals the collateralized legs' value; its expected
-    # discounted profile, priced on the same paths, feeds the collateral-spread carry.
+    # discounted profile, in closed form, feeds the collateral-spread carry.
     posted = tuple(s for s in config.swaps if s.collateralized) if config.collateral_spread else ()
     profile = exposure_profile(
         config.swaps, model, curve, grid,

@@ -295,7 +295,7 @@ class TestRowsAreSweepsOfOne:
     def test_each_csv_line_equals_the_line_of_its_key_run_alone(self, dial, values):
         """A 2 psi x 2 xi x 2 phi x 2 rating run against its 16 one-row runs."""
         raw = small_config(psi=[0.0, 0.5], phi=[0.0, 1.0], ratings=["AAA", "BB"], paths=400,
-                           collateralSpread=0.001, warnSeBp=3.0)
+                           collateralSpread=0.001, warnSeBp=1.0)
         raw.pop("priceOfRiskXi")
         cfg, diags = validate_config(dict(raw, **{dial: values}))
         assert not diags
@@ -616,7 +616,11 @@ class TestCli:
         # On schedule, so without the bound a run asks for a 58 TiB array.
         # Checked by validation alone: never run.
         (config_with(("swaps", 0, "maturity"), 1e6), "swaps[0].maturity: must be <= 100"),
-    ], ids=[*OUT_OF_RANGE, "huge-maturity"])
+        # Each worker is an OS thread, and each block's accumulators are kept
+        # to the end: never run either.
+        (config_with(("workers",), 65), "workers: must be <= 64"),
+        (config_with(("paths",), 100_000_002), "paths: must be <= 100000000"),
+    ], ids=[*OUT_OF_RANGE, "huge-maturity", "too-many-workers", "too-many-paths"])
     def test_validate_out_of_range_is_the_one_diagnostic(self, tmp_path, capsys, raw,
                                                          diagnostic):
         config = tmp_path / "run.json"

@@ -36,6 +36,7 @@ INVALID = [
     (("ratingTable",), {"BB": {"cdsSpreadBp": 250, "riskWeight": 1e308, "cvaWeight": 0.02}}),
     (("ratingTable",), {"BB": {"cdsSpreadBp": 250, "riskWeight": 1.0, "cvaWeight": 1e308}}),
     (("mLambda",), [-1e308]),  # in place of priceOfRiskXi
+    (("workers",), 65), (("paths",), 100_000_002),  # refused before any thread starts
 ]
 
 

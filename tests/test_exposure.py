@@ -150,21 +150,20 @@ def reference_fit(x, plan, twins):
 
 
 def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, posted=()):
-    """Whole blocks through simulate, revalue, discount, ``_block_stats`` and ``_reduce``."""
-    books = [book, posted] if posted else [book]
-    plan = _netted_plan(books, model, curve, grid)
+    """Whole blocks through simulate, revalue, discount, ``_block_stats`` and ``_reduce``;
+    the posted book's discounted mean from its plan alone."""
+    plan = _netted_plan([book], model, curve, grid)
     int_shift = np.asarray(model._integrated_shift(curve, grid))[:, None]
     parts = []
     for idx, size in enumerate(_block_sizes(n_paths)):
         x, y = reference_block(model, grid, size, seed, idx, antithetic)
-        values = np.empty((len(books), len(grid), size))
+        values = np.empty((1, len(grid), size))
         revalue_in_chunks(x, plan, values)
         discount = np.exp(-(y + int_shift))
-        parts.append([_block_stats(v, discount, antithetic) for v in values])
-    profile = _reduce([p[0] for p in parts], grid)
+        parts.append(_block_stats(values[0], discount, antithetic))
+    profile = _reduce(parts, grid, plan.forward[:, 0])
     if posted:
-        collateral = _reduce([p[1] for p in parts], grid)
-        profile.collateral = collateral.epe + collateral.ene
+        profile.collateral = _netted_plan([posted], model, curve, grid).forward[:, 0]
     return profile
 
 
@@ -185,6 +184,58 @@ def per_swap_sum(book, model, curve, t, x):
     """Reference revaluation: one swap_value per live swap."""
     return sum((swap_value(s, model, curve, t, x) for s in book
                 if t <= s.maturity + 1e-12), np.zeros_like(x))
+
+
+def forward_value(book, curve, t):
+    """Today's value of the live swaps' remaining flows: the book's discounted mean at ``t``.
+
+    ``sign * notional * [P(0, t) - P(0, T_end) - fixed * sum P(0, T_j) / frequency]``
+    per swap, from the curve alone.
+    """
+    total = 0.0
+    for s in book:
+        times = s.payment_times()
+        alive = times[times > t + 1e-12]
+        if len(alive):
+            total += s.sign * s.notional * (float(curve.df(t)) - float(curve.df(alive[-1]))
+                                             - s.fixed_rate * float(curve.df(alive).sum())
+                                             / s.frequency)
+    return total
+
+
+def book_dv(book, model, curve, grid, paths):
+    """Whole-path discounted values ``(grid, paths)`` of the netted book."""
+    return np.array([portfolio_value(book, model, curve, float(t), paths.factor[:, k])
+                     for k, t in enumerate(grid)]) * paths.discount.T
+
+
+def pair_units(part, n_paths, antithetic):
+    """Sampling units of whole-path rows: with antithetic sampling, the means of each
+    block's two halves (a drawn path and its twin); otherwise the paths."""
+    if not antithetic:
+        return part
+    blocks = np.split(part, np.cumsum(_block_sizes(n_paths))[:-1], axis=1)
+    return np.hstack([0.5 * (b[:, :b.shape[1] // 2] + b[:, b.shape[1] // 2:]) for b in blocks])
+
+
+def control_variate(dv, n_paths, antithetic, forward):
+    """Whole-path reference of the profile's estimator: for the positive and the
+    negative part, ``mean(part) - beta (mean(dv) - forward)`` with ``beta = C(part, v) /
+    M2(v)`` over the units (0 where ``M2(v)`` is), and the residual's standard error
+    ``sqrt((M2(part) - beta C(part, v)) / ((m - 1) m))``."""
+    parts = (np.maximum(dv, 0.0), np.minimum(dv, 0.0))
+    units = [pair_units(p, n_paths, antithetic) for p in parts]
+    centred = [u - u.mean(axis=1, keepdims=True) for u in (*units, units[0] + units[1])]
+    m2_v = (centred[2] ** 2).sum(axis=1)
+    m = units[0].shape[1]
+    out = []
+    for part, c in zip(parts, centred):
+        cov = (c * centred[2]).sum(axis=1)
+        beta = np.divide(cov, m2_v, out=np.zeros_like(cov), where=m2_v > 0)
+        residual = np.maximum((c * c).sum(axis=1) - beta * cov, 0.0)
+        out.append((part.mean(axis=1) - beta * (dv.mean(axis=1) - forward),
+                    np.sqrt(residual / ((m - 1) * m))))
+    return out
 
 
 class TestSwapSpec:
@@ -398,32 +449,25 @@ class TestNettedKernel:
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=13)
         values = np.array([per_swap_sum(MIXED_BOOK, model, SLOPED, float(t), paths.factor[:, k])
                            for k, t in enumerate(MIXED_GRID)])
-        dv = values * paths.discount.T
-        expected = {
-            "epe": np.maximum(dv, 0.0).mean(axis=1),
-            "ene": np.minimum(dv, 0.0).mean(axis=1),
-            "mean_value_undiscounted": values.mean(axis=1),
-        }
+        forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
+        (epe, _), (ene, _) = control_variate(values * paths.discount.T, n_paths, True, forward)
+        expected = {"epe": epe, "ene": ene, "mean_value_undiscounted": values.mean(axis=1)}
         for name, reference in expected.items():
             np.testing.assert_allclose(getattr(profile, name), reference,
                                        rtol=1e-12, atol=1e-12 * GROSS)
 
-    def test_collateral_book_priced_on_the_same_paths(self, model):
+    def test_collateral_is_the_posted_books_discounted_mean(self, model):
         posted = (SwapSpec(notional=90.0, fixed_rate=0.021, maturity=7.0, frequency=4,
                            payer=False, collateralized=True),)
         book = MIXED_BOOK + posted
         joint = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2,
                                  collateral_book=posted)
         alone = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2)
-        # The two-call form: the posted legs re-simulated as an uncollateralized book.
-        separate = exposure_profile(tuple(replace(s, collateralized=False) for s in posted),
-                                    model, SLOPED, MIXED_GRID, 4000, seed=19)
         assert alone.collateral is None
-        np.testing.assert_allclose(joint.collateral, separate.epe + separate.ene,
-                                   rtol=1e-12, atol=1e-12 * 90.0)
-        for name in ("epe", "ene", "mean_value_undiscounted", "se_epe", "se_ene"):
-            np.testing.assert_allclose(getattr(joint, name), getattr(alone, name),
-                                       rtol=1e-12, atol=1e-12 * GROSS)
+        expected = [forward_value(posted, SLOPED, t) for t in MIXED_GRID]
+        np.testing.assert_allclose(joint.collateral, expected, rtol=1e-12, atol=1e-12 * 90.0)
+        joint.collateral = None  # the posted book is never revalued on a path
+        assert_identical(joint, alone)
 
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_standard_errors_match_unit_sample_std(self, model, antithetic):
@@ -432,18 +476,38 @@ class TestNettedKernel:
                                    antithetic=antithetic, n_workers=2)
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23,
                                antithetic=antithetic)
-        dv = np.array([portfolio_value(MIXED_BOOK, model, SLOPED, float(t), paths.factor[:, k])
-                       for k, t in enumerate(MIXED_GRID)]) * paths.discount.T
-        for name, part in (("se_epe", np.maximum(dv, 0.0)), ("se_ene", np.minimum(dv, 0.0))):
-            units = part
-            if antithetic:  # twins are the two halves of each block
-                blocks = np.split(part, [BLOCK_SIZE, 2 * BLOCK_SIZE], axis=1)
-                units = np.hstack([0.5 * (b[:, :b.shape[1] // 2] + b[:, b.shape[1] // 2:])
-                                   for b in blocks])
-            expected = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
+        dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths)
+        forward = _netted_plan([MIXED_BOOK], model, SLOPED, MIXED_GRID).forward[:, 0]
+        for name, (_, expected) in zip(("se_epe", "se_ene"),
+                                       control_variate(dv, n_paths, antithetic, forward)):
             np.testing.assert_allclose(getattr(profile, name), expected, rtol=1e-12, atol=1e-15)
             # Every path starts at the same value, so the error there is exactly 0.
             assert getattr(profile, name)[0] == 0.0
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("case", ["mixed", "long-book"])
+    def test_whole_path_mean_matches_the_control_mean(self, model, case, antithetic):
+        """A wrong ``forward`` would bias ``epe`` and ``ene`` silently: the mean
+        discounted value of whole paths must lie within 4 s.e. of it at every row."""
+        book, grid = STREAM_CASES[case]
+        n_paths = 2 * BLOCK_SIZE + 1000
+        paths = simulate_paths(model, SLOPED, grid, n_paths, seed=59, antithetic=antithetic)
+        units = pair_units(book_dv(book, model, SLOPED, grid, paths), n_paths, antithetic)
+        se = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
+        error = np.abs(units.mean(axis=1) - _netted_plan([book], model, SLOPED, grid).forward[:, 0])
+        gross = sum(s.notional for s in book)
+        assert np.all(error <= 4 * se + 1e-12 * gross), np.max(error / (se + 1e-300))
+
+    def test_row_positive_on_every_path_is_the_forward(self, model, quarterly_grid):
+        # A deep in-the-money receiver: its value is positive on every path until
+        # maturity, so dv+ is v itself, beta is 1 and epe is the control mean.
+        receiver = SwapSpec(notional=100.0, fixed_rate=0.2, maturity=10.0, payer=False)
+        profile = exposure_profile((receiver,), model, FLAT, quarterly_grid, 4000, seed=61)
+        forward = _netted_plan([(receiver,)], model, FLAT, quarterly_grid).forward[:, 0]
+        live = quarterly_grid < 10.0
+        assert np.all(profile.ene == 0.0) and np.all(profile.se_ene == 0.0)
+        np.testing.assert_allclose(profile.epe[live], forward[live], rtol=1e-13)
+        assert np.all(profile.se_epe <= 1e-12 * forward[0])
 
     @staticmethod
     def proxy_block(book, model, grid, antithetic, seed=29):
