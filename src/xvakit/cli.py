@@ -5,9 +5,9 @@
     xva pde-verify <config|preset> cross-check the PDE solver against quadrature
 
 ``<config>`` is a JSON file or one of the built-in presets (base-case,
-warehouse-pos, warehouse-neg).  Exit codes: 0 success, 1 validation failure,
-2 numerical tolerance breach, 3 I/O failure, 4 internal error (any other
-exception, reported as one stderr line).
+warehouse-pos, warehouse-neg).  Exit codes: 0 success, 1 validation failure
+(a usage error too), 2 numerical tolerance breach, 3 I/O failure, 4 internal
+error (any other exception, reported as one stderr line).
 
 ``run`` and ``validate`` import only numpy; scipy is loaded by the PDE solver
 on the first ``pde-verify`` solve.
@@ -32,8 +32,23 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
+class _Failure(Exception):
+    """An expected failure: its message goes to stderr and ``main`` returns its code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other bad input, not argparse's 2 (a tolerance breach)."""
+
+    def error(self, message):
+        raise _Failure(EXIT_VALIDATION, f"{self.prog}: error: {' '.join(message.split())}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="xva", description=__doc__)
+    parser = _Parser(prog="xva", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a run configuration")
@@ -53,19 +68,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Failure(Exception):
-    """An expected failure: its message goes to stderr and ``main`` returns its code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _load(path: str, overrides: dict | None = None):
     try:
         return load_config(path, overrides)
-    except FileNotFoundError as exc:
-        raise _Failure(EXIT_IO, str(exc)) from None
+    except OSError as exc:  # the configuration file's own; a market file's is a ConfigError
+        raise _Failure(EXIT_IO, f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
 def _cmd_run(args) -> int:
@@ -136,8 +143,8 @@ _COMMANDS = {"run": _cmd_run, "validate": _cmd_validate, "pde-verify": _cmd_pde_
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _Failure as exc:
         print(exc, file=sys.stderr)

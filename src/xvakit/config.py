@@ -271,16 +271,28 @@ def _number_list(raw: list, name: str, diags: list[str]) -> list[float]:
     return out
 
 
+def _read_json(path: Path):
+    """The JSON document in the file at ``path``: ``OSError`` if it cannot be
+    read, ``ValueError`` saying where if it is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 def _validate_market(raw, base_dir: Path | None, diags: list[str]) -> MarketConfig | None:
     if isinstance(raw, str):
         path = (base_dir or Path.cwd()) / raw
-        if not path.exists():
+        try:
+            raw = _read_json(path)
+        except FileNotFoundError:
             diags.append(f"market: file not found: {path}")
             return None
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            diags.append(f"market: {path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        except OSError as exc:
+            diags.append(f"market: cannot read {path}: {exc.strerror}")
+            return None
+        except ValueError as exc:
+            diags.append(f"market: {path}: {exc}")
             return None
     if not isinstance(raw, dict):
         diags.append("market: expected object or file path")
@@ -433,20 +445,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Load and validate a configuration file (or named preset).
 
     ``overrides`` replace top-level fields before validation, so they pass the
-    same checks as the file's own.
+    same checks as the file's own.  A file that cannot be read raises ``OSError``.
     """
     if str(path) in _PRESET_PSI_XI:
         psi, xi = _PRESET_PSI_XI[str(path)]
         raw, base_dir = dict(_PRESET, psi=[psi], priceOfRiskXi=[xi]), None
     else:
         p = Path(path)
-        if not p.exists():
-            raise FileNotFoundError(f"configuration file not found: {p}")
         try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                               f"{exc.msg}"])
+            raw = _read_json(p)
+        except ValueError as exc:
+            raise ConfigError([f"{p}: {exc}"]) from None
         base_dir = p.parent
     if overrides and isinstance(raw, dict):
         raw.update(overrides)

@@ -12,15 +12,16 @@ the revaluation state-free (no fixing carried along the path) and makes the
 payer/receiver symmetry exact pathwise.
 
 Under the affine bond formula ``P(t, T) = A(t, T) exp(-x B(t, T))`` a book
-is linear in the bonds on the union of its payment dates.  So each book is
+is linear in the bonds on the union of its payment dates.  So the book is
 netted once per run into ``(grid row, date)`` arrays: a constant ``c_k`` and
 one weight per date with ``A`` folded in, zero once the date is paid, so
-``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)`` is the exact kernel.  Several
-books can be netted side by side, one weight row each.  A pathwise-discounted
-bond is a martingale, so each book's discounted mean at ``t_k`` is known
-exactly: ``c_k P(0, t_k) + w_k @ P(0, T)``, today's value of its remaining
-flows.  The posted-collateral book needs nothing else: its discounted mean
-is this closed form, and it is never revalued on a path.
+``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)`` is the exact kernel.  Two of its
+means are closed forms.  A pathwise-discounted bond is a martingale, so the
+discounted mean at ``t_k`` is ``c_k P(0, t_k) + w_k @ P(0, T)``, today's
+value of the remaining flows; the posted-collateral book needs nothing else
+and is never revalued on a path.  Under Q, ``x_t ~ N(0, v_k)`` with
+``v_k = sigma^2 B(2 t_k) / 2``, so the undiscounted mean, the expected MtM
+that the capital rules read, is ``c_k + (w_k A_k) @ exp(B_k^2 v_k / 2)``.
 
 ``f_k`` is an entire function of one scalar, so a chunk of grid rows is
 revalued through Chebyshev proxies rather than one exponential per (path,
@@ -53,11 +54,11 @@ path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
 ``mid_k`` is 0), its value is ``E - s G`` and its discount factor is
 ``exp(-(shift - y))``, each bit for bit what stepping the twin would give.
 A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk
-is simulated, revalued, discounted and reduced to per-row sums and moments
-while it is in a core's cache, so apart from its normal draws a block never
-holds a ``(grid x block)`` array.  Chunks start at multiples of
-``CHUNK_ROWS``, as the Chebyshev term count is chosen per chunk.  Blocks are
-reduced in index order, so a profile is byte-identical for a given seed no
+is simulated, revalued, discounted and reduced to per-row moments while it
+is in a core's cache, so apart from its normal draws a block never holds a
+``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
+the Chebyshev term count is chosen per chunk.  Blocks are merged in index
+order as they finish, so a profile is byte-identical for a given seed no
 matter how many workers ran.
 """
 
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -122,15 +123,15 @@ class SwapSpec:
 
 @dataclass(frozen=True)
 class _NettedPlan:
-    """Books netted per grid row: ``f_k(x) = const[k] + wa[k] @ exp(neg_b[k] x)`` per book.
+    """A book netted per grid row: ``f_k(x) = const[k] + wa[k] @ exp(neg_b[k] x)``.
 
-    ``const`` is ``(rows, books)``, ``neg_b`` is ``(rows, dates)`` and ``wa``
-    is ``(rows, books, dates)`` over the union of the books' payment dates.
-    A date is live after ``t + 1e-12`` (paid at ``t`` it is not); a dead date has
-    zero weight and zero ``neg_b``.  ``b_max`` is each row's largest live
-    ``B``, 0 with none live.  ``forward`` ``(rows, books)`` is each book's
-    discounted mean ``E[D_t f_k(x_t)]``, today's value of its remaining flows.
-    Indexing selects rows.
+    ``const`` is ``(rows,)``, and ``neg_b`` and ``wa`` are ``(rows, dates)``
+    over the union of the swaps' payment dates.  A date is live after
+    ``t + 1e-12`` (paid at ``t`` it is not); a dead date has zero weight and
+    zero ``neg_b``.  ``b_max`` is each row's largest live ``B``, 0 with none
+    live.  ``forward`` is the discounted mean ``E[D_t f_k(x_t)]``, today's
+    value of the remaining flows, and ``expected`` the undiscounted mean
+    ``E[f_k(x_t)]``.  Indexing selects rows.
     """
 
     const: np.ndarray
@@ -138,56 +139,55 @@ class _NettedPlan:
     wa: np.ndarray
     b_max: np.ndarray
     forward: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.b_max)
+    expected: np.ndarray
 
     def __getitem__(self, rows) -> "_NettedPlan":
-        return _NettedPlan(self.const[rows], self.neg_b[rows], self.wa[rows], self.b_max[rows],
-                           self.forward[rows])
+        return _NettedPlan(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def _netted_plan(books, model: ShortRateModel, curve: DiscountCurve, grid) -> _NettedPlan:
-    """Each book netted once, at every grid point, into the affine kernel's arrays.
+def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _NettedPlan:
+    """The swaps of ``book`` netted once, at every grid point, into the affine kernel's arrays.
 
     ``E[D_t P(t, T)] = P(0, T)``, so ``forward`` takes the weights before
     ``A`` is folded in: ``c_k P(0, t_k) + sum_j w_kj P(0, T_j)`` over the
-    live dates.
+    live dates.  Under Q, ``x_t ~ N(0, v_k)`` with ``v_k = sigma^2 B(2 t_k) / 2``
+    and ``E[exp(-B x_t)] = exp(B^2 v_k / 2)``, so ``expected`` is
+    ``c_k + sum_j wa_kj exp(B_kj^2 v_k / 2)``.
     """
-    times = [s.payment_times() for book in books for s in book]
-    dates = np.unique(np.concatenate([np.empty(0), *times]))
-    weights = np.zeros((len(books), len(dates)))
-    last = np.zeros((len(books), len(dates)))  # sign * notional ending on each date
-    for j, book in enumerate(books):
-        for s in book:
-            idx = np.searchsorted(dates, s.payment_times())
-            weights[j, idx] -= s.sign * s.notional * s.fixed_rate / s.frequency
-            weights[j, idx[-1:]] -= s.sign * s.notional
-            last[j, idx[-1:]] += s.sign * s.notional
+    dates = np.unique(np.concatenate([np.empty(0), *(s.payment_times() for s in book)]))
+    weights = np.zeros(len(dates))
+    last = np.zeros(len(dates))  # sign * notional ending on each date
+    for s in book:
+        idx = np.searchsorted(dates, s.payment_times())
+        weights[idx] -= s.sign * s.notional * s.fixed_rate / s.frequency
+        weights[idx[-1:]] -= s.sign * s.notional
+        last[idx[-1:]] += s.sign * s.notional
     g = np.asarray(grid, dtype=float)
     log_a, b = model.affine(curve, g[:, None], dates[None, :])
-    live = dates[None, :] > g[:, None] + 1e-12
-    const = np.where(live[:, None], last, 0.0).sum(axis=2)
-    return _NettedPlan(const=const,
-                       neg_b=np.where(live, -b, 0.0),
-                       wa=np.where(live[:, None], weights * np.exp(log_a)[:, None], 0.0),
+    live = dates > g[:, None] + 1e-12
+    const = np.where(live, last, 0.0).sum(axis=1)
+    neg_b = np.where(live, -b, 0.0)
+    wa = np.where(live, weights * np.exp(log_a), 0.0)
+    s = model.sigma  # s * s is inf where a float's s ** 2 raises OverflowError
+    v = s * s * model.b_factor(2.0 * g)[:, None] / 2.0
+    return _NettedPlan(const=const, neg_b=neg_b, wa=wa,
                        b_max=np.max(b, axis=1, where=live, initial=0.0),
-                       forward=(const * curve.df(g)[:, None]
-                                + np.where(live[:, None], weights, 0.0) @ curve.df(dates)))
+                       forward=const * curve.df(g) + np.where(live, weights, 0.0) @ curve.df(dates),
+                       expected=const + np.sum(wa * np.exp(0.5 * v * neg_b * neg_b), axis=1))
 
 
 def _revalue(x: np.ndarray, plan: _NettedPlan) -> np.ndarray:
-    """The exact kernel at each row's points ``x`` ``(rows, m)``: shaped ``(books, rows, m)``."""
+    """The exact kernel at each row's points ``x`` ``(rows, m)``: shaped ``(rows, m)``."""
     e = np.multiply(plan.neg_b[:, :, None], x[:, None, :])
-    return (plan.const[:, :, None] + plan.wa @ np.exp(e, out=e)).transpose(1, 0, 2)
+    return plan.const[:, None] + (plan.wa[:, None, :] @ np.exp(e, out=e))[:, 0]
 
 
 def portfolio_value(
     swaps, model: ShortRateModel, curve: DiscountCurve, t: float, x: np.ndarray
 ) -> np.ndarray:
     """Netted value of several swaps on the same paths: one point of the kernel."""
-    plan = _netted_plan([tuple(swaps)], model, curve, [t])
-    return _revalue(np.atleast_1d(np.asarray(x, dtype=float))[None], plan)[0, 0]
+    plan = _netted_plan(tuple(swaps), model, curve, [t])
+    return _revalue(np.atleast_1d(np.asarray(x, dtype=float))[None], plan)[0]
 
 
 def _chebyshev_terms(r: float) -> int:
@@ -266,7 +266,7 @@ def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan, twins: bool):
 
     The exact kernel is evaluated at the nodes of every row's range in one
     call and one cosine matrix (a DCT-II) turns the values into coefficients
-    ``(books, rows, n)``, ``n`` the rows' largest term count.  Rows where
+    ``(rows, n)``, ``n`` the rows' largest term count.  Rows where
     every path agrees (``h_k = 0``) or no date is live have nothing to fit:
     their exact value at ``mid_k`` is the constant coefficient.  ``coef`` is
     None when a radius ``h_k B_k`` passes ``log`` of the largest float or is
@@ -284,13 +284,13 @@ def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan, twins: bool):
         return mid, half, None
     nodes, cosines = _chebyshev_basis(_chebyshev_terms(radius))
     coef = _revalue(mid[:, None] + half[:, None] * nodes, plan) @ cosines
-    coef[:, ~fit] = 0.0
-    coef[:, ~fit, 0] = 2.0 * _revalue(mid[~fit, None], plan[~fit])[..., 0]
+    coef[~fit] = 0.0
+    coef[~fit, 0] = 2.0 * _revalue(mid[~fit, None], plan[~fit])[:, 0]
     return mid, half, coef
 
 
 def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> None:
-    """The netted books at every path of grid-major rows ``x``, into ``out``.
+    """The netted book at every path of grid-major rows ``x``, into ``out``.
 
     When ``out`` is twice as wide as ``x``, its second half receives the
     antithetic twins, the paths at ``-x``.  Each row is fitted on its own
@@ -308,7 +308,7 @@ def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> Non
     ``_MAX_PROXY_ROUNDING`` and the chunk is valued by the exact kernel.
     """
     n_x = x.shape[1]
-    twins = out.shape[-1] > n_x
+    twins = out.shape[1] > n_x
     mid, half, coef = _chebyshev_fit(x, plan, twins)
     if coef is None:
         out[...] = np.nan
@@ -319,24 +319,24 @@ def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> Non
               > _MAX_PROXY_ROUNDING * np.abs(coef).sum(axis=-1)):
         points = np.hstack([x, -x]) if twins else x
         for k in range(len(x)):  # a row at a time bounds the kernel's (dates, paths) temporary
-            out[:, k] = _revalue(points[k:k + 1], plan[k:k + 1])[:, 0]
+            out[k] = _revalue(points[k:k + 1], plan[k:k + 1])[0]
         return
-    parts = np.zeros((2, *coef.shape[:2], (n + 1) // 2))  # E's and G's coefficients in s^2
-    parts[0], parts[1, ..., :n // 2] = power[..., ::2], power[..., 1::2]
+    parts = np.zeros((2, len(coef), (n + 1) // 2))  # E's and G's coefficients in s^2
+    parts[0], parts[1, :, :n // 2] = power[:, ::2], power[:, 1::2]
     h = half[:, None]
     s = np.subtract(x, mid[:, None])  # 0 on rows with h = 0, where every path is at mid
     np.divide(s, h, out=s, where=h > 0)
     w = s * s
-    acc = np.empty((*parts.shape[:3], n_x))
+    acc = np.empty((*parts.shape[:2], n_x))
     acc[...] = parts[..., -1:]
     for i in range(parts.shape[-1] - 2, -1, -1):
         acc *= w
         acc += parts[..., i, None]
     even, odd = acc
     odd *= s
-    np.add(even, odd, out=out[..., :n_x])
+    np.add(even, odd, out=out[:, :n_x])
     if twins:
-        np.subtract(even, odd, out=out[..., n_x:])
+        np.subtract(even, odd, out=out[:, n_x:])
 
 
 @dataclass
@@ -346,10 +346,10 @@ class ExposureProfile:
     ``epe``/``ene`` are the means of the pathwise-discounted positive and
     negative value parts, each estimated with the book's known discounted
     mean as a control variate (so ``epe + ene`` is that mean, to rounding,
-    wherever the value varies); the undiscounted mean value feeds the
-    capital rules.  Standard errors are per grid point, of the control
-    variate's residual on independent sampling units (antithetic pairs when
-    antithetic sampling is on).
+    wherever the value varies); the undiscounted mean value, a closed form,
+    feeds the capital rules.  Standard errors are per grid point, of the
+    control variate's residual on independent sampling units (antithetic
+    pairs when antithetic sampling is on).
     """
 
     grid: np.ndarray
@@ -415,74 +415,42 @@ def _merge_moments(a, b):
             co_a + co_b + delta[_LEFT] * delta[_RIGHT] * (n_a * n_b / n))
 
 
-def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool) -> dict:
-    """Per-block accumulators for one simulated block.
+def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool):
+    """The ``_moments`` of one simulated chunk's discounted value parts.
 
     ``values_by_point`` and ``discount`` have shape (n_points, n_paths_in_block);
     the discounted value's positive and negative parts are reduced stacked,
-    and ``units`` holds their moments and those of their sum.
+    on antithetic-pair means when ``antithetic``.
     """
     rows, n = values_by_point.shape
     parts = np.empty((2, rows, n))
     dv = np.multiply(values_by_point, discount, out=parts[1])
     np.maximum(dv, 0.0, out=parts[0])
     np.minimum(dv, 0.0, out=parts[1])
-    sums = parts.sum(axis=2)
     units = parts
     if antithetic:
         units = np.add(parts[..., :n // 2], parts[..., n // 2:])
         units *= 0.5
-    return {
-        "n": n,
-        "sum_dv_pos": sums[0],
-        "sum_dv_neg": sums[1],
-        "sum_v": values_by_point.sum(axis=1),
-        "units": _moments(units),  # may overwrite parts
-    }
+    return _moments(units)
 
 
-def _join_rows(chunks: tuple[dict, ...]) -> dict:
-    """One block's ``_block_stats`` from those of its consecutive row chunks."""
-    joined = {}
-    for key, first in chunks[0].items():
-        if key == "n":
-            joined[key] = first
-        elif key == "units":  # (count, per-row means, per-row co-moments)
-            joined[key] = (first[0], *(np.concatenate(rows, axis=-1)
-                                       for rows in zip(*(c[key][1:] for c in chunks))))
-        else:
-            joined[key] = np.concatenate([c[key] for c in chunks])
-    return joined
+def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int) -> ExposureProfile:
+    """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant.
 
-
-def _reduce(parts: list[dict], grid: np.ndarray, forward: np.ndarray) -> ExposureProfile:
-    """Ordered reduction over blocks, which keeps results worker-count invariant.
-
-    Each part is estimated with the known discounted mean ``forward`` as its
-    control variate (see the module docstring); ``beta`` is 0 where
+    ``blocks`` may be an iterator: each block is merged as it arrives.  Each
+    part is estimated with the plan's known discounted mean ``forward`` as
+    its control variate (see the module docstring); ``beta`` is 0 where
     ``M2_v`` is.
     """
-    acc = dict(parts[0])
-    for part in parts[1:]:
-        for key, value in part.items():
-            acc[key] = _merge_moments(acc[key], value) if key == "units" else acc[key] + value
-    n = acc["n"]
-    n_units, _, co = acc["units"]
+    n_units, mean, co = functools.reduce(_merge_moments, blocks)
     m2_v = co[2]
-    excess = (acc["sum_dv_pos"] + acc["sum_dv_neg"]) / n - forward
-
-    def _estimate(total, m2, c):
-        beta = np.divide(c, m2_v, out=np.zeros_like(c), where=m2_v > 0)
-        if n_units > 1:
-            se = np.sqrt(np.maximum(m2 - beta * c, 0.0) / (n_units - 1) / n_units)
-        else:
-            se = np.zeros_like(m2)
-        return total / n - beta * excess, se
-
-    epe, se_epe = _estimate(acc["sum_dv_pos"], co[0], co[3])
-    ene, se_ene = _estimate(acc["sum_dv_neg"], co[1], co[4])
-    return ExposureProfile(grid=grid, epe=epe, ene=ene, mean_value_undiscounted=acc["sum_v"] / n,
-                           se_epe=se_epe, se_ene=se_ene, n_paths=n)
+    beta = np.divide(co[3:], m2_v, out=np.zeros_like(co[3:]), where=m2_v > 0)  # (pos, neg)
+    epe, ene = mean[:2] - beta * (mean[2] - plan.forward)
+    residual = np.maximum(co[:2] - beta * co[3:], 0.0)
+    se_epe, se_ene = (np.sqrt(residual / (n_units - 1) / n_units) if n_units > 1
+                      else np.zeros_like(residual))
+    return ExposureProfile(grid=grid, epe=epe, ene=ene, mean_value_undiscounted=plan.expected,
+                           se_epe=se_epe, se_ene=se_ene, n_paths=n_paths)
 
 
 def exposure_profile(
@@ -505,7 +473,7 @@ def exposure_profile(
     materializing a block's paths.
     """
     g = _validate_grid(grid)
-    plan = _netted_plan([tuple(s for s in swaps if not s.collateralized)], model, curve, g)
+    plan = _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g)
     steps = _step_table(model, g)
     int_shift = np.asarray(model._integrated_shift(curve, g))[:, None]
 
@@ -514,23 +482,23 @@ def exposure_profile(
         n_draw = len(draws)  # with antithetic sampling, twins fill columns n_draw onward
         x, y = np.zeros((2, CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
         z = np.empty((CHUNK_ROWS, 3, n_draw))
-        values = np.empty((1, CHUNK_ROWS, size))
-        discount = np.empty((CHUNK_ROWS, size))
-        chunks = []
+        values, discount = np.empty((2, CHUNK_ROWS, size))
+        mean, co = np.empty((3, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(steps, draws, k0, x, y, z)
-            _chebyshev_revalue(x[:rows], plan[k0:k0 + rows], values[:, :rows])
+            _chebyshev_revalue(x[:rows], plan[k0:k0 + rows], values[:rows])
             d, shift = discount[:rows], int_shift[k0:k0 + rows]
             np.negative(np.add(y[:rows], shift, out=d[:, :n_draw]), out=d[:, :n_draw])
             if antithetic:  # the twins' -(shift - y)
                 np.subtract(y[:rows], shift, out=d[:, n_draw:])
             np.exp(d, out=d)
-            chunks.append(_block_stats(values[0, :rows], d, antithetic))
+            n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(
+                values[:rows], d, antithetic)
             x[0], y[0] = x[rows], y[rows]
-        return _join_rows(chunks)
+        return n_units, mean, co
 
-    profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, plan.forward[:, 0])
+    profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, plan, n_paths)
     if collateral_book:
-        profile.collateral = _netted_plan([tuple(collateral_book)], model, curve, g).forward[:, 0]
+        profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
     return profile

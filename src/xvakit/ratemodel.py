@@ -16,7 +16,7 @@ reproduces the input curve in expectation.  The moments are written in
 to rounding however small ``a`` is.
 
 Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
-from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` returns the
+from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` yields the
 blocks' results in block order.  Results are therefore bit-identical for a
 given (seed, n_paths, antithetic) regardless of how many workers execute the
 blocks.  A block's normals are drawn at once, path-major; ``_simulate_block``
@@ -31,6 +31,8 @@ the drawn half.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -136,11 +138,13 @@ def _block_sizes(n_paths: int) -> list[int]:
     return sizes
 
 
-def map_blocks(fn, n_paths: int, antithetic: bool, n_workers: int = 1) -> list:
+def map_blocks(fn, n_paths: int, antithetic: bool, n_workers: int = 1) -> Iterator:
     """``fn(block_index, block_size)`` over the deterministic path blocks.
 
-    Runs on up to ``n_workers`` threads; results come back in block order,
-    so any reduction over them is independent of the worker count.
+    The arguments are checked at once; the results come lazily, in block
+    order, so any reduction over them is independent of the worker count.
+    On ``n_workers`` threads at most ``2 n_workers`` blocks run ahead of the
+    consumer, so a fold over the results holds only a few at a time.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -148,9 +152,19 @@ def map_blocks(fn, n_paths: int, antithetic: bool, n_workers: int = 1) -> list:
         raise ValueError("antithetic sampling needs an even path count")
     jobs = list(enumerate(_block_sizes(n_paths)))
     if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(lambda job: fn(*job), jobs))
-    return [fn(*job) for job in jobs]
+        return _map_threaded(fn, jobs, n_workers)
+    return (fn(*job) for job in jobs)
+
+
+def _map_threaded(fn, jobs, n_workers: int) -> Iterator:
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        ahead = deque()
+        for job in jobs:
+            ahead.append(pool.submit(fn, *job))
+            if len(ahead) == 2 * n_workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _step_table(model: ShortRateModel, grid: np.ndarray) -> np.ndarray:

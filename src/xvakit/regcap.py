@@ -190,9 +190,10 @@ def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
                  mr_swaps) -> CapitalBase:
     """EAD, effective maturity and market-risk charge at every grid point.
 
-    The CEM mark-to-market at each grid point is the undiscounted expected
-    value of the netting set (floored at zero inside the EAD, as the current
-    exposure method prescribes).  ``swaps`` are the uncollateralized trades
+    The CEM mark-to-market at each grid point is the netting set's
+    undiscounted expected value, floored at zero inside the EAD as the current
+    exposure method prescribes; it is a closed form, so the capital carries no
+    Monte Carlo error.  ``swaps`` are the uncollateralized trades
     backing the exposure (add-ons, durations), one add-on per live trade;
     ``mr_swaps`` is the full book for market-risk netting.
     """

@@ -44,7 +44,7 @@ from .regcap import CapitalProfile
 
 @dataclass(frozen=True)
 class XvaInputs:
-    """Everything the adjustment integrals consume, for every row of a inputs.
+    """Everything the adjustment integrals consume, for every row of a sweep.
 
     Row ``i`` prices the counterparty curve and capital profile
     ``parties[party[i]]`` at hedge fraction ``psi[i]``, price of default risk

@@ -55,7 +55,7 @@ def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers
             halves.append((x, y))
         return np.hstack([x for x, _ in halves]), np.hstack([y for _, y in halves])
 
-    parts = map_blocks(run_block, n_paths, antithetic, n_workers)
+    parts = list(map_blocks(run_block, n_paths, antithetic, n_workers))
     x = np.concatenate([p[0] for p in parts], axis=1).T
     y = np.concatenate([p[1] for p in parts], axis=1).T
     int_shift = np.asarray(model._integrated_shift(curve, g))

@@ -403,6 +403,51 @@ class TestCli:
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.json")]) == 3
 
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "base-case", "--paths", "2k"], "--paths"),
+        (["run", "base-case", "--seed", "x"], "--seed"),
+        (["run", "base-case", "--format", "xml"], "--format"),
+        (["run"], "config"),
+        (["bogus"], "command"),
+    ])
+    def test_usage_error_exits_1_naming_the_argument(self, capsys, argv, named):
+        # argparse's own exit code, 2, is the code of a tolerance breach.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err and len(err.splitlines()) == 1, err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0 and "--paths" in capsys.readouterr().out
+
+    def test_unreadable_config_is_an_io_failure(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "Error" not in err, err
+
+    def test_config_of_bad_bytes_is_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(small_config(hedgeSourceLabel="caf\u00e9"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))  # é is one byte, 0xe9, that UTF-8 refuses
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "invalid JSON" in err and "Error" not in err, err
+
+    @pytest.mark.parametrize("market", ["missing", "directory", "bad bytes", "bad JSON"])
+    def test_any_market_file_failure_names_market(self, tmp_path, capsys, market):
+        target = tmp_path / "market.json"
+        if market == "directory":
+            target.mkdir()
+        elif market == "bad bytes":
+            target.write_bytes(b'{"curve": "\xff"}')
+        elif market == "bad JSON":
+            target.write_text("{curve")
+        path = self.write_config(tmp_path, market="market.json")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("market: ") and str(target) in err and "Error" not in err, err
+
     def test_validate_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,7 +1,9 @@
 """Swap valuation and Monte Carlo exposure profiles."""
 
 import math
+import threading
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from xvakit import (
     exposure_profile,
     make_exposure_grid,
     portfolio_value,
+    ratemodel,
 )
 from xvakit.exposure import (
     CHUNK_ROWS,
@@ -120,9 +123,9 @@ def reference_block(model, grid, n_block, seed, block_index, antithetic):
 
 def revalue_in_chunks(x, plan, out):
     """``_chebyshev_revalue`` over a whole block, one ``CHUNK_ROWS`` chunk at a time."""
-    for k0 in range(0, len(plan), CHUNK_ROWS):
+    for k0 in range(0, len(plan.const), CHUNK_ROWS):
         rows = slice(k0, k0 + CHUNK_ROWS)
-        _chebyshev_revalue(x[rows], plan[rows], out[:, rows])
+        _chebyshev_revalue(x[rows], plan[rows], out[rows])
 
 
 def reference_fit(x, plan, twins):
@@ -136,34 +139,34 @@ def reference_fit(x, plan, twins):
     fit = (half > 0) & (plan.b_max > 0)
     n = _chebyshev_terms(np.max(half * plan.b_max, where=fit, initial=0.0))
     nodes, cosines = _chebyshev_basis(n)
-    coef = np.zeros((plan.const.shape[1], len(plan), n))
-    for k in range(len(plan)):
+    coef = np.zeros((len(plan.const), n))
+    for k in range(len(plan.const)):
         live = plan.neg_b[k] < 0
-        const, neg_b, wa = plan.const[k][:, None], plan.neg_b[k][live], plan.wa[k][:, live]
+        const, neg_b, wa = plan.const[k], plan.neg_b[k][live], plan.wa[k][live]
         points = mid[k] + half[k] * nodes if fit[k] else mid[k:k + 1]
         values = const + wa @ np.exp(np.multiply.outer(neg_b, points))
         if fit[k]:
-            coef[:, k] = values @ cosines
+            coef[k] = values @ cosines
         else:
-            coef[:, k, 0] = 2.0 * values[:, 0]
+            coef[k, 0] = 2.0 * values[0]
     return mid, half, coef
 
 
 def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, posted=()):
     """Whole blocks through simulate, revalue, discount, ``_block_stats`` and ``_reduce``;
     the posted book's discounted mean from its plan alone."""
-    plan = _netted_plan([book], model, curve, grid)
+    plan = _netted_plan(book, model, curve, grid)
     int_shift = np.asarray(model._integrated_shift(curve, grid))[:, None]
     parts = []
     for idx, size in enumerate(_block_sizes(n_paths)):
         x, y = reference_block(model, grid, size, seed, idx, antithetic)
-        values = np.empty((1, len(grid), size))
+        values = np.empty((len(grid), size))
         revalue_in_chunks(x, plan, values)
         discount = np.exp(-(y + int_shift))
-        parts.append(_block_stats(values[0], discount, antithetic))
-    profile = _reduce(parts, grid, plan.forward[:, 0])
+        parts.append(_block_stats(values, discount, antithetic))
+    profile = _reduce(parts, grid, plan, n_paths)
     if posted:
-        profile.collateral = _netted_plan([posted], model, curve, grid).forward[:, 0]
+        profile.collateral = _netted_plan(posted, model, curve, grid).forward
     return profile
 
 
@@ -435,6 +438,31 @@ class TestStreamedBlocks:
         assert peak <= draws + 16 * CHUNK_ROWS * BLOCK_SIZE * 8, peak / 2**20
 
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_blocks_are_folded_as_they_finish(self, monkeypatch, model, workers):
+        """Hundreds of blocks, yet only the few in flight hold their results at once."""
+        monkeypatch.setattr(ratemodel, "BLOCK_SIZE", 64)
+        live, peak, lock = set(), [0], threading.RLock()
+
+        def tracked(fn):
+            def run(idx, size):
+                result = fn(idx, size)
+                with lock:
+                    live.add(idx)
+                    peak[0] = max(peak[0], len(live))
+                weakref.finalize(result[1], lambda: live.discard(idx))
+                return result
+            return run
+
+        monkeypatch.setattr(exposure, "map_blocks",
+                            lambda fn, *args: ratemodel.map_blocks(tracked(fn), *args))
+        n_paths = 300 * 64
+        profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=71,
+                                   n_workers=workers)
+        assert profile.n_paths == n_paths and not live
+        assert peak[0] <= 2 * workers + 2, peak[0]
+
+
 class TestNettedKernel:
     def test_portfolio_value_matches_per_swap_sum(self, model):
         x = np.random.default_rng(5).normal(0.0, 0.02, 257)
@@ -451,10 +479,44 @@ class TestNettedKernel:
                            for k, t in enumerate(MIXED_GRID)])
         forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
         (epe, _), (ene, _) = control_variate(values * paths.discount.T, n_paths, True, forward)
-        expected = {"epe": epe, "ene": ene, "mean_value_undiscounted": values.mean(axis=1)}
-        for name, reference in expected.items():
+        for name, reference in {"epe": epe, "ene": ene}.items():
             np.testing.assert_allclose(getattr(profile, name), reference,
                                        rtol=1e-12, atol=1e-12 * GROSS)
+
+    @pytest.mark.parametrize("sigma", [0.011, 0.03])
+    @pytest.mark.parametrize("case", ["mixed", "long-book"])
+    def test_expected_is_the_gaussian_integral_of_the_book(self, case, sigma):
+        """``expected`` against Gauss-Hermite quadrature of the per-swap values over
+        ``x_t ~ N(0, sigma^2 (1 - exp(-2 a t)) / 2a)``, at every grid row."""
+        book, grid = STREAM_CASES[case]
+        model = ShortRateModel(0.05, sigma)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        sd = sigma * np.sqrt(-np.expm1(-0.1 * grid) / 0.1)
+        reference = [weights @ per_swap_sum(book, model, SLOPED, float(t), s * nodes)
+                     for t, s in zip(grid, sd)]
+        gross = sum(s.notional for s in book)
+        expected = _netted_plan(book, model, SLOPED, grid).expected
+        np.testing.assert_allclose(expected, reference, rtol=1e-12, atol=1e-12 * gross)
+        assert np.ptp(expected) > 1e-3 * gross  # the check has something to find
+
+    @pytest.mark.parametrize("sigma", [0.011, 0.03])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("case", ["mixed", "long-book"])
+    def test_whole_path_undiscounted_mean_matches_expected(self, case, antithetic, sigma):
+        """The capital rules read ``expected`` as the book's mean MtM: the mean
+        undiscounted value of whole paths must lie within 4 s.e. of it at every row."""
+        book, grid = STREAM_CASES[case]
+        model = ShortRateModel(0.05, sigma)
+        n_paths = 2 * BLOCK_SIZE + 1000
+        paths = simulate_paths(model, SLOPED, grid, n_paths, seed=67, antithetic=antithetic)
+        values = np.array([portfolio_value(book, model, SLOPED, float(t), paths.factor[:, k])
+                           for k, t in enumerate(grid)])
+        units = pair_units(values, n_paths, antithetic)
+        se = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
+        error = np.abs(units.mean(axis=1) - _netted_plan(book, model, SLOPED, grid).expected)
+        gross = sum(s.notional for s in book)
+        assert np.all(error <= 4 * se + 1e-12 * gross), np.max(error / (se + 1e-300))
 
     def test_collateral_is_the_posted_books_discounted_mean(self, model):
         posted = (SwapSpec(notional=90.0, fixed_rate=0.021, maturity=7.0, frequency=4,
@@ -477,7 +539,7 @@ class TestNettedKernel:
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23,
                                antithetic=antithetic)
         dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths)
-        forward = _netted_plan([MIXED_BOOK], model, SLOPED, MIXED_GRID).forward[:, 0]
+        forward = _netted_plan(MIXED_BOOK, model, SLOPED, MIXED_GRID).forward
         for name, (_, expected) in zip(("se_epe", "se_ene"),
                                        control_variate(dv, n_paths, antithetic, forward)):
             np.testing.assert_allclose(getattr(profile, name), expected, rtol=1e-12, atol=1e-15)
@@ -494,7 +556,7 @@ class TestNettedKernel:
         paths = simulate_paths(model, SLOPED, grid, n_paths, seed=59, antithetic=antithetic)
         units = pair_units(book_dv(book, model, SLOPED, grid, paths), n_paths, antithetic)
         se = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
-        error = np.abs(units.mean(axis=1) - _netted_plan([book], model, SLOPED, grid).forward[:, 0])
+        error = np.abs(units.mean(axis=1) - _netted_plan(book, model, SLOPED, grid).forward)
         gross = sum(s.notional for s in book)
         assert np.all(error <= 4 * se + 1e-12 * gross), np.max(error / (se + 1e-300))
 
@@ -503,7 +565,7 @@ class TestNettedKernel:
         # maturity, so dv+ is v itself, beta is 1 and epe is the control mean.
         receiver = SwapSpec(notional=100.0, fixed_rate=0.2, maturity=10.0, payer=False)
         profile = exposure_profile((receiver,), model, FLAT, quarterly_grid, 4000, seed=61)
-        forward = _netted_plan([(receiver,)], model, FLAT, quarterly_grid).forward[:, 0]
+        forward = _netted_plan((receiver,), model, FLAT, quarterly_grid).forward
         live = quarterly_grid < 10.0
         assert np.all(profile.ene == 0.0) and np.all(profile.se_ene == 0.0)
         np.testing.assert_allclose(profile.epe[live], forward[live], rtol=1e-13)
@@ -511,10 +573,10 @@ class TestNettedKernel:
 
     @staticmethod
     def proxy_block(book, model, grid, antithetic, seed=29):
-        """One block's paths, its netted plan (book and posted rows) and the proxy values."""
+        """One block's paths, its netted plan and the proxy values."""
         x, _ = reference_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
-        plan = _netted_plan([book, POSTED], model, FLAT, grid)
-        proxy = np.empty((2, len(grid), BLOCK_SIZE))
+        plan = _netted_plan(book, model, FLAT, grid)
+        proxy = np.empty((len(grid), BLOCK_SIZE))
         revalue_in_chunks(x, plan, proxy)
         return x, plan, proxy
 
@@ -522,7 +584,7 @@ class TestNettedKernel:
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
     def test_chebyshev_proxy_matches_exact_kernel(self, case, antithetic):
         x, plan, proxy = self.proxy_block(*PROXY_CASES[case], antithetic)
-        for k in range(len(plan)):
+        for k in range(len(plan.const)):
             point = plan[k:k + 1]
             const, neg_b, wa = point.const[0], point.neg_b[0], point.wa[0]
             # The exact kernel's own rounding: each exp(-B x) holds about
@@ -531,8 +593,8 @@ class TestNettedKernel:
             # within 1.5x of the gross notional.
             scale = np.abs(const) + np.abs(wa) @ np.exp(neg_b * x[k].min())
             scale *= 1.0 + np.abs(neg_b).max(initial=0.0) * np.abs(x[k]).max()
-            error = np.abs(proxy[:, k] - _revalue(x[k:k + 1], point)[:, 0]).max(axis=1)
-            assert np.all(error <= 8 * 2.0**-52 * scale), (k, error / scale / 2.0**-52)
+            error = np.abs(proxy[k] - _revalue(x[k:k + 1], point)[0]).max()
+            assert error <= 8 * 2.0**-52 * scale, (k, error / scale / 2.0**-52)
 
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
     def test_twins_written_from_the_drawn_half_are_its_negation(self, case):
@@ -541,10 +603,10 @@ class TestNettedKernel:
         book, model, grid = PROXY_CASES[case]
         x, _ = reference_block(model, grid, 2048, 31, 0, antithetic=False)
         assert not x[0].any()  # the first chunk holds a row with h = 0
-        plan = _netted_plan([book, POSTED], model, FLAT, grid)
+        plan = _netted_plan(book, model, FLAT, grid)
         for k0 in range(0, len(grid), CHUNK_ROWS):
             rows = slice(k0, k0 + CHUNK_ROWS)
-            twins = np.empty((2, len(plan[rows]), 2 * x.shape[1]))
+            twins = np.empty((len(plan[rows].const), 2 * x.shape[1]))
             _chebyshev_revalue(x[rows], plan[rows], twins)
             explicit = np.empty_like(twins)
             _chebyshev_revalue(np.hstack([x[rows], -x[rows]]), plan[rows], explicit)
@@ -556,8 +618,8 @@ class TestNettedKernel:
         book, model, grid = PROXY_CASES[case]
         x, _ = reference_block(model, grid, BLOCK_SIZE, 47, 0, antithetic)
         x = x[:, :BLOCK_SIZE // 2] if antithetic else x  # the drawn half; twins are -x
-        plan = _netted_plan([book, POSTED], model, FLAT, grid)
-        gross = sum(s.notional for s in book + POSTED)
+        plan = _netted_plan(book, model, FLAT, grid)
+        gross = sum(s.notional for s in book)
         for k0 in range(0, len(grid), CHUNK_ROWS):
             rows = slice(k0, k0 + CHUNK_ROWS)
             mid, half, coef = _chebyshev_fit(x[rows], plan[rows], antithetic)
@@ -569,9 +631,9 @@ class TestNettedKernel:
             # which sits at the low end of its range.  In the long book that
             # is within 1.5x the gross notional.
             point = plan[rows]
-            terms = np.abs(point.wa) @ np.exp(point.neg_b * (mid - half)[:, None])[..., None]
-            scale = np.maximum(np.abs(point.const) + terms[..., 0], gross).T
-            error = np.abs(coef - ref_coef).max(axis=2)
+            terms = np.sum(np.abs(point.wa) * np.exp(point.neg_b * (mid - half)[:, None]), axis=1)
+            scale = np.maximum(np.abs(point.const) + terms, gross)
+            error = np.abs(coef - ref_coef).max(axis=1)
             assert np.all(error <= 4 * 2.0**-52 * scale), (k0, (error / scale).max() / 2.0**-52)
             if case == "long-book":
                 assert error.max() <= 2 * 2.0**-52 * gross, (k0, error.max() / gross / 2.0**-52)
@@ -602,7 +664,7 @@ class TestNettedKernel:
         profile = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
         monkeypatch.setattr(exposure, "_chebyshev_revalue", all_exact)
         reference = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
-        for name in ("epe", "ene", "mean_value_undiscounted"):
+        for name in ("epe", "ene", "se_epe", "se_ene"):
             ref = getattr(reference, name)
             np.testing.assert_allclose(getattr(profile, name), ref, rtol=1e-9,
                                        atol=1e-9 * np.max(np.abs(ref)), err_msg=name)
@@ -611,23 +673,23 @@ class TestNettedKernel:
     def test_overflowing_range_is_not_fitted(self, model):
         # B h past log(largest float): the exact kernel overflows there too, so
         # no fit (of some 1300 terms here) is attempted and the values are NaN.
-        plan = _netted_plan([LONG_BOOK], model, FLAT, [0.0, 1.0])
+        plan = _netted_plan(LONG_BOOK, model, FLAT, [0.0, 1.0])
         x = np.array([[0.0, 0.0], [-60.0, 60.0]])
         assert _chebyshev_fit(x, plan, twins=False)[2] is None
-        out = np.zeros((1, 2, 2))
+        out = np.zeros((2, 2))
         _chebyshev_revalue(x, plan, out)
         assert np.isnan(out).all()
 
     def test_rows_with_nothing_to_fit_are_exact(self, model):
         x, plan, proxy = self.proxy_block(*PROXY_CASES["long-book"], antithetic=True)
         # t = 0: every path sits at x = 0; at 30y no date is live.
-        for k in (0, len(plan) - 1):
-            assert np.all(proxy[:, k] == _revalue(x[k:k + 1, :1], plan[k:k + 1])[:, 0])
+        for k in (0, len(plan.const) - 1):
+            assert np.all(proxy[k] == _revalue(x[k:k + 1, :1], plan[k:k + 1])[0])
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
         x, plan, proxy = self.proxy_block(LONG_BOOK, frozen, MIXED_GRID, antithetic=False)
         assert not x.any()
-        for k in range(len(plan)):
-            assert np.all(proxy[:, k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[:, 0])
+        for k in range(len(plan.const)):
+            assert np.all(proxy[k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[0])
 
     def test_term_count_is_the_smallest_meeting_the_bessel_bound(self):
         def bound(r, n):
@@ -664,8 +726,8 @@ class TestNettedKernel:
     def test_non_finite_path_gives_nan(self, model):
         # As an overflowing radius does: the run refuses the profile as a
         # diagnostic on sigma instead of failing inside the fit.
-        plan = _netted_plan([LONG_BOOK], model, FLAT, [0.0, 1.0])
+        plan = _netted_plan(LONG_BOOK, model, FLAT, [0.0, 1.0])
         x = np.array([[0.0, 0.0], [0.01, np.inf]])
-        out = np.zeros((1, 2, 2))
+        out = np.zeros((2, 2))
         _chebyshev_revalue(x, plan, out)
         assert np.isnan(out).all()

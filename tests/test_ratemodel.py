@@ -5,6 +5,7 @@ import pytest
 
 from pathsim import simulate_paths
 from xvakit import DiscountCurve, ShortRateModel, exposure_profile
+from xvakit.ratemodel import map_blocks
 
 
 def test_parameter_validation():
@@ -55,6 +56,14 @@ def test_worker_count_invariance(flat_curve, model):
     b = simulate_paths(model, flat_curve, grid, 20000, seed=9, n_workers=4)
     assert np.array_equal(a.factor, b.factor)
     assert np.array_equal(a.discount, b.discount)
+
+
+def test_map_blocks_checks_its_arguments_before_any_block_runs():
+    calls = []
+    for n_paths, antithetic in ((0, False), (101, True)):
+        with pytest.raises(ValueError):
+            map_blocks(lambda *job: calls.append(job), n_paths, antithetic, n_workers=2)
+    assert calls == []
 
 
 def test_antithetic_pairs_mirror(flat_curve, model):

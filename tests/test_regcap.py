@@ -1,5 +1,7 @@
 """Standardized capital: EAD, CCR, CVA-vol, market risk and profiles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +18,9 @@ from xvakit import (
     make_exposure_grid,
     remaining_duration,
 )
+from xvakit.config import PRESETS
 from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base
+from xvakit.runner import run_config
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -275,3 +279,20 @@ class TestCapitalBase:
         base = capital_base(self.profile(), self.swaps, self.curve, self.book)
         with pytest.raises(ValueError, match="must be >= 0"):
             capital_profile(base, RATING_TABLE["A"], min_ratio=-0.1)
+
+
+def test_kva_of_a_book_with_positive_expected_mtm_does_not_depend_on_the_seed():
+    """The base case's uncollateralized payer turned receiver has a positive
+    expected MtM, so its EAD reads it; that mean is a closed form, so the
+    capital, and every KVA cell, are the same at any seed."""
+    base = PRESETS["base-case"]()
+    swaps = tuple(replace(s, payer=s.collateralized) for s in base.swaps)  # receiver + posted
+    results = [run_config(replace(base, swaps=swaps, seed=seed, paths=2000))
+               for seed in (1, 2, 3)]
+    assert np.any(results[0].profile.mean_value_undiscounted > 0)
+    assert np.all(results[0].breakdown.kva_ccr != 0)
+    for name in ("kva_mr", "kva_ccr", "kva_cva"):
+        first = getattr(results[0].breakdown, name)
+        for other in results[1:]:
+            assert np.array_equal(getattr(other.breakdown, name), first), name
+    assert not np.array_equal(results[0].breakdown.cva, results[1].breakdown.cva)
