@@ -28,8 +28,8 @@ def main() -> None:
     cfg = replace(
         preset,
         ratings=(rating,),
-        xi_values=xis,
-        phi_values=(0.0,),
+        price_of_risk_xi=xis,
+        phi=(0.0,),
         paths=paths,
     )
     result = run_config(cfg)

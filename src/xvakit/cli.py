@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
     with warnings.catch_warnings():  # an overflow is refused as a ConfigError instead
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_config(cfg)
-    text = RENDERERS[cfg.output_format](result)
+    text = RENDERERS[cfg.format](result)
     if args.out is not None:
         try:
             args.out.write_text(text)

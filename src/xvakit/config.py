@@ -28,6 +28,13 @@ resolved relative to the configuration file.  Example::
 The market price of default risk can be given either as the dimensionless
 ``priceOfRiskXi`` or as an absolute ``mLambda`` (hazard-rate units, converted
 per rating); supplying both is an error.
+
+Each setting is declared once, in a block's field table (``_RUN`` for the
+top level): its key, kind, default and bounds.  ``RunConfig`` has one field
+per top-level key, its snake_case form, and the market is validated into the
+model objects a run prices with (``Market``).  The ``pde`` block takes the
+camelCase names of ``PdeProblem``'s and ``Grid``'s fields; their bounds are
+those classes' own, reported as ``pde.<field>``.
 """
 
 from __future__ import annotations
@@ -37,10 +44,13 @@ import math
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
-from .credit import hazard_from_spread
+from .credit import CreditCurve, hazard_from_spread
+from .curves import DiscountCurve
 from .exposure import SwapSpec, on_schedule
-from .pde import Grid, PdeProblem
+from .pde import Grid, PdeProblem, check_verifiable
+from .ratemodel import ShortRateModel
 from .regcap import RATING_TABLE, CounterpartyProfile
 
 SCHEMA_VERSION = 1
@@ -55,14 +65,12 @@ class ConfigError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class MarketConfig:
-    curve_pillars: tuple[float, ...]
-    curve_zero_rates: tuple[float, ...]
-    mean_reversion: float
-    sigma: float
-    issuer_spread_bp: float
-    issuer_recovery: float
+class Market(NamedTuple):
+    """The market a run prices with."""
+
+    curve: DiscountCurve
+    model: ShortRateModel
+    issuer: CreditCurve
 
 
 # Defaults of the ``pde`` block: the verifier's reference problem.
@@ -86,13 +94,16 @@ class PdeVerifyConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    market: MarketConfig
+    """A validated run: each field is the snake_case form of a key of ``_RUN``."""
+
+    market: Market
     swaps: tuple[SwapSpec, ...]
+    rating_table: dict[str, CounterpartyProfile]  # RATING_TABLE with the config's entries
     ratings: tuple[str, ...]
-    psi_values: tuple[float, ...]
-    xi_values: tuple[float, ...] | None
-    m_lambda_values: tuple[float, ...] | None
-    phi_values: tuple[float, ...]
+    psi: tuple[float, ...]
+    price_of_risk_xi: tuple[float, ...] | None
+    m_lambda: tuple[float, ...] | None
+    phi: tuple[float, ...]
     cost_of_capital: float
     tax_rate: float
     accruals_taxed: bool
@@ -100,21 +111,20 @@ class RunConfig:
     collateral_spread: float
     seed: int
     paths: int
-    output_format: str
+    format: str
     provider_rating: str
+    hedge_source_label: str
     min_capital_ratio: float
     warn_se_bp: float
     workers: int
     antithetic: bool
-    hedge_source_label: str
     pde: PdeVerifyConfig
-    rating_table: dict[str, CounterpartyProfile]
 
     def price_of_risk_grid(self, counterparty_hazard: float) -> tuple[tuple[float, float | None], ...]:
         """(xi, displayed m_lambda) pairs for one counterparty hazard level."""
-        if self.m_lambda_values is not None:
-            return tuple((m / counterparty_hazard, m) for m in self.m_lambda_values)
-        return tuple((xi, None) for xi in self.xi_values)
+        if self.m_lambda is not None:
+            return tuple((m / counterparty_hazard, m) for m in self.m_lambda)
+        return tuple((xi, None) for xi in self.price_of_risk_xi)
 
 
 def _as_float(value: int | float) -> float:
@@ -200,11 +210,11 @@ _RUN = {
     "antithetic": (bool, True),
     "pde": (dict, None),
 }
-# The pde block takes each field of PdeProblem and the grid in snake or camel case.
+# The pde block takes each field of PdeProblem and the grid, camelCased.
 _PDE_KINDS = {"payoff": str, "accruals_taxed": bool, "compensator_taxed": bool,
               "n_space": int, "n_time": int}  # every other field is a number
-_PDE_NAMES = {key: name for name in [f.name for f in fields(PdeProblem)]
-              + ["n_space", "n_time", "tolerance"] for key in (name, _camel(name))}
+_PDE_NAMES = {_camel(name): name for name in [f.name for f in fields(PdeProblem)]
+              + ["n_space", "n_time", "tolerance"]}
 _PDE = {key: (_PDE_KINDS.get(name, float), None) for key, name in _PDE_NAMES.items()}
 
 
@@ -280,7 +290,7 @@ def _read_json(path: Path):
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-def _validate_market(raw, base_dir: Path | None, diags: list[str]) -> MarketConfig | None:
+def _validate_market(raw, base_dir: Path | None, diags: list[str]) -> Market | None:
     if isinstance(raw, str):
         path = (base_dir or Path.cwd()) / raw
         try:
@@ -297,27 +307,25 @@ def _validate_market(raw, base_dir: Path | None, diags: list[str]) -> MarketConf
     if not isinstance(raw, dict):
         diags.append("market: expected object or file path")
         return None
-    local: list[str] = []
-    curve, model, issuer = _fields(raw, _MARKET, local, "market.").values()
+    before = len(diags)
+    curve, model, issuer = _fields(raw, _MARKET, diags, "market.").values()
     if curve is not None:
-        pillars, rates = curve.values()
-        if len(pillars) != len(rates):
-            local.append("market.curve: pillars and zeroRates lengths differ")
-        if pillars[0] <= 0 or any(b <= a for a, b in zip(pillars, pillars[1:])):
-            local.append("market.curve.pillars: must be strictly increasing and start > 0")
-    diags.extend(local)
-    if local:
+        curve = _build(DiscountCurve, diags, "market.curve.", *curve.values())
+    if len(diags) > before:
         return None
-    return MarketConfig(tuple(pillars), tuple(rates), *model.values(), *issuer.values())
+    spread_bp, recovery = issuer.values()
+    return Market(curve, ShortRateModel(*model.values()),
+                  CreditCurve(hazard_from_spread(spread_bp / 1e4, recovery), recovery))
 
 
-def _build_pde(kind, diags: list[str], **kwargs):
-    """``kind(**kwargs)``, its ``"field: message"`` ValueError made a diagnostic."""
+def _build(kind, diags: list[str], prefix: str, *args, **kwargs):
+    """``kind(*args, **kwargs)``, its ``"field: message"`` ValueError made a
+    diagnostic under ``prefix``."""
     try:
-        return kind(**kwargs)
+        return kind(*args, **kwargs)
     except ValueError as exc:
         name, _, message = str(exc).partition(": ")
-        diags.append(f"pde.{_camel(name)}: {message}")
+        diags.append(f"{prefix}{_camel(name)}: {message}")
         return None
 
 
@@ -325,11 +333,13 @@ def _validate_pde(raw: dict, diags: list[str]) -> PdeVerifyConfig:
     values = {_PDE_NAMES[key]: value for key, value in _fields(raw, _PDE, diags, "pde.").items()
               if value is not None}
     tolerance = values.pop("tolerance", PdeVerifyConfig.tolerance)
-    if not tolerance > 0:
-        diags.append("pde.tolerance: must be > 0")
-    grid = _build_pde(Grid, diags, **{k: values.pop(k) for k in ("n_space", "n_time")
-                                      if k in values})
-    problem = _build_pde(PdeProblem, diags, **{**_PDE_DEFAULTS, **values})
+    if not 0 < tolerance < 1:
+        diags.append("pde.tolerance: must lie in (0, 1)")
+    grid = _build(Grid, diags, "pde.", **{k: values.pop(k) for k in ("n_space", "n_time")
+                                          if k in values})
+    problem = _build(PdeProblem, diags, "pde.", **{**_PDE_DEFAULTS, **values})
+    if grid is not None and problem is not None:
+        _build(check_verifiable, diags, "pde.", problem, grid)
     return PdeVerifyConfig(problem, grid, tolerance)
 
 
@@ -363,7 +373,7 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
         if r not in known and not (isinstance(r, str) and r in rejected):
             diags.append(f"ratings: unknown rating {r!r} (known: {', '.join(table)})")
 
-    xi, m_lambda = v["priceOfRiskXi"], v["mLambda"]
+    m_lambda = v["mLambda"]
     given = {"priceOfRiskXi", "mLambda"} & raw.keys()
     if len(given) == 2:
         diags.append("priceOfRiskXi/mLambda: supply one or the other, not both")
@@ -390,31 +400,11 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
 
     if diags:
         return None, diags
-    return RunConfig(
-        market=market,
-        swaps=tuple(SwapSpec(*s.values()) for s in swaps),
-        ratings=tuple(ratings),
-        psi_values=tuple(v["psi"]),
-        xi_values=None if xi is None else tuple(xi),
-        m_lambda_values=None if m_lambda is None else tuple(m_lambda),
-        phi_values=tuple(v["phi"]),
-        cost_of_capital=v["costOfCapital"],
-        tax_rate=v["taxRate"],
-        accruals_taxed=v["accrualsTaxed"],
-        compensator_taxed=v["compensatorTaxed"],
-        collateral_spread=v["collateralSpread"],
-        seed=v["seed"],
-        paths=v["paths"],
-        output_format=v["format"],
-        provider_rating=provider,
-        min_capital_ratio=v["minCapitalRatio"],
-        warn_se_bp=v["warnSeBp"],
-        workers=v["workers"],
-        antithetic=v["antithetic"],
-        hedge_source_label=provider if v["hedgeSourceLabel"] is None else v["hedgeSourceLabel"],
-        pde=pde,
-        rating_table=table,
-    ), []
+    v.update(market=market, swaps=[SwapSpec(*s.values()) for s in swaps], ratingTable=table,
+             hedgeSourceLabel=provider if v["hedgeSourceLabel"] is None else v["hedgeSourceLabel"],
+             pde=pde)
+    return RunConfig(**{f.name: tuple(value) if isinstance(value := v[_camel(f.name)], list)
+                        else value for f in fields(RunConfig)}), []
 
 
 # The built-in presets: configs/base_case.json with its market inlined, at each

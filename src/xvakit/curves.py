@@ -35,23 +35,20 @@ class DiscountCurve:
 
     pillars: tuple[float, ...]
     zero_rates: tuple[float, ...]
-    _knots: np.ndarray = field(init=False, repr=False)
-    _log_dfs: np.ndarray = field(init=False, repr=False)
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_dfs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pillars = tuple(float(p) for p in self.pillars)
         self.zero_rates = tuple(float(r) for r in self.zero_rates)
+        # Each message starts with the offending field, for the config to name.
         if len(self.pillars) != len(self.zero_rates):
-            raise ValueError("pillars and zero_rates must have the same length")
-        if not self.pillars:
-            raise ValueError("curve needs at least one pillar")
-        if self.pillars[0] <= 0.0:
-            raise ValueError("first pillar must be > 0")
-        for a, b in zip(self.pillars, self.pillars[1:]):
-            if b <= a:
-                raise ValueError("pillars must be strictly increasing")
+            raise ValueError("zero_rates: must have one rate per pillar")
+        if not self.pillars or self.pillars[0] <= 0 or any(
+                b <= a for a, b in zip(self.pillars, self.pillars[1:])):
+            raise ValueError("pillars: must be strictly increasing and start > 0")
         if not all(np.isfinite(self.zero_rates)):
-            raise ValueError("zero rates must be finite")
+            raise ValueError("zero_rates: must be finite")
         # Interpolation knots include t=0 with log df 0, so df(0) == 1 exactly.
         self._knots = np.concatenate([[0.0], np.asarray(self.pillars)])
         self._log_dfs = np.concatenate(

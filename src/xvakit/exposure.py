@@ -74,6 +74,7 @@ from .curves import DiscountCurve
 from .ratemodel import (ShortRateModel, _draw_block, _simulate_block, _step_table, _validate_grid,
                         map_blocks)
 
+POINTS_PER_YEAR = 4  # of the uniform part of the exposure grid
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 _MAX_PROXY_ROUNDING = 1e-12  # relative; a chunk whose proxy may lose more is valued exactly
@@ -368,9 +369,9 @@ class ExposureProfile:
                 raise ValueError(f"{name} must match the grid length")
 
 
-def make_exposure_grid(maturity: float, frequency: int, points_per_year: int = 4) -> np.ndarray:
-    """Union of a uniform grid and the payment dates, from 0 to maturity."""
-    uniform = np.linspace(0.0, maturity, int(round(maturity * points_per_year)) + 1)
+def make_exposure_grid(maturity: float, frequency: int) -> np.ndarray:
+    """Union of a quarterly grid and the payment dates, from 0 to maturity."""
+    uniform = np.linspace(0.0, maturity, int(round(maturity * POINTS_PER_YEAR)) + 1)
     pay = np.arange(1, int(round(maturity * frequency)) + 1) / frequency
     return np.union1d(np.round(uniform, 12), np.round(pay, 12))
 

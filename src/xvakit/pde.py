@@ -50,6 +50,28 @@ class GridResolutionWarning(UserWarning):
     """Raised when the space grid is too coarse for the payoff kink."""
 
 
+# Each input's range, per year where it is a rate.  The log-price grid spans
+# ln spot +- (HALF_WIDTH sigma sqrt(T) + |carry - sigma^2/2| T + ln 2); at
+# spot 1e15, sigma 1, maturity 100 and a carry of -2 its top node is e^345,
+# far enough inside the float range (e^709) for 100 years' growth at rate -1.
+_BOUNDS = (  # (fields, test, message)
+    (("spot", "strike"), lambda v: 1e-15 <= v <= 1e15, "must lie in [1e-15, 1e15]"),
+    (("maturity",), lambda v: 0 < v <= 100, "must lie in (0, 100]"),
+    (("sigma",), lambda v: 1e-4 <= v <= 1, "must lie in [1e-4, 1]"),
+    (("rate", "dividend_yield", "repo_rate", "collateral_spread", "price_of_risk"),
+     lambda v: -1 <= v <= 1, "must lie in [-1, 1]"),
+    (("issuer_hazard", "counterparty_hazard", "cost_of_capital", "hedge_fraction",
+      "collateral_fraction", "capital_funding_fraction", "issuer_recovery",
+      "counterparty_recovery"),
+     lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("tax_rate",), lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    (("capital_factor",), lambda v: 0 <= v <= 12.5, "must lie in [0, 12.5] (the 1250% ceiling)"),
+)
+HALF_WIDTH = 6.0  # the log-price grid's half-width, in units of sigma sqrt(T), before drift
+RANNACHER_STEPS = 2  # fully implicit steps that start the march and damp the payoff kink
+MAX_NODES = 2000  # per grid axis: the verifier's memory grows as n_space n_time
+
+
 @dataclass(frozen=True)
 class PdeProblem:
     """Flat-parameter problem definition on one lognormal asset."""
@@ -80,24 +102,14 @@ class PdeProblem:
 
     def __post_init__(self):
         # Each message starts with the offending field, for the config to name.
-        for name in ("spot", "strike", "sigma", "maturity"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name}: must be > 0")
+        for names, test, message in _BOUNDS:
+            for name in names:
+                if getattr(self, name) is not None and not test(getattr(self, name)):
+                    raise ValueError(f"{name}: {message}")
         if self.payoff not in ("call", "put", "forward"):
             raise ValueError("payoff: must be one of call, put, forward")
-        for name in ("hedge_fraction", "collateral_fraction", "capital_funding_fraction",
-                     "issuer_recovery", "counterparty_recovery"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name}: must lie in [0, 1]")
-        if self.capital_relief_factor > self.capital_factor:
-            raise ValueError("capital_relief_factor: must not exceed capital_factor")
-        for name in ("issuer_hazard", "counterparty_hazard", "cost_of_capital"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0")
-        if self.price_of_risk > 1.0:  # the physical hazard (1 - xi) lambda is then negative
-            raise ValueError("price_of_risk: must be <= 1")
-        if not 0.0 <= self.tax_rate < 1.0:
-            raise ValueError("tax_rate: must lie in [0, 1)")
+        if not 0 <= self.capital_relief_factor <= self.capital_factor:
+            raise ValueError("capital_relief_factor: must lie in [0, capital_factor]")
 
     @property
     def carry(self) -> float:
@@ -119,24 +131,32 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class Grid:
-    """Log-spaced asset nodes and uniform time steps.
-
-    The spot sits exactly on the middle node.  ``width`` is the half-width of
-    the log-price range in units of sigma*sqrt(T) plus a drift allowance.
-    """
+    """Log-spaced asset nodes and uniform time steps; the spot sits exactly on
+    the middle node."""
 
     n_space: int = 400
     n_time: int = 400
-    width: float = 6.0
-    rannacher_steps: int = 2
 
     def __post_init__(self):
-        if self.n_space < 8:
-            raise ValueError("n_space: must be >= 8")
-        if self.n_time < 4:
-            raise ValueError("n_time: must be >= 4")
+        for name, least in (("n_space", 8), ("n_time", 4)):
+            if not least <= getattr(self, name) <= MAX_NODES:
+                raise ValueError(f"{name}: must lie in [{least}, {MAX_NODES}]")
         if self.n_space % 2:
             raise ValueError("n_space: must be even so the spot lies on a node")
+
+
+def check_verifiable(problem: PdeProblem, grid: Grid) -> None:
+    """Refuse what the verifier cannot price in floats, naming the field.
+
+    A time step over which a negative rate grows the value by more than half:
+    at ``-rate dt = 1`` the implicit start-up step is singular.  And an issuer
+    recovery below 1e-6 but above 0: the recovery bond's position is the
+    after-default value over it.
+    """
+    if grid.n_time < (least := 2.0 * problem.maturity * -problem.rate):
+        raise ValueError(f"n_time: must be >= 2 maturity (-rate) = {least:g}")
+    if 0 < problem.issuer_recovery < 1e-6:
+        raise ValueError("issuer_recovery: must be 0 or at least 1e-6")
 
 
 class CloseOut(NamedTuple):
@@ -220,7 +240,7 @@ def _march(operator, terminal: np.ndarray, source: np.ndarray, dt: float, grid: 
     out = np.empty((terminal.shape[0], grid.n_time + 1, terminal.shape[1]))
     out[:, -1] = terminal
     for step in range(grid.n_time - 1, -1, -1):
-        theta = 1.0 if (grid.n_time - 1 - step) < grid.rannacher_steps else 0.5
+        theta = 1.0 if (grid.n_time - 1 - step) < RANNACHER_STEPS else 0.5
         v = out[:, step + 1, 1:-1]
         applied = diag * v
         applied[:, 1:] += lower[1:] * v[:, :-1]
@@ -266,8 +286,9 @@ def solve_vhat(problem: PdeProblem, grid: Grid = Grid()) -> PdeSolution:
     fully implicit (Rannacher) steps to damp the payoff kink, and linearity
     boundary conditions (vanishing second derivative in S) at both ends.
     """
+    check_verifiable(problem, grid)
     p = problem
-    half_width = grid.width * p.sigma * np.sqrt(p.maturity) + abs(
+    half_width = HALF_WIDTH * p.sigma * np.sqrt(p.maturity) + abs(
         p.carry - 0.5 * p.sigma**2
     ) * p.maturity + np.log(2.0)
     x0 = np.log(p.spot)
@@ -536,7 +557,7 @@ def verify_decomposition(
     u_no_tax = solution.value_at_spot("untaxed") - solution.value_at_spot("risk_free")
     tax_pde = u_pde - u_no_tax
     tax_denom = max(abs(tva), 1e-8 * problem.spot)
-    tax_rel = abs(tax_pde - tva) / tax_denom if tva != 0 or tax_pde != 0 else 0.0
+    tax_rel = abs(tax_pde - tva) / tax_denom
 
     state = replication_state(problem, solution)
     residual = float(np.max(np.abs(state.funding_residual)))

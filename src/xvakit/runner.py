@@ -15,9 +15,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .credit import CreditCurve, TaxPolicy, hazard_from_spread
-from .curves import DiscountCurve
 from .exposure import ExposureProfile, exposure_profile, make_exposure_grid
-from .ratemodel import ShortRateModel
 from .regcap import capital_base, capital_profile
 from .xva import XvaBreakdown, XvaInputs, breakdown
 
@@ -36,18 +34,9 @@ class RunResult:
     config: RunConfig
 
 
-def build_market(config: RunConfig) -> tuple[DiscountCurve, ShortRateModel, CreditCurve]:
-    market = config.market
-    curve = DiscountCurve(market.curve_pillars, market.curve_zero_rates)
-    model = ShortRateModel(market.mean_reversion, market.sigma)
-    issuer = CreditCurve(hazard_from_spread(market.issuer_spread_bp / 1e4, market.issuer_recovery),
-                         market.issuer_recovery)
-    return curve, model, issuer
-
-
 def run_config(config: RunConfig) -> RunResult:
     """Execute the full pipeline for one configuration."""
-    curve, model, issuer = build_market(config)
+    curve, model, issuer = config.market
     uncollateralized = tuple(s for s in config.swaps if not s.collateralized)
     horizon = max(s.maturity for s in config.swaps)
     frequency = max(s.frequency for s in config.swaps)
@@ -80,8 +69,8 @@ def run_config(config: RunConfig) -> RunResult:
     # With an absolute market price of risk, xi varies per rating.
     xi_pairs = [config.price_of_risk_grid(cpty.hazard) for cpty, _ in parties]
     cells = [(psi, *xi_pairs[j][xi_index], phi, j)
-             for psi in config.psi_values for xi_index in range(len(xi_pairs[0]))
-             for phi in config.phi_values for j in range(len(parties))]
+             for psi in config.psi for xi_index in range(len(xi_pairs[0]))
+             for phi in config.phi for j in range(len(parties))]
     psis, xis, _, phis, party = (np.array(column) for column in zip(*cells))
     result = breakdown(XvaInputs(
         exposure=profile, issuer=issuer, parties=tuple(parties), party=party,

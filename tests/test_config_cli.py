@@ -3,14 +3,15 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xvakit.cli import main
-from xvakit.config import PRESETS, ConfigError, load_config, validate_config
+from xvakit.config import (_RUN, PRESETS, ConfigError, RunConfig, _camel, load_config,
+                           validate_config)
 from xvakit.report import render_csv, render_json, render_table, round_half_away
 from xvakit.runner import run_config
 
@@ -135,7 +136,7 @@ class TestValidation:
         raw = small_config(market="market.json")
         cfg, diags = validate_config(raw, base_dir=tmp_path)
         assert diags == [] and cfg is not None
-        assert cfg.market.sigma == 0.011
+        assert cfg.market.model.sigma == 0.011
 
     def test_odd_paths_with_antithetic_rejected(self):
         _, diags = validate_config(small_config(paths=1001))
@@ -205,6 +206,11 @@ class TestPresets:
         loaded = load_config(root / "configs" / filename)
         assert loaded == PRESETS[preset]()
 
+    def test_run_config_fields_are_the_run_keys(self):
+        # One declaration per setting: validate_config builds RunConfig by name.
+        assert [_camel(f.name) for f in fields(RunConfig)] == [
+            key for key in _RUN if key != "schemaVersion"]
+
     def test_shipped_pde_config_valid(self):
         root = Path(__file__).resolve().parent.parent
         cfg = load_config(root / "configs" / "pde_verify.json")
@@ -221,9 +227,9 @@ class TestPresets:
     def test_m_lambda_varies_xi_by_rating(self):
         cfg = replace(
             PRESETS["base-case"](),
-            psi_values=(0.0,),
-            xi_values=None,
-            m_lambda_values=(0.0002,),
+            psi=(0.0,),
+            price_of_risk_xi=None,
+            m_lambda=(0.0002,),
             paths=1000,
         )
         result = run_config(cfg)
@@ -712,6 +718,35 @@ class TestCli:
         assert cfg.pde.problem.compensator_taxed
         assert (cfg.pde.problem.dividend_yield, cfg.pde.problem.repo_rate) == (0.01, 0.03)
         assert (cfg.pde.grid.n_space, cfg.pde.grid.n_time) == (400, 60)
+
+    @pytest.mark.parametrize("command", ["validate", "pde-verify"])
+    def test_pde_block_takes_one_spelling_per_key(self, tmp_path, capsys, command):
+        # The snake_case spelling once replaced or lost to the camelCase one unseen.
+        path = self.write_config(tmp_path, pde={"taxRate": 0.21, "tax_rate": 0.0})
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", "pde.tax_rate: unknown field\n")
+
+    @pytest.mark.parametrize("pde, diagnostic", [
+        # Each exited 4 (a non-finite grid or march), exited 0, or passed whatever
+        # the error, before the pde block was bounded.
+        ({"sigma": 1000}, "pde.sigma: must lie in [1e-4, 1]"),
+        ({"maturity": 1e6}, "pde.maturity: must lie in (0, 100]"),
+        ({"rate": 1e300}, "pde.rate: must lie in [-1, 1]"),
+        ({"dividendYield": 1e300}, "pde.dividendYield: must lie in [-1, 1]"),
+        ({"sigma": 5, "maturity": 100}, "pde.sigma: must lie in [1e-4, 1]"),
+        ({"costOfCapital": 1e300}, "pde.costOfCapital: must lie in [0, 1]"),
+        ({"tolerance": 1e300}, "pde.tolerance: must lie in (0, 1)"),
+        # Checked by validation alone, before any array is allocated: never run.
+        ({"nSpace": 20000}, "pde.nSpace: must lie in [8, 2000]"),
+        ({"nTime": 20000}, "pde.nTime: must lie in [4, 2000]"),
+        # At -rate dt = 1 the start-up step's matrix is singular.
+        ({"rate": -1.0, "maturity": 100, "nTime": 50},
+         "pde.nTime: must be >= 2 maturity (-rate) = 200"),
+    ])
+    def test_pde_input_past_a_bound_is_the_one_diagnostic(self, tmp_path, capsys, pde,
+                                                         diagnostic):
+        assert main(["validate", str(self.write_config(tmp_path, pde=pde))]) == 1
+        assert capsys.readouterr() == ("", diagnostic + "\n")
 
     def test_pde_verify_tolerance_breach_fails(self, tmp_path, capsys):
         path = self.write_config(tmp_path, pde={"nSpace": 48, "nTime": 24,

@@ -1,10 +1,16 @@
-"""``xva run`` over random configurations: exit 0 or 1, no traceback, no NaN.
+"""``xva run`` and ``xva pde-verify`` over random configurations.
 
-Each configuration is drawn inside the schema's ranges and then, half the
-time, has one field set to an invalid value, so both the validator and the
-pipeline are exercised.  Volatility reaches 6, far past the point where the
-long book's exposure overflows, and up to 1e200, where its square does.
-Mean reversion reaches down to 1e-300, where its square underflows.
+``run``: each configuration is drawn inside the schema's ranges and then,
+half the time, has one field set to an invalid value, so both the validator
+and the pipeline are exercised.  Volatility reaches 6, far past the point
+where the long book's exposure overflows, and up to 1e200, where its square
+does.  Mean reversion reaches down to 1e-300, where its square underflows.
+It exits 0 or 1, with no traceback and no NaN.
+
+``pde-verify``: each ``pde`` block is drawn inside its bounds, up to their
+corners, and then, half the time, has one field set just past a bound or to a
+huge finite value.  It exits 0 or 2 with finite figures, or 1 naming a
+``pde.`` field: the one set past its bound, if any.
 """
 
 import contextlib
@@ -12,7 +18,9 @@ import csv
 import io
 import json
 import math
+import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -143,3 +151,114 @@ def test_run_exits_0_or_1_with_finite_output(tmp_path_factory, raw):
             assert all(math.isfinite(float(cells[name])) for name in numeric), row
     else:
         assert out.getvalue() == "" and err.getvalue().strip()
+
+
+# (key, value) just past each bound of the pde block, and huge finite values.
+PDE_PAST = [
+    *[(key, value) for key in ("spot", "strike")
+      for value in (0.0, 9e-16, 1.01e15, 1e300, -1e300)],
+    ("maturity", 0.0), ("maturity", 100.5), ("maturity", 1e6),
+    ("sigma", 0.0), ("sigma", 9e-5), ("sigma", 1.01), ("sigma", 1000.0),
+    *[(key, value) for key in ("rate", "dividendYield", "repoRate", "collateralSpread",
+                               "priceOfRisk") for value in (-1.01, 1.01, 1e300, -1e300)],
+    *[(key, value) for key in ("issuerHazard", "counterpartyHazard", "costOfCapital",
+                               "hedgeFraction", "collateralFraction", "capitalFundingFraction",
+                               "issuerRecovery", "counterpartyRecovery")
+      for value in (-0.01, 1.01, 1e300)],
+    ("issuerRecovery", 5e-7), ("taxRate", 1.0), ("taxRate", -0.01), ("taxRate", 1e300),
+    ("capitalFactor", -0.01), ("capitalFactor", 12.6), ("capitalFactor", 1e300),
+    ("capitalReliefFactor", -0.01), ("capitalReliefFactor", 1e300),
+    ("tolerance", 0.0), ("tolerance", 1.0), ("tolerance", 1e300),
+    # just past the cap: a cap dropped runs these in milliseconds, not out of memory
+    ("nSpace", 6), ("nSpace", 2002), ("nTime", 3), ("nTime", 2001),
+]
+
+
+@st.composite
+def pde_blocks(draw):
+    """A pde block inside every bound, on a grid of at most 40 x 200 nodes."""
+    unit, signed = st.floats(0.0, 1.0), st.floats(-1.0, 1.0)
+    capital_factor = draw(st.floats(0.0, 12.5))
+    pde = {
+        "spot": draw(st.one_of(st.floats(50.0, 150.0), st.floats(1e-15, 1e15))),
+        "strike": draw(st.one_of(st.floats(50.0, 150.0), st.floats(1e-15, 1e15))),
+        "maturity": draw(st.floats(0.0, 100.0, exclude_min=True)),
+        "sigma": draw(st.floats(1e-4, 1.0)),
+        "payoff": draw(st.sampled_from(["call", "put", "forward"])),
+        **{key: draw(signed) for key in ("rate", "dividendYield", "collateralSpread",
+                                         "priceOfRisk")},
+        **{key: draw(unit) for key in ("issuerHazard", "counterpartyHazard", "costOfCapital",
+                                       "hedgeFraction", "collateralFraction",
+                                       "capitalFundingFraction", "issuerRecovery",
+                                       "counterpartyRecovery")},
+        "taxRate": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "capitalFactor": capital_factor,
+        "capitalReliefFactor": capital_factor * draw(unit),
+        "accrualsTaxed": draw(st.booleans()),
+        "compensatorTaxed": draw(st.booleans()),
+        "nSpace": 2 * draw(st.integers(4, 20)),
+        "nTime": draw(st.integers(4, 200)),
+        "tolerance": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    }
+    if draw(st.booleans()):
+        pde["repoRate"] = draw(signed)
+    return pde
+
+
+PDE_CORNER = {"spot": 1e15, "strike": 1e15, "maturity": 100.0, "sigma": 1.0,
+              "nSpace": 40, "nTime": 200}
+
+
+def pde_verify(tmp_path, pde):
+    """``(exit code, stdout, stderr)`` of pde-verify on a run config with ``pde``."""
+    raw = {**LONG_BOOK_AT_500_PERCENT, "pde": pde}
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["pde-verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_pde_verify(tmp_path, pde, past=None):
+    code, out, err = pde_verify(tmp_path, pde)
+    assert code in (0, 1, 2), err
+    if code == 1:
+        lines = err.splitlines()
+        assert lines and all(line.startswith("pde.") for line in lines), err
+    else:
+        assert past is None, f"pde.{past} not refused: {out}"
+        numbers = [float(token) for token in out.replace("(", " ").replace(")", " ").split()
+                   if token[-1].isdigit() or token.endswith(("inf", "nan"))]
+        assert len(numbers) == 14 and all(map(math.isfinite, numbers)), out
+    if past is not None:
+        assert any(line.startswith(f"pde.{past}: ") for line in err.splitlines()), err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example({**PDE_CORNER, "rate": 1.0, "repoRate": 1.0, "dividendYield": 1.0}, None)
+@example({**PDE_CORNER, "rate": -1.0, "repoRate": 1.0, "dividendYield": -1.0,
+          "payoff": "forward", "capitalFactor": 12.5, "capitalReliefFactor": 0.0,
+          "costOfCapital": 1.0, "issuerHazard": 1.0, "counterpartyHazard": 1.0,
+          "priceOfRisk": -1.0, "hedgeFraction": 0.0, "collateralSpread": 1.0}, None)
+@example({**PDE_CORNER, "rate": -1.0, "repoRate": -1.0, "dividendYield": 1.0,
+          "payoff": "put", "spot": 1e-15, "issuerRecovery": 1e-6}, None)
+@given(pde_blocks(), st.one_of(st.none(), st.sampled_from(PDE_PAST)))
+def test_pde_verify_exits_0_1_or_2_with_finite_figures(tmp_path_factory, pde, past):
+    if past is not None:
+        pde = {**pde, past[0]: past[1]}
+    check_pde_verify(tmp_path_factory.mktemp("pde"), pde, past and past[0])
+
+
+@pytest.mark.parametrize("key, value", PDE_PAST, ids=[f"{k}={v:g}" for k, v in PDE_PAST])
+def test_pde_value_past_a_bound_is_refused(tmp_path, key, value):
+    check_pde_verify(tmp_path, {"nSpace": 40, "nTime": 40, key: value}, key)
+
+
+def test_pde_time_step_past_its_bound_is_refused(tmp_path):
+    # One step short of 2 maturity (-rate): a march that grows by more than half
+    # a step, up to the singular start-up step at -rate dt = 1.
+    pde = {"rate": -1.0, "maturity": 100.0, "nSpace": 40, "nTime": 199}
+    check_pde_verify(tmp_path, pde, "nTime")

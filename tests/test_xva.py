@@ -479,8 +479,8 @@ class TestSweep:
             init(self, inputs)
 
         monkeypatch.setattr(_Quadrature, "__init__", counted)
-        one = replace(PRESETS["warehouse-neg"](), ratings=("BB",), phi_values=(0.0,), paths=1000)
-        many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi_values=(0.0, 0.5, 1.0),
-                       xi_values=(-0.5, 0.5), phi_values=(0.0, 1.0))
+        one = replace(PRESETS["warehouse-neg"](), ratings=("BB",), phi=(0.0,), paths=1000)
+        many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi=(0.0, 0.5, 1.0),
+                       price_of_risk_xi=(-0.5, 0.5), phi=(0.0, 1.0))
         assert len(run_config(one).rows) == 1 and built == [1]
         assert len(run_config(many).rows) == 48 and built == [1, 48]
