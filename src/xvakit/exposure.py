@@ -53,9 +53,9 @@ drawn half is simulated: each twin path is the exact negation of its drawn
 path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
 ``mid_k`` is 0), its value is ``E - s G`` and its discount factor is
 ``exp(-(shift - y))``, each bit for bit what stepping the twin would give.
-A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk
-is simulated, revalued, discounted and reduced to per-row moments while it
-is in a core's cache, so apart from its normal draws a block never holds a
+A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk's
+normals are drawn, and it is simulated, revalued, discounted and reduced to
+per-row moments while it is in a core's cache, so a block never holds a
 ``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
 the Chebyshev term count is chosen per chunk.  Blocks are merged in index
 order as they finish, so a profile is byte-identical for a given seed no
@@ -71,8 +71,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .curves import DiscountCurve
-from .ratemodel import (ShortRateModel, _draw_block, _simulate_block, _step_table, _validate_grid,
-                        map_blocks)
+from .ratemodel import (ShortRateModel, _discount_shift, _simulate_block, _step_table,
+                        _validate_grid, map_blocks)
 
 POINTS_PER_YEAR = 4  # of the uniform part of the exposure grid
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
@@ -476,18 +476,18 @@ def exposure_profile(
     g = _validate_grid(grid)
     plan = _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g)
     steps = _step_table(model, g)
-    int_shift = np.asarray(model._integrated_shift(curve, g))[:, None]
+    int_shift = _discount_shift(model, curve, g, steps)[:, None]
 
     def run_block(idx, size):
-        draws = _draw_block(len(steps), size, seed, idx, antithetic)
-        n_draw = len(draws)  # with antithetic sampling, twins fill columns n_draw onward
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        n_draw = size // 2 if antithetic else size  # twins fill columns n_draw onward
         x, y = np.zeros((2, CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
-        z = np.empty((CHUNK_ROWS, 3, n_draw))
+        z = np.empty((CHUNK_ROWS, n_draw))
         values, discount = np.empty((2, CHUNK_ROWS, size))
         mean, co = np.empty((3, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
-            _simulate_block(steps, draws, k0, x, y, z)
+            _simulate_block(steps, rng, k0, x, y, z)
             _chebyshev_revalue(x[:rows], plan[k0:k0 + rows], values[:rows])
             d, shift = discount[:rows], int_shift[k0:k0 + rows]
             np.negative(np.add(y[:rows], shift, out=d[:, :n_draw]), out=d[:, :n_draw])

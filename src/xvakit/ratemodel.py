@@ -8,10 +8,13 @@ exactly.  This is the minimal model with closed-form zero-coupon bonds,
     P(t, T) = P(0, T) / P(0, t) * exp(-x(t) B(t, T) - c(t, T)),
 
 with ``B(t, T) = (1 - exp(-a (T-t))) / a`` and a deterministic convexity
-term ``c``; see ``bond_price``.  Simulation is exact: per step the pair
-(factor increment, integrated factor) is drawn from its joint Gaussian law,
-so pathwise discount factors are unbiased at any step size and their mean
-reproduces the input curve in expectation.  The moments are written in
+term ``c``; see ``bond_price``.  Simulation is exact, one normal per path
+and step: the factor is drawn from its law given its last value, and its
+integral, which only the discount factor reads, is replaced by its mean
+given the factor on the grid (Glasserman, *Monte Carlo Methods in Financial
+Engineering*, 2004, section 3.3), its variance going into the discount
+shift.  So discount factors are unbiased at any step size, and no noisier
+than with a drawn integral (Rao-Blackwell).  The moments are written in
 ``B``, and as a series where their closed form cancels, so they stay exact
 to rounding however small ``a`` is.
 
@@ -19,9 +22,9 @@ Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
 from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` yields the
 blocks' results in block order.  Results are therefore bit-identical for a
 given (seed, n_paths, antithetic) regardless of how many workers execute the
-blocks.  A block's normals are drawn at once, path-major; ``_simulate_block``
-advances a run of grid rows from them in place, grid-major ``(rows, paths)``,
-so each time step reads and writes one contiguous row.  With antithetic
+blocks.  ``_simulate_block`` draws a run of grid rows' normals and steps
+them in place, grid-major ``(rows, paths)``, so each time step reads and
+writes one contiguous row, whatever the run's length.  With antithetic
 sampling only the drawn half of a block is stepped: negation commutes with
 every multiply and add of the recursion, so each twin path is the exact
 IEEE negation of its drawn path and ``exposure_profile`` derives it from
@@ -90,12 +93,6 @@ class ShortRateModel:
         b, b_t = self.b_factor(dt), self.b_factor(t)
         return s * s * (b * b * self.b_factor(2.0 * np.asarray(t, dtype=float)) / 4.0
                         + b * b_t * b_t / 2.0)
-
-    def _integrated_shift(self, curve: DiscountCurve, t):
-        """Integral of alpha over [0, t]; makes E[pathwise df] match the curve."""
-        t_arr = np.asarray(t, dtype=float)
-        s = self.sigma
-        return -curve.log_df(t_arr) + 0.5 * s * s * self._variance_bracket(t_arr)
 
     def affine(self, curve: DiscountCurve, t, maturity):
         """``(log A, B)`` with P(t, T) = A(t, T) exp(-x B(t, T)); t and T broadcast."""
@@ -168,48 +165,48 @@ def _map_threaded(fn, jobs, n_workers: int) -> Iterator:
 
 
 def _step_table(model: ShortRateModel, grid: np.ndarray) -> np.ndarray:
-    """Per step, ``(decay, l11, l21, l22, B(dt))``: the Cholesky factors of its exact law."""
+    """Per step, ``(decay, l11, B - kappa decay, kappa, l22^2)``, ``kappa = cov / var_x``
+    (0 where ``var_x`` is): the factor's step, and its integral's mean
+    ``(B - kappa decay) x_i + kappa x_{i+1}`` and variance ``l22^2`` given both ends."""
     rows = []
     for dt in np.diff(grid):
         decay, var_x, cov, var_y = model.step_moments(dt)
-        l11 = np.sqrt(var_x)
-        l21 = cov / l11 if l11 > 0 else 0.0
-        rows.append((decay, l11, l21, np.sqrt(max(var_y - l21 * l21, 0.0)), model.b_factor(dt)))
+        kappa = cov / var_x if var_x > 0 else 0.0
+        rows.append((decay, np.sqrt(var_x), model.b_factor(dt) - kappa * decay, kappa,
+                     max(var_y - kappa * cov, 0.0)))
     return np.array(rows)
 
 
-def _draw_block(n_steps: int, n_block: int, seed: int, block_index: int,
-                antithetic: bool) -> np.ndarray:
-    """Block ``block_index``'s normals, path-major ``(paths drawn, n_steps, 2)``.
+def _discount_shift(model: ShortRateModel, curve: DiscountCurve, grid, steps) -> np.ndarray:
+    """``shift`` with ``E[D_t | x on the grid] = exp(-(shift + y))``: the integral of alpha
+    over ``[0, t]``, which makes the mean of the pathwise discount factor the curve's,
+    less half the ``l22^2`` of the steps before ``t``."""
+    s = model.sigma
+    return (-curve.log_df(grid) + 0.5 * s * s * model._variance_bracket(grid)
+            - 0.5 * np.append(0.0, np.cumsum(steps[:, 4])))
 
-    With antithetic sampling only the first half of the block is drawn.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
-    return rng.standard_normal((n_block // 2 if antithetic else n_block, n_steps, 2))
 
-
-def _simulate_block(steps: np.ndarray, draws: np.ndarray, k0: int, x: np.ndarray,
+def _simulate_block(steps: np.ndarray, rng: np.random.Generator, k0: int, x: np.ndarray,
                     y: np.ndarray, z: np.ndarray) -> None:
-    """Advance one grid-major row chunk of a block's drawn paths in place by its ``n`` steps.
+    """Draw and advance one grid-major row chunk of a block's drawn paths in place.
 
-    ``x[0]`` and ``y[0]`` hold the factor and the integrated factor at grid
-    row ``k0`` of the ``len(draws)`` drawn paths; steps ``k0 .. k0 + n - 1``
-    fill rows ``1 .. n``, with ``n = min(len(x) - 1, len(steps) - k0)``.
-    ``z`` is scratch shaped ``(len(x) - 1, 3, len(draws))`` for the chunk's
-    normals times their Cholesky factors, ``(z0 l11, z0 l21, z1 l22)``,
-    scaled once per chunk, so each step only adds.  Antithetic twins are
-    never stepped: each step only multiplies and adds, so a twin's ``x`` and
-    ``y`` are exactly ``-x`` and ``-y``.
+    ``x[0]`` and ``y[0]`` hold the factor and its integral's conditional
+    mean at grid row ``k0``; steps ``k0 .. k0 + n - 1`` fill rows ``1 .. n``,
+    with ``n = min(len(x) - 1, len(steps) - k0)``.  Their normals are drawn
+    from the block's ``rng`` into ``z[:n]``, grid-major, so chunks drawn in
+    turn read the stream as one ``(steps, paths)`` draw would; scaled by
+    ``l11``, ``z[i]`` is then scratch for ``kappa x[i + 1]``.  Antithetic
+    twins are never stepped: each step only multiplies and adds, so a
+    twin's ``x`` and ``y`` are exactly ``-x`` and ``-y``.
     """
     n = min(len(x) - 1, len(steps) - k0)
     chunk, z = steps[k0:k0 + n], z[:n]
-    normals = draws[:, k0:k0 + n].transpose(1, 2, 0)
-    np.multiply(normals[:, :1], chunk[:, 1:3, None], out=z[:, :2])
-    np.multiply(normals[:, 1], chunk[:, 3, None], out=z[:, 2])
-    for i, (decay, b) in enumerate(chunk[:, [0, 4]]):
-        np.multiply(x[i], b, out=y[i + 1])  # ((y + x b) + l21 z0) + l22 z1
+    rng.standard_normal(out=z)
+    z *= chunk[:, 1, None]
+    for i, (decay, _, b, kappa) in enumerate(chunk[:, :4]):
+        np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z
+        x[i + 1] += z[i]
+        np.multiply(x[i], b, out=y[i + 1])  # (y + x (B - kappa decay)) + kappa x'
         y[i + 1] += y[i]
-        y[i + 1] += z[i, 1]
-        y[i + 1] += z[i, 2]
-        np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z0
-        x[i + 1] += z[i, 0]
+        np.multiply(x[i + 1], kappa, out=z[i])
+        y[i + 1] += z[i]

@@ -5,7 +5,7 @@ import pytest
 
 from pathsim import simulate_paths
 from xvakit import DiscountCurve, ShortRateModel, exposure_profile
-from xvakit.ratemodel import map_blocks
+from xvakit.ratemodel import _discount_shift, _simulate_block, _step_table, map_blocks
 
 
 def test_parameter_validation():
@@ -150,3 +150,45 @@ def test_vanishing_mean_reversion_is_integrated_brownian_motion():
     assert var_x == pytest.approx(sigma**2 * dt, rel=1e-15)
     assert cov == pytest.approx(sigma**2 * dt**2 / 2, rel=1e-15)
     assert var_y == pytest.approx(sigma**2 * dt**3 / 3, rel=1e-15)
+
+
+class UnitNormals:
+    """Stands in for a block's generator: step ``i``'s normal is 1 on path ``i`` and 0
+    elsewhere, so path ``j``'s ``x`` and ``y`` at a grid row are the coefficients of
+    step ``j``'s normal in them, the linear map from the normals to the row."""
+
+    def __init__(self, n_steps):
+        self.eye, self.row = np.eye(n_steps), 0
+
+    def standard_normal(self, out):
+        out[...] = self.eye[self.row:self.row + len(out)]
+        self.row += len(out)
+
+
+@pytest.mark.parametrize("mean_reversion", [0.05, 1e-6])
+@pytest.mark.parametrize("sigma", [0.011, 0.05])
+def test_step_table_carries_the_exact_law(sigma, mean_reversion):
+    """The stepped ``(x_t, y_t)`` against the exact law of ``(x_t, Y_t)``, ``Y_t`` the
+    factor's integral: ``y_t`` is ``E[Y_t | x on the grid]``, so ``Cov(x_t, y_t) =
+    Cov(x_t, Y_t)`` and ``Var(y_t)`` plus the steps' conditional variances is
+    ``Var(Y_t)``; and the discount shift makes ``E[exp(-(shift + y_t))] = P(0, t)``."""
+    model = ShortRateModel(mean_reversion, sigma)
+    curve = DiscountCurve((1.0, 5.0, 10.0), (0.01, 0.02, 0.03))
+    grid = np.union1d(np.linspace(0.0, 1.0, 13), np.linspace(1.0, 30.0, 117))  # uneven steps
+    steps = _step_table(model, grid)
+    n = len(steps)
+    x, y = np.zeros((2, len(grid), n))
+    _simulate_block(steps, UnitNormals(n), 0, x, y, np.empty((n, n)))
+    residual = [0.0]  # the integral's variance given the factor at both ends of each step
+    for dt in np.diff(grid):
+        _, var_x, cov, var_y = model.step_moments(dt)
+        residual.append(var_y - cov * cov / var_x)
+    var_ybar = (y * y).sum(axis=1)
+    b_t = model.b_factor(grid)
+    np.testing.assert_allclose((x * x).sum(axis=1), sigma**2 * model.b_factor(2 * grid) / 2,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(var_ybar + np.cumsum(residual),
+                               sigma**2 * model._variance_bracket(grid), rtol=1e-12, atol=0)
+    np.testing.assert_allclose((x * y).sum(axis=1), sigma**2 * b_t * b_t / 2, rtol=1e-12, atol=0)
+    shift = _discount_shift(model, curve, grid, steps)
+    np.testing.assert_allclose(shift - var_ybar / 2, -curve.log_df(grid), rtol=1e-12, atol=0)
