@@ -16,12 +16,19 @@ is linear in the bonds on the union of its payment dates.  So the book is
 netted once per run into ``(grid row, date)`` arrays: a constant ``c_k`` and
 one weight per date with ``A`` folded in, zero once the date is paid, so
 ``f_k(x) = c_k + (w_k A_k) @ exp(-B_k x)`` is the exact kernel.  Two of its
-means are closed forms.  A pathwise-discounted bond is a martingale, so the
+means are closed forms.  A discounted bond is a martingale, so the
 discounted mean at ``t_k`` is ``c_k P(0, t_k) + w_k @ P(0, T)``, today's
 value of the remaining flows; the posted-collateral book needs nothing else
 and is never revalued on a path.  Under Q, ``x_t ~ N(0, v_k)`` with
 ``v_k = sigma^2 B(2 t_k) / 2``, so the undiscounted mean, the expected MtM
 that the capital rules read, is ``c_k + (w_k A_k) @ exp(B_k^2 v_k / 2)``.
+
+The adjustments read only discounted means, and under the t-forward
+measure ``E[D_t g(x_t)] = P(0, t) E[g(x_t + m_t)]``, ``m_t = -sigma^2
+B(t)^2 / 2``, over the factor simulated under Q.  ``f_k(x + m)`` is the same
+exponential sum with weights ``w_k A_k e^{-B_k m}``, so ``_forward_kernel``
+scales each row once: its value at a path is the discounted value, and no
+path carries a discount factor.
 
 ``f_k`` is an entire function of one scalar, so a chunk of grid rows is
 revalued through Chebyshev proxies rather than one exponential per (path,
@@ -41,7 +48,7 @@ every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
 have nothing to fit and take the exact value.
 
 Exposure profiles report the Monte Carlo means of the positive and
-negative parts of the pathwise-discounted value ``v``, each priced with the
+negative parts of the t-forward kernel's value ``v``, each priced with the
 known mean of ``v`` as a control variate (Glasserman, *Monte Carlo Methods
 in Financial Engineering*, 2004, section 4.1): ``epe = mean(v+) - beta
 (mean(v) - forward)`` with ``beta = C(v+, v) / M2(v)`` over the same
@@ -51,10 +58,10 @@ antithetic sampling is on; where every unit agrees (``M2(v) = 0``) ``beta``
 is 0 and the plain mean remains.  With antithetic sampling only a block's
 drawn half is simulated: each twin path is the exact negation of its drawn
 path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
-``mid_k`` is 0), its value is ``E - s G`` and its discount factor is
-``exp(-(shift - y))``, each bit for bit what stepping the twin would give.
+``mid_k`` is 0) and its value is ``E - s G``, each bit for bit what
+stepping the twin would give.
 A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk's
-normals are drawn, and it is simulated, revalued, discounted and reduced to
+normals are drawn, and it is simulated, revalued and reduced to
 per-row moments while it is in a core's cache, so a block never holds a
 ``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
 the Chebyshev term count is chosen per chunk.  Blocks are merged in index
@@ -66,13 +73,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .curves import DiscountCurve
-from .ratemodel import (ShortRateModel, _discount_shift, _simulate_block, _step_table,
-                        _validate_grid, map_blocks)
+from .ratemodel import ShortRateModel, _simulate_block, _step_table, _validate_grid, map_blocks
 
 POINTS_PER_YEAR = 4  # of the uniform part of the exposure grid
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
@@ -175,6 +181,18 @@ def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _Ne
                        b_max=np.max(b, axis=1, where=live, initial=0.0),
                        forward=const * curve.df(g) + np.where(live, weights, 0.0) @ curve.df(dates),
                        expected=const + np.sum(wa * np.exp(0.5 * v * neg_b * neg_b), axis=1))
+
+
+def _forward_kernel(plan: _NettedPlan, model: ShortRateModel, curve: DiscountCurve,
+                    grid) -> _NettedPlan:
+    """``plan`` under each row's t-forward measure, ``P(0, t_k) f_k(x + m_k)``: constant
+    ``P(0, t_k) c_k`` and weights ``P(0, t_k) wa_kj e^{-B_kj m_k}``, so its mean over
+    factors simulated under Q is ``forward``.  The other fields are ``plan``'s.
+    """
+    g = np.asarray(grid, dtype=float)
+    df, m = curve.df(g), model.forward_drift(g)
+    return replace(plan, const=df * plan.const,
+                   wa=df[:, None] * plan.wa * np.exp(m[:, None] * plan.neg_b))
 
 
 def _revalue(x: np.ndarray, plan: _NettedPlan) -> np.ndarray:
@@ -344,11 +362,11 @@ def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> Non
 class ExposureProfile:
     """Discounted expected exposure of a netting set on a time grid.
 
-    ``epe``/``ene`` are the means of the pathwise-discounted positive and
-    negative value parts, each estimated with the book's known discounted
-    mean as a control variate (so ``epe + ene`` is that mean, to rounding,
-    wherever the value varies); the undiscounted mean value, a closed form,
-    feeds the capital rules.  Standard errors are per grid point, of the
+    ``epe``/``ene`` are the discounted means of the positive and negative
+    value parts, priced through the t-forward kernel and each estimated with
+    the book's known discounted mean as a control variate (so ``epe + ene``
+    is that mean, to rounding, wherever the value varies); the undiscounted
+    mean value, a closed form, feeds the capital rules.  Standard errors are per grid point, of the
     control variate's residual on independent sampling units (antithetic
     pairs when antithetic sampling is on).
     """
@@ -381,27 +399,29 @@ def make_exposure_grid(maturity: float, frequency: int) -> np.ndarray:
 _LEFT, _RIGHT = [0, 1, 2, 0, 1], [0, 1, 2, 2, 2]
 
 
-def _moments(units: np.ndarray):
-    """Per-row (count, means, co-moments) of the parts stacked ``(2, rows, m)``; overwrites ``units``.
+def _moments(units: np.ndarray, scratch: np.ndarray):
+    """Per-row (count, means, co-moments) of the parts stacked ``(2, rows, m)``.
 
-    The means ``(3, rows)`` and co-moments ``(5, rows)`` are those of
-    the parts and of their sum ``v``, whose moments follow from the parts'
-    with their cross moment ``C(pos, neg)``: ``M2_v = M2_pos + M2_neg + 2 C``
-    and ``C(pos, v) = M2_pos + C``.  A part that is 0 on every unit leaves
-    ``v``'s moments bit for bit those of the other part.
+    The means ``(3, rows)`` and co-moments ``(5, rows)`` are those of the
+    parts and of their sum ``v``.  ``v`` is centred unit by unit as the sum
+    of the centred parts, not from the parts' moments: on antithetic pairs
+    ``v`` is nearly constant, and ``M2_pos + M2_neg + 2 C(pos, neg)`` would
+    cancel to it with the rounding of the much larger terms.  A part that is
+    0 on every unit leaves ``v``'s moments bit for bit those of the other part.
+    ``units`` and ``scratch``, shaped alike, are overwritten.
     """
     first = units[..., :1].copy()
     units -= first  # shifted first, a row of equal values centres to exactly 0
     shift = units.mean(axis=-1, keepdims=True)
     units -= shift
-    cross = np.multiply(units[0], units[1]).sum(axis=-1)
+    v, product = np.add(units[0], units[1], out=scratch[0]), scratch[1]
     mean, co = np.empty((3, units.shape[1])), np.empty((len(_LEFT), units.shape[1]))
     np.add(first, shift, out=mean[:2, :, None])
     np.add(mean[0], mean[1], out=mean[2])
+    for i in (0, 1):
+        np.multiply(units[i], v, out=product).sum(axis=-1, out=co[3 + i])
     np.square(units, out=units).sum(axis=-1, out=co[:2])
-    np.add(co[0], co[1], out=co[2])
-    co[2] += 2.0 * cross
-    np.add(co[:2], cross, out=co[3:])
+    np.square(v, out=v).sum(axis=-1, out=co[2])
     return units.shape[-1], mean, co
 
 
@@ -416,23 +436,25 @@ def _merge_moments(a, b):
             co_a + co_b + delta[_LEFT] * delta[_RIGHT] * (n_a * n_b / n))
 
 
-def _block_stats(values_by_point: np.ndarray, discount: np.ndarray, antithetic: bool):
-    """The ``_moments`` of one simulated chunk's discounted value parts.
+def _block_stats(values_by_point: np.ndarray, antithetic: bool):
+    """The ``_moments`` of one simulated chunk's discounted values ``(n_points, n_paths_in_block)``.
 
-    ``values_by_point`` and ``discount`` have shape (n_points, n_paths_in_block);
-    the discounted value's positive and negative parts are reduced stacked,
-    on antithetic-pair means when ``antithetic``.
+    Their positive and negative parts are reduced stacked, on antithetic-pair
+    means when ``antithetic``: each pair's mean is written over its drawn
+    path's column, and the twins' columns are the reduction's scratch.
     """
     rows, n = values_by_point.shape
-    parts = np.empty((2, rows, n))
-    dv = np.multiply(values_by_point, discount, out=parts[1])
-    np.maximum(dv, 0.0, out=parts[0])
-    np.minimum(dv, 0.0, out=parts[1])
-    units = parts
+    work = np.empty((2 if antithetic else 4, rows, n))
+    parts = work[:2]
+    np.maximum(values_by_point, 0.0, out=parts[0])
+    np.minimum(values_by_point, 0.0, out=parts[1])
     if antithetic:
-        units = np.add(parts[..., :n // 2], parts[..., n // 2:])
+        units, scratch = parts[..., :n // 2], parts[..., n // 2:]
+        units += scratch
         units *= 0.5
-    return _moments(units)
+    else:
+        units, scratch = parts, work[2:]
+    return _moments(units, scratch)
 
 
 def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int) -> ExposureProfile:
@@ -474,32 +496,28 @@ def exposure_profile(
     materializing a block's paths.
     """
     g = _validate_grid(grid)
-    plan = _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g)
+    kernel = _forward_kernel(
+        _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g),
+        model, curve, g)
     steps = _step_table(model, g)
-    int_shift = _discount_shift(model, curve, g, steps)[:, None]
 
     def run_block(idx, size):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
         n_draw = size // 2 if antithetic else size  # twins fill columns n_draw onward
-        x, y = np.zeros((2, CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
+        x = np.zeros((CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
         z = np.empty((CHUNK_ROWS, n_draw))
-        values, discount = np.empty((2, CHUNK_ROWS, size))
+        values = np.empty((CHUNK_ROWS, size))
         mean, co = np.empty((3, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
-            _simulate_block(steps, rng, k0, x, y, z)
-            _chebyshev_revalue(x[:rows], plan[k0:k0 + rows], values[:rows])
-            d, shift = discount[:rows], int_shift[k0:k0 + rows]
-            np.negative(np.add(y[:rows], shift, out=d[:, :n_draw]), out=d[:, :n_draw])
-            if antithetic:  # the twins' -(shift - y)
-                np.subtract(y[:rows], shift, out=d[:, n_draw:])
-            np.exp(d, out=d)
+            _simulate_block(steps, rng, k0, x, z)
+            _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], values[:rows])
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(
-                values[:rows], d, antithetic)
-            x[0], y[0] = x[rows], y[rows]
+                values[:rows], antithetic)
+            x[0] = x[rows]
         return n_units, mean, co
 
-    profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, plan, n_paths)
+    profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, kernel, n_paths)
     if collateral_book:
         profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
     return profile

@@ -230,30 +230,44 @@ def _march(operator, terminal: np.ndarray, source: np.ndarray, dt: float, grid: 
     """Theta-scheme march of v_t + M v + src = 0 back from ``terminal``.
 
     ``terminal`` is ``(columns, nodes)``, ``source`` ``(columns, levels, interior
-    nodes)``; one banded solve per step serves every column.  Returns
-    ``(columns, levels, nodes)``.
+    nodes)``; one tridiagonal solve per step serves every column.  The matrix
+    depends on the step only through theta, so it is factored once per theta
+    (LAPACK ``dgttrf``, the elimination ``dgtsv`` repeats on every call) and
+    each step back-substitutes (``dgttrs``).  Returns ``(columns, levels, nodes)``.
     """
     # Imported here so that ``run`` and ``validate`` never load scipy.
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     lower, diag, upper = operator
+    factors = {}
     out = np.empty((terminal.shape[0], grid.n_time + 1, terminal.shape[1]))
     out[:, -1] = terminal
     for step in range(grid.n_time - 1, -1, -1):
         theta = 1.0 if (grid.n_time - 1 - step) < RANNACHER_STEPS else 0.5
+        if theta not in factors:
+            factors[theta] = _lapack_checked(dgttrf(
+                -theta * dt * lower[1:], 1.0 - theta * dt * diag, -theta * dt * upper[:-1]))
         v = out[:, step + 1, 1:-1]
         applied = diag * v
         applied[:, 1:] += lower[1:] * v[:, :-1]
         applied[:, :-1] += upper[:-1] * v[:, 1:]
         rhs = v + (1.0 - theta) * dt * applied + dt * (
             theta * source[:, step] + (1.0 - theta) * source[:, step + 1])
-        banded = np.zeros((3, len(diag)))
-        banded[0, 1:] = -theta * dt * upper[:-1]
-        banded[1, :] = 1.0 - theta * dt * diag
-        banded[2, :-1] = -theta * dt * lower[1:]
-        out[:, step, 1:-1] = solve_banded((1, 1), banded, rhs.T).T
+        out[:, step, 1:-1] = _lapack_checked(dgttrs(*factors[theta], rhs.T))[0].T
         fold(out[:, step])
+    if not np.isfinite(out).all():  # a non-finite matrix or right-hand side
+        raise ValueError("array must not contain infs or NaNs")
     return out
+
+
+def _lapack_checked(result):
+    """A LAPACK routine's outputs but its ``info``, raised on as ``solve_banded`` raises."""
+    *outputs, info = result
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal dgttrf/dgttrs")
+    return outputs
 
 
 @dataclass

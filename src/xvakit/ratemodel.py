@@ -9,14 +9,14 @@ exactly.  This is the minimal model with closed-form zero-coupon bonds,
 
 with ``B(t, T) = (1 - exp(-a (T-t))) / a`` and a deterministic convexity
 term ``c``; see ``bond_price``.  Simulation is exact, one normal per path
-and step: the factor is drawn from its law given its last value, and its
-integral, which only the discount factor reads, is replaced by its mean
-given the factor on the grid (Glasserman, *Monte Carlo Methods in Financial
-Engineering*, 2004, section 3.3), its variance going into the discount
-shift.  So discount factors are unbiased at any step size, and no noisier
-than with a drawn integral (Rao-Blackwell).  The moments are written in
-``B``, and as a series where their closed form cancels, so they stay exact
-to rounding however small ``a`` is.
+and step: the factor is drawn from its law given its last value.  No
+discount factor is carried along a path.  Exposure reads only
+``E[D_t g(x_t)]``, which under the t-forward measure (Geman, El Karoui &
+Rochet, *J. Appl. Prob.* 32, 1995) is ``P(0, t) E[g(x_t + m_t)]`` with
+``m_t = -sigma^2 B(t)^2 / 2`` (``ShortRateModel.forward_drift``) and
+``x_t`` the factor simulated here, so the discount is folded into each
+grid time's kernel instead.  The moments are written in ``B``, so they stay
+exact to rounding however small ``a`` is.
 
 Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
 from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` yields the
@@ -45,11 +45,6 @@ from .curves import DiscountCurve
 
 BLOCK_SIZE = 8192  # paths per deterministic substream; even, so antithetic pairs fit
 
-# The series of ``_variance_bracket`` in u, highest power first: below u = 1,
-# its 24 terms leave a remainder under 1e-17 of the sum.
-_BRACKET_SERIES = np.array([(-1) ** (k + 1) * (2.0 ** (k - 1) - 2.0) / math.factorial(k)
-                            for k in range(26, 2, -1)])
-
 
 @dataclass(frozen=True)
 class ShortRateModel:
@@ -74,19 +69,6 @@ class ShortRateModel:
         a = self.mean_reversion
         return -np.expm1(-a * np.asarray(dt, dtype=float)) / a
 
-    def _variance_bracket(self, t):
-        """``(t - 2 B(t) + B(2t) / 2) / a^2``: the variance of the integrated
-        factor over ``[0, t]``, per ``sigma^2``.
-
-        Its terms cancel for small ``u = a t``, so below ``u = 1`` it is
-        summed as its series ``t^3 sum_{k>=3} (-1)^(k+1) (2^(k-1) - 2) u^(k-3) / k!``.
-        """
-        a = self.mean_reversion
-        t = np.asarray(t, dtype=float)
-        out = np.array(np.polyval(_BRACKET_SERIES, a * t) * t ** 3)
-        closed = t - 2.0 * self.b_factor(t) + 0.5 * self.b_factor(2.0 * t)
-        return np.divide(closed, a * a, out=out, where=a * t >= 1.0)
-
     def _convexity(self, t, dt):
         """Deterministic part of the bond-price exponent at time t, tenor dt."""
         s = self.sigma
@@ -107,14 +89,17 @@ class ShortRateModel:
         log_a, b = self.affine(curve, t, maturity)
         return np.exp(log_a - np.multiply.outer(np.asarray(x, dtype=float), b))
 
-    def step_moments(self, dt: float) -> tuple[float, float, float, float]:
-        """(decay, var_x, cov_xy, var_y) of (x(t+dt), int_t^{t+dt} x ds) given x(t)."""
+    def forward_drift(self, t):
+        """``m_t = -sigma^2 B(t)^2 / 2``: the mean of ``x_t`` under the t-forward measure,
+        whose law there is that of ``x_t + m_t`` under Q."""
+        s, b = self.sigma, self.b_factor(t)
+        return -0.5 * s * s * b * b
+
+    def step_moments(self, dt: float) -> tuple[float, float]:
+        """(decay, var_x) of x(t+dt) given x(t)."""
         s = self.sigma
-        b = self.b_factor(dt)
-        var_x = s * s * self.b_factor(2.0 * dt) / 2.0
-        cov = s * s * b * b / 2.0
-        var_y = s * s * self._variance_bracket(dt)
-        return float(np.exp(-self.mean_reversion * dt)), float(var_x), float(cov), float(var_y)
+        return (float(np.exp(-self.mean_reversion * dt)),
+                float(s * s * self.b_factor(2.0 * dt) / 2.0))
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -165,48 +150,26 @@ def _map_threaded(fn, jobs, n_workers: int) -> Iterator:
 
 
 def _step_table(model: ShortRateModel, grid: np.ndarray) -> np.ndarray:
-    """Per step, ``(decay, l11, B - kappa decay, kappa, l22^2)``, ``kappa = cov / var_x``
-    (0 where ``var_x`` is): the factor's step, and its integral's mean
-    ``(B - kappa decay) x_i + kappa x_{i+1}`` and variance ``l22^2`` given both ends."""
-    rows = []
-    for dt in np.diff(grid):
-        decay, var_x, cov, var_y = model.step_moments(dt)
-        kappa = cov / var_x if var_x > 0 else 0.0
-        rows.append((decay, np.sqrt(var_x), model.b_factor(dt) - kappa * decay, kappa,
-                     max(var_y - kappa * cov, 0.0)))
-    return np.array(rows)
-
-
-def _discount_shift(model: ShortRateModel, curve: DiscountCurve, grid, steps) -> np.ndarray:
-    """``shift`` with ``E[D_t | x on the grid] = exp(-(shift + y))``: the integral of alpha
-    over ``[0, t]``, which makes the mean of the pathwise discount factor the curve's,
-    less half the ``l22^2`` of the steps before ``t``."""
-    s = model.sigma
-    return (-curve.log_df(grid) + 0.5 * s * s * model._variance_bracket(grid)
-            - 0.5 * np.append(0.0, np.cumsum(steps[:, 4])))
+    """Per step, ``(decay, l11)``: the factor's decay and its conditional standard deviation."""
+    return np.array([(decay, math.sqrt(var_x))
+                     for decay, var_x in map(model.step_moments, np.diff(grid))])
 
 
 def _simulate_block(steps: np.ndarray, rng: np.random.Generator, k0: int, x: np.ndarray,
-                    y: np.ndarray, z: np.ndarray) -> None:
+                    z: np.ndarray) -> None:
     """Draw and advance one grid-major row chunk of a block's drawn paths in place.
 
-    ``x[0]`` and ``y[0]`` hold the factor and its integral's conditional
-    mean at grid row ``k0``; steps ``k0 .. k0 + n - 1`` fill rows ``1 .. n``,
-    with ``n = min(len(x) - 1, len(steps) - k0)``.  Their normals are drawn
-    from the block's ``rng`` into ``z[:n]``, grid-major, so chunks drawn in
-    turn read the stream as one ``(steps, paths)`` draw would; scaled by
-    ``l11``, ``z[i]`` is then scratch for ``kappa x[i + 1]``.  Antithetic
-    twins are never stepped: each step only multiplies and adds, so a
-    twin's ``x`` and ``y`` are exactly ``-x`` and ``-y``.
+    ``x[0]`` holds the factor at grid row ``k0``; steps ``k0 .. k0 + n - 1``
+    fill rows ``1 .. n``, with ``n = min(len(x) - 1, len(steps) - k0)``.
+    Their normals are drawn from the block's ``rng`` into ``z[:n]``,
+    grid-major, so chunks drawn in turn read the stream as one
+    ``(steps, paths)`` draw would.  Antithetic twins are never stepped: each
+    step only multiplies and adds, so a twin's ``x`` is exactly ``-x``.
     """
     n = min(len(x) - 1, len(steps) - k0)
     chunk, z = steps[k0:k0 + n], z[:n]
     rng.standard_normal(out=z)
     z *= chunk[:, 1, None]
-    for i, (decay, _, b, kappa) in enumerate(chunk[:, :4]):
+    for i, decay in enumerate(chunk[:, 0]):
         np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z
         x[i + 1] += z[i]
-        np.multiply(x[i], b, out=y[i + 1])  # (y + x (B - kappa decay)) + kappa x'
-        y[i + 1] += y[i]
-        np.multiply(x[i + 1], kappa, out=z[i])
-        y[i + 1] += z[i]

@@ -6,31 +6,29 @@ tests that need whole paths get them here.  Each block is stepped by one
 and with antithetic sampling the twin half is stepped as well, from the
 negated draws, so a test can check the identity ``exposure_profile`` relies
 on: twin == -drawn.
+
+No path carries a discount factor.  A discounted mean at ``t`` is priced
+under the t-forward measure: ``E[D_t g(x_t)] = P(0, t) E[g(x_t + m_t)]``
+over these Q paths, with ``m_t`` from ``forward_mean``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from xvakit.ratemodel import (_discount_shift, _simulate_block, _step_table, _validate_grid,
-                              map_blocks)
+from xvakit.ratemodel import _simulate_block, _step_table, _validate_grid, map_blocks
 
 
 @dataclass
 class PathSet:
     """Path-major ``(paths, grid)`` arrays; each block is its drawn paths, then its twins.
 
-    ``integrated`` is the conditional mean of the integral of the factor
-    over ``[0, t]`` given the factor on the grid, ``short_rate`` is
-    ``x + alpha(t)`` and ``discount`` is the conditional mean of
-    ``exp(-integral of r over [0, t])`` along the path.
+    ``short_rate`` is ``x + alpha(t)``.
     """
 
     grid: np.ndarray
     factor: np.ndarray
-    integrated: np.ndarray
     short_rate: np.ndarray
-    discount: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -60,6 +58,17 @@ def shift(model, curve, t):
     return curve.forward(t) + s * s * one_m * one_m / (2.0 * a * a)
 
 
+def forward_mean(model, t):
+    """The factor's mean at ``t`` under the t-forward measure, ``-(sigma (1 - e^{-a t}) / a)^2 / 2``.
+
+    The forward measure adds the drift ``-sigma^2 B(t - s)`` to ``dx`` at
+    ``s``, and ``sigma^2 int_0^t e^{-a (t - s)} B(t - s) ds`` is that square.
+    """
+    a = model.mean_reversion
+    b = -np.expm1(-a * np.asarray(t, dtype=float)) / a
+    return -0.5 * (model.sigma * b) ** 2
+
+
 def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers=1) -> PathSet:
     """Every path of ``exposure_profile``'s blocks, twins stepped from negated draws."""
     g = _validate_grid(grid)
@@ -72,15 +81,10 @@ def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers
             rngs.append(Negated(block_rng(seed, idx)))
         halves = []
         for rng in rngs:
-            x, y = np.zeros((2, len(g), n_draw))
-            _simulate_block(steps, rng, 0, x, y, np.empty((len(steps), n_draw)))
-            halves.append((x, y))
-        return np.hstack([x for x, _ in halves]), np.hstack([y for _, y in halves])
+            x = np.zeros((len(g), n_draw))
+            _simulate_block(steps, rng, 0, x, np.empty((len(steps), n_draw)))
+            halves.append(x)
+        return np.hstack(halves)
 
-    parts = list(map_blocks(run_block, n_paths, antithetic, n_workers))
-    x = np.concatenate([p[0] for p in parts], axis=1).T
-    y = np.concatenate([p[1] for p in parts], axis=1).T
-    int_shift = _discount_shift(model, curve, g, steps)
-    return PathSet(grid=g, factor=x, integrated=y,
-                   short_rate=x + np.asarray(shift(model, curve, g))[None, :],
-                   discount=np.exp(-(int_shift[None, :] + y)))
+    x = np.concatenate(list(map_blocks(run_block, n_paths, antithetic, n_workers)), axis=1).T
+    return PathSet(grid=g, factor=x, short_rate=x + np.asarray(shift(model, curve, g))[None, :])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pathsim import simulate_paths
+from pathsim import forward_mean, simulate_paths
 from xvakit import (
     CreditCurve,
     DiscountCurve,
@@ -285,8 +285,9 @@ def test_criterion_8_monte_carlo_integrity():
 
     paths = simulate_paths(model, curve, grid[:9], 2000, seed=42)
     k = 5
-    values = portfolio_value((swap,), model, curve, float(grid[k]), paths.factor[:, k])
-    dv = values * paths.discount[:, k]
+    # The discounted value, priced under the t-forward measure: P(0, t) f(x_t + m_t).
+    dv = curve.df(grid[k]) * portfolio_value((swap,), model, curve, float(grid[k]),
+                                             paths.factor[:, k] + forward_mean(model, grid[k]))
     identity_ok = bool(np.array_equal(np.maximum(dv, 0.0) + np.minimum(dv, 0.0), dv))
 
     serial = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=1)

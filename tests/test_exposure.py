@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ive, ndtr
 
-from pathsim import block_rng, simulate_paths
+from pathsim import block_rng, forward_mean, simulate_paths
 from xvakit import (
     DiscountCurve,
     ShortRateModel,
@@ -29,6 +29,7 @@ from xvakit.exposure import (
     _chebyshev_fit,
     _chebyshev_revalue,
     _chebyshev_terms,
+    _forward_kernel,
     _netted_plan,
     _reduce,
     _revalue,
@@ -100,11 +101,9 @@ FLAT = DiscountCurve((50.0,), (0.02,))
 
 
 def reference_block(model, grid, n_block, seed, block_index, antithetic):
-    """Whole-block recursion: grid-major ``(x, y)`` of one block, every row at once.
+    """Whole-block recursion: the grid-major factor of one block, every row at once.
 
-    One ``(steps, paths)`` draw; per step ``x' = x decay + l11 z`` and
-    ``y' = y + x (B - kappa decay) + kappa x'`` with ``kappa = cov / var_x``,
-    the integral's conditional mean given the factor at both ends.
+    One ``(steps, paths)`` draw; per step ``x' = x decay + l11 z``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
     n_steps = len(grid) - 1
@@ -114,27 +113,10 @@ def reference_block(model, grid, n_block, seed, block_index, antithetic):
     if antithetic:
         np.negative(z[:, :n_draw], out=z[:, n_draw:])
     x = np.zeros((len(grid), n_block))
-    y = np.zeros((len(grid), n_block))
     for k in range(n_steps):
-        dt = grid[k + 1] - grid[k]
-        decay, var_x, cov, _ = model.step_moments(dt)
-        kappa = cov / var_x if var_x > 0 else 0.0
+        decay, var_x = model.step_moments(grid[k + 1] - grid[k])
         x[k + 1] = x[k] * decay + np.sqrt(var_x) * z[k]
-        y[k + 1] = y[k] + x[k] * (model.b_factor(dt) - kappa * decay) + kappa * x[k + 1]
-    return x, y
-
-
-def reference_shift(model, curve, grid):
-    """``-log P(0, t) + Var(Y_t) / 2``, the integral of alpha, less half of each
-    earlier step's ``var_y - kappa cov``: the integral's variance given the factor at
-    both ends of the step."""
-    residual = []
-    for dt in np.diff(grid):
-        _, var_x, cov, var_y = model.step_moments(dt)
-        residual.append(max(var_y - (cov / var_x if var_x > 0 else 0.0) * cov, 0.0))
-    s = model.sigma
-    return (-curve.log_df(grid) + 0.5 * s * s * model._variance_bracket(grid)
-            - 0.5 * np.concatenate([[0.0], np.cumsum(residual)]))
+    return x
 
 
 def revalue_in_chunks(x, plan, out):
@@ -169,18 +151,16 @@ def reference_fit(x, plan, twins):
 
 
 def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, posted=()):
-    """Whole blocks through simulate, revalue, discount, ``_block_stats`` and ``_reduce``;
-    the posted book's discounted mean from its plan alone."""
-    plan = _netted_plan(book, model, curve, grid)
-    int_shift = reference_shift(model, curve, grid)[:, None]
+    """Whole blocks through simulate, revalue on the t-forward kernel, ``_block_stats`` and
+    ``_reduce``; the posted book's discounted mean from its plan alone."""
+    kernel = _forward_kernel(_netted_plan(book, model, curve, grid), model, curve, grid)
     parts = []
     for idx, size in enumerate(_block_sizes(n_paths)):
-        x, y = reference_block(model, grid, size, seed, idx, antithetic)
+        x = reference_block(model, grid, size, seed, idx, antithetic)
         values = np.empty((len(grid), size))
-        revalue_in_chunks(x, plan, values)
-        discount = np.exp(-(y + int_shift))
-        parts.append(_block_stats(values, discount, antithetic))
-    profile = _reduce(parts, grid, plan, n_paths)
+        revalue_in_chunks(x, kernel, values)
+        parts.append(_block_stats(values, antithetic))
+    profile = _reduce(parts, grid, kernel, n_paths)
     if posted:
         profile.collateral = _netted_plan(posted, model, curve, grid).forward
     return profile
@@ -260,10 +240,14 @@ def forward_value(book, curve, t):
     return total
 
 
-def book_dv(book, model, curve, grid, paths):
-    """Whole-path discounted values ``(grid, paths)`` of the netted book."""
-    return np.array([portfolio_value(book, model, curve, float(t), paths.factor[:, k])
-                     for k, t in enumerate(grid)]) * paths.discount.T
+def book_dv(book, model, curve, grid, paths, value=None):
+    """Whole-path discounted values ``(grid, paths)`` of the netted book under each grid
+    time's t-forward measure: ``P(0, t) f_t(x_t + m_t)``, ``f_t`` from ``value``
+    (``portfolio_value`` by default)."""
+    value = value or portfolio_value
+    m = forward_mean(model, grid)
+    return np.array([curve.df(t) * value(book, model, curve, float(t), paths.factor[:, k] + m[k])
+                     for k, t in enumerate(grid)])
 
 
 def pair_units(part, n_paths, antithetic):
@@ -474,10 +458,7 @@ class TestStreamedBlocks:
                                antithetic=antithetic)
         blocks = [reference_block(model, MIXED_GRID, size, 41, idx, antithetic)
                   for idx, size in enumerate(_block_sizes(n_paths))]
-        assert np.array_equal(paths.factor.T, np.hstack([x for x, _ in blocks]))
-        int_shift = reference_shift(model, SLOPED, MIXED_GRID)[:, None]
-        discount = np.exp(-(int_shift + np.hstack([y for _, y in blocks])))
-        assert np.array_equal(paths.discount.T, discount)
+        assert np.array_equal(paths.factor.T, np.hstack(blocks))
 
     def test_block_working_set_is_its_draws_and_a_few_chunks(self, model):
         # Normals are drawn a chunk at a time, so no block-sized array is held.
@@ -497,18 +478,17 @@ class TestStreamedBlocks:
         last row over; the paths are bit for bit those of one whole-block call."""
         _, grid = STREAM_CASES[case]
         steps, n = _step_table(model, grid), 1000
-        whole = np.zeros((2, len(grid), n))
-        _simulate_block(steps, block_rng(43, 1), 0, *whole, np.empty((len(steps), n)))
+        whole = np.zeros((len(grid), n))
+        _simulate_block(steps, block_rng(43, 1), 0, whole, np.empty((len(steps), n)))
         rng = block_rng(43, 1)
-        x, y = np.zeros((2, CHUNK_ROWS + 1, n))
+        x = np.zeros((CHUNK_ROWS + 1, n))
         z = np.empty((CHUNK_ROWS, n))
         for k0 in range(0, len(grid), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(grid) - k0)
-            _simulate_block(steps, rng, k0, x, y, z)
-            assert np.array_equal(x[:rows], whole[0, k0:k0 + rows]), k0
-            assert np.array_equal(y[:rows], whole[1, k0:k0 + rows]), k0
-            x[0], y[0] = x[rows], y[rows]
-        assert whole[0, -1].any()  # the last row was stepped
+            _simulate_block(steps, rng, k0, x, z)
+            assert np.array_equal(x[:rows], whole[k0:k0 + rows]), k0
+            x[0] = x[rows]
+        assert whole[-1].any()  # the last row was stepped
 
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -548,10 +528,9 @@ class TestNettedKernel:
         n_paths = 2 * BLOCK_SIZE + 1000
         profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=13)
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=13)
-        values = np.array([per_swap_sum(MIXED_BOOK, model, SLOPED, float(t), paths.factor[:, k])
-                           for k, t in enumerate(MIXED_GRID)])
+        dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths, value=per_swap_sum)
         forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
-        (epe, _), (ene, _) = control_variate(values * paths.discount.T, n_paths, True, forward)
+        (epe, _), (ene, _) = control_variate(dv, n_paths, True, forward)
         for name, reference in {"epe": epe, "ene": ene}.items():
             np.testing.assert_allclose(getattr(profile, name), reference,
                                        rtol=1e-12, atol=1e-12 * GROSS)
@@ -572,6 +551,42 @@ class TestNettedKernel:
         expected = _netted_plan(book, model, SLOPED, grid).expected
         np.testing.assert_allclose(expected, reference, rtol=1e-12, atol=1e-12 * gross)
         assert np.ptp(expected) > 1e-3 * gross  # the check has something to find
+
+    @staticmethod
+    def assert_forward_kernel_integrates_to_forward(case, sigma):
+        """The t-forward kernel's mean over ``x_t ~ N(0, sigma^2 (1 - exp(-2 a t)) / 2a)``,
+        the factor's law under Q, by Gauss-Hermite quadrature: ``forward`` at every row."""
+        book, grid = STREAM_CASES[case]
+        model = ShortRateModel(0.05, sigma)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        sd = sigma * np.sqrt(-np.expm1(-0.1 * grid) / 0.1)
+        plan = _netted_plan(book, model, SLOPED, grid)
+        kernel = _forward_kernel(plan, model, SLOPED, grid)
+        mean = _revalue(sd[:, None] * nodes, kernel) @ weights
+        gross = sum(s.notional for s in book)
+        np.testing.assert_allclose(mean, plan.forward, rtol=1e-12, atol=1e-12 * gross)
+        assert np.ptp(plan.forward) > 1e-3 * gross
+
+    @pytest.mark.parametrize("sigma", [0.011, 0.03])
+    @pytest.mark.parametrize("case", ["mixed", "long-book"])
+    def test_forward_kernel_integrates_to_the_forward(self, case, sigma):
+        self.assert_forward_kernel_integrates_to_forward(case, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.011, 0.03])
+    @pytest.mark.parametrize("case", ["mixed", "long-book"])
+    @pytest.mark.parametrize("defect", ["flipped sign", "B(2t)/2 for B(t)^2"])
+    def test_forward_kernel_check_fails_on_a_planted_defect(self, monkeypatch, defect, case,
+                                                            sigma):
+        drift = ShortRateModel.forward_drift
+        defective = {
+            "flipped sign": lambda model, t: -drift(model, t),
+            "B(2t)/2 for B(t)^2": lambda model, t: (
+                -0.5 * model.sigma**2 * model.b_factor(2.0 * np.asarray(t, dtype=float)) / 2.0),
+        }[defect]
+        monkeypatch.setattr(ShortRateModel, "forward_drift", defective)
+        with pytest.raises(AssertionError):
+            self.assert_forward_kernel_integrates_to_forward(case, sigma)
 
     @pytest.mark.parametrize("sigma", [0.011, 0.03])
     @pytest.mark.parametrize("antithetic", [True, False])
@@ -608,7 +623,7 @@ class TestNettedKernel:
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_single_payer_epe_matches_its_closed_form(self, antithetic, sigma):
         """The one-root closed form (``payer_epe``) against the Monte Carlo ``epe``:
-        within 4 s.e. at every grid row, so a biased discount factor shows."""
+        within 4 s.e. at every grid row, so a biased forward kernel shows."""
         swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, frequency=2)
         model, grid = ShortRateModel(0.05, sigma), make_exposure_grid(10.0, 2)
         profile = exposure_profile((swap,), model, SLOPED, grid, 2 * BLOCK_SIZE + 1000,
@@ -626,8 +641,16 @@ class TestNettedKernel:
                                    antithetic=antithetic, n_workers=2)
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23,
                                antithetic=antithetic)
-        dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths)
-        forward = _netted_plan(MIXED_BOOK, model, SLOPED, MIXED_GRID).forward
+        # The t-forward kernel's proxy, fitted per block as the profile fits it: on
+        # antithetic pairs ``v`` is nearly constant, so ``beta`` and the residual move
+        # by some 1e-12 of themselves when the values move by an ulp or so.
+        kernel = _forward_kernel(_netted_plan(MIXED_BOOK, model, SLOPED, MIXED_GRID), model,
+                                 SLOPED, MIXED_GRID)
+        dv = np.empty((len(MIXED_GRID), n_paths))
+        edges = np.cumsum([0, *_block_sizes(n_paths)])
+        for a, b in zip(edges[:-1], edges[1:]):
+            revalue_in_chunks(paths.factor.T[:, a:b], kernel, dv[:, a:b])
+        forward = kernel.forward
         for name, (_, expected) in zip(("se_epe", "se_ene"),
                                        control_variate(dv, n_paths, antithetic, forward)):
             np.testing.assert_allclose(getattr(profile, name), expected, rtol=1e-12, atol=1e-15)
@@ -662,7 +685,7 @@ class TestNettedKernel:
     @staticmethod
     def proxy_block(book, model, grid, antithetic, seed=29):
         """One block's paths, its netted plan and the proxy values."""
-        x, _ = reference_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
+        x = reference_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
         plan = _netted_plan(book, model, FLAT, grid)
         proxy = np.empty((len(grid), BLOCK_SIZE))
         revalue_in_chunks(x, plan, proxy)
@@ -689,7 +712,7 @@ class TestNettedKernel:
         # Into an out twice as wide as x, the second half holds the paths at
         # -x: bit for bit what revaluing the explicit twins gives.
         book, model, grid = PROXY_CASES[case]
-        x, _ = reference_block(model, grid, 2048, 31, 0, antithetic=False)
+        x = reference_block(model, grid, 2048, 31, 0, antithetic=False)
         assert not x[0].any()  # the first chunk holds a row with h = 0
         plan = _netted_plan(book, model, FLAT, grid)
         for k0 in range(0, len(grid), CHUNK_ROWS):
@@ -704,7 +727,7 @@ class TestNettedKernel:
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
     def test_batched_fit_matches_the_per_row_loop(self, case, antithetic):
         book, model, grid = PROXY_CASES[case]
-        x, _ = reference_block(model, grid, BLOCK_SIZE, 47, 0, antithetic)
+        x = reference_block(model, grid, BLOCK_SIZE, 47, 0, antithetic)
         x = x[:, :BLOCK_SIZE // 2] if antithetic else x  # the drawn half; twins are -x
         plan = _netted_plan(book, model, FLAT, grid)
         gross = sum(s.notional for s in book)
@@ -819,3 +842,36 @@ class TestNettedKernel:
         out = np.zeros((2, 2))
         _chebyshev_revalue(x, plan, out)
         assert np.isnan(out).all()
+
+
+class TestStandardErrorCalibration:
+    """The reported ``se_epe`` against the spread of ``epe`` over independent runs."""
+
+    @staticmethod
+    def spread_over_reported(antithetic):
+        """Per grid row of the long book, the sd of ``epe`` over 40 seeds at 8192 paths
+        over the mean reported ``se_epe``.  Rows where some run reports an s.e. of 0
+        are left out: there every path agreed, or no path was in the money (the 3
+        month row, where the book is positive on a handful of paths at most), and the
+        s.e. of such a sample says nothing."""
+        book, model, grid = PROXY_CASES["long-book"]
+        profiles = [exposure_profile(book, model, FLAT, grid, BLOCK_SIZE, seed=seed,
+                                     antithetic=antithetic) for seed in range(40)]
+        epe, se = (np.array([getattr(p, name) for p in profiles]) for name in ("epe", "se_epe"))
+        sampled = np.all(se > 0, axis=0)
+        assert sampled.sum() >= len(grid) - 4
+        return epe[:, sampled].std(axis=0, ddof=1) / se[:, sampled].mean(axis=0)
+
+    @staticmethod
+    def calibrated(ratio):
+        return 0.85 <= np.median(ratio) <= 1.15 and np.all((0.6 <= ratio) & (ratio <= 1.5))
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_reported_error_matches_the_spread_over_seeds(self, antithetic):
+        ratio = self.spread_over_reported(antithetic)
+        assert self.calibrated(ratio), (np.median(ratio), ratio.min(), ratio.max())
+
+    def test_twins_taken_as_independent_units_fail_it(self, monkeypatch):
+        monkeypatch.setattr(exposure, "_block_stats",
+                            lambda values, antithetic: _block_stats(values, False))
+        assert not self.calibrated(self.spread_over_reported(antithetic=True))

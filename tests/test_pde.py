@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import LinAlgError, solve_banded
 
 from xvakit import (
     Grid,
@@ -21,6 +22,7 @@ from xvakit import (
     solve_vhat,
     verify_decomposition,
 )
+from xvakit import pde
 from xvakit.cli import _write_surfaces, main
 
 FULL_PROBLEM = PdeProblem(
@@ -272,6 +274,31 @@ class TestSinglePass:
         assert streamed.read_bytes() == joined.read_bytes()
         assert len(streamed.read_text().splitlines()) == 1 + 21 * 21
 
+    @pytest.mark.parametrize("problem", [FULL_PROBLEM, PUT_PROBLEM, FORWARD_PROBLEM],
+                             ids=["call", "put", "forward"])
+    def test_march_matches_a_banded_solve_per_step(self, monkeypatch, problem):
+        """Each march of ``solve_vhat``, the Rannacher steps included, against one
+        ``solve_banded`` per step on the same inputs: bit for bit."""
+        marches, march = [], pde._march
+
+        def recorded(*args):
+            out = march(*args)
+            marches.append((args, out))
+            return out
+
+        monkeypatch.setattr(pde, "_march", recorded)
+        solve_vhat(problem, Grid(100, 100))
+        assert len(marches) == 2
+        for args, out in marches:
+            assert np.array_equal(out, march_by_banded_solves(*args))
+
+    def test_march_refuses_a_singular_matrix(self):
+        # The first, fully implicit step's matrix 1 - dt diag is 0.
+        grid, dt = Grid(8, 4), 0.5
+        operator = (np.zeros(7), np.full(7, 1.0 / dt), np.zeros(7))
+        with pytest.raises(LinAlgError, match="singular"):
+            pde._march(operator, np.ones((1, 9)), np.zeros((1, 5, 7)), dt, grid, lambda v: None)
+
     def test_unwritable_surface_file_exits_3(self, tmp_path, capsys):
         root = Path(__file__).resolve().parent.parent
         raw = json.loads((root / "configs" / "pde_verify.json").read_text())
@@ -309,6 +336,28 @@ def per_node_density_expectations(problem, times, n_density):
         vx = (1.0 - p.collateral_fraction) * v
         out[:, i] = (np.dot(w, np.maximum(vx, 0.0)), np.dot(w, np.minimum(vx, 0.0)),
                      np.dot(w, v))
+    return out
+
+
+def march_by_banded_solves(operator, terminal, source, dt, grid, fold):
+    """``pde._march`` as one banded solve per step, the matrix rebuilt at each."""
+    lower, diag, upper = operator
+    out = np.empty((terminal.shape[0], grid.n_time + 1, terminal.shape[1]))
+    out[:, -1] = terminal
+    for step in range(grid.n_time - 1, -1, -1):
+        theta = 1.0 if (grid.n_time - 1 - step) < pde.RANNACHER_STEPS else 0.5
+        v = out[:, step + 1, 1:-1]
+        applied = diag * v
+        applied[:, 1:] += lower[1:] * v[:, :-1]
+        applied[:, :-1] += upper[:-1] * v[:, 1:]
+        rhs = v + (1.0 - theta) * dt * applied + dt * (
+            theta * source[:, step] + (1.0 - theta) * source[:, step + 1])
+        banded = np.zeros((3, len(diag)))
+        banded[0, 1:] = -theta * dt * upper[:-1]
+        banded[1, :] = 1.0 - theta * dt * diag
+        banded[2, :-1] = -theta * dt * lower[1:]
+        out[:, step, 1:-1] = solve_banded((1, 1), banded, rhs.T).T
+        fold(out[:, step])
     return out
 
 
