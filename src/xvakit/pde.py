@@ -145,16 +145,30 @@ class Grid:
             raise ValueError("n_space: must be even so the spot lies on a node")
 
 
+def log_half_width(p: PdeProblem) -> float:
+    """Half-width of the log-price grid about the spot: ``HALF_WIDTH`` standard
+    deviations plus the drift over the life, plus log 2."""
+    return (HALF_WIDTH * p.sigma * np.sqrt(p.maturity)
+            + abs(p.carry - 0.5 * p.sigma**2) * p.maturity + np.log(2.0))
+
+
 def check_verifiable(problem: PdeProblem, grid: Grid) -> None:
     """Refuse what the verifier cannot price in floats, naming the field.
 
     A time step over which a negative rate grows the value by more than half:
-    at ``-rate dt = 1`` the implicit start-up step is singular.  And an issuer
+    at ``-rate dt = 1`` the implicit start-up step is singular.  A cell Peclet
+    number ``|carry - sigma^2/2| dx / sigma^2`` above 1: central convection
+    then outweighs diffusion and the march oscillates.  And an issuer
     recovery below 1e-6 but above 0: the recovery bond's position is the
     after-default value over it.
     """
     if grid.n_time < (least := 2.0 * problem.maturity * -problem.rate):
         raise ValueError(f"n_time: must be >= 2 maturity (-rate) = {least:g}")
+    # dx = 2 log_half_width / n_space, so the Peclet number is 2 half / n_space
+    half = abs(problem.carry - 0.5 * problem.sigma**2) * log_half_width(problem) / problem.sigma**2
+    if grid.n_space < (least := 2 * int(np.ceil(half))):
+        raise ValueError(f"n_space: cell Peclet number {2 * half / grid.n_space:.3g} > 1; " + (
+            f"needs >= {least}" if least <= MAX_NODES else f"none up to {MAX_NODES} is enough"))
     if 0 < problem.issuer_recovery < 1e-6:
         raise ValueError("issuer_recovery: must be 0 or at least 1e-6")
 
@@ -302,9 +316,7 @@ def solve_vhat(problem: PdeProblem, grid: Grid = Grid()) -> PdeSolution:
     """
     check_verifiable(problem, grid)
     p = problem
-    half_width = HALF_WIDTH * p.sigma * np.sqrt(p.maturity) + abs(
-        p.carry - 0.5 * p.sigma**2
-    ) * p.maturity + np.log(2.0)
+    half_width = log_half_width(p)
     x0 = np.log(p.spot)
     x = np.linspace(x0 - half_width, x0 + half_width, grid.n_space + 1)
     dx = x[1] - x[0]

@@ -147,7 +147,7 @@ class CapitalProfile:
     relief from a fully eligible credit hedge is the whole CVA charge plus
     the CCR saving from substituting the protection provider's risk weight
     (``k_ccr - k_ccr_hedged``).  The net requirement interpolates linearly in
-    the hedge fraction.  Components may be stacked ``(rows, grid)``.
+    the hedge fraction (``net_capital``).
     """
 
     grid: np.ndarray
@@ -159,15 +159,15 @@ class CapitalProfile:
     def __post_init__(self):
         n = len(self.grid)
         for name in ("k_mr", "k_ccr", "k_ccr_hedged", "k_cva"):
-            if np.shape(getattr(self, name))[-1:] != (n,):
+            if np.shape(getattr(self, name)) != (n,):
                 raise ValueError(f"{name} must match the grid length")
 
-    def net_components(self, hedge_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(MR, CCR, CVA-vol) parts of the net requirement at a hedge fraction."""
-        psi = hedge_fraction
-        ccr = self.k_ccr - psi * (self.k_ccr - self.k_ccr_hedged)
-        cva = (1.0 - psi) * self.k_cva
-        return self.k_mr, ccr, cva
+
+def net_capital(k_mr, k_ccr, k_ccr_hedged, k_cva, psi):
+    """(MR, CCR, CVA-vol) parts of the net requirement at hedge fraction ``psi``;
+    netting is affine in psi, so the components may be profiles or their
+    integrals, of any shape that broadcasts with it."""
+    return k_mr, k_ccr - psi * (k_ccr - k_ccr_hedged), (1.0 - psi) * k_cva
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,15 @@ weighted by the joint survival of issuer and counterparty,
     W(u) = exp( -(lambda_B + lambda_eff) u ),
 
 where ``lambda_eff`` is the effective counterparty hazard under partial
-hedging; every hazard is flat.  Pathwise discounting already sits inside the exposure expectations
-(EPE/ENE are discounted); deterministic quantities such as the capital
-profile are discounted explicitly with the curve.
+hedging; every hazard is flat.  The exposure expectations (EPE/ENE) are
+already discounted; deterministic quantities such as the capital profile
+are discounted explicitly with the curve.
 
-Quadrature: trapezoid on the profile grid, with the survival factor
-evaluated at interval midpoints.  This is second-order accurate and
-exact for constant integrands.  All rows of a sweep share one quadrature:
-their survival weights form one ``(rows, intervals)`` array and each
-component is one integral over it, one value per row.
+Quadrature: trapezoid on the profile grid, with ``W`` at interval
+midpoints; exact for constant integrands and second order on smooth
+profiles, but first order across a swap's jumps at its payment dates.
+Every integral is one ``(rows, grid)`` weight array times a profile, summed
+along the grid: one value per row of a sweep.
 
 Components and signs (received cash positive):
 
@@ -39,7 +39,7 @@ import numpy as np
 from .credit import CreditCurve, TaxPolicy, effective_hazard
 from .curves import DiscountCurve
 from .exposure import ExposureProfile
-from .regcap import CapitalProfile
+from .regcap import CapitalProfile, net_capital
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,11 @@ class XvaBreakdown:
     """All adjustments in currency, one value per row, with the notional for bps conversion.
 
     ``se`` holds the Monte Carlo standard errors of (CVA, DVA, FCA, TVA),
-    shaped ``(4, rows)``.  They are conservative: profile errors are
-    integrated as if perfectly correlated across grid points, which
-    upper-bounds the true error of each component.
+    shaped ``(4, rows)``.  Each component is a per-row coefficient times the
+    integral of one exposure profile, and its error is the coefficient's
+    magnitude times the integral of that profile's pointwise standard error:
+    the pointwise errors combined as if perfectly correlated across grid
+    points.  COLVA and KVA read closed forms and carry no Monte Carlo error.
     """
 
     cva: np.ndarray
@@ -127,95 +129,68 @@ class XvaBreakdown:
 
 
 class _Quadrature:
-    """Midpoint survival weights of every row of a sweep as one ``(rows, intervals)`` array.
+    """The trapezoid of every row of a sweep, one per run (perfbench counts them).
 
-    Hazards are flat, so each default rate leaves the integral as a per-row
-    factor.  Psi and xi reach it only through ``credit.effective_hazard`` and
-    the warehoused factor ``(1-psi)(1-xi)``, and
-    capital is affine in psi and its carry in phi, so each component is one
-    ``integrate`` over all rows, returning one value per row.
+    Each interval's ``W(mid) dt / 2`` goes to both of its ends, so row r
+    integrates a profile p as ``sum(weights[r] * p)``: element-wise, so a
+    row's bits do not depend on the other rows of the sweep.
     """
 
-    def __init__(self, inputs: XvaInputs):
-        self.inputs = inputs
-        grid = inputs.exposure.grid
-        self.dt = np.diff(grid)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        self.psi, self.phi = inputs.psi, inputs.phi
-        self.warehoused = (1.0 - inputs.psi) * (1.0 - inputs.xi)
-        curves = [curve for curve, _ in inputs.parties]
-        self.lambda_cpty = np.array([c.hazard for c in curves])[inputs.party]
-        self.lgd_c = np.array([1.0 - c.recovery for c in curves])[inputs.party]
-        self.lambda_eff = effective_hazard(self.lambda_cpty, inputs.psi, inputs.xi)
-        self.lambda_issuer = inputs.issuer.hazard
-        self.lgd_b = 1.0 - inputs.issuer.recovery
-        w = np.multiply.outer(self.lambda_issuer + self.lambda_eff, mids)
-        self.survival_mid = np.exp(np.negative(w, out=w), out=w)
-        capital = CapitalProfile(grid, *(
-            np.array([getattr(k, name) for _, k in inputs.parties])[inputs.party]
-            for name in ("k_mr", "k_ccr", "k_ccr_hedged", "k_cva")))
-        self.capital_parts = capital.net_components(self.psi[:, None])  # (MR, CCR, CVA-vol)
-
-    def integrate(self, profile_endpoint) -> np.ndarray:
-        """Per row, the sum over intervals of W(mid) * avg(profile) * dt."""
-        avg = np.add(profile_endpoint[..., :-1], profile_endpoint[..., 1:])
-        avg *= 0.5
-        avg *= self.dt
-        return (self.survival_mid * avg).sum(axis=-1)
-
-    def cva(self) -> np.ndarray:
-        return -self.lgd_c * self.lambda_eff * self.integrate(self.inputs.exposure.epe)
-
-    def dva(self) -> np.ndarray:
-        return -self.lgd_b * self.lambda_issuer * self.integrate(self.inputs.exposure.ene)
-
-    def fca(self) -> np.ndarray:
-        return -self.lgd_b * self.lambda_issuer * self.integrate(self.inputs.exposure.epe)
-
-    def colva(self) -> np.ndarray:
-        inputs = self.inputs
-        if inputs.collateral is None:
-            return np.zeros_like(self.psi)
-        return -inputs.collateral_spread * self.integrate(np.asarray(inputs.collateral))
-
-    def kva(self) -> np.ndarray:
-        """``(3, rows)``; the capital profile is deterministic, so it is discounted by the curve."""
-        inputs, grid = self.inputs, self.inputs.exposure.grid
-        d = np.asarray(inputs.discount.df(grid))
-        forward = np.asarray(inputs.discount.forward(grid))
-        carry = inputs.cost_of_capital - forward * self.phi[:, None]
-        carry *= d
-        return np.array([-self.integrate(carry * part) for part in self.capital_parts])
-
-    def tva(self) -> np.ndarray:
-        inputs, grid = self.inputs, self.inputs.exposure.grid
-        rate, epe = inputs.tax.rate, inputs.exposure.epe
-        d = np.asarray(inputs.discount.df(grid))
-        taxed_flow = rate * inputs.cost_of_capital * d * sum(self.capital_parts)
-        if inputs.tax.accruals_taxed:
-            taxed_flow = taxed_flow + rate * self.lambda_issuer * self.lgd_b * epe
-        credit = rate * self.warehoused * self.lgd_c
-        if inputs.tax.compensator_taxed:
-            # The compensator accrual offsets the expected default loss grossed
-            # up by its own tax effect, hence the (1 + rate) factor.
-            credit -= rate * self.warehoused * (1.0 + rate) * self.lgd_c
-        return credit * self.lambda_cpty * self.integrate(epe) - self.integrate(taxed_flow)
-
-    def errors(self) -> np.ndarray:
-        """Upper-bound errors of (CVA, DVA, FCA, TVA), shaped ``(4, rows)``."""
-        exposure = self.inputs.exposure
-        w_se_epe = self.integrate(exposure.se_epe)
-        return np.array([
-            self.lgd_c * self.lambda_eff * w_se_epe,
-            self.lgd_b * self.lambda_issuer * self.integrate(exposure.se_ene),
-            self.lgd_b * self.lambda_issuer * w_se_epe,
-            self.inputs.tax.rate * np.abs(self.warehoused) * self.lgd_c * self.lambda_cpty
-            * w_se_epe,
-        ])
+    def __init__(self, grid: np.ndarray, hazard: np.ndarray):
+        half = np.exp(-np.multiply.outer(hazard, 0.5 * (grid[:-1] + grid[1:])))
+        half *= 0.5 * np.diff(grid)
+        self.weights = np.zeros((len(hazard), len(grid)))
+        self.weights[:, :-1] = half
+        self.weights[:, 1:] += half
 
 
 def breakdown(inputs: XvaInputs) -> XvaBreakdown:
-    """Price every row in one quadrature; each total is the exact float sum of its parts."""
-    q = _Quadrature(inputs)
-    return XvaBreakdown(q.cva(), q.dva(), q.fca(), q.colva(), *q.kva(), q.tva(), inputs.notional,
-                        q.errors())
+    """Price every row of a sweep at once; each total is the exact float sum of its parts."""
+    exposure, tax, grid = inputs.exposure, inputs.tax, inputs.exposure.grid
+    lambda_cpty, lgd_c = np.array([(c.hazard, 1.0 - c.recovery) for c, _ in inputs.parties]).T
+    lambda_cpty, lgd_c = lambda_cpty[inputs.party], lgd_c[inputs.party]
+    lambda_eff = effective_hazard(lambda_cpty, inputs.psi, inputs.xi)
+    issuer_loss = (1.0 - inputs.issuer.recovery) * inputs.issuer.hazard  # LGD_B lambda_B
+
+    weights = _Quadrature(grid, inputs.issuer.hazard + lambda_eff).weights
+
+    # The Monte Carlo loadings: each component is coefficient * int(profile),
+    # and its standard error |coefficient| * int(s.e. of the profile).
+    credit = tax.rate * (1.0 - inputs.psi) * (1.0 - inputs.xi) * lgd_c * lambda_cpty
+    if tax.compensator_taxed:
+        # The compensator accrual offsets the expected default loss grossed
+        # up by its own tax effect, hence the (1 + rate) factor.
+        credit = credit - (1.0 + tax.rate) * credit
+    if tax.accruals_taxed:
+        credit = credit - tax.rate * issuer_loss
+    loadings = (  # CVA, DVA, FCA and TVA's tax credit on warehoused losses
+        (-lgd_c * lambda_eff, "epe"),
+        (-issuer_loss, "ene"),
+        (-issuer_loss, "epe"),
+        (credit, "epe"),
+    )
+    integral = {name: (weights * getattr(exposure, name)).sum(axis=-1)
+                for name in ("epe", "ene", "se_epe", "se_ene")}
+    cva, dva, fca, tva = (coef * integral[profile] for coef, profile in loadings)
+    se = np.array([np.abs(coef) * integral["se_" + profile] for coef, profile in loadings])
+
+    colva = np.zeros(len(inputs.psi))
+    if inputs.collateral is not None:
+        colva -= inputs.collateral_spread * (weights * inputs.collateral).sum(axis=-1)
+
+    # The capital profile is deterministic, so it is discounted by the curve.
+    # Each party's components are integrated over its rows with and without
+    # the forward rate, then netted in psi: the carry is affine in phi.
+    d, forward = inputs.discount.df(grid), inputs.discount.forward(grid)
+    capital = np.empty((4, 2, len(inputs.psi)))  # (component, [d, d forward], row)
+    for j, (_, k) in enumerate(inputs.parties):
+        rows = inputs.party == j
+        w = weights[rows]
+        for c, component in enumerate((k.k_mr, k.k_ccr, k.k_ccr_hedged, k.k_cva)):
+            discounted = d * component
+            capital[c, 0, rows] = (w * discounted).sum(axis=-1)
+            capital[c, 1, rows] = (w * (forward * discounted)).sum(axis=-1)
+    parts = net_capital(*capital, inputs.psi)  # (MR, CCR, CVA-vol), each (2, rows)
+    kva = [inputs.phi * part[1] - inputs.cost_of_capital * part[0] for part in parts]
+    tva -= tax.rate * inputs.cost_of_capital * sum(part[0] for part in parts)
+    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se)

@@ -592,6 +592,32 @@ class TestCli:
             assert len(cells) == 4 and "np." not in row
             assert all(math.isfinite(float(c)) for c in cells)
 
+    @pytest.mark.parametrize("n_space, peclet", [(40, "98"), (200, "19.6"), (1000, "3.92")])
+    def test_pde_verify_refuses_convection_past_diffusion(self, tmp_path, capsys, n_space,
+                                                          peclet):
+        # The shipped problem at rate -1 over 100 years, without hazards: central
+        # convection outweighed diffusion, and pde-verify printed adjustments near
+        # 1e84 (exit 2) or, at nSpace 1000, 2.2e-4 against a quadrature of 0.
+        root = Path(__file__).resolve().parent.parent
+        raw = json.loads((root / "configs" / "pde_verify.json").read_text())
+        raw["market"] = json.loads((root / "configs" / "market_gbp_flat.json").read_text())
+        raw["pde"].update(rate=-1.0, maturity=100.0, nTime=200, issuerHazard=0.0,
+                          counterpartyHazard=0.0, nSpace=n_space)
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(raw))
+        assert main(["pde-verify", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"pde.nSpace: cell Peclet number {peclet} > 1; none up to 2000 is enough\n")
+
+    def test_pde_verify_names_the_least_space_grid_that_keeps_diffusion_ahead(self, tmp_path,
+                                                                             capsys):
+        pde = {"rate": -0.2, "maturity": 20.0, "nTime": 100}
+        path = self.write_config(tmp_path, pde={**pde, "nSpace": 88})
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "pde.nSpace: cell Peclet number 1.01 > 1; needs >= 90\n")
+        assert main(["validate", str(self.write_config(tmp_path, pde={**pde, "nSpace": 90}))]) == 0
+
     @pytest.mark.parametrize(
         "pde, field",
         [

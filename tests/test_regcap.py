@@ -19,7 +19,7 @@ from xvakit import (
     remaining_duration,
 )
 from xvakit.config import PRESETS
-from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base
+from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base, net_capital
 from xvakit.runner import run_config
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -117,8 +117,12 @@ def unhedged(cap):
     return cap.k_mr + cap.k_ccr + cap.k_cva
 
 
+def net(cap, psi):
+    return net_capital(cap.k_mr, cap.k_ccr, cap.k_ccr_hedged, cap.k_cva, psi)
+
+
 def net_total(cap, psi):
-    mr, ccr, cva = cap.net_components(psi)
+    mr, ccr, cva = net(cap, psi)
     return mr + ccr + cva
 
 
@@ -145,7 +149,7 @@ class TestCapitalProfile:
         assert np.all(relief >= 0)
 
     def test_full_hedge_removes_cva_component(self):
-        _, _, cva_component = self.capital("BB").net_components(1.0)
+        _, _, cva_component = net(self.capital("BB"), 1.0)
         assert np.all(cva_component == 0.0)
 
     def test_no_hedge_keeps_everything(self):
@@ -158,12 +162,25 @@ class TestCapitalProfile:
         chord = 0.5 * (net_total(cap, 0.0) + net_total(cap, 1.0))
         assert np.allclose(mid, chord, rtol=1e-14)
 
+    def test_netting_commutes_with_integration(self):
+        """Netting is affine in psi, so a weighted sum of the netted profile
+        equals the netting of the components' weighted sums, row by row."""
+        cap = self.capital("CCC", provider=RATING_TABLE["A"])
+        psi = np.array([0.0, 0.3, 1.0])
+        weights = np.exp(-np.multiply.outer([0.01, 0.05, 0.2], self.grid))  # (rows, grid)
+        components = [(weights * k).sum(axis=-1)
+                      for k in (cap.k_mr, cap.k_ccr, cap.k_ccr_hedged, cap.k_cva)]
+        profiles = [net(cap, p) for p in psi]  # per row: its (MR, CCR, CVA) profiles
+        for part, integral in enumerate(net_capital(*components, psi)):
+            expected = [(weights[r] * profiles[r][part]).sum() for r in range(len(psi))]
+            np.testing.assert_allclose(integral, expected, rtol=1e-14)
+
     def test_provider_substitution_only_when_better(self):
         prof = self.profile()
         for rating, cpty in RATING_TABLE.items():
             cap = self.capital(rating, prof, provider=RATING_TABLE["A"])
-            _, ccr_unhedged, _ = cap.net_components(0.0)
-            _, ccr_hedged, _ = cap.net_components(1.0)
+            _, ccr_unhedged, _ = net(cap, 0.0)
+            _, ccr_hedged, _ = net(cap, 1.0)
             assert np.all(ccr_unhedged >= ccr_hedged - 1e-15), rating
             expected_weight = min(cpty.risk_weight, RATING_TABLE["A"].risk_weight)
             ratio = expected_weight / cpty.risk_weight

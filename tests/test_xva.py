@@ -1,5 +1,6 @@
 """Adjustment integrals against closed-form constant-intensity oracles."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -19,10 +20,10 @@ from xvakit import (
     breakdown,
     verify_decomposition,
 )
+from xvakit import pde, runner, xva
 from xvakit.config import PRESETS, PdeVerifyConfig
 from xvakit.regcap import CapitalProfile
 from xvakit.runner import run_config
-from xvakit.xva import _Quadrature
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -105,6 +106,19 @@ def decayed_integral(rate_factor, level, decay, horizon):
     if decay == 0.0:
         return rate_factor * level * horizon
     return rate_factor * level * (1.0 - math.exp(-decay * horizon)) / decay
+
+
+def survival_trapezoid(grid, hazard, profile):
+    """Reference rule, interval by interval: sum of W(mid) * avg(profile) * dt
+    with W(u) = exp(-hazard u)."""
+    return math.fsum(math.exp(-hazard * 0.5 * (a + b)) * 0.5 * (pa + pb) * (b - a)
+                     for a, b, pa, pb in zip(grid[:-1], grid[1:], profile[:-1], profile[1:]))
+
+
+def with_errors(inputs, se_epe, se_ene=None):
+    """``inputs`` whose exposure reports the given pointwise standard errors."""
+    se_ene = se_epe if se_ene is None else se_ene
+    return replace(inputs, exposure=replace(inputs.exposure, se_epe=se_epe, se_ene=se_ene))
 
 
 GRID_Q = np.linspace(0.0, 10.0, 41)
@@ -283,6 +297,51 @@ class TestTva:
         assert breakdown(taxed).tva[0] < breakdown(plain).tva[0]
 
 
+class TestTvaStandardError:
+    """TVA loads on the EPE through one coefficient: the tax credit on warehoused
+    losses, (1 + rate)-grossed when the compensator is taxed, less the tax on
+    the issuer's default accrual when accruals are taxed.  Its s.e. reads the
+    same coefficient under every tax policy."""
+
+    @pytest.mark.parametrize("accruals_taxed", (False, True))
+    @pytest.mark.parametrize("compensator_taxed", (False, True))
+    @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
+    def test_se_is_the_coefficient_times_the_integrated_error(self, accruals_taxed,
+                                                             compensator_taxed, psi, xi):
+        rate, lam_b, lam_c = 0.21, 0.0167, 0.0417
+        kwargs = dict(lambda_b=lam_b, lambda_c=lam_c, psi=psi, xi=xi, gamma_e=rate, rate=0.02,
+                      capital=flat_capital(GRID_Q, ccr=30.0, cva_vol=20.0),
+                      accruals_taxed=accruals_taxed, compensator_taxed=compensator_taxed)
+        se_epe = 0.5 + 0.1 * GRID_Q
+        inputs = with_errors(make_inputs(GRID_Q, epe=40.0, ene=-80.0, **kwargs), se_epe)
+        warehoused_credit = rate * (1.0 - psi) * (1.0 - xi) * 0.6 * lam_c
+        coefficient = warehoused_credit * ((1.0 - (1.0 + rate)) if compensator_taxed else 1.0)
+        if accruals_taxed:
+            coefficient -= rate * 0.6 * lam_b
+        hazard = lam_b + lam_c * (psi + (1.0 - psi) * (1.0 - xi))
+        result = breakdown(inputs)
+        assert result.se[3, 0] == pytest.approx(
+            abs(coefficient) * survival_trapezoid(GRID_Q, hazard, se_epe), rel=1e-13, abs=1e-300)
+        # the value reads the same coefficient: TVA moves by it times the EPE's integral
+        no_exposure = breakdown(make_inputs(GRID_Q, epe=0.0, ene=-80.0, **kwargs))
+        assert result.tva[0] - no_exposure.tva[0] == pytest.approx(
+            coefficient * survival_trapezoid(GRID_Q, hazard, inputs.exposure.epe), rel=1e-12,
+            abs=1e-13)
+        if accruals_taxed:
+            assert result.se[3, 0] > 0.0
+
+    def test_se_covers_the_seed_spread_with_taxed_accruals(self):
+        """Fully hedged, TVA's only Monte Carlo term is the tax on the issuer's
+        default accrual; its reported s.e. is at least its spread over seeds."""
+        config = replace(PRESETS["base-case"](), accruals_taxed=True, paths=4096)
+        assert config.psi == (1.0,)
+        runs = [run_config(replace(config, seed=seed)).breakdown for seed in range(24)]
+        spread = np.std([run.tva for run in runs], axis=0, ddof=1)
+        reported = np.mean([run.se[3] for run in runs], axis=0)
+        assert np.all(spread > 0.0)
+        assert np.all(reported >= spread), (reported, spread)
+
+
 class TestBreakdown:
     def test_all_zero(self):
         result = breakdown(make_inputs(GRID_Q))
@@ -290,18 +349,38 @@ class TestBreakdown:
         assert result.as_bps()["total"][0] == 0.0
 
     def test_components_match_individual_calls(self):
-        """Each field of the breakdown is its own component of the quadrature."""
+        """Each field of the breakdown is its own integral: a coefficient times
+        the reference rule on its profile, and each s.e. the same coefficient's
+        magnitude times the rule on the profile's error."""
         capital = flat_capital(GRID_Q, mr=2.0, ccr=30.0, ccr_hedged=18.0, cva_vol=20.0)
-        inputs = make_inputs(
+        inputs = with_errors(make_inputs(
             GRID_Q, epe=40.0, ene=-80.0, lambda_b=0.0167, lambda_c=0.0417,
             psi=0.4, xi=0.3, phi=0.6, gamma_e=0.21, capital=capital, rate=0.02,
-        )
+        ), se_epe=0.5 + 0.1 * GRID_Q, se_ene=2.0 - 0.1 * GRID_Q)
         result = breakdown(inputs)
-        q = _Quadrature(inputs)
-        for name in ("cva", "dva", "fca", "colva", "tva"):
-            assert np.array_equal(getattr(result, name), getattr(q, name)()), name
-        assert np.array_equal([result.kva_mr, result.kva_ccr, result.kva_cva], q.kva())
-        assert np.array_equal(result.se, q.errors())
+        lam_eff = 0.0417 * (0.4 + 0.6 * 0.7)
+        hazard = 0.0167 + lam_eff
+        exposure = inputs.exposure
+
+        def rule(profile):
+            return survival_trapezoid(GRID_Q, hazard, profile)
+
+        credit = 0.21 * 0.6 * 0.7 * 0.6 * 0.0417
+        d = np.exp(-0.02 * GRID_Q)
+        net = {"kva_mr": 2.0, "kva_ccr": 30.0 - 0.4 * 12.0, "kva_cva": 0.6 * 20.0}
+        expected = {
+            "cva": -0.6 * lam_eff * rule(exposure.epe),
+            "dva": -0.6 * 0.0167 * rule(exposure.ene),
+            "fca": -0.6 * 0.0167 * rule(exposure.epe),
+            "colva": 0.0,
+            **{name: -rule((0.10 - 0.02 * 0.6) * d * k) for name, k in net.items()},
+            "tva": credit * rule(exposure.epe) - 0.21 * 0.10 * rule(d * sum(net.values())),
+        }
+        for name, value in expected.items():
+            assert getattr(result, name)[0] == pytest.approx(value, rel=1e-13, abs=1e-15), name
+        expected_se = [0.6 * lam_eff * rule(exposure.se_epe), 0.6 * 0.0167 * rule(exposure.se_ene),
+                       0.6 * 0.0167 * rule(exposure.se_epe), credit * rule(exposure.se_epe)]
+        np.testing.assert_allclose(result.se[:, 0], expected_se, rtol=1e-13)
         assert result.se.shape == (4, 1)
         assert len({result.cva[0], result.dva[0], result.fca[0], result.tva[0]}) == 4
 
@@ -370,33 +449,37 @@ class TestBreakdown:
         )
 
 
+def mutant_breakdown(old, new):
+    """``xva.breakdown`` with the one occurrence of ``old`` in its source made ``new``.
+
+    Each coefficient is written once, so one edit reaches both the value and
+    its standard error."""
+    source = inspect.getsource(xva.breakdown)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(xva))
+    exec(compile(source.replace(old, new), xva.__file__, "exec"), namespace)
+    return namespace["breakdown"]
+
+
 class TestPlantedDefectsFailTheVerifier:
     """``pde.verify_decomposition`` prices its problem with ``breakdown``, so a defect
     planted in these integrals must fail it; the problem passes without one."""
 
     PROBLEM = PdeVerifyConfig().problem  # psi 0.25, xi 0.3, tax 0.21: every term is on
 
-    def assert_defect_fails(self, monkeypatch, problem, name, defective):
+    def assert_defect_fails(self, monkeypatch, problem, old, new):
         assert verify_decomposition(problem, Grid(200, 200)).passed
-        monkeypatch.setattr(_Quadrature, name, defective)
+        monkeypatch.setattr(pde, "breakdown", mutant_breakdown(old, new))
         assert not verify_decomposition(problem, Grid(200, 200)).passed
 
     def test_counterparty_hazard_in_place_of_the_effective_one_in_cva(self, monkeypatch):
-        def cva(q):
-            return -q.lgd_c * q.lambda_cpty * q.integrate(q.inputs.exposure.epe)
-
-        self.assert_defect_fails(monkeypatch, self.PROBLEM, "cva", cva)
+        self.assert_defect_fails(monkeypatch, self.PROBLEM,
+                                 "-lgd_c * lambda_eff", "-lgd_c * lambda_cpty")
 
     def test_taxed_compensator_without_its_gross_up(self, monkeypatch):
-        correct = _Quadrature.tva
-
-        def tva(q):  # without (1 + rate), the credit is rate^2 w LGD_C lam_C int(EPE) higher
-            rate = q.inputs.tax.rate
-            return correct(q) + (rate * rate * q.warehoused * q.lgd_c * q.lambda_cpty
-                                 * q.integrate(q.inputs.exposure.epe))
-
+        # without (1 + rate), the credit is rate^2 w LGD_C lam_C int(EPE) higher
         problem = replace(self.PROBLEM, compensator_taxed=True)
-        self.assert_defect_fails(monkeypatch, problem, "tva", tva)
+        self.assert_defect_fails(monkeypatch, problem, "(1.0 + tax.rate) * credit", "credit")
 
 
 class TestQuadratureAccuracy:
@@ -472,13 +555,12 @@ class TestSweep:
 
     def test_one_quadrature_per_run_whatever_the_row_count(self, monkeypatch):
         built = []
-        init = _Quadrature.__init__
 
-        def counted(self, inputs):
+        def counted(inputs):
             built.append(len(inputs.psi))
-            init(self, inputs)
+            return breakdown(inputs)
 
-        monkeypatch.setattr(_Quadrature, "__init__", counted)
+        monkeypatch.setattr(runner, "breakdown", counted)
         one = replace(PRESETS["warehouse-neg"](), ratings=("BB",), phi=(0.0,), paths=1000)
         many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi=(0.0, 0.5, 1.0),
                        price_of_risk_xi=(-0.5, 0.5), phi=(0.0, 1.0))
