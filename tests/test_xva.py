@@ -554,15 +554,23 @@ class TestSweep:
                 (CreditCurve(0.05, 0.25), flat_capital(np.linspace(0.0, 10.0, 11))),))
 
     def test_one_quadrature_per_run_whatever_the_row_count(self, monkeypatch):
-        built = []
+        # One breakdown per run, and inside it one weight build for every row
+        # and party: none per party, per component or per row.
+        calls, built = [], []
+        init = xva._Quadrature.__init__
 
         def counted(inputs):
-            built.append(len(inputs.psi))
+            calls.append(len(inputs.psi))
             return breakdown(inputs)
 
+        def counted_init(self, grid, hazard):
+            built.append(len(hazard))
+            init(self, grid, hazard)
+
         monkeypatch.setattr(runner, "breakdown", counted)
+        monkeypatch.setattr(xva._Quadrature, "__init__", counted_init)
         one = replace(PRESETS["warehouse-neg"](), ratings=("BB",), phi=(0.0,), paths=1000)
         many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi=(0.0, 0.5, 1.0),
                        price_of_risk_xi=(-0.5, 0.5), phi=(0.0, 1.0))
-        assert len(run_config(one).rows) == 1 and built == [1]
-        assert len(run_config(many).rows) == 48 and built == [1, 48]
+        assert len(run_config(one).rows) == 1 and calls == built == [1]
+        assert len(run_config(many).rows) == 48 and calls == built == [1, 48]
