@@ -56,13 +56,14 @@ sampling units, and likewise ``ene``.  Their standard errors are those of
 the residual, ``M2(v+) - beta C(v+, v)``, on antithetic-pair means when
 antithetic sampling is on; where every unit agrees (``M2(v) = 0``) ``beta``
 is 0 and the plain mean remains.  With antithetic sampling only a block's
-drawn half is simulated: each twin path is the exact negation of its drawn
+drawn half is sampled: each twin path is the exact negation of its drawn
 path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
 ``mid_k`` is 0) and its value is ``E - s G``, each bit for bit what
-stepping the twin would give.
-A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows: each chunk's
-normals are drawn, and it is simulated, revalued and reduced to
-per-row moments while it is in a core's cache, so a block never holds a
+sampling the twin would give.
+A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows.  Each row
+draws its own normals from the factor's law at its time, so nothing carries
+from one chunk to the next; the chunk is revalued and reduced to per-row
+moments while it is in a core's cache, so a block never holds a
 ``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
 the Chebyshev term count is chosen per chunk.  Blocks are merged in index
 order as they finish, so a profile is byte-identical for a given seed no
@@ -78,7 +79,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .curves import DiscountCurve
-from .ratemodel import ShortRateModel, _simulate_block, _step_table, _validate_grid, map_blocks
+from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
 
 POINTS_PER_YEAR = 4  # of the uniform part of the exposure grid
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
@@ -175,8 +176,7 @@ def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _Ne
     const = np.where(live, last, 0.0).sum(axis=1)
     neg_b = np.where(live, -b, 0.0)
     wa = np.where(live, weights * np.exp(log_a), 0.0)
-    s = model.sigma  # s * s is inf where a float's s ** 2 raises OverflowError
-    v = s * s * model.b_factor(2.0 * g)[:, None] / 2.0
+    v = model.variance(g)[:, None]
     return _NettedPlan(const=const, neg_b=neg_b, wa=wa,
                        b_max=np.max(b, axis=1, where=live, initial=0.0),
                        forward=const * curve.df(g) + np.where(live, weights, 0.0) @ curve.df(dates),
@@ -499,22 +499,20 @@ def exposure_profile(
     kernel = _forward_kernel(
         _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g),
         model, curve, g)
-    steps = _step_table(model, g)
+    sd = np.sqrt(model.variance(g))
 
     def run_block(idx, size):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
         n_draw = size // 2 if antithetic else size  # twins fill columns n_draw onward
-        x = np.zeros((CHUNK_ROWS + 1, n_draw))  # row CHUNK_ROWS carries to the next chunk
-        z = np.empty((CHUNK_ROWS, n_draw))
+        x = np.empty((CHUNK_ROWS, n_draw))
         values = np.empty((CHUNK_ROWS, size))
         mean, co = np.empty((3, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
-            _simulate_block(steps, rng, k0, x, z)
+            _simulate_block(sd, rng, k0, x)
             _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], values[:rows])
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(
                 values[:rows], antithetic)
-            x[0] = x[rows]
         return n_units, mean, co
 
     profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, kernel, n_paths)

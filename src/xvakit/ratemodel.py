@@ -8,32 +8,33 @@ exactly.  This is the minimal model with closed-form zero-coupon bonds,
     P(t, T) = P(0, T) / P(0, t) * exp(-x(t) B(t, T) - c(t, T)),
 
 with ``B(t, T) = (1 - exp(-a (T-t))) / a`` and a deterministic convexity
-term ``c``; see ``bond_price``.  Simulation is exact, one normal per path
-and step: the factor is drawn from its law given its last value.  No
-discount factor is carried along a path.  Exposure reads only
-``E[D_t g(x_t)]``, which under the t-forward measure (Geman, El Karoui &
-Rochet, *J. Appl. Prob.* 32, 1995) is ``P(0, t) E[g(x_t + m_t)]`` with
-``m_t = -sigma^2 B(t)^2 / 2`` (``ShortRateModel.forward_drift``) and
-``x_t`` the factor simulated here, so the discount is folded into each
-grid time's kernel instead.  The moments are written in ``B``, so they stay
-exact to rounding however small ``a`` is.
+term ``c``; see ``bond_price``.  Simulation is exact and needs no path:
+exposure reads only ``E[D_t g(x_t)]``, one grid time at a time, so each grid
+row draws its own normals and takes ``x_t = sqrt(v_t) z`` from the factor's
+law under Q, ``x_t ~ N(0, v_t)`` with ``v_t = sigma^2 B(2t) / 2``
+(``ShortRateModel.variance``).  Rows are independent of one another, so a
+time integral's Monte Carlo error is the root sum of squares of its rows'
+errors.  No discount factor is carried either: under the t-forward measure
+(Geman, El Karoui & Rochet, *J. Appl. Prob.* 32, 1995) ``E[D_t g(x_t)]`` is
+``P(0, t) E[g(x_t + m_t)]`` with ``m_t = -sigma^2 B(t)^2 / 2``
+(``ShortRateModel.forward_drift``) and ``x_t`` the factor sampled here, so
+the discount is folded into each grid time's kernel instead.  The moments
+are written in ``B``, so they stay exact to rounding however small ``a`` is.
 
 Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
 from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` yields the
 blocks' results in block order.  Results are therefore bit-identical for a
 given (seed, n_paths, antithetic) regardless of how many workers execute the
-blocks.  ``_simulate_block`` draws a run of grid rows' normals and steps
-them in place, grid-major ``(rows, paths)``, so each time step reads and
-writes one contiguous row, whatever the run's length.  With antithetic
-sampling only the drawn half of a block is stepped: negation commutes with
-every multiply and add of the recursion, so each twin path is the exact
-IEEE negation of its drawn path and ``exposure_profile`` derives it from
-the drawn half.
+blocks.  ``_simulate_block`` draws a run of grid rows' normals grid-major,
+``(rows, paths)``, and scales each row by its standard deviation, so chunks
+drawn in turn read the stream as one whole-block draw would.  With
+antithetic sampling only the drawn half of a block is sampled: each twin is
+the exact IEEE negation of its drawn path, and ``exposure_profile`` derives
+it from the drawn half.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -95,11 +96,10 @@ class ShortRateModel:
         s, b = self.sigma, self.b_factor(t)
         return -0.5 * s * s * b * b
 
-    def step_moments(self, dt: float) -> tuple[float, float]:
-        """(decay, var_x) of x(t+dt) given x(t)."""
-        s = self.sigma
-        return (float(np.exp(-self.mean_reversion * dt)),
-                float(s * s * self.b_factor(2.0 * dt) / 2.0))
+    def variance(self, t):
+        """``v_t = sigma^2 B(2t) / 2``: the variance of ``x_t`` under Q, where ``x_0 = 0``."""
+        s = self.sigma  # s * s is inf where a float's s ** 2 raises OverflowError
+        return s * s * self.b_factor(2.0 * np.asarray(t, dtype=float)) / 2.0
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -149,27 +149,14 @@ def _map_threaded(fn, jobs, n_workers: int) -> Iterator:
             yield ahead.popleft().result()
 
 
-def _step_table(model: ShortRateModel, grid: np.ndarray) -> np.ndarray:
-    """Per step, ``(decay, l11)``: the factor's decay and its conditional standard deviation."""
-    return np.array([(decay, math.sqrt(var_x))
-                     for decay, var_x in map(model.step_moments, np.diff(grid))])
+def _simulate_block(sd: np.ndarray, rng: np.random.Generator, k0: int, x: np.ndarray) -> None:
+    """Draw one grid-major row chunk of a block's drawn paths into ``x``.
 
-
-def _simulate_block(steps: np.ndarray, rng: np.random.Generator, k0: int, x: np.ndarray,
-                    z: np.ndarray) -> None:
-    """Draw and advance one grid-major row chunk of a block's drawn paths in place.
-
-    ``x[0]`` holds the factor at grid row ``k0``; steps ``k0 .. k0 + n - 1``
-    fill rows ``1 .. n``, with ``n = min(len(x) - 1, len(steps) - k0)``.
-    Their normals are drawn from the block's ``rng`` into ``z[:n]``,
-    grid-major, so chunks drawn in turn read the stream as one
-    ``(steps, paths)`` draw would.  Antithetic twins are never stepped: each
-    step only multiplies and adds, so a twin's ``x`` is exactly ``-x``.
+    Grid rows ``k0 .. k0 + n - 1`` fill ``x[:n]``, with ``n = min(len(x),
+    len(sd) - k0)``: each row its own normals from the block's ``rng``, times
+    that row's ``sd``.  Antithetic twins are never drawn: a twin's ``x`` is
+    exactly ``-x``.
     """
-    n = min(len(x) - 1, len(steps) - k0)
-    chunk, z = steps[k0:k0 + n], z[:n]
-    rng.standard_normal(out=z)
-    z *= chunk[:, 1, None]
-    for i, decay in enumerate(chunk[:, 0]):
-        np.multiply(x[i], decay, out=x[i + 1])  # x decay + l11 z
-        x[i + 1] += z[i]
+    n = min(len(x), len(sd) - k0)
+    rng.standard_normal(out=x[:n])
+    x[:n] *= sd[k0:k0 + n, None]

@@ -3,8 +3,8 @@
 The text table rounds adjustment values to whole basis points (half away
 from zero); its Total column is the rounded sum of the unrounded components,
 so it can differ from the sum of the rounded cells.  CSV and JSON carry the
-unrounded values together with the Monte Carlo standard-error bound, and are
-byte-stable for a given configuration and seed.
+unrounded values together with the Monte Carlo standard error of the total,
+and are byte-stable for a given configuration and seed.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ from .xva import XvaBreakdown, XvaInputs, breakdown
 @dataclass
 class RunResult:
     """The priced sweep: one key ``(psi, xi, m_lambda, phi, rating)`` per row,
-    in sweep order, beside the columns of that row's breakdown, its summed
-    standard error in bps and whether that error exceeds ``warnSeBp``."""
+    in sweep order, beside the columns of that row's breakdown, the standard
+    error of its total in bps and whether that error exceeds ``warnSeBp``."""
 
     rows: list[tuple[float, float, float | None, float, str]]
     breakdown: XvaBreakdown
@@ -79,6 +79,6 @@ def run_config(config: RunConfig) -> RunResult:
         discount=curve, cost_of_capital=config.cost_of_capital, notional=notional,
         collateral_spread=config.collateral_spread, collateral=profile.collateral,
     ))
-    se_bp = result.bps(sum(result.se))
+    se_bp = result.bps(result.se_total)
     rows = [(psi, xi, m_lambda, phi, config.ratings[j]) for psi, xi, m_lambda, phi, j in cells]
     return RunResult(rows, result, se_bp, se_bp > config.warn_se_bp, profile, config)

@@ -87,11 +87,14 @@ class XvaBreakdown:
     """All adjustments in currency, one value per row, with the notional for bps conversion.
 
     ``se`` holds the Monte Carlo standard errors of (CVA, DVA, FCA, TVA),
-    shaped ``(4, rows)``.  Each component is a per-row coefficient times the
-    integral of one exposure profile, and its error is the coefficient's
-    magnitude times the integral of that profile's pointwise standard error:
-    the pointwise errors combined as if perfectly correlated across grid
-    points.  COLVA and KVA read closed forms and carry no Monte Carlo error.
+    shaped ``(4, rows)``, and ``se_total`` the total's, ``(rows,)``.  Each
+    component is a per-row coefficient times the integral of one exposure
+    profile, whose grid points are sampled independently, so its error is
+    the coefficient's magnitude times the l2 norm of the weighted pointwise
+    standard errors.  ``ene`` is the known forward less ``epe``, so the
+    total's Monte Carlo part is one coefficient on ``epe``, in which DVA and
+    FCA cancel: not the sum of the four.  COLVA and KVA read closed forms and
+    carry no Monte Carlo error.
     """
 
     cva: np.ndarray
@@ -104,6 +107,7 @@ class XvaBreakdown:
     tva: np.ndarray
     notional: float
     se: np.ndarray
+    se_total: np.ndarray
 
     @property
     def kva(self) -> np.ndarray:
@@ -155,7 +159,7 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     weights = _Quadrature(grid, inputs.issuer.hazard + lambda_eff).weights
 
     # The Monte Carlo loadings: each component is coefficient * int(profile),
-    # and its standard error |coefficient| * int(s.e. of the profile).
+    # and its standard error |coefficient| * ||weights * s.e. of the profile||_2.
     credit = tax.rate * (1.0 - inputs.psi) * (1.0 - inputs.xi) * lgd_c * lambda_cpty
     if tax.compensator_taxed:
         # The compensator accrual offsets the expected default loss grossed
@@ -169,10 +173,15 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
         (-issuer_loss, "epe"),
         (credit, "epe"),
     )
-    integral = {name: (weights * getattr(exposure, name)).sum(axis=-1)
-                for name in ("epe", "ene", "se_epe", "se_ene")}
+    integral = {name: (weights * getattr(exposure, name)).sum(axis=-1) for name in ("epe", "ene")}
+    error = {name: np.sqrt(np.square(weights * getattr(exposure, "se_" + name)).sum(axis=-1))
+             for name in ("epe", "ene")}
     cva, dva, fca, tva = (coef * integral[profile] for coef, profile in loadings)
-    se = np.array([np.abs(coef) * integral["se_" + profile] for coef, profile in loadings])
+    se = np.array([np.abs(coef) * error[profile] for coef, profile in loadings])
+    # ene = forward - epe wherever the value varies, so the total loads on epe
+    # alone, with DVA's coefficient negated; it cancels FCA's exactly.
+    (c_cva, _), (c_dva, _), (c_fca, _), (c_tva, _) = loadings
+    se_total = np.abs((c_cva + c_tva) + (c_fca - c_dva)) * error["epe"]
 
     colva = np.zeros(len(inputs.psi))
     if inputs.collateral is not None:
@@ -193,4 +202,4 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     parts = net_capital(*capital, inputs.psi)  # (MR, CCR, CVA-vol), each (2, rows)
     kva = [inputs.phi * part[1] - inputs.cost_of_capital * part[0] for part in parts]
     tva -= tax.rate * inputs.cost_of_capital * sum(part[0] for part in parts)
-    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se)
+    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se, se_total)

@@ -1,11 +1,12 @@
-"""Whole-path simulation for tests, built on the production block functions.
+"""Whole-block sampling for tests, built on the production block functions.
 
-``exposure_profile`` streams blocks and never steps antithetic twins; the
-tests that need whole paths get them here.  Each block is stepped by one
-``_simulate_block`` call, which draws all of the block's normals at once,
-and with antithetic sampling the twin half is stepped as well, from the
-negated draws, so a test can check the identity ``exposure_profile`` relies
-on: twin == -drawn.
+``exposure_profile`` streams blocks and never samples antithetic twins; the
+tests that need every grid row of every path get them here.  Each block is
+sampled by one ``_simulate_block`` call, which draws all of the block's
+normals at once, and with antithetic sampling the twin half is sampled as
+well, from the negated draws, so a test can check the identity
+``exposure_profile`` relies on: twin == -drawn.  A "path" is one column:
+its grid rows are independent draws from each time's marginal law.
 
 No path carries a discount factor.  A discounted mean at ``t`` is priced
 under the t-forward measure: ``E[D_t g(x_t)] = P(0, t) E[g(x_t + m_t)]``
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xvakit.ratemodel import _simulate_block, _step_table, _validate_grid, map_blocks
+from xvakit.ratemodel import _simulate_block, _validate_grid, map_blocks
 
 
 @dataclass
@@ -69,10 +70,19 @@ def forward_mean(model, t):
     return -0.5 * (model.sigma * b) ** 2
 
 
+def shared_normal(sd, rng, k0, x):
+    """A planted defect: ``_simulate_block`` with one normal per path shared by every row of
+    a chunk, so the rows are perfectly correlated as along a path."""
+    n = min(len(x), len(sd) - k0)
+    rng.standard_normal(out=x[:1])
+    x[1:n] = x[0]
+    x[:n] *= sd[k0:k0 + n, None]
+
+
 def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers=1) -> PathSet:
-    """Every path of ``exposure_profile``'s blocks, twins stepped from negated draws."""
+    """Every path of ``exposure_profile``'s blocks, twins sampled from negated draws."""
     g = _validate_grid(grid)
-    steps = _step_table(model, g)
+    sd = np.sqrt(model.variance(g))
 
     def run_block(idx, size):
         n_draw = size // 2 if antithetic else size
@@ -81,8 +91,8 @@ def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers
             rngs.append(Negated(block_rng(seed, idx)))
         halves = []
         for rng in rngs:
-            x = np.zeros((len(g), n_draw))
-            _simulate_block(steps, rng, 0, x, np.empty((len(steps), n_draw)))
+            x = np.empty((len(g), n_draw))
+            _simulate_block(sd, rng, 0, x)
             halves.append(x)
         return np.hstack(halves)
 

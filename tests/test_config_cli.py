@@ -301,7 +301,7 @@ class TestRowsAreSweepsOfOne:
     def test_each_csv_line_equals_the_line_of_its_key_run_alone(self, dial, values):
         """A 2 psi x 2 xi x 2 phi x 2 rating run against its 16 one-row runs."""
         raw = small_config(psi=[0.0, 0.5], phi=[0.0, 1.0], ratings=["AAA", "BB"], paths=400,
-                           collateralSpread=0.001, warnSeBp=1.0)
+                           collateralSpread=0.001, warnSeBp=0.05)
         raw.pop("priceOfRiskXi")
         cfg, diags = validate_config(dict(raw, **{dial: values}))
         assert not diags

@@ -1,5 +1,6 @@
 """Swap valuation and Monte Carlo exposure profiles."""
 
+import functools
 import math
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ive, ndtr
 
-from pathsim import block_rng, forward_mean, simulate_paths
+from pathsim import block_rng, forward_mean, shared_normal, simulate_paths
 from xvakit import (
     DiscountCurve,
     ShortRateModel,
@@ -21,7 +22,9 @@ from xvakit import (
     make_exposure_grid,
     portfolio_value,
     ratemodel,
+    runner,
 )
+from xvakit.config import PRESETS
 from xvakit.exposure import (
     CHUNK_ROWS,
     _block_stats,
@@ -30,11 +33,14 @@ from xvakit.exposure import (
     _chebyshev_revalue,
     _chebyshev_terms,
     _forward_kernel,
+    _merge_moments,
     _netted_plan,
     _reduce,
     _revalue,
 )
-from xvakit.ratemodel import BLOCK_SIZE, _block_sizes, _simulate_block, _step_table
+from xvakit.ratemodel import BLOCK_SIZE, _block_sizes, _simulate_block
+from xvakit.xva import breakdown
+
 
 def annuity(curve, spec, t=0.0):
     """Discounted accrual factor of the remaining fixed leg, seen from time 0."""
@@ -101,22 +107,18 @@ FLAT = DiscountCurve((50.0,), (0.02,))
 
 
 def reference_block(model, grid, n_block, seed, block_index, antithetic):
-    """Whole-block recursion: the grid-major factor of one block, every row at once.
+    """Whole-block draw: the grid-major factor of one block, every row at once.
 
-    One ``(steps, paths)`` draw; per step ``x' = x decay + l11 z``.
+    One ``(rows, paths)`` draw, each row scaled by ``sqrt(v_t)``, the factor's
+    standard deviation at its time.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
-    n_steps = len(grid) - 1
     n_draw = n_block // 2 if antithetic else n_block
-    z = np.empty((n_steps, n_block))
-    z[:, :n_draw] = rng.standard_normal((n_steps, n_draw))
+    z = np.empty((len(grid), n_block))
+    z[:, :n_draw] = rng.standard_normal((len(grid), n_draw))
     if antithetic:
         np.negative(z[:, :n_draw], out=z[:, n_draw:])
-    x = np.zeros((len(grid), n_block))
-    for k in range(n_steps):
-        decay, var_x = model.step_moments(grid[k + 1] - grid[k])
-        x[k + 1] = x[k] * decay + np.sqrt(var_x) * z[k]
-    return x
+    return np.sqrt(model.variance(grid))[:, None] * z
 
 
 def revalue_in_chunks(x, plan, out):
@@ -429,8 +431,8 @@ class TestExposureProfile:
         assert np.all(profile.epe == 0.0) and np.all(profile.ene == 0.0)
 
 
-# Grids of 1 more than a multiple of CHUNK_ROWS rows (a one-row last chunk that
-# takes no step), of exactly CHUNK_ROWS rows, of fewer, and a ragged one.
+# Grids of 1 more than a multiple of CHUNK_ROWS rows (a one-row last chunk), of
+# exactly CHUNK_ROWS rows, of fewer, and a ragged one.
 STREAM_CASES = {
     "long-book": (LONG_BOOK, make_exposure_grid(30.0, 4)),
     "mixed": (MIXED_BOOK, MIXED_GRID),
@@ -452,7 +454,7 @@ class TestStreamedBlocks:
         assert_identical(streamed, whole)
 
     @pytest.mark.parametrize("antithetic", [True, False])
-    def test_simulate_paths_matches_whole_block_recursion(self, model, antithetic):
+    def test_simulate_paths_matches_whole_block_draw(self, model, antithetic):
         n_paths = BLOCK_SIZE + 1000
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=41,
                                antithetic=antithetic)
@@ -473,22 +475,20 @@ class TestStreamedBlocks:
         assert peak <= 16 * CHUNK_ROWS * BLOCK_SIZE * 8, peak / 2**20
 
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
-    def test_chunked_stepping_equals_the_whole_block(self, model, case):
-        """``exposure_profile`` draws and steps ``CHUNK_ROWS`` rows at a time, carrying the
-        last row over; the paths are bit for bit those of one whole-block call."""
+    def test_chunked_draws_equal_the_whole_block(self, model, case):
+        """``exposure_profile`` draws ``CHUNK_ROWS`` rows at a time; the paths are bit for
+        bit those of one whole-block call."""
         _, grid = STREAM_CASES[case]
-        steps, n = _step_table(model, grid), 1000
-        whole = np.zeros((len(grid), n))
-        _simulate_block(steps, block_rng(43, 1), 0, whole, np.empty((len(steps), n)))
+        sd, n = np.sqrt(model.variance(grid)), 1000
+        whole = np.empty((len(grid), n))
+        _simulate_block(sd, block_rng(43, 1), 0, whole)
         rng = block_rng(43, 1)
-        x = np.zeros((CHUNK_ROWS + 1, n))
-        z = np.empty((CHUNK_ROWS, n))
+        x = np.empty((CHUNK_ROWS, n))
         for k0 in range(0, len(grid), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(grid) - k0)
-            _simulate_block(steps, rng, k0, x, z)
+            _simulate_block(sd, rng, k0, x)
             assert np.array_equal(x[:rows], whole[k0:k0 + rows]), k0
-            x[0] = x[rows]
-        assert whole[-1].any()  # the last row was stepped
+        assert whole[-1].any()  # the last row was drawn
 
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -875,3 +875,65 @@ class TestStandardErrorCalibration:
         monkeypatch.setattr(exposure, "_block_stats",
                             lambda values, antithetic: _block_stats(values, False))
         assert not self.calibrated(self.spread_over_reported(antithetic=True))
+
+
+def without_beta(blocks, grid, plan, n_paths):
+    """A planted defect: ``_reduce`` with the control variate's ``beta`` dropped, so the
+    profile is the plain mean with its plain standard error."""
+    n_units, mean, co = functools.reduce(_merge_moments, blocks)
+    co[3:] = 0.0  # C(pos, v) and C(neg, v)
+    return _reduce([(n_units, mean, co)], grid, plan, n_paths)
+
+
+def four_bound_sum(inputs):
+    """A planted defect: ``breakdown`` reporting the total's s.e. as the sum of the four."""
+    result = breakdown(inputs)
+    return replace(result, se_total=result.se.sum(axis=0))
+
+
+class TestTotalStandardErrorCalibration:
+    """The reported ``se_bp`` against the spread of ``total_bp`` over independent runs.
+
+    A 40-seed sd is itself uncertain by about 11% (1 / sqrt(78)), so a band of
+    +-15% on it would fail calibrated code one time in five; over 200 seeds the
+    uncertainty is about 5% and the band is 3 of it.  Seeds 0-199, fixed.
+    """
+
+    SEEDS = range(200)
+    CASES = {
+        "long-book": lambda: replace(PRESETS["base-case"](), swaps=LONG_BOOK + POSTED,
+                                     psi=(0.0, 0.5, 1.0), price_of_risk_xi=(-0.5, 0.5)),
+        "warehouse-neg": PRESETS["warehouse-neg"],
+    }
+
+    @classmethod
+    def spread_over_reported(cls, case):
+        """Per row of the sweep, the sd of ``total_bp`` over the seeds at 8192 paths over
+        the mean reported ``se_bp``."""
+        config = replace(cls.CASES[case](), paths=BLOCK_SIZE)
+        runs = [runner.run_config(replace(config, seed=seed)) for seed in cls.SEEDS]
+        total = np.array([run.breakdown.as_bps()["total"] for run in runs])
+        se_bp = np.array([run.se_bp for run in runs])
+        assert np.all(se_bp > 0)
+        return total.std(axis=0, ddof=1) / se_bp.mean(axis=0)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reported_error_matches_the_spread_over_seeds(self, case):
+        ratio = self.spread_over_reported(case)
+        assert TestStandardErrorCalibration.calibrated(ratio), (
+            np.median(ratio), ratio.min(), ratio.max())
+
+    @pytest.mark.parametrize("defect", ["shared z", "twins as units", "beta dropped",
+                                        "four-bound sum"])
+    def test_a_planted_defect_fails_it(self, monkeypatch, defect):
+        owner, name, planted = {
+            "shared z": (exposure, "_simulate_block", shared_normal),
+            "twins as units": (exposure, "_block_stats",
+                               lambda values, antithetic: _block_stats(values, False)),
+            "beta dropped": (exposure, "_reduce", without_beta),
+            "four-bound sum": (runner, "breakdown", four_bound_sum),
+        }[defect]
+        monkeypatch.setattr(owner, name, planted)
+        ratio = self.spread_over_reported("warehouse-neg")
+        assert not TestStandardErrorCalibration.calibrated(ratio), (
+            np.median(ratio), ratio.min(), ratio.max())

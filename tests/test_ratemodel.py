@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pathsim import forward_mean, simulate_paths
+from pathsim import forward_mean, shared_normal, simulate_paths
 from xvakit import DiscountCurve, ShortRateModel, exposure_profile
-from xvakit.ratemodel import _simulate_block, _step_table, map_blocks
+from xvakit.exposure import CHUNK_ROWS
+from xvakit.ratemodel import _simulate_block, map_blocks
 
 
 def test_parameter_validation():
@@ -79,8 +80,8 @@ def test_antithetic_pairs_mirror(flat_curve, model):
     grid = np.linspace(0.0, 5.0, 11)
     paths = simulate_paths(model, flat_curve, grid, 512, seed=5, antithetic=True)
     h = 256
-    # Twins stepped from the negated draws are the exact negation of their
-    # drawn paths: exposure_profile never steps them and takes -x instead.
+    # Twins sampled from the negated draws are the exact negation of their
+    # drawn paths: exposure_profile never samples them and takes -x instead.
     assert np.array_equal(paths.factor[:h], -paths.factor[h:])
     assert paths.factor[:h, 1:].all()
 
@@ -127,10 +128,10 @@ def test_moments_match_a_50_digit_reference_down_to_tiny_mean_reversion(dt):
             return -mp.expm1(-a * tau) / a
 
         drift = [-s**2 * (b(tau) - b(2 * tau) / 2) / a for tau in (t, 10 * t)]
-        expected = (mp.exp(-a * t), s**2 * b(2 * t) / 2, b(t), *drift)
-        actual = (*model.step_moments(dt), model.b_factor(dt),
+        expected = (s**2 * b(2 * t) / 2, b(t), *drift)
+        actual = (model.variance(dt), model.b_factor(dt),
                   *model.forward_drift(np.array([dt, 10 * dt])))
-        for name, got, want in zip(("decay", "var_x", "B", "m(t)", "m(10t)"), actual, expected):
+        for name, got, want in zip(("v(t)", "B", "m(t)", "m(10t)"), actual, expected):
             assert abs(mp.mpf(float(got)) / want - 1) <= 1e-15, (name, u)
 
 
@@ -138,39 +139,45 @@ def test_vanishing_mean_reversion_is_brownian_motion():
     # a = 1e-200: a * a underflows; the limits are sigma^2 dt and -sigma^2 dt^2 / 2.
     dt, sigma = 0.25, 0.011
     model = ShortRateModel(1e-200, sigma)
-    decay, var_x = model.step_moments(dt)
-    assert decay == 1.0
-    assert var_x == pytest.approx(sigma**2 * dt, rel=1e-15)
+    assert model.variance(dt) == pytest.approx(sigma**2 * dt, rel=1e-15)
     assert model.forward_drift(dt) == pytest.approx(-sigma**2 * dt**2 / 2, rel=1e-15)
 
 
 class UnitNormals:
-    """Stands in for a block's generator: step ``i``'s normal is 1 on path ``i`` and 0
-    elsewhere, so path ``j``'s ``x`` at a grid row is the coefficient of step ``j``'s
-    normal in it, the linear map from the normals to the row."""
+    """Stands in for a block's generator: the normal of the ``i``-th row drawn is 1 on
+    path ``i`` and 0 elsewhere, so path ``j``'s ``x`` at a grid row is the coefficient of
+    row ``j``'s normal in it, the linear map from the normals to the row."""
 
-    def __init__(self, n_steps):
-        self.eye, self.row = np.eye(n_steps), 0
+    def __init__(self, n_rows):
+        self.eye, self.row = np.eye(n_rows), 0
 
     def standard_normal(self, out):
         out[...] = self.eye[self.row:self.row + len(out)]
         self.row += len(out)
 
 
+def assert_exact_marginal_law(model, grid, simulate):
+    """The sampled rows against the factor's law under Q, chunk by chunk as
+    ``exposure_profile`` draws them: ``Var(x_t) = sigma^2 B(2t) / 2``, an independent
+    spelling of ``v_t``, and zero covariance between any two rows."""
+    n, a = len(grid), model.mean_reversion
+    rng, x = UnitNormals(n), np.empty((n, n))
+    for k0 in range(0, n, CHUNK_ROWS):
+        simulate(np.sqrt(model.variance(grid)), rng, k0, x[k0:k0 + CHUNK_ROWS])
+    cov = x @ x.T
+    var = model.sigma**2 * -np.expm1(-2 * a * grid) / (2 * a)
+    np.testing.assert_allclose(np.diag(cov), var, rtol=1e-12, atol=0)
+    assert np.array_equal(cov, np.diag(np.diag(cov)))
+
+
 @pytest.mark.parametrize("mean_reversion", [0.05, 1e-6])
 @pytest.mark.parametrize("sigma", [0.011, 0.05])
-def test_step_table_carries_the_exact_law(sigma, mean_reversion):
-    """The stepped ``x_t`` against the exact law of the factor: ``Var(x_t) =
-    sigma^2 B(2t) / 2`` and ``Cov(x_s, x_t) = e^{-a (t - s)} Var(x_s)`` on neighbouring
-    grid times."""
-    model = ShortRateModel(mean_reversion, sigma)
-    grid = np.union1d(np.linspace(0.0, 1.0, 13), np.linspace(1.0, 30.0, 117))  # uneven steps
-    steps = _step_table(model, grid)
-    n = len(steps)
-    x = np.zeros((len(grid), n))
-    _simulate_block(steps, UnitNormals(n), 0, x, np.empty((n, n)))
-    var = (x * x).sum(axis=1)
-    np.testing.assert_allclose(var, sigma**2 * model.b_factor(2 * grid) / 2, rtol=1e-12, atol=0)
-    np.testing.assert_allclose((x[1:] * x[:-1]).sum(axis=1),
-                               np.exp(-mean_reversion * np.diff(grid)) * var[:-1],
-                               rtol=1e-12, atol=0)
+def test_rows_carry_the_exact_marginal_law(sigma, mean_reversion):
+    grid = np.union1d(np.linspace(0.0, 1.0, 13), np.linspace(1.0, 30.0, 117))  # uneven spacing
+    assert_exact_marginal_law(ShortRateModel(mean_reversion, sigma), grid, _simulate_block)
+
+
+def test_one_normal_shared_by_every_row_fails_the_law():
+    grid = np.linspace(0.0, 10.0, 41)
+    with pytest.raises(AssertionError):
+        assert_exact_marginal_law(ShortRateModel(0.05, 0.011), grid, shared_normal)

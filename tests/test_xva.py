@@ -96,9 +96,9 @@ def kva_split(inputs):
 
 
 def columns(result):
-    """A breakdown's eight components and four standard errors, ``(12, rows)``."""
+    """A breakdown's eight components, four standard errors and the total's, ``(13, rows)``."""
     return np.vstack([result.cva, result.dva, result.fca, result.colva, result.kva_mr,
-                      result.kva_ccr, result.kva_cva, result.tva, result.se])
+                      result.kva_ccr, result.kva_cva, result.tva, result.se, result.se_total])
 
 
 def decayed_integral(rate_factor, level, decay, horizon):
@@ -113,6 +113,19 @@ def survival_trapezoid(grid, hazard, profile):
     with W(u) = exp(-hazard u)."""
     return math.fsum(math.exp(-hazard * 0.5 * (a + b)) * 0.5 * (pa + pb) * (b - a)
                      for a, b, pa, pb in zip(grid[:-1], grid[1:], profile[:-1], profile[1:]))
+
+
+def survival_weights(grid, hazard):
+    """Each grid point's weight in ``survival_trapezoid``: half of ``W(mid) dt`` from each
+    interval it ends."""
+    halves = [0.5 * math.exp(-hazard * 0.5 * (a + b)) * (b - a) for a, b in zip(grid[:-1], grid[1:])]
+    return np.array([0.0, *halves]) + np.array([*halves, 0.0])
+
+
+def independent_error(grid, hazard, se):
+    """The standard error of ``survival_trapezoid`` over independently sampled grid points
+    with pointwise errors ``se``: the root sum of squares of ``weight * se``."""
+    return math.sqrt(math.fsum((survival_weights(grid, hazard) * se) ** 2))
 
 
 def with_errors(inputs, se_epe, se_ene=None):
@@ -321,7 +334,7 @@ class TestTvaStandardError:
         hazard = lam_b + lam_c * (psi + (1.0 - psi) * (1.0 - xi))
         result = breakdown(inputs)
         assert result.se[3, 0] == pytest.approx(
-            abs(coefficient) * survival_trapezoid(GRID_Q, hazard, se_epe), rel=1e-13, abs=1e-300)
+            abs(coefficient) * independent_error(GRID_Q, hazard, se_epe), rel=1e-13, abs=1e-300)
         # the value reads the same coefficient: TVA moves by it times the EPE's integral
         no_exposure = breakdown(make_inputs(GRID_Q, epe=0.0, ene=-80.0, **kwargs))
         assert result.tva[0] - no_exposure.tva[0] == pytest.approx(
@@ -378,11 +391,35 @@ class TestBreakdown:
         }
         for name, value in expected.items():
             assert getattr(result, name)[0] == pytest.approx(value, rel=1e-13, abs=1e-15), name
-        expected_se = [0.6 * lam_eff * rule(exposure.se_epe), 0.6 * 0.0167 * rule(exposure.se_ene),
-                       0.6 * 0.0167 * rule(exposure.se_epe), credit * rule(exposure.se_epe)]
+        def error(se):
+            return independent_error(GRID_Q, hazard, se)
+
+        expected_se = [0.6 * lam_eff * error(exposure.se_epe), 0.6 * 0.0167 * error(exposure.se_ene),
+                       0.6 * 0.0167 * error(exposure.se_epe), credit * error(exposure.se_epe)]
         np.testing.assert_allclose(result.se[:, 0], expected_se, rtol=1e-13)
         assert result.se.shape == (4, 1)
         assert len({result.cva[0], result.dva[0], result.fca[0], result.tva[0]}) == 4
+
+    @pytest.mark.parametrize("accruals_taxed", (False, True))
+    @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
+    def test_total_se_loads_on_the_epe_alone(self, psi, xi, accruals_taxed):
+        """``ene`` is the known forward less ``epe``, so the total's Monte Carlo part is
+        ``(c_CVA + c_FCA + c_TVA - c_DVA) int(epe)``: DVA and FCA cancel, ``se_ene`` does
+        not enter, and the total's s.e. is not the sum of the four components'."""
+        rate, lam_b, lam_c = 0.21, 0.0167, 0.0417
+        inputs = with_errors(make_inputs(
+            GRID_Q, epe=40.0, ene=-80.0, lambda_b=lam_b, lambda_c=lam_c, psi=psi, xi=xi,
+            gamma_e=rate, rate=0.02, accruals_taxed=accruals_taxed,
+        ), se_epe=0.5 + 0.1 * GRID_Q, se_ene=2.0 - 0.1 * GRID_Q)
+        lam_eff = lam_c * (psi + (1.0 - psi) * (1.0 - xi))
+        c_cva = -0.6 * lam_eff
+        c_tva = rate * (1.0 - psi) * (1.0 - xi) * 0.6 * lam_c - accruals_taxed * rate * 0.6 * lam_b
+        result = breakdown(inputs)
+        expected = abs(c_cva + c_tva) * independent_error(GRID_Q, lam_b + lam_eff,
+                                                          inputs.exposure.se_epe)
+        assert result.se_total[0] == pytest.approx(expected, rel=1e-13)
+        assert result.se_total.shape == (1,)
+        assert result.se_total[0] < 0.8 * result.se[:, 0].sum()
 
     def test_total_is_exact_sum(self):
         capital = flat_capital(GRID_Q, ccr=25.0, cva_vol=10.0)
@@ -535,7 +572,7 @@ class TestSweep:
         parties = inputs.parties + (other,)
         sweep = columns(breakdown(replace(inputs, parties=parties, party=party,
                                           psi=psi, xi=xi, phi=phi)))
-        assert sweep.shape == (12, len(party))
+        assert sweep.shape == (13, len(party))
         for i, j in enumerate(party):
             alone = replace(inputs, parties=(parties[j],), party=np.zeros(1, dtype=int),
                             psi=psi[i:i + 1], xi=xi[i:i + 1], phi=phi[i:i + 1])
