@@ -47,15 +47,15 @@ where the exact kernel spends up to 120 exponentials per path.  Rows where
 every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
 have nothing to fit and take the exact value.
 
-Exposure profiles report the Monte Carlo means of the positive and
-negative parts of the t-forward kernel's value ``v``, each priced with the
-known mean of ``v`` as a control variate (Glasserman, *Monte Carlo Methods
-in Financial Engineering*, 2004, section 4.1): ``epe = mean(v+) - beta
-(mean(v) - forward)`` with ``beta = C(v+, v) / M2(v)`` over the same
-sampling units, and likewise ``ene``.  Their standard errors are those of
-the residual, ``M2(v+) - beta C(v+, v)``, on antithetic-pair means when
-antithetic sampling is on; where every unit agrees (``M2(v) = 0``) ``beta``
-is 0 and the plain mean remains.  With antithetic sampling only a block's
+Exposure profiles estimate one quantity per grid row, the mean of the
+positive part of the t-forward kernel's value ``v``, with the known mean of
+``v`` as a control variate (Glasserman, *Monte Carlo Methods in Financial
+Engineering*, 2004, section 4.1): ``epe = mean(v+) - beta (mean(v) -
+forward)``, ``beta = C(v+, v) / M2(v)`` over the same sampling units.  The
+negative part's mean is ``forward - epe`` (its own ``beta`` is ``1 - beta``).
+The standard error is the residual's, ``M2(v+) - beta C(v+, v)``, on
+antithetic-pair means when antithetic sampling is on; where every unit agrees
+(``M2(v) = 0``) ``beta`` is 0.  With antithetic sampling only a block's
 drawn half is sampled: each twin path is the exact negation of its drawn
 path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
 ``mid_k`` is 0) and its value is ``E - s G``, each bit for bit what
@@ -358,31 +358,30 @@ def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> Non
         np.subtract(even, odd, out=out[:, n_x:])
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExposureProfile:
     """Discounted expected exposure of a netting set on a time grid.
 
-    ``epe``/``ene`` are the discounted means of the positive and negative
-    value parts, priced through the t-forward kernel and each estimated with
-    the book's known discounted mean as a control variate (so ``epe + ene``
-    is that mean, to rounding, wherever the value varies); the undiscounted
-    mean value, a closed form, feeds the capital rules.  Standard errors are per grid point, of the
-    control variate's residual on independent sampling units (antithetic
-    pairs when antithetic sampling is on).
+    ``epe`` is the discounted mean of the positive value part, priced
+    through the t-forward kernel and estimated with the book's known
+    discounted mean ``forward`` as a control variate; the negative part's
+    mean is ``forward - epe``.  ``se_epe`` is its standard error per grid
+    point, of the control variate's residual on independent sampling units
+    (antithetic pairs when antithetic sampling is on).  The undiscounted
+    mean value, a closed form, feeds the capital rules.
     """
 
     grid: np.ndarray
     epe: np.ndarray
-    ene: np.ndarray
+    forward: np.ndarray
     mean_value_undiscounted: np.ndarray
     se_epe: np.ndarray
-    se_ene: np.ndarray
     n_paths: int
     collateral: np.ndarray | None = None  # the posted book's discounted mean, exact
 
     def __post_init__(self):
         n = len(self.grid)
-        for name in ("epe", "ene", "mean_value_undiscounted", "se_epe", "se_ene"):
+        for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must match the grid length")
 
@@ -394,34 +393,26 @@ def make_exposure_grid(maturity: float, frequency: int) -> np.ndarray:
     return np.union1d(np.round(uniform, 12), np.round(pay, 12))
 
 
-# The co-moments kept per row, as index pairs into the means of (pos, neg, v):
-# each one's centred sum of squares M2, then C(pos, v) and C(neg, v).
-_LEFT, _RIGHT = [0, 1, 2, 0, 1], [0, 1, 2, 2, 2]
+# The co-moments kept per row, as index pairs into the means of (pos, v):
+# each one's centred sum of squares M2, then C(pos, v).
+_LEFT, _RIGHT = [0, 1, 0], [0, 1, 1]
 
 
-def _moments(units: np.ndarray, scratch: np.ndarray):
-    """Per-row (count, means, co-moments) of the parts stacked ``(2, rows, m)``.
+def _moments(units: np.ndarray):
+    """Per-row (count, means, co-moments) of ``(max(v, 0), v)`` stacked ``(2, rows, m)``.
 
-    The means ``(3, rows)`` and co-moments ``(5, rows)`` are those of the
-    parts and of their sum ``v``.  ``v`` is centred unit by unit as the sum
-    of the centred parts, not from the parts' moments: on antithetic pairs
-    ``v`` is nearly constant, and ``M2_pos + M2_neg + 2 C(pos, neg)`` would
-    cancel to it with the rounding of the much larger terms.  A part that is
-    0 on every unit leaves ``v``'s moments bit for bit those of the other part.
-    ``units`` and ``scratch``, shaped alike, are overwritten.
+    The means are ``(2, rows)`` and the co-moments ``(3, rows)``, ordered as
+    ``_LEFT``/``_RIGHT``, each summed by the same kernel: on a row where the
+    value is positive on every unit, ``C(pos, v)`` is ``M2_v`` bit for bit, so
+    ``beta`` is 1 and the residual 0.  ``units`` is centred in place.
     """
     first = units[..., :1].copy()
     units -= first  # shifted first, a row of equal values centres to exactly 0
     shift = units.mean(axis=-1, keepdims=True)
     units -= shift
-    v, product = np.add(units[0], units[1], out=scratch[0]), scratch[1]
-    mean, co = np.empty((3, units.shape[1])), np.empty((len(_LEFT), units.shape[1]))
-    np.add(first, shift, out=mean[:2, :, None])
-    np.add(mean[0], mean[1], out=mean[2])
-    for i in (0, 1):
-        np.multiply(units[i], v, out=product).sum(axis=-1, out=co[3 + i])
-    np.square(units, out=units).sum(axis=-1, out=co[:2])
-    np.square(v, out=v).sum(axis=-1, out=co[2])
+    mean, co = (first + shift)[..., 0], np.empty((len(_LEFT), units.shape[1]))
+    np.einsum("kij,kij->ki", units, units, out=co[:2])
+    np.einsum("ij,ij->i", units[0], units[1], out=co[2])
     return units.shape[-1], mean, co
 
 
@@ -439,41 +430,36 @@ def _merge_moments(a, b):
 def _block_stats(values_by_point: np.ndarray, antithetic: bool):
     """The ``_moments`` of one simulated chunk's discounted values ``(n_points, n_paths_in_block)``.
 
-    Their positive and negative parts are reduced stacked, on antithetic-pair
+    The positive part and the value are reduced stacked, on antithetic-pair
     means when ``antithetic``: each pair's mean is written over its drawn
-    path's column, and the twins' columns are the reduction's scratch.
+    path's column.
     """
     rows, n = values_by_point.shape
-    work = np.empty((2 if antithetic else 4, rows, n))
-    parts = work[:2]
-    np.maximum(values_by_point, 0.0, out=parts[0])
-    np.minimum(values_by_point, 0.0, out=parts[1])
+    units = np.empty((2, rows, n))
+    np.maximum(values_by_point, 0.0, out=units[0])
+    units[1] = values_by_point
     if antithetic:
-        units, scratch = parts[..., :n // 2], parts[..., n // 2:]
-        units += scratch
+        units[..., :n // 2] += units[..., n // 2:]
+        units = units[..., :n // 2]
         units *= 0.5
-    else:
-        units, scratch = parts, work[2:]
-    return _moments(units, scratch)
+    return _moments(units)
 
 
 def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int) -> ExposureProfile:
     """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant.
 
-    ``blocks`` may be an iterator: each block is merged as it arrives.  Each
-    part is estimated with the plan's known discounted mean ``forward`` as
-    its control variate (see the module docstring); ``beta`` is 0 where
-    ``M2_v`` is.
+    ``blocks`` may be an iterator: each block is merged as it arrives.  The
+    control variate is the plan's ``forward`` (see the module docstring).
     """
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
-    m2_v = co[2]
-    beta = np.divide(co[3:], m2_v, out=np.zeros_like(co[3:]), where=m2_v > 0)  # (pos, neg)
-    epe, ene = mean[:2] - beta * (mean[2] - plan.forward)
-    residual = np.maximum(co[:2] - beta * co[3:], 0.0)
-    se_epe, se_ene = (np.sqrt(residual / (n_units - 1) / n_units) if n_units > 1
-                      else np.zeros_like(residual))
-    return ExposureProfile(grid=grid, epe=epe, ene=ene, mean_value_undiscounted=plan.expected,
-                           se_epe=se_epe, se_ene=se_ene, n_paths=n_paths)
+    m2_v = co[1]
+    beta = np.divide(co[2], m2_v, out=np.zeros_like(m2_v), where=m2_v > 0)
+    residual = np.maximum(co[0] - beta * co[2], 0.0)
+    se_epe = (np.sqrt(residual / (n_units - 1) / n_units) if n_units > 1
+              else np.zeros_like(residual))
+    return ExposureProfile(grid=grid, epe=mean[0] - beta * (mean[1] - plan.forward),
+                           forward=plan.forward, mean_value_undiscounted=plan.expected,
+                           se_epe=se_epe, n_paths=n_paths)
 
 
 def exposure_profile(
@@ -506,7 +492,7 @@ def exposure_profile(
         n_draw = size // 2 if antithetic else size  # twins fill columns n_draw onward
         x = np.empty((CHUNK_ROWS, n_draw))
         values = np.empty((CHUNK_ROWS, size))
-        mean, co = np.empty((3, len(g))), np.empty((len(_LEFT), len(g)))
+        mean, co = np.empty((2, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(sd, rng, k0, x)

@@ -457,9 +457,9 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
 
     The profiles are the closed forms of ``density_expectations`` on
     ``n_time`` uniform points of [0, maturity]: the discounted ``(V-X)+`` and
-    ``(V-X)-`` as EPE and ENE, the CEM-like capital on ``(V-X)+`` and the
-    discounted collateral ``X``.  Returns the one-row breakdown, with the spot
-    as its notional.
+    ``V-X`` as EPE and forward (a call's or a put's ENE is exactly 0), the
+    CEM-like capital on ``(V-X)+`` and the discounted collateral ``X``.
+    Returns the one-row breakdown, with the spot as its notional.
     """
     p = problem
     grid = np.linspace(0.0, p.maturity, n_time)
@@ -469,7 +469,8 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
     capital = CapitalProfile(grid, z, p.capital_factor * e_pos,
                              (p.capital_factor - p.capital_relief_factor) * e_pos, z)
     return breakdown(XvaInputs(
-        exposure=ExposureProfile(grid, df * e_pos, df * e_neg, e_val, z, z, 0),
+        exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (e_pos + e_neg),
+                                 mean_value_undiscounted=e_val, se_epe=z, n_paths=0),
         issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),
         parties=((CreditCurve(p.counterparty_hazard, p.counterparty_recovery), capital),),
         party=np.zeros(1, dtype=int),

@@ -86,15 +86,13 @@ class XvaInputs:
 class XvaBreakdown:
     """All adjustments in currency, one value per row, with the notional for bps conversion.
 
-    ``se`` holds the Monte Carlo standard errors of (CVA, DVA, FCA, TVA),
-    shaped ``(4, rows)``, and ``se_total`` the total's, ``(rows,)``.  Each
-    component is a per-row coefficient times the integral of one exposure
-    profile, whose grid points are sampled independently, so its error is
-    the coefficient's magnitude times the l2 norm of the weighted pointwise
-    standard errors.  ``ene`` is the known forward less ``epe``, so the
-    total's Monte Carlo part is one coefficient on ``epe``, in which DVA and
-    FCA cancel: not the sum of the four.  COLVA and KVA read closed forms and
-    carry no Monte Carlo error.
+    ``se_total`` is the Monte Carlo standard error of the total, ``(rows,)``.
+    ENE is the known forward less EPE, so every Monte Carlo error enters
+    through ``int(epe)``, whose grid points are sampled independently: the
+    error is the magnitude of the total's coefficient on ``int(epe)``, that
+    of CVA plus TVA's credit term (DVA's and FCA's cancel), times the l2
+    norm of the weighted pointwise standard errors.  COLVA and KVA read
+    closed forms and carry no Monte Carlo error.
     """
 
     cva: np.ndarray
@@ -106,7 +104,6 @@ class XvaBreakdown:
     kva_cva: np.ndarray
     tva: np.ndarray
     notional: float
-    se: np.ndarray
     se_total: np.ndarray
 
     @property
@@ -158,8 +155,9 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
 
     weights = _Quadrature(grid, inputs.issuer.hazard + lambda_eff).weights
 
-    # The Monte Carlo loadings: each component is coefficient * int(profile),
-    # and its standard error |coefficient| * ||weights * s.e. of the profile||_2.
+    # CVA, FCA and TVA's tax credit on warehoused losses are coefficients on
+    # int(epe); DVA's is on int(ene) = int(forward) - int(epe).
+    c_cva = -lgd_c * lambda_eff
     credit = tax.rate * (1.0 - inputs.psi) * (1.0 - inputs.xi) * lgd_c * lambda_cpty
     if tax.compensator_taxed:
         # The compensator accrual offsets the expected default loss grossed
@@ -167,21 +165,10 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
         credit = credit - (1.0 + tax.rate) * credit
     if tax.accruals_taxed:
         credit = credit - tax.rate * issuer_loss
-    loadings = (  # CVA, DVA, FCA and TVA's tax credit on warehoused losses
-        (-lgd_c * lambda_eff, "epe"),
-        (-issuer_loss, "ene"),
-        (-issuer_loss, "epe"),
-        (credit, "epe"),
-    )
-    integral = {name: (weights * getattr(exposure, name)).sum(axis=-1) for name in ("epe", "ene")}
-    error = {name: np.sqrt(np.square(weights * getattr(exposure, "se_" + name)).sum(axis=-1))
-             for name in ("epe", "ene")}
-    cva, dva, fca, tva = (coef * integral[profile] for coef, profile in loadings)
-    se = np.array([np.abs(coef) * error[profile] for coef, profile in loadings])
-    # ene = forward - epe wherever the value varies, so the total loads on epe
-    # alone, with DVA's coefficient negated; it cancels FCA's exactly.
-    (c_cva, _), (c_dva, _), (c_fca, _), (c_tva, _) = loadings
-    se_total = np.abs((c_cva + c_tva) + (c_fca - c_dva)) * error["epe"]
+    epe = (weights * exposure.epe).sum(axis=-1)
+    cva, fca, tva = c_cva * epe, -issuer_loss * epe, credit * epe
+    dva = -issuer_loss * ((weights * exposure.forward).sum(axis=-1) - epe)
+    se_total = np.abs(c_cva + credit) * np.sqrt(np.square(weights * exposure.se_epe).sum(axis=-1))
 
     colva = np.zeros(len(inputs.psi))
     if inputs.collateral is not None:
@@ -190,16 +177,16 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     # The capital profile is deterministic, so it is discounted by the curve.
     # Each party's components are integrated over its rows with and without
     # the forward rate, then netted in psi: the carry is affine in phi.
-    d, forward = inputs.discount.df(grid), inputs.discount.forward(grid)
-    capital = np.empty((4, 2, len(inputs.psi)))  # (component, [d, d forward], row)
+    d, rate = inputs.discount.df(grid), inputs.discount.forward(grid)
+    capital = np.empty((4, 2, len(inputs.psi)))  # (component, [d, d rate], row)
     for j, (_, k) in enumerate(inputs.parties):
         rows = inputs.party == j
         w = weights[rows]
         for c, component in enumerate((k.k_mr, k.k_ccr, k.k_ccr_hedged, k.k_cva)):
             discounted = d * component
             capital[c, 0, rows] = (w * discounted).sum(axis=-1)
-            capital[c, 1, rows] = (w * (forward * discounted)).sum(axis=-1)
+            capital[c, 1, rows] = (w * (rate * discounted)).sum(axis=-1)
     parts = net_capital(*capital, inputs.psi)  # (MR, CCR, CVA-vol), each (2, rows)
     kva = [inputs.phi * part[1] - inputs.cost_of_capital * part[0] for part in parts]
     tva -= tax.rate * inputs.cost_of_capital * sum(part[0] for part in parts)
-    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se, se_total)
+    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se_total)

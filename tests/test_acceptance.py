@@ -85,7 +85,8 @@ def test_criterion_2_tax_capital_ratio_identity():
         z = np.zeros_like(grid)
         epe = rng.uniform(0.0, 5.0, grid.shape)
         ene = -rng.uniform(0.0, 5.0, grid.shape)
-        profile = ExposureProfile(grid, epe, ene, epe + ene, z, z, n_paths=0)
+        profile = ExposureProfile(grid=grid, epe=epe, forward=epe + ene,
+                                  mean_value_undiscounted=epe + ene, se_epe=z, n_paths=0)
         capital = CapitalProfile(
             grid,
             k_mr=rng.uniform(0.0, 1.0, grid.shape),
@@ -190,8 +191,8 @@ def test_criterion_6_constant_intensity_closed_forms():
 
         z = np.zeros_like(grid)
         profile = ExposureProfile(
-            grid, np.full_like(grid, epe), np.full_like(grid, ene),
-            np.full_like(grid, epe + ene), z, z, n_paths=0,
+            grid=grid, epe=np.full_like(grid, epe), forward=np.full_like(grid, epe + ene),
+            mean_value_undiscounted=np.full_like(grid, epe + ene), se_epe=z, n_paths=0,
         )
         capital = CapitalProfile(grid, z, np.full_like(grid, k_flat),
                                  np.full_like(grid, 0.25 * k_flat),
@@ -277,11 +278,12 @@ def test_criterion_8_monte_carlo_integrity():
 
     profile = exposure_profile((swap,), model, curve, grid, n_paths=50_000, seed=41)
     # The reset-at-valuation float-leg convention is exact at t=0 and on
-    # payment dates; the discounted mean must vanish there.
-    band = 3.0 * (profile.se_epe + profile.se_ene) + 1e-9 * swap.notional
+    # payment dates; the discounted mean, EPE plus ENE, must vanish there.  The
+    # ENE is the forward less the EPE, so each part's s.e. is ``se_epe``.
+    band = 3.0 * (2.0 * profile.se_epe) + 1e-9 * swap.notional
     on_schedule = np.isin(np.round(grid, 9), np.round(swap.payment_times(), 9))
     on_schedule[0] = True
-    par_ok = bool(np.all(np.abs(profile.epe + profile.ene)[on_schedule] <= band[on_schedule]))
+    par_ok = bool(np.all(np.abs(profile.forward)[on_schedule] <= band[on_schedule]))
 
     paths = simulate_paths(model, curve, grid[:9], 2000, seed=42)
     k = 5
@@ -294,7 +296,7 @@ def test_criterion_8_monte_carlo_integrity():
     threaded = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=4)
     workers_ok = all(
         np.array_equal(getattr(serial, name), getattr(threaded, name))
-        for name in ("epe", "ene", "se_epe", "se_ene")  # the mean MtM is exact, not sampled
+        for name in ("epe", "forward", "se_epe")  # the mean MtM is exact, not sampled
     )
     elapsed = time.perf_counter() - start
     report(8, "par swap discounted mean within 3 s.e. of zero, exact sign-split "

@@ -344,20 +344,20 @@ class TestExposureGrid:
 
 class TestExposureProfile:
     def test_sign_split_and_endpoints(self, small_profile):
+        ene = small_profile.forward - small_profile.epe
         assert np.all(small_profile.epe >= 0.0)
-        assert np.all(small_profile.ene <= 0.0)
+        assert np.all(ene <= 0.0)
         assert small_profile.epe[0] == 0.0  # payer swap starts out of the money
         assert small_profile.epe[-1] == 0.0
-        assert small_profile.ene[-1] == 0.0
+        assert ene[-1] == 0.0
 
     def test_standard_errors_nonnegative(self, small_profile):
         assert np.all(small_profile.se_epe >= 0.0)
-        assert np.all(small_profile.se_ene >= 0.0)
 
     def test_collateralized_swap_has_zero_profile(self, flat_curve, model, quarterly_grid):
         spec = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, collateralized=True)
         profile = exposure_profile((spec,), model, flat_curve, quarterly_grid, 100, seed=1)
-        assert np.all(profile.epe == 0.0) and np.all(profile.ene == 0.0)
+        assert np.all(profile.epe == 0.0) and np.all(profile.forward == 0.0)
 
     @pytest.mark.parametrize("antithetic", [True, False])
     def test_collateralized_book_is_exactly_zero_through_the_general_path(
@@ -371,7 +371,7 @@ class TestExposureProfile:
         profile = exposure_profile(book, model, SLOPED, MIXED_GRID, 2 * BLOCK_SIZE + 1000,
                                    seed=29, antithetic=antithetic, n_workers=2)
         assert reduced and profile.n_paths == 2 * BLOCK_SIZE + 1000
-        for name in ("epe", "ene", "mean_value_undiscounted", "se_epe", "se_ene"):
+        for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
             assert np.array_equal(getattr(profile, name), np.zeros(len(MIXED_GRID))), name
         assert profile.collateral is None
 
@@ -383,7 +383,8 @@ class TestExposureProfile:
             [flat_curve.df(t) * swap_value(receiver, frozen, flat_curve, float(t), 0.0)
              for t in quarterly_grid]
         )
-        assert np.all(profile.ene == 0.0)
+        # every path agrees, so epe is the value itself and the forward less it is 0
+        np.testing.assert_allclose(profile.forward - profile.epe, 0.0, atol=1e-13 * 100.0)
         assert np.allclose(profile.epe, expected, rtol=1e-12, atol=1e-12)
 
     def test_payer_epe_mirrors_receiver_ene(self, flat_curve, model, quarterly_grid):
@@ -391,8 +392,8 @@ class TestExposureProfile:
         receiver = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False)
         a = exposure_profile((payer,), model, flat_curve, quarterly_grid, 2000, seed=7)
         b = exposure_profile((receiver,), model, flat_curve, quarterly_grid, 2000, seed=7)
-        assert np.array_equal(a.epe, -b.ene)
-        assert np.array_equal(a.ene, -b.epe)
+        assert np.array_equal(a.forward, -b.forward)
+        np.testing.assert_allclose(a.epe, b.epe - b.forward, rtol=1e-12, atol=1e-12 * 100.0)
 
     def test_worker_count_invariance(self, model):
         # The tail block (1000 paths) is shorter than a tile and not a multiple of one.
@@ -402,7 +403,7 @@ class TestExposureProfile:
         for workers in (2, 3, 4):
             b = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=3,
                                  n_workers=workers)
-            for name in ("epe", "ene", "mean_value_undiscounted", "se_epe", "se_ene"):
+            for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_odd_path_count_with_antithetic_rejected(self, flat_curve, model, payer_swap):
@@ -428,7 +429,7 @@ class TestExposureProfile:
             SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False),
         )
         profile = exposure_profile(legs, model, flat_curve, quarterly_grid, 200, seed=2)
-        assert np.all(profile.epe == 0.0) and np.all(profile.ene == 0.0)
+        assert np.all(profile.epe == 0.0) and np.all(profile.forward == 0.0)
 
 
 # Grids of 1 more than a multiple of CHUNK_ROWS rows (a one-row last chunk), of
@@ -531,9 +532,12 @@ class TestNettedKernel:
         dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths, value=per_swap_sum)
         forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
         (epe, _), (ene, _) = control_variate(dv, n_paths, True, forward)
-        for name, reference in {"epe": epe, "ene": ene}.items():
-            np.testing.assert_allclose(getattr(profile, name), reference,
-                                       rtol=1e-12, atol=1e-12 * GROSS)
+        # The engine estimates the positive part alone; the reference's negative
+        # part, estimated on its own, is the known forward less it.
+        for name, (value, reference) in {"epe": (profile.epe, epe),
+                                         "ene": (profile.forward - profile.epe, ene)}.items():
+            np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-12 * GROSS,
+                                       err_msg=name)
 
     @pytest.mark.parametrize("sigma", [0.011, 0.03])
     @pytest.mark.parametrize("case", ["mixed", "long-book"])
@@ -650,17 +654,17 @@ class TestNettedKernel:
         edges = np.cumsum([0, *_block_sizes(n_paths)])
         for a, b in zip(edges[:-1], edges[1:]):
             revalue_in_chunks(paths.factor.T[:, a:b], kernel, dv[:, a:b])
-        forward = kernel.forward
-        for name, (_, expected) in zip(("se_epe", "se_ene"),
-                                       control_variate(dv, n_paths, antithetic, forward)):
-            np.testing.assert_allclose(getattr(profile, name), expected, rtol=1e-12, atol=1e-15)
-            # Every path starts at the same value, so the error there is exactly 0.
-            assert getattr(profile, name)[0] == 0.0
+        (_, se_epe), (_, se_ene) = control_variate(dv, n_paths, antithetic, kernel.forward)
+        np.testing.assert_allclose(profile.se_epe, se_epe, rtol=1e-12, atol=1e-15)
+        # The negative part's residual is the positive part's: its beta is 1 - beta.
+        np.testing.assert_allclose(se_ene, profile.se_epe, rtol=1e-9, atol=1e-15)
+        # Every path starts at the same value, so the error there is exactly 0.
+        assert profile.se_epe[0] == 0.0
 
     @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("case", ["mixed", "long-book"])
     def test_whole_path_mean_matches_the_control_mean(self, model, case, antithetic):
-        """A wrong ``forward`` would bias ``epe`` and ``ene`` silently: the mean
+        """A wrong ``forward`` would bias ``epe`` silently: the mean
         discounted value of whole paths must lie within 4 s.e. of it at every row."""
         book, grid = STREAM_CASES[case]
         n_paths = 2 * BLOCK_SIZE + 1000
@@ -673,13 +677,13 @@ class TestNettedKernel:
 
     def test_row_positive_on_every_path_is_the_forward(self, model, quarterly_grid):
         # A deep in-the-money receiver: its value is positive on every path until
-        # maturity, so dv+ is v itself, beta is 1 and epe is the control mean.
+        # maturity, so dv+ is v itself, beta is 1 and epe is the control mean, to
+        # the rounding of beta.
         receiver = SwapSpec(notional=100.0, fixed_rate=0.2, maturity=10.0, payer=False)
         profile = exposure_profile((receiver,), model, FLAT, quarterly_grid, 4000, seed=61)
         forward = _netted_plan((receiver,), model, FLAT, quarterly_grid).forward
-        live = quarterly_grid < 10.0
-        assert np.all(profile.ene == 0.0) and np.all(profile.se_ene == 0.0)
-        np.testing.assert_allclose(profile.epe[live], forward[live], rtol=1e-13)
+        assert np.array_equal(profile.forward, forward) and np.all(forward >= 0.0)
+        assert np.all(np.abs(forward - profile.epe) <= 1e-13 * forward)
         assert np.all(profile.se_epe <= 1e-12 * forward[0])
 
     @staticmethod
@@ -753,7 +757,7 @@ class TestNettedKernel:
         book, _, grid = PROXY_CASES["long-book"]
         profile = exposure_profile(book + POSTED, model, FLAT, grid, 4000, seed=53, n_workers=2,
                                    collateral_book=POSTED)
-        assert profile.se_epe[0] == 0.0 and profile.se_ene[0] == 0.0
+        assert profile.se_epe[0] == 0.0
 
     @pytest.mark.parametrize("sigma", [0.011, 0.3, 0.5, 1.0])
     def test_high_sigma_falls_back_to_the_exact_kernel(self, monkeypatch, sigma):
@@ -775,7 +779,7 @@ class TestNettedKernel:
         profile = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
         monkeypatch.setattr(exposure, "_chebyshev_revalue", all_exact)
         reference = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
-        for name in ("epe", "ene", "se_epe", "se_ene"):
+        for name in ("epe", "se_epe"):
             ref = getattr(reference, name)
             np.testing.assert_allclose(getattr(profile, name), ref, rtol=1e-9,
                                        atol=1e-9 * np.max(np.abs(ref)), err_msg=name)
@@ -878,17 +882,26 @@ class TestStandardErrorCalibration:
 
 
 def without_beta(blocks, grid, plan, n_paths):
-    """A planted defect: ``_reduce`` with the control variate's ``beta`` dropped, so the
-    profile is the plain mean with its plain standard error."""
+    """A planted defect: ``_reduce`` with the control variate's ``beta`` dropped from the
+    estimate but not from its standard error, so ``epe`` is the plain mean reported with
+    the residual's error.  (Zeroing ``C(pos, v)`` drops it from both: the plain mean with
+    its plain error, a weaker estimator but an honest one, which calibration passes.)"""
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
-    co[3:] = 0.0  # C(pos, v) and C(neg, v)
-    return _reduce([(n_units, mean, co)], grid, plan, n_paths)
+    profile = _reduce([(n_units, mean, co)], grid, plan, n_paths)
+    profile.epe = mean[0]
+    return profile
 
 
 def four_bound_sum(inputs):
-    """A planted defect: ``breakdown`` reporting the total's s.e. as the sum of the four."""
+    """A planted defect: ``breakdown`` reporting the total's s.e. as the sum of four bounds,
+    ``sum |c_i| ||w * se_epe||_2`` over CVA, DVA, FCA and TVA's credit term, not
+    ``|c_CVA + c_TVA| ||w * se_epe||_2``.  Each ``c_i int(epe)`` is read off the breakdown:
+    CVA's and FCA's values, TVA's change when the EPE is zeroed, and DVA's is FCA's."""
     result = breakdown(inputs)
-    return replace(result, se_total=result.se.sum(axis=0))
+    exposure = replace(inputs.exposure, epe=np.zeros_like(inputs.exposure.epe))
+    credit = result.tva - breakdown(replace(inputs, exposure=exposure)).tva
+    loads = np.abs(result.cva) + 2.0 * np.abs(result.fca) + np.abs(credit)
+    return replace(result, se_total=result.se_total * loads / np.abs(result.cva + credit))
 
 
 class TestTotalStandardErrorCalibration:

@@ -106,11 +106,8 @@ def _flat_profile(grid, epe, mean=None):
     g = np.asarray(grid, dtype=float)
     e = np.full_like(g, float(epe))
     m = e if mean is None else np.full_like(g, float(mean))
-    z = np.zeros_like(g)
-    return ExposureProfile(
-        grid=g, epe=e, ene=np.minimum(m - e, 0.0), mean_value_undiscounted=m,
-        se_epe=z, se_ene=z, n_paths=0,
-    )
+    return ExposureProfile(grid=g, epe=e, forward=m, mean_value_undiscounted=m,
+                           se_epe=np.zeros_like(g), n_paths=0)
 
 
 def unhedged(cap):
@@ -276,10 +273,8 @@ class TestCapitalBase:
 
     def profile(self):
         mean = np.random.default_rng(3).normal(0.0, 4.0, len(self.grid))
-        z = np.zeros_like(mean)
-        return ExposureProfile(grid=self.grid, epe=np.maximum(mean, 0.0),
-                               ene=np.minimum(mean, 0.0), mean_value_undiscounted=mean,
-                               se_epe=z, se_ene=z,
+        return ExposureProfile(grid=self.grid, epe=np.maximum(mean, 0.0), forward=mean,
+                               mean_value_undiscounted=mean, se_epe=np.zeros_like(mean),
                                n_paths=0)
 
     def test_matches_the_per_point_loop(self):

@@ -29,14 +29,12 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 
 def flat_profile(grid, epe=0.0, ene=0.0):
+    """A profile whose ENE, the forward less the EPE, is ``ene``."""
     g = np.asarray(grid, dtype=float)
-    z = np.zeros_like(g)
     e = np.full_like(g, float(epe))
-    n = np.full_like(g, float(ene))
-    return ExposureProfile(
-        grid=g, epe=e, ene=n, mean_value_undiscounted=e + n,
-        se_epe=z, se_ene=z, n_paths=0,
-    )
+    forward = e + float(ene)
+    return ExposureProfile(grid=g, epe=e, forward=forward, mean_value_undiscounted=forward,
+                           se_epe=np.zeros_like(g), n_paths=0)
 
 
 def flat_capital(grid, mr=0.0, ccr=0.0, ccr_hedged=None, cva_vol=0.0):
@@ -96,9 +94,9 @@ def kva_split(inputs):
 
 
 def columns(result):
-    """A breakdown's eight components, four standard errors and the total's, ``(13, rows)``."""
+    """A breakdown's eight components and the total's standard error, ``(9, rows)``."""
     return np.vstack([result.cva, result.dva, result.fca, result.colva, result.kva_mr,
-                      result.kva_ccr, result.kva_cva, result.tva, result.se, result.se_total])
+                      result.kva_ccr, result.kva_cva, result.tva, result.se_total])
 
 
 def decayed_integral(rate_factor, level, decay, horizon):
@@ -122,16 +120,22 @@ def survival_weights(grid, hazard):
     return np.array([0.0, *halves]) + np.array([*halves, 0.0])
 
 
+def tva_credit(rate, lam_b, lam_c, psi, xi, accruals_taxed, compensator_taxed, lgd=0.6):
+    """TVA's coefficient on the EPE's integral, the tax credit on warehoused losses."""
+    warehoused = rate * (1.0 - psi) * (1.0 - xi) * lgd * lam_c
+    coefficient = warehoused * ((1.0 - (1.0 + rate)) if compensator_taxed else 1.0)
+    return coefficient - accruals_taxed * rate * lgd * lam_b
+
+
 def independent_error(grid, hazard, se):
     """The standard error of ``survival_trapezoid`` over independently sampled grid points
     with pointwise errors ``se``: the root sum of squares of ``weight * se``."""
     return math.sqrt(math.fsum((survival_weights(grid, hazard) * se) ** 2))
 
 
-def with_errors(inputs, se_epe, se_ene=None):
+def with_errors(inputs, se_epe):
     """``inputs`` whose exposure reports the given pointwise standard errors."""
-    se_ene = se_epe if se_ene is None else se_ene
-    return replace(inputs, exposure=replace(inputs.exposure, se_epe=se_epe, se_ene=se_ene))
+    return replace(inputs, exposure=replace(inputs.exposure, se_epe=se_epe))
 
 
 GRID_Q = np.linspace(0.0, 10.0, 41)
@@ -310,49 +314,28 @@ class TestTva:
         assert breakdown(taxed).tva[0] < breakdown(plain).tva[0]
 
 
-class TestTvaStandardError:
+class TestTvaCreditCoefficient:
     """TVA loads on the EPE through one coefficient: the tax credit on warehoused
     losses, (1 + rate)-grossed when the compensator is taxed, less the tax on
-    the issuer's default accrual when accruals are taxed.  Its s.e. reads the
-    same coefficient under every tax policy."""
+    the issuer's default accrual when accruals are taxed."""
 
     @pytest.mark.parametrize("accruals_taxed", (False, True))
     @pytest.mark.parametrize("compensator_taxed", (False, True))
     @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
-    def test_se_is_the_coefficient_times_the_integrated_error(self, accruals_taxed,
+    def test_value_is_the_coefficient_times_the_epe_integral(self, accruals_taxed,
                                                              compensator_taxed, psi, xi):
         rate, lam_b, lam_c = 0.21, 0.0167, 0.0417
         kwargs = dict(lambda_b=lam_b, lambda_c=lam_c, psi=psi, xi=xi, gamma_e=rate, rate=0.02,
                       capital=flat_capital(GRID_Q, ccr=30.0, cva_vol=20.0),
                       accruals_taxed=accruals_taxed, compensator_taxed=compensator_taxed)
-        se_epe = 0.5 + 0.1 * GRID_Q
-        inputs = with_errors(make_inputs(GRID_Q, epe=40.0, ene=-80.0, **kwargs), se_epe)
-        warehoused_credit = rate * (1.0 - psi) * (1.0 - xi) * 0.6 * lam_c
-        coefficient = warehoused_credit * ((1.0 - (1.0 + rate)) if compensator_taxed else 1.0)
-        if accruals_taxed:
-            coefficient -= rate * 0.6 * lam_b
+        inputs = make_inputs(GRID_Q, epe=40.0, ene=-80.0, **kwargs)
+        coefficient = tva_credit(rate, lam_b, lam_c, psi, xi, accruals_taxed, compensator_taxed)
         hazard = lam_b + lam_c * (psi + (1.0 - psi) * (1.0 - xi))
-        result = breakdown(inputs)
-        assert result.se[3, 0] == pytest.approx(
-            abs(coefficient) * independent_error(GRID_Q, hazard, se_epe), rel=1e-13, abs=1e-300)
-        # the value reads the same coefficient: TVA moves by it times the EPE's integral
+        # TVA moves by the coefficient times the EPE's integral
         no_exposure = breakdown(make_inputs(GRID_Q, epe=0.0, ene=-80.0, **kwargs))
-        assert result.tva[0] - no_exposure.tva[0] == pytest.approx(
+        assert breakdown(inputs).tva[0] - no_exposure.tva[0] == pytest.approx(
             coefficient * survival_trapezoid(GRID_Q, hazard, inputs.exposure.epe), rel=1e-12,
             abs=1e-13)
-        if accruals_taxed:
-            assert result.se[3, 0] > 0.0
-
-    def test_se_covers_the_seed_spread_with_taxed_accruals(self):
-        """Fully hedged, TVA's only Monte Carlo term is the tax on the issuer's
-        default accrual; its reported s.e. is at least its spread over seeds."""
-        config = replace(PRESETS["base-case"](), accruals_taxed=True, paths=4096)
-        assert config.psi == (1.0,)
-        runs = [run_config(replace(config, seed=seed)).breakdown for seed in range(24)]
-        spread = np.std([run.tva for run in runs], axis=0, ddof=1)
-        reported = np.mean([run.se[3] for run in runs], axis=0)
-        assert np.all(spread > 0.0)
-        assert np.all(reported >= spread), (reported, spread)
 
 
 class TestBreakdown:
@@ -363,13 +346,12 @@ class TestBreakdown:
 
     def test_components_match_individual_calls(self):
         """Each field of the breakdown is its own integral: a coefficient times
-        the reference rule on its profile, and each s.e. the same coefficient's
-        magnitude times the rule on the profile's error."""
+        the reference rule on its profile, DVA's on the forward less the EPE."""
         capital = flat_capital(GRID_Q, mr=2.0, ccr=30.0, ccr_hedged=18.0, cva_vol=20.0)
         inputs = with_errors(make_inputs(
             GRID_Q, epe=40.0, ene=-80.0, lambda_b=0.0167, lambda_c=0.0417,
             psi=0.4, xi=0.3, phi=0.6, gamma_e=0.21, capital=capital, rate=0.02,
-        ), se_epe=0.5 + 0.1 * GRID_Q, se_ene=2.0 - 0.1 * GRID_Q)
+        ), se_epe=0.5 + 0.1 * GRID_Q)
         result = breakdown(inputs)
         lam_eff = 0.0417 * (0.4 + 0.6 * 0.7)
         hazard = 0.0167 + lam_eff
@@ -383,7 +365,7 @@ class TestBreakdown:
         net = {"kva_mr": 2.0, "kva_ccr": 30.0 - 0.4 * 12.0, "kva_cva": 0.6 * 20.0}
         expected = {
             "cva": -0.6 * lam_eff * rule(exposure.epe),
-            "dva": -0.6 * 0.0167 * rule(exposure.ene),
+            "dva": -0.6 * 0.0167 * rule(exposure.forward - exposure.epe),
             "fca": -0.6 * 0.0167 * rule(exposure.epe),
             "colva": 0.0,
             **{name: -rule((0.10 - 0.02 * 0.6) * d * k) for name, k in net.items()},
@@ -391,35 +373,44 @@ class TestBreakdown:
         }
         for name, value in expected.items():
             assert getattr(result, name)[0] == pytest.approx(value, rel=1e-13, abs=1e-15), name
-        def error(se):
-            return independent_error(GRID_Q, hazard, se)
-
-        expected_se = [0.6 * lam_eff * error(exposure.se_epe), 0.6 * 0.0167 * error(exposure.se_ene),
-                       0.6 * 0.0167 * error(exposure.se_epe), credit * error(exposure.se_epe)]
-        np.testing.assert_allclose(result.se[:, 0], expected_se, rtol=1e-13)
-        assert result.se.shape == (4, 1)
         assert len({result.cva[0], result.dva[0], result.fca[0], result.tva[0]}) == 4
 
-    @pytest.mark.parametrize("accruals_taxed", (False, True))
-    @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
-    def test_total_se_loads_on_the_epe_alone(self, psi, xi, accruals_taxed):
-        """``ene`` is the known forward less ``epe``, so the total's Monte Carlo part is
-        ``(c_CVA + c_FCA + c_TVA - c_DVA) int(epe)``: DVA and FCA cancel, ``se_ene`` does
-        not enter, and the total's s.e. is not the sum of the four components'."""
+    @staticmethod
+    def assert_total_se_loads_on_the_epe_alone(price, psi, xi, accruals_taxed,
+                                               compensator_taxed):
+        """ENE is the known forward less EPE, so the total's Monte Carlo part is
+        ``(c_CVA + c_FCA + c_TVA - c_DVA) int(epe)``, in which DVA and FCA cancel: its
+        s.e. is ``|c_CVA + c_TVA|`` times the integrated error of the EPE."""
         rate, lam_b, lam_c = 0.21, 0.0167, 0.0417
         inputs = with_errors(make_inputs(
             GRID_Q, epe=40.0, ene=-80.0, lambda_b=lam_b, lambda_c=lam_c, psi=psi, xi=xi,
             gamma_e=rate, rate=0.02, accruals_taxed=accruals_taxed,
-        ), se_epe=0.5 + 0.1 * GRID_Q, se_ene=2.0 - 0.1 * GRID_Q)
+            compensator_taxed=compensator_taxed,
+        ), se_epe=0.5 + 0.1 * GRID_Q)
         lam_eff = lam_c * (psi + (1.0 - psi) * (1.0 - xi))
         c_cva = -0.6 * lam_eff
-        c_tva = rate * (1.0 - psi) * (1.0 - xi) * 0.6 * lam_c - accruals_taxed * rate * 0.6 * lam_b
-        result = breakdown(inputs)
+        c_tva = tva_credit(rate, lam_b, lam_c, psi, xi, accruals_taxed, compensator_taxed)
+        result = price(inputs)
         expected = abs(c_cva + c_tva) * independent_error(GRID_Q, lam_b + lam_eff,
                                                           inputs.exposure.se_epe)
         assert result.se_total[0] == pytest.approx(expected, rel=1e-13)
         assert result.se_total.shape == (1,)
-        assert result.se_total[0] < 0.8 * result.se[:, 0].sum()
+
+    @pytest.mark.parametrize("accruals_taxed", (False, True))
+    @pytest.mark.parametrize("compensator_taxed", (False, True))
+    @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
+    def test_total_se_loads_on_the_epe_alone(self, psi, xi, accruals_taxed, compensator_taxed):
+        self.assert_total_se_loads_on_the_epe_alone(breakdown, psi, xi, accruals_taxed,
+                                                    compensator_taxed)
+
+    @pytest.mark.parametrize("psi, xi, accruals_taxed, compensator_taxed",
+                             ((1.0, 0.0, True, False), (0.0, -0.5, False, True)))
+    def test_total_se_without_tva_fails_it(self, psi, xi, accruals_taxed, compensator_taxed):
+        # A planted defect: TVA's credit left out of the total's coefficient.
+        defective = mutant_breakdown("np.abs(c_cva + credit)", "np.abs(c_cva)")
+        with pytest.raises(AssertionError):
+            self.assert_total_se_loads_on_the_epe_alone(defective, psi, xi, accruals_taxed,
+                                                        compensator_taxed)
 
     def test_total_is_exact_sum(self):
         capital = flat_capital(GRID_Q, ccr=25.0, cva_vol=10.0)
@@ -572,7 +563,7 @@ class TestSweep:
         parties = inputs.parties + (other,)
         sweep = columns(breakdown(replace(inputs, parties=parties, party=party,
                                           psi=psi, xi=xi, phi=phi)))
-        assert sweep.shape == (13, len(party))
+        assert sweep.shape == (9, len(party))
         for i, j in enumerate(party):
             alone = replace(inputs, parties=(parties[j],), party=np.zeros(1, dtype=int),
                             psi=psi[i:i + 1], xi=xi[i:i + 1], phi=phi[i:i + 1])
