@@ -16,19 +16,20 @@ from xvakit.report import render_table
 from xvakit.runner import run_config
 
 
-def positive_even(text: str) -> int:
-    """The path count in ``text``; exit 1 naming it unless a positive even integer."""
+def path_count(text: str) -> int:
+    """The path count in ``text``; exit 1 naming it unless an even integer of at least 6,
+    three antithetic pairs."""
     try:
         paths = int(text)
     except ValueError:
         paths = 0
-    if paths < 2 or paths % 2:
-        sys.exit(f"paths: must be a positive even integer, got {text!r}")
+    if paths < 6 or paths % 2:
+        sys.exit(f"paths: must be an even integer >= 6, got {text!r}")
     return paths
 
 
 def main() -> None:
-    paths = positive_even(sys.argv[1]) if len(sys.argv) > 1 else 50_000
+    paths = path_count(sys.argv[1]) if len(sys.argv) > 1 else 50_000
     for name in ("base-case", "warehouse-pos", "warehouse-neg"):
         cfg = PRESETS[name]()
         if paths != cfg.paths:

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from run_presets import positive_even
+from run_presets import path_count
 from xvakit.config import PRESETS
 from xvakit.runner import run_config
 
@@ -23,7 +23,7 @@ def main() -> None:
     rating = sys.argv[1] if len(sys.argv) > 1 else "BB"
     if rating not in preset.rating_table:
         sys.exit(f"rating: unknown {rating!r}, expected one of {', '.join(preset.rating_table)}")
-    paths = positive_even(sys.argv[2]) if len(sys.argv) > 2 else 50_000
+    paths = path_count(sys.argv[2]) if len(sys.argv) > 2 else 50_000
     xis = tuple(np.round(np.linspace(-0.75, 0.75, 13), 4))
     cfg = replace(
         preset,

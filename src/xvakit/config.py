@@ -117,7 +117,6 @@ class RunConfig:
     min_capital_ratio: float
     warn_se_bp: float
     workers: int
-    antithetic: bool
     pde: PdeVerifyConfig
 
     def price_of_risk_grid(self, counterparty_hazard: float) -> tuple[tuple[float, float | None], ...]:
@@ -198,7 +197,8 @@ _RUN = {
     "compensatorTaxed": (bool, False),
     "collateralSpread": (float, 0.0, _RATE),
     "seed": (int, 20150106, _NON_NEGATIVE),
-    "paths": (int, 50000, _AT_LEAST_ONE,
+    "paths": (int, 50000, (lambda v: v >= 6, "must be >= 6"),  # three antithetic pairs
+              (lambda v: v % 2 == 0, "must be even"),
               (lambda v: v <= 100_000_000, "must be <= 100000000")),
     "format": (str, "table", (lambda v: v in OUTPUT_FORMATS,
                               f"must be one of {', '.join(OUTPUT_FORMATS)}")),
@@ -207,7 +207,6 @@ _RUN = {
     "minCapitalRatio": (float, 0.08, _NON_NEGATIVE, _AT_MOST_ONE),
     "warnSeBp": (float, 1.0, _NON_NEGATIVE),
     "workers": (int, 1, _AT_LEAST_ONE, (lambda v: v <= 64, "must be <= 64")),  # one thread each
-    "antithetic": (bool, True),
     "pde": (dict, None),
 }
 # The pde block takes each field of PdeProblem and the grid, camelCased.
@@ -394,8 +393,6 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     provider = v["providerRating"]
     if provider is not None and provider not in table and provider not in rejected:
         diags.append(f"providerRating: unknown rating {provider!r}")
-    if v["antithetic"] and v["paths"] is not None and v["paths"] % 2:
-        diags.append("paths: must be even with antithetic sampling")
     pde = PdeVerifyConfig() if v["pde"] is None else _validate_pde(v["pde"], diags)
 
     if diags:

@@ -32,12 +32,16 @@ path carries a discount factor.
 
 ``f_k`` is an entire function of one scalar, so a chunk of grid rows is
 revalued through Chebyshev proxies rather than one exponential per (path,
-date).  Each row is fitted on its own range ``mid_k ± h_k`` of the
-simulated factor, so no path is extrapolated: the exact kernel is evaluated
-at ``n`` Chebyshev nodes of every row of the chunk in one call, a DCT-II
-turns those values into coefficients, and these become power coefficients
-whose even and odd parts are evaluated by Horner in ``s^2``, for ``s`` the
-path's place in the range, as ``E + s G``.
+date).  The sampling unit is an antithetic pair (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2004, section 4.2): a block draws half
+its paths, and each drawn factor ``x`` is paired with its exact negation
+``-x``, which is never drawn.  Each row is fitted on ``[-h_k, h_k]``,
+``h_k = max|x|``, which holds both paths of every pair, so no path is
+extrapolated: the exact kernel is evaluated at ``n`` Chebyshev nodes of
+every row of the chunk in one call, a DCT-II turns those values into
+coefficients, and these become power coefficients whose even and odd parts
+are evaluated by Horner in ``s^2``, ``s = x / h_k``.  A pair's values are
+``E ± O`` with ``O = s G``, bit for bit what sampling ``-x`` would give.
 ``n`` is not a setting: with
 ``r = h_k max B_k``, the coefficients of ``exp(-B h s)`` are Bessel values
 ``I_m(B h)``, and ``n`` is the smallest count for which the tail bound
@@ -49,17 +53,14 @@ have nothing to fit and take the exact value.
 
 Exposure profiles estimate one quantity per grid row, the mean of the
 positive part of the t-forward kernel's value ``v``, with the known mean of
-``v`` as a control variate (Glasserman, *Monte Carlo Methods in Financial
-Engineering*, 2004, section 4.1): ``epe = mean(v+) - beta (mean(v) -
-forward)``, ``beta = C(v+, v) / M2(v)`` over the same sampling units.  The
-negative part's mean is ``forward - epe`` (its own ``beta`` is ``1 - beta``).
-The standard error is the residual's, ``M2(v+) - beta C(v+, v)``, on
-antithetic-pair means when antithetic sampling is on; where every unit agrees
-(``M2(v) = 0``) ``beta`` is 0.  With antithetic sampling only a block's
-drawn half is sampled: each twin path is the exact negation of its drawn
-path, so its factor is ``-x``, its range is ``[-max|x|, max|x|]`` (so
-``mid_k`` is 0) and its value is ``E - s G``, each bit for bit what
-sampling the twin would give.
+``v`` as a control variate (ibid., section 4.1): ``epe = mean(v+) - beta
+(mean(v) - forward)``, ``beta = C(v+, v) / M2(v)`` over the pairs.  A
+pair's mean value is ``E`` and the mean of its positive parts
+``max(E, (E + |O|) / 2, 0)``.  The negative part's mean is ``forward -
+epe`` (its own ``beta`` is ``1 - beta``).  The standard error is the
+residual's, ``M2(v+) - beta C(v+, v)`` over ``n - 2`` degrees of freedom,
+since ``beta`` is fitted from the same ``n`` pairs, so a run needs three
+pairs; where every pair agrees (``M2(v) = 0``) ``beta`` is 0.
 A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows.  Each row
 draws its own normals from the factor's law at its time, so nothing carries
 from one chunk to the next; the chunk is revalued and reduced to per-row
@@ -212,7 +213,7 @@ def portfolio_value(
 def _chebyshev_terms(r: float) -> int:
     """Chebyshev terms that fit ``exp(-B x)`` to rounding where ``B h <= r``.
 
-    On ``x = mid + h s``, ``s`` in [-1, 1], a term is ``exp(-B mid)`` times
+    On ``x = h s``, ``s`` in [-1, 1], a term is
     ``exp(-B h s) = I_0(B h) + 2 sum_{m>=1} (-1)^m I_m(B h) T_m(s)``.  From the
     series of ``I_m`` and ``(m + k)! >= m! (m + 1)^k``,
 
@@ -223,7 +224,7 @@ def _chebyshev_terms(r: float) -> int:
         sum_{m>=n} I_m(r) <= (r/2)^n / n! * e^{r^2 / 4(n+1)} / (1 - q),
 
     so dropping the terms from degree ``n`` on costs at most twice that
-    times the term at the centre of the interval; the bound grows with
+    times the term at ``x = 0``; the bound grows with
     ``r``, so ``r = h max B`` covers every date at once.  The smallest ``n``
     with that bound <= 2^-53 is returned; interpolating at ``n`` nodes
     instead of truncating at most doubles the error (aliasing moves each
@@ -279,56 +280,49 @@ def _power_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan, twins: bool):
-    """``(mid, half, coef)``: each row's range ``mid_k ± h_k`` of the paths
-    (``[-max|x[k]|, max|x[k]|]`` with ``twins``) and its Chebyshev coefficients.
+def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan):
+    """``(half, coef)``: each row's range ``[-h_k, h_k]``, ``h_k = max|x[k]|``, which
+    holds the paths and their twins at ``-x``, and its Chebyshev coefficients.
 
     The exact kernel is evaluated at the nodes of every row's range in one
     call and one cosine matrix (a DCT-II) turns the values into coefficients
     ``(rows, n)``, ``n`` the rows' largest term count.  Rows where
     every path agrees (``h_k = 0``) or no date is live have nothing to fit:
-    their exact value at ``mid_k`` is the constant coefficient.  ``coef`` is
-    None when a radius ``h_k B_k`` passes ``log`` of the largest float or is
-    not finite.
+    their exact value at 0 is the constant coefficient.  ``coef`` is None
+    when a radius ``h_k B_k`` passes ``log`` of the largest float or is not
+    finite.
     """
-    if twins:
-        hi = np.maximum(x.max(axis=1), -x.min(axis=1))
-        lo = -hi
-    else:
-        lo, hi = x.min(axis=1), x.max(axis=1)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    half = np.maximum(x.max(axis=1), -x.min(axis=1))
     fit = (half > 0) & (plan.b_max > 0)
     radius = np.max(half * plan.b_max, where=fit, initial=0.0)
     if not radius <= _LOG_MAX:  # an infinite or NaN radius too
-        return mid, half, None
+        return half, None
     nodes, cosines = _chebyshev_basis(_chebyshev_terms(radius))
-    coef = _revalue(mid[:, None] + half[:, None] * nodes, plan) @ cosines
+    coef = _revalue(half[:, None] * nodes, plan) @ cosines
     coef[~fit] = 0.0
-    coef[~fit, 0] = 2.0 * _revalue(mid[~fit, None], plan[~fit])[:, 0]
-    return mid, half, coef
+    coef[~fit, 0] = 2.0 * _revalue(np.zeros((np.count_nonzero(~fit), 1)), plan[~fit])[:, 0]
+    return half, coef
 
 
 def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> None:
-    """The netted book at every path of grid-major rows ``x``, into ``out``.
+    """The netted book at the antithetic pairs of grid-major rows ``x``: into ``out``
+    ``(2, rows, pairs)``, the odd and even parts ``(O, E)`` of each pair, whose paths
+    at ``x`` and ``-x`` take ``E + O`` and ``E - O``.
 
-    When ``out`` is twice as wide as ``x``, its second half receives the
-    antithetic twins, the paths at ``-x``.  Each row is fitted on its own
-    range of the paths written (``_chebyshev_fit``), so no path is
+    Each row is fitted on its own range (``_chebyshev_fit``), so no path is
     extrapolated.  The coefficients become power coefficients in
-    ``s = (x - mid_k) / h_k``, and the even and odd parts ``E`` and ``G`` of
-    the polynomial are evaluated together by Horner in ``s^2``: a path takes
-    ``E + s G`` and its twin ``E - s G``, bit for bit what evaluating at
-    ``-x`` gives.  A streamed block passes one chunk of ``CHUNK_ROWS`` rows
-    at a time.  Where the kernel overflows, ``out`` is NaN.
+    ``s = x / h_k``, and the even and odd parts ``E`` and ``G`` of the
+    polynomial are evaluated together by Horner in ``s^2``; ``O = s G``.
+    A streamed block passes one chunk of ``CHUNK_ROWS`` rows at a time.
+    Where the kernel overflows, ``out`` is NaN.
 
     Horner in ``s`` can lose ``2^-53 sum|power_m|`` against a row of size
     ``sum|coef_m|``; the power coefficients grow like ``2^m``, so at large
     radii (``sigma`` of 0.2 and up on a 30y book) this passes
-    ``_MAX_PROXY_ROUNDING`` and the chunk is valued by the exact kernel.
+    ``_MAX_PROXY_ROUNDING`` and the chunk is valued by the exact kernel:
+    ``(f(x) - f(-x)) / 2`` and ``(f(x) + f(-x)) / 2``.
     """
-    n_x = x.shape[1]
-    twins = out.shape[1] > n_x
-    mid, half, coef = _chebyshev_fit(x, plan, twins)
+    half, coef = _chebyshev_fit(x, plan)
     if coef is None:
         out[...] = np.nan
         return
@@ -336,26 +330,23 @@ def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> Non
     power = coef @ _power_basis(n)
     if np.any(np.abs(power).sum(axis=-1) * 2.0**-53
               > _MAX_PROXY_ROUNDING * np.abs(coef).sum(axis=-1)):
-        points = np.hstack([x, -x]) if twins else x
+        points = np.hstack([x, -x])
         for k in range(len(x)):  # a row at a time bounds the kernel's (dates, paths) temporary
-            out[k] = _revalue(points[k:k + 1], plan[k:k + 1])[0]
+            at_x, at_twin = _revalue(points[k:k + 1], plan[k:k + 1]).reshape(2, -1)
+            np.subtract(at_x, at_twin, out=out[0, k])
+            np.add(at_x, at_twin, out=out[1, k])
+        out *= 0.5
         return
-    parts = np.zeros((2, len(coef), (n + 1) // 2))  # E's and G's coefficients in s^2
-    parts[0], parts[1, :, :n // 2] = power[:, ::2], power[:, 1::2]
+    parts = np.zeros((2, len(coef), (n + 1) // 2))  # G's and E's coefficients in s^2
+    parts[0, :, :n // 2], parts[1] = power[:, 1::2], power[:, ::2]
     h = half[:, None]
-    s = np.subtract(x, mid[:, None])  # 0 on rows with h = 0, where every path is at mid
-    np.divide(s, h, out=s, where=h > 0)
-    w = s * s
-    acc = np.empty((*parts.shape[:2], n_x))
-    acc[...] = parts[..., -1:]
+    w = np.divide(x, h, out=np.zeros_like(x), where=h > 0)  # s; 0 where h = 0, as x is
+    w *= w
+    out[...] = parts[..., -1:]
     for i in range(parts.shape[-1] - 2, -1, -1):
-        acc *= w
-        acc += parts[..., i, None]
-    even, odd = acc
-    odd *= s
-    np.add(even, odd, out=out[:, :n_x])
-    if twins:
-        np.subtract(even, odd, out=out[:, n_x:])
+        out *= w
+        out += parts[..., i, None]
+    out[0] *= np.divide(x, h, out=w, where=h > 0)  # s again: one temporary, not two
 
 
 @dataclass(kw_only=True)
@@ -366,8 +357,7 @@ class ExposureProfile:
     through the t-forward kernel and estimated with the book's known
     discounted mean ``forward`` as a control variate; the negative part's
     mean is ``forward - epe``.  ``se_epe`` is its standard error per grid
-    point, of the control variate's residual on independent sampling units
-    (antithetic pairs when antithetic sampling is on).  The undiscounted
+    point, of the control variate's residual on antithetic pairs.  The undiscounted
     mean value, a closed form, feeds the capital rules.
     """
 
@@ -427,36 +417,36 @@ def _merge_moments(a, b):
             co_a + co_b + delta[_LEFT] * delta[_RIGHT] * (n_a * n_b / n))
 
 
-def _block_stats(values_by_point: np.ndarray, antithetic: bool):
-    """The ``_moments`` of one simulated chunk's discounted values ``(n_points, n_paths_in_block)``.
+def _block_stats(parts: np.ndarray):
+    """The ``_moments`` of one chunk's antithetic pairs, from their odd and even parts
+    ``(O, E)`` ``(2, n_points, pairs)``, reduced in place.
 
-    The positive part and the value are reduced stacked, on antithetic-pair
-    means when ``antithetic``: each pair's mean is written over its drawn
-    path's column.
+    A pair's values are ``E ± O``: its mean value is ``E``, and the mean of its
+    positive parts ``max(E, (E + |O|) / 2, 0)``, which is ``E`` bit for bit
+    where both are positive.  ``O`` is overwritten with the latter.
     """
-    rows, n = values_by_point.shape
-    units = np.empty((2, rows, n))
-    np.maximum(values_by_point, 0.0, out=units[0])
-    units[1] = values_by_point
-    if antithetic:
-        units[..., :n // 2] += units[..., n // 2:]
-        units = units[..., :n // 2]
-        units *= 0.5
-    return _moments(units)
+    pos, even = parts
+    np.abs(pos, out=pos)
+    pos += even
+    pos *= 0.5
+    np.maximum(pos, even, out=pos)
+    np.maximum(pos, 0.0, out=pos)
+    return _moments(parts)
 
 
 def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int) -> ExposureProfile:
     """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant.
 
     ``blocks`` may be an iterator: each block is merged as it arrives.  The
-    control variate is the plan's ``forward`` (see the module docstring).
+    control variate is the plan's ``forward`` (see the module docstring); its
+    residual has ``n - 2`` degrees of freedom, as ``beta`` is fitted from the same
+    ``n`` pairs.
     """
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
     m2_v = co[1]
     beta = np.divide(co[2], m2_v, out=np.zeros_like(m2_v), where=m2_v > 0)
     residual = np.maximum(co[0] - beta * co[2], 0.0)
-    se_epe = (np.sqrt(residual / (n_units - 1) / n_units) if n_units > 1
-              else np.zeros_like(residual))
+    se_epe = np.sqrt(residual / (n_units - 2) / n_units)
     return ExposureProfile(grid=grid, epe=mean[0] - beta * (mean[1] - plan.forward),
                            forward=plan.forward, mean_value_undiscounted=plan.expected,
                            se_epe=se_epe, n_paths=n_paths)
@@ -469,7 +459,6 @@ def exposure_profile(
     grid,
     n_paths: int,
     seed: int,
-    antithetic: bool = True,
     n_workers: int = 1,
     collateral_book=(),
 ) -> ExposureProfile:
@@ -489,19 +478,17 @@ def exposure_profile(
 
     def run_block(idx, size):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        n_draw = size // 2 if antithetic else size  # twins fill columns n_draw onward
-        x = np.empty((CHUNK_ROWS, n_draw))
-        values = np.empty((CHUNK_ROWS, size))
+        x = np.empty((CHUNK_ROWS, size // 2))  # each pair's drawn path; its twin is at -x
+        parts = np.empty((2, *x.shape))
         mean, co = np.empty((2, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(sd, rng, k0, x)
-            _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], values[:rows])
-            n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(
-                values[:rows], antithetic)
+            _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], parts[:, :rows])
+            n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])
         return n_units, mean, co
 
-    profile = _reduce(map_blocks(run_block, n_paths, antithetic, n_workers), g, kernel, n_paths)
+    profile = _reduce(map_blocks(run_block, n_paths, n_workers), g, kernel, n_paths)
     if collateral_book:
         profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
     return profile

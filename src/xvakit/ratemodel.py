@@ -24,13 +24,13 @@ are written in ``B``, so they stay exact to rounding however small ``a`` is.
 Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
 from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` yields the
 blocks' results in block order.  Results are therefore bit-identical for a
-given (seed, n_paths, antithetic) regardless of how many workers execute the
-blocks.  ``_simulate_block`` draws a run of grid rows' normals grid-major,
+given (seed, n_paths) regardless of how many workers execute the blocks.
+``_simulate_block`` draws a run of grid rows' normals grid-major,
 ``(rows, paths)``, and scales each row by its standard deviation, so chunks
-drawn in turn read the stream as one whole-block draw would.  With
-antithetic sampling only the drawn half of a block is sampled: each twin is
-the exact IEEE negation of its drawn path, and ``exposure_profile`` derives
-it from the drawn half.
+drawn in turn read the stream as one whole-block draw would.  The sampling
+unit is an antithetic pair: only half of a block's paths are drawn, and each
+twin is the exact IEEE negation of its drawn path, which
+``exposure_profile`` never draws.
 """
 
 from __future__ import annotations
@@ -120,18 +120,18 @@ def _block_sizes(n_paths: int) -> list[int]:
     return sizes
 
 
-def map_blocks(fn, n_paths: int, antithetic: bool, n_workers: int = 1) -> Iterator:
+def map_blocks(fn, n_paths: int, n_workers: int = 1) -> Iterator:
     """``fn(block_index, block_size)`` over the deterministic path blocks.
 
-    The arguments are checked at once; the results come lazily, in block
+    ``n_paths`` must be even and at least 6: three antithetic pairs, as the
+    control variate's residual has ``n - 2`` degrees of freedom.  The
+    arguments are checked at once; the results come lazily, in block
     order, so any reduction over them is independent of the worker count.
     On ``n_workers`` threads at most ``2 n_workers`` blocks run ahead of the
     consumer, so a fold over the results holds only a few at a time.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
+    if n_paths < 6 or n_paths % 2:
+        raise ValueError(f"n_paths must be even and >= 6, got {n_paths}")
     jobs = list(enumerate(_block_sizes(n_paths)))
     if n_workers > 1 and len(jobs) > 1:
         return _map_threaded(fn, jobs, n_workers)

@@ -47,7 +47,7 @@ def run_config(config: RunConfig) -> RunResult:
     profile = exposure_profile(
         config.swaps, model, curve, grid,
         n_paths=config.paths, seed=config.seed,
-        antithetic=config.antithetic, n_workers=config.workers,
+        n_workers=config.workers,
         collateral_book=posted,
     )
     if not np.isfinite(np.concatenate(

@@ -3,10 +3,10 @@
 ``exposure_profile`` streams blocks and never samples antithetic twins; the
 tests that need every grid row of every path get them here.  Each block is
 sampled by one ``_simulate_block`` call, which draws all of the block's
-normals at once, and with antithetic sampling the twin half is sampled as
-well, from the negated draws, so a test can check the identity
-``exposure_profile`` relies on: twin == -drawn.  A "path" is one column:
-its grid rows are independent draws from each time's marginal law.
+normals at once, and its twin half is sampled as well, from the negated
+draws, so a test can check the identity ``exposure_profile`` relies on:
+twin == -drawn.  A "path" is one column: its grid rows are independent
+draws from each time's marginal law.
 
 No path carries a discount factor.  A discounted mean at ``t`` is priced
 under the t-forward measure: ``E[D_t g(x_t)] = P(0, t) E[g(x_t + m_t)]``
@@ -79,22 +79,18 @@ def shared_normal(sd, rng, k0, x):
     x[:n] *= sd[k0:k0 + n, None]
 
 
-def simulate_paths(model, curve, grid, n_paths, seed, antithetic=True, n_workers=1) -> PathSet:
+def simulate_paths(model, curve, grid, n_paths, seed, n_workers=1) -> PathSet:
     """Every path of ``exposure_profile``'s blocks, twins sampled from negated draws."""
     g = _validate_grid(grid)
     sd = np.sqrt(model.variance(g))
 
     def run_block(idx, size):
-        n_draw = size // 2 if antithetic else size
-        rngs = [block_rng(seed, idx)]
-        if antithetic:
-            rngs.append(Negated(block_rng(seed, idx)))
         halves = []
-        for rng in rngs:
-            x = np.empty((len(g), n_draw))
+        for rng in (block_rng(seed, idx), Negated(block_rng(seed, idx))):
+            x = np.empty((len(g), size // 2))
             _simulate_block(sd, rng, 0, x)
             halves.append(x)
         return np.hstack(halves)
 
-    x = np.concatenate(list(map_blocks(run_block, n_paths, antithetic, n_workers)), axis=1).T
+    x = np.concatenate(list(map_blocks(run_block, n_paths, n_workers)), axis=1).T
     return PathSet(grid=g, factor=x, short_rate=x + np.asarray(shift(model, curve, g))[None, :])

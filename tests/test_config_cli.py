@@ -138,9 +138,9 @@ class TestValidation:
         assert diags == [] and cfg is not None
         assert cfg.market.model.sigma == 0.011
 
-    def test_odd_paths_with_antithetic_rejected(self):
+    def test_odd_paths_rejected(self):
         _, diags = validate_config(small_config(paths=1001))
-        assert any("even" in d for d in diags)
+        assert diags == ["paths: must be even"]
 
     def test_bad_schema_version(self):
         _, diags = validate_config(small_config(schemaVersion=99))
@@ -511,10 +511,12 @@ class TestCli:
         path = self.write_config(tmp_path)
         assert main(["run", str(path), "--paths", "999"]) == 1
 
-    @pytest.mark.parametrize("paths", ["0", "-2"])
-    def test_run_rejects_non_positive_path_override(self, tmp_path, capsys, paths):
-        assert main(["run", str(self.write_config(tmp_path)), "--paths", paths]) == 1
-        assert capsys.readouterr() == ("", "paths: must be >= 1\n")
+    @pytest.mark.parametrize("paths", ["0", "-2", "2", "4"])
+    def test_run_refuses_fewer_than_three_pairs(self, capsys, paths):
+        # One or two antithetic pairs leave the control variate's residual no
+        # degree of freedom, and the reported s.e. would collapse towards 0.
+        assert main(["run", "base-case", "--paths", paths]) == 1
+        assert capsys.readouterr() == ("", "paths: must be >= 6\n")
 
     def test_run_refuses_an_overflowing_exposure(self, tmp_path, capsys):
         # The 30y long book at 500% volatility: its exposure overflows to NaN.
@@ -720,6 +722,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("path, name", [
         (("accrualTaxed",), "accrualTaxed"),
+        (("antithetic",), "antithetic"),  # antithetic pairs are the only sampling unit
         (("market", "curves"), "market.curves"),
         (("market", "curve", "zeroRate"), "market.curve.zeroRate"),
         (("market", "model", "meanReverson"), "market.model.meanReverson"),

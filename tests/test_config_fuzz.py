@@ -34,7 +34,8 @@ RATINGS = ["AAA", "A", "BB", "CCC"]
 # (path, invalid value): one of these may replace a drawn field.
 INVALID = [
     (("psi",), [1.5]), (("priceOfRiskXi",), [1.5]), (("phi",), [-0.1]), (("taxRate",), 1.0),
-    (("costOfCapital",), -0.1), (("paths",), 0), (("paths",), 7), (("workers",), 0),
+    (("costOfCapital",), -0.1), (("paths",), 0), (("paths",), 4), (("paths",), 7),
+    (("workers",), 0),
     (("market", "issuer", "recovery"), 1.0), (("market", "issuer", "spreadBp"), -5.0),
     (("market", "model", "sigma"), -0.01), (("market", "model", "meanReversion"), 0.0),
     (("swaps", 0, "maturity"), 10.1), (("swaps", 0, "frequency"), 3), (("ratings",), ["XX"]),
@@ -94,8 +95,7 @@ def configs(draw):
         "accrualsTaxed": draw(st.booleans()),
         "compensatorTaxed": draw(st.booleans()),
         "collateralSpread": draw(st.one_of(st.floats(0.0, 0.01), st.floats(-1.0, 1.0))),
-        "antithetic": draw(st.booleans()),
-        "paths": 2 * draw(st.integers(1, 1000)),
+        "paths": 2 * draw(st.integers(3, 1000)),
         "workers": draw(st.integers(1, 2)),
         "seed": draw(st.integers(0, 2**32)),
     }

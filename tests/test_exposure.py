@@ -34,6 +34,7 @@ from xvakit.exposure import (
     _chebyshev_terms,
     _forward_kernel,
     _merge_moments,
+    _moments,
     _netted_plan,
     _reduce,
     _revalue,
@@ -106,36 +107,42 @@ PROXY_CASES = {
 FLAT = DiscountCurve((50.0,), (0.02,))
 
 
-def reference_block(model, grid, n_block, seed, block_index, antithetic):
+def reference_block(model, grid, n_block, seed, block_index):
     """Whole-block draw: the grid-major factor of one block, every row at once.
 
-    One ``(rows, paths)`` draw, each row scaled by ``sqrt(v_t)``, the factor's
-    standard deviation at its time.
+    One ``(rows, paths / 2)`` draw, each row scaled by ``sqrt(v_t)``, the factor's
+    standard deviation at its time, then the antithetic twins, its negation.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block_index,)))
-    n_draw = n_block // 2 if antithetic else n_block
-    z = np.empty((len(grid), n_block))
-    z[:, :n_draw] = rng.standard_normal((len(grid), n_draw))
-    if antithetic:
-        np.negative(z[:, :n_draw], out=z[:, n_draw:])
-    return np.sqrt(model.variance(grid))[:, None] * z
+    z = rng.standard_normal((len(grid), n_block // 2))
+    return np.sqrt(model.variance(grid))[:, None] * np.hstack([z, -z])
 
 
 def revalue_in_chunks(x, plan, out):
-    """``_chebyshev_revalue`` over a whole block, one ``CHUNK_ROWS`` chunk at a time."""
+    """``_chebyshev_revalue`` of a block's drawn half ``x`` into ``out`` ``(2, rows, pairs)``,
+    one ``CHUNK_ROWS`` chunk at a time."""
     for k0 in range(0, len(plan.const), CHUNK_ROWS):
         rows = slice(k0, k0 + CHUNK_ROWS)
-        _chebyshev_revalue(x[rows], plan[rows], out[rows])
+        _chebyshev_revalue(x[rows], plan[rows], out[:, rows])
 
 
-def reference_fit(x, plan, twins):
+def pair_values(parts):
+    """The values ``(rows, 2 pairs)`` at a block's drawn paths, then at their twins:
+    ``E + O`` and ``E - O``."""
+    odd, even = parts
+    return np.hstack([even + odd, even - odd])
+
+
+def twins_as_units(parts):
+    """A planted defect: ``_block_stats`` reducing each pair's two values ``E ± O`` as
+    independent units."""
+    values = pair_values(parts)
+    return _moments(np.stack([np.maximum(values, 0.0), values]))
+
+
+def reference_fit(x, plan):
     """Per-row loop of ``_chebyshev_fit``: each row's nodes valued over its live dates alone."""
-    if twins:
-        hi = np.maximum(x.max(axis=1), -x.min(axis=1))
-        lo = -hi
-    else:
-        lo, hi = x.min(axis=1), x.max(axis=1)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    half = np.maximum(x.max(axis=1), -x.min(axis=1))
     fit = (half > 0) & (plan.b_max > 0)
     n = _chebyshev_terms(np.max(half * plan.b_max, where=fit, initial=0.0))
     nodes, cosines = _chebyshev_basis(n)
@@ -143,26 +150,26 @@ def reference_fit(x, plan, twins):
     for k in range(len(plan.const)):
         live = plan.neg_b[k] < 0
         const, neg_b, wa = plan.const[k], plan.neg_b[k][live], plan.wa[k][live]
-        points = mid[k] + half[k] * nodes if fit[k] else mid[k:k + 1]
+        points = half[k] * nodes if fit[k] else np.zeros(1)
         values = const + wa @ np.exp(np.multiply.outer(neg_b, points))
         if fit[k]:
             coef[k] = values @ cosines
         else:
             coef[k, 0] = 2.0 * values[0]
-    return mid, half, coef
+    return half, coef
 
 
-def reference_profile(book, model, curve, grid, n_paths, seed, antithetic, posted=()):
+def reference_profile(book, model, curve, grid, n_paths, seed, posted=()):
     """Whole blocks through simulate, revalue on the t-forward kernel, ``_block_stats`` and
     ``_reduce``; the posted book's discounted mean from its plan alone."""
     kernel = _forward_kernel(_netted_plan(book, model, curve, grid), model, curve, grid)
-    parts = []
+    moments = []
     for idx, size in enumerate(_block_sizes(n_paths)):
-        x = reference_block(model, grid, size, seed, idx, antithetic)
-        values = np.empty((len(grid), size))
-        revalue_in_chunks(x, kernel, values)
-        parts.append(_block_stats(values, antithetic))
-    profile = _reduce(parts, grid, kernel, n_paths)
+        x = reference_block(model, grid, size, seed, idx)[:, :size // 2]
+        parts = np.empty((2, *x.shape))
+        revalue_in_chunks(x, kernel, parts)
+        moments.append(_block_stats(parts))
+    profile = _reduce(moments, grid, kernel, n_paths)
     if posted:
         profile.collateral = _netted_plan(posted, model, curve, grid).forward
     return profile
@@ -252,22 +259,20 @@ def book_dv(book, model, curve, grid, paths, value=None):
                      for k, t in enumerate(grid)])
 
 
-def pair_units(part, n_paths, antithetic):
-    """Sampling units of whole-path rows: with antithetic sampling, the means of each
-    block's two halves (a drawn path and its twin); otherwise the paths."""
-    if not antithetic:
-        return part
+def pair_units(part, n_paths):
+    """Sampling units of whole-path rows: the means of each block's two halves (a drawn
+    path and its twin)."""
     blocks = np.split(part, np.cumsum(_block_sizes(n_paths))[:-1], axis=1)
     return np.hstack([0.5 * (b[:, :b.shape[1] // 2] + b[:, b.shape[1] // 2:]) for b in blocks])
 
 
-def control_variate(dv, n_paths, antithetic, forward):
+def control_variate(dv, n_paths, forward):
     """Whole-path reference of the profile's estimator: for the positive and the
     negative part, ``mean(part) - beta (mean(dv) - forward)`` with ``beta = C(part, v) /
-    M2(v)`` over the units (0 where ``M2(v)`` is), and the residual's standard error
-    ``sqrt((M2(part) - beta C(part, v)) / ((m - 1) m))``."""
+    M2(v)`` over the ``m`` pairs (0 where ``M2(v)`` is), and the residual's standard error
+    ``sqrt((M2(part) - beta C(part, v)) / ((m - 2) m))``."""
     parts = (np.maximum(dv, 0.0), np.minimum(dv, 0.0))
-    units = [pair_units(p, n_paths, antithetic) for p in parts]
+    units = [pair_units(p, n_paths) for p in parts]
     centred = [u - u.mean(axis=1, keepdims=True) for u in (*units, units[0] + units[1])]
     m2_v = (centred[2] ** 2).sum(axis=1)
     m = units[0].shape[1]
@@ -277,7 +282,7 @@ def control_variate(dv, n_paths, antithetic, forward):
         beta = np.divide(cov, m2_v, out=np.zeros_like(cov), where=m2_v > 0)
         residual = np.maximum((c * c).sum(axis=1) - beta * cov, 0.0)
         out.append((part.mean(axis=1) - beta * (dv.mean(axis=1) - forward),
-                    np.sqrt(residual / ((m - 1) * m))))
+                    np.sqrt(residual / ((m - 2) * m))))
     return out
 
 
@@ -359,9 +364,8 @@ class TestExposureProfile:
         profile = exposure_profile((spec,), model, flat_curve, quarterly_grid, 100, seed=1)
         assert np.all(profile.epe == 0.0) and np.all(profile.forward == 0.0)
 
-    @pytest.mark.parametrize("antithetic", [True, False])
     def test_collateralized_book_is_exactly_zero_through_the_general_path(
-            self, monkeypatch, model, antithetic):
+            self, monkeypatch, model):
         """No live swap and no posted book: every path is simulated, revalued and reduced
         like any other book, and every field comes out exactly zero."""
         book = tuple(replace(s, collateralized=True) for s in MIXED_BOOK)
@@ -369,7 +373,7 @@ class TestExposureProfile:
         monkeypatch.setattr(exposure, "_block_stats",
                             lambda *args: reduced.append(1) or _block_stats(*args))
         profile = exposure_profile(book, model, SLOPED, MIXED_GRID, 2 * BLOCK_SIZE + 1000,
-                                   seed=29, antithetic=antithetic, n_workers=2)
+                                   seed=29, n_workers=2)
         assert reduced and profile.n_paths == 2 * BLOCK_SIZE + 1000
         for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
             assert np.array_equal(getattr(profile, name), np.zeros(len(MIXED_GRID))), name
@@ -378,7 +382,7 @@ class TestExposureProfile:
     def test_zero_vol_in_the_money_receiver(self, flat_curve, quarterly_grid):
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
         receiver = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False)
-        profile = exposure_profile((receiver,), frozen, flat_curve, quarterly_grid, 2, seed=1)
+        profile = exposure_profile((receiver,), frozen, flat_curve, quarterly_grid, 6, seed=1)
         expected = np.array(
             [flat_curve.df(t) * swap_value(receiver, frozen, flat_curve, float(t), 0.0)
              for t in quarterly_grid]
@@ -406,9 +410,10 @@ class TestExposureProfile:
             for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_odd_path_count_with_antithetic_rejected(self, flat_curve, model, payer_swap):
-        with pytest.raises(ValueError):
-            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], 101, seed=1)
+    @pytest.mark.parametrize("n_paths", [4, 101])
+    def test_odd_or_too_few_paths_rejected(self, flat_curve, model, payer_swap, n_paths):
+        with pytest.raises(ValueError, match="even and >= 6"):
+            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], n_paths, seed=1)
 
     def test_standard_error_scales_with_paths(self, flat_curve, model, payer_swap, quarterly_grid):
         ratios = []
@@ -444,22 +449,19 @@ STREAM_CASES = {
 
 
 class TestStreamedBlocks:
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
-    def test_profile_matches_whole_block_pipeline(self, model, case, antithetic):
+    def test_profile_matches_whole_block_pipeline(self, model, case):
         book, grid = STREAM_CASES[case]
         n_paths = 2 * BLOCK_SIZE + 1000
         streamed = exposure_profile(book + POSTED, model, SLOPED, grid, n_paths, seed=37,
-                                    antithetic=antithetic, collateral_book=POSTED)
-        whole = reference_profile(book, model, SLOPED, grid, n_paths, 37, antithetic, POSTED)
+                                    collateral_book=POSTED)
+        whole = reference_profile(book, model, SLOPED, grid, n_paths, 37, POSTED)
         assert_identical(streamed, whole)
 
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_simulate_paths_matches_whole_block_draw(self, model, antithetic):
+    def test_simulate_paths_matches_whole_block_draw(self, model):
         n_paths = BLOCK_SIZE + 1000
-        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=41,
-                               antithetic=antithetic)
-        blocks = [reference_block(model, MIXED_GRID, size, 41, idx, antithetic)
+        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=41)
+        blocks = [reference_block(model, MIXED_GRID, size, 41, idx)
                   for idx, size in enumerate(_block_sizes(n_paths))]
         assert np.array_equal(paths.factor.T, np.hstack(blocks))
 
@@ -531,7 +533,7 @@ class TestNettedKernel:
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=13)
         dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths, value=per_swap_sum)
         forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
-        (epe, _), (ene, _) = control_variate(dv, n_paths, True, forward)
+        (epe, _), (ene, _) = control_variate(dv, n_paths, forward)
         # The engine estimates the positive part alone; the reference's negative
         # part, estimated on its own, is the known forward less it.
         for name, (value, reference) in {"epe": (profile.epe, epe),
@@ -593,18 +595,17 @@ class TestNettedKernel:
             self.assert_forward_kernel_integrates_to_forward(case, sigma)
 
     @pytest.mark.parametrize("sigma", [0.011, 0.03])
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("case", ["mixed", "long-book"])
-    def test_whole_path_undiscounted_mean_matches_expected(self, case, antithetic, sigma):
+    def test_whole_path_undiscounted_mean_matches_expected(self, case, sigma):
         """The capital rules read ``expected`` as the book's mean MtM: the mean
         undiscounted value of whole paths must lie within 4 s.e. of it at every row."""
         book, grid = STREAM_CASES[case]
         model = ShortRateModel(0.05, sigma)
         n_paths = 2 * BLOCK_SIZE + 1000
-        paths = simulate_paths(model, SLOPED, grid, n_paths, seed=67, antithetic=antithetic)
+        paths = simulate_paths(model, SLOPED, grid, n_paths, seed=67)
         values = np.array([portfolio_value(book, model, SLOPED, float(t), paths.factor[:, k])
                            for k, t in enumerate(grid)])
-        units = pair_units(values, n_paths, antithetic)
+        units = pair_units(values, n_paths)
         se = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
         error = np.abs(units.mean(axis=1) - _netted_plan(book, model, SLOPED, grid).expected)
         gross = sum(s.notional for s in book)
@@ -624,27 +625,24 @@ class TestNettedKernel:
         assert_identical(joint, alone)
 
     @pytest.mark.parametrize("sigma", [0.011, 0.03])
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_single_payer_epe_matches_its_closed_form(self, antithetic, sigma):
+    def test_single_payer_epe_matches_its_closed_form(self, sigma):
         """The one-root closed form (``payer_epe``) against the Monte Carlo ``epe``:
         within 4 s.e. at every grid row, so a biased forward kernel shows."""
         swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, frequency=2)
         model, grid = ShortRateModel(0.05, sigma), make_exposure_grid(10.0, 2)
         profile = exposure_profile((swap,), model, SLOPED, grid, 2 * BLOCK_SIZE + 1000,
-                                   seed=2024, antithetic=antithetic)
+                                   seed=2024)
         exact = payer_epe(swap, model, SLOPED, grid)
         error = np.abs(profile.epe - exact)
         assert np.all(error <= 4 * profile.se_epe + 1e-12 * swap.notional), \
             np.max(error / (profile.se_epe + 1e-300))
         assert exact.max() > 1.0  # the swap has exposure to find
 
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_standard_errors_match_unit_sample_std(self, model, antithetic):
+    def test_standard_errors_match_unit_sample_std(self, model):
         n_paths = 2 * BLOCK_SIZE + 1000
         profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=23,
-                                   antithetic=antithetic, n_workers=2)
-        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23,
-                               antithetic=antithetic)
+                                   n_workers=2)
+        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23)
         # The t-forward kernel's proxy, fitted per block as the profile fits it: on
         # antithetic pairs ``v`` is nearly constant, so ``beta`` and the residual move
         # by some 1e-12 of themselves when the values move by an ulp or so.
@@ -653,23 +651,24 @@ class TestNettedKernel:
         dv = np.empty((len(MIXED_GRID), n_paths))
         edges = np.cumsum([0, *_block_sizes(n_paths)])
         for a, b in zip(edges[:-1], edges[1:]):
-            revalue_in_chunks(paths.factor.T[:, a:b], kernel, dv[:, a:b])
-        (_, se_epe), (_, se_ene) = control_variate(dv, n_paths, antithetic, kernel.forward)
+            parts = np.empty((2, len(MIXED_GRID), (b - a) // 2))
+            revalue_in_chunks(paths.factor.T[:, a:a + parts.shape[-1]], kernel, parts)
+            dv[:, a:b] = pair_values(parts)
+        (_, se_epe), (_, se_ene) = control_variate(dv, n_paths, kernel.forward)
         np.testing.assert_allclose(profile.se_epe, se_epe, rtol=1e-12, atol=1e-15)
         # The negative part's residual is the positive part's: its beta is 1 - beta.
         np.testing.assert_allclose(se_ene, profile.se_epe, rtol=1e-9, atol=1e-15)
         # Every path starts at the same value, so the error there is exactly 0.
         assert profile.se_epe[0] == 0.0
 
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("case", ["mixed", "long-book"])
-    def test_whole_path_mean_matches_the_control_mean(self, model, case, antithetic):
+    def test_whole_path_mean_matches_the_control_mean(self, model, case):
         """A wrong ``forward`` would bias ``epe`` silently: the mean
         discounted value of whole paths must lie within 4 s.e. of it at every row."""
         book, grid = STREAM_CASES[case]
         n_paths = 2 * BLOCK_SIZE + 1000
-        paths = simulate_paths(model, SLOPED, grid, n_paths, seed=59, antithetic=antithetic)
-        units = pair_units(book_dv(book, model, SLOPED, grid, paths), n_paths, antithetic)
+        paths = simulate_paths(model, SLOPED, grid, n_paths, seed=59)
+        units = pair_units(book_dv(book, model, SLOPED, grid, paths), n_paths)
         se = units.std(axis=1, ddof=1) / math.sqrt(units.shape[1])
         error = np.abs(units.mean(axis=1) - _netted_plan(book, model, SLOPED, grid).forward)
         gross = sum(s.notional for s in book)
@@ -687,18 +686,21 @@ class TestNettedKernel:
         assert np.all(profile.se_epe <= 1e-12 * forward[0])
 
     @staticmethod
-    def proxy_block(book, model, grid, antithetic, seed=29):
-        """One block's paths, its netted plan and the proxy values."""
-        x = reference_block(model, grid, BLOCK_SIZE, seed, 0, antithetic)
+    def proxy_block(book, model, grid, seed=29):
+        """One block's drawn half, its netted plan and the proxy's parts ``(O, E)``."""
+        x = reference_block(model, grid, BLOCK_SIZE, seed, 0)[:, :BLOCK_SIZE // 2]
         plan = _netted_plan(book, model, FLAT, grid)
-        proxy = np.empty((len(grid), BLOCK_SIZE))
+        proxy = np.empty((2, *x.shape))
         revalue_in_chunks(x, plan, proxy)
         return x, plan, proxy
 
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
-    def test_chebyshev_proxy_matches_exact_kernel(self, case, antithetic):
-        x, plan, proxy = self.proxy_block(*PROXY_CASES[case], antithetic)
+    def test_twins_written_from_the_drawn_half_are_its_negation(self, case):
+        """A pair's values ``E ± O`` are the exact kernel at the drawn path ``x`` and at its
+        twin ``-x``, to the proxy's tolerance."""
+        x, plan, proxy = self.proxy_block(*PROXY_CASES[case])
+        assert not x[0].any()  # the first chunk holds a row with h = 0
+        pairs, values = np.hstack([x, -x]), pair_values(proxy)
         for k in range(len(plan.const)):
             point = plan[k:k + 1]
             const, neg_b, wa = point.const[0], point.neg_b[0], point.wa[0]
@@ -706,47 +708,29 @@ class TestNettedKernel:
             # (1 + B |x|) ulps of its value, and every term is largest at the
             # low end of the row's range.  In the long book that scale is
             # within 1.5x of the gross notional.
-            scale = np.abs(const) + np.abs(wa) @ np.exp(neg_b * x[k].min())
+            scale = np.abs(const) + np.abs(wa) @ np.exp(neg_b * pairs[k].min())
             scale *= 1.0 + np.abs(neg_b).max(initial=0.0) * np.abs(x[k]).max()
-            error = np.abs(proxy[k] - _revalue(x[k:k + 1], point)[0]).max()
+            error = np.abs(values[k] - _revalue(pairs[k:k + 1], point)[0]).max()
             assert error <= 8 * 2.0**-52 * scale, (k, error / scale / 2.0**-52)
 
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
-    def test_twins_written_from_the_drawn_half_are_its_negation(self, case):
-        # Into an out twice as wide as x, the second half holds the paths at
-        # -x: bit for bit what revaluing the explicit twins gives.
+    def test_batched_fit_matches_the_per_row_loop(self, case):
         book, model, grid = PROXY_CASES[case]
-        x = reference_block(model, grid, 2048, 31, 0, antithetic=False)
-        assert not x[0].any()  # the first chunk holds a row with h = 0
-        plan = _netted_plan(book, model, FLAT, grid)
-        for k0 in range(0, len(grid), CHUNK_ROWS):
-            rows = slice(k0, k0 + CHUNK_ROWS)
-            twins = np.empty((len(plan[rows].const), 2 * x.shape[1]))
-            _chebyshev_revalue(x[rows], plan[rows], twins)
-            explicit = np.empty_like(twins)
-            _chebyshev_revalue(np.hstack([x[rows], -x[rows]]), plan[rows], explicit)
-            assert np.array_equal(twins, explicit), k0
-
-    @pytest.mark.parametrize("antithetic", [True, False])
-    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
-    def test_batched_fit_matches_the_per_row_loop(self, case, antithetic):
-        book, model, grid = PROXY_CASES[case]
-        x = reference_block(model, grid, BLOCK_SIZE, 47, 0, antithetic)
-        x = x[:, :BLOCK_SIZE // 2] if antithetic else x  # the drawn half; twins are -x
+        x = reference_block(model, grid, BLOCK_SIZE, 47, 0)[:, :BLOCK_SIZE // 2]
         plan = _netted_plan(book, model, FLAT, grid)
         gross = sum(s.notional for s in book)
         for k0 in range(0, len(grid), CHUNK_ROWS):
             rows = slice(k0, k0 + CHUNK_ROWS)
-            mid, half, coef = _chebyshev_fit(x[rows], plan[rows], antithetic)
-            ref_mid, ref_half, ref_coef = reference_fit(x[rows], plan[rows], antithetic)
-            assert np.array_equal(mid, ref_mid) and np.array_equal(half, ref_half)
+            half, coef = _chebyshev_fit(x[rows], plan[rows])
+            ref_half, ref_coef = reference_fit(x[rows], plan[rows])
+            assert np.array_equal(half, ref_half)
             assert coef.shape == ref_coef.shape
             # Only the summation order of the node values differs, so the
             # coefficients agree to a few ulps of the row's largest term,
             # which sits at the low end of its range.  In the long book that
             # is within 1.5x the gross notional.
             point = plan[rows]
-            terms = np.sum(np.abs(point.wa) * np.exp(point.neg_b * (mid - half)[:, None]), axis=1)
+            terms = np.sum(np.abs(point.wa) * np.exp(-point.neg_b * half[:, None]), axis=1)
             scale = np.maximum(np.abs(point.const) + terms, gross)
             error = np.abs(coef - ref_coef).max(axis=1)
             assert np.all(error <= 4 * 2.0**-52 * scale), (k0, (error / scale).max() / 2.0**-52)
@@ -773,7 +757,8 @@ class TestNettedKernel:
             return exact(x, plan)
 
         def all_exact(x, plan, out):
-            out[...] = exact(np.hstack([x, -x]), plan)
+            at_x, at_twin = np.split(exact(np.hstack([x, -x]), plan), 2, axis=1)
+            out[0], out[1] = (at_x - at_twin) / 2, (at_x + at_twin) / 2
 
         monkeypatch.setattr(exposure, "_revalue", spied)
         profile = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
@@ -783,28 +768,30 @@ class TestNettedKernel:
             ref = getattr(reference, name)
             np.testing.assert_allclose(getattr(profile, name), ref, rtol=1e-9,
                                        atol=1e-9 * np.max(np.abs(ref)), err_msg=name)
-        assert (n_paths in widths) == (sigma > 0.1)  # a twinned block is n_paths wide
+        assert (n_paths in widths) == (sigma > 0.1)  # a block's pairs are n_paths wide
 
     def test_overflowing_range_is_not_fitted(self, model):
         # B h past log(largest float): the exact kernel overflows there too, so
         # no fit (of some 1300 terms here) is attempted and the values are NaN.
         plan = _netted_plan(LONG_BOOK, model, FLAT, [0.0, 1.0])
         x = np.array([[0.0, 0.0], [-60.0, 60.0]])
-        assert _chebyshev_fit(x, plan, twins=False)[2] is None
-        out = np.zeros((2, 2))
+        assert _chebyshev_fit(x, plan)[1] is None
+        out = np.zeros((2, *x.shape))
         _chebyshev_revalue(x, plan, out)
         assert np.isnan(out).all()
 
     def test_rows_with_nothing_to_fit_are_exact(self, model):
-        x, plan, proxy = self.proxy_block(*PROXY_CASES["long-book"], antithetic=True)
-        # t = 0: every path sits at x = 0; at 30y no date is live.
+        x, plan, proxy = self.proxy_block(*PROXY_CASES["long-book"])
+        # t = 0: every path sits at x = 0; at 30y no date is live.  Either way
+        # the odd part is 0 and the even part the exact value at 0.
         for k in (0, len(plan.const) - 1):
-            assert np.all(proxy[k] == _revalue(x[k:k + 1, :1], plan[k:k + 1])[0])
+            assert not proxy[0, k].any()
+            assert np.all(proxy[1, k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[0])
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
-        x, plan, proxy = self.proxy_block(LONG_BOOK, frozen, MIXED_GRID, antithetic=False)
-        assert not x.any()
+        x, plan, proxy = self.proxy_block(LONG_BOOK, frozen, MIXED_GRID)
+        assert not x.any() and not proxy[0].any()
         for k in range(len(plan.const)):
-            assert np.all(proxy[k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[0])
+            assert np.all(proxy[1, k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[0])
 
     def test_term_count_is_the_smallest_meeting_the_bessel_bound(self):
         def bound(r, n):
@@ -843,7 +830,7 @@ class TestNettedKernel:
         # diagnostic on sigma instead of failing inside the fit.
         plan = _netted_plan(LONG_BOOK, model, FLAT, [0.0, 1.0])
         x = np.array([[0.0, 0.0], [0.01, np.inf]])
-        out = np.zeros((2, 2))
+        out = np.zeros((2, *x.shape))
         _chebyshev_revalue(x, plan, out)
         assert np.isnan(out).all()
 
@@ -852,15 +839,15 @@ class TestStandardErrorCalibration:
     """The reported ``se_epe`` against the spread of ``epe`` over independent runs."""
 
     @staticmethod
-    def spread_over_reported(antithetic):
+    def spread_over_reported():
         """Per grid row of the long book, the sd of ``epe`` over 40 seeds at 8192 paths
         over the mean reported ``se_epe``.  Rows where some run reports an s.e. of 0
         are left out: there every path agreed, or no path was in the money (the 3
         month row, where the book is positive on a handful of paths at most), and the
         s.e. of such a sample says nothing."""
         book, model, grid = PROXY_CASES["long-book"]
-        profiles = [exposure_profile(book, model, FLAT, grid, BLOCK_SIZE, seed=seed,
-                                     antithetic=antithetic) for seed in range(40)]
+        profiles = [exposure_profile(book, model, FLAT, grid, BLOCK_SIZE, seed=seed)
+                    for seed in range(40)]
         epe, se = (np.array([getattr(p, name) for p in profiles]) for name in ("epe", "se_epe"))
         sampled = np.all(se > 0, axis=0)
         assert sampled.sum() >= len(grid) - 4
@@ -870,15 +857,47 @@ class TestStandardErrorCalibration:
     def calibrated(ratio):
         return 0.85 <= np.median(ratio) <= 1.15 and np.all((0.6 <= ratio) & (ratio <= 1.5))
 
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_reported_error_matches_the_spread_over_seeds(self, antithetic):
-        ratio = self.spread_over_reported(antithetic)
+    def test_reported_error_matches_the_spread_over_seeds(self):
+        ratio = self.spread_over_reported()
         assert self.calibrated(ratio), (np.median(ratio), ratio.min(), ratio.max())
 
     def test_twins_taken_as_independent_units_fail_it(self, monkeypatch):
-        monkeypatch.setattr(exposure, "_block_stats",
-                            lambda values, antithetic: _block_stats(values, False))
-        assert not self.calibrated(self.spread_over_reported(antithetic=True))
+        monkeypatch.setattr(exposure, "_block_stats", twins_as_units)
+        assert not self.calibrated(self.spread_over_reported())
+
+
+def with_n_minus_1(blocks, grid, plan, n_paths):
+    """A planted defect: ``_reduce`` dividing the residual by ``n - 1``, as if ``beta``
+    had not been fitted from the same units."""
+    blocks = list(blocks)
+    n_units = sum(block[0] for block in blocks)
+    profile = _reduce(blocks, grid, plan, n_paths)
+    profile.se_epe = profile.se_epe * math.sqrt((n_units - 2) / (n_units - 1))
+    return profile
+
+
+class TestReduceDegreesOfFreedom:
+    @staticmethod
+    def assert_residual_over_n_minus_2(reduce, model):
+        """Three hand-built pairs ``(pos, v)``: ``se_epe`` is ``sqrt(residual / ((n - 2) n))``,
+        ``residual = M2(pos) - beta C(pos, v)``, since ``beta`` is fitted from the same pairs."""
+        pos, v = np.array([0.75, 0.25, 2.0]), np.array([0.5, -1.0, 2.0])
+        plan = _netted_plan((), model, FLAT, [0.0])
+        profile = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1), plan, 6)
+        cp, cv = pos - pos.mean(), v - v.mean()
+        beta = (cp @ cv) / (cv @ cv)
+        residual = cp @ cp - beta * (cp @ cv)
+        assert residual > 0.05  # three pairs off one line leave a residual
+        np.testing.assert_allclose(profile.se_epe, [math.sqrt(residual / ((3 - 2) * 3))],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(profile.epe, [pos.mean() - beta * v.mean()], rtol=1e-14)
+
+    def test_three_pairs_leave_one_degree_of_freedom(self, model):
+        self.assert_residual_over_n_minus_2(_reduce, model)
+
+    def test_n_minus_1_fails_it(self, model):
+        with pytest.raises(AssertionError):
+            self.assert_residual_over_n_minus_2(with_n_minus_1, model)
 
 
 def without_beta(blocks, grid, plan, n_paths):
@@ -941,8 +960,7 @@ class TestTotalStandardErrorCalibration:
     def test_a_planted_defect_fails_it(self, monkeypatch, defect):
         owner, name, planted = {
             "shared z": (exposure, "_simulate_block", shared_normal),
-            "twins as units": (exposure, "_block_stats",
-                               lambda values, antithetic: _block_stats(values, False)),
+            "twins as units": (exposure, "_block_stats", twins_as_units),
             "beta dropped": (exposure, "_reduce", without_beta),
             "four-bound sum": (runner, "breakdown", four_bound_sum),
         }[defect]

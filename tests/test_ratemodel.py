@@ -18,15 +18,12 @@ def test_parameter_validation():
 
 def test_grid_validation(flat_curve, model, payer_swap):
     with pytest.raises(ValueError):
-        exposure_profile((payer_swap,), model, flat_curve, [0.5, 1.0], 10, seed=1,
-                         antithetic=False)
+        exposure_profile((payer_swap,), model, flat_curve, [0.5, 1.0], 10, seed=1)
     with pytest.raises(ValueError):
-        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1,
-                         antithetic=False)
-    with pytest.raises(ValueError):
-        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], 0, seed=1)
-    with pytest.raises(ValueError):
-        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], 11, seed=1, antithetic=True)
+        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1)
+    for n_paths in (0, 4, 11):  # three antithetic pairs at least, and whole pairs
+        with pytest.raises(ValueError, match="even and >= 6"):
+            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], n_paths, seed=1)
 
 
 def assert_forward_bond_identity(model, curve, grid, maturity, n_paths, seed):
@@ -44,11 +41,11 @@ def assert_forward_bond_identity(model, curve, grid, maturity, n_paths, seed):
 def test_zero_volatility_reproduces_curve(flat_curve):
     frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
     grid = np.linspace(0.0, 10.0, 41)
-    paths = simulate_paths(frozen, flat_curve, grid, 4, seed=3)
+    paths = simulate_paths(frozen, flat_curve, grid, 6, seed=3)
     assert np.array_equal(paths.factor, np.zeros_like(paths.factor))
-    for p in range(4):
+    for p in range(6):
         assert np.allclose(paths.short_rate[p], flat_curve.forward(grid), rtol=0, atol=0)
-    assert_forward_bond_identity(frozen, flat_curve, grid, 12.0, 4, seed=3)
+    assert_forward_bond_identity(frozen, flat_curve, grid, 12.0, 6, seed=3)
 
 
 def test_same_seed_reproducible(flat_curve, model):
@@ -70,15 +67,15 @@ def test_worker_count_invariance(flat_curve, model):
 
 def test_map_blocks_checks_its_arguments_before_any_block_runs():
     calls = []
-    for n_paths, antithetic in ((0, False), (101, True)):
+    for n_paths in (0, 4, 101):
         with pytest.raises(ValueError):
-            map_blocks(lambda *job: calls.append(job), n_paths, antithetic, n_workers=2)
+            map_blocks(lambda *job: calls.append(job), n_paths, n_workers=2)
     assert calls == []
 
 
 def test_antithetic_pairs_mirror(flat_curve, model):
     grid = np.linspace(0.0, 5.0, 11)
-    paths = simulate_paths(model, flat_curve, grid, 512, seed=5, antithetic=True)
+    paths = simulate_paths(model, flat_curve, grid, 512, seed=5)
     h = 256
     # Twins sampled from the negated draws are the exact negation of their
     # drawn paths: exposure_profile never samples them and takes -x instead.

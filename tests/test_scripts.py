@@ -13,8 +13,9 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv, field", [
     (["warehouse_sweep.py", "XX", "2000"], "rating: unknown 'XX'"),
     (["warehouse_sweep.py", "2000"], "rating: unknown '2000'"),
-    (["warehouse_sweep.py", "BB", "2k"], "paths: must be a positive even integer, got '2k'"),
-    (["run_presets.py", "7"], "paths: must be a positive even integer, got '7'"),
+    (["warehouse_sweep.py", "BB", "2k"], "paths: must be an even integer >= 6, got '2k'"),
+    (["run_presets.py", "7"], "paths: must be an even integer >= 6, got '7'"),
+    (["run_presets.py", "4"], "paths: must be an even integer >= 6, got '4'"),
 ])
 def test_bad_argument_is_one_line_and_exit_1(argv, field):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
