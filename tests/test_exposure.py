@@ -449,18 +449,20 @@ STREAM_CASES = {
 
 
 class TestStreamedBlocks:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
-    def test_profile_matches_whole_block_pipeline(self, model, case):
+    def test_profile_matches_whole_block_pipeline(self, model, case, workers):
         book, grid = STREAM_CASES[case]
         n_paths = 2 * BLOCK_SIZE + 1000
         streamed = exposure_profile(book + POSTED, model, SLOPED, grid, n_paths, seed=37,
-                                    collateral_book=POSTED)
+                                    n_workers=workers, collateral_book=POSTED)
         whole = reference_profile(book, model, SLOPED, grid, n_paths, 37, POSTED)
         assert_identical(streamed, whole)
 
-    def test_simulate_paths_matches_whole_block_draw(self, model):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_paths_matches_whole_block_draw(self, model, workers):
         n_paths = BLOCK_SIZE + 1000
-        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=41)
+        paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=41, n_workers=workers)
         blocks = [reference_block(model, MIXED_GRID, size, 41, idx)
                   for idx, size in enumerate(_block_sizes(n_paths))]
         assert np.array_equal(paths.factor.T, np.hstack(blocks))
@@ -714,6 +716,34 @@ class TestNettedKernel:
             assert error <= 8 * 2.0**-52 * scale, (k, error / scale / 2.0**-52)
 
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_exact_fallback_writes_the_proxys_parts(self, monkeypatch, case):
+        """Forced on every chunk, the exact kernel's ``(f(x) - f(-x)) / 2`` and
+        ``(f(x) + f(-x)) / 2`` are the proxy's ``(O, E)``, slot for slot, to the proxy's
+        tolerance: each part is half a sum of two values within it."""
+        x, plan, proxy = self.proxy_block(*PROXY_CASES[case])
+        exact, widths = exposure._revalue, []
+
+        def spied(points, point):
+            widths.append(points.shape[1])
+            return exact(points, point)
+
+        monkeypatch.setattr(exposure, "_revalue", spied)
+        monkeypatch.setattr(exposure, "_MAX_PROXY_ROUNDING", -1.0)  # every fit loses too much
+        fallback = np.empty_like(proxy)
+        revalue_in_chunks(x, plan, fallback)
+        # Each row's pairs at once, every row but the last: its one-row chunk has no
+        # live date, so a zero polynomial with nothing to lose.
+        assert widths.count(2 * x.shape[1]) == len(plan.const) - 1
+        pairs = np.hstack([x, -x])
+        for k in range(len(plan.const)):
+            point = plan[k:k + 1]
+            const, neg_b, wa = point.const[0], point.neg_b[0], point.wa[0]
+            scale = np.abs(const) + np.abs(wa) @ np.exp(neg_b * pairs[k].min())
+            scale *= 1.0 + np.abs(neg_b).max(initial=0.0) * np.abs(x[k]).max()
+            error = np.abs(fallback[:, k] - proxy[:, k]).max()
+            assert error <= 8 * 2.0**-52 * scale, (k, error / scale / 2.0**-52)
+
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
     def test_batched_fit_matches_the_per_row_loop(self, case):
         book, model, grid = PROXY_CASES[case]
         x = reference_block(model, grid, BLOCK_SIZE, 47, 0)[:, :BLOCK_SIZE // 2]
@@ -898,6 +928,75 @@ class TestReduceDegreesOfFreedom:
     def test_n_minus_1_fails_it(self, model):
         with pytest.raises(AssertionError):
             self.assert_residual_over_n_minus_2(with_n_minus_1, model)
+
+
+def pair_parts(regime):
+    """Hand-built parts ``(O, E)`` ``(2, 3 rows, 24 pairs)`` of pairs whose two values
+    ``a = E + O`` and ``b = E - O`` are of the named signs; ``"mixed"`` holds all of them."""
+    if regime == "mixed":
+        parts = [pair_parts(r) for r in PAIR_REGIMES if r != "mixed"]
+        return np.concatenate(parts, axis=-1)
+    rng = np.random.default_rng(sorted(PAIR_REGIMES).index(regime))
+    a, b = rng.uniform(0.1, 2.0, (2, 3, 24))
+    if regime == "both negative":
+        a, b = -a, -b
+    elif regime == "straddling":
+        flip = rng.random(a.shape) < 0.5
+        a, b = np.where(flip, -a, a), np.where(flip, b, -b)
+    elif regime == "twin at zero":
+        a, b = np.where(rng.random(a.shape) < 0.5, -a, a), np.zeros_like(b)
+    elif regime == "equal twins":
+        a = b = np.where(rng.random(a.shape) < 0.5, -a, a)
+    return np.stack([(a - b) / 2, (a + b) / 2])
+
+
+PAIR_REGIMES = ("both positive", "both negative", "straddling", "twin at zero",
+                "equal twins", "mixed")
+
+
+def no_floor(at):
+    """A planted defect: ``_block_stats`` without its floor at ``E`` or at 0."""
+    def planted(parts):
+        pos, even = parts
+        np.abs(pos, out=pos)
+        pos += even
+        pos *= 0.5
+        np.maximum(pos, 0.0 if at == "E" else even, out=pos)
+        return exposure._moments(parts)
+    return planted
+
+
+class TestPairReduction:
+    """``_block_stats`` reduces each pair from its parts: its mean value is ``E`` and its
+    mean positive part ``(max(E + O, 0) + max(E - O, 0)) / 2``."""
+
+    @staticmethod
+    def assert_pair_means(monkeypatch, parts):
+        moments, seen = exposure._moments, []
+        monkeypatch.setattr(exposure, "_moments",
+                            lambda units: seen.append(units.copy()) or moments(units))
+        odd, even = parts
+        reference = 0.5 * (np.maximum(even + odd, 0.0) + np.maximum(even - odd, 0.0))
+        n, _, _ = exposure._block_stats(parts.copy())
+        (pos, value), = seen
+        assert n == parts.shape[-1]
+        assert np.array_equal(value, even)
+        # E + O and E - O round by an ulp each of |E| + |O|; their half sum by one more.
+        np.testing.assert_allclose(pos, reference, rtol=0.0,
+                                   atol=2 * 2.0**-52 * np.max(np.abs(odd) + np.abs(even)))
+        both_positive = (even + odd > 0) & (even - odd > 0)
+        assert np.array_equal(pos[both_positive], even[both_positive])
+        assert not pos[(even + odd <= 0) & (even - odd <= 0)].any()
+
+    @pytest.mark.parametrize("regime", PAIR_REGIMES)
+    def test_pair_means_are_those_of_its_two_paths(self, monkeypatch, regime):
+        self.assert_pair_means(monkeypatch, pair_parts(regime))
+
+    @pytest.mark.parametrize("at", ["E", "0"])
+    def test_a_missing_floor_fails_it(self, monkeypatch, at):
+        monkeypatch.setattr(exposure, "_block_stats", no_floor(at))
+        with pytest.raises(AssertionError):
+            self.assert_pair_means(monkeypatch, pair_parts("mixed"))
 
 
 def without_beta(blocks, grid, plan, n_paths):
