@@ -53,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a run configuration")
     run.add_argument("config", help="configuration file or preset name")
-    run.add_argument("--format", choices=("table", "csv", "json"), default=None)
+    run.add_argument("--format", choices=RENDERERS, default="table")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--paths", type=int, default=None)
     run.add_argument("--out", type=Path, default=None, help="write the report to a file")
@@ -76,13 +76,13 @@ def _load(path: str, overrides: dict | None = None):
 
 
 def _cmd_run(args) -> int:
-    flags = {"seed": args.seed, "paths": args.paths, "format": args.format}
+    flags = {"seed": args.seed, "paths": args.paths}
     cfg = _load(args.config, {key: value for key, value in flags.items() if value is not None})
 
     with warnings.catch_warnings():  # an overflow is refused as a ConfigError instead
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_config(cfg)
-    text = RENDERERS[cfg.format](result)
+    text = RENDERERS[args.format](result)
     if args.out is not None:
         try:
             args.out.write_text(text)

@@ -54,7 +54,6 @@ from .ratemodel import ShortRateModel
 from .regcap import RATING_TABLE, CounterpartyProfile
 
 SCHEMA_VERSION = 1
-OUTPUT_FORMATS = ("table", "csv", "json")
 
 
 class ConfigError(Exception):
@@ -111,11 +110,9 @@ class RunConfig:
     collateral_spread: float
     seed: int
     paths: int
-    format: str
     provider_rating: str
     hedge_source_label: str
     min_capital_ratio: float
-    warn_se_bp: float
     workers: int
     pde: PdeVerifyConfig
 
@@ -155,6 +152,9 @@ _FRACTION = (lambda v: 0 <= v <= 1, "value {} outside [0, 1]")
 _AT_MOST_ONE = (lambda v: v <= 1, "must be <= 1")
 _RATE = (lambda v: -1 <= v <= 1, "value {} outside [-1, 1]")  # per year: a rate or spread
 _NOT_EMPTY = (bool, "list must not be empty")
+# A label is printed as a CSV cell and a table cell, unquoted.
+_LABEL = (lambda v: v.isprintable() and "," not in v and '"' not in v,
+          "must not contain a comma, a double quote or a non-printable character")
 
 _MARKET = {
     "curve": ({"pillars": (NUMBERS, REQUIRED), "zeroRates": (NUMBERS, REQUIRED, _RATE)},
@@ -200,12 +200,9 @@ _RUN = {
     "paths": (int, 50000, (lambda v: v >= 6, "must be >= 6"),  # three antithetic pairs
               (lambda v: v % 2 == 0, "must be even"),
               (lambda v: v <= 100_000_000, "must be <= 100000000")),
-    "format": (str, "table", (lambda v: v in OUTPUT_FORMATS,
-                              f"must be one of {', '.join(OUTPUT_FORMATS)}")),
     "providerRating": (str, "A"),
-    "hedgeSourceLabel": (str, None),  # None: the provider rating
+    "hedgeSourceLabel": (str, None, _LABEL),  # None: the provider rating
     "minCapitalRatio": (float, 0.08, _NON_NEGATIVE, _AT_MOST_ONE),
-    "warnSeBp": (float, 1.0, _NON_NEGATIVE),
     "workers": (int, 1, _AT_LEAST_ONE, (lambda v: v <= 64, "must be <= 64")),  # one thread each
     "pde": (dict, None),
 }
@@ -362,7 +359,9 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     entries = v["ratingTable"] or {}
     table = dict(RATING_TABLE)
     for label, entry in entries.items():
-        if (values := _typed(entry, _RATING, f"ratingTable.{label}", diags)) is not None:
+        if not _LABEL[0](label):
+            diags.append(f"ratingTable.{label!r}: {_LABEL[1]}")
+        elif (values := _typed(entry, _RATING, f"ratingTable.{label}", diags)) is not None:
             table[label] = CounterpartyProfile(label, *values.values())
     rejected = set(entries) - set(table)  # reported above, under ratingTable
 

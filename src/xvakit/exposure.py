@@ -371,8 +371,8 @@ class ExposureProfile:
 
     def __post_init__(self):
         n = len(self.grid)
-        for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
-            if len(getattr(self, name)) != n:
+        for name in ("epe", "forward", "mean_value_undiscounted", "se_epe", "collateral"):
+            if (value := getattr(self, name)) is not None and len(value) != n:
                 raise ValueError(f"{name} must match the grid length")
 
 

@@ -470,7 +470,8 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
                              (p.capital_factor - p.capital_relief_factor) * e_pos, z)
     return breakdown(XvaInputs(
         exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (e_pos + e_neg),
-                                 mean_value_undiscounted=e_val, se_epe=z, n_paths=0),
+                                 mean_value_undiscounted=e_val, se_epe=z, n_paths=0,
+                                 collateral=df * p.collateral_fraction * e_val),
         issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),
         parties=((CreditCurve(p.counterparty_hazard, p.counterparty_recovery), capital),),
         party=np.zeros(1, dtype=int),
@@ -482,7 +483,6 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
         cost_of_capital=p.cost_of_capital,
         notional=p.spot,
         collateral_spread=p.collateral_spread,
-        collateral=df * p.collateral_fraction * e_val,
     ))
 
 

@@ -1,10 +1,11 @@
-"""Rendering of run results as a text table, CSV or JSON.
+"""Rendering of run results as a text table, CSV or JSON: the ``RENDERERS``.
 
 The text table rounds adjustment values to whole basis points (half away
 from zero); its Total column is the rounded sum of the unrounded components,
 so it can differ from the sum of the rounded cells.  CSV and JSON carry the
 unrounded values together with the Monte Carlo standard error of the total,
-and are byte-stable for a given configuration and seed.
+and are byte-stable for a given configuration and seed.  A row whose error
+exceeds ``WARN_SE_BP`` is flagged: ``warn`` in CSV and JSON, ``!`` in the table.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 import numpy as np
 
 from .runner import RunResult
+
+WARN_SE_BP = 1.0  # bp of notional
 
 _COMPONENTS = ("cva", "dva", "fca", "colva", "kva_mr", "kva_ccr", "kva_cva", "tva")
 _COLUMNS = _COMPONENTS + ("total",)
@@ -46,15 +49,14 @@ def _records(result: RunResult) -> list[dict]:
     bps = result.breakdown.as_bps()
     source = result.config.hedge_source_label
     records = []
-    for (psi, xi, m_lambda, phi, rating), values, se_bp, warn in zip(
-            result.rows, _per_row([bps[name] for name in _COLUMNS]),
-            result.se_bp.tolist(), result.warn.tolist()):
+    for (psi, xi, m_lambda, phi, rating), values, se_bp in zip(
+            result.rows, _per_row([bps[name] for name in _COLUMNS]), result.se_bp.tolist()):
         record = {"source": source, "psi": psi,
                   "mLambdaC": m_lambda if m_lambda is not None else xi,
                   "phi": phi, "rating": rating}
         record.update(zip((f"{name}_bp" for name in _COLUMNS), values))
         record["se_bp"] = se_bp
-        record["warn"] = warn
+        record["warn"] = se_bp > WARN_SE_BP
         records.append(record)
     return records
 
@@ -72,25 +74,20 @@ def render_table(result: RunResult) -> str:
     lines = []
     body = []
     source = result.config.hedge_source_label
-    for (psi, xi, m_lambda, phi, rating), values, warn in zip(
-            result.rows, _per_row([bps[c] for c in shown]), result.warn.tolist()):
+    for (psi, xi, m_lambda, phi, rating), values, se_bp in zip(
+            result.rows, _per_row([bps[c] for c in shown]), result.se_bp.tolist()):
         cells = [source, f"{psi:g}", _price_of_risk_label(psi, xi, m_lambda), f"{phi:g}", rating]
         cells += [str(round_half_away(v)) for v in values]
-        cells.append("!" if warn else "")
+        cells.append("!" if se_bp > WARN_SE_BP else "")
         body.append(cells)
-    widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
-              for i, h in enumerate(headers)]
+    widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(headers)]
     lines.append("  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip())
     lines.append("  ".join("-" * w for w in widths).rstrip())
     for cells in body:
         lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip())
     lines.append("")
-    lines.append(
-        f"values in bps of notional {result.breakdown.notional:g}; "
-        f"{result.profile.n_paths} paths, seed {result.config.seed}"
-        if result.rows
-        else "no rows"
-    )
+    lines.append(f"values in bps of notional {result.breakdown.notional:g}; "
+                 f"{result.profile.n_paths} paths, seed {result.config.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -121,7 +118,7 @@ def render_json(result: RunResult) -> str:
         "schemaVersion": 1,
         "seed": result.config.seed,
         "paths": result.profile.n_paths,
-        "notional": b.notional if result.rows else None,
+        "notional": b.notional,
         "rows": _records(result),
     }
     currency = _per_row([getattr(b, name) for name in _COLUMNS])

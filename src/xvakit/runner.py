@@ -23,13 +23,12 @@ from .xva import XvaBreakdown, XvaInputs, breakdown
 @dataclass
 class RunResult:
     """The priced sweep: one key ``(psi, xi, m_lambda, phi, rating)`` per row,
-    in sweep order, beside the columns of that row's breakdown, the standard
-    error of its total in bps and whether that error exceeds ``warnSeBp``."""
+    in sweep order, beside the columns of that row's breakdown and the
+    standard error of its total in bps."""
 
     rows: list[tuple[float, float, float | None, float, str]]
     breakdown: XvaBreakdown
     se_bp: np.ndarray
-    warn: np.ndarray
     profile: ExposureProfile
     config: RunConfig
 
@@ -77,8 +76,7 @@ def run_config(config: RunConfig) -> RunResult:
         psi=psis, xi=xis, phi=phis,
         tax=TaxPolicy(config.tax_rate, config.accruals_taxed, config.compensator_taxed),
         discount=curve, cost_of_capital=config.cost_of_capital, notional=notional,
-        collateral_spread=config.collateral_spread, collateral=profile.collateral,
+        collateral_spread=config.collateral_spread,
     ))
-    se_bp = result.bps(result.se_total)
     rows = [(psi, xi, m_lambda, phi, config.ratings[j]) for psi, xi, m_lambda, phi, j in cells]
-    return RunResult(rows, result, se_bp, se_bp > config.warn_se_bp, profile, config)
+    return RunResult(rows, result, result.bps(result.se_total), profile, config)

@@ -26,8 +26,8 @@ Components and signs (received cash positive):
     TVA           tax on the capital return minus the tax credit expected
                   from warehoused default losses; either sign
 
-The collateral profile, when given, is the discounted expected collateral,
-consistent with the discounted exposure profiles.
+The exposure profile's collateral, when given, is the discounted expected
+collateral, consistent with the discounted exposure profiles.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class XvaInputs:
     cost_of_capital: float
     notional: float
     collateral_spread: float = 0.0
-    collateral: np.ndarray | None = None
 
     def __post_init__(self):
         if len({len(self.party), len(self.psi), len(self.xi), len(self.phi)}) != 1:
@@ -76,8 +75,6 @@ class XvaInputs:
         for _, capital in self.parties:
             if capital.grid is not grid and not np.array_equal(capital.grid, grid):
                 raise ValueError("capital profile grid does not match the exposure grid")
-        if self.collateral is not None and len(self.collateral) != len(grid):
-            raise ValueError("collateral profile does not match the exposure grid")
         if self.notional <= 0:
             raise ValueError("notional must be > 0")
 
@@ -171,8 +168,8 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     se_total = np.abs(c_cva + credit) * np.sqrt(np.square(weights * exposure.se_epe).sum(axis=-1))
 
     colva = np.zeros(len(inputs.psi))
-    if inputs.collateral is not None:
-        colva -= inputs.collateral_spread * (weights * inputs.collateral).sum(axis=-1)
+    if exposure.collateral is not None:
+        colva -= inputs.collateral_spread * (weights * exposure.collateral).sum(axis=-1)
 
     # The capital profile is deterministic, so it is discounted by the curve.
     # Each party's components are integrated over its rows with and without

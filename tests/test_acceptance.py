@@ -193,6 +193,7 @@ def test_criterion_6_constant_intensity_closed_forms():
         profile = ExposureProfile(
             grid=grid, epe=np.full_like(grid, epe), forward=np.full_like(grid, epe + ene),
             mean_value_undiscounted=np.full_like(grid, epe + ene), se_epe=z, n_paths=0,
+            collateral=np.full_like(grid, coll),
         )
         capital = CapitalProfile(grid, z, np.full_like(grid, k_flat),
                                  np.full_like(grid, 0.25 * k_flat),
@@ -210,7 +211,6 @@ def test_criterion_6_constant_intensity_closed_forms():
             cost_of_capital=gamma_k,
             notional=100.0,
             collateral_spread=s_x,
-            collateral=np.full_like(grid, coll),
         )
         result = breakdown(inputs)
         ccr_net = k_flat - psi * (k_flat - 0.25 * k_flat)

@@ -12,7 +12,7 @@ import pytest
 from xvakit.cli import main
 from xvakit.config import (_RUN, PRESETS, ConfigError, RunConfig, _camel, load_config,
                            validate_config)
-from xvakit.report import render_csv, render_json, render_table, round_half_away
+from xvakit.report import WARN_SE_BP, render_csv, render_json, render_table, round_half_away
 from xvakit.runner import run_config
 
 VALID_CONFIG = {
@@ -285,6 +285,31 @@ class TestPresets:
         assert capsys.readouterr().err.splitlines() == [
             "ratingTable.XX.recovery: must lie in [0, 1)"]
 
+    @pytest.mark.parametrize("raw, field", [
+        *((small_config(hedgeSourceLabel=label), "hedgeSourceLabel")
+          for label in ["A,B\nC", 'say "A"', "A\tB"]),
+        # Named by repr, so that a newline in a key cannot split the diagnostic;
+        # the ratings and provider that name it are not also unknown.
+        (small_config(ratings=["X,Y"], providerRating="X,Y", ratingTable={
+            "X,Y": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01}}),
+         "ratingTable.'X,Y'"),
+    ], ids=["comma-newline", "quote", "tab", "rating-key"])
+    def test_label_that_breaks_a_row_is_one_diagnostic(self, tmp_path, capsys, raw, field):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw))
+        assert main(["run", str(config), "--format", "csv"]) == 1
+        assert capsys.readouterr() == ("", f"{field}: must not contain a comma, a double quote "
+                                           "or a non-printable character\n")
+
+    def test_printable_labels_with_spaces_are_kept(self):
+        raw = small_config(ratings=["Tier 2"], hedgeSourceLabel="Bank A", ratingTable={
+            "Tier 2": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01}})
+        cfg, diags = validate_config(raw)
+        assert diags == []
+        header, row = render_csv(run_config(cfg)).splitlines()
+        assert row.split(",")[0] == "Bank A" and row.split(",")[4] == "Tier 2"
+        assert len(row.split(",")) == len(header.split(","))
+
     def test_m_lambda_with_zero_hazard_rating_rejected(self):
         _, diags = validate_config(zero_hazard_config())
         assert diags == ["mLambda: rating ZERO has zero hazard; use priceOfRiskXi"]
@@ -301,7 +326,7 @@ class TestRowsAreSweepsOfOne:
     def test_each_csv_line_equals_the_line_of_its_key_run_alone(self, dial, values):
         """A 2 psi x 2 xi x 2 phi x 2 rating run against its 16 one-row runs."""
         raw = small_config(psi=[0.0, 0.5], phi=[0.0, 1.0], ratings=["AAA", "BB"], paths=400,
-                           collateralSpread=0.001, warnSeBp=0.05)
+                           collateralSpread=0.001)
         raw.pop("priceOfRiskXi")
         cfg, diags = validate_config(dict(raw, **{dial: values}))
         assert not diags
@@ -316,8 +341,6 @@ class TestRowsAreSweepsOfOne:
                         alone.append(render_csv(run_config(one)).splitlines()[1])
         assert len(lines) == 16
         assert lines == alone
-        assert any(line.endswith("true") for line in lines)
-        assert any(line.endswith("false") for line in lines)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +394,25 @@ class TestReports:
         cfg_a, _ = validate_config(small_config())
         cfg_b, _ = validate_config(small_config(seed=8))
         assert render_csv(run_config(cfg_a)) != render_csv(run_config(cfg_b))
+
+    def test_rows_past_the_fixed_threshold_are_flagged(self, capsys):
+        """At 6 paths only the base case's CCC rows (1.164 bp) exceed 1 bp."""
+        assert WARN_SE_BP == 1.0
+        flagged = {"AAA": False, "A": False, "BB": False, "CCC": True}
+        assert main(["run", "base-case", "--paths", "6", "--format", "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 8
+        for row in rows:
+            assert (float(row["se_bp"]) > 1.0) == flagged[row["rating"]]
+            assert row["warn"] == ("true" if flagged[row["rating"]] else "false")
+        assert main(["run", "base-case", "--paths", "6", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["warn"] for r in records] == [flagged[r["rating"]] for r in records]
+        assert main(["run", "base-case", "--paths", "6"]) == 0
+        body = capsys.readouterr().out.splitlines()[2:10]
+        assert [line.endswith("  !") for line in body] == [
+            flagged[line.split()[4]] for line in body]
 
     def test_collateral_spread_activates_colva(self, result):
         cfg, _ = validate_config(small_config(collateralSpread=0.001))
@@ -658,7 +700,6 @@ class TestCli:
             (config_with(("minCapitalRatio",), -0.1), "minCapitalRatio: must be >= 0"),
             (config_with(("seed",), -5), "seed: must be >= 0"),
             (config_with(("workers",), 0), "workers: must be >= 1"),
-            (config_with(("warnSeBp",), -1.0), "warnSeBp: must be >= 0"),
             (config_with(("ratings",), [["A"]]),
              "ratings: unknown rating ['A'] (known: AAA, A, BB, CCC)"),
             # Off the semiannual schedule: the first would drop its stub, the
@@ -679,7 +720,7 @@ class TestCli:
         ],
         ids=["nan-sigma", "nan-cost", "inf-cost", "huge-int-tax", "inf-fixed-rate",
              "nan-zero-rate", "negative-cost", "negative-min-ratio", "negative-seed",
-             "zero-workers", "negative-warn", "unhashable-rating", "maturity-stub-dropped",
+             "zero-workers", "unhashable-rating", "maturity-stub-dropped",
              "maturity-paid-late", "maturity-periods-overflow", "zero-risk-weight",
              "zero-cva-weight", "negative-cds-spread", *OUT_OF_RANGE],
     )
@@ -723,6 +764,8 @@ class TestCli:
     @pytest.mark.parametrize("path, name", [
         (("accrualTaxed",), "accrualTaxed"),
         (("antithetic",), "antithetic"),  # antithetic pairs are the only sampling unit
+        (("format",), "format"),  # the report's format is the CLI's --format alone
+        (("warnSeBp",), "warnSeBp"),  # the report flags rows past a fixed 1 bp
         (("market", "curves"), "market.curves"),
         (("market", "curve", "zeroRate"), "market.curve.zeroRate"),
         (("market", "model", "meanReverson"), "market.model.meanReverson"),

@@ -28,13 +28,13 @@ from xvakit.runner import run_config
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
-def flat_profile(grid, epe=0.0, ene=0.0):
+def flat_profile(grid, epe=0.0, ene=0.0, collateral=None):
     """A profile whose ENE, the forward less the EPE, is ``ene``."""
     g = np.asarray(grid, dtype=float)
     e = np.full_like(g, float(epe))
     forward = e + float(ene)
     return ExposureProfile(grid=g, epe=e, forward=forward, mean_value_undiscounted=forward,
-                           se_epe=np.zeros_like(g), n_paths=0)
+                           se_epe=np.zeros_like(g), n_paths=0, collateral=collateral)
 
 
 def flat_capital(grid, mr=0.0, ccr=0.0, ccr_hedged=None, cva_vol=0.0):
@@ -71,7 +71,7 @@ def make_inputs(
 ):
     """A one-row sweep."""
     return XvaInputs(
-        exposure=flat_profile(grid, epe, ene),
+        exposure=flat_profile(grid, epe, ene, collateral),
         issuer=CreditCurve(lambda_b, r_b),
         parties=((CreditCurve(lambda_c, r_c), capital or flat_capital(grid)),),
         party=np.zeros(1, dtype=int),
@@ -83,7 +83,6 @@ def make_inputs(
         cost_of_capital=gamma_k,
         notional=100.0,
         collateral_spread=collateral_spread,
-        collateral=collateral,
     )
 
 
@@ -220,6 +219,10 @@ class TestColva:
         collateral = np.full_like(GRID_Q, 100.0)
         inputs = make_inputs(GRID_Q, collateral_spread=0.0, collateral=collateral)
         assert breakdown(inputs).colva[0] == 0.0
+
+    def test_collateral_off_the_grid_is_refused(self):
+        with pytest.raises(ValueError, match="collateral must match the grid length"):
+            flat_profile(GRID_Q, collateral=np.full(len(GRID_Q) - 1, 100.0))
 
 
 class TestKva:
