@@ -41,8 +41,6 @@ from .regcap import (
     CapitalProfile,
     CounterpartyProfile,
     capital_profile,
-    ccr_capital,
-    cva_var_capital,
     remaining_duration,
 )
 from .xva import XvaBreakdown, XvaInputs, breakdown

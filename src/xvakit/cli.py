@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 from .config import PRESETS, ConfigError, load_config
-from .pde import PdeSolution, verify_decomposition
+from .pde import GridResolutionWarning, PdeSolution, verify_decomposition
 from .report import RENDERERS
 from .runner import run_config
 
@@ -104,7 +104,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_pde_verify(args) -> int:
     cfg = _load(args.config)
-    report = verify_decomposition(cfg.pde.problem, cfg.pde.grid, tolerance=cfg.pde.tolerance)
+    with warnings.catch_warnings(record=True) as caught:
+        report = verify_decomposition(cfg.pde.problem, cfg.pde.grid, tolerance=cfg.pde.tolerance)
+    for w in caught:  # one line each; the coarse-grid warning names its field
+        field = "pde.nSpace: " if issubclass(w.category, GridResolutionWarning) else ""
+        print(f"warning: {field}{w.message}", file=sys.stderr)
     oracle = report.oracle  # a one-row breakdown
     print(f"adjustment  pde {report.pde_adjustment:+.6f}   quadrature {oracle.total[0]:+.6f}   "
           f"rel error {report.rel_error:.3e} (tolerance {report.tolerance:.3e})")

@@ -82,7 +82,7 @@ import numpy as np
 from .curves import DiscountCurve
 from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
 
-POINTS_PER_YEAR = 4  # of the uniform part of the exposure grid
+POINTS_PER_YEAR = 4  # of the exposure grid; every swap frequency divides it
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 _MAX_PROXY_ROUNDING = 1e-12  # relative; a chunk whose proxy may lose more is valued exactly
@@ -118,6 +118,8 @@ class SwapSpec:
             raise ValueError("frequency must be one of 1, 2, 4")
         if not on_schedule(self.maturity, self.frequency):
             raise ValueError("maturity must be a whole number of 1/frequency periods")
+        # Snapped to its schedule, so the grid holds the payment dates bit for bit.
+        object.__setattr__(self, "maturity", round(self.maturity * self.frequency) / self.frequency)
         if not np.isfinite(self.fixed_rate):
             raise ValueError("fixed_rate must be finite")
 
@@ -376,11 +378,10 @@ class ExposureProfile:
                 raise ValueError(f"{name} must match the grid length")
 
 
-def make_exposure_grid(maturity: float, frequency: int) -> np.ndarray:
-    """Union of a quarterly grid and the payment dates, from 0 to maturity."""
-    uniform = np.linspace(0.0, maturity, int(round(maturity * POINTS_PER_YEAR)) + 1)
-    pay = np.arange(1, int(round(maturity * frequency)) + 1) / frequency
-    return np.union1d(np.round(uniform, 12), np.round(pay, 12))
+def make_exposure_grid(maturity: float) -> np.ndarray:
+    """The quarterly grid from 0 to maturity: it holds every payment date of
+    the swaps that end by then, whose maturities are snapped to schedule."""
+    return np.linspace(0.0, maturity, int(round(maturity * POINTS_PER_YEAR)) + 1)
 
 
 # The co-moments kept per row, as index pairs into the means of (pos, v):

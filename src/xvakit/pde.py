@@ -42,7 +42,7 @@ from .credit import (CreditCurve, TaxPolicy, compensator_rate, counterparty_hedg
                      effective_hazard)
 from .curves import DiscountCurve
 from .exposure import ExposureProfile
-from .regcap import CapitalProfile
+from .regcap import CapitalBase, CapitalProfile
 from .xva import XvaBreakdown, XvaInputs, breakdown
 
 
@@ -466,14 +466,14 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
     e_pos, e_neg, e_val = density_expectations(p, grid)
     df = np.exp(-p.rate * grid)
     z = np.zeros_like(grid)
-    capital = CapitalProfile(grid, z, p.capital_factor * e_pos,
-                             (p.capital_factor - p.capital_relief_factor) * e_pos, z)
     return breakdown(XvaInputs(
         exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (e_pos + e_neg),
                                  mean_value_undiscounted=e_val, se_epe=z, n_paths=0,
                                  collateral=df * p.collateral_fraction * e_val),
+        capital=CapitalBase(grid, ead=e_pos, duration=z, k_mr=z),
         issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),
-        parties=((CreditCurve(p.counterparty_hazard, p.counterparty_recovery), capital),),
+        parties=((CreditCurve(p.counterparty_hazard, p.counterparty_recovery), CapitalProfile(
+            p.capital_factor, p.capital_factor - p.capital_relief_factor, 0.0)),),
         party=np.zeros(1, dtype=int),
         psi=np.array([p.hedge_fraction]),
         xi=np.array([p.price_of_risk]),

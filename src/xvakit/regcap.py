@@ -1,4 +1,4 @@
-"""Regulatory-capital profiles: market risk, counterparty credit risk, CVA volatility.
+"""Regulatory capital: market risk, counterparty credit risk, CVA volatility.
 
 Methodology (standardized approaches throughout):
 
@@ -25,8 +25,9 @@ Buying eligible credit protection removes the CVA volatility charge but does
 not extinguish CCR capital: the exposure calculation switches to the
 protection provider's risk weight when, and only when, that weight is better.
 
-A run builds the rating-free ``capital_base`` once and applies each rating's
-weights to it with ``capital_profile``.
+Every rating's capital is linear in three rating-free profiles, built once
+per run by ``capital_base``: the market-risk charge, EAD and duration x EAD.
+A rating only sets its charges per unit of them (``capital_profile``).
 """
 
 from __future__ import annotations
@@ -107,23 +108,6 @@ def _mr_band(residual_maturity):
     return np.searchsorted(_MR_UPPERS, residual_maturity, side="right")
 
 
-def ccr_capital(ead, risk_weight: float, min_ratio: float):
-    """Counterparty-credit-risk capital: EAD x weight x minimum ratio; ``ead`` may be an array."""
-    if np.any(np.asarray(ead) < 0) or risk_weight < 0 or min_ratio < 0:
-        raise ValueError("inputs must be >= 0")
-    return ead * risk_weight * min_ratio
-
-
-def cva_var_capital(ead, cva_weight: float, maturity):
-    """Unhedged standardized CVA volatility charge, large-portfolio approximation.
-
-    ``ead`` and ``maturity`` may be arrays over a grid.
-    """
-    if min(np.min(ead), cva_weight, np.min(maturity)) < 0:
-        raise ValueError("inputs must be >= 0")
-    return CVA_VAR_QUANTILE * abs(cva_weight * (maturity * ead))
-
-
 def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t):
     """Discount-weighted average time to the swap's remaining payments.
 
@@ -139,45 +123,14 @@ def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-@dataclass
-class CapitalProfile:
-    """Capital requirement components along the exposure grid.
-
-    ``k_mr``, ``k_ccr`` and ``k_cva`` are the unhedged requirements; the
-    relief from a fully eligible credit hedge is the whole CVA charge plus
-    the CCR saving from substituting the protection provider's risk weight
-    (``k_ccr - k_ccr_hedged``).  The net requirement interpolates linearly in
-    the hedge fraction (``net_capital``).
-    """
-
-    grid: np.ndarray
-    k_mr: np.ndarray
-    k_ccr: np.ndarray
-    k_ccr_hedged: np.ndarray
-    k_cva: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.grid)
-        for name in ("k_mr", "k_ccr", "k_ccr_hedged", "k_cva"):
-            if np.shape(getattr(self, name)) != (n,):
-                raise ValueError(f"{name} must match the grid length")
-
-
-def net_capital(k_mr, k_ccr, k_ccr_hedged, k_cva, psi):
-    """(MR, CCR, CVA-vol) parts of the net requirement at hedge fraction ``psi``;
-    netting is affine in psi, so the components may be profiles or their
-    integrals, of any shape that broadcasts with it."""
-    return k_mr, k_ccr - psi * (k_ccr - k_ccr_hedged), (1.0 - psi) * k_cva
-
-
 @dataclass(frozen=True)
 class CapitalBase:
-    """The rating-free part of a capital profile along the exposure grid.
+    """The rating-free capital profiles along the exposure grid.
 
     ``ead`` is the CEM exposure at default, ``duration`` the notional-weighted
     remaining duration (the CVA charge's effective maturity) and ``k_mr`` the
-    market-risk charge.  A rating only scales these by its weights, so a run
-    builds this once and passes it to ``capital_profile`` for each rating.
+    market-risk charge.  A rating only scales these (``CapitalProfile``), so
+    a run builds this once for every rating.
     """
 
     grid: np.ndarray
@@ -221,22 +174,26 @@ def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
     return CapitalBase(grid=grid, ead=ead, duration=duration, k_mr=np.abs(nets) @ _MR_WEIGHTS)
 
 
-def capital_profile(base: CapitalBase, counterparty: CounterpartyProfile,
-                    min_ratio: float = 0.08,
-                    provider: CounterpartyProfile | None = None) -> CapitalProfile:
-    """Capital profile of one counterparty rating: CCR capital from the risk
-    weights and CVA capital from the CVA weight.
+@dataclass(frozen=True)
+class CapitalProfile:
+    """One rating's charges per unit of the base: CCR per unit of EAD at its
+    own and at the hedged risk weight, and the unhedged CVA-volatility charge
+    per unit of duration x EAD.  At hedge fraction psi they net to
+    ``ccr - psi (ccr - ccr_hedged)`` and ``(1 - psi) cva``."""
 
-    ``provider`` is the credit-protection seller whose risk weight caps the
-    hedged CCR weight.
-    """
+    ccr: float
+    ccr_hedged: float
+    cva: float
+
+
+def capital_profile(counterparty: CounterpartyProfile, min_ratio: float = 0.08,
+                    provider: CounterpartyProfile | None = None) -> CapitalProfile:
+    """One rating's charges; ``provider`` is the credit-protection seller
+    whose risk weight caps the hedged CCR weight."""
+    if min_ratio < 0:
+        raise ValueError("min_ratio must be >= 0")
     hedged_weight = counterparty.risk_weight
     if provider is not None:
         hedged_weight = min(hedged_weight, provider.risk_weight)
-    return CapitalProfile(
-        grid=base.grid,
-        k_mr=base.k_mr,
-        k_ccr=ccr_capital(base.ead, counterparty.risk_weight, min_ratio),
-        k_ccr_hedged=ccr_capital(base.ead, hedged_weight, min_ratio),
-        k_cva=cva_var_capital(base.ead, counterparty.cva_weight, base.duration),
-    )
+    return CapitalProfile(counterparty.risk_weight * min_ratio, hedged_weight * min_ratio,
+                          CVA_VAR_QUANTILE * counterparty.cva_weight)

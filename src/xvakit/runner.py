@@ -38,8 +38,7 @@ def run_config(config: RunConfig) -> RunResult:
     curve, model, issuer = config.market
     uncollateralized = tuple(s for s in config.swaps if not s.collateralized)
     horizon = max(s.maturity for s in config.swaps)
-    frequency = max(s.frequency for s in config.swaps)
-    grid = make_exposure_grid(horizon, frequency)
+    grid = make_exposure_grid(horizon)
     # Collateral held equals the collateralized legs' value; its expected
     # discounted profile, in closed form, feeds the collateral-spread carry.
     posted = tuple(s for s in config.swaps if s.collateralized) if config.collateral_spread else ()
@@ -58,12 +57,12 @@ def run_config(config: RunConfig) -> RunResult:
     provider = table[config.provider_rating]
 
     base = capital_base(profile, uncollateralized, curve, mr_swaps=config.swaps)
-    parties = []  # per rating, its (counterparty curve, capital profile)
+    parties = []  # per rating, its (counterparty curve, capital per unit of the base)
     for rating in config.ratings:
         cpty = table[rating]
         parties.append((
             CreditCurve(hazard_from_spread(cpty.cds_spread, cpty.recovery), cpty.recovery),
-            capital_profile(base, cpty, min_ratio=config.min_capital_ratio, provider=provider),
+            capital_profile(cpty, min_ratio=config.min_capital_ratio, provider=provider),
         ))
     # With an absolute market price of risk, xi varies per rating.
     xi_pairs = [config.price_of_risk_grid(cpty.hazard) for cpty, _ in parties]
@@ -72,7 +71,7 @@ def run_config(config: RunConfig) -> RunResult:
              for phi in config.phi for j in range(len(parties))]
     psis, xis, _, phis, party = (np.array(column) for column in zip(*cells))
     result = breakdown(XvaInputs(
-        exposure=profile, issuer=issuer, parties=tuple(parties), party=party,
+        exposure=profile, capital=base, issuer=issuer, parties=tuple(parties), party=party,
         psi=psis, xi=xis, phi=phis,
         tax=TaxPolicy(config.tax_rate, config.accruals_taxed, config.compensator_taxed),
         discount=curve, cost_of_capital=config.cost_of_capital, notional=notional,

@@ -7,14 +7,15 @@ weighted by the joint survival of issuer and counterparty,
 
 where ``lambda_eff`` is the effective counterparty hazard under partial
 hedging; every hazard is flat.  The exposure expectations (EPE/ENE) are
-already discounted; deterministic quantities such as the capital profile
-are discounted explicitly with the curve.
+already discounted; deterministic quantities such as the capital base are
+discounted explicitly with the curve.
 
 Quadrature: trapezoid on the profile grid, with ``W`` at interval
 midpoints; exact for constant integrands and second order on smooth
 profiles, but first order across a swap's jumps at its payment dates.
 Every integral is one ``(rows, grid)`` weight array times a profile, summed
-along the grid: one value per row of a sweep.
+along the grid: one value per row of a sweep, times a per-row coefficient.
+KVA's are the rating's capital charges, netted in psi, on the capital base.
 
 Components and signs (received cash positive):
 
@@ -39,20 +40,22 @@ import numpy as np
 from .credit import CreditCurve, TaxPolicy, effective_hazard
 from .curves import DiscountCurve
 from .exposure import ExposureProfile
-from .regcap import CapitalProfile, net_capital
+from .regcap import CapitalBase, CapitalProfile
 
 
 @dataclass(frozen=True)
 class XvaInputs:
     """Everything the adjustment integrals consume, for every row of a sweep.
 
-    Row ``i`` prices the counterparty curve and capital profile
-    ``parties[party[i]]`` at hedge fraction ``psi[i]``, price of default risk
-    ``xi[i]`` (the physical hazard is ``1 - xi`` times the risk-neutral one)
-    and capital-funding share ``phi[i]``; a single row is a sweep of length 1.
+    Row ``i`` prices the counterparty curve and capital charges
+    ``parties[party[i]]`` on the one ``capital`` base at hedge fraction
+    ``psi[i]``, price of default risk ``xi[i]`` (the physical hazard is
+    ``1 - xi`` times the risk-neutral one) and capital-funding share
+    ``phi[i]``; a single row is a sweep of length 1.
     """
 
     exposure: ExposureProfile
+    capital: CapitalBase
     issuer: CreditCurve
     parties: tuple[tuple[CreditCurve, CapitalProfile], ...]
     party: np.ndarray
@@ -72,9 +75,8 @@ class XvaInputs:
                 and np.all((self.phi >= 0) & (self.phi <= 1))):
             raise ValueError("each row needs psi and phi in [0, 1] and xi <= 1")
         grid = self.exposure.grid
-        for _, capital in self.parties:
-            if capital.grid is not grid and not np.array_equal(capital.grid, grid):
-                raise ValueError("capital profile grid does not match the exposure grid")
+        if self.capital.grid is not grid and not np.array_equal(self.capital.grid, grid):
+            raise ValueError("capital base grid does not match the exposure grid")
         if self.notional <= 0:
             raise ValueError("notional must be > 0")
 
@@ -145,8 +147,9 @@ class _Quadrature:
 def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     """Price every row of a sweep at once; each total is the exact float sum of its parts."""
     exposure, tax, grid = inputs.exposure, inputs.tax, inputs.exposure.grid
-    lambda_cpty, lgd_c = np.array([(c.hazard, 1.0 - c.recovery) for c, _ in inputs.parties]).T
-    lambda_cpty, lgd_c = lambda_cpty[inputs.party], lgd_c[inputs.party]
+    lambda_cpty, lgd_c, k_ccr, k_ccr_hedged, k_cva = np.array([
+        (c.hazard, 1.0 - c.recovery, k.ccr, k.ccr_hedged, k.cva) for c, k in inputs.parties
+    ]).T[:, inputs.party]
     lambda_eff = effective_hazard(lambda_cpty, inputs.psi, inputs.xi)
     issuer_loss = (1.0 - inputs.issuer.recovery) * inputs.issuer.hazard  # LGD_B lambda_B
 
@@ -171,19 +174,18 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     if exposure.collateral is not None:
         colva -= inputs.collateral_spread * (weights * exposure.collateral).sum(axis=-1)
 
-    # The capital profile is deterministic, so it is discounted by the curve.
-    # Each party's components are integrated over its rows with and without
-    # the forward rate, then netted in psi: the carry is affine in phi.
+    # The capital base is deterministic, so it is discounted by the curve.
+    # Each of its profiles is integrated with and without the forward rate,
+    # times each row's charge on it netted in psi: the carry is affine in phi.
     d, rate = inputs.discount.df(grid), inputs.discount.forward(grid)
-    capital = np.empty((4, 2, len(inputs.psi)))  # (component, [d, d rate], row)
-    for j, (_, k) in enumerate(inputs.parties):
-        rows = inputs.party == j
-        w = weights[rows]
-        for c, component in enumerate((k.k_mr, k.k_ccr, k.k_ccr_hedged, k.k_cva)):
-            discounted = d * component
-            capital[c, 0, rows] = (w * discounted).sum(axis=-1)
-            capital[c, 1, rows] = (w * (rate * discounted)).sum(axis=-1)
-    parts = net_capital(*capital, inputs.psi)  # (MR, CCR, CVA-vol), each (2, rows)
-    kva = [inputs.phi * part[1] - inputs.cost_of_capital * part[0] for part in parts]
-    tva -= tax.rate * inputs.cost_of_capital * sum(part[0] for part in parts)
+    base = inputs.capital
+    charges = (1.0, k_ccr - inputs.psi * (k_ccr - k_ccr_hedged), (1.0 - inputs.psi) * k_cva)
+    kva, held = [], 0.0
+    for charge, profile in zip(charges, (base.k_mr, base.ead, base.duration * base.ead)):
+        discounted = d * profile
+        capital = charge * (weights * discounted).sum(axis=-1)
+        carry = charge * (weights * (rate * discounted)).sum(axis=-1)
+        kva.append(inputs.phi * carry - inputs.cost_of_capital * capital)
+        held = held + capital
+    tva -= tax.rate * inputs.cost_of_capital * held
     return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se_total)

@@ -27,7 +27,7 @@ def payer_swap():
 
 @pytest.fixture(scope="session")
 def quarterly_grid():
-    return make_exposure_grid(10.0, 2)
+    return make_exposure_grid(10.0)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from xvakit import (
     verify_decomposition,
 )
 from xvakit.config import PRESETS
-from xvakit.regcap import CapitalProfile
+from xvakit.regcap import CapitalBase, CapitalProfile
 from xvakit.runner import run_config
 
 VERIFY_PROBLEM = PdeProblem(
@@ -87,18 +87,19 @@ def test_criterion_2_tax_capital_ratio_identity():
         ene = -rng.uniform(0.0, 5.0, grid.shape)
         profile = ExposureProfile(grid=grid, epe=epe, forward=epe + ene,
                                   mean_value_undiscounted=epe + ene, se_epe=z, n_paths=0)
-        capital = CapitalProfile(
+        base = CapitalBase(
             grid,
+            ead=rng.uniform(0.0, 30.0, grid.shape),
+            duration=rng.uniform(0.0, 10.0, grid.shape),
             k_mr=rng.uniform(0.0, 1.0, grid.shape),
-            k_ccr=rng.uniform(0.0, 3.0, grid.shape),
-            k_ccr_hedged=rng.uniform(0.0, 1.0, grid.shape),
-            k_cva=rng.uniform(0.0, 3.0, grid.shape),
         )
+        charges = CapitalProfile(*rng.uniform(0.0, 0.1, 3))
         gamma_e = rng.uniform(0.05, 0.5)
         inputs = XvaInputs(
             exposure=profile,
+            capital=base,
             issuer=CreditCurve(rng.uniform(0.0, 0.05), 0.4),
-            parties=((CreditCurve(rng.uniform(0.0, 0.2), 0.4), capital),),
+            parties=((CreditCurve(rng.uniform(0.0, 0.2), 0.4), charges),),
             party=np.zeros(1, dtype=int),
             psi=np.ones(1),
             xi=np.array([rng.uniform(-1.0, 1.0)]),
@@ -195,13 +196,13 @@ def test_criterion_6_constant_intensity_closed_forms():
             mean_value_undiscounted=np.full_like(grid, epe + ene), se_epe=z, n_paths=0,
             collateral=np.full_like(grid, coll),
         )
-        capital = CapitalProfile(grid, z, np.full_like(grid, k_flat),
-                                 np.full_like(grid, 0.25 * k_flat),
-                                 np.full_like(grid, 0.5 * k_flat))
         inputs = XvaInputs(
             exposure=profile,
+            # unit EAD and duration: the charges are the flat capital profiles
+            capital=CapitalBase(grid, ead=np.ones_like(grid), duration=np.ones_like(grid), k_mr=z),
             issuer=CreditCurve(lam_b, 0.4),
-            parties=((CreditCurve(lam_c, 0.4), capital),),
+            parties=((CreditCurve(lam_c, 0.4),
+                      CapitalProfile(k_flat, 0.25 * k_flat, 0.5 * k_flat)),),
             party=np.zeros(1, dtype=int),
             psi=np.array([psi]),
             xi=np.array([xi]),
@@ -274,7 +275,7 @@ def test_criterion_8_monte_carlo_integrity():
     template = SwapSpec(notional=100.0, fixed_rate=0.02, maturity=10.0)
     par_rate = (1.0 - curve.df(10.0)) / (np.sum(curve.df(template.payment_times())) / 2)
     swap = SwapSpec(notional=100.0, fixed_rate=float(par_rate), maturity=10.0)
-    grid = make_exposure_grid(10.0, 2)
+    grid = make_exposure_grid(10.0)
 
     profile = exposure_profile((swap,), model, curve, grid, n_paths=50_000, seed=41)
     # The reset-at-valuation float-leg convention is exact at t=0 and on

@@ -521,6 +521,19 @@ class TestCli:
         path = self.write_config(tmp_path, ratings=["XX"])
         assert main(["run", str(path)]) == 1
 
+    def test_maturity_near_its_schedule_prices_as_the_schedule(self, tmp_path):
+        """A maturity within 1e-9 of a period is snapped to it, so the run's grid
+        and every cell are those of the exact maturity."""
+        reports = []
+        for maturity in (10.0, 10.0000000001):
+            path = self.write_config(tmp_path, swaps=[
+                dict(swap, maturity=maturity) for swap in VALID_CONFIG["swaps"]])
+            out = tmp_path / f"{maturity}.csv"
+            assert main(["run", str(path), "--format", "csv", "--paths", "20000",
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_run_seed_and_paths_overrides(self, tmp_path):
         path = self.write_config(tmp_path)
         out_a = tmp_path / "a.csv"
@@ -614,6 +627,14 @@ class TestCli:
         assert main(["pde-verify", str(path)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "funding-condition" in out
+
+    def test_pde_verify_prints_a_coarse_grid_warning_as_one_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, pde={"nSpace": 40, "nTime": 40})
+        assert main(["pde-verify", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "PASS"
+        assert captured.err == ("warning: pde.nSpace: space step 0.2052 coarse relative to "
+                                "sigma*sqrt(T) = 0.5590; the payoff kink may be under-resolved\n")
 
     def test_pde_verify_passes_with_full_recoveries(self, tmp_path, capsys):
         # No loss given default on either side: the oracle's credit curves take recovery 1.

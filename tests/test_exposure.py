@@ -84,7 +84,7 @@ MIXED_BOOK = (
     SwapSpec(notional=80.0, fixed_rate=0.025, maturity=7.0, frequency=2, payer=True),
     SwapSpec(notional=50.0, fixed_rate=0.018, maturity=1.5, frequency=2, payer=False),
 )
-MIXED_GRID = make_exposure_grid(7.0, 4)
+MIXED_GRID = make_exposure_grid(7.0)
 GROSS = sum(s.notional for s in MIXED_BOOK)
 SLOPED = DiscountCurve((1.0, 5.0, 10.0), (0.01, 0.02, 0.03))
 
@@ -100,9 +100,9 @@ LONG_BOOK = (
 POSTED = (SwapSpec(notional=100.0, fixed_rate=0.021, maturity=30.0, frequency=4, payer=False,
                    collateralized=True),)
 PROXY_CASES = {
-    "long-book": (LONG_BOOK, ShortRateModel(0.05, 0.011), make_exposure_grid(30.0, 4)),
+    "long-book": (LONG_BOOK, ShortRateModel(0.05, 0.011), make_exposure_grid(30.0)),
     "stressed": (LONG_BOOK + (SwapSpec(notional=100.0, fixed_rate=0.025, maturity=50.0),),
-                 ShortRateModel(0.01, 0.03), make_exposure_grid(50.0, 2)),
+                 ShortRateModel(0.01, 0.03), make_exposure_grid(50.0)),
 }
 FLAT = DiscountCurve((50.0,), (0.02,))
 
@@ -298,7 +298,7 @@ class TestSwapSpec:
             with pytest.raises(ValueError, match="whole number of 1/frequency periods"):
                 SwapSpec(notional=1.0, fixed_rate=0.02, maturity=maturity, frequency=2)
         spec = SwapSpec(notional=1.0, fixed_rate=0.02, maturity=10.0 + 1e-10, frequency=2)
-        assert spec.payment_times()[-1] == 10.0
+        assert spec.maturity == 10.0 and spec.payment_times()[-1] == 10.0  # snapped
 
     def test_payment_times(self):
         spec = SwapSpec(notional=1.0, fixed_rate=0.02, maturity=2.0, frequency=4)
@@ -340,11 +340,27 @@ class TestSwapValue:
 
 class TestExposureGrid:
     def test_contains_payment_dates_and_quarters(self):
-        grid = make_exposure_grid(10.0, 2)
+        grid = make_exposure_grid(10.0)
         assert grid[0] == 0.0 and grid[-1] == 10.0
         for j in range(1, 21):
             assert np.any(np.isclose(grid, j / 2))
         assert np.any(np.isclose(grid, 0.25))
+
+    @pytest.mark.parametrize("frequency", (1, 2, 4))
+    def test_holds_every_payment_date_bit_for_bit(self, frequency):
+        # Of a swap that ends with the grid, and of one that ends before it.
+        longest = make_exposure_grid(100.0)
+        for periods in range(1, 100 * frequency + 1):
+            spec = SwapSpec(notional=1.0, fixed_rate=0.02, maturity=periods / frequency,
+                            frequency=frequency)
+            grid = make_exposure_grid(spec.maturity)
+            assert len(grid) == 4 * spec.maturity + 1 and grid[-1] == spec.maturity
+            assert np.isin(spec.payment_times(), grid).all(), spec.maturity
+            assert np.isin(spec.payment_times(), longest).all(), spec.maturity
+
+    def test_near_schedule_maturity_adds_no_points(self):
+        near = SwapSpec(notional=1.0, fixed_rate=0.02, maturity=10.0000000001)
+        assert np.array_equal(make_exposure_grid(near.maturity), make_exposure_grid(10.0))
 
 
 class TestExposureProfile:
@@ -440,7 +456,7 @@ class TestExposureProfile:
 # Grids of 1 more than a multiple of CHUNK_ROWS rows (a one-row last chunk), of
 # exactly CHUNK_ROWS rows, of fewer, and a ragged one.
 STREAM_CASES = {
-    "long-book": (LONG_BOOK, make_exposure_grid(30.0, 4)),
+    "long-book": (LONG_BOOK, make_exposure_grid(30.0)),
     "mixed": (MIXED_BOOK, MIXED_GRID),
     "mixed-2-chunks-and-1-row": (MIXED_BOOK, MIXED_GRID[:2 * CHUNK_ROWS + 1]),
     "mixed-1-chunk": (MIXED_BOOK, MIXED_GRID[:CHUNK_ROWS]),
@@ -631,7 +647,7 @@ class TestNettedKernel:
         """The one-root closed form (``payer_epe``) against the Monte Carlo ``epe``:
         within 4 s.e. at every grid row, so a biased forward kernel shows."""
         swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, frequency=2)
-        model, grid = ShortRateModel(0.05, sigma), make_exposure_grid(10.0, 2)
+        model, grid = ShortRateModel(0.05, sigma), make_exposure_grid(10.0)
         profile = exposure_profile((swap,), model, SLOPED, grid, 2 * BLOCK_SIZE + 1000,
                                    seed=2024)
         exact = payer_epe(swap, model, SLOPED, grid)
@@ -778,7 +794,7 @@ class TestNettedKernel:
         """Hundreds of terms lose the proxy's digits in its power coefficients; such a
         chunk is valued by ``_revalue`` at every path, so the profile matches an all-exact
         run.  At the benchmark's sigma no chunk falls back."""
-        book, grid, n_paths = LONG_BOOK, make_exposure_grid(30.0, 4), 2048
+        book, grid, n_paths = LONG_BOOK, make_exposure_grid(30.0), 2048
         model = ShortRateModel(0.05, sigma)
         exact, widths = exposure._revalue, []
 

@@ -1,5 +1,6 @@
 """Standardized capital: EAD, CCR, CVA-vol, market risk and profiles."""
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +14,11 @@ from xvakit import (
     ExposureProfile,
     SwapSpec,
     capital_profile,
-    ccr_capital,
-    cva_var_capital,
     make_exposure_grid,
     remaining_duration,
 )
 from xvakit.config import PRESETS
-from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base, net_capital
+from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base
 from xvakit.runner import run_config
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -66,22 +65,29 @@ class TestEadCem:
 
 
 class TestCcrCapital:
+    """CCR capital is EAD x risk weight x minimum ratio: the charge is per unit of EAD."""
+
     def test_examples(self):
-        assert ccr_capital(100.0, 0.20, 0.08) == pytest.approx(1.6)
-        assert ccr_capital(0.0, 0.20, 0.08) == 0.0
-        assert ccr_capital(100.0, 1.50, 0.08) == pytest.approx(12.0)
+        assert capital_profile(RATING_TABLE["AAA"]).ccr == pytest.approx(0.016)
+        assert 100.0 * capital_profile(RATING_TABLE["AAA"]).ccr == pytest.approx(1.6)
+        assert 100.0 * capital_profile(RATING_TABLE["CCC"]).ccr == pytest.approx(12.0)
+        assert capital_profile(RATING_TABLE["CCC"], min_ratio=0.0).ccr == 0.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ccr_capital(-1.0, 0.2, 0.08)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            capital_profile(RATING_TABLE["A"], min_ratio=-0.1)
 
 
 class TestCvaVarCapital:
-    def test_unhedged_example(self):
-        assert cva_var_capital(100.0, 0.008, 5.0) == pytest.approx(9.32)
+    """The unhedged charge 2.33 |w M EAD| is per unit of duration x EAD."""
 
-    def test_zero_weight(self):
-        assert cva_var_capital(100.0, 0.0, 5.0) == 0.0
+    def test_unhedged_example(self):
+        assert capital_profile(RATING_TABLE["A"]).cva == pytest.approx(0.01864)
+        assert 5.0 * 100.0 * capital_profile(RATING_TABLE["A"]).cva == pytest.approx(9.32)
+
+    def test_independent_of_ratio_and_provider(self):
+        a = RATING_TABLE["A"]
+        assert capital_profile(a, 0.0, RATING_TABLE["AAA"]).cva == capital_profile(a).cva
 
 
 class TestMarketRisk:
@@ -110,12 +116,22 @@ def _flat_profile(grid, epe, mean=None):
                            se_epe=np.zeros_like(g), n_paths=0)
 
 
+Components = namedtuple("Components", "k_mr k_ccr k_ccr_hedged k_cva")
+
+
+def components(base, charges):
+    """A rating's four capital profiles along the grid: its charges on the base."""
+    return Components(base.k_mr, charges.ccr * base.ead, charges.ccr_hedged * base.ead,
+                      charges.cva * base.duration * base.ead)
+
+
 def unhedged(cap):
     return cap.k_mr + cap.k_ccr + cap.k_cva
 
 
 def net(cap, psi):
-    return net_capital(cap.k_mr, cap.k_ccr, cap.k_ccr_hedged, cap.k_cva, psi)
+    """(MR, CCR, CVA-vol) parts of the requirement at hedge fraction ``psi``."""
+    return cap.k_mr, cap.k_ccr - psi * (cap.k_ccr - cap.k_ccr_hedged), (1.0 - psi) * cap.k_cva
 
 
 def net_total(cap, psi):
@@ -132,11 +148,11 @@ class TestCapitalProfile:
         return _flat_profile(self.grid, epe=max(mean, 0.0) + 1.0, mean=mean)
 
     def capital(self, rating, profile=None, swaps=None, mr_swaps=None, provider=None):
-        """One rating's profile on a base of ``swaps`` (the single swap by default)."""
+        """One rating's profiles on a base of ``swaps`` (the single swap by default)."""
         swaps = (self.swap,) if swaps is None else swaps
         base = capital_base(self.profile() if profile is None else profile, swaps, self.curve,
                             swaps if mr_swaps is None else mr_swaps)
-        return capital_profile(base, RATING_TABLE[rating], provider=provider)
+        return components(base, capital_profile(RATING_TABLE[rating], provider=provider))
 
     def test_components_nonnegative_and_relief_bounded(self):
         cap = self.capital("BB", provider=RATING_TABLE["A"])
@@ -165,10 +181,9 @@ class TestCapitalProfile:
         cap = self.capital("CCC", provider=RATING_TABLE["A"])
         psi = np.array([0.0, 0.3, 1.0])
         weights = np.exp(-np.multiply.outer([0.01, 0.05, 0.2], self.grid))  # (rows, grid)
-        components = [(weights * k).sum(axis=-1)
-                      for k in (cap.k_mr, cap.k_ccr, cap.k_ccr_hedged, cap.k_cva)]
+        integrals = Components(*((weights * k).sum(axis=-1) for k in cap))
         profiles = [net(cap, p) for p in psi]  # per row: its (MR, CCR, CVA) profiles
-        for part, integral in enumerate(net_capital(*components, psi)):
+        for part, integral in enumerate(net(integrals, psi)):
             expected = [(weights[r] * profiles[r][part]).sum() for r in range(len(psi))]
             np.testing.assert_allclose(integral, expected, rtol=1e-14)
 
@@ -252,9 +267,8 @@ def loop_capital(profile, counterparty, swaps, curve, min_ratio, provider, mr_sw
                             if s.maturity - u < upper)
                 nets[band] += s.sign * s.notional
         k_mr = float(np.abs(nets) @ [w for _, w in MR_BAND_WEIGHTS])
-        rows.append((k_mr, ccr_capital(ead, counterparty.risk_weight, min_ratio),
-                     ccr_capital(ead, hedged, min_ratio),
-                     cva_var_capital(ead, counterparty.cva_weight, duration)))
+        rows.append((k_mr, ead * counterparty.risk_weight * min_ratio, ead * hedged * min_ratio,
+                     2.33 * abs(counterparty.cva_weight * (duration * ead))))
     return np.array(rows).T
 
 
@@ -269,7 +283,7 @@ class TestCapitalBase:
     )
     book = swaps + (SwapSpec(notional=100.0, fixed_rate=0.021, maturity=20.0, frequency=4,
                              payer=False, collateralized=True),)
-    grid = make_exposure_grid(20.0, 4)
+    grid = make_exposure_grid(20.0)
 
     def profile(self):
         mean = np.random.default_rng(3).normal(0.0, 4.0, len(self.grid))
@@ -281,16 +295,11 @@ class TestCapitalBase:
         prof = self.profile()
         base = capital_base(prof, self.swaps, self.curve, self.book)
         for cpty in RATING_TABLE.values():
-            cap = capital_profile(base, cpty, min_ratio=0.08, provider=RATING_TABLE["A"])
+            charges = capital_profile(cpty, min_ratio=0.08, provider=RATING_TABLE["A"])
             reference = loop_capital(prof, cpty, self.swaps, self.curve, 0.08,
                                      RATING_TABLE["A"], self.book)
-            computed = np.array([cap.k_mr, cap.k_ccr, cap.k_ccr_hedged, cap.k_cva])
+            computed = np.array(components(base, charges))
             np.testing.assert_allclose(computed, reference, rtol=1e-14, atol=0.0)
-
-    def test_negative_min_ratio_rejected(self):
-        base = capital_base(self.profile(), self.swaps, self.curve, self.book)
-        with pytest.raises(ValueError, match="must be >= 0"):
-            capital_profile(base, RATING_TABLE["A"], min_ratio=-0.1)
 
 
 def test_kva_of_a_book_with_positive_expected_mtm_does_not_depend_on_the_seed():

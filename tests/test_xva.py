@@ -22,7 +22,7 @@ from xvakit import (
 )
 from xvakit import pde, runner, xva
 from xvakit.config import PRESETS, PdeVerifyConfig
-from xvakit.regcap import CapitalProfile
+from xvakit.regcap import CapitalBase, CapitalProfile
 from xvakit.runner import run_config
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -37,16 +37,16 @@ def flat_profile(grid, epe=0.0, ene=0.0, collateral=None):
                            se_epe=np.zeros_like(g), n_paths=0, collateral=collateral)
 
 
-def flat_capital(grid, mr=0.0, ccr=0.0, ccr_hedged=None, cva_vol=0.0):
+def flat_base(grid, mr=0.0):
+    """A capital base of unit EAD and duration, whose market-risk charge is ``mr``."""
     g = np.asarray(grid, dtype=float)
+    return CapitalBase(g, ead=np.ones_like(g), duration=np.ones_like(g), k_mr=np.full_like(g, mr))
+
+
+def flat_capital(grid, mr=0.0, ccr=0.0, ccr_hedged=None, cva_vol=0.0):
+    """A ``(base, charges)`` pair whose four capital profiles are flat at the given levels."""
     hedged = ccr if ccr_hedged is None else ccr_hedged
-    return CapitalProfile(
-        grid=g,
-        k_mr=np.full_like(g, float(mr)),
-        k_ccr=np.full_like(g, float(ccr)),
-        k_ccr_hedged=np.full_like(g, float(hedged)),
-        k_cva=np.full_like(g, float(cva_vol)),
-    )
+    return flat_base(grid, mr), CapitalProfile(float(ccr), float(hedged), float(cva_vol))
 
 
 def make_inputs(
@@ -69,11 +69,13 @@ def make_inputs(
     accruals_taxed=False,
     compensator_taxed=False,
 ):
-    """A one-row sweep."""
+    """A one-row sweep; ``capital`` is a ``(base, charges)`` pair."""
+    base, charges = capital or flat_capital(grid)
     return XvaInputs(
         exposure=flat_profile(grid, epe, ene, collateral),
+        capital=base,
         issuer=CreditCurve(lambda_b, r_b),
-        parties=((CreditCurve(lambda_c, r_c), capital or flat_capital(grid)),),
+        parties=((CreditCurve(lambda_c, r_c), charges),),
         party=np.zeros(1, dtype=int),
         psi=np.array([psi]),
         xi=np.array([xi]),
@@ -262,6 +264,48 @@ class TestKva:
         total, (mr, ccr, cvav) = kva_split(make_inputs(GRID_Q, psi=0.5, capital=capital))
         assert total == mr + ccr + cvav
         assert mr < 0 and ccr < 0 and cvav < 0
+
+    @staticmethod
+    def assert_rows_net_their_own_partys_charges(price):
+        """Two parties interleaved on a sloped base: each row's KVA components are
+        its own party's charges, netted at its psi, times the base's integrals."""
+        base = CapitalBase(GRID_Q, ead=5.0 + GRID_Q, duration=10.0 - GRID_Q,
+                           k_mr=0.5 + 0.1 * GRID_Q)
+        charges = (CapitalProfile(0.04, 0.016, 0.0163), CapitalProfile(0.12, 0.04, 0.233))
+        hazards = (0.0125, 0.125)
+        party = np.array([1, 0, 1, 0])
+        psi, xi, phi = (np.array([0.2, 0.7, 0.9, 0.0]), np.array([0.3, -0.5, 0.0, 0.6]),
+                        np.array([0.5, 1.0, 0.0, 0.25]))
+        inputs = replace(
+            make_inputs(GRID_Q, lambda_b=0.0167, gamma_e=0.21, rate=0.02), capital=base,
+            parties=tuple((CreditCurve(h, 0.4), k) for h, k in zip(hazards, charges)),
+            party=party, psi=psi, xi=xi, phi=phi)
+        result = price(inputs)
+        d = np.exp(-0.02 * GRID_Q)
+        for i, j in enumerate(party):
+            k = charges[j]
+            lam_eff = hazards[j] * (psi[i] + (1.0 - psi[i]) * (1.0 - xi[i]))
+            w = survival_weights(GRID_Q, 0.0167 + lam_eff)
+            cost = 0.10 - 0.02 * phi[i]  # cost of capital less its funding use
+            netted = {
+                "kva_mr": base.k_mr,
+                "kva_ccr": (k.ccr - psi[i] * (k.ccr - k.ccr_hedged)) * base.ead,
+                "kva_cva": (1.0 - psi[i]) * k.cva * base.duration * base.ead,
+            }
+            for name, profile in netted.items():
+                assert getattr(result, name)[i] == pytest.approx(
+                    -cost * math.fsum(w * d * profile), rel=1e-13), (name, i)
+
+    def test_each_row_nets_its_own_partys_charges(self):
+        self.assert_rows_net_their_own_partys_charges(breakdown)
+
+    def test_party_0s_charges_on_every_row_fail_it(self):
+        # A planted defect: every row reads party 0's capital charges.
+        defective = mutant_breakdown("for c, k in inputs.parties",
+                                     "for c, k in [(c, inputs.parties[0][1]) for c, _ in "
+                                     "inputs.parties]")
+        with pytest.raises(AssertionError):
+            self.assert_rows_net_their_own_partys_charges(defective)
 
 
 class TestTva:
@@ -557,8 +601,7 @@ class TestSweep:
     def test_one_row_views_equal_their_row_of_the_sweep(self, name):
         """Row i of a 5-row sweep equals row i priced alone, as a sweep of one, bit for bit."""
         inputs = SWEEP_FIXTURES[name]
-        other = (CreditCurve(0.05, 0.25),
-                 flat_capital(GRID_Q, mr=1.0, ccr=12.0, ccr_hedged=4.0, cva_vol=9.0))
+        other = (CreditCurve(0.05, 0.25), CapitalProfile(12.0, 4.0, 9.0))
         psi = np.array([inputs.psi[0], 0.0, 1.0, 0.5, 0.25])
         xi = np.array([inputs.xi[0], -0.5, 0.9, 0.5, 1.0])
         phi = np.array([inputs.phi[0], 1.0, 0.0, 0.3, 0.7])
@@ -580,9 +623,8 @@ class TestSweep:
                 replace(inputs, psi=np.array([psi]), xi=np.array([xi]), phi=np.array([phi]))
         with pytest.raises(ValueError):
             replace(inputs, psi=np.zeros(2))
-        with pytest.raises(ValueError):
-            replace(inputs, parties=inputs.parties + (
-                (CreditCurve(0.05, 0.25), flat_capital(np.linspace(0.0, 10.0, 11))),))
+        with pytest.raises(ValueError, match="capital base grid"):
+            replace(inputs, capital=flat_base(np.linspace(0.0, 10.0, 11)))
 
     def test_one_quadrature_per_run_whatever_the_row_count(self, monkeypatch):
         # One breakdown per run, and inside it one weight build for every row
