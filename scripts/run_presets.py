@@ -11,31 +11,26 @@ Usage: python scripts/run_presets.py [paths]
 import sys
 import time
 
-from xvakit.config import PRESETS
+from xvakit.config import ConfigError, load_config
 from xvakit.report import render_table
 from xvakit.runner import run_config
 
 
-def path_count(text: str) -> int:
-    """The path count in ``text``; exit 1 naming it unless an even integer of at least 6,
-    three antithetic pairs."""
+def int_or_text(text: str):
+    """``text`` as an int where it reads as one, else as given, for the config to judge."""
     try:
-        paths = int(text)
+        return int(text)
     except ValueError:
-        paths = 0
-    if paths < 6 or paths % 2:
-        sys.exit(f"paths: must be an even integer >= 6, got {text!r}")
-    return paths
+        return text
 
 
 def main() -> None:
-    paths = path_count(sys.argv[1]) if len(sys.argv) > 1 else 50_000
+    overrides = {"paths": int_or_text(sys.argv[1])} if len(sys.argv) > 1 else {}
     for name in ("base-case", "warehouse-pos", "warehouse-neg"):
-        cfg = PRESETS[name]()
-        if paths != cfg.paths:
-            from dataclasses import replace
-
-            cfg = replace(cfg, paths=paths)
+        try:
+            cfg = load_config(name, overrides)
+        except ConfigError as exc:
+            sys.exit("\n".join(exc.diagnostics))
         start = time.perf_counter()
         result = run_config(cfg)
         elapsed = time.perf_counter() - start

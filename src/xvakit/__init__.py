@@ -43,6 +43,6 @@ from .regcap import (
     capital_profile,
     remaining_duration,
 )
-from .xva import XvaBreakdown, XvaInputs, breakdown
+from .xva import COMPONENTS, XvaBreakdown, XvaInputs, breakdown
 
 __version__ = "0.1.0"

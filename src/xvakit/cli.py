@@ -85,11 +85,14 @@ def _cmd_run(args) -> int:
     text = RENDERERS[args.format](result)
     if args.out is not None:
         try:
-            args.out.write_text(text)
+            args.out.write_text(text, encoding="utf-8")
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot write {args.out}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        try:  # a text stream encodes all of the text before it writes any of it
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise _Failure(EXIT_IO, f"cannot write to stdout: {exc}") from None
     return EXIT_OK
 
 

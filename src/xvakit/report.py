@@ -1,11 +1,13 @@
 """Rendering of run results as a text table, CSV or JSON: the ``RENDERERS``.
 
-The text table rounds adjustment values to whole basis points (half away
-from zero); its Total column is the rounded sum of the unrounded components,
+All three read the same columns, built once per result: the row keys, each of
+``xva.COMPONENTS`` and the total in bps of notional (``<name>_bp``), ``se_bp``,
+the Monte Carlo standard error of the total, and ``warn``, true where that
+exceeds ``WARN_SE_BP`` (``!`` in the table).  The table rounds to whole bps,
+ties away from zero; its Total is the rounded sum of the unrounded components,
 so it can differ from the sum of the rounded cells.  CSV and JSON carry the
-unrounded values together with the Monte Carlo standard error of the total,
-and are byte-stable for a given configuration and seed.  A row whose error
-exceeds ``WARN_SE_BP`` is flagged: ``warn`` in CSV and JSON, ``!`` in the table.
+unrounded values, JSON also in currency, and are byte-stable for a given
+configuration and seed.  Renderers return text; the CLI writes files as UTF-8.
 """
 
 from __future__ import annotations
@@ -13,18 +15,12 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .runner import RunResult
+from .xva import COMPONENTS
 
 WARN_SE_BP = 1.0  # bp of notional
 
-_COMPONENTS = ("cva", "dva", "fca", "colva", "kva_mr", "kva_ccr", "kva_cva", "tva")
-_COLUMNS = _COMPONENTS + ("total",)
-_COLUMN_TITLES = {
-    "cva": "CVA", "dva": "DVA", "fca": "FCA", "colva": "COLVA",
-    "kva_mr": "KVA_MR", "kva_ccr": "KVA_CCR", "kva_cva": "KVA_CVA", "tva": "TVA", "total": "Total",
-}
+_COLUMNS = (*COMPONENTS, "total")
 
 
 def round_half_away(x: float) -> int:
@@ -32,98 +28,72 @@ def round_half_away(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-def _per_row(columns) -> list[list[float]]:
-    """Row-major plain floats of equal-length columns."""
-    return np.array(columns).T.tolist()
-
-
-def _price_of_risk_label(psi: float, xi: float, m_lambda: float | None) -> str:
-    if psi == 1.0:
-        return "na"
-    if m_lambda is not None:
-        return f"{m_lambda:+.4g}"
-    return f"{xi:+.3g}"
-
-
-def _records(result: RunResult) -> list[dict]:
-    bps = result.breakdown.as_bps()
-    source = result.config.hedge_source_label
-    records = []
-    for (psi, xi, m_lambda, phi, rating), values, se_bp in zip(
-            result.rows, _per_row([bps[name] for name in _COLUMNS]), result.se_bp.tolist()):
-        record = {"source": source, "psi": psi,
-                  "mLambdaC": m_lambda if m_lambda is not None else xi,
-                  "phi": phi, "rating": rating}
-        record.update(zip((f"{name}_bp" for name in _COLUMNS), values))
-        record["se_bp"] = se_bp
-        record["warn"] = se_bp > WARN_SE_BP
-        records.append(record)
-    return records
+def _columns(result: RunResult) -> dict[str, list]:
+    """The report's columns in CSV order, each a list of one plain value per row."""
+    b = result.breakdown
+    psi, xi, m_lambda, phi, rating = zip(*result.rows)
+    columns = {
+        "source": [result.config.hedge_source_label] * len(psi),
+        "psi": list(psi),
+        "mLambdaC": [x if m is None else m for x, m in zip(xi, m_lambda)],
+        "phi": list(phi),
+        "rating": list(rating),
+    }
+    columns.update((f"{name}_bp", values.tolist()) for name, values in b.as_bps().items())
+    se_bp = b.bps(b.se_total)
+    columns["se_bp"] = se_bp.tolist()
+    columns["warn"] = (se_bp > WARN_SE_BP).tolist()
+    return columns
 
 
 def render_table(result: RunResult) -> str:
-    bps = result.breakdown.as_bps()
+    columns = _columns(result)
+    # An absolute price of risk mLambda shows more digits than a relative xi.
+    spec = "+.3g" if result.config.m_lambda is None else "+.4g"
+    cells = {
+        "Source": columns["source"],
+        "psi": [f"{v:g}" for v in columns["psi"]],
+        "m_lamC": ["na" if psi == 1.0 else format(m, spec)
+                   for psi, m in zip(columns["psi"], columns["mLambdaC"])],
+        "phi": [f"{v:g}" for v in columns["phi"]],
+        "Rating": columns["rating"],
+    }
     # The collateral column only appears when it carries anything.
-    show_colva = bool(np.any(np.abs(bps["colva"]) >= 0.005))
-    shown = tuple(c for c in _COLUMNS if show_colva or c != "colva")
-    headers = (
-        ("Source", "psi", "m_lamC", "phi", "Rating")
-        + tuple(_COLUMN_TITLES[c] for c in shown)
-        + ("",)
-    )
-    lines = []
-    body = []
-    source = result.config.hedge_source_label
-    for (psi, xi, m_lambda, phi, rating), values, se_bp in zip(
-            result.rows, _per_row([bps[c] for c in shown]), result.se_bp.tolist()):
-        cells = [source, f"{psi:g}", _price_of_risk_label(psi, xi, m_lambda), f"{phi:g}", rating]
-        cells += [str(round_half_away(v)) for v in values]
-        cells.append("!" if se_bp > WARN_SE_BP else "")
-        body.append(cells)
-    widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(headers)]
-    lines.append("  ".join(h.rjust(w) for h, w in zip(headers, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths).rstrip())
-    for cells in body:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip())
-    lines.append("")
-    lines.append(f"values in bps of notional {result.breakdown.notional:g}; "
-                 f"{result.profile.n_paths} paths, seed {result.config.seed}")
-    return "\n".join(lines) + "\n"
+    show_colva = any(abs(v) >= 0.005 for v in columns["colva_bp"])
+    for name in _COLUMNS:
+        if show_colva or name != "colva":
+            title = name.upper() if name != "total" else "Total"
+            cells[title] = [str(round_half_away(v)) for v in columns[f"{name}_bp"]]
+    cells[""] = ["!" if warn else "" for warn in columns["warn"]]
+    justified = []
+    for title, texts in cells.items():
+        width = max(len(title), *map(len, texts))
+        justified.append([title.rjust(width), "-" * width, *(t.rjust(width) for t in texts)])
+    lines = ["  ".join(line).rstrip() for line in zip(*justified)]
+    return "\n".join(lines) + (f"\n\nvalues in bps of notional {result.breakdown.notional:g}; "
+                               f"{result.profile.n_paths} paths, seed {result.config.seed}\n")
 
 
 def render_csv(result: RunResult) -> str:
-    fields = (
-        ["source", "psi", "mLambdaC", "phi", "rating"]
-        + [f"{name}_bp" for name in _COLUMNS]
-        + ["se_bp", "warn"]
-    )
-    lines = [",".join(fields)]
-    for record in _records(result):
-        cells = []
-        for f in fields:
-            v = record[f]
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = _columns(result)
+    columns["warn"] = ["true" if warn else "false" for warn in columns["warn"]]
+    # Every column but the labels and warn holds floats, written by repr.
+    cells = [v if isinstance(v[0], str) else map(repr, v) for v in columns.values()]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def render_json(result: RunResult) -> str:
     b = result.breakdown
+    columns = _columns(result)
+    currency = [getattr(b, name).tolist() for name in _COLUMNS]
     payload = {
         "schemaVersion": 1,
         "seed": result.config.seed,
         "paths": result.profile.n_paths,
         "notional": b.notional,
-        "rows": _records(result),
+        "rows": [dict(zip(columns, values), currency=dict(zip(_COLUMNS, amounts)))
+                 for values, amounts in zip(zip(*columns.values()), zip(*currency))],
     }
-    currency = _per_row([getattr(b, name) for name in _COLUMNS])
-    for record, values in zip(payload["rows"], currency):
-        record["currency"] = dict(zip(_COLUMNS, values))
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

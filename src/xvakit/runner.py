@@ -23,12 +23,10 @@ from .xva import XvaBreakdown, XvaInputs, breakdown
 @dataclass
 class RunResult:
     """The priced sweep: one key ``(psi, xi, m_lambda, phi, rating)`` per row,
-    in sweep order, beside the columns of that row's breakdown and the
-    standard error of its total in bps."""
+    in sweep order, beside the columns of that row's breakdown."""
 
     rows: list[tuple[float, float, float | None, float, str]]
     breakdown: XvaBreakdown
-    se_bp: np.ndarray
     profile: ExposureProfile
     config: RunConfig
 
@@ -78,4 +76,4 @@ def run_config(config: RunConfig) -> RunResult:
         collateral_spread=config.collateral_spread,
     ))
     rows = [(psi, xi, m_lambda, phi, config.ratings[j]) for psi, xi, m_lambda, phi, j in cells]
-    return RunResult(rows, result, result.bps(result.se_total), profile, config)
+    return RunResult(rows, result, profile, config)

@@ -42,6 +42,8 @@ from .curves import DiscountCurve
 from .exposure import ExposureProfile
 from .regcap import CapitalBase, CapitalProfile
 
+COMPONENTS = ("cva", "dva", "fca", "colva", "kva_mr", "kva_ccr", "kva_cva", "tva")
+
 
 @dataclass(frozen=True)
 class XvaInputs:
@@ -111,21 +113,18 @@ class XvaBreakdown:
 
     @property
     def total(self) -> np.ndarray:
-        return (
-            self.cva + self.dva + self.fca + self.colva
-            + self.kva_mr + self.kva_ccr + self.kva_cva + self.tva
-        )
+        """The components summed left to right in ``COMPONENTS`` order."""
+        total = self.cva
+        for name in COMPONENTS[1:]:
+            total = total + getattr(self, name)
+        return total
 
     def bps(self, value):
         return value / self.notional * 1e4
 
     def as_bps(self) -> dict[str, np.ndarray]:
-        out = {
-            name: self.bps(getattr(self, name))
-            for name in ("cva", "dva", "fca", "colva", "kva_mr", "kva_ccr", "kva_cva", "tva")
-        }
-        out["total"] = self.bps(self.total)
-        return out
+        """Each component and the total in bps of the notional, keyed by field name."""
+        return {name: self.bps(getattr(self, name)) for name in (*COMPONENTS, "total")}
 
 
 class _Quadrature:

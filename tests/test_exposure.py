@@ -1060,7 +1060,7 @@ class TestTotalStandardErrorCalibration:
         config = replace(cls.CASES[case](), paths=BLOCK_SIZE)
         runs = [runner.run_config(replace(config, seed=seed)) for seed in cls.SEEDS]
         total = np.array([run.breakdown.as_bps()["total"] for run in runs])
-        se_bp = np.array([run.se_bp for run in runs])
+        se_bp = np.array([run.breakdown.bps(run.breakdown.se_total) for run in runs])
         assert np.all(se_bp > 0)
         return total.std(axis=0, ddof=1) / se_bp.mean(axis=0)
 

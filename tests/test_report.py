@@ -1,0 +1,104 @@
+"""The renderers against a reference copy, and the report's bytes under any locale."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import report_reference
+from xvakit.config import validate_config
+from xvakit.report import RENDERERS
+from xvakit.runner import run_config
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+LABEL = "Q \\ ä"  # a space, a backslash and a non-ASCII letter
+
+
+def base_case(drop=(), **fields):
+    """configs/base_case.json with ``drop`` removed and ``fields`` set, validated."""
+    raw = json.loads((CONFIGS / "base_case.json").read_text(encoding="utf-8"))
+    for key in drop:
+        del raw[key]
+    raw.update(fields)
+    cfg, diags = validate_config(raw, CONFIGS)
+    assert cfg is not None, diags
+    return cfg
+
+
+CASES = {
+    "warn": lambda: base_case(paths=6),  # the CCC rows' errors exceed WARN_SE_BP
+    "m_lambda": lambda: base_case(drop=["priceOfRiskXi"], mLambda=[-0.004, 0.0, 0.002],
+                                  psi=[0.0, 0.3, 1.0], paths=200),
+    "colva": lambda: base_case(collateralSpread=0.002, paths=200),
+    "no_colva": lambda: base_case(collateralSpread=0.0, paths=200),
+    "labels": lambda: base_case(
+        hedgeSourceLabel=LABEL, ratings=["A", LABEL], paths=200,
+        ratingTable={LABEL: {"cdsSpreadBp": 150, "riskWeight": 1.0, "cvaWeight": 0.01}}),
+}
+
+
+@pytest.fixture(scope="module")
+def results():
+    return {name: run_config(make()) for name, make in CASES.items()}
+
+
+def legacy(result):
+    """``result`` as the reference reads it, with the total's error in bps as ``se_bp``."""
+    return SimpleNamespace(**vars(result), se_bp=result.breakdown.bps(result.breakdown.se_total))
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+@pytest.mark.parametrize("case", CASES)
+def test_renderer_matches_the_reference_byte_for_byte(results, case, fmt):
+    reference = getattr(report_reference, f"render_{fmt}")
+    assert RENDERERS[fmt](results[case]) == reference(legacy(results[case]))
+
+
+def test_the_cases_reach_what_they_cover(results):
+    """Each case shows the feature it is there for, so a renderer that drops it
+    cannot pass against the reference by accident."""
+    table = {name: report_reference.render_table(legacy(r)) for name, r in results.items()}
+    assert table["warn"].count("!") == 2
+    assert "!" not in table["colva"]
+    labels = {line.split()[2] for line in table["m_lambda"].splitlines()[2:-2]}
+    assert labels == {"na", "-0.004", "+0", "+0.002"}
+    assert "COLVA" in table["colva"] and "COLVA" not in table["no_colva"]
+    assert table["labels"].count(LABEL) == 6  # the source of four rows, the rating of two
+
+
+def run_cli(args, locale, cwd):
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "LANG", "PYTHON"))}
+    env.update(LC_ALL=locale, PYTHONPATH=str(ROOT / "src"))
+    if locale == "C":  # no coercion to a UTF-8 locale and no UTF-8 mode: stdout is ASCII
+        env.update(PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    return subprocess.run([sys.executable, "-m", "xvakit.cli", "run", *args],
+                          capture_output=True, cwd=cwd, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_report_bytes_do_not_depend_on_the_locale(tmp_path, fmt):
+    """A valid non-ASCII label: files are UTF-8 in any locale, and a stdout that
+    cannot encode the report is an I/O failure, with nothing written to it."""
+    raw = json.loads((CONFIGS / "base_case.json").read_text(encoding="utf-8"))
+    raw.update(market=json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8")),
+               hedgeSourceLabel="Bänk", paths=6)
+    (tmp_path / "bank.json").write_text(json.dumps(raw), encoding="utf-8")
+    for locale in ("C", "C.UTF-8"):
+        done = run_cli(["bank.json", "--format", fmt, "--out", f"{locale}.out"], locale, tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+    text = (tmp_path / "C.out").read_bytes()
+    assert text == (tmp_path / "C.UTF-8.out").read_bytes()
+    assert (b"B\\u00e4nk" if fmt == "json" else "Bänk".encode()) in text
+    done = run_cli(["bank.json", "--format", fmt], "C", tmp_path)
+    if fmt == "json":  # pure ASCII, so any stdout takes it
+        assert (done.returncode, done.stdout) == (0, text)
+    else:
+        assert (done.returncode, done.stdout) == (3, b"")
+        assert done.stderr.startswith(b"cannot write to stdout: 'ascii' codec can't encode")
+        assert done.stderr.count(b"\n") == 1

@@ -1,4 +1,5 @@
-"""The example scripts refuse a bad argument with one line, never a traceback."""
+"""The example scripts refuse a bad argument with one line, never a traceback: the
+config's own diagnostic, since they build their runs through ``load_config``."""
 
 import os
 import subprocess
@@ -11,11 +12,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["warehouse_sweep.py", "XX", "2000"], "rating: unknown 'XX'"),
-    (["warehouse_sweep.py", "2000"], "rating: unknown '2000'"),
-    (["warehouse_sweep.py", "BB", "2k"], "paths: must be an even integer >= 6, got '2k'"),
-    (["run_presets.py", "7"], "paths: must be an even integer >= 6, got '7'"),
-    (["run_presets.py", "4"], "paths: must be an even integer >= 6, got '4'"),
+    (["warehouse_sweep.py", "XX", "2000"], "ratings: unknown rating 'XX' (known: AAA, "),
+    (["warehouse_sweep.py", "2000"], "ratings: unknown rating '2000' (known: AAA, "),
+    (["warehouse_sweep.py", "BB", "2k"], "paths: expected int, got str"),
+    (["run_presets.py", "7"], "paths: must be even"),
+    (["run_presets.py", "4"], "paths: must be >= 6"),
 ])
 def test_bad_argument_is_one_line_and_exit_1(argv, field):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -391,6 +391,24 @@ class TestBreakdown:
         assert result.total[0] == 0.0
         assert result.as_bps()["total"][0] == 0.0
 
+    def test_total_is_the_left_fold_in_components_order(self):
+        """1e16 + 1 rounds back to 1e16, so the left fold cva, dva, fca, colva, ...
+        loses both ones, where an exact sum or another order keeps them."""
+        values = dict.fromkeys(xva.COMPONENTS, np.zeros(1))
+        values.update(cva=np.array([1e16]), dva=np.ones(1), fca=np.ones(1),
+                      colva=np.array([-1e16]))
+        result = xva.XvaBreakdown(**values, notional=100.0, se_total=np.zeros(1))
+        assert math.fsum(v[0] for v in values.values()) == 2.0
+        assert result.total[0] == 0.0
+        rng = np.random.default_rng(5)
+        values = {name: rng.normal(size=64) * 10.0 ** rng.integers(-3, 4, 64)
+                  for name in xva.COMPONENTS}
+        result = xva.XvaBreakdown(**values, notional=1.0, se_total=np.zeros(64))
+        folded = result.cva
+        for name in xva.COMPONENTS[1:]:
+            folded = folded + getattr(result, name)
+        assert result.total.tobytes() == folded.tobytes()
+
     def test_components_match_individual_calls(self):
         """Each field of the breakdown is its own integral: a coefficient times
         the reference rule on its profile, DVA's on the forward less the EPE."""
