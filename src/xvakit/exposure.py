@@ -52,13 +52,18 @@ every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
 have nothing to fit and take the exact value.
 
 Exposure profiles estimate one quantity per grid row, the mean of the
-positive part of the t-forward kernel's value ``v``, with the known mean of
-``v`` as a control variate (ibid., section 4.1): ``epe = mean(v+) - beta
-(mean(v) - forward)``, ``beta = C(v+, v) / M2(v)`` over the pairs.  A
-pair's mean value is ``E`` and the mean of its positive parts
-``max(E, (E + |O|) / 2, 0)``.  The negative part's mean is ``forward -
-epe`` (its own ``beta`` is ``1 - beta``).  The standard error is the
-residual's, ``M2(v+) - beta C(v+, v)`` over ``n - 2`` degrees of freedom,
+positive part of the t-forward kernel's value ``v``, with two control
+variates (ibid., section 4.1): ``v``, whose mean is ``forward``, and the
+kernel's tangent at the factor's mean, ``l = a + b x``, whose positive part
+has Bachelier's mean ``H`` (``_bachelier``).  So ``epe = mean(v+ - l+) - beta
+(mean(v) - forward) + H``, ``beta = C(v+ - l+, v) / M2(v)`` over the pairs;
+``l+``'s coefficient is 1, not fitted.  A row takes ``a = b = 0`` where
+``|a|`` passes ``_REACH`` s.d. of ``l``, whose tail no sample would correct,
+or ``B x`` spreads past ``_MAX_SPREAD`` s.d., where ``l`` misses the kernel.
+A pair's values are ``E ± O`` (``a ± b x`` for ``l``): its mean value is ``E``
+and its positive parts' ``max(E, (E + |O|) / 2, 0)`` (``_pair_positive``).
+The negative part's mean is ``forward - epe``.  The standard error is the
+residual's, ``M2(v+ - l+) - beta C`` over ``n - 2`` degrees of freedom,
 since ``beta`` is fitted from the same ``n`` pairs, so a run needs three
 pairs; where every pair agrees (``M2(v) = 0``) ``beta`` is 0.
 A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows.  Each row
@@ -86,6 +91,7 @@ POINTS_PER_YEAR = 4  # of the exposure grid; every swap frequency divides it
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 _MAX_PROXY_ROUNDING = 1e-12  # relative; a chunk whose proxy may lose more is valued exactly
+_REACH, _MAX_SPREAD = 3.0, 0.5  # s.d. of a row's linear book, and of its largest B x_t
 
 
 def on_schedule(maturity: float, frequency: int) -> bool:
@@ -418,37 +424,51 @@ def _merge_moments(a, b):
             co_a + co_b + delta[_LEFT] * delta[_RIGHT] * (n_a * n_b / n))
 
 
+def _pair_positive(odd, even):
+    """Into ``odd``: the mean positive part ``max(E, (E + |O|) / 2, 0)`` of each pair of
+    values ``E ± O``, which is ``E`` bit for bit where both are positive."""
+    np.abs(odd, out=odd)
+    odd += even
+    odd *= 0.5
+    np.maximum(odd, even, out=odd)
+    return np.maximum(odd, 0.0, out=odd)
+
+
+def _bachelier(a, b, sd):
+    """``E[(a + b X)+]``, ``X ~ N(0, sd^2)``: Bachelier's ``a Phi(a/s) + s phi(a/s)``,
+    ``s = |b| sd``, or ``max(a, 0)`` where ``s = 0``."""
+    s = np.abs(b) * sd
+    z = np.divide(a, s, out=np.zeros_like(s), where=s > 0)
+    cdf = 0.5 * np.array([math.erfc(-u / math.sqrt(2.0)) for u in z])
+    return np.where(s > 0, a * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+                    np.maximum(a, 0.0))
+
+
 def _block_stats(parts: np.ndarray):
-    """The ``_moments`` of one chunk's antithetic pairs, from their odd and even parts
-    ``(O, E)`` ``(2, n_points, pairs)``, reduced in place.
-
-    A pair's values are ``E ± O``: its mean value is ``E``, and the mean of its
-    positive parts ``max(E, (E + |O|) / 2, 0)``, which is ``E`` bit for bit
-    where both are positive.  ``O`` is overwritten with the latter.
+    """The ``_moments`` of one chunk's pairs from ``(O, E, L)`` ``(3, n_points, pairs)``, in
+    place: the book's odd and even parts, and ``L``, the linear book's ``_pair_positive``.
+    ``O`` is overwritten with the book's ``_pair_positive`` less ``L``; the mean value is ``E``.
     """
-    pos, even = parts
-    np.abs(pos, out=pos)
-    pos += even
-    pos *= 0.5
-    np.maximum(pos, even, out=pos)
-    np.maximum(pos, 0.0, out=pos)
-    return _moments(parts)
+    _pair_positive(parts[0], parts[1])
+    parts[0] -= parts[2]
+    return _moments(parts[:2])
 
 
-def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int) -> ExposureProfile:
+def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int,
+            linear_mean: np.ndarray) -> ExposureProfile:
     """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant.
 
     ``blocks`` may be an iterator: each block is merged as it arrives.  The
-    control variate is the plan's ``forward`` (see the module docstring); its
-    residual has ``n - 2`` degrees of freedom, as ``beta`` is fitted from the same
-    ``n`` pairs.
+    controls are the plan's ``forward`` and the linear book's ``linear_mean`` (see
+    the module docstring); the residual has ``n - 2`` degrees of freedom, as
+    ``beta`` is fitted from the same ``n`` pairs.
     """
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
     m2_v = co[1]
     beta = np.divide(co[2], m2_v, out=np.zeros_like(m2_v), where=m2_v > 0)
     residual = np.maximum(co[0] - beta * co[2], 0.0)
     se_epe = np.sqrt(residual / (n_units - 2) / n_units)
-    return ExposureProfile(grid=grid, epe=mean[0] - beta * (mean[1] - plan.forward),
+    return ExposureProfile(grid=grid, epe=mean[0] - beta * (mean[1] - plan.forward) + linear_mean,
                            forward=plan.forward, mean_value_undiscounted=plan.expected,
                            se_epe=se_epe, n_paths=n_paths)
 
@@ -476,20 +496,27 @@ def exposure_profile(
         _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g),
         model, curve, g)
     sd = np.sqrt(model.variance(g))
+    a = kernel.const + kernel.wa.sum(axis=1)  # the linear book: the kernel at 0, its slope
+    b = np.sum(kernel.wa * kernel.neg_b, axis=1)
+    off = (np.abs(a) > _REACH * np.abs(b) * sd) | (kernel.b_max * sd > _MAX_SPREAD)
+    a, b = np.where(off, 0.0, (a, b))
 
     def run_block(idx, size):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
         x = np.empty((CHUNK_ROWS, size // 2))  # each pair's drawn path; its twin is at -x
-        parts = np.empty((2, *x.shape))
+        parts = np.empty((3, *x.shape))
         mean, co = np.empty((2, len(g))), np.empty((len(_LEFT), len(g)))
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(sd, rng, k0, x)
-            _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], parts[:, :rows])
+            _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], parts[:2, :rows])
+            np.multiply(b[k0:k0 + rows, None], x[:rows], out=parts[2, :rows])
+            _pair_positive(parts[2, :rows], a[k0:k0 + rows, None])
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])
         return n_units, mean, co
 
-    profile = _reduce(map_blocks(run_block, n_paths, n_workers), g, kernel, n_paths)
+    profile = _reduce(map_blocks(run_block, n_paths, n_workers), g, kernel, n_paths,
+                      _bachelier(a, b, sd))
     if collateral_book:
         profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
     return profile

@@ -37,6 +37,7 @@ VALID_CONFIG = {
 }
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 OFF_SCHEDULE = "swaps[0].maturity: must be a whole number of 1/frequency periods"
 
 
@@ -395,24 +396,33 @@ class TestReports:
         cfg_b, _ = validate_config(small_config(seed=8))
         assert render_csv(run_config(cfg_a)) != render_csv(run_config(cfg_b))
 
-    def test_rows_past_the_fixed_threshold_are_flagged(self, capsys):
-        """At 6 paths only the base case's CCC rows (1.164 bp) exceed 1 bp."""
+    def test_rows_past_the_fixed_threshold_are_flagged(self, capsys, tmp_path):
+        """At 6 paths and sigma 0.15 the base case's A, BB and CCC rows exceed 1 bp (A at
+        1.70 bp) and its AAA rows do not (0.70 bp).  At the preset's sigma no row does at
+        any valid path count: CCC reads 0.084 bp at 6 paths."""
         assert WARN_SE_BP == 1.0
-        flagged = {"AAA": False, "A": False, "BB": False, "CCC": True}
-        assert main(["run", "base-case", "--paths", "6", "--format", "csv"]) == 0
+        raw = json.loads((CONFIGS / "base_case.json").read_text(encoding="utf-8"))
+        market = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
+        market["model"]["sigma"] = 0.15
+        config = tmp_path / "volatile.json"
+        config.write_text(json.dumps(dict(raw, market=market)), encoding="utf-8")
+        flagged = {"AAA": False, "A": True, "BB": True, "CCC": True}
+        assert main(["run", str(config), "--paths", "6", "--format", "csv"]) == 0
         header, *lines = capsys.readouterr().out.splitlines()
         rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
         assert len(rows) == 8
         for row in rows:
             assert (float(row["se_bp"]) > 1.0) == flagged[row["rating"]]
             assert row["warn"] == ("true" if flagged[row["rating"]] else "false")
-        assert main(["run", "base-case", "--paths", "6", "--format", "json"]) == 0
+        assert main(["run", str(config), "--paths", "6", "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)["rows"]
         assert [r["warn"] for r in records] == [flagged[r["rating"]] for r in records]
-        assert main(["run", "base-case", "--paths", "6"]) == 0
+        assert main(["run", str(config), "--paths", "6"]) == 0
         body = capsys.readouterr().out.splitlines()[2:10]
         assert [line.endswith("  !") for line in body] == [
             flagged[line.split()[4]] for line in body]
+        assert main(["run", "base-case", "--paths", "6", "--format", "csv"]) == 0
+        assert ",true" not in capsys.readouterr().out
 
     def test_collateral_spread_activates_colva(self, result):
         cfg, _ = validate_config(small_config(collateralSpread=0.001))

@@ -27,6 +27,7 @@ from xvakit import (
 from xvakit.config import PRESETS
 from xvakit.exposure import (
     CHUNK_ROWS,
+    _bachelier,
     _block_stats,
     _chebyshev_basis,
     _chebyshev_fit,
@@ -36,6 +37,7 @@ from xvakit.exposure import (
     _merge_moments,
     _moments,
     _netted_plan,
+    _pair_positive,
     _reduce,
     _revalue,
 )
@@ -135,9 +137,9 @@ def pair_values(parts):
 
 def twins_as_units(parts):
     """A planted defect: ``_block_stats`` reducing each pair's two values ``E ± O`` as
-    independent units."""
-    values = pair_values(parts)
-    return _moments(np.stack([np.maximum(values, 0.0), values]))
+    independent units, each less the linear book's pair mean ``L``."""
+    values, linear = pair_values(parts[:2]), np.hstack([parts[2], parts[2]])
+    return _moments(np.stack([np.maximum(values, 0.0) - linear, values]))
 
 
 def reference_fit(x, plan):
@@ -159,17 +161,44 @@ def reference_fit(x, plan):
     return half, coef
 
 
+def linear_book(kernel, model, grid):
+    """``(a, b, sd)``: each row's delta-normal book ``a + b x``, the t-forward kernel and its
+    slope at the factor's mean 0, and the factor's s.d.  ``a = b = 0`` on rows where ``|a|``
+    passes ``_REACH`` s.d. of the book, or the largest ``B x`` spreads past ``_MAX_SPREAD``."""
+    sd = np.sqrt(model.variance(grid))
+    a = kernel.const + kernel.wa.sum(axis=1)
+    b = np.sum(kernel.wa * kernel.neg_b, axis=1)
+    off = ((np.abs(a) > exposure._REACH * np.abs(b) * sd)
+           | (kernel.b_max * sd > exposure._MAX_SPREAD))
+    a, b = np.where(off, 0.0, (a, b))
+    return a, b, sd
+
+
+def normal_call(a, b, sd, defect=None):
+    """``E[(a + b X)+]``, ``X ~ N(0, sd^2)``, from scipy's normal law: the reference mean of
+    the linear book's positive part.  ``defect`` plants one: ``"phi dropped"`` (the ``s
+    phi(a/s)`` term), ``"Phi negated"`` (its argument) or ``"s signed"`` (``s = b sd``)."""
+    s = b * sd if defect == "s signed" else np.abs(b) * sd
+    z = np.divide(a, s, out=np.zeros_like(s), where=s > 0)
+    density = 0.0 if defect == "phi dropped" else s * np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+    cdf = ndtr(-z if defect == "Phi negated" else z)
+    return np.where(s > 0, a * cdf + density, np.maximum(a, 0.0))
+
+
 def reference_profile(book, model, curve, grid, n_paths, seed, posted=()):
-    """Whole blocks through simulate, revalue on the t-forward kernel, ``_block_stats`` and
-    ``_reduce``; the posted book's discounted mean from its plan alone."""
+    """Whole blocks through simulate, revalue on the t-forward kernel, the linear book's pair
+    means, ``_block_stats`` and ``_reduce``; the posted book's discounted mean from its plan
+    alone."""
     kernel = _forward_kernel(_netted_plan(book, model, curve, grid), model, curve, grid)
+    a, b, sd = linear_book(kernel, model, grid)
     moments = []
     for idx, size in enumerate(_block_sizes(n_paths)):
         x = reference_block(model, grid, size, seed, idx)[:, :size // 2]
-        parts = np.empty((2, *x.shape))
-        revalue_in_chunks(x, kernel, parts)
+        parts = np.empty((3, *x.shape))
+        revalue_in_chunks(x, kernel, parts[:2])
+        _pair_positive(np.multiply(b[:, None], x, out=parts[2]), a[:, None])
         moments.append(_block_stats(parts))
-    profile = _reduce(moments, grid, kernel, n_paths)
+    profile = _reduce(moments, grid, kernel, n_paths, _bachelier(a, b, sd))
     if posted:
         profile.collateral = _netted_plan(posted, model, curve, grid).forward
     return profile
@@ -266,24 +295,20 @@ def pair_units(part, n_paths):
     return np.hstack([0.5 * (b[:, :b.shape[1] // 2] + b[:, b.shape[1] // 2:]) for b in blocks])
 
 
-def control_variate(dv, n_paths, forward):
-    """Whole-path reference of the profile's estimator: for the positive and the
-    negative part, ``mean(part) - beta (mean(dv) - forward)`` with ``beta = C(part, v) /
-    M2(v)`` over the ``m`` pairs (0 where ``M2(v)`` is), and the residual's standard error
-    ``sqrt((M2(part) - beta C(part, v)) / ((m - 2) m))``."""
-    parts = (np.maximum(dv, 0.0), np.minimum(dv, 0.0))
-    units = [pair_units(p, n_paths) for p in parts]
-    centred = [u - u.mean(axis=1, keepdims=True) for u in (*units, units[0] + units[1])]
-    m2_v = (centred[2] ** 2).sum(axis=1)
-    m = units[0].shape[1]
-    out = []
-    for part, c in zip(parts, centred):
-        cov = (c * centred[2]).sum(axis=1)
-        beta = np.divide(cov, m2_v, out=np.zeros_like(cov), where=m2_v > 0)
-        residual = np.maximum((c * c).sum(axis=1) - beta * cov, 0.0)
-        out.append((part.mean(axis=1) - beta * (dv.mean(axis=1) - forward),
-                    np.sqrt(residual / ((m - 2) * m))))
-    return out
+def control_variate(dv, n_paths, forward, linear, linear_mean):
+    """Whole-path reference of the profile's estimator, with ``l = linear`` the delta-normal
+    book on the same paths and ``linear_mean`` the mean of ``l+``: ``epe = mean(dv+ - l+) -
+    beta (mean(dv) - forward) + linear_mean`` with ``beta = C(dv+ - l+, dv) / M2(dv)`` over
+    the ``m`` pairs (0 where ``M2(dv)`` is), and the residual's standard error
+    ``sqrt((M2(dv+ - l+) - beta C) / ((m - 2) m))``."""
+    pos = np.maximum(dv, 0.0) - np.maximum(linear, 0.0)
+    cp, cv = (u - u.mean(axis=1, keepdims=True)
+              for u in (pair_units(pos, n_paths), pair_units(dv, n_paths)))
+    m2_v, cov, m = (cv * cv).sum(axis=1), (cp * cv).sum(axis=1), cp.shape[1]
+    beta = np.divide(cov, m2_v, out=np.zeros_like(cov), where=m2_v > 0)
+    residual = np.maximum((cp * cp).sum(axis=1) - beta * cov, 0.0)
+    return (pos.mean(axis=1) - beta * (dv.mean(axis=1) - forward) + linear_mean,
+            np.sqrt(residual / ((m - 2) * m)))
 
 
 class TestSwapSpec:
@@ -551,13 +576,13 @@ class TestNettedKernel:
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=13)
         dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths, value=per_swap_sum)
         forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
-        (epe, _), (ene, _) = control_variate(dv, n_paths, forward)
-        # The engine estimates the positive part alone; the reference's negative
-        # part, estimated on its own, is the known forward less it.
-        for name, (value, reference) in {"epe": (profile.epe, epe),
-                                         "ene": (profile.forward - profile.epe, ene)}.items():
-            np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-12 * GROSS,
-                                       err_msg=name)
+        kernel = _forward_kernel(_netted_plan(MIXED_BOOK, model, SLOPED, MIXED_GRID), model,
+                                 SLOPED, MIXED_GRID)
+        a, b, sd = linear_book(kernel, model, MIXED_GRID)
+        linear = a[:, None] + b[:, None] * paths.factor.T
+        assert b.any() and not b.all()  # the control is on at some rows and off at others
+        epe, _ = control_variate(dv, n_paths, forward, linear, normal_call(a, b, sd))
+        np.testing.assert_allclose(profile.epe, epe, rtol=1e-12, atol=1e-12 * GROSS)
 
     @pytest.mark.parametrize("sigma", [0.011, 0.03])
     @pytest.mark.parametrize("case", ["mixed", "long-book"])
@@ -668,14 +693,14 @@ class TestNettedKernel:
                                  SLOPED, MIXED_GRID)
         dv = np.empty((len(MIXED_GRID), n_paths))
         edges = np.cumsum([0, *_block_sizes(n_paths)])
-        for a, b in zip(edges[:-1], edges[1:]):
-            parts = np.empty((2, len(MIXED_GRID), (b - a) // 2))
-            revalue_in_chunks(paths.factor.T[:, a:a + parts.shape[-1]], kernel, parts)
-            dv[:, a:b] = pair_values(parts)
-        (_, se_epe), (_, se_ene) = control_variate(dv, n_paths, kernel.forward)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            parts = np.empty((2, len(MIXED_GRID), (hi - lo) // 2))
+            revalue_in_chunks(paths.factor.T[:, lo:lo + parts.shape[-1]], kernel, parts)
+            dv[:, lo:hi] = pair_values(parts)
+        a, b, sd = linear_book(kernel, model, MIXED_GRID)
+        linear = a[:, None] + b[:, None] * paths.factor.T
+        _, se_epe = control_variate(dv, n_paths, kernel.forward, linear, normal_call(a, b, sd))
         np.testing.assert_allclose(profile.se_epe, se_epe, rtol=1e-12, atol=1e-15)
-        # The negative part's residual is the positive part's: its beta is 1 - beta.
-        np.testing.assert_allclose(se_ene, profile.se_epe, rtol=1e-9, atol=1e-15)
         # Every path starts at the same value, so the error there is exactly 0.
         assert profile.se_epe[0] == 0.0
 
@@ -881,6 +906,136 @@ class TestNettedKernel:
         assert np.isnan(out).all()
 
 
+def exact_epe(book, model, grid):
+    """``(epe, in_money)``: ``E[k_t(X)+]`` and ``P(k_t(X) > 0)`` per row, ``X ~ N(0, v_t)``, by
+    16-node Gauss-Legendre on panels of a quarter s.d. over ``12 + max B sd`` s.d. either
+    side, with every root of the exact t-forward kernel ``k_t`` (bracketed on a 4001-point
+    scan, then ``brentq``) a panel edge, so no panel holds a kink."""
+    kernel = _forward_kernel(_netted_plan(book, model, FLAT, grid), model, FLAT, grid)
+    sd = np.sqrt(model.variance(grid))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    epe, in_money = np.zeros(len(grid)), np.zeros(len(grid))
+    for k in range(len(grid)):
+        row = kernel[k:k + 1]
+
+        def value(z):
+            return _revalue(sd[k] * np.atleast_1d(z)[None], row)[0]
+
+        if sd[k] == 0.0:
+            epe[k], in_money[k] = max(value(0.0)[0], 0.0), float(value(0.0)[0] > 0)
+            continue
+        reach = 12.0 + row.b_max[0] * sd[k]
+        scan = np.linspace(-reach, reach, 4001)
+        signs = np.sign(value(scan))
+        roots = [brentq(lambda z: value(z)[0], lo, hi, xtol=1e-15)
+                 for lo, hi in zip(scan[:-1][signs[:-1] * signs[1:] < 0],
+                                   scan[1:][signs[:-1] * signs[1:] < 0])]
+        edges = np.unique(np.concatenate([np.linspace(-reach, reach, int(8 * reach) + 1),
+                                          roots]))
+        mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+        z = (mid[:, None] + half[:, None] * nodes).ravel()
+        w = (half[:, None] * weights).ravel() * np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        values = value(z)
+        epe[k], in_money[k] = w @ np.maximum(values, 0.0), w @ (values > 0)
+    return epe, in_money
+
+
+@functools.lru_cache(maxsize=None)
+def proxy_case_exact(case):
+    return exact_epe(*PROXY_CASES[case])
+
+
+class TestDeltaNormalControl:
+    """The kernel's tangent at the factor's mean, ``a + b x``, as a control with the
+    closed-form mean of its positive part."""
+
+    # (a, b, sd): in, out of and at the money; s = 0 by b and by sd; |a| / s = 8 both
+    # ways; a negative slope.
+    BACHELIER_CASES = ((0.3, 2.0, 0.25), (-0.3, 2.0, 0.25), (0.0, 2.0, 0.25), (0.7, 0.0, 0.25),
+                       (-0.7, 1.0, 0.0), (4.0, 1.0, 0.5), (-4.0, 1.0, 0.5), (0.2, -3.0, 0.1),
+                       (-0.1, -3.0, 0.1))
+
+    @classmethod
+    def assert_bachelier_matches_quadrature(cls, bachelier):
+        """``E[(a + b X)+]`` against ``mpmath.quad`` of the payoff over the normal density,
+        split at the kink ``x = -a / b``."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        a, b, sd = (np.array(column) for column in zip(*cls.BACHELIER_CASES))
+        got = bachelier(a, b, sd)
+        for k, (ak, bk, sdk) in enumerate(cls.BACHELIER_CASES):
+            s = mp.mpf(bk) * sdk
+
+            def payoff(z, ak=ak, s=s):
+                return max(ak + s * z, 0) * mp.npdf(z)
+
+            points = [-mp.inf, mp.inf] if s == 0 else [-mp.inf, -ak / s, mp.inf]
+            reference = float(mp.quad(payoff, points))
+            assert got[k] == pytest.approx(reference, rel=1e-13, abs=1e-16), (k, got[k])
+
+    @pytest.mark.parametrize("bachelier", [_bachelier, normal_call])
+    def test_bachelier_matches_quadrature(self, bachelier):
+        self.assert_bachelier_matches_quadrature(bachelier)
+
+    @pytest.mark.parametrize("defect", ["phi dropped", "Phi negated", "s signed"])
+    def test_a_planted_bachelier_defect_fails_it(self, defect):
+        with pytest.raises(AssertionError):
+            self.assert_bachelier_matches_quadrature(functools.partial(normal_call, defect=defect))
+
+    N_PATHS = 2 * BLOCK_SIZE + 1000
+
+    @classmethod
+    def assert_profile_matches_quadrature(cls, case):
+        """``epe`` within 4 s.e. of ``exact_epe`` at every row where the book is in the money
+        on at least 50 of the expected paths.  On the rest a handful of paths at most carries
+        the row, so its s.e. says nothing: the long book's 3- and 6-month rows, with 0.05 and
+        9 expected paths in the money at this count.  They are counted, so no more can hide."""
+        book, model, grid = PROXY_CASES[case]
+        exact, in_money = proxy_case_exact(case)
+        profile = exposure_profile(book, model, FLAT, grid, cls.N_PATHS, seed=2029)
+        sampled = in_money * cls.N_PATHS >= 50
+        assert np.count_nonzero(~sampled & (exact > 0)) <= 2
+        error = np.abs(profile.epe - exact)[sampled]
+        bound = 4 * profile.se_epe[sampled] + 1e-12 * sum(s.notional for s in book)
+        assert np.all(error <= bound), np.max(error / bound)
+
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_profile_matches_a_dense_quadrature_of_the_exact_kernel(self, case):
+        self.assert_profile_matches_quadrature(case)
+
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    @pytest.mark.parametrize("defect", ["H dropped", "H as max(a, 0)"])
+    def test_a_planted_mean_defect_fails_it(self, monkeypatch, case, defect):
+        planted = {"H dropped": lambda a, b, sd: np.zeros_like(a),
+                   "H as max(a, 0)": lambda a, b, sd: np.maximum(a, 0.0)}[defect]
+        monkeypatch.setattr(exposure, "_bachelier", planted)
+        with pytest.raises(AssertionError):
+            self.assert_profile_matches_quadrature(case)
+
+    @pytest.mark.parametrize("case, most", [("base-case", 0.05), ("long-book", 0.4),
+                                            ("stressed", 1.0)])
+    def test_error_falls_against_the_forward_only_estimator(self, monkeypatch, case, most):
+        """At a fixed seed the l2 norm of ``se_epe`` is at most ``most`` of the forward-only
+        estimator's, every row off the control (``a = b = 0``) is that estimator's bit for
+        bit, and both kinds of row occur.  On the stressed book most rows spread ``B x``
+        past ``_MAX_SPREAD``, where the tangent would raise the error (1.11 in l2, and up
+        to 2.8 on a row, with that gate lifted)."""
+        book, model, grid = {
+            "base-case": ((SwapSpec(100.0, 0.027, 10.0),), ShortRateModel(0.05, 0.011),
+                          make_exposure_grid(10.0)), **PROXY_CASES}[case]
+        both = exposure_profile(book, model, FLAT, grid, 2 * BLOCK_SIZE, seed=83)
+        monkeypatch.setattr(exposure, "_REACH", -1.0)  # every row off the control
+        alone = exposure_profile(book, model, FLAT, grid, 2 * BLOCK_SIZE, seed=83)
+        assert np.linalg.norm(both.se_epe) <= most * np.linalg.norm(alone.se_epe)
+        monkeypatch.undo()
+        kernel = _forward_kernel(_netted_plan(book, model, FLAT, grid), model, FLAT, grid)
+        a, b, _ = linear_book(kernel, model, grid)
+        off = (a == 0) & (b == 0)
+        assert off.any() and not off.all()
+        for name in ("epe", "se_epe"):
+            assert np.array_equal(getattr(both, name)[off], getattr(alone, name)[off]), name
+
+
 class TestStandardErrorCalibration:
     """The reported ``se_epe`` against the spread of ``epe`` over independent runs."""
 
@@ -912,12 +1067,12 @@ class TestStandardErrorCalibration:
         assert not self.calibrated(self.spread_over_reported())
 
 
-def with_n_minus_1(blocks, grid, plan, n_paths):
+def with_n_minus_1(blocks, *args):
     """A planted defect: ``_reduce`` dividing the residual by ``n - 1``, as if ``beta``
     had not been fitted from the same units."""
     blocks = list(blocks)
     n_units = sum(block[0] for block in blocks)
-    profile = _reduce(blocks, grid, plan, n_paths)
+    profile = _reduce(blocks, *args)
     profile.se_epe = profile.se_epe * math.sqrt((n_units - 2) / (n_units - 1))
     return profile
 
@@ -926,17 +1081,20 @@ class TestReduceDegreesOfFreedom:
     @staticmethod
     def assert_residual_over_n_minus_2(reduce, model):
         """Three hand-built pairs ``(pos, v)``: ``se_epe`` is ``sqrt(residual / ((n - 2) n))``,
-        ``residual = M2(pos) - beta C(pos, v)``, since ``beta`` is fitted from the same pairs."""
+        ``residual = M2(pos) - beta C(pos, v)``, since ``beta`` is fitted from the same pairs;
+        ``epe`` adds the linear book's mean to the controlled mean."""
         pos, v = np.array([0.75, 0.25, 2.0]), np.array([0.5, -1.0, 2.0])
         plan = _netted_plan((), model, FLAT, [0.0])
-        profile = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1), plan, 6)
+        profile = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1), plan, 6,
+                         np.array([0.125]))
         cp, cv = pos - pos.mean(), v - v.mean()
         beta = (cp @ cv) / (cv @ cv)
         residual = cp @ cp - beta * (cp @ cv)
         assert residual > 0.05  # three pairs off one line leave a residual
         np.testing.assert_allclose(profile.se_epe, [math.sqrt(residual / ((3 - 2) * 3))],
                                    rtol=1e-14)
-        np.testing.assert_allclose(profile.epe, [pos.mean() - beta * v.mean()], rtol=1e-14)
+        np.testing.assert_allclose(profile.epe, [pos.mean() - beta * v.mean() + 0.125],
+                                   rtol=1e-14)
 
     def test_three_pairs_leave_one_degree_of_freedom(self, model):
         self.assert_residual_over_n_minus_2(_reduce, model)
@@ -973,56 +1131,85 @@ PAIR_REGIMES = ("both positive", "both negative", "straddling", "twin at zero",
 def no_floor(at):
     """A planted defect: ``_block_stats`` without its floor at ``E`` or at 0."""
     def planted(parts):
-        pos, even = parts
+        pos, even, linear = parts
         np.abs(pos, out=pos)
         pos += even
         pos *= 0.5
         np.maximum(pos, 0.0 if at == "E" else even, out=pos)
-        return exposure._moments(parts)
+        pos -= linear
+        return exposure._moments(parts[:2])
     return planted
 
 
+def pair_mean_positive(parts):
+    """``(max(E + O, 0) + max(E - O, 0)) / 2`` of hand-built parts ``(O, E)``."""
+    odd, even = parts
+    return 0.5 * (np.maximum(even + odd, 0.0) + np.maximum(even - odd, 0.0))
+
+
 class TestPairReduction:
-    """``_block_stats`` reduces each pair from its parts: its mean value is ``E`` and its
-    mean positive part ``(max(E + O, 0) + max(E - O, 0)) / 2``."""
+    """``_block_stats`` reduces each pair from its parts ``(O, E, L)``: its mean value is
+    ``E``, and its mean positive part ``(max(E + O, 0) + max(E - O, 0)) / 2`` less the
+    linear book's ``L``."""
 
     @staticmethod
     def assert_pair_means(monkeypatch, parts):
         moments, seen = exposure._moments, []
         monkeypatch.setattr(exposure, "_moments",
                             lambda units: seen.append(units.copy()) or moments(units))
-        odd, even = parts
-        reference = 0.5 * (np.maximum(even + odd, 0.0) + np.maximum(even - odd, 0.0))
+        odd, even, linear = parts
+        reference = pair_mean_positive(parts[:2])
         n, _, _ = exposure._block_stats(parts.copy())
         (pos, value), = seen
         assert n == parts.shape[-1]
         assert np.array_equal(value, even)
-        # E + O and E - O round by an ulp each of |E| + |O|; their half sum by one more.
-        np.testing.assert_allclose(pos, reference, rtol=0.0,
-                                   atol=2 * 2.0**-52 * np.max(np.abs(odd) + np.abs(even)))
+        # E + O and E - O round by an ulp each of |E| + |O|; their half sum by one more,
+        # and the difference with L by an ulp of the larger.
+        scale = np.max(np.abs(odd) + np.abs(even)) + np.max(np.abs(linear))
+        np.testing.assert_allclose(pos, reference - linear, rtol=0.0, atol=3 * 2.0**-52 * scale)
         both_positive = (even + odd > 0) & (even - odd > 0)
-        assert np.array_equal(pos[both_positive], even[both_positive])
-        assert not pos[(even + odd <= 0) & (even - odd <= 0)].any()
+        assert np.array_equal(pos[both_positive], (even - linear)[both_positive])
+        neither = (even + odd <= 0) & (even - odd <= 0)
+        assert np.array_equal(pos[neither], -linear[neither])
+
+    @staticmethod
+    def with_linear(regime):
+        """``pair_parts(regime)`` with ``L``, the pair mean positive part of another draw of
+        the regime's pairs (its pairs in reverse order)."""
+        parts = pair_parts(regime)
+        return np.concatenate([parts, pair_mean_positive(parts[..., ::-1])[None]])
 
     @pytest.mark.parametrize("regime", PAIR_REGIMES)
     def test_pair_means_are_those_of_its_two_paths(self, monkeypatch, regime):
-        self.assert_pair_means(monkeypatch, pair_parts(regime))
+        self.assert_pair_means(monkeypatch, self.with_linear(regime))
+
+    @pytest.mark.parametrize("regime", PAIR_REGIMES)
+    def test_linear_pair_reduces_by_the_same_formula(self, regime):
+        """``_pair_positive`` of the linear book's pairs ``a ± b x``: a per-row ``a`` against
+        ``(rows, pairs)`` odd parts, as ``exposure_profile`` passes them."""
+        odd, even = pair_parts(regime)
+        a = even[:, :1].copy()  # one value per row
+        parts = np.stack([odd, np.broadcast_to(a, odd.shape)])
+        out = _pair_positive(odd.copy(), a)
+        np.testing.assert_allclose(out, pair_mean_positive(parts), rtol=0.0,
+                                   atol=2 * 2.0**-52 * np.max(np.abs(parts[0]) + np.abs(a)))
+        assert not out[np.abs(odd) <= -a].any()  # neither value positive: exactly 0
 
     @pytest.mark.parametrize("at", ["E", "0"])
     def test_a_missing_floor_fails_it(self, monkeypatch, at):
         monkeypatch.setattr(exposure, "_block_stats", no_floor(at))
         with pytest.raises(AssertionError):
-            self.assert_pair_means(monkeypatch, pair_parts("mixed"))
+            self.assert_pair_means(monkeypatch, self.with_linear("mixed"))
 
 
-def without_beta(blocks, grid, plan, n_paths):
-    """A planted defect: ``_reduce`` with the control variate's ``beta`` dropped from the
-    estimate but not from its standard error, so ``epe`` is the plain mean reported with
-    the residual's error.  (Zeroing ``C(pos, v)`` drops it from both: the plain mean with
-    its plain error, a weaker estimator but an honest one, which calibration passes.)"""
+def without_beta(blocks, grid, plan, n_paths, linear_mean):
+    """A planted defect: ``_reduce`` with the forward control's ``beta`` dropped from the
+    estimate but not from its standard error, so ``epe`` is the mean of ``v+ - l+`` plus the
+    linear book's mean, reported with the residual's error.  (Zeroing ``C(pos, v)`` drops it
+    from both: a weaker estimator but an honest one, which calibration passes.)"""
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
-    profile = _reduce([(n_units, mean, co)], grid, plan, n_paths)
-    profile.epe = mean[0]
+    profile = _reduce([(n_units, mean, co)], grid, plan, n_paths, linear_mean)
+    profile.epe = mean[0] + linear_mean
     return profile
 
 

@@ -30,8 +30,17 @@ def base_case(drop=(), **fields):
     return cfg
 
 
+def volatile_market():
+    """configs/market_gbp_flat.json at sigma 0.15, where base-case's A, BB and CCC rows read
+    1.70 bp of s.e. and more at 6 paths and its AAA rows 0.70 bp; at its own sigma no row
+    passes 1 bp."""
+    market = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
+    market["model"]["sigma"] = 0.15
+    return market
+
+
 CASES = {
-    "warn": lambda: base_case(paths=6),  # the CCC rows' errors exceed WARN_SE_BP
+    "warn": lambda: base_case(paths=6, market=volatile_market()),  # 3 ratings' errors pass 1 bp
     "m_lambda": lambda: base_case(drop=["priceOfRiskXi"], mLambda=[-0.004, 0.0, 0.002],
                                   psi=[0.0, 0.3, 1.0], paths=200),
     "colva": lambda: base_case(collateralSpread=0.002, paths=200),
@@ -63,7 +72,7 @@ def test_the_cases_reach_what_they_cover(results):
     """Each case shows the feature it is there for, so a renderer that drops it
     cannot pass against the reference by accident."""
     table = {name: report_reference.render_table(legacy(r)) for name, r in results.items()}
-    assert table["warn"].count("!") == 2
+    assert table["warn"].count("!") == 6
     assert "!" not in table["colva"]
     labels = {line.split()[2] for line in table["m_lambda"].splitlines()[2:-2]}
     assert labels == {"na", "-0.004", "+0", "+0.002"}
