@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 from .credit import CreditCurve, hazard_from_spread
 from .curves import DiscountCurve
-from .exposure import SwapSpec, on_schedule
+from .exposure import SwapSpec
 from .pde import Grid, PdeProblem, check_verifiable
 from .ratemodel import ShortRateModel
 from .regcap import RATING_TABLE, CounterpartyProfile
@@ -348,11 +348,9 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
     market = _validate_market(v["market"], base_dir, diags) if "market" in raw else None
 
     swaps = [_typed(s, _SWAP, f"swaps[{i}]", diags) for i, s in enumerate(v["swaps"] or [])]
-    for i, s in enumerate(swaps):
-        if s is not None and not on_schedule(s["maturity"], s["frequency"]):
-            diags.append(f"swaps[{i}].maturity: must be a whole number of 1/frequency periods")
-            swaps[i] = None
-    if swaps and None not in swaps and all(s["collateralized"] for s in swaps):
+    swaps = [None if s is None else _build(SwapSpec, diags, f"swaps[{i}].", *s.values())
+             for i, s in enumerate(swaps)]
+    if swaps and None not in swaps and all(s.collateralized for s in swaps):
         diags.append("swaps: at least one must be uncollateralized "
                      "(figures are bp of its notional)")
 
@@ -396,7 +394,7 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> tuple[RunConfig 
 
     if diags:
         return None, diags
-    v.update(market=market, swaps=[SwapSpec(*s.values()) for s in swaps], ratingTable=table,
+    v.update(market=market, swaps=swaps, ratingTable=table,
              hedgeSourceLabel=provider if v["hedgeSourceLabel"] is None else v["hedgeSourceLabel"],
              pde=pde)
     return RunConfig(**{f.name: tuple(value) if isinstance(value := v[_camel(f.name)], list)

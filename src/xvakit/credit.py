@@ -61,6 +61,12 @@ def hazard_from_spread(spread: float, recovery: float) -> float:
     return spread / (1.0 - recovery)
 
 
+def _check_hedge_fraction(psi) -> None:
+    """Refuse a hedge fraction, or any element of an array of them, outside [0, 1]."""
+    if not np.all((0.0 <= np.asarray(psi)) & (np.asarray(psi) <= 1.0)):
+        raise ValueError("hedge_fraction must lie in [0, 1]")
+
+
 def effective_hazard(hazard, hedge_fraction, price_of_risk):
     """Hazard rate blending the hedged (risk-neutral) and warehoused (physical) parts.
 
@@ -69,14 +75,12 @@ def effective_hazard(hazard, hedge_fraction, price_of_risk):
     numpy-broadcast arrays; every element must have psi in [0, 1] and a
     non-negative physical hazard ``(1 - xi) * lam``.
     """
-    psi = hedge_fraction
-    if not np.all((0.0 <= np.asarray(psi)) & (np.asarray(psi) <= 1.0)):
-        raise ValueError("hedge_fraction must lie in [0, 1]")
+    _check_hedge_fraction(hedge_fraction)
     if np.any(np.asarray(hazard) < 0):
         raise ValueError("hazard must be >= 0")
     if np.any(np.asarray(hazard) * (1.0 - np.asarray(price_of_risk)) < 0):
         raise ValueError("physical hazard (1 - xi) * lam must be >= 0")
-    return psi * hazard + (1.0 - psi) * (1.0 - price_of_risk) * hazard
+    return hedge_fraction * hazard + (1.0 - hedge_fraction) * (1.0 - price_of_risk) * hazard
 
 
 def counterparty_hedge_error(
@@ -88,8 +92,7 @@ def counterparty_hedge_error(
     the close-out value (plus the tax effect of the default) and the carried
     economic value.
     """
-    if not 0.0 <= hedge_fraction <= 1.0:
-        raise ValueError("hedge_fraction must lie in [0, 1]")
+    _check_hedge_fraction(hedge_fraction)
     return (1.0 - hedge_fraction) * (closeout - economic_value + default_tax_jump)
 
 

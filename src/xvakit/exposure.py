@@ -117,17 +117,17 @@ class SwapSpec:
 
     def __post_init__(self):
         if not self.notional > 0:
-            raise ValueError("notional must be > 0")
+            raise ValueError("notional: must be > 0")
         if not self.maturity > 0:
-            raise ValueError("maturity must be > 0")
+            raise ValueError("maturity: must be > 0")
         if self.frequency not in (1, 2, 4):
-            raise ValueError("frequency must be one of 1, 2, 4")
+            raise ValueError("frequency: must be one of 1, 2, 4")
         if not on_schedule(self.maturity, self.frequency):
-            raise ValueError("maturity must be a whole number of 1/frequency periods")
+            raise ValueError("maturity: must be a whole number of 1/frequency periods")
         # Snapped to its schedule, so the grid holds the payment dates bit for bit.
         object.__setattr__(self, "maturity", round(self.maturity * self.frequency) / self.frequency)
         if not np.isfinite(self.fixed_rate):
-            raise ValueError("fixed_rate must be finite")
+            raise ValueError("fixed_rate: must be finite")
 
     @property
     def sign(self) -> float:

@@ -11,13 +11,15 @@ for a derivative on one lognormal asset with flat parameters,
         - (gamma_K - r phi) K_net - gamma_E E - lam_C (1-xi)(1-psi) dE,
 
 with terminal condition the payoff, alongside the risk-free Black-Scholes
-value V.  The adjustment is U = Vh - V.  ``verify_decomposition`` compares it
-with the production integrals, ``xva.breakdown`` (trapezoid, 401 points), on
-the problem's exact lognormal profiles, which are closed forms
-(``density_expectations``).  The source terms depend on V alone, so V is
-marched once and the economic values with and without tax, whose difference
-is the PDE's TVA, are marched as the two columns of one banded solve per
-step.
+value V.  Each payoff is a sign omega on S - K (``_PAYOFFS``): a call (1) or
+a put (-1) pays max(omega (S - K), 0), a forward (0) pays S - K.  The
+adjustment is U = Vh - V.  ``verify_decomposition`` compares it with the
+production integrals, ``xva.breakdown`` (trapezoid, 401 points), on the
+problem's exact lognormal profiles, closed forms priced through one Black
+formula (``density_expectations``).  The source terms depend on V alone,
+so V is marched once and the economic values with and without tax, whose
+difference is the PDE's TVA, are marched as the two columns of one banded
+solve per step.
 
 Funding convention: own bonds are held so that there is no shortfall on own
 default, i.e. the issuer-default hedge error is the non-capital windfall
@@ -70,6 +72,7 @@ _BOUNDS = (  # (fields, test, message)
 HALF_WIDTH = 6.0  # the log-price grid's half-width, in units of sigma sqrt(T), before drift
 RANNACHER_STEPS = 2  # fully implicit steps that start the march and damp the payoff kink
 MAX_NODES = 2000  # per grid axis: the verifier's memory grows as n_space n_time
+_PAYOFFS = {"call": 1.0, "put": -1.0, "forward": 0.0}  # sign omega on S - K; 0 has no kink
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,8 @@ class PdeProblem:
             for name in names:
                 if getattr(self, name) is not None and not test(getattr(self, name)):
                     raise ValueError(f"{name}: {message}")
-        if self.payoff not in ("call", "put", "forward"):
-            raise ValueError("payoff: must be one of call, put, forward")
+        if self.payoff not in _PAYOFFS:
+            raise ValueError(f"payoff: must be one of {', '.join(_PAYOFFS)}")
         if not 0 <= self.capital_relief_factor <= self.capital_factor:
             raise ValueError("capital_relief_factor: must lie in [0, capital_factor]")
 
@@ -120,13 +123,13 @@ class PdeProblem:
     def effective_counterparty_hazard(self) -> float:
         return effective_hazard(self.counterparty_hazard, self.hedge_fraction, self.price_of_risk)
 
+    @property
+    def omega(self) -> float:
+        return _PAYOFFS[self.payoff]
+
     def terminal_payoff(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.payoff == "call":
-            return np.maximum(s - self.strike, 0.0)
-        if self.payoff == "put":
-            return np.maximum(self.strike - s, 0.0)
-        return s - self.strike
+        gain = np.asarray(s, dtype=float) - self.strike
+        return np.maximum(self.omega * gain, 0.0) if self.omega else gain
 
 
 @dataclass(frozen=True)
@@ -333,9 +336,7 @@ def solve_vhat(problem: PdeProblem, grid: Grid = Grid()) -> PdeSolution:
     t_nodes = np.linspace(0.0, p.maturity, grid.n_time + 1)
     dt = t_nodes[1] - t_nodes[0]
 
-    payoff = p.terminal_payoff(s)
-    if p.payoff in ("call", "put"):
-        payoff = _cell_average_kink(p, x, payoff)
+    payoff = _cell_average_kink(p, x, p.terminal_payoff(s))
 
     # Constant-coefficient operator in log price.
     diff = 0.5 * p.sigma**2 / dx**2
@@ -376,80 +377,64 @@ def solve_vhat(problem: PdeProblem, grid: Grid = Grid()) -> PdeSolution:
 
 
 def _cell_average_kink(problem: PdeProblem, x: np.ndarray, payoff: np.ndarray) -> np.ndarray:
-    """Replace the node value in the cell containing the strike by the cell mean."""
-    k = np.log(problem.strike)
+    """Replace the node value in the cell containing the strike by the payoff's mean
+    over the cell, integrated where ``omega (e^x - K) > 0``; a forward has no kink."""
+    omega, strike, k = problem.omega, problem.strike, np.log(problem.strike)
+    if not omega or not (x[0] < k < x[-1]):
+        return payoff
     dx = x[1] - x[0]
     idx = int(np.argmin(np.abs(x - k)))
-    if not (x[0] < k < x[-1]):
-        return payoff
     a, b = x[idx] - 0.5 * dx, x[idx] + 0.5 * dx
-    strike = problem.strike
-    # integral of (e^x - K)+ over the cell, analytic around the kink
-    lo, hi = max(a, k), b
-    call_avg = (np.exp(hi) - np.exp(lo) - strike * (hi - lo)) / dx if hi > lo else 0.0
+    lo, hi = (max(a, k), b) if omega > 0 else (a, min(b, k))
     out = payoff.copy()
-    if problem.payoff == "call":
-        out[idx] = call_avg
-    elif problem.payoff == "put":
-        # put = call - forward; the forward part is smooth, average only the kink
-        lo, hi = a, min(b, k)
-        put_avg = (strike * (hi - lo) - (np.exp(hi) - np.exp(lo))) / dx if hi > lo else 0.0
-        out[idx] = put_avg
+    out[idx] = omega * ((np.exp(hi) - np.exp(lo)) - strike * (hi - lo)) / dx if hi > lo else 0.0
     return out
 
 
-def black_scholes_value(problem: PdeProblem, s, remaining: float):
-    """Closed-form risk-free value with carry ``repo - dividend_yield``."""
+def _black(omega: float, fwd, strike, vol):
+    """Black's (1976) ``omega (F N(omega d1) - K N(omega d2))``, the discount folded
+    into ``fwd`` and ``strike`` and ``vol`` the total volatility: ``F - K`` where
+    omega is 0, and the intrinsic value where ``vol`` is 0 (a scalar for scalars)."""
     # Imported here so that ``run`` and ``validate`` never load scipy.
     from scipy.special import ndtr
 
-    p = problem
+    if not omega:
+        return fwd - strike
+    with np.errstate(divide="ignore", invalid="ignore"):  # d1 is undefined at vol 0
+        d1 = np.log(fwd / strike) / vol + 0.5 * vol
+        value = omega * (fwd * ndtr(omega * d1) - strike * ndtr(omega * (d1 - vol)))
+    return np.where(vol > 0, value, np.maximum(omega * (fwd - strike), 0.0))[()]
+
+
+def black_scholes_value(problem: PdeProblem, s, remaining: float):
+    """Closed-form risk-free value with carry ``repo - dividend_yield``; the payoff at expiry."""
+    p, tau = problem, max(remaining, 0.0)
     s = np.asarray(s, dtype=float)
-    if remaining <= 0:
-        return p.terminal_payoff(s)
-    b, r, vol = p.carry, p.rate, p.sigma
-    if p.payoff == "forward":
-        return s * np.exp((b - r) * remaining) - p.strike * np.exp(-r * remaining)
-    sq = vol * np.sqrt(remaining)
-    d1 = (np.log(s / p.strike) + (b + 0.5 * vol**2) * remaining) / sq
-    d2 = d1 - sq
-    df_s = np.exp((b - r) * remaining)
-    df_k = np.exp(-r * remaining)
-    if p.payoff == "call":
-        return s * df_s * ndtr(d1) - p.strike * df_k * ndtr(d2)
-    return p.strike * df_k * ndtr(-d2) - s * df_s * ndtr(-d1)
+    return _black(p.omega, s * np.exp((p.carry - p.rate) * tau), p.strike * np.exp(-p.rate * tau),
+                  p.sigma * np.sqrt(tau))
 
 
 def density_expectations(problem: PdeProblem, times):
-    """(E[(V-X)+], E[(V-X)-], E[V]) under the lognormal law at each horizon.
+    """(E[(V-X)+], E[V]) under the lognormal law at each horizon.
 
     Closed forms at every horizon ``u`` at once; these are the exact profiles
-    of ``quadrature_oracle``.  ``e^{-ru} V(u, S_u)`` is a martingale,
-    so a call's or put's mean is ``V_0 e^{ru}``, and it is never negative.  A
-    forward is ``A - K'`` in a lognormal ``A`` of total volatility
-    ``sigma sqrt(u)``, so its positive part is Black's (1976) call.
+    of ``quadrature_oracle``.  ``e^{-ru} V(u, S_u)`` is a martingale, so the
+    mean is ``V_0 e^{ru}`` for every payoff, and a call or a put, never
+    negative, keeps ``1 - collateral_fraction`` of it.  A forward is ``A - K'``
+    in a lognormal ``A`` of total volatility ``sigma sqrt(u)``, so its positive
+    part is Black's call.
     """
-    # Imported here so that ``run`` and ``validate`` never load scipy.
-    from scipy.special import ndtr
-
     p = problem
     u = np.asarray(times, dtype=float)
     if np.any(u < 0) or np.any(u > p.maturity):
         raise ValueError("times must lie within [0, maturity]")
     keep = 1.0 - p.collateral_fraction  # (V - X) = keep * V
-    if p.payoff != "forward":
-        e_val = black_scholes_value(p, p.spot, p.maturity) * np.exp(p.rate * u)
-        return keep * e_val, np.zeros_like(u), e_val
+    e_val = black_scholes_value(p, p.spot, p.maturity) * np.exp(p.rate * u)
+    if p.omega:
+        return keep * e_val, e_val
     tau = p.maturity - u
     fwd = p.spot * np.exp(p.carry * u + (p.carry - p.rate) * tau)
-    strike = p.strike * np.exp(-p.rate * tau)
-    vol = p.sigma * np.sqrt(u)
-    e_val = fwd - strike
-    with np.errstate(divide="ignore", invalid="ignore"):  # d1 is undefined at u = 0
-        d1 = np.log(fwd / strike) / vol + 0.5 * vol
-        e_pos = np.where(vol > 0, fwd * ndtr(d1) - strike * ndtr(d1 - vol),
-                         np.maximum(e_val, 0.0))
-    return keep * e_pos, keep * (e_val - e_pos), e_val
+    return keep * _black(1.0, fwd, p.strike * np.exp(-p.rate * tau), p.sigma * np.sqrt(u)), e_val
 
 
 def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
@@ -457,17 +442,18 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
 
     The profiles are the closed forms of ``density_expectations`` on
     ``n_time`` uniform points of [0, maturity]: the discounted ``(V-X)+`` and
-    ``V-X`` as EPE and forward (a call's or a put's ENE is exactly 0), the
-    CEM-like capital on ``(V-X)+`` and the discounted collateral ``X``.
-    Returns the one-row breakdown, with the spot as its notional.
+    ``V-X`` as EPE and forward (rounded alike for a call or a put, so that its
+    ENE is exactly 0), the CEM-like capital on ``(V-X)+`` and the discounted
+    collateral ``X``.  Returns the one-row breakdown, with the spot as its notional.
     """
     p = problem
     grid = np.linspace(0.0, p.maturity, n_time)
-    e_pos, e_neg, e_val = density_expectations(p, grid)
+    e_pos, e_val = density_expectations(p, grid)
+    keep = 1.0 - p.collateral_fraction
     df = np.exp(-p.rate * grid)
     z = np.zeros_like(grid)
     return breakdown(XvaInputs(
-        exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (e_pos + e_neg),
+        exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (keep * e_val),
                                  mean_value_undiscounted=e_val, se_epe=z, n_paths=0,
                                  collateral=df * p.collateral_fraction * e_val),
         capital=CapitalBase(grid, ead=e_pos, duration=z, k_mr=z),
@@ -518,10 +504,8 @@ def replication_state(problem: PdeProblem, solution: PdeSolution) -> Replication
 
     own = -(vh - collateral - p.capital_funding_fraction * k_net)
     own_default = c.eps_b - c.g_issuer + collateral + p.capital_funding_fraction * k_net
-    if p.issuer_recovery > 0:
-        bond_recovery = own_default / p.issuer_recovery
-    else:
-        bond_recovery = np.zeros_like(own_default)
+    bond_recovery = (own_default / p.issuer_recovery if p.issuer_recovery > 0
+                     else np.zeros_like(own_default))
     bond_zero = own - bond_recovery
 
     delta = np.empty_like(vh)

@@ -177,6 +177,26 @@ class TestHedgeError:
     def test_compensator_no_default_risk(self):
         assert compensator_rate(4.0, 10.0, 0.3, 0.2, 0.0) == 0.0
 
+    def test_arrays_match_the_float_form(self):
+        rows = np.array([  # close-out, economic value, psi, tax jump, xi, hazard
+            [1.0, 1.5, 0.0, 0.0, 0.5, 0.02],
+            [2.0, 1.5, 0.5, 0.3, -0.5, 0.04],
+            [4.0, 10.0, 1.0, 1.26, 0.2, 0.0],
+        ])
+        g_c, vhat, psi, jump, xi, lam = rows.T
+        errors = counterparty_hedge_error(g_c, vhat, psi, jump)
+        rates = compensator_rate(g_c, vhat, psi, xi, lam, jump)
+        for i, (g, v, h, j, x, lam_i) in enumerate(rows.tolist()):
+            assert errors[i] == counterparty_hedge_error(g, v, h, j)
+            assert rates[i] == compensator_rate(g, v, h, x, lam_i, j)
+
+    def test_array_psi_out_of_range(self):
+        psi = np.array([0.5, 1.5])
+        with pytest.raises(ValueError, match=r"hedge_fraction must lie in \[0, 1\]"):
+            counterparty_hedge_error(np.array([1.0, 2.0]), np.array([1.5, 1.5]), psi)
+        with pytest.raises(ValueError, match=r"hedge_fraction must lie in \[0, 1\]"):
+            compensator_rate(np.array([1.0, 2.0]), np.array([1.5, 1.5]), psi, 0.0, 0.02)
+
     @given(
         g_c=st.floats(-1e5, 1e5, **finite),
         vhat=st.floats(-1e5, 1e5, **finite),

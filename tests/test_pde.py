@@ -79,6 +79,18 @@ class TestSolver:
         analytic = black_scholes_value(problem, 90.0, 3.0)
         assert solution.value_at_spot("economic") == pytest.approx(analytic, rel=1e-4)
 
+    def test_put_pays_below_the_strike_and_keeps_parity(self):
+        """The put pays ``K - S`` below the strike, and its closed form less the call's
+        is ``K e^{-r t} - S e^{(b-r) t}``, written out here rather than read from the
+        payoff table that both solver and closed form share."""
+        p, t = replace(PUT_PROBLEM, repo_rate=0.05, dividend_yield=0.01), 3.0
+        s = np.array([50.0, 90.0, 150.0])
+        assert np.array_equal(p.terminal_payoff(s), [50.0, 10.0, 0.0])
+        put_less_call = black_scholes_value(p, s, t) - black_scholes_value(
+            replace(p, payoff="call"), s, t)
+        want = p.strike * math.exp(-p.rate * t) - s * math.exp((p.carry - p.rate) * t)
+        assert put_less_call == pytest.approx(want, rel=1e-12)
+
     def test_tax_off_equals_tax_terms_removed(self):
         base = replace(FULL_PROBLEM, tax_rate=0.0)
         toggled = replace(FULL_PROBLEM, tax_rate=0.0, accruals_taxed=True)
@@ -178,15 +190,19 @@ class TestOracle:
         times = np.linspace(0.0, problem.maturity, 401)
         got = density_expectations(problem, times)
         want = per_node_density_expectations(problem, times, 96)
-        scale = np.max(np.abs(want[2]))
-        for name, g, w in zip(("E[(V-X)+]", "E[(V-X)-]", "E[V]"), got, want):
+        scale = np.max(np.abs(want[1]))
+        for name, g, w in zip(("E[(V-X)+]", "E[V]"), got, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * scale, name
 
     @pytest.mark.parametrize("problem", [FULL_PROBLEM, PUT_PROBLEM], ids=["call", "put"])
-    def test_call_and_put_have_no_negative_exposure(self, problem):
-        times = np.linspace(0.0, problem.maturity, 401)
-        _, e_neg, _ = density_expectations(problem, times)
-        assert np.array_equal(e_neg, np.zeros_like(times))
+    def test_call_and_put_forward_is_their_epe(self, monkeypatch, problem):
+        """An option is never negative: the oracle's forward profile is its EPE bit
+        for bit, so its ENE and DVA are exactly 0."""
+        inputs, priced = [], pde.breakdown
+        monkeypatch.setattr(pde, "breakdown", lambda x: inputs.append(x) or priced(x))
+        oracle = quadrature_oracle(problem)
+        assert np.array_equal(inputs[0].exposure.forward, inputs[0].exposure.epe)
+        assert oracle.dva[0] == 0.0
 
     def test_components_sum_to_total(self):
         oracle = quadrature_oracle(FULL_PROBLEM)
@@ -316,7 +332,7 @@ def per_node_density_expectations(problem, times, n_density):
     lognormal density, ``n_density`` nodes per piece, split at the kink."""
     p = problem
     drift = p.carry - 0.5 * p.sigma**2
-    out = np.empty((3, len(times)))
+    out = np.empty((2, len(times)))
     for i, u in enumerate(times):
         if u <= 0.0:
             v = np.atleast_1d(black_scholes_value(p, p.spot, p.maturity))
@@ -334,8 +350,7 @@ def per_node_density_expectations(problem, times, n_density):
             w = w * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
             v = black_scholes_value(p, p.spot * np.exp(drift * u + vol * z), tau)
         vx = (1.0 - p.collateral_fraction) * v
-        out[:, i] = (np.dot(w, np.maximum(vx, 0.0)), np.dot(w, np.minimum(vx, 0.0)),
-                     np.dot(w, v))
+        out[:, i] = np.dot(w, np.maximum(vx, 0.0)), np.dot(w, v)
     return out
 
 
