@@ -120,7 +120,6 @@ def _cmd_pde_verify(args) -> int:
           f"tva {oracle.tva[0]:+.6f}")
     print(f"tax effect  pde {report.tax_pde:+.6f}   quadrature {oracle.tva[0]:+.6f}   "
           f"rel error {report.tax_rel_error:.3e}")
-    print(f"funding-condition residual (max over nodes): {report.max_funding_residual:.3e}")
     if args.out is not None:
         try:
             _write_surfaces(args.out, report.solution)

@@ -152,9 +152,9 @@ _FRACTION = (lambda v: 0 <= v <= 1, "value {} outside [0, 1]")
 _AT_MOST_ONE = (lambda v: v <= 1, "must be <= 1")
 _RATE = (lambda v: -1 <= v <= 1, "value {} outside [-1, 1]")  # per year: a rate or spread
 _NOT_EMPTY = (bool, "list must not be empty")
-# A label is printed as a CSV cell and a table cell, unquoted.
-_LABEL = (lambda v: v.isprintable() and "," not in v and '"' not in v,
-          "must not contain a comma, a double quote or a non-printable character")
+# A label is printed as a CSV cell and a table cell, unquoted, so a blank one is a blank cell.
+_LABEL = (lambda v: v.strip() and v.isprintable() and "," not in v and '"' not in v,
+          "must not be blank or contain a comma, a double quote or a non-printable character")
 
 _MARKET = {
     "curve": ({"pillars": (NUMBERS, REQUIRED), "zeroRates": (NUMBERS, REQUIRED, _RATE)},

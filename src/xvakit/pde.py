@@ -21,11 +21,12 @@ so V is marched once and the economic values with and without tax, whose
 difference is the PDE's TVA, are marched as the two columns of one banded
 solve per step.
 
-Funding convention: own bonds are held so that there is no shortfall on own
-default, i.e. the issuer-default hedge error is the non-capital windfall
-eps_B = (1 - R_B) (V - X)+ and its capital-dependent part vanishes.  The
-close-out mark and all source terms are driven by the risk-free value V,
-which keeps the PDE linear.
+Funding convention, an assumption of the source terms and not a checked
+figure: the funding condition sets the own-bond position, held so that there
+is no shortfall on own default, i.e. the issuer-default hedge error is the
+non-capital windfall eps_B = (1 - R_B) (V - X)+ and its capital-dependent
+part vanishes.  The close-out mark and all source terms are driven by the
+risk-free value V, which keeps the PDE linear.
 
 The toy capital rule is CEM-like: requirements proportional to the positive
 exposure (V - X)+, with separate factors for the unhedged requirement and
@@ -72,6 +73,7 @@ _BOUNDS = (  # (fields, test, message)
 HALF_WIDTH = 6.0  # the log-price grid's half-width, in units of sigma sqrt(T), before drift
 RANNACHER_STEPS = 2  # fully implicit steps that start the march and damp the payoff kink
 MAX_NODES = 2000  # per grid axis: the verifier's memory grows as n_space n_time
+ORACLE_POINTS = 401  # uniform points of [0, maturity] that the oracle's trapezoid sums over
 _PAYOFFS = {"call": 1.0, "put": -1.0, "forward": 0.0}  # sign omega on S - K; 0 has no kink
 
 
@@ -162,8 +164,8 @@ def check_verifiable(problem: PdeProblem, grid: Grid) -> None:
     at ``-rate dt = 1`` the implicit start-up step is singular.  A cell Peclet
     number ``|carry - sigma^2/2| dx / sigma^2`` above 1: central convection
     then outweighs diffusion and the march oscillates.  And an issuer
-    recovery below 1e-6 but above 0: the recovery bond's position is the
-    after-default value over it.
+    recovery below 1e-6 but above 0, a bound kept from the own-bond split
+    that divided by it.
     """
     if grid.n_time < (least := 2.0 * problem.maturity * -problem.rate):
         raise ValueError(f"n_time: must be >= 2 maturity (-rate) = {least:g}")
@@ -437,17 +439,17 @@ def density_expectations(problem: PdeProblem, times):
     return keep * _black(1.0, fwd, p.strike * np.exp(-p.rate * tau), p.sigma * np.sqrt(u)), e_val
 
 
-def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
+def quadrature_oracle(problem: PdeProblem) -> XvaBreakdown:
     """The production integrals, ``xva.breakdown``, on the problem's exact profiles.
 
     The profiles are the closed forms of ``density_expectations`` on
-    ``n_time`` uniform points of [0, maturity]: the discounted ``(V-X)+`` and
+    ``ORACLE_POINTS`` uniform points of [0, maturity]: the discounted ``(V-X)+`` and
     ``V-X`` as EPE and forward (rounded alike for a call or a put, so that its
     ENE is exactly 0), the CEM-like capital on ``(V-X)+`` and the discounted
     collateral ``X``.  Returns the one-row breakdown, with the spot as its notional.
     """
     p = problem
-    grid = np.linspace(0.0, p.maturity, n_time)
+    grid = np.linspace(0.0, p.maturity, ORACLE_POINTS)
     e_pos, e_val = density_expectations(p, grid)
     keep = 1.0 - p.collateral_fraction
     df = np.exp(-p.rate * grid)
@@ -474,60 +476,35 @@ def quadrature_oracle(problem: PdeProblem, n_time: int = 401) -> XvaBreakdown:
 
 @dataclass
 class ReplicationState:
-    """Holdings and default errors backing the funding condition, per node.
-
-    The own-bond portfolio is split across a recovery bond (recovery = issuer
-    recovery) and a zero-recovery bond; the funding condition pins the total,
-    the no-shortfall convention pins the after-default value.
-    """
+    """The stock hedge and the counterparty-default hedge error and compensator, per node."""
 
     stock_delta: np.ndarray
-    bond_recovery_position: np.ndarray  # alpha_1 P_1
-    bond_zero_position: np.ndarray  # alpha_2 P_2
-    own_portfolio: np.ndarray  # P, pre-default
-    own_portfolio_default: np.ndarray  # P_D, post-default
-    issuer_error: np.ndarray
     counterparty_error: np.ndarray
     compensator: np.ndarray
-    funding_residual: np.ndarray
 
 
 def replication_state(problem: PdeProblem, solution: PdeSolution) -> ReplicationState:
-    """Reconstruct the replication portfolio and check the funding condition."""
+    """The stock hedge of ``solution``'s economic value and its counterparty-default terms.
+
+    No op calls this.  The benchmark's tracer wraps it by name, so its deletion
+    waits on ROADMAP item 13, next to ``portfolio_value``, ``bond_price`` and
+    ``xva._Quadrature``.
+    """
     p = problem
-    v = solution.risk_free
     vh = solution.economic
     s = solution.s_nodes
-
-    c = closeout(p, v)
-    collateral, k_net = c.collateral, c.k_net
-
-    own = -(vh - collateral - p.capital_funding_fraction * k_net)
-    own_default = c.eps_b - c.g_issuer + collateral + p.capital_funding_fraction * k_net
-    bond_recovery = (own_default / p.issuer_recovery if p.issuer_recovery > 0
-                     else np.zeros_like(own_default))
-    bond_zero = own - bond_recovery
+    c = closeout(p, solution.risk_free)
 
     delta = np.empty_like(vh)
     delta[:, 1:-1] = -(vh[:, 2:] - vh[:, :-2]) / (s[2:] - s[:-2])
     delta[:, 0] = -(vh[:, 1] - vh[:, 0]) / (s[1] - s[0])
     delta[:, -1] = -(vh[:, -1] - vh[:, -2]) / (s[-1] - s[-2])
 
-    eps_c = counterparty_hedge_error(c.g_cpty, vh, p.hedge_fraction, c.jump_tax)
-    gamma_c = compensator_rate(
-        c.g_cpty, vh, p.hedge_fraction, p.price_of_risk, p.counterparty_hazard, c.jump_tax
-    )
-    residual = vh - collateral + (bond_recovery + bond_zero) - p.capital_funding_fraction * k_net
     return ReplicationState(
         stock_delta=delta,
-        bond_recovery_position=bond_recovery,
-        bond_zero_position=bond_zero,
-        own_portfolio=own,
-        own_portfolio_default=own_default,
-        issuer_error=c.eps_b,
-        counterparty_error=eps_c,
-        compensator=gamma_c,
-        funding_residual=residual,
+        counterparty_error=counterparty_hedge_error(c.g_cpty, vh, p.hedge_fraction, c.jump_tax),
+        compensator=compensator_rate(
+            c.g_cpty, vh, p.hedge_fraction, p.price_of_risk, p.counterparty_hazard, c.jump_tax),
     )
 
 
@@ -540,7 +517,6 @@ class VerificationReport:
     rel_error: float
     tax_pde: float
     tax_rel_error: float
-    max_funding_residual: float
     tolerance: float
     solution: PdeSolution
 
@@ -555,8 +531,8 @@ def verify_decomposition(
     """Solve the PDE, evaluate the oracle, and compare.
 
     Also isolates the tax component on the PDE side from the solution's
-    untaxed surface, and checks the funding-condition residual of the
-    reconstructed replication portfolio.
+    untaxed surface.  The funding convention is an assumption of the source
+    terms, not a figure checked here.
     """
     solution = solve_vhat(problem, grid)
     oracle = quadrature_oracle(problem)
@@ -570,16 +546,12 @@ def verify_decomposition(
     tax_denom = max(abs(tva), 1e-8 * problem.spot)
     tax_rel = abs(tax_pde - tva) / tax_denom
 
-    state = replication_state(problem, solution)
-    residual = float(np.max(np.abs(state.funding_residual)))
-
     return VerificationReport(
         pde_adjustment=u_pde,
         oracle=oracle,
         rel_error=rel,
         tax_pde=tax_pde,
         tax_rel_error=tax_rel,
-        max_funding_residual=residual,
         tolerance=tolerance,
         solution=solution,
     )

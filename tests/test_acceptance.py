@@ -27,7 +27,6 @@ from xvakit import (
     make_exposure_grid,
     portfolio_value,
     quadrature_oracle,
-    replication_state,
     solve_vhat,
     verify_decomposition,
 )
@@ -304,11 +303,3 @@ def test_criterion_8_monte_carlo_integrity():
               "identity, worker-count invariance",
            par_ok and identity_ok and workers_ok and elapsed < 120.0,
            f"{elapsed:.1f}s")
-
-
-def test_criterion_9_funding_condition_residual():
-    solution = solve_vhat(VERIFY_PROBLEM, Grid(400, 400))
-    state = replication_state(VERIFY_PROBLEM, solution)
-    residual = float(np.max(np.abs(state.funding_residual)))
-    report(9, "funding-condition residual below 1e-10 at every grid node",
-           residual <= 1e-10, f"max residual {residual:.2e}")

@@ -288,19 +288,19 @@ class TestPresets:
 
     @pytest.mark.parametrize("raw, field", [
         *((small_config(hedgeSourceLabel=label), "hedgeSourceLabel")
-          for label in ["A,B\nC", 'say "A"', "A\tB"]),
+          for label in ["A,B\nC", 'say "A"', "A\tB", "", "   "]),
         # Named by repr, so that a newline in a key cannot split the diagnostic;
         # the ratings and provider that name it are not also unknown.
-        (small_config(ratings=["X,Y"], providerRating="X,Y", ratingTable={
-            "X,Y": {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01}}),
-         "ratingTable.'X,Y'"),
-    ], ids=["comma-newline", "quote", "tab", "rating-key"])
+        *((small_config(ratings=[key], providerRating=key, ratingTable={
+            key: {"cdsSpreadBp": 10, "riskWeight": 0.2, "cvaWeight": 0.01}}),
+           f"ratingTable.{key!r}") for key in ["X,Y", ""]),
+    ], ids=["comma-newline", "quote", "tab", "empty", "spaces", "rating-key", "empty-rating-key"])
     def test_label_that_breaks_a_row_is_one_diagnostic(self, tmp_path, capsys, raw, field):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(raw))
         assert main(["run", str(config), "--format", "csv"]) == 1
-        assert capsys.readouterr() == ("", f"{field}: must not contain a comma, a double quote "
-                                           "or a non-printable character\n")
+        assert capsys.readouterr() == ("", f"{field}: must not be blank or contain a comma, a "
+                                           "double quote or a non-printable character\n")
 
     def test_printable_labels_with_spaces_are_kept(self):
         raw = small_config(ratings=["Tier 2"], hedgeSourceLabel="Bank A", ratingTable={
@@ -635,8 +635,9 @@ class TestCli:
     def test_pde_verify_passes(self, tmp_path, capsys):
         path = self.write_config(tmp_path, pde={"nSpace": 200, "nTime": 200})
         assert main(["pde-verify", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "funding-condition" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in lines] == [
+            "adjustment", "components", "tax effect", "PASS"]
 
     def test_pde_verify_prints_a_coarse_grid_warning_as_one_line(self, tmp_path, capsys):
         path = self.write_config(tmp_path, pde={"nSpace": 40, "nTime": 40})

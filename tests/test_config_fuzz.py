@@ -240,7 +240,7 @@ def check_pde_verify(tmp_path, pde, past=None):
         assert past is None, f"pde.{past} not refused: {out}"
         numbers = [float(token) for token in out.replace("(", " ").replace(")", " ").split()
                    if token[-1].isdigit() or token.endswith(("inf", "nan"))]
-        assert len(numbers) == 14 and all(map(math.isfinite, numbers)), out
+        assert len(numbers) == 13 and all(map(math.isfinite, numbers)), out
     if past is not None:
         assert any(line.startswith(f"pde.{past}: ") for line in err.splitlines()), err
 

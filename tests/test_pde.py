@@ -150,11 +150,13 @@ class TestOracle:
         assert oracle.cva[0] == pytest.approx(exact, rel=1e-10)
         assert oracle.dva[0] == 0.0 and oracle.tva[0] == 0.0
 
-    def test_cva_only_call_error_falls_fourfold_per_doubling(self):
+    def test_cva_only_call_error_falls_fourfold_per_doubling(self, monkeypatch):
         c0 = black_scholes_value(CVA_ONLY_CALL, 100.0, 5.0)
         continuous = -(1.0 - 0.4) * c0 * (1.0 - math.exp(-0.03 * 5.0))
-        errors = [abs(quadrature_oracle(CVA_ONLY_CALL, n).cva[0] - continuous)
-                  for n in (101, 201, 401)]
+        errors = []
+        for n in (101, 201, 401):
+            monkeypatch.setattr(pde, "ORACLE_POINTS", n)
+            errors.append(abs(quadrature_oracle(CVA_ONLY_CALL).cva[0] - continuous))
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.01)
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.01)
 
@@ -218,7 +220,6 @@ class TestVerification:
         assert report.passed
         assert report.rel_error <= 5e-3
         assert report.tax_rel_error <= 5e-3
-        assert report.max_funding_residual <= 1e-10
 
     def test_forward_problem_passes(self):
         report = verify_decomposition(FORWARD_PROBLEM, Grid(400, 400))
@@ -240,23 +241,12 @@ class TestVerification:
 
 
 class TestReplication:
-    def test_funding_condition_residual(self):
-        solution = solve_vhat(FULL_PROBLEM, Grid(200, 200))
-        state = replication_state(FULL_PROBLEM, solution)
-        assert np.max(np.abs(state.funding_residual)) <= 1e-10
-
     def test_full_hedge_has_no_counterparty_error(self):
         problem = replace(FULL_PROBLEM, hedge_fraction=1.0)
         solution = solve_vhat(problem, Grid(100, 100))
         state = replication_state(problem, solution)
         assert np.array_equal(state.counterparty_error, np.zeros_like(state.counterparty_error))
         assert np.array_equal(state.compensator, np.zeros_like(state.compensator))
-
-    def test_own_bond_split_reconstructs_portfolio(self):
-        solution = solve_vhat(FULL_PROBLEM, Grid(100, 100))
-        state = replication_state(FULL_PROBLEM, solution)
-        total = state.bond_recovery_position + state.bond_zero_position
-        assert np.allclose(total, state.own_portfolio, rtol=1e-12, atol=1e-12)
 
     def test_delta_hedges_against_rising_value(self):
         solution = solve_vhat(FULL_PROBLEM, Grid(200, 200))

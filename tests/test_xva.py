@@ -563,7 +563,9 @@ class TestPlantedDefectsFailTheVerifier:
     def assert_defect_fails(self, monkeypatch, problem, old, new):
         assert verify_decomposition(problem, Grid(200, 200)).passed
         monkeypatch.setattr(pde, "breakdown", mutant_breakdown(old, new))
-        assert not verify_decomposition(problem, Grid(200, 200)).passed
+        report = verify_decomposition(problem, Grid(200, 200))
+        assert not report.passed
+        return report
 
     def test_counterparty_hazard_in_place_of_the_effective_one_in_cva(self, monkeypatch):
         self.assert_defect_fails(monkeypatch, self.PROBLEM,
@@ -573,6 +575,14 @@ class TestPlantedDefectsFailTheVerifier:
         # without (1 + rate), the credit is rate^2 w LGD_C lam_C int(EPE) higher
         problem = replace(self.PROBLEM, compensator_taxed=True)
         self.assert_defect_fails(monkeypatch, problem, "(1.0 + tax.rate) * credit", "credit")
+
+    def test_tax_on_held_capital_one_percent_high_fails_the_tax_criterion_alone(self, monkeypatch):
+        # The total moves by about 1.1e-3 of itself, inside the tolerance, and
+        # the TVA by about 1.6e-2: only the tax criterion can see it.
+        report = self.assert_defect_fails(
+            monkeypatch, self.PROBLEM, "tva -= tax.rate * inputs.cost_of_capital * held",
+            "tva -= 1.01 * tax.rate * inputs.cost_of_capital * held")
+        assert report.rel_error <= report.tolerance < report.tax_rel_error
 
 
 class TestQuadratureAccuracy:
