@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .credit import CreditCurve, hazard_from_spread
 from .curves import DiscountCurve
 from .exposure import SwapSpec
-from .pde import Grid, PdeProblem, check_verifiable
+from .pde import TOLERANCE, Grid, PdeProblem, check_verifiable
 from .ratemodel import ShortRateModel
 from .regcap import RATING_TABLE, CounterpartyProfile
 
@@ -88,7 +88,7 @@ class PdeVerifyConfig:
 
     problem: PdeProblem = PdeProblem(**_PDE_DEFAULTS)
     grid: Grid = Grid()
-    tolerance: float = 0.005
+    tolerance: float = TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,10 @@ def _typed(value, kind, name: str, diags: list[str]):
         kind = dict
     elif kind is NUMBERS:
         if isinstance(value, list):
-            return _number_list(value, name, diags)
+            if not value:
+                diags.append(f"{name}: list must not be empty")
+            numbers = [_typed(v, float, f"{name}[{i}]", diags) for i, v in enumerate(value)]
+            return [v for v in numbers if v is not None]
         kind = list
     elif kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         if math.isfinite(value := _as_float(value)):
@@ -260,21 +263,6 @@ def _typed(value, kind, name: str, diags: list[str]):
         return value
     diags.append(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
     return None
-
-
-def _number_list(raw: list, name: str, diags: list[str]) -> list[float]:
-    """The finite numbers of a non-empty list; each rejected element is named."""
-    if not raw:
-        diags.append(f"{name}: list must not be empty")
-    out = []
-    for i, v in enumerate(raw):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            diags.append(f"{name}[{i}]: expected number")
-        elif not math.isfinite(v := _as_float(v)):
-            diags.append(f"{name}[{i}]: must be finite")
-        else:
-            out.append(v)
-    return out
 
 
 def _read_json(path: Path):

@@ -374,7 +374,6 @@ class ExposureProfile:
     forward: np.ndarray
     mean_value_undiscounted: np.ndarray
     se_epe: np.ndarray
-    n_paths: int
     collateral: np.ndarray | None = None  # the posted book's discounted mean, exact
 
     def __post_init__(self):
@@ -434,13 +433,19 @@ def _pair_positive(odd, even):
     return np.maximum(odd, 0.0, out=odd)
 
 
+def normal_cdf(z):
+    """The standard normal ``Phi(z) = erfc(-z / sqrt 2) / 2``, element by element through
+    ``math.erfc``, so the lower tail keeps its relative accuracy; a float or an array."""
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    return 0.5 * np.asarray(erfc(-np.asarray(z) / math.sqrt(2.0)), float)
+
+
 def _bachelier(a, b, sd):
     """``E[(a + b X)+]``, ``X ~ N(0, sd^2)``: Bachelier's ``a Phi(a/s) + s phi(a/s)``,
     ``s = |b| sd``, or ``max(a, 0)`` where ``s = 0``."""
     s = np.abs(b) * sd
     z = np.divide(a, s, out=np.zeros_like(s), where=s > 0)
-    cdf = 0.5 * np.array([math.erfc(-u / math.sqrt(2.0)) for u in z])
-    return np.where(s > 0, a * cdf + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+    return np.where(s > 0, a * normal_cdf(z) + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
                     np.maximum(a, 0.0))
 
 
@@ -454,7 +459,7 @@ def _block_stats(parts: np.ndarray):
     return _moments(parts[:2])
 
 
-def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int,
+def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan,
             linear_mean: np.ndarray) -> ExposureProfile:
     """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant.
 
@@ -470,7 +475,7 @@ def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan, n_paths: int,
     se_epe = np.sqrt(residual / (n_units - 2) / n_units)
     return ExposureProfile(grid=grid, epe=mean[0] - beta * (mean[1] - plan.forward) + linear_mean,
                            forward=plan.forward, mean_value_undiscounted=plan.expected,
-                           se_epe=se_epe, n_paths=n_paths)
+                           se_epe=se_epe)
 
 
 def exposure_profile(
@@ -515,8 +520,7 @@ def exposure_profile(
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])
         return n_units, mean, co
 
-    profile = _reduce(map_blocks(run_block, n_paths, n_workers), g, kernel, n_paths,
-                      _bachelier(a, b, sd))
+    profile = _reduce(map_blocks(run_block, n_paths, n_workers), g, kernel, _bachelier(a, b, sd))
     if collateral_book:
         profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
     return profile

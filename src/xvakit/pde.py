@@ -44,7 +44,7 @@ import numpy as np
 from .credit import (CreditCurve, TaxPolicy, compensator_rate, counterparty_hedge_error,
                      effective_hazard)
 from .curves import DiscountCurve
-from .exposure import ExposureProfile
+from .exposure import ExposureProfile, normal_cdf
 from .regcap import CapitalBase, CapitalProfile
 from .xva import XvaBreakdown, XvaInputs, breakdown
 
@@ -74,6 +74,7 @@ HALF_WIDTH = 6.0  # the log-price grid's half-width, in units of sigma sqrt(T), 
 RANNACHER_STEPS = 2  # fully implicit steps that start the march and damp the payoff kink
 MAX_NODES = 2000  # per grid axis: the verifier's memory grows as n_space n_time
 ORACLE_POINTS = 401  # uniform points of [0, maturity] that the oracle's trapezoid sums over
+TOLERANCE = 0.005  # the default bound on the relative error between the PDE and the oracle
 _PAYOFFS = {"call": 1.0, "put": -1.0, "forward": 0.0}  # sign omega on S - K; 0 has no kink
 
 
@@ -163,9 +164,7 @@ def check_verifiable(problem: PdeProblem, grid: Grid) -> None:
     A time step over which a negative rate grows the value by more than half:
     at ``-rate dt = 1`` the implicit start-up step is singular.  A cell Peclet
     number ``|carry - sigma^2/2| dx / sigma^2`` above 1: central convection
-    then outweighs diffusion and the march oscillates.  And an issuer
-    recovery below 1e-6 but above 0, a bound kept from the own-bond split
-    that divided by it.
+    then outweighs diffusion and the march oscillates.
     """
     if grid.n_time < (least := 2.0 * problem.maturity * -problem.rate):
         raise ValueError(f"n_time: must be >= 2 maturity (-rate) = {least:g}")
@@ -174,8 +173,6 @@ def check_verifiable(problem: PdeProblem, grid: Grid) -> None:
     if grid.n_space < (least := 2 * int(np.ceil(half))):
         raise ValueError(f"n_space: cell Peclet number {2 * half / grid.n_space:.3g} > 1; " + (
             f"needs >= {least}" if least <= MAX_NODES else f"none up to {MAX_NODES} is enough"))
-    if 0 < problem.issuer_recovery < 1e-6:
-        raise ValueError("issuer_recovery: must be 0 or at least 1e-6")
 
 
 class CloseOut(NamedTuple):
@@ -396,15 +393,13 @@ def _cell_average_kink(problem: PdeProblem, x: np.ndarray, payoff: np.ndarray) -
 def _black(omega: float, fwd, strike, vol):
     """Black's (1976) ``omega (F N(omega d1) - K N(omega d2))``, the discount folded
     into ``fwd`` and ``strike`` and ``vol`` the total volatility: ``F - K`` where
-    omega is 0, and the intrinsic value where ``vol`` is 0 (a scalar for scalars)."""
-    # Imported here so that ``run`` and ``validate`` never load scipy.
-    from scipy.special import ndtr
-
+    omega is 0, and the intrinsic value where ``vol`` is 0 (a scalar for scalars).
+    ``N`` is the engine's ``exposure.normal_cdf``."""
     if not omega:
         return fwd - strike
     with np.errstate(divide="ignore", invalid="ignore"):  # d1 is undefined at vol 0
         d1 = np.log(fwd / strike) / vol + 0.5 * vol
-        value = omega * (fwd * ndtr(omega * d1) - strike * ndtr(omega * (d1 - vol)))
+        value = omega * (fwd * normal_cdf(omega * d1) - strike * normal_cdf(omega * (d1 - vol)))
     return np.where(vol > 0, value, np.maximum(omega * (fwd - strike), 0.0))[()]
 
 
@@ -456,7 +451,7 @@ def quadrature_oracle(problem: PdeProblem) -> XvaBreakdown:
     z = np.zeros_like(grid)
     return breakdown(XvaInputs(
         exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (keep * e_val),
-                                 mean_value_undiscounted=e_val, se_epe=z, n_paths=0,
+                                 mean_value_undiscounted=e_val, se_epe=z,
                                  collateral=df * p.collateral_fraction * e_val),
         capital=CapitalBase(grid, ead=e_pos, duration=z, k_mr=z),
         issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),
@@ -526,7 +521,7 @@ class VerificationReport:
 
 
 def verify_decomposition(
-    problem: PdeProblem, grid: Grid = Grid(), tolerance: float = 0.005
+    problem: PdeProblem, grid: Grid = Grid(), tolerance: float = TOLERANCE
 ) -> VerificationReport:
     """Solve the PDE, evaluate the oracle, and compare.
 

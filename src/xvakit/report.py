@@ -71,7 +71,7 @@ def render_table(result: RunResult) -> str:
         justified.append([title.rjust(width), "-" * width, *(t.rjust(width) for t in texts)])
     lines = ["  ".join(line).rstrip() for line in zip(*justified)]
     return "\n".join(lines) + (f"\n\nvalues in bps of notional {result.breakdown.notional:g}; "
-                               f"{result.profile.n_paths} paths, seed {result.config.seed}\n")
+                               f"{result.config.paths} paths, seed {result.config.seed}\n")
 
 
 def render_csv(result: RunResult) -> str:
@@ -89,7 +89,7 @@ def render_json(result: RunResult) -> str:
     payload = {
         "schemaVersion": 1,
         "seed": result.config.seed,
-        "paths": result.profile.n_paths,
+        "paths": result.config.paths,
         "notional": b.notional,
         "rows": [dict(zip(columns, values), currency=dict(zip(_COLUMNS, amounts)))
                  for values, amounts in zip(zip(*columns.values()), zip(*currency))],

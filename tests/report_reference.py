@@ -86,7 +86,7 @@ def render_table(result: RunResult) -> str:
         lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip())
     lines.append("")
     lines.append(f"values in bps of notional {result.breakdown.notional:g}; "
-                 f"{result.profile.n_paths} paths, seed {result.config.seed}")
+                 f"{result.config.paths} paths, seed {result.config.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +116,7 @@ def render_json(result: RunResult) -> str:
     payload = {
         "schemaVersion": 1,
         "seed": result.config.seed,
-        "paths": result.profile.n_paths,
+        "paths": result.config.paths,
         "notional": b.notional,
         "rows": _records(result),
     }

@@ -85,7 +85,7 @@ def test_criterion_2_tax_capital_ratio_identity():
         epe = rng.uniform(0.0, 5.0, grid.shape)
         ene = -rng.uniform(0.0, 5.0, grid.shape)
         profile = ExposureProfile(grid=grid, epe=epe, forward=epe + ene,
-                                  mean_value_undiscounted=epe + ene, se_epe=z, n_paths=0)
+                                  mean_value_undiscounted=epe + ene, se_epe=z)
         base = CapitalBase(
             grid,
             ead=rng.uniform(0.0, 30.0, grid.shape),
@@ -192,7 +192,7 @@ def test_criterion_6_constant_intensity_closed_forms():
         z = np.zeros_like(grid)
         profile = ExposureProfile(
             grid=grid, epe=np.full_like(grid, epe), forward=np.full_like(grid, epe + ene),
-            mean_value_undiscounted=np.full_like(grid, epe + ene), se_epe=z, n_paths=0,
+            mean_value_undiscounted=np.full_like(grid, epe + ene), se_epe=z,
             collateral=np.full_like(grid, coll),
         )
         inputs = XvaInputs(

@@ -1,9 +1,11 @@
-"""``run`` and ``validate`` start without scipy; ``pde-verify`` still loads it.
+"""``run`` and ``validate`` start without scipy; ``pde-verify`` loads only ``scipy.linalg``,
+for its tridiagonal solve, and no ``scipy.special``.
 
 The checks run in fresh interpreters, since this test process has scipy
 loaded already.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,7 +40,19 @@ def test_run_and_validate_never_import_scipy(tmp_path):
     assert "Rating" in out.read_text()
 
 
+_PDE_VERIFY = """
+import sys
+from xvakit.cli import main
+assert main(["pde-verify", "configs/pde_verify.json"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 def test_pde_verify_loads_scipy_when_it_solves():
-    proc = _python("-m", "xvakit.cli", "pde-verify", "configs/pde_verify.json")
+    proc = _python("-c", _PDE_VERIFY)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "PASS"
+    *_, verdict, loaded = proc.stdout.splitlines()
+    assert verdict == "PASS"
+    loaded = ast.literal_eval(loaded)
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.special")], loaded

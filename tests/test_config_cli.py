@@ -158,7 +158,7 @@ class TestValidation:
         _, diags = validate_config(small_config(**{key: [math.nan]}))
         assert diags == [f"{key}[0]: must be finite"]
         _, diags = validate_config(small_config(**{key: ["0.5"]}))
-        assert diags == [f"{key}[0]: expected number"]
+        assert diags == [f"{key}[0]: expected float, got str"]
 
     @pytest.mark.parametrize("key", ["psi", "priceOfRiskXi", "phi"])
     def test_empty_sweep_list_rejected(self, key):
@@ -652,6 +652,15 @@ class TestCli:
         path = self.write_config(tmp_path, pde={"nSpace": 200, "nTime": 200,
                                                 "issuerRecovery": 1.0,
                                                 "counterpartyRecovery": 1.0})
+        assert main(["pde-verify", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "PASS" and captured.err == ""
+
+    @pytest.mark.parametrize("recovery", [5e-7, 1e-300])
+    def test_pde_verify_passes_at_a_tiny_issuer_recovery(self, tmp_path, capsys, recovery):
+        # Nothing in the verifier divides by the issuer's recovery.
+        path = self.write_config(tmp_path, pde={"nSpace": 200, "nTime": 200,
+                                                "issuerRecovery": recovery})
         assert main(["pde-verify", str(path)]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1] == "PASS" and captured.err == ""

@@ -169,7 +169,7 @@ PDE_PAST = [
                                "hedgeFraction", "collateralFraction", "capitalFundingFraction",
                                "issuerRecovery", "counterpartyRecovery")
       for value in (-0.01, 1.01, 1e300)],
-    ("issuerRecovery", 5e-7), ("taxRate", 1.0), ("taxRate", -0.01), ("taxRate", 1e300),
+    ("taxRate", 1.0), ("taxRate", -0.01), ("taxRate", 1e300),
     ("capitalFactor", -0.01), ("capitalFactor", 12.6), ("capitalFactor", 1e300),
     ("capitalReliefFactor", -0.01), ("capitalReliefFactor", 1e300),
     ("tolerance", 0.0), ("tolerance", 1.0), ("tolerance", 1e300),

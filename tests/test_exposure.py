@@ -40,6 +40,7 @@ from xvakit.exposure import (
     _pair_positive,
     _reduce,
     _revalue,
+    normal_cdf,
 )
 from xvakit.ratemodel import BLOCK_SIZE, _block_sizes, _simulate_block
 from xvakit.xva import breakdown
@@ -198,7 +199,7 @@ def reference_profile(book, model, curve, grid, n_paths, seed, posted=()):
         revalue_in_chunks(x, kernel, parts[:2])
         _pair_positive(np.multiply(b[:, None], x, out=parts[2]), a[:, None])
         moments.append(_block_stats(parts))
-    profile = _reduce(moments, grid, kernel, n_paths, _bachelier(a, b, sd))
+    profile = _reduce(moments, grid, kernel, _bachelier(a, b, sd))
     if posted:
         profile.collateral = _netted_plan(posted, model, curve, grid).forward
     return profile
@@ -415,7 +416,7 @@ class TestExposureProfile:
                             lambda *args: reduced.append(1) or _block_stats(*args))
         profile = exposure_profile(book, model, SLOPED, MIXED_GRID, 2 * BLOCK_SIZE + 1000,
                                    seed=29, n_workers=2)
-        assert reduced and profile.n_paths == 2 * BLOCK_SIZE + 1000
+        assert reduced
         for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
             assert np.array_equal(getattr(profile, name), np.zeros(len(MIXED_GRID))), name
         assert profile.collateral is None
@@ -558,7 +559,7 @@ class TestStreamedBlocks:
         n_paths = 300 * 64
         profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=71,
                                    n_workers=workers)
-        assert profile.n_paths == n_paths and not live
+        assert not live
         assert peak[0] <= 2 * workers + 2, peak[0]
 
 
@@ -945,6 +946,36 @@ def proxy_case_exact(case):
     return exact_epe(*PROXY_CASES[case])
 
 
+def erf_cdf(z):
+    """A planted defect: ``Phi`` as ``(1 + erf(z / sqrt 2)) / 2``, whose sum cancels to 0
+    below z of about -8.3, a relative error of 1."""
+    return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(z) / math.sqrt(2.0)))
+
+
+class TestNormalCdf:
+    """``normal_cdf``, the one ``Phi`` of the delta-normal control and the verifier's Black
+    formula, against ``mpmath.ncdf`` from the centre into the far lower tail."""
+
+    POINTS = (-37.0, -20.0, -8.5, -1.0, 0.0, 1.0, 8.5)
+
+    @classmethod
+    def assert_matches_mpmath(cls, cdf):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        reference = np.array([float(mp.ncdf(z)) for z in cls.POINTS])
+        scalars = [cdf(z) for z in cls.POINTS]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        np.testing.assert_allclose(scalars, reference, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cdf(np.array(cls.POINTS)), reference, rtol=1e-12, atol=0)
+
+    def test_matches_mpmath_for_floats_and_arrays(self):
+        self.assert_matches_mpmath(normal_cdf)
+
+    def test_a_planted_erf_form_fails_it(self):
+        with pytest.raises(AssertionError):
+            self.assert_matches_mpmath(erf_cdf)
+
+
 class TestDeltaNormalControl:
     """The kernel's tangent at the factor's mean, ``a + b x``, as a control with the
     closed-form mean of its positive part."""
@@ -1085,7 +1116,7 @@ class TestReduceDegreesOfFreedom:
         ``epe`` adds the linear book's mean to the controlled mean."""
         pos, v = np.array([0.75, 0.25, 2.0]), np.array([0.5, -1.0, 2.0])
         plan = _netted_plan((), model, FLAT, [0.0])
-        profile = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1), plan, 6,
+        profile = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1), plan,
                          np.array([0.125]))
         cp, cv = pos - pos.mean(), v - v.mean()
         beta = (cp @ cv) / (cv @ cv)
@@ -1202,13 +1233,13 @@ class TestPairReduction:
             self.assert_pair_means(monkeypatch, self.with_linear("mixed"))
 
 
-def without_beta(blocks, grid, plan, n_paths, linear_mean):
+def without_beta(blocks, grid, plan, linear_mean):
     """A planted defect: ``_reduce`` with the forward control's ``beta`` dropped from the
     estimate but not from its standard error, so ``epe`` is the mean of ``v+ - l+`` plus the
     linear book's mean, reported with the residual's error.  (Zeroing ``C(pos, v)`` drops it
     from both: a weaker estimator but an honest one, which calibration passes.)"""
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
-    profile = _reduce([(n_units, mean, co)], grid, plan, n_paths, linear_mean)
+    profile = _reduce([(n_units, mean, co)], grid, plan, linear_mean)
     profile.epe = mean[0] + linear_mean
     return profile
 

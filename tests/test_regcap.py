@@ -113,7 +113,7 @@ def _flat_profile(grid, epe, mean=None):
     e = np.full_like(g, float(epe))
     m = e if mean is None else np.full_like(g, float(mean))
     return ExposureProfile(grid=g, epe=e, forward=m, mean_value_undiscounted=m,
-                           se_epe=np.zeros_like(g), n_paths=0)
+                           se_epe=np.zeros_like(g))
 
 
 Components = namedtuple("Components", "k_mr k_ccr k_ccr_hedged k_cva")
@@ -288,8 +288,7 @@ class TestCapitalBase:
     def profile(self):
         mean = np.random.default_rng(3).normal(0.0, 4.0, len(self.grid))
         return ExposureProfile(grid=self.grid, epe=np.maximum(mean, 0.0), forward=mean,
-                               mean_value_undiscounted=mean, se_epe=np.zeros_like(mean),
-                               n_paths=0)
+                               mean_value_undiscounted=mean, se_epe=np.zeros_like(mean))
 
     def test_matches_the_per_point_loop(self):
         prof = self.profile()

@@ -34,7 +34,7 @@ def flat_profile(grid, epe=0.0, ene=0.0, collateral=None):
     e = np.full_like(g, float(epe))
     forward = e + float(ene)
     return ExposureProfile(grid=g, epe=e, forward=forward, mean_value_undiscounted=forward,
-                           se_epe=np.zeros_like(g), n_paths=0, collateral=collateral)
+                           se_epe=np.zeros_like(g), collateral=collateral)
 
 
 def flat_base(grid, mr=0.0):
