@@ -31,25 +31,16 @@ scales each row once: its value at a path is the discounted value, and no
 path carries a discount factor.
 
 ``f_k`` is an entire function of one scalar, so a chunk of grid rows is
-revalued through Chebyshev proxies rather than one exponential per (path,
-date).  The sampling unit is an antithetic pair (Glasserman, *Monte Carlo
-Methods in Financial Engineering*, 2004, section 4.2): a block draws half
-its paths, and each drawn factor ``x`` is paired with its exact negation
-``-x``, which is never drawn.  Each row is fitted on ``[-h_k, h_k]``,
-``h_k = max|x|``, which holds both paths of every pair, so no path is
-extrapolated: the exact kernel is evaluated at ``n`` Chebyshev nodes of
-every row of the chunk in one call, a DCT-II turns those values into
-coefficients, and these become power coefficients whose even and odd parts
-are evaluated by Horner in ``s^2``, ``s = x / h_k``.  A pair's values are
-``E ± O`` with ``O = s G``, bit for bit what sampling ``-x`` would give.
-``n`` is not a setting: with
-``r = h_k max B_k``, the coefficients of ``exp(-B h s)`` are Bessel values
-``I_m(B h)``, and ``n`` is the smallest count for which the tail bound
-``2 (r/2)^n e^{r^2/4(n+1)} / (n! (1 - r/2(n+1)))`` is at most 2^-53 of each
-term's value at the centre (``_chebyshev_terms``).  About 15 terms serve
-where the exact kernel spends up to 120 exponentials per path.  Rows where
-every path agrees (``t = 0``, or ``sigma = 0``) and rows with no live date
-have nothing to fit and take the exact value.
+revalued through its Taylor series at 0 (``_taylor_revalue``) rather than
+one exponential per (path, date).  The sampling unit is an antithetic pair
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, section
+4.2): a block draws half its paths, and each drawn factor ``x`` is paired
+with its exact negation ``-x``, which is never drawn.  The series' even and
+odd parts are evaluated by Horner in ``s^2``, ``s = x / max|x|``, so a
+pair's values are ``E ± O``, bit for bit what sampling ``-x`` would give.
+Its coefficients are closed forms and its term count is not a setting: at
+most 22 on a 30y book in the built-in market, where the exact kernel
+spends up to 120 exponentials per path.
 
 Exposure profiles estimate one quantity per grid row, the mean of the
 positive part of the t-forward kernel's value ``v``, with two control
@@ -71,7 +62,7 @@ draws its own normals from the factor's law at its time, so nothing carries
 from one chunk to the next; the chunk is revalued and reduced to per-row
 moments while it is in a core's cache, so a block never holds a
 ``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
-the Chebyshev term count is chosen per chunk.  Blocks are merged in index
+the Taylor term count is chosen per chunk.  Blocks are merged in index
 order as they finish, so a profile is byte-identical for a given seed no
 matter how many workers ran.
 """
@@ -90,8 +81,12 @@ from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_bloc
 POINTS_PER_YEAR = 4  # of the exposure grid; every swap frequency divides it
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
-_MAX_PROXY_ROUNDING = 1e-12  # relative; a chunk whose proxy may lose more is valued exactly
 _REACH, _MAX_SPREAD = 3.0, 0.5  # s.d. of a row's linear book, and of its largest B x_t
+
+
+def is_live(date, t):
+    """Whether a flow on ``date`` is still to come at ``t``; one paid at ``t`` is not."""
+    return date > t + 1e-12
 
 
 def on_schedule(maturity: float, frequency: int) -> bool:
@@ -143,12 +138,11 @@ class _NettedPlan:
     """A book netted per grid row: ``f_k(x) = const[k] + wa[k] @ exp(neg_b[k] x)``.
 
     ``const`` is ``(rows,)``, and ``neg_b`` and ``wa`` are ``(rows, dates)``
-    over the union of the swaps' payment dates.  A date is live after
-    ``t + 1e-12`` (paid at ``t`` it is not); a dead date has zero weight and
-    zero ``neg_b``.  ``b_max`` is each row's largest live ``B``, 0 with none
-    live.  ``forward`` is the discounted mean ``E[D_t f_k(x_t)]``, today's
-    value of the remaining flows, and ``expected`` the undiscounted mean
-    ``E[f_k(x_t)]``.  Indexing selects rows.
+    over the union of the swaps' payment dates.  A date that is not
+    ``is_live`` has zero weight and zero ``neg_b``.  ``b_max`` is each row's
+    largest live ``B``, 0 with none live.  ``forward`` is the discounted mean
+    ``E[D_t f_k(x_t)]``, today's value of the remaining flows, and
+    ``expected`` the undiscounted mean ``E[f_k(x_t)]``.  Indexing selects rows.
     """
 
     const: np.ndarray
@@ -181,7 +175,7 @@ def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _Ne
         last[idx[-1:]] += s.sign * s.notional
     g = np.asarray(grid, dtype=float)
     log_a, b = model.affine(curve, g[:, None], dates[None, :])
-    live = dates > g[:, None] + 1e-12
+    live = is_live(dates, g[:, None])
     const = np.where(live, last, 0.0).sum(axis=1)
     neg_b = np.where(live, -b, 0.0)
     wa = np.where(live, weights * np.exp(log_a), 0.0)
@@ -218,135 +212,62 @@ def portfolio_value(
     return _revalue(np.atleast_1d(np.asarray(x, dtype=float))[None], plan)[0]
 
 
-def _chebyshev_terms(r: float) -> int:
-    """Chebyshev terms that fit ``exp(-B x)`` to rounding where ``B h <= r``.
+def _taylor_terms(r: float) -> int:
+    """Taylor terms that hold ``exp(-B x)`` to 2^-53 of its value at 0 where ``B |x| <= r``.
 
-    On ``x = h s``, ``s`` in [-1, 1], a term is
-    ``exp(-B h s) = I_0(B h) + 2 sum_{m>=1} (-1)^m I_m(B h) T_m(s)``.  From the
-    series of ``I_m`` and ``(m + k)! >= m! (m + 1)^k``,
-
-        I_m(r) <= (r/2)^m / m! * e^{r^2 / 4(m+1)},
-
-    and with ``m! >= n! (n + 1)^(m-n)`` for ``m >= n`` and ``q = r / 2(n+1) < 1``,
-
-        sum_{m>=n} I_m(r) <= (r/2)^n / n! * e^{r^2 / 4(n+1)} / (1 - q),
-
-    so dropping the terms from degree ``n`` on costs at most twice that
-    times the term at ``x = 0``; the bound grows with
-    ``r``, so ``r = h max B`` covers every date at once.  The smallest ``n``
-    with that bound <= 2^-53 is returned; interpolating at ``n`` nodes
-    instead of truncating at most doubles the error (aliasing moves each
-    dropped coefficient onto one kept one).
+    The tail from degree ``n`` is ``sum_{m>=n} r^m / m! <= r^n / (n! (1 - q))``, ``q = r /
+    (n + 1) < 1``, since ``m! >= n! (n + 1)^(m-n)``; it grows with ``r``, so ``r = h max B``
+    covers every date at once.  The smallest ``n`` whose bound is at most 2^-53 is returned.
     """
     if not math.isfinite(r):
-        raise ValueError(f"Chebyshev radius must be finite, got {r}")
-    n = 1
-    if r > 0:  # in logs, since the factors overflow long before their product is small
-        log_eps, log_half_r = -53 * math.log(2.0), math.log(r / 2.0)
-        while True:
-            q = r / (2.0 * (n + 1))
-            if q < 1 and (math.log(2.0) + n * log_half_r - math.lgamma(n + 1)
-                          + r * r / (4.0 * (n + 1)) - math.log1p(-q)) <= log_eps:
-                break
-            n += 1
+        raise ValueError(f"Taylor radius must be finite, got {r}")
+    # In logs, since the factors overflow long before their product is small.
+    n, log_eps = 1, -53 * math.log(2.0)
+    while r > 0 and not (r < n + 1 and n * math.log(r) - math.lgamma(n + 1)
+                         - math.log1p(-r / (n + 1)) <= log_eps):
+        n += 1
     return n
 
 
-@functools.lru_cache(maxsize=64)
-def _chebyshev_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev nodes ``cos(theta_i)`` and the DCT-II matrix ``(2/n) cos(m theta_i)``.
-
-    ``theta_i = pi (i + 1/2) / n``, so ``m theta_i = k pi / 2n`` with
-    ``k = m (2i + 1)``.  Folding ``k`` in integers to an angle in [0, pi/2]
-    keeps each cosine within an ulp or so; ``cos`` of the rounded product
-    ``m * theta_i`` errs by up to ``m`` ulps, which put several ulps of the
-    book into every fitted value.
-    """
-    k = np.outer(2 * np.arange(n) + 1, np.arange(n + 1)) % (4 * n)  # m = 1 gives the nodes
-    k = np.minimum(k, 4 * n - k)  # cos is even and 2 pi periodic
-    sign = np.where(k > n, -1.0, 1.0)  # cos(pi - a) = -cos(a)
-    cosines = sign * np.cos(np.pi / (2 * n) * np.where(k > n, 2 * n - k, k))
-    nodes, dct = cosines[:, 1].copy(), (2.0 / n) * cosines[:, :n]
-    nodes.flags.writeable = dct.flags.writeable = False  # cached: shared by every caller
-    return nodes, dct
+def _taylor_coefficients(plan: _NettedPlan, half: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` Taylor coefficients at 0 of each row's kernel in ``s = x / h_k``,
+    ``(rows, n)``: ``f_k(0)``, taken as ``_revalue`` takes it, then ``sum_j wa_kj
+    (-B_kj h_k)^m / m!``, with ``h_k`` the row's ``half``."""
+    powers = np.multiply.outer(plan.neg_b * half[:, None], 1.0 / np.arange(1, n))
+    np.cumprod(powers, axis=-1, out=powers)  # (-B h)^m / m!, (rows, dates, n - 1)
+    return np.hstack([_revalue(np.zeros((len(half), 1)), plan),
+                      (plan.wa[:, None, :] @ powers)[:, 0]])
 
 
-@functools.lru_cache(maxsize=64)
-def _power_basis(n: int) -> np.ndarray:
-    """``P`` with ``a @ P`` the power coefficients in ``s`` of ``a_0 / 2 + sum a_m T_m(s)``.
-
-    Row ``m`` holds ``T_m``'s integer coefficients from ``T_{m+1} = 2 s T_m -
-    T_{m-1}``, row 0 halved.  They grow like ``2^m``, so ``P`` multiplies the
-    fast-decaying coefficients, never node values.
-    """
-    basis = np.eye(n)  # T_0 = 1, T_1 = s
-    for m in range(2, n):
-        basis[m, 1:] = 2.0 * basis[m - 1, :-1]
-        basis[m] -= basis[m - 2]
-    basis[0, 0] = 0.5
-    basis.flags.writeable = False  # cached: shared by every caller
-    return basis
-
-
-def _chebyshev_fit(x: np.ndarray, plan: _NettedPlan):
-    """``(half, coef)``: each row's range ``[-h_k, h_k]``, ``h_k = max|x[k]|``, which
-    holds the paths and their twins at ``-x``, and its Chebyshev coefficients.
-
-    The exact kernel is evaluated at the nodes of every row's range in one
-    call and one cosine matrix (a DCT-II) turns the values into coefficients
-    ``(rows, n)``, ``n`` the rows' largest term count.  Rows where
-    every path agrees (``h_k = 0``) or no date is live have nothing to fit:
-    their exact value at 0 is the constant coefficient.  ``coef`` is None
-    when a radius ``h_k B_k`` passes ``log`` of the largest float or is not
-    finite.
-    """
-    half = np.maximum(x.max(axis=1), -x.min(axis=1))
-    fit = (half > 0) & (plan.b_max > 0)
-    radius = np.max(half * plan.b_max, where=fit, initial=0.0)
-    if not radius <= _LOG_MAX:  # an infinite or NaN radius too
-        return half, None
-    nodes, cosines = _chebyshev_basis(_chebyshev_terms(radius))
-    coef = _revalue(half[:, None] * nodes, plan) @ cosines
-    coef[~fit] = 0.0
-    coef[~fit, 0] = 2.0 * _revalue(np.zeros((np.count_nonzero(~fit), 1)), plan[~fit])[:, 0]
-    return half, coef
-
-
-def _chebyshev_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> None:
+def _taylor_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> None:
     """The netted book at the antithetic pairs of grid-major rows ``x``: into ``out``
     ``(2, rows, pairs)``, the odd and even parts ``(O, E)`` of each pair, whose paths
     at ``x`` and ``-x`` take ``E + O`` and ``E - O``.
 
-    Each row is fitted on its own range (``_chebyshev_fit``), so no path is
-    extrapolated.  The coefficients become power coefficients in
-    ``s = x / h_k``, and the even and odd parts ``E`` and ``G`` of the
-    polynomial are evaluated together by Horner in ``s^2``; ``O = s G``.
-    A streamed block passes one chunk of ``CHUNK_ROWS`` rows at a time.
-    Where the kernel overflows, ``out`` is NaN.
+    Each row is its Taylor series at 0 in ``s = x / h_k``, ``h_k = max|x[k]|``, cut at
+    ``_taylor_terms`` of the chunk's radius ``r = max h_k B_k``; ``E`` and ``G`` are its
+    even and odd parts, by Horner in ``s^2``, and ``O = s G``.  A row with ``h_k = 0`` or
+    no live date is its constant term, the exact value at 0.  Where ``r`` passes
+    ``_LOG_MAX`` the kernel overflows too, and ``out`` is NaN.
 
-    Horner in ``s`` can lose ``2^-53 sum|power_m|`` against a row of size
-    ``sum|coef_m|``; the power coefficients grow like ``2^m``, so at large
-    radii (``sigma`` of 0.2 and up on a 30y book) this passes
-    ``_MAX_PROXY_ROUNDING`` and the chunk is valued by the exact kernel:
-    ``(f(x) - f(-x)) / 2`` and ``(f(x) + f(-x)) / 2``.
+    No path needs the exact kernel.  The coefficients ``q_m`` in ``s`` have ``sum_m |q_m|
+    |s|^m <= |c| + sum_j |wa_j| e^{B_j |x|}``, the scale at which ``_revalue`` rounds at
+    the pair's lower path ``-|x|``.  So
+    Horner's error, with the coefficients' and ``s^2``'s rounding, is a few ``n 2^-53``
+    of that scale (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    section 5.1), below 1e-12 for every ``n`` before overflow (1962 at ``_LOG_MAX``).
+    In ``x`` itself the coefficients ``B^m / m!`` that carry the terms near ``m = r``
+    would underflow once ``|x|`` is in the hundreds.
     """
-    half, coef = _chebyshev_fit(x, plan)
-    if coef is None:
+    half = np.maximum(x.max(axis=1), -x.min(axis=1))
+    radius = np.max(half * plan.b_max, initial=0.0)
+    if not radius <= _LOG_MAX:  # an infinite or NaN radius too
         out[...] = np.nan
         return
+    coef = _taylor_coefficients(plan, half, _taylor_terms(radius))
     n = coef.shape[-1]
-    power = coef @ _power_basis(n)
-    if np.any(np.abs(power).sum(axis=-1) * 2.0**-53
-              > _MAX_PROXY_ROUNDING * np.abs(coef).sum(axis=-1)):
-        points = np.hstack([x, -x])
-        for k in range(len(x)):  # a row at a time bounds the kernel's (dates, paths) temporary
-            at_x, at_twin = _revalue(points[k:k + 1], plan[k:k + 1]).reshape(2, -1)
-            np.subtract(at_x, at_twin, out=out[0, k])
-            np.add(at_x, at_twin, out=out[1, k])
-        out *= 0.5
-        return
     parts = np.zeros((2, len(coef), (n + 1) // 2))  # G's and E's coefficients in s^2
-    parts[0, :, :n // 2], parts[1] = power[:, 1::2], power[:, ::2]
+    parts[0, :, :n // 2], parts[1] = coef[:, 1::2], coef[:, ::2]
     h = half[:, None]
     w = np.divide(x, h, out=np.zeros_like(x), where=h > 0)  # s; 0 where h = 0, as x is
     w *= w
@@ -514,7 +435,7 @@ def exposure_profile(
         for k0 in range(0, len(g), CHUNK_ROWS):
             rows = min(CHUNK_ROWS, len(g) - k0)
             _simulate_block(sd, rng, k0, x)
-            _chebyshev_revalue(x[:rows], kernel[k0:k0 + rows], parts[:2, :rows])
+            _taylor_revalue(x[:rows], kernel[k0:k0 + rows], parts[:2, :rows])
             np.multiply(b[k0:k0 + rows, None], x[:rows], out=parts[2, :rows])
             _pair_positive(parts[2, :rows], a[k0:k0 + rows, None])
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])

@@ -106,6 +106,8 @@ def _validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
+    if not np.isfinite(g).all():
+        raise ValueError("grid must be finite")
     if g[0] != 0.0:
         raise ValueError("grid must start at 0")
     if np.any(np.diff(g) <= 0):

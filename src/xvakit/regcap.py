@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DiscountCurve
-from .exposure import ExposureProfile, SwapSpec
+from .exposure import ExposureProfile, SwapSpec, is_live
 
 CVA_VAR_QUANTILE = 2.33
 
@@ -116,7 +116,7 @@ def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t):
     """
     times = spec.payment_times()
     t_col = np.asarray(t, dtype=float)[..., None]
-    dfs = np.where(times > t_col + 1e-12, curve.df(times), 0.0)
+    dfs = np.where(is_live(times, t_col), curve.df(times), 0.0)
     total = dfs.sum(axis=-1)
     out = np.divide(((times - t_col) * dfs).sum(axis=-1), total,
                     out=np.zeros_like(total), where=total > 0)
@@ -156,7 +156,7 @@ def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
     total_notional = np.zeros_like(grid)
     for spec in swaps:
         residual = spec.maturity - grid
-        live = residual > 1e-12
+        live = is_live(spec.maturity, grid)
         addons += np.where(live, spec.notional * _addon_factor(residual), 0.0)
         weighted_duration += np.where(live, spec.notional * remaining_duration(curve, spec, grid),
                                       0.0)
@@ -169,7 +169,7 @@ def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
     nets = np.zeros((len(grid), len(MR_BAND_WEIGHTS)))
     for spec in mr_swaps:
         residual = spec.maturity - grid
-        live = np.flatnonzero(residual > 1e-12)
+        live = np.flatnonzero(is_live(spec.maturity, grid))
         nets[live, _mr_band(residual[live])] += spec.sign * spec.notional
     return CapitalBase(grid=grid, ead=ead, duration=duration, k_mr=np.abs(nets) @ _MR_WEIGHTS)
 

@@ -584,7 +584,7 @@ class TestCli:
         assert capsys.readouterr() == ("", "paths: must be >= 6\n")
 
     def test_run_refuses_an_overflowing_exposure(self, tmp_path, capsys):
-        # The 30y long book at 500% volatility: its exposure overflows to NaN.
+        # The 30y long book at 300% and 500% volatility: its exposure overflows.
         raw = small_config(swaps=[
             {"notional": 100.0, "fixedRate": 0.022, "maturity": 5.0, "frequency": 4},
             {"notional": 100.0, "fixedRate": 0.019, "maturity": 10.0, "payer": False},
@@ -592,19 +592,20 @@ class TestCli:
             {"notional": 100.0, "fixedRate": 0.018, "maturity": 30.0, "frequency": 4,
              "payer": False},
         ])
-        raw["market"]["model"]["sigma"] = 5.0
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(raw))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["run", str(path), "--format", "csv"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and caught == []
-        assert err.startswith("market.model.sigma: 5.0 ") and len(err.splitlines()) == 1
+        for sigma in (3.0, 5.0):
+            raw["market"]["model"]["sigma"] = sigma
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(raw))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["run", str(path), "--format", "csv"]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and caught == []
+            assert err.startswith(f"market.model.sigma: {sigma} ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("sigma", [1e160, 1e200])
     def test_run_refuses_a_sigma_whose_square_overflows(self, tmp_path, capsys, sigma):
-        # The simulated factor itself is infinite, and so is the fit's radius.
+        # The simulated factor itself is infinite, and so is the series' radius.
         path = self.write_config(tmp_path, paths=200)
         raw = json.loads(path.read_text())
         raw["market"]["model"]["sigma"] = sigma

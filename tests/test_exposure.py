@@ -6,11 +6,12 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import ive, ndtr
+from scipy.special import factorial, gammainc, ndtr
 
 from pathsim import block_rng, forward_mean, shared_normal, simulate_paths
 from xvakit import (
@@ -29,17 +30,17 @@ from xvakit.exposure import (
     CHUNK_ROWS,
     _bachelier,
     _block_stats,
-    _chebyshev_basis,
-    _chebyshev_fit,
-    _chebyshev_revalue,
-    _chebyshev_terms,
     _forward_kernel,
     _merge_moments,
     _moments,
     _netted_plan,
+    _NettedPlan,
     _pair_positive,
     _reduce,
     _revalue,
+    _taylor_coefficients,
+    _taylor_revalue,
+    _taylor_terms,
     normal_cdf,
 )
 from xvakit.ratemodel import BLOCK_SIZE, _block_sizes, _simulate_block
@@ -93,7 +94,7 @@ SLOPED = DiscountCurve((1.0, 5.0, 10.0), (0.01, 0.02, 0.03))
 
 # The benchmark's 30y book, and a stressed one: 3% absolute volatility with
 # slow mean reversion moves rates by tens of percent, and a 50y swap carries
-# B up to 39, so each block's Chebyshev radius reaches 13 and 40-odd terms.
+# B up to 39, so each block's Taylor radius reaches 13 and 60-odd terms.
 LONG_BOOK = (
     SwapSpec(notional=100.0, fixed_rate=0.022, maturity=5.0, frequency=4, payer=True),
     SwapSpec(notional=100.0, fixed_rate=0.019, maturity=10.0, frequency=2, payer=False),
@@ -122,11 +123,11 @@ def reference_block(model, grid, n_block, seed, block_index):
 
 
 def revalue_in_chunks(x, plan, out):
-    """``_chebyshev_revalue`` of a block's drawn half ``x`` into ``out`` ``(2, rows, pairs)``,
+    """``_taylor_revalue`` of a block's drawn half ``x`` into ``out`` ``(2, rows, pairs)``,
     one ``CHUNK_ROWS`` chunk at a time."""
     for k0 in range(0, len(plan.const), CHUNK_ROWS):
         rows = slice(k0, k0 + CHUNK_ROWS)
-        _chebyshev_revalue(x[rows], plan[rows], out[:, rows])
+        _taylor_revalue(x[rows], plan[rows], out[:, rows])
 
 
 def pair_values(parts):
@@ -141,25 +142,6 @@ def twins_as_units(parts):
     independent units, each less the linear book's pair mean ``L``."""
     values, linear = pair_values(parts[:2]), np.hstack([parts[2], parts[2]])
     return _moments(np.stack([np.maximum(values, 0.0) - linear, values]))
-
-
-def reference_fit(x, plan):
-    """Per-row loop of ``_chebyshev_fit``: each row's nodes valued over its live dates alone."""
-    half = np.maximum(x.max(axis=1), -x.min(axis=1))
-    fit = (half > 0) & (plan.b_max > 0)
-    n = _chebyshev_terms(np.max(half * plan.b_max, where=fit, initial=0.0))
-    nodes, cosines = _chebyshev_basis(n)
-    coef = np.zeros((len(plan.const), n))
-    for k in range(len(plan.const)):
-        live = plan.neg_b[k] < 0
-        const, neg_b, wa = plan.const[k], plan.neg_b[k][live], plan.wa[k][live]
-        points = half[k] * nodes if fit[k] else np.zeros(1)
-        values = const + wa @ np.exp(np.multiply.outer(neg_b, points))
-        if fit[k]:
-            coef[k] = values @ cosines
-        else:
-            coef[k, 0] = 2.0 * values[0]
-    return half, coef
 
 
 def linear_book(kernel, model, grid):
@@ -738,8 +720,7 @@ class TestNettedKernel:
         revalue_in_chunks(x, plan, proxy)
         return x, plan, proxy
 
-    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
-    def test_twins_written_from_the_drawn_half_are_its_negation(self, case):
+    def assert_twins_are_the_exact_kernel(self, case):
         """A pair's values ``E ± O`` are the exact kernel at the drawn path ``x`` and at its
         twin ``-x``, to the proxy's tolerance."""
         x, plan, proxy = self.proxy_block(*PROXY_CASES[case])
@@ -758,56 +739,62 @@ class TestNettedKernel:
             assert error <= 8 * 2.0**-52 * scale, (k, error / scale / 2.0**-52)
 
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
-    def test_exact_fallback_writes_the_proxys_parts(self, monkeypatch, case):
-        """Forced on every chunk, the exact kernel's ``(f(x) - f(-x)) / 2`` and
-        ``(f(x) + f(-x)) / 2`` are the proxy's ``(O, E)``, slot for slot, to the proxy's
-        tolerance: each part is half a sum of two values within it."""
-        x, plan, proxy = self.proxy_block(*PROXY_CASES[case])
-        exact, widths = exposure._revalue, []
-
-        def spied(points, point):
-            widths.append(points.shape[1])
-            return exact(points, point)
-
-        monkeypatch.setattr(exposure, "_revalue", spied)
-        monkeypatch.setattr(exposure, "_MAX_PROXY_ROUNDING", -1.0)  # every fit loses too much
-        fallback = np.empty_like(proxy)
-        revalue_in_chunks(x, plan, fallback)
-        # Each row's pairs at once, every row but the last: its one-row chunk has no
-        # live date, so a zero polynomial with nothing to lose.
-        assert widths.count(2 * x.shape[1]) == len(plan.const) - 1
-        pairs = np.hstack([x, -x])
-        for k in range(len(plan.const)):
-            point = plan[k:k + 1]
-            const, neg_b, wa = point.const[0], point.neg_b[0], point.wa[0]
-            scale = np.abs(const) + np.abs(wa) @ np.exp(neg_b * pairs[k].min())
-            scale *= 1.0 + np.abs(neg_b).max(initial=0.0) * np.abs(x[k]).max()
-            error = np.abs(fallback[:, k] - proxy[:, k]).max()
-            assert error <= 8 * 2.0**-52 * scale, (k, error / scale / 2.0**-52)
+    def test_twins_written_from_the_drawn_half_are_its_negation(self, case):
+        self.assert_twins_are_the_exact_kernel(case)
 
     @pytest.mark.parametrize("case", sorted(PROXY_CASES))
-    def test_batched_fit_matches_the_per_row_loop(self, case):
-        book, model, grid = PROXY_CASES[case]
-        x = reference_block(model, grid, BLOCK_SIZE, 47, 0)[:, :BLOCK_SIZE // 2]
-        plan = _netted_plan(book, model, FLAT, grid)
-        gross = sum(s.notional for s in book)
-        for k0 in range(0, len(grid), CHUNK_ROWS):
-            rows = slice(k0, k0 + CHUNK_ROWS)
-            half, coef = _chebyshev_fit(x[rows], plan[rows])
-            ref_half, ref_coef = reference_fit(x[rows], plan[rows])
-            assert np.array_equal(half, ref_half)
-            assert coef.shape == ref_coef.shape
-            # Only the summation order of the node values differs, so the
-            # coefficients agree to a few ulps of the row's largest term,
-            # which sits at the low end of its range.  In the long book that
-            # is within 1.5x the gross notional.
-            point = plan[rows]
-            terms = np.sum(np.abs(point.wa) * np.exp(-point.neg_b * half[:, None]), axis=1)
-            scale = np.maximum(np.abs(point.const) + terms, gross)
-            error = np.abs(coef - ref_coef).max(axis=1)
-            assert np.all(error <= 4 * 2.0**-52 * scale), (k0, (error / scale).max() / 2.0**-52)
-            if case == "long-book":
-                assert error.max() <= 2 * 2.0**-52 * gross, (k0, error.max() / gross / 2.0**-52)
+    @pytest.mark.parametrize("defect", ["/ m dropped", "E and G swapped"])
+    def test_twins_check_fails_on_a_planted_defect(self, monkeypatch, defect, case):
+        """``p_m`` without its ``1 / m!``, or each even coefficient traded with the odd one
+        after it, so ``E`` is evaluated from ``G``'s coefficients and ``G`` from ``E``'s."""
+        coefficients = exposure._taylor_coefficients
+
+        def defective(plan, half, n):
+            coef = coefficients(plan, half, n)
+            if defect == "/ m dropped":
+                return coef * factorial(np.arange(n))
+            swapped = np.zeros((len(coef), n + n % 2))
+            swapped[:, :n] = coef
+            return swapped.reshape(len(coef), -1, 2)[..., ::-1].reshape(len(coef), -1)
+
+        monkeypatch.setattr(exposure, "_taylor_coefficients", defective)
+        with pytest.raises(AssertionError):
+            self.assert_twins_are_the_exact_kernel(case)
+
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_coefficients_are_the_closed_form_per_row(self, case):
+        """Each row's coefficients against ``sum_j wa_j (-B_j h)^m / m!`` over its live dates
+        alone, each power and factorial formed whole, to the rounding of ``m`` products and
+        a sum of ``sum_j |wa_j| (B_j h)^m / m!``; the constant is the exact kernel at 0, bit
+        for bit."""
+        x, plan, _ = self.proxy_block(*PROXY_CASES[case])
+        half = np.abs(x).max(axis=1)
+        m = np.arange(1, 80)
+        coef = _taylor_coefficients(plan, half, len(m) + 1)
+        assert np.array_equal(coef[:, 0], _revalue(np.zeros((len(half), 1)), plan)[:, 0])
+        for k in range(len(half)):
+            live = plan.neg_b[k] < 0
+            powers = (plan.neg_b[k][live, None] * half[k]) ** m / factorial(m)
+            scale = np.abs(plan.wa[k][live]) @ np.abs(powers)
+            error = np.abs(coef[k, 1:] - plan.wa[k][live] @ powers)
+            assert np.all(error <= (m + 8) * 2.0**-52 * scale), k
+        assert not coef[0, 1:].any() and not coef[-1, 1:].any()  # h = 0; no live date
+
+    def test_hundreds_of_factor_units_keep_their_digits(self):
+        """A factor in the hundreds against a ``B`` of a quarter, ``r`` = 140: the terms
+        near ``m = r`` are carried by ``B^m / m!``, which underflows there, so a series in
+        ``x`` itself loses them all.  In ``s = x / h`` each pair is the exact kernel's to
+        its own rounding, ``(1 + B |x|)`` ulps of the larger term."""
+        plan = _NettedPlan(const=np.array([100.0]), neg_b=np.array([[-0.25]]),
+                           wa=np.array([[-100.0]]), b_max=np.array([0.25]),
+                           forward=np.zeros(1), expected=np.zeros(1))
+        x = np.linspace(0.0, 560.0, 1001)[None]
+        out = np.empty((2, *x.shape))
+        _taylor_revalue(x, plan, out)
+        pairs = np.hstack([x, -x])
+        scale = 100.0 + 100.0 * np.exp(0.25 * np.abs(pairs))
+        error = np.abs(pair_values(out) - _revalue(pairs, plan)) / scale
+        assert error.max() <= 2 * (1.0 + 0.25 * 560.0) * 2.0**-52, error.max() / 2.0**-52
 
     def test_start_of_the_long_book_has_zero_standard_error(self, model):
         book, _, grid = PROXY_CASES["long-book"]
@@ -816,40 +803,35 @@ class TestNettedKernel:
         assert profile.se_epe[0] == 0.0
 
     @pytest.mark.parametrize("sigma", [0.011, 0.3, 0.5, 1.0])
-    def test_high_sigma_falls_back_to_the_exact_kernel(self, monkeypatch, sigma):
-        """Hundreds of terms lose the proxy's digits in its power coefficients; such a
-        chunk is valued by ``_revalue`` at every path, so the profile matches an all-exact
-        run.  At the benchmark's sigma no chunk falls back."""
+    def test_high_sigma_matches_the_exact_kernel(self, monkeypatch, sigma):
+        """Up to 157 terms at sigma 0.3 and more above, and no path valued another way: the
+        profile matches a run whose every pair is valued by ``_revalue``."""
         book, grid, n_paths = LONG_BOOK, make_exposure_grid(30.0), 2048
         model = ShortRateModel(0.05, sigma)
-        exact, widths = exposure._revalue, []
-
-        def spied(x, plan):
-            widths.append(x.shape[1])
-            return exact(x, plan)
 
         def all_exact(x, plan, out):
-            at_x, at_twin = np.split(exact(np.hstack([x, -x]), plan), 2, axis=1)
+            at_x, at_twin = np.split(_revalue(np.hstack([x, -x]), plan), 2, axis=1)
             out[0], out[1] = (at_x - at_twin) / 2, (at_x + at_twin) / 2
 
-        monkeypatch.setattr(exposure, "_revalue", spied)
         profile = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
-        monkeypatch.setattr(exposure, "_chebyshev_revalue", all_exact)
+        monkeypatch.setattr(exposure, "_taylor_revalue", all_exact)
         reference = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
         for name in ("epe", "se_epe"):
             ref = getattr(reference, name)
             np.testing.assert_allclose(getattr(profile, name), ref, rtol=1e-9,
                                        atol=1e-9 * np.max(np.abs(ref)), err_msg=name)
-        assert (n_paths in widths) == (sigma > 0.1)  # a block's pairs are n_paths wide
 
-    def test_overflowing_range_is_not_fitted(self, model):
+    def test_overflowing_range_is_not_expanded(self, monkeypatch, model):
         # B h past log(largest float): the exact kernel overflows there too, so
-        # no fit (of some 1300 terms here) is attempted and the values are NaN.
+        # no series (of some 2500 terms here) is formed and the values are NaN.
+        def forbidden(r):
+            raise AssertionError(f"a series at radius {r}")
+
+        monkeypatch.setattr(exposure, "_taylor_terms", forbidden)
         plan = _netted_plan(LONG_BOOK, model, FLAT, [0.0, 1.0])
         x = np.array([[0.0, 0.0], [-60.0, 60.0]])
-        assert _chebyshev_fit(x, plan)[1] is None
         out = np.zeros((2, *x.shape))
-        _chebyshev_revalue(x, plan, out)
+        _taylor_revalue(x, plan, out)
         assert np.isnan(out).all()
 
     def test_rows_with_nothing_to_fit_are_exact(self, model):
@@ -865,45 +847,73 @@ class TestNettedKernel:
         for k in range(len(plan.const)):
             assert np.all(proxy[1, k] == _revalue(np.zeros((1, 1)), plan[k:k + 1])[0])
 
-    def test_term_count_is_the_smallest_meeting_the_bessel_bound(self):
-        def bound(r, n):
-            q = r / (2.0 * (n + 1))
-            if q >= 1:
-                return math.inf
-            return (2.0 * (r / 2.0) ** n * math.exp(r * r / (4.0 * (n + 1)))
-                    / (math.factorial(n) * (1.0 - q)))
+    def test_term_count_is_the_smallest_meeting_the_tail_bound(self):
+        """``r^n / (n! (1 - r / (n + 1))) <= 2^-53`` in exact rational arithmetic, against
+        the count formed in logs, up to the overflow radius."""
+        def meets(r, n):
+            r = Fraction(r)
+            return r < n + 1 and r**n / (math.factorial(n) * (1 - r / (n + 1))) <= Fraction(
+                1, 2**53)
 
-        assert _chebyshev_terms(0.0) == 1
-        for r in (1e-3, 0.3, 1.25, 4.0, 13.0, 40.0):
-            n = _chebyshev_terms(r)
-            assert bound(r, n) <= 2.0**-53 < bound(r, n - 1), r
+        assert _taylor_terms(0.0) == 1
+        for r in (1e-3, 0.3, 1.25, 4.0, 13.0, 40.0, 300.0, exposure._LOG_MAX):
+            n = _taylor_terms(r)
+            assert meets(r, n) and not meets(r, n - 1), r
+        assert _taylor_terms(exposure._LOG_MAX) == 1962
 
-    def test_term_count_never_below_the_exact_bessel_tail(self):
-        # 2 sum_{m>=n} I_m(r) is the exact truncation error relative to the
-        # centre value; the count must make it at most 2^-53.
-        def exact_tail(r, n):
-            return 2.0 * math.exp(r) * ive(np.arange(n, n + 200), r).sum()
+    @staticmethod
+    def exact_tail(r, n):
+        """``sum_{m>=n} r^m / m! = e^r P(n, r)``, ``P`` the regularized lower incomplete gamma
+        function: the exact truncation error relative to each term at 0."""
+        return math.exp(r) * gammainc(n, r)
 
-        for r in np.linspace(0.1, 20.0, 400):
-            n = _chebyshev_terms(r)
-            assert exact_tail(r, n) <= 2.0**-53, r
-        # at these radii the bound is tight: one term fewer breaks the tolerance
-        for r, n in ((1, 15), (2, 19), (3, 22), (5, 27), (8, 33), (13, 42)):
-            assert _chebyshev_terms(r) == n
-            assert exact_tail(r, n - 1) > 2.0**-53, r
+    def test_term_count_never_below_the_exact_tail(self):
+        # At every radius here the bound is tight: one term fewer breaks the tolerance.
+        for r in np.linspace(0.01, 100.0, 500):
+            n = _taylor_terms(r)
+            assert self.exact_tail(r, n) <= 2.0**-53 < self.exact_tail(r, n - 1), r
+        for r, n in ((0.3, 13), (1, 19), (2, 24), (5, 36), (13, 62), (40, 139), (100, 304)):
+            assert _taylor_terms(r) == n, r
+
+    def assert_chunks_cut_at_their_radius(self, case):
+        """Each chunk's series has ``_taylor_terms`` of its radius ``max|x| max B``, whose
+        exact tail is at most 2^-53."""
+        x, plan, _ = self.proxy_block(*PROXY_CASES[case])
+        counts = []
+        spied = exposure._taylor_coefficients
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exposure, "_taylor_coefficients",
+                          lambda part, half, n: counts.append(n) or spied(part, half, n))
+            revalue_in_chunks(x, plan, np.empty((2, *x.shape)))
+        assert len(counts) == -(-len(plan.const) // CHUNK_ROWS)
+        for n, k0 in zip(counts, range(0, len(plan.const), CHUNK_ROWS)):
+            rows = slice(k0, k0 + CHUNK_ROWS)
+            r = float(np.max(np.abs(x[rows]).max(axis=1) * plan.b_max[rows]))
+            assert n == _taylor_terms(r) and self.exact_tail(r, n) <= 2.0**-53, (k0, r, n)
+
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_each_chunk_is_cut_at_its_radius(self, case):
+        self.assert_chunks_cut_at_their_radius(case)
+
+    @pytest.mark.parametrize("case", sorted(PROXY_CASES))
+    def test_chunk_check_fails_on_one_term_fewer(self, monkeypatch, case):
+        terms = exposure._taylor_terms
+        monkeypatch.setattr(exposure, "_taylor_terms", lambda r: max(terms(r) - 1, 1))
+        with pytest.raises(AssertionError):
+            self.assert_chunks_cut_at_their_radius(case)
 
     @pytest.mark.parametrize("radius", [math.inf, math.nan])
     def test_non_finite_radius_raises(self, radius):
         with pytest.raises(ValueError, match="finite"):
-            _chebyshev_terms(radius)
+            _taylor_terms(radius)
 
     def test_non_finite_path_gives_nan(self, model):
         # As an overflowing radius does: the run refuses the profile as a
-        # diagnostic on sigma instead of failing inside the fit.
+        # diagnostic on sigma instead of failing inside the series.
         plan = _netted_plan(LONG_BOOK, model, FLAT, [0.0, 1.0])
         x = np.array([[0.0, 0.0], [0.01, np.inf]])
         out = np.zeros((2, *x.shape))
-        _chebyshev_revalue(x, plan, out)
+        _taylor_revalue(x, plan, out)
         assert np.isnan(out).all()
 
 

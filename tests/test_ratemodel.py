@@ -26,6 +26,16 @@ def test_grid_validation(flat_curve, model, payer_swap):
             exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], n_paths, seed=1)
 
 
+@pytest.mark.parametrize("point", [np.nan, np.inf])
+def test_non_finite_grid_point_is_refused(flat_curve, model, payer_swap, point):
+    # NaN passes "strictly increasing" (every comparison with it is False) and
+    # prices a NaN profile; inf passes it as the last point and prices a row at
+    # no time at all.
+    for grid in ([0.0, point, 10.0], [0.0, 1.0, point]):
+        with pytest.raises(ValueError, match="grid must be finite"):
+            exposure_profile((payer_swap,), model, flat_curve, grid, 10, seed=1)
+
+
 def assert_forward_bond_identity(model, curve, grid, maturity, n_paths, seed):
     """Over Q paths, the mean of ``P(0, t) P(t, T; x_t + m_t)`` is within 3 s.e. of
     ``P(0, T)`` at every grid time ``t``: the discounted bond's mean, priced under the
