@@ -7,7 +7,8 @@
 ``<config>`` is a JSON file or one of the built-in presets (base-case,
 warehouse-pos, warehouse-neg).  Exit codes: 0 success, 1 validation failure
 (a usage error too), 2 numerical tolerance breach, 3 I/O failure, 4 internal
-error (any other exception, reported as one stderr line).
+error (any other exception, reported as one stderr line, such as a grid row
+whose roots the exact exposure engine cannot certify).
 
 ``run`` and ``validate`` import only numpy; scipy is loaded by the PDE solver
 on the first ``pde-verify`` solve.

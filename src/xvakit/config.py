@@ -21,13 +21,16 @@ resolved relative to the configuration file.  Example::
       "phi": [0.0, 1.0],
       "costOfCapital": 0.10,
       "taxRate": 0.21,
+      "engine": "exact",
       "seed": 20150106,
       "paths": 50000
     }
 
 The market price of default risk can be given either as the dimensionless
 ``priceOfRiskXi`` or as an absolute ``mLambda`` (hazard-rate units, converted
-per rating); supplying both is an error.
+per rating); supplying both is an error.  ``engine`` picks how the exposure
+is taken: ``"exact"`` (the default) in closed form, or ``"mc"`` by Monte
+Carlo, the only engine that reads ``seed``, ``paths`` and ``workers``.
 
 Each setting is declared once, in a block's field table (``_RUN`` for the
 top level): its key, kind, default and bounds.  ``RunConfig`` has one field
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 from .credit import CreditCurve, hazard_from_spread
 from .curves import DiscountCurve
-from .exposure import SwapSpec
+from .exposure import ENGINES, SwapSpec
 from .pde import TOLERANCE, Grid, PdeProblem, check_verifiable
 from .ratemodel import ShortRateModel
 from .regcap import RATING_TABLE, CounterpartyProfile
@@ -114,6 +117,7 @@ class RunConfig:
     hedge_source_label: str
     min_capital_ratio: float
     workers: int
+    engine: str
     pde: PdeVerifyConfig
 
     def price_of_risk_grid(self, counterparty_hazard: float) -> tuple[tuple[float, float | None], ...]:
@@ -204,6 +208,8 @@ _RUN = {
     "hedgeSourceLabel": (str, None, _LABEL),  # None: the provider rating
     "minCapitalRatio": (float, 0.08, _NON_NEGATIVE, _AT_MOST_ONE),
     "workers": (int, 1, _AT_LEAST_ONE, (lambda v: v <= 64, "must be <= 64")),  # one thread each
+    # How EPE is taken; seed, paths and workers are read only by "mc".
+    "engine": (str, ENGINES[0], (lambda v: v in ENGINES, f"must be one of {', '.join(ENGINES)}")),
     "pde": (dict, None),
 }
 # The pde block takes each field of PdeProblem and the grid, camelCased.

@@ -1,4 +1,4 @@
-"""Swap pricing on simulated rate paths and discounted exposure profiles.
+"""Swap pricing in the short-rate factor and discounted exposure profiles.
 
 A swap is revalued at a grid time ``t`` from the closed-form bonds of the
 short-rate model via its remaining schedule:
@@ -30,12 +30,23 @@ exponential sum with weights ``w_k A_k e^{-B_k m}``, so ``_forward_kernel``
 scales each row once: its value at a path is the discounted value, and no
 path carries a discount factor.
 
-``f_k`` is an entire function of one scalar, so a chunk of grid rows is
-revalued through its Taylor series at 0 (``_taylor_revalue``) rather than
-one exponential per (path, date).  The sampling unit is an antithetic pair
-(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004, section
-4.2): a block draws half its paths, and each drawn factor ``x`` is paired
-with its exact negation ``-x``, which is never drawn.  The series' even and
+So each row's EPE is ``E[k(X)+]``, ``k`` the row's t-forward kernel and ``X
+~ N(0, v_k)``, and ``exposure_profile`` takes it by one of ``ENGINES``, its
+``engine`` argument and the run configuration's ``engine`` key.  ``"exact"``,
+the default, is ``positive_mean``: ``k`` is a sum of exponentials in one
+Gaussian factor, so between two of its roots each term's mean is a
+difference of ``Phi`` (Jamshidian, *J. Finance* 44(1), 1989), and the roots
+are certified cell by cell.  It has no standard error and reads none of
+``n_paths``, ``seed`` and ``n_workers``.  ``"mc"``, the Monte Carlo engine
+below, reads all three.
+
+``f_k`` is an entire function of one scalar, so the Monte Carlo engine
+revalues a chunk of grid rows through its Taylor series at 0
+(``_taylor_revalue``) rather than one exponential per (path, date).  The
+sampling unit is an antithetic pair (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2004, section 4.2): a block draws half its paths,
+and each drawn factor ``x`` is paired with its exact negation ``-x``, which
+is never drawn.  The series' even and
 odd parts are evaluated by Horner in ``s^2``, ``s = x / max|x|``, so a
 pair's values are ``E ± O``, bit for bit what sampling ``-x`` would give.
 Its coefficients are closed forms and its term count is not a setting: at
@@ -79,9 +90,14 @@ from .curves import DiscountCurve
 from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
 
 POINTS_PER_YEAR = 4  # of the exposure grid; every swap frequency divides it
+ENGINES = ("exact", "mc")  # how ``exposure_profile`` takes EPE; the first is the default
 CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
 _LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 _REACH, _MAX_SPREAD = 3.0, 0.5  # s.d. of a row's linear book, and of its largest B x_t
+# The exact engine: rows per chunk (a 32-row scan is 0.5 MB at 121 dates), the s.d. past
+# which no term's Gaussian holds 2^-53 of its mass (Phi(-9) = 1.1e-19), the scan's cells,
+# and the halvings a cell may take before its row is refused.
+_EXACT_ROWS, _TAIL, _SCAN_CELLS, _SPLITS = 32, 9.0, 16, 40
 
 
 def is_live(date, t):
@@ -370,6 +386,160 @@ def _bachelier(a, b, sd):
                     np.maximum(a, 0.0))
 
 
+def _delta_phi(lo, hi):
+    """``Phi(hi) - Phi(lo)``, ``lo <= hi``, from the tails ``Phi(-|z|)``: the lower tails'
+    difference where both ends are at most 0, the upper tails' where both are at least 0,
+    and 1 less both tails across 0, so a small difference is never a difference of two
+    numbers near 1."""
+    p, q = normal_cdf(-np.abs(lo)), normal_cdf(-np.abs(hi))
+    return np.where(hi <= 0, q - p, np.where(lo >= 0, p - q, 1.0 - p - q))
+
+
+def _sums(x, rows, mu, weights):
+    """``weights[r] @ exp(mu[r] x)`` at each point ``x`` of row ``r = rows``, ``(points,
+    kinds)`` from ``weights`` ``(rows, kinds, terms)``: one product of the points'
+    exponentials with every row's weights, of which each point keeps its own row's."""
+    sums = np.exp(mu[rows] * x[:, None]) @ weights.reshape(-1, weights.shape[-1]).T
+    return sums.reshape(len(x), -1, weights.shape[1])[np.arange(len(x)), rows]
+
+
+def _refine(rows, lo, hi, g_lo, g_hi, mu, weights, scale):
+    """The one root in each of the cells ``[lo, hi]`` where row ``rows``' ``g = weights[:, 0]
+    @ exp(mu x)`` is monotone and changes sign, from ``g_lo`` to ``g_hi``: Newton from the
+    secant's point, bisecting where a step would leave the shrinking bracket, until a step
+    or the bracket is within ``2^-50`` of ``|x|`` plus the row's ``scale``."""
+    x = np.clip(lo - g_lo * (hi - lo) / (g_hi - g_lo), lo, hi)
+    active = np.arange(len(x))
+    for _ in range(64):  # each step is Newton's or halves the bracket
+        if not len(active):
+            break
+        at = x[active]
+        g, slope = _sums(at, rows[active], mu, weights).T
+        same = (g < 0) == (g_lo[active] < 0)  # at is the bracket's new lower end, or upper
+        lo[active] = a = np.where(same, at, lo[active])
+        hi[active] = b = np.where(same, hi[active], at)
+        step = at - np.divide(g, slope, out=np.full_like(g, np.inf), where=slope != 0)
+        new = np.where(g == 0, at, np.where((step > a) & (step < b), step, 0.5 * (a + b)))
+        tol = 2.0 ** -50 * (np.abs(new) + scale[rows[active]])
+        x[active] = new
+        active = active[(np.abs(new - at) > tol) & (b - a > tol)]
+    return x
+
+
+def _certified_cells(mu, weights, lo, hi, names):
+    """Each row's scan of ``[lo, hi]`` halved until every cell is certified, as
+    ``positive_mean`` says: ``(rows, x0, x1, g0, g1, definite)`` per cell, in order of row
+    and ``x0``, with ``g`` at both ends and whether the cell holds no root.  ``weights``
+    ``(rows, 5, terms)`` give ``g``, ``g'``, and the absolute sums ``S_0``, ``S_1``, ``S_2``:
+    column ``k + 2`` is column ``k``'s rounding scale, and ``k + 3`` bounds its slope."""
+    n_rows, n = len(mu), mu.shape[1]
+    x = lo[:, None] + np.multiply.outer(hi - lo, np.linspace(0.0, 1.0, _SCAN_CELLS + 1))
+    f = _sums(x.ravel(), np.repeat(np.arange(n_rows), _SCAN_CELLS + 1), mu, weights)
+    f = f.reshape(n_rows, _SCAN_CELLS + 1, -1)
+    cells = (np.repeat(np.arange(n_rows), _SCAN_CELLS), x[:, :-1].ravel(), x[:, 1:].ravel(),
+             f[:, :-1].reshape(-1, 5), f[:, 1:].reshape(-1, 5))
+    eps, certified = (n + 2) * 2.0 ** -52, []  # rounding, relative to the absolute sums
+    for _ in range(_SPLITS + 1):
+        rows, x0, x1, f0, f1 = cells
+        h = (x1 - x0) * (1.0 + eps)
+        definite, monotone = (np.maximum(np.abs(f0[:, k]) - eps * f0[:, k + 2],
+                                         np.abs(f1[:, k]) - eps * f1[:, k + 2]) >= h * f1[:, k + 3]
+                              for k in (0, 1))
+        ok = definite | monotone
+        certified.append((rows[ok], x0[ok], x1[ok], f0[ok, 0], f1[ok, 0], definite[ok]))
+        if ok.all():
+            break
+        rows, x0, x1, f0, f1 = (c[~ok] for c in cells)
+        mid = 0.5 * (x0 + x1)
+        f_mid = _sums(mid, rows, mu, weights)
+        cells = (np.tile(rows, 2), np.concatenate([x0, mid]), np.concatenate([mid, x1]),
+                 np.concatenate([f0, f_mid]), np.concatenate([f_mid, f1]))
+    else:
+        raise RuntimeError(f"exact exposure: the roots of grid row {names[rows[0]]} are not "
+                           f"certified within {_SPLITS} halvings of a scan cell")
+    cells = [np.concatenate(c) for c in zip(*certified)]
+    order = np.lexsort((cells[1], cells[0]))
+    return tuple(c[order] for c in cells)
+
+
+def _positive_chunk(k0, const, wa, neg_b, v):
+    """``positive_mean`` of rows ``k0, k0 + 1, ...``: see there."""
+    a = np.hstack([const[:, None], wa])  # the constant is the term with B = 0
+    b = np.hstack([np.zeros((len(a), 1)), -neg_b])
+    mean_w = a * np.exp(0.5 * v[:, None] * b * b)  # each term's mean
+    s = np.sqrt(v)
+    out = np.where(np.isfinite(mean_w).all(axis=1), np.maximum(a.sum(axis=1), 0.0), np.nan)
+    todo = np.flatnonzero((s > 0) & np.isfinite(out))
+    if not len(todo):
+        return out
+    live = np.any(a[todo] != 0, axis=0)  # the dates paid on every row of the chunk go
+    live[0] = True
+    a, b, mean_w, s = a[todo][:, live], b[todo][:, live], mean_w[todo][:, live], s[todo]
+    b_max = b.max(axis=1)
+    mu = b_max[:, None] - b  # g = e^{b_max x} k = a @ exp(mu x), mu >= 0
+    weights = np.stack([a, a * mu, np.abs(a), np.abs(a) * mu, np.abs(a) * mu * mu], axis=1)
+    rows, x0, x1, g0, g1, definite = _certified_cells(
+        mu, weights, -b_max * s * s - _TAIL * s, _TAIL * s, k0 + todo)
+    # Whether g > 0 just inside each end of a cell: a definite cell takes its larger end's sign.
+    sign = np.where(np.abs(g0) >= np.abs(g1), g0, g1) > 0
+    pos_l, pos_r = np.where(definite, sign, g0 > 0), np.where(definite, sign, g1 > 0)
+    first = np.r_[True, rows[1:] != rows[:-1]]
+    # g changes sign at the root of a cell whose ends differ, and where it is 0 at a cell's end.
+    root, turn = pos_l != pos_r, np.r_[False, pos_r[:-1] != pos_l[1:]] & ~first
+    at_row = np.concatenate([rows[root], rows[turn]])
+    at = np.concatenate([_refine(rows[root], x0[root], x1[root], g0[root], g1[root], mu,
+                                 weights[:, :2], s), x0[turn]])
+    order = np.lexsort((at, at_row))
+    at_row, at = at_row[order], at[order]
+    # Each row's edges are -inf, its sign changes and +inf; the intervals between them take
+    # turns being positive, from the sign at -inf, that of the row's first cell.
+    count = np.bincount(at_row, minlength=len(a)) + 2
+    start = np.cumsum(count) - count
+    edges = np.full(len(at) + 2 * len(a), np.inf)
+    edges[start] = -np.inf
+    edges[np.arange(len(at)) + 2 * at_row + 1] = at
+    edge_row = np.repeat(np.arange(len(a)), count)
+    positive = (np.arange(len(edges)) - start[edge_row]) % 2 != pos_l[first][edge_row]
+    keep = positive[:-1] & (edges[:-1] < np.inf)
+    iv_row = edge_row[:-1][keep]
+    sd, shift = s[iv_row, None], b[iv_row] * s[iv_row, None]
+    dphi = _delta_phi(edges[:-1][keep, None] / sd + shift, edges[1:][keep, None] / sd + shift)
+    out[todo] = np.bincount(iv_row, weights=np.sum(mean_w[iv_row] * dphi, axis=1),
+                            minlength=len(a))
+    return out
+
+
+def positive_mean(const, wa, neg_b, variance) -> np.ndarray:
+    """``E[k(X)+]`` per row, ``k(x) = const + wa @ exp(neg_b x)``, ``X ~ N(0, variance)``.
+
+    ``const`` and ``variance`` are ``(rows,)``, ``wa`` and ``neg_b`` ``(rows, terms)``
+    with ``neg_b = -B <= 0``.  Between two roots of ``k``, a term ``w e^{-B x}`` has the
+    mean ``w e^{B^2 v / 2} (Phi(z_hi + B s) - Phi(z_lo + B s))``, ``s = sqrt(v)`` and
+    ``z`` the interval's ends over ``s`` (Jamshidian, *J. Finance* 44(1), 1989), so a
+    row's mean is that sum over the intervals where ``k > 0``; each difference of ``Phi``
+    is ``_delta_phi``'s.  A row with ``v = 0`` is ``max(k(0), 0)``, and a row whose term
+    means ``w e^{B^2 v / 2}`` leave the float range is NaN.
+
+    The roots are certified on ``g = e^{b x} k``, ``b = max B``, an exponential sum with
+    exponents ``mu = b - B >= 0``, finite wherever a term's mean is.  The scan covers
+    ``[-b v - 9 s, 9 s]``, where each term's tilted law, centred at ``-B v``, holds all but
+    ``Phi(-9)`` of its mass; past its ends ``k`` is taken to keep its sign.  On a cell
+    ``[x0, x1]`` of width ``h`` each ``|w| mu^m e^{mu x}`` rises with ``x``, so ``sup |g^(m)|
+    <= S_m(x1) = sum |w| mu^m e^{mu x1}``.  The cell holds no root if ``|g|`` at one end is
+    at least ``h S_1``, and at most one if ``|g'|`` at one end is at least ``h S_2``, as
+    ``g'`` then keeps its sign; it holds one where ``g`` is also of opposite signs at its
+    ends.  Each test first takes from ``|g|`` or ``|g'|`` a rounding allowance of ``(terms
+    + 2) 2^-52`` times its absolute sum.  The scan's ``_SCAN_CELLS`` cells are halved until
+    each passes one of them; a row where one has not after ``_SPLITS`` halvings, as at a
+    double root, is an internal failure (``RuntimeError``).  Each root is then polished by
+    ``_refine``.  Rows go ``_EXACT_ROWS`` at a time, so no temporary is much over 1 MB.
+    """
+    const, wa, neg_b, variance = (np.asarray(a, dtype=float) for a in (const, wa, neg_b, variance))
+    return np.concatenate([np.empty(0), *(
+        _positive_chunk(k0, *(a[k0:k0 + _EXACT_ROWS] for a in (const, wa, neg_b, variance)))
+        for k0 in range(0, len(const), _EXACT_ROWS))])
+
+
 def _block_stats(parts: np.ndarray):
     """The ``_moments`` of one chunk's pairs from ``(O, E, L)`` ``(3, n_points, pairs)``, in
     place: the book's odd and even parts, and ``L``, the linear book's ``_pair_positive``.
@@ -399,29 +569,11 @@ def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan,
                            se_epe=se_epe)
 
 
-def exposure_profile(
-    swaps,
-    model: ShortRateModel,
-    curve: DiscountCurve,
-    grid,
-    n_paths: int,
-    seed: int,
-    n_workers: int = 1,
-    collateral_book=(),
-) -> ExposureProfile:
-    """Monte Carlo exposure profile of the netted uncollateralized swaps.
-
-    ``swaps`` is a sequence of SwapSpec; collateralized swaps contribute
-    nothing here.  The result's ``collateral`` is the discounted mean value
-    of the swaps in ``collateral_book``, whatever their flag, in closed form.
-    Streams each deterministic block in ``CHUNK_ROWS`` row chunks, never
-    materializing a block's paths.
-    """
-    g = _validate_grid(grid)
-    kernel = _forward_kernel(
-        _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g),
-        model, curve, g)
-    sd = np.sqrt(model.variance(g))
+def _mc_epe(kernel: _NettedPlan, grid: np.ndarray, sd: np.ndarray, n_paths: int, seed: int,
+            n_workers: int) -> ExposureProfile:
+    """The profile of the t-forward ``kernel`` with its EPE estimated on ``n_paths`` paths:
+    each deterministic block streamed in ``CHUNK_ROWS`` row chunks, never materializing a
+    block's paths, with the two control variates of the module docstring."""
     a = kernel.const + kernel.wa.sum(axis=1)  # the linear book: the kernel at 0, its slope
     b = np.sum(kernel.wa * kernel.neg_b, axis=1)
     off = (np.abs(a) > _REACH * np.abs(b) * sd) | (kernel.b_max * sd > _MAX_SPREAD)
@@ -431,9 +583,9 @@ def exposure_profile(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
         x = np.empty((CHUNK_ROWS, size // 2))  # each pair's drawn path; its twin is at -x
         parts = np.empty((3, *x.shape))
-        mean, co = np.empty((2, len(g))), np.empty((len(_LEFT), len(g)))
-        for k0 in range(0, len(g), CHUNK_ROWS):
-            rows = min(CHUNK_ROWS, len(g) - k0)
+        mean, co = np.empty((2, len(grid))), np.empty((len(_LEFT), len(grid)))
+        for k0 in range(0, len(grid), CHUNK_ROWS):
+            rows = min(CHUNK_ROWS, len(grid) - k0)
             _simulate_block(sd, rng, k0, x)
             _taylor_revalue(x[:rows], kernel[k0:k0 + rows], parts[:2, :rows])
             np.multiply(b[k0:k0 + rows, None], x[:rows], out=parts[2, :rows])
@@ -441,7 +593,44 @@ def exposure_profile(
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])
         return n_units, mean, co
 
-    profile = _reduce(map_blocks(run_block, n_paths, n_workers), g, kernel, _bachelier(a, b, sd))
+    return _reduce(map_blocks(run_block, n_paths, n_workers), grid, kernel, _bachelier(a, b, sd))
+
+
+def exposure_profile(
+    swaps,
+    model: ShortRateModel,
+    curve: DiscountCurve,
+    grid,
+    n_paths: int = 0,
+    seed: int = 0,
+    n_workers: int = 1,
+    collateral_book=(),
+    engine: str = ENGINES[0],
+) -> ExposureProfile:
+    """Exposure profile of the netted uncollateralized swaps, its EPE taken by ``engine``.
+
+    ``swaps`` is a sequence of SwapSpec; collateralized swaps contribute
+    nothing here.  The result's ``collateral`` is the discounted mean value
+    of the swaps in ``collateral_book``, whatever their flag, in closed form.
+    ``"exact"`` takes each row's EPE from ``positive_mean`` of the t-forward
+    kernel, with ``se_epe`` 0, and reads neither ``n_paths``, ``seed`` nor
+    ``n_workers``; ``"mc"`` estimates it on ``n_paths`` paths of ``seed`` on
+    ``n_workers`` threads.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"engine: must be one of {', '.join(ENGINES)}, got {engine!r}")
+    g = _validate_grid(grid)
+    kernel = _forward_kernel(
+        _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g),
+        model, curve, g)
+    v = model.variance(g)
+    if engine == "mc":
+        profile = _mc_epe(kernel, g, np.sqrt(v), n_paths, seed, n_workers)
+    else:
+        profile = ExposureProfile(
+            grid=g, epe=positive_mean(kernel.const, kernel.wa, kernel.neg_b, v),
+            forward=kernel.forward, mean_value_undiscounted=kernel.expected,
+            se_epe=np.zeros(len(g)))
     if collateral_book:
         profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
     return profile

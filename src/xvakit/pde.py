@@ -44,7 +44,7 @@ import numpy as np
 from .credit import (CreditCurve, TaxPolicy, compensator_rate, counterparty_hedge_error,
                      effective_hazard)
 from .curves import DiscountCurve
-from .exposure import ExposureProfile, normal_cdf
+from .exposure import ExposureProfile, normal_cdf, positive_mean
 from .regcap import CapitalBase, CapitalProfile
 from .xva import XvaBreakdown, XvaInputs, breakdown
 
@@ -419,7 +419,9 @@ def density_expectations(problem: PdeProblem, times):
     mean is ``V_0 e^{ru}`` for every payoff, and a call or a put, never
     negative, keeps ``1 - collateral_fraction`` of it.  A forward is ``A - K'``
     in a lognormal ``A`` of total volatility ``sigma sqrt(u)``, so its positive
-    part is Black's call.
+    part is Black's call, which the exposure engine's ``positive_mean`` takes
+    as a one-term kernel: ``-K' + F e^{-v/2} e^{-X}``, ``X ~ N(0, v)``, ``v =
+    sigma^2 u``, is ``A - K'``, as ``-X`` has the law of ``X``.
     """
     p = problem
     u = np.asarray(times, dtype=float)
@@ -429,9 +431,11 @@ def density_expectations(problem: PdeProblem, times):
     e_val = black_scholes_value(p, p.spot, p.maturity) * np.exp(p.rate * u)
     if p.omega:
         return keep * e_val, e_val
-    tau = p.maturity - u
+    tau, v = p.maturity - u, p.sigma * p.sigma * u
     fwd = p.spot * np.exp(p.carry * u + (p.carry - p.rate) * tau)
-    return keep * _black(1.0, fwd, p.strike * np.exp(-p.rate * tau), p.sigma * np.sqrt(u)), e_val
+    call = positive_mean(-p.strike * np.exp(-p.rate * tau), (fwd * np.exp(-0.5 * v))[:, None],
+                         np.full((len(u), 1), -1.0), v)
+    return keep * call, e_val
 
 
 def quadrature_oracle(problem: PdeProblem) -> XvaBreakdown:

@@ -2,12 +2,15 @@
 
 All three read the same columns, built once per result: the row keys, each of
 ``xva.COMPONENTS`` and the total in bps of notional (``<name>_bp``), ``se_bp``,
-the Monte Carlo standard error of the total, and ``warn``, true where that
-exceeds ``WARN_SE_BP`` (``!`` in the table).  The table rounds to whole bps,
-ties away from zero; its Total is the rounded sum of the unrounded components,
-so it can differ from the sum of the rounded cells.  CSV and JSON carry the
-unrounded values, JSON also in currency, and are byte-stable for a given
-configuration and seed.  Renderers return text; the CLI writes files as UTF-8.
+the Monte Carlo standard error of the total (0 under the exact engine), and
+``warn``, true where that exceeds ``WARN_SE_BP`` (``!`` in the table).  The
+table rounds to whole bps, ties away from zero; its Total is the rounded sum of
+the unrounded components, so it can differ from the sum of the rounded cells.
+CSV and JSON carry the unrounded values, JSON also in currency, and are
+byte-stable for a given configuration and seed.  The table's footer and the
+JSON name the engine: an exact run by ``exact Gaussian exposure`` and
+``"engine"``, a Monte Carlo run by its paths and seed.  Renderers return text;
+the CLI writes files as UTF-8.
 """
 
 from __future__ import annotations
@@ -70,8 +73,11 @@ def render_table(result: RunResult) -> str:
         width = max(len(title), *map(len, texts))
         justified.append([title.rjust(width), "-" * width, *(t.rjust(width) for t in texts)])
     lines = ["  ".join(line).rstrip() for line in zip(*justified)]
+    config = result.config
+    engine = (f"{config.paths} paths, seed {config.seed}" if config.engine == "mc"
+              else "exact Gaussian exposure")
     return "\n".join(lines) + (f"\n\nvalues in bps of notional {result.breakdown.notional:g}; "
-                               f"{result.config.paths} paths, seed {result.config.seed}\n")
+                               f"{engine}\n")
 
 
 def render_csv(result: RunResult) -> str:
@@ -86,10 +92,12 @@ def render_json(result: RunResult) -> str:
     b = result.breakdown
     columns = _columns(result)
     currency = [getattr(b, name).tolist() for name in _COLUMNS]
+    # A Monte Carlo payload names its engine by the seed and paths it read.
+    engine = ({"seed": result.config.seed, "paths": result.config.paths}
+              if result.config.engine == "mc" else {"engine": result.config.engine})
     payload = {
         "schemaVersion": 1,
-        "seed": result.config.seed,
-        "paths": result.config.paths,
+        **engine,
         "notional": b.notional,
         "rows": [dict(zip(columns, values), currency=dict(zip(_COLUMNS, amounts)))
                  for values, amounts in zip(zip(*columns.values()), zip(*currency))],

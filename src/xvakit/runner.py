@@ -1,10 +1,11 @@
 """Pipeline orchestration: config -> exposure -> capital -> breakdown columns.
 
-One Monte Carlo run per configuration: the exposure profile of the netted
-uncollateralized swaps is simulated once and reused across every
-(psi, xi, phi, rating) combination, since the adjustment integrals are
-deterministic quadratures over it.  Rows come out ordered by that tuple, in
-configuration order, regardless of any parallelism in the path simulation.
+One exposure profile per configuration: that of the netted uncollateralized
+swaps, taken once by the configured engine (exact, or Monte Carlo) and reused
+across every (psi, xi, phi, rating) combination, since the adjustment
+integrals are deterministic quadratures over it.  Rows come out ordered by
+that tuple, in configuration order, regardless of any parallelism in the
+path simulation.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def run_config(config: RunConfig) -> RunResult:
         config.swaps, model, curve, grid,
         n_paths=config.paths, seed=config.seed,
         n_workers=config.workers,
-        collateral_book=posted,
+        collateral_book=posted, engine=config.engine,
     )
     if not np.isfinite(np.concatenate(
             [v for v in vars(profile).values() if isinstance(v, np.ndarray)])).all():

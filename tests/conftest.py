@@ -34,7 +34,7 @@ def quarterly_grid():
 def small_profile(payer_swap, model, flat_curve, quarterly_grid):
     """A modest-path exposure profile shared by integral-level tests."""
     return exposure_profile(
-        (payer_swap,), model, flat_curve, quarterly_grid, n_paths=4000, seed=11
+        (payer_swap,), model, flat_curve, quarterly_grid, n_paths=4000, seed=11, engine="mc"
     )
 
 

@@ -276,7 +276,7 @@ def test_criterion_8_monte_carlo_integrity():
     swap = SwapSpec(notional=100.0, fixed_rate=float(par_rate), maturity=10.0)
     grid = make_exposure_grid(10.0)
 
-    profile = exposure_profile((swap,), model, curve, grid, n_paths=50_000, seed=41)
+    profile = exposure_profile((swap,), model, curve, grid, n_paths=50_000, seed=41, engine="mc")
     # The reset-at-valuation float-leg convention is exact at t=0 and on
     # payment dates; the discounted mean, EPE plus ENE, must vanish there.  The
     # ENE is the forward less the EPE, so each part's s.e. is ``se_epe``.
@@ -292,8 +292,10 @@ def test_criterion_8_monte_carlo_integrity():
                                              paths.factor[:, k] + forward_mean(model, grid[k]))
     identity_ok = bool(np.array_equal(np.maximum(dv, 0.0) + np.minimum(dv, 0.0), dv))
 
-    serial = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=1)
-    threaded = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=4)
+    serial = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=1,
+                              engine="mc")
+    threaded = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=4,
+                                engine="mc")
     workers_ok = all(
         np.array_equal(getattr(serial, name), getattr(threaded, name))
         for name in ("epe", "forward", "se_epe")  # the mean MtM is exact, not sampled

@@ -378,11 +378,16 @@ class TestReports:
         assert float(cva_field) == result.breakdown.as_bps()["cva"][0]
 
     def test_json_round_trip(self, result):
+        """The payload names its engine: the exact one by name, a Monte Carlo run by the
+        seed and paths it read."""
         payload = json.loads(render_json(result))
-        assert payload["paths"] == 2000
+        assert payload["engine"] == "exact" and not {"seed", "paths"} & payload.keys()
         assert len(payload["rows"]) == len(result.rows)
         row = payload["rows"][0]
         assert row["currency"]["total"] == pytest.approx(result.breakdown.total[0])
+        cfg, _ = validate_config(small_config(engine="mc"))
+        payload = json.loads(render_json(run_config(cfg)))
+        assert (payload["seed"], payload["paths"]) == (7, 2000) and "engine" not in payload
 
     def test_machine_formats_are_deterministic(self):
         cfg, _ = validate_config(small_config())
@@ -392,9 +397,18 @@ class TestReports:
         assert render_json(a) == render_json(b)
 
     def test_different_seed_changes_output(self):
-        cfg_a, _ = validate_config(small_config())
-        cfg_b, _ = validate_config(small_config(seed=8))
+        cfg_a, _ = validate_config(small_config(engine="mc"))
+        cfg_b, _ = validate_config(small_config(seed=8, engine="mc"))
         assert render_csv(run_config(cfg_a)) != render_csv(run_config(cfg_b))
+
+    def test_exact_engine_reads_no_seed_paths_or_workers(self):
+        """The default engine's report is the same at any seed, path and worker count, and
+        reports no standard error."""
+        texts = {render_csv(run_config(validate_config(small_config(**fields))[0]))
+                 for fields in ({}, {"seed": 8}, {"paths": 6}, {"workers": 3})}
+        assert len(texts) == 1
+        header, *rows = [line.split(",") for line in texts.pop().splitlines()]
+        assert {row[header.index("se_bp")] for row in rows} == {"0.0"}
 
     def test_rows_past_the_fixed_threshold_are_flagged(self, capsys, tmp_path):
         """At 6 paths and sigma 0.15 the base case's A, BB and CCC rows exceed 1 bp (A at
@@ -405,7 +419,7 @@ class TestReports:
         market = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
         market["model"]["sigma"] = 0.15
         config = tmp_path / "volatile.json"
-        config.write_text(json.dumps(dict(raw, market=market)), encoding="utf-8")
+        config.write_text(json.dumps(dict(raw, market=market, engine="mc")), encoding="utf-8")
         flagged = {"AAA": False, "A": True, "BB": True, "CCC": True}
         assert main(["run", str(config), "--paths", "6", "--format", "csv"]) == 0
         header, *lines = capsys.readouterr().out.splitlines()
@@ -421,7 +435,10 @@ class TestReports:
         body = capsys.readouterr().out.splitlines()[2:10]
         assert [line.endswith("  !") for line in body] == [
             flagged[line.split()[4]] for line in body]
-        assert main(["run", "base-case", "--paths", "6", "--format", "csv"]) == 0
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(dict(raw, market=json.loads(
+            (CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8")), engine="mc")))
+        assert main(["run", str(base), "--paths", "6", "--format", "csv"]) == 0
         assert ",true" not in capsys.readouterr().out
 
     def test_collateral_spread_activates_colva(self, result):
@@ -545,7 +562,7 @@ class TestCli:
         assert reports[0] == reports[1]
 
     def test_run_seed_and_paths_overrides(self, tmp_path):
-        path = self.write_config(tmp_path)
+        path = self.write_config(tmp_path, engine="mc")
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         assert main(["run", str(path), "--format", "csv", "--seed", "1",

@@ -385,7 +385,8 @@ class TestExposureProfile:
 
     def test_collateralized_swap_has_zero_profile(self, flat_curve, model, quarterly_grid):
         spec = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, collateralized=True)
-        profile = exposure_profile((spec,), model, flat_curve, quarterly_grid, 100, seed=1)
+        profile = exposure_profile((spec,), model, flat_curve, quarterly_grid, 100, seed=1,
+                                   engine="mc")
         assert np.all(profile.epe == 0.0) and np.all(profile.forward == 0.0)
 
     def test_collateralized_book_is_exactly_zero_through_the_general_path(
@@ -397,7 +398,7 @@ class TestExposureProfile:
         monkeypatch.setattr(exposure, "_block_stats",
                             lambda *args: reduced.append(1) or _block_stats(*args))
         profile = exposure_profile(book, model, SLOPED, MIXED_GRID, 2 * BLOCK_SIZE + 1000,
-                                   seed=29, n_workers=2)
+                                   seed=29, n_workers=2, engine="mc")
         assert reduced
         for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
             assert np.array_equal(getattr(profile, name), np.zeros(len(MIXED_GRID))), name
@@ -406,7 +407,8 @@ class TestExposureProfile:
     def test_zero_vol_in_the_money_receiver(self, flat_curve, quarterly_grid):
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
         receiver = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False)
-        profile = exposure_profile((receiver,), frozen, flat_curve, quarterly_grid, 6, seed=1)
+        profile = exposure_profile((receiver,), frozen, flat_curve, quarterly_grid, 6, seed=1,
+                                   engine="mc")
         expected = np.array(
             [flat_curve.df(t) * swap_value(receiver, frozen, flat_curve, float(t), 0.0)
              for t in quarterly_grid]
@@ -418,8 +420,10 @@ class TestExposureProfile:
     def test_payer_epe_mirrors_receiver_ene(self, flat_curve, model, quarterly_grid):
         payer = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=True)
         receiver = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False)
-        a = exposure_profile((payer,), model, flat_curve, quarterly_grid, 2000, seed=7)
-        b = exposure_profile((receiver,), model, flat_curve, quarterly_grid, 2000, seed=7)
+        a = exposure_profile((payer,), model, flat_curve, quarterly_grid, 2000, seed=7,
+                             engine="mc")
+        b = exposure_profile((receiver,), model, flat_curve, quarterly_grid, 2000, seed=7,
+                             engine="mc")
         assert np.array_equal(a.forward, -b.forward)
         np.testing.assert_allclose(a.epe, b.epe - b.forward, rtol=1e-12, atol=1e-12 * 100.0)
 
@@ -427,25 +431,26 @@ class TestExposureProfile:
         # The tail block (1000 paths) is shorter than a tile and not a multiple of one.
         n_paths = 2 * BLOCK_SIZE + 1000
         a = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=3,
-                             n_workers=1)
+                             n_workers=1, engine="mc")
         for workers in (2, 3, 4):
             b = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=3,
-                                 n_workers=workers)
+                                 n_workers=workers, engine="mc")
             for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("n_paths", [4, 101])
     def test_odd_or_too_few_paths_rejected(self, flat_curve, model, payer_swap, n_paths):
         with pytest.raises(ValueError, match="even and >= 6"):
-            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], n_paths, seed=1)
+            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], n_paths, seed=1,
+                             engine="mc")
 
     def test_standard_error_scales_with_paths(self, flat_curve, model, payer_swap, quarterly_grid):
         ratios = []
         for seed in (101, 202, 303):
             small = exposure_profile((payer_swap,), model, flat_curve, quarterly_grid,
-                                     4000, seed=seed)
+                                     4000, seed=seed, engine="mc")
             big = exposure_profile((payer_swap,), model, flat_curve, quarterly_grid,
-                                   8000, seed=seed)
+                                   8000, seed=seed, engine="mc")
             mask = small.se_epe > 0
             ratios.append(np.median(big.se_epe[mask] / small.se_epe[mask]))
         ratio = float(np.mean(ratios))
@@ -457,7 +462,8 @@ class TestExposureProfile:
             SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=True),
             SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False),
         )
-        profile = exposure_profile(legs, model, flat_curve, quarterly_grid, 200, seed=2)
+        profile = exposure_profile(legs, model, flat_curve, quarterly_grid, 200, seed=2,
+                                   engine="mc")
         assert np.all(profile.epe == 0.0) and np.all(profile.forward == 0.0)
 
 
@@ -479,7 +485,7 @@ class TestStreamedBlocks:
         book, grid = STREAM_CASES[case]
         n_paths = 2 * BLOCK_SIZE + 1000
         streamed = exposure_profile(book + POSTED, model, SLOPED, grid, n_paths, seed=37,
-                                    n_workers=workers, collateral_book=POSTED)
+                                    n_workers=workers, collateral_book=POSTED, engine="mc")
         whole = reference_profile(book, model, SLOPED, grid, n_paths, 37, POSTED)
         assert_identical(streamed, whole)
 
@@ -497,7 +503,7 @@ class TestStreamedBlocks:
         tracemalloc.start()
         try:
             exposure_profile(book + POSTED, model, FLAT, grid, BLOCK_SIZE, seed=43,
-                             collateral_book=POSTED)
+                             collateral_book=POSTED, engine="mc")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -540,7 +546,7 @@ class TestStreamedBlocks:
                             lambda fn, *args: ratemodel.map_blocks(tracked(fn), *args))
         n_paths = 300 * 64
         profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=71,
-                                   n_workers=workers)
+                                   n_workers=workers, engine="mc")
         assert not live
         assert peak[0] <= 2 * workers + 2, peak[0]
 
@@ -555,7 +561,8 @@ class TestNettedKernel:
 
     def test_profile_matches_per_swap_revaluation(self, model):
         n_paths = 2 * BLOCK_SIZE + 1000
-        profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=13)
+        profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=13,
+                                   engine="mc")
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=13)
         dv = book_dv(MIXED_BOOK, model, SLOPED, MIXED_GRID, paths, value=per_swap_sum)
         forward = np.array([forward_value(MIXED_BOOK, SLOPED, t) for t in MIXED_GRID])
@@ -642,8 +649,9 @@ class TestNettedKernel:
                            payer=False, collateralized=True),)
         book = MIXED_BOOK + posted
         joint = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2,
-                                 collateral_book=posted)
-        alone = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2)
+                                 collateral_book=posted, engine="mc")
+        alone = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2,
+                                 engine="mc")
         assert alone.collateral is None
         expected = [forward_value(posted, SLOPED, t) for t in MIXED_GRID]
         np.testing.assert_allclose(joint.collateral, expected, rtol=1e-12, atol=1e-12 * 90.0)
@@ -657,7 +665,7 @@ class TestNettedKernel:
         swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, frequency=2)
         model, grid = ShortRateModel(0.05, sigma), make_exposure_grid(10.0)
         profile = exposure_profile((swap,), model, SLOPED, grid, 2 * BLOCK_SIZE + 1000,
-                                   seed=2024)
+                                   seed=2024, engine="mc")
         exact = payer_epe(swap, model, SLOPED, grid)
         error = np.abs(profile.epe - exact)
         assert np.all(error <= 4 * profile.se_epe + 1e-12 * swap.notional), \
@@ -667,7 +675,7 @@ class TestNettedKernel:
     def test_standard_errors_match_unit_sample_std(self, model):
         n_paths = 2 * BLOCK_SIZE + 1000
         profile = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, n_paths, seed=23,
-                                   n_workers=2)
+                                   n_workers=2, engine="mc")
         paths = simulate_paths(model, SLOPED, MIXED_GRID, n_paths, seed=23)
         # The t-forward kernel's proxy, fitted per block as the profile fits it: on
         # antithetic pairs ``v`` is nearly constant, so ``beta`` and the residual move
@@ -705,7 +713,8 @@ class TestNettedKernel:
         # maturity, so dv+ is v itself, beta is 1 and epe is the control mean, to
         # the rounding of beta.
         receiver = SwapSpec(notional=100.0, fixed_rate=0.2, maturity=10.0, payer=False)
-        profile = exposure_profile((receiver,), model, FLAT, quarterly_grid, 4000, seed=61)
+        profile = exposure_profile((receiver,), model, FLAT, quarterly_grid, 4000, seed=61,
+                                   engine="mc")
         forward = _netted_plan((receiver,), model, FLAT, quarterly_grid).forward
         assert np.array_equal(profile.forward, forward) and np.all(forward >= 0.0)
         assert np.all(np.abs(forward - profile.epe) <= 1e-13 * forward)
@@ -799,7 +808,7 @@ class TestNettedKernel:
     def test_start_of_the_long_book_has_zero_standard_error(self, model):
         book, _, grid = PROXY_CASES["long-book"]
         profile = exposure_profile(book + POSTED, model, FLAT, grid, 4000, seed=53, n_workers=2,
-                                   collateral_book=POSTED)
+                                   collateral_book=POSTED, engine="mc")
         assert profile.se_epe[0] == 0.0
 
     @pytest.mark.parametrize("sigma", [0.011, 0.3, 0.5, 1.0])
@@ -813,9 +822,9 @@ class TestNettedKernel:
             at_x, at_twin = np.split(_revalue(np.hstack([x, -x]), plan), 2, axis=1)
             out[0], out[1] = (at_x - at_twin) / 2, (at_x + at_twin) / 2
 
-        profile = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
+        profile = exposure_profile(book, model, FLAT, grid, n_paths, seed=5, engine="mc")
         monkeypatch.setattr(exposure, "_taylor_revalue", all_exact)
-        reference = exposure_profile(book, model, FLAT, grid, n_paths, seed=5)
+        reference = exposure_profile(book, model, FLAT, grid, n_paths, seed=5, engine="mc")
         for name in ("epe", "se_epe"):
             ref = getattr(reference, name)
             np.testing.assert_allclose(getattr(profile, name), ref, rtol=1e-9,
@@ -1033,7 +1042,7 @@ class TestDeltaNormalControl:
         9 expected paths in the money at this count.  They are counted, so no more can hide."""
         book, model, grid = PROXY_CASES[case]
         exact, in_money = proxy_case_exact(case)
-        profile = exposure_profile(book, model, FLAT, grid, cls.N_PATHS, seed=2029)
+        profile = exposure_profile(book, model, FLAT, grid, cls.N_PATHS, seed=2029, engine="mc")
         sampled = in_money * cls.N_PATHS >= 50
         assert np.count_nonzero(~sampled & (exact > 0)) <= 2
         error = np.abs(profile.epe - exact)[sampled]
@@ -1064,9 +1073,9 @@ class TestDeltaNormalControl:
         book, model, grid = {
             "base-case": ((SwapSpec(100.0, 0.027, 10.0),), ShortRateModel(0.05, 0.011),
                           make_exposure_grid(10.0)), **PROXY_CASES}[case]
-        both = exposure_profile(book, model, FLAT, grid, 2 * BLOCK_SIZE, seed=83)
+        both = exposure_profile(book, model, FLAT, grid, 2 * BLOCK_SIZE, seed=83, engine="mc")
         monkeypatch.setattr(exposure, "_REACH", -1.0)  # every row off the control
-        alone = exposure_profile(book, model, FLAT, grid, 2 * BLOCK_SIZE, seed=83)
+        alone = exposure_profile(book, model, FLAT, grid, 2 * BLOCK_SIZE, seed=83, engine="mc")
         assert np.linalg.norm(both.se_epe) <= most * np.linalg.norm(alone.se_epe)
         monkeypatch.undo()
         kernel = _forward_kernel(_netted_plan(book, model, FLAT, grid), model, FLAT, grid)
@@ -1088,7 +1097,7 @@ class TestStandardErrorCalibration:
         month row, where the book is positive on a handful of paths at most), and the
         s.e. of such a sample says nothing."""
         book, model, grid = PROXY_CASES["long-book"]
-        profiles = [exposure_profile(book, model, FLAT, grid, BLOCK_SIZE, seed=seed)
+        profiles = [exposure_profile(book, model, FLAT, grid, BLOCK_SIZE, seed=seed, engine="mc")
                     for seed in range(40)]
         epe, se = (np.array([getattr(p, name) for p in profiles]) for name in ("epe", "se_epe"))
         sampled = np.all(se > 0, axis=0)
@@ -1285,7 +1294,7 @@ class TestTotalStandardErrorCalibration:
     def spread_over_reported(cls, case):
         """Per row of the sweep, the sd of ``total_bp`` over the seeds at 8192 paths over
         the mean reported ``se_bp``."""
-        config = replace(cls.CASES[case](), paths=BLOCK_SIZE)
+        config = replace(cls.CASES[case](), paths=BLOCK_SIZE, engine="mc")
         runs = [runner.run_config(replace(config, seed=seed)) for seed in cls.SEEDS]
         total = np.array([run.breakdown.as_bps()["total"] for run in runs])
         se_bp = np.array([run.breakdown.bps(run.breakdown.se_total) for run in runs])

@@ -39,14 +39,16 @@ def volatile_market():
     return market
 
 
+# Each case is priced by the default exact engine but "warn", whose flags need a
+# Monte Carlo error, and "colva", which shows that engine's footer without them.
 CASES = {
-    "warn": lambda: base_case(paths=6, market=volatile_market()),  # 3 ratings' errors pass 1 bp
+    "warn": lambda: base_case(paths=6, market=volatile_market(), engine="mc"),  # 3 ratings pass
     "m_lambda": lambda: base_case(drop=["priceOfRiskXi"], mLambda=[-0.004, 0.0, 0.002],
-                                  psi=[0.0, 0.3, 1.0], paths=200),
-    "colva": lambda: base_case(collateralSpread=0.002, paths=200),
-    "no_colva": lambda: base_case(collateralSpread=0.0, paths=200),
+                                  psi=[0.0, 0.3, 1.0]),
+    "colva": lambda: base_case(collateralSpread=0.002, paths=200, engine="mc"),
+    "no_colva": lambda: base_case(collateralSpread=0.0),
     "labels": lambda: base_case(
-        hedgeSourceLabel=LABEL, ratings=["A", LABEL], paths=200,
+        hedgeSourceLabel=LABEL, ratings=["A", LABEL],
         ratingTable={LABEL: {"cdsSpreadBp": 150, "riskWeight": 1.0, "cvaWeight": 0.01}}),
 }
 
@@ -78,6 +80,8 @@ def test_the_cases_reach_what_they_cover(results):
     assert labels == {"na", "-0.004", "+0", "+0.002"}
     assert "COLVA" in table["colva"] and "COLVA" not in table["no_colva"]
     assert table["labels"].count(LABEL) == 6  # the source of four rows, the rating of two
+    assert table["colva"].endswith("; 200 paths, seed 20150106\n")
+    assert table["no_colva"].endswith("; exact Gaussian exposure\n")
 
 
 def run_cli(args, locale, cwd):
