@@ -5,32 +5,22 @@ The base case is a back-to-back 10y swap pair with a fully eligible credit
 hedge on the uncollateralized side; the two warehouse runs drop the hedge and
 flip the sign of the market price of default risk.
 
-Usage: python scripts/run_presets.py [paths]
+Usage: python scripts/run_presets.py
 """
 
 import sys
 import time
 
-from xvakit.config import ConfigError, load_config
+from xvakit.config import load_config
 from xvakit.report import render_table
 from xvakit.runner import run_config
 
 
-def int_or_text(text: str):
-    """``text`` as an int where it reads as one, else as given, for the config to judge."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
 def main() -> None:
-    overrides = {"paths": int_or_text(sys.argv[1])} if len(sys.argv) > 1 else {}
+    if len(sys.argv) > 1:
+        sys.exit("usage: python scripts/run_presets.py")
     for name in ("base-case", "warehouse-pos", "warehouse-neg"):
-        try:
-            cfg = load_config(name, overrides)
-        except ConfigError as exc:
-            sys.exit("\n".join(exc.diagnostics))
+        cfg = load_config(name)
         start = time.perf_counter()
         result = run_config(cfg)
         elapsed = time.perf_counter() - start

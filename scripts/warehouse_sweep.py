@@ -1,34 +1,33 @@
 #!/usr/bin/env python3
 """Sweep the market price of default risk and report how the adjustments move.
 
-One Monte Carlo run is reused across the whole sweep: only the quadrature
+One exposure profile is reused across the whole sweep: only the quadrature
 weights change with the price of risk.  Shows the tax adjustment crossing
 zero as the warehoused tax credit overtakes the tax on the capital return.
 
-Usage: python scripts/warehouse_sweep.py [rating] [paths]
+Usage: python scripts/warehouse_sweep.py [rating]
 """
 
 import sys
 
 import numpy as np
 
-from run_presets import int_or_text
 from xvakit.config import ConfigError, load_config
 from xvakit.runner import run_config
 
 
 def main() -> None:
+    if len(sys.argv) > 2:
+        sys.exit("usage: python scripts/warehouse_sweep.py [rating]")
     rating = sys.argv[1] if len(sys.argv) > 1 else "BB"
     xis = np.round(np.linspace(-0.75, 0.75, 13), 4).tolist()
     overrides = {"ratings": [rating], "priceOfRiskXi": xis, "phi": [0.0]}
-    if len(sys.argv) > 2:
-        overrides["paths"] = int_or_text(sys.argv[2])
     try:
         cfg = load_config("warehouse-neg", overrides)
     except ConfigError as exc:
         sys.exit("\n".join(exc.diagnostics))
     result = run_config(cfg)
-    print(f"rating {rating}, psi=0, phi=0, {cfg.paths} paths")
+    print(f"rating {rating}, psi=0, phi=0")
     print(f"{'xi':>7}  {'CVA':>8}  {'DVA':>8}  {'FCA':>8}  {'KVA':>8}  {'TVA':>8}  {'Total':>8}")
     b = result.breakdown
     bp = b.as_bps()

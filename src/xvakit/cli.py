@@ -55,8 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a run configuration")
     run.add_argument("config", help="configuration file or preset name")
     run.add_argument("--format", choices=RENDERERS, default="table")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--paths", type=int, default=None)
     run.add_argument("--out", type=Path, default=None, help="write the report to a file")
 
     val = sub.add_parser("validate", help="validate a configuration without running")
@@ -69,17 +67,15 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, overrides: dict | None = None):
+def _load(path: str):
     try:
-        return load_config(path, overrides)
+        return load_config(path)
     except OSError as exc:  # the configuration file's own; a market file's is a ConfigError
         raise _Failure(EXIT_IO, f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
 def _cmd_run(args) -> int:
-    flags = {"seed": args.seed, "paths": args.paths}
-    cfg = _load(args.config, {key: value for key, value in flags.items() if value is not None})
-
+    cfg = _load(args.config)
     with warnings.catch_warnings():  # an overflow is refused as a ConfigError instead
         warnings.simplefilter("ignore", RuntimeWarning)
         result = run_config(cfg)

@@ -20,10 +20,7 @@ resolved relative to the configuration file.  Example::
       "priceOfRiskXi": [0.0],
       "phi": [0.0, 1.0],
       "costOfCapital": 0.10,
-      "taxRate": 0.21,
-      "engine": "exact",
-      "seed": 20150106,
-      "paths": 50000
+      "taxRate": 0.21
     }
 
 The market price of default risk can be given either as the dimensionless

@@ -299,11 +299,11 @@ class ExposureProfile:
     """Discounted expected exposure of a netting set on a time grid.
 
     ``epe`` is the discounted mean of the positive value part, priced
-    through the t-forward kernel and estimated with the book's known
-    discounted mean ``forward`` as a control variate; the negative part's
-    mean is ``forward - epe``.  ``se_epe`` is its standard error per grid
-    point, of the control variate's residual on antithetic pairs.  The undiscounted
-    mean value, a closed form, feeds the capital rules.
+    through the t-forward kernel by the engine that took it; the negative
+    part's mean is ``forward - epe``, the book's known discounted mean less
+    ``epe``.  ``se_epe`` is its standard error per grid point: 0 under the
+    exact engine, the Monte Carlo's control-variate residual under ``"mc"``.
+    The undiscounted mean value, a closed form, feeds the capital rules.
     """
 
     grid: np.ndarray
@@ -397,10 +397,10 @@ def _delta_phi(lo, hi):
 
 def _sums(x, rows, mu, weights):
     """``weights[r] @ exp(mu[r] x)`` at each point ``x`` of row ``r = rows``, ``(points,
-    kinds)`` from ``weights`` ``(rows, kinds, terms)``: one product of the points'
-    exponentials with every row's weights, of which each point keeps its own row's."""
-    sums = np.exp(mu[rows] * x[:, None]) @ weights.reshape(-1, weights.shape[-1]).T
-    return sums.reshape(len(x), -1, weights.shape[1])[np.arange(len(x)), rows]
+    kinds)`` from ``weights`` ``(rows, kinds, terms)``: one product per point, with its
+    own row's weights.  Its summation order is einsum's; the certifier's rounding
+    allowance, ``(terms + 2) 2^-52`` of the absolute sum, bounds any order."""
+    return np.einsum("pt,pkt->pk", np.exp(mu[rows] * x[:, None]), weights[rows])
 
 
 def _refine(rows, lo, hi, g_lo, g_hi, mu, weights, scale):

@@ -1,9 +1,10 @@
 """Independent finite-difference verifier on a single lognormal asset.
 
-The production pipeline computes the adjustments as quadratures over Monte
-Carlo profiles.  This module solves the same economics a second, unrelated
-way: a Crank-Nicolson finite-difference solution of the economic-value PDE
-for a derivative on one lognormal asset with flat parameters,
+The production pipeline computes the adjustments as quadratures over the
+exposure profiles of a swap book.  This module solves the same economics a
+second, unrelated way: a Crank-Nicolson finite-difference solution of the
+economic-value PDE for a derivative on one lognormal asset with flat
+parameters,
 
     0 = dVh/dt + 1/2 s^2 S^2 Vh_SS - (div - repo) S Vh_S
         - (r + lam_B + lam_eff) Vh

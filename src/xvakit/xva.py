@@ -87,7 +87,8 @@ class XvaInputs:
 class XvaBreakdown:
     """All adjustments in currency, one value per row, with the notional for bps conversion.
 
-    ``se_total`` is the Monte Carlo standard error of the total, ``(rows,)``.
+    ``se_total`` is the Monte Carlo standard error of the total, ``(rows,)``;
+    it is 0 under the exact engine, whose EPE carries no sampling error.
     ENE is the known forward less EPE, so every Monte Carlo error enters
     through ``int(epe)``, whose grid points are sampled independently: the
     error is the magnitude of the total's coefficient on ``int(epe)``, that

@@ -19,7 +19,7 @@ from xvakit.cli import main
 from xvakit.config import PRESETS, load_config
 for name in (*PRESETS, "configs/pde_verify.json"):
     load_config(name)
-assert main(["run", "base-case", "--paths", "2000", "--out", sys.argv[1]]) == 0
+assert main(["run", "base-case", "--out", sys.argv[1]]) == 0
 assert main(["validate", "base-case"]) == 0
 assert main(["validate", "configs/base_case.json"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))

@@ -419,26 +419,27 @@ class TestReports:
         market = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
         market["model"]["sigma"] = 0.15
         config = tmp_path / "volatile.json"
-        config.write_text(json.dumps(dict(raw, market=market, engine="mc")), encoding="utf-8")
+        config.write_text(json.dumps(dict(raw, market=market, engine="mc", paths=6)),
+                          encoding="utf-8")
         flagged = {"AAA": False, "A": True, "BB": True, "CCC": True}
-        assert main(["run", str(config), "--paths", "6", "--format", "csv"]) == 0
+        assert main(["run", str(config), "--format", "csv"]) == 0
         header, *lines = capsys.readouterr().out.splitlines()
         rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
         assert len(rows) == 8
         for row in rows:
             assert (float(row["se_bp"]) > 1.0) == flagged[row["rating"]]
             assert row["warn"] == ("true" if flagged[row["rating"]] else "false")
-        assert main(["run", str(config), "--paths", "6", "--format", "json"]) == 0
+        assert main(["run", str(config), "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)["rows"]
         assert [r["warn"] for r in records] == [flagged[r["rating"]] for r in records]
-        assert main(["run", str(config), "--paths", "6"]) == 0
+        assert main(["run", str(config)]) == 0
         body = capsys.readouterr().out.splitlines()[2:10]
         assert [line.endswith("  !") for line in body] == [
             flagged[line.split()[4]] for line in body]
         base = tmp_path / "base.json"
-        base.write_text(json.dumps(dict(raw, market=json.loads(
-            (CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8")), engine="mc")))
-        assert main(["run", str(base), "--paths", "6", "--format", "csv"]) == 0
+        shipped = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
+        base.write_text(json.dumps(dict(raw, market=shipped, engine="mc", paths=6)))
+        assert main(["run", str(base), "--format", "csv"]) == 0
         assert ",true" not in capsys.readouterr().out
 
     def test_collateral_spread_activates_colva(self, result):
@@ -479,8 +480,8 @@ class TestCli:
         assert main(["validate", str(tmp_path / "none.json")]) == 3
 
     @pytest.mark.parametrize("argv, named", [
-        (["run", "base-case", "--paths", "2k"], "--paths"),
-        (["run", "base-case", "--seed", "x"], "--seed"),
+        (["run", "base-case", "--paths", "2000"], "--paths"),  # set in the config, not here
+        (["run", "base-case", "--seed", "7"], "--seed"),
         (["run", "base-case", "--format", "xml"], "--format"),
         (["run"], "config"),
         (["bogus"], "command"),
@@ -494,7 +495,9 @@ class TestCli:
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--help"])
-        assert exc.value.code == 0 and "--paths" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--format" in out
+        assert "--paths" not in out and "--seed" not in out
 
     def test_unreadable_config_is_an_io_failure(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path)]) == 3
@@ -556,20 +559,9 @@ class TestCli:
             path = self.write_config(tmp_path, swaps=[
                 dict(swap, maturity=maturity) for swap in VALID_CONFIG["swaps"]])
             out = tmp_path / f"{maturity}.csv"
-            assert main(["run", str(path), "--format", "csv", "--paths", "20000",
-                         "--out", str(out)]) == 0
+            assert main(["run", str(path), "--format", "csv", "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
-
-    def test_run_seed_and_paths_overrides(self, tmp_path):
-        path = self.write_config(tmp_path, engine="mc")
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        assert main(["run", str(path), "--format", "csv", "--seed", "1",
-                     "--paths", "1000", "--out", str(out_a)]) == 0
-        assert main(["run", str(path), "--format", "csv", "--seed", "2",
-                     "--paths", "1000", "--out", str(out_b)]) == 0
-        assert out_a.read_text() != out_b.read_text()
 
     def test_internal_error_is_exit_4_without_traceback(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):
@@ -589,15 +581,16 @@ class TestCli:
         assert capsys.readouterr().err == (
             "mLambda: rating ZERO has zero hazard; use priceOfRiskXi\n")
 
-    def test_run_rejects_odd_path_override(self, tmp_path, capsys):
-        path = self.write_config(tmp_path)
-        assert main(["run", str(path), "--paths", "999"]) == 1
+    def test_run_rejects_an_odd_path_count(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, paths=999)
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr() == ("", "paths: must be even\n")
 
-    @pytest.mark.parametrize("paths", ["0", "-2", "2", "4"])
-    def test_run_refuses_fewer_than_three_pairs(self, capsys, paths):
+    @pytest.mark.parametrize("paths", [0, -2, 2, 4])
+    def test_run_refuses_fewer_than_three_pairs(self, tmp_path, capsys, paths):
         # One or two antithetic pairs leave the control variate's residual no
         # degree of freedom, and the reported s.e. would collapse towards 0.
-        assert main(["run", "base-case", "--paths", paths]) == 1
+        assert main(["run", str(self.write_config(tmp_path, engine="mc", paths=paths))]) == 1
         assert capsys.readouterr() == ("", "paths: must be >= 6\n")
 
     def test_run_refuses_an_overflowing_exposure(self, tmp_path, capsys):
@@ -646,8 +639,8 @@ class TestCli:
         numeric = [i for i, name in enumerate(header) if name.endswith("_bp")]
         assert all(math.isfinite(float(row[i])) for row in rows for i in numeric)
 
-    def test_run_rejects_negative_seed_override(self, tmp_path, capsys):
-        assert main(["run", str(self.write_config(tmp_path)), "--seed", "-5"]) == 1
+    def test_run_rejects_a_negative_seed(self, tmp_path, capsys):
+        assert main(["run", str(self.write_config(tmp_path, seed=-5))]) == 1
         assert capsys.readouterr().err == "seed: must be >= 0\n"
 
     def test_pde_verify_passes(self, tmp_path, capsys):
