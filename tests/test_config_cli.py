@@ -207,6 +207,14 @@ class TestPresets:
         loaded = load_config(root / "configs" / filename)
         assert loaded == PRESETS[preset]()
 
+    @pytest.mark.parametrize("filename", [
+        "base_case.json", "warehouse_pos.json", "warehouse_neg.json", "pde_verify.json"])
+    def test_shipped_configs_set_no_monte_carlo_inputs(self, filename):
+        # They run the exact engine, which reads neither a seed nor a path count.
+        raw = json.loads((CONFIGS / filename).read_text(encoding="utf-8"))
+        assert raw.get("engine", "exact") == "exact"
+        assert not {"seed", "paths", "workers"} & raw.keys()
+
     def test_run_config_fields_are_the_run_keys(self):
         # One declaration per setting: validate_config builds RunConfig by name.
         assert [_camel(f.name) for f in fields(RunConfig)] == [
@@ -562,6 +570,15 @@ class TestCli:
             assert main(["run", str(path), "--format", "csv", "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_run_seed_and_paths_come_from_the_config(self, tmp_path):
+        reports = []
+        for seed, paths in ((1, 1000), (2, 1000), (1, 2000)):
+            path = self.write_config(tmp_path, engine="mc", seed=seed, paths=paths)
+            out = tmp_path / f"{seed}-{paths}.csv"
+            assert main(["run", str(path), "--format", "csv", "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] != reports[1] and reports[0] != reports[2]
 
     def test_internal_error_is_exit_4_without_traceback(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):

@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
     (["warehouse_sweep.py", "XX"], "ratings: unknown rating 'XX' (known: AAA, "),
     (["warehouse_sweep.py", "2000"], "ratings: unknown rating '2000' (known: AAA, "),
     (["warehouse_sweep.py", "BB", "2000"], "usage: python scripts/warehouse_sweep.py [rating]"),
+    (["warehouse_sweep.py", "--paths", "2000"],
+     "usage: python scripts/warehouse_sweep.py [rating]"),
     (["run_presets.py", "2000"], "usage: python scripts/run_presets.py"),
 ])
 def test_bad_argument_is_one_line_and_exit_1(argv, field):
