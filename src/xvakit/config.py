@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -440,4 +439,4 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-PRESETS = {name: partial(load_config, name) for name in _PRESET_PSI_XI}
+PRESETS = tuple(_PRESET_PSI_XI)  # the built-in presets' names, for ``load_config``

@@ -84,7 +84,7 @@ def effective_hazard(hazard, hedge_fraction, price_of_risk):
 
 
 def counterparty_hedge_error(
-    closeout: float, economic_value: float, hedge_fraction: float, default_tax_jump: float = 0.0
+    closeout: float, economic_value: float, hedge_fraction: float, default_tax_jump: float
 ):
     """Jump in the hedged position's value when the counterparty defaults.
 
@@ -102,7 +102,7 @@ def compensator_rate(
     hedge_fraction: float,
     price_of_risk: float,
     hazard: float,
-    default_tax_jump: float = 0.0,
+    default_tax_jump: float,
 ):
     """Accrual rate compensating the expected warehoused default loss.
 

@@ -19,12 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _scalar_or_array(t, values):
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(values)
-    return values
-
-
 @dataclass
 class DiscountCurve:
     """Zero curve with log-linear discount-factor interpolation.
@@ -61,8 +55,7 @@ class DiscountCurve:
             raise ValueError("time must be >= 0")
         inside = np.interp(t_arr, self._knots, self._log_dfs)
         # Flat zero-rate extrapolation beyond the last pillar.
-        out = np.where(t_arr > self.pillars[-1], -self.zero_rates[-1] * t_arr, inside)
-        return _scalar_or_array(t, out)
+        return np.where(t_arr > self.pillars[-1], -self.zero_rates[-1] * t_arr, inside)
 
     def df(self, t):
         """Discount factor exp(-r(t) * t)."""
@@ -80,5 +73,4 @@ class DiscountCurve:
         seg_fwd = -np.diff(self._log_dfs) / np.diff(self._knots)
         idx = np.searchsorted(self._knots, t_arr, side="left")
         idx = np.clip(idx - 1, 0, len(seg_fwd) - 1)
-        out = np.where(t_arr > self.pillars[-1], self.zero_rates[-1], seg_fwd[idx])
-        return _scalar_or_array(t, out)
+        return np.where(t_arr > self.pillars[-1], self.zero_rates[-1], seg_fwd[idx])

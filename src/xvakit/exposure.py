@@ -304,6 +304,8 @@ class ExposureProfile:
     ``epe``.  ``se_epe`` is its standard error per grid point: 0 under the
     exact engine, the Monte Carlo's control-variate residual under ``"mc"``.
     The undiscounted mean value, a closed form, feeds the capital rules.
+    ``collateral`` is the collateral held, the discounted mean value of the
+    collateralized swaps, in closed form: zero where the book has none.
     """
 
     grid: np.ndarray
@@ -311,12 +313,12 @@ class ExposureProfile:
     forward: np.ndarray
     mean_value_undiscounted: np.ndarray
     se_epe: np.ndarray
-    collateral: np.ndarray | None = None  # the posted book's discounted mean, exact
+    collateral: np.ndarray
 
     def __post_init__(self):
         n = len(self.grid)
         for name in ("epe", "forward", "mean_value_undiscounted", "se_epe", "collateral"):
-            if (value := getattr(self, name)) is not None and len(value) != n:
+            if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must match the grid length")
 
 
@@ -550,12 +552,12 @@ def _block_stats(parts: np.ndarray):
     return _moments(parts[:2])
 
 
-def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan,
-            linear_mean: np.ndarray) -> ExposureProfile:
-    """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant.
+def _reduce(blocks, forward: np.ndarray, linear_mean: np.ndarray):
+    """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant:
+    ``(epe, se_epe)``.
 
     ``blocks`` may be an iterator: each block is merged as it arrives.  The
-    controls are the plan's ``forward`` and the linear book's ``linear_mean`` (see
+    controls are the kernel's ``forward`` and the linear book's ``linear_mean`` (see
     the module docstring); the residual has ``n - 2`` degrees of freedom, as
     ``beta`` is fitted from the same ``n`` pairs.
     """
@@ -563,17 +565,15 @@ def _reduce(blocks, grid: np.ndarray, plan: _NettedPlan,
     m2_v = co[1]
     beta = np.divide(co[2], m2_v, out=np.zeros_like(m2_v), where=m2_v > 0)
     residual = np.maximum(co[0] - beta * co[2], 0.0)
-    se_epe = np.sqrt(residual / (n_units - 2) / n_units)
-    return ExposureProfile(grid=grid, epe=mean[0] - beta * (mean[1] - plan.forward) + linear_mean,
-                           forward=plan.forward, mean_value_undiscounted=plan.expected,
-                           se_epe=se_epe)
+    return (mean[0] - beta * (mean[1] - forward) + linear_mean,
+            np.sqrt(residual / (n_units - 2) / n_units))
 
 
-def _mc_epe(kernel: _NettedPlan, grid: np.ndarray, sd: np.ndarray, n_paths: int, seed: int,
-            n_workers: int) -> ExposureProfile:
-    """The profile of the t-forward ``kernel`` with its EPE estimated on ``n_paths`` paths:
-    each deterministic block streamed in ``CHUNK_ROWS`` row chunks, never materializing a
+def _mc_epe(kernel: _NettedPlan, sd: np.ndarray, n_paths: int, seed: int, n_workers: int):
+    """``(epe, se_epe)`` of the t-forward ``kernel`` estimated on ``n_paths`` paths: each
+    deterministic block streamed in ``CHUNK_ROWS`` row chunks, never materializing a
     block's paths, with the two control variates of the module docstring."""
+    n_rows = len(sd)
     a = kernel.const + kernel.wa.sum(axis=1)  # the linear book: the kernel at 0, its slope
     b = np.sum(kernel.wa * kernel.neg_b, axis=1)
     off = (np.abs(a) > _REACH * np.abs(b) * sd) | (kernel.b_max * sd > _MAX_SPREAD)
@@ -583,9 +583,9 @@ def _mc_epe(kernel: _NettedPlan, grid: np.ndarray, sd: np.ndarray, n_paths: int,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
         x = np.empty((CHUNK_ROWS, size // 2))  # each pair's drawn path; its twin is at -x
         parts = np.empty((3, *x.shape))
-        mean, co = np.empty((2, len(grid))), np.empty((len(_LEFT), len(grid)))
-        for k0 in range(0, len(grid), CHUNK_ROWS):
-            rows = min(CHUNK_ROWS, len(grid) - k0)
+        mean, co = np.empty((2, n_rows)), np.empty((len(_LEFT), n_rows))
+        for k0 in range(0, n_rows, CHUNK_ROWS):
+            rows = min(CHUNK_ROWS, n_rows - k0)
             _simulate_block(sd, rng, k0, x)
             _taylor_revalue(x[:rows], kernel[k0:k0 + rows], parts[:2, :rows])
             np.multiply(b[k0:k0 + rows, None], x[:rows], out=parts[2, :rows])
@@ -593,44 +593,41 @@ def _mc_epe(kernel: _NettedPlan, grid: np.ndarray, sd: np.ndarray, n_paths: int,
             n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])
         return n_units, mean, co
 
-    return _reduce(map_blocks(run_block, n_paths, n_workers), grid, kernel, _bachelier(a, b, sd))
+    return _reduce(map_blocks(run_block, n_paths, n_workers), kernel.forward, _bachelier(a, b, sd))
 
 
 def exposure_profile(
-    swaps,
+    book,
     model: ShortRateModel,
     curve: DiscountCurve,
     grid,
     n_paths: int = 0,
     seed: int = 0,
     n_workers: int = 1,
-    collateral_book=(),
     engine: str = ENGINES[0],
 ) -> ExposureProfile:
-    """Exposure profile of the netted uncollateralized swaps, its EPE taken by ``engine``.
+    """Exposure profile of a book of SwapSpec, its EPE taken by ``engine``.
 
-    ``swaps`` is a sequence of SwapSpec; collateralized swaps contribute
-    nothing here.  The result's ``collateral`` is the discounted mean value
-    of the swaps in ``collateral_book``, whatever their flag, in closed form.
-    ``"exact"`` takes each row's EPE from ``positive_mean`` of the t-forward
-    kernel, with ``se_epe`` 0, and reads neither ``n_paths``, ``seed`` nor
-    ``n_workers``; ``"mc"`` estimates it on ``n_paths`` paths of ``seed`` on
-    ``n_workers`` threads.
+    The EPE, the forward and the undiscounted mean are those of the netted
+    uncollateralized swaps; the collateralized ones carry no exposure.  The
+    result's ``collateral`` is the collateralized swaps' discounted mean
+    value, in closed form.  ``"exact"`` takes each row's EPE from
+    ``positive_mean`` of the t-forward kernel, with ``se_epe`` 0, and reads
+    neither ``n_paths``, ``seed`` nor ``n_workers``; ``"mc"`` estimates it on
+    ``n_paths`` paths of ``seed`` on ``n_workers`` threads.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine: must be one of {', '.join(ENGINES)}, got {engine!r}")
     g = _validate_grid(grid)
     kernel = _forward_kernel(
-        _netted_plan(tuple(s for s in swaps if not s.collateralized), model, curve, g),
+        _netted_plan(tuple(s for s in book if not s.collateralized), model, curve, g),
         model, curve, g)
     v = model.variance(g)
     if engine == "mc":
-        profile = _mc_epe(kernel, g, np.sqrt(v), n_paths, seed, n_workers)
+        epe, se_epe = _mc_epe(kernel, np.sqrt(v), n_paths, seed, n_workers)
     else:
-        profile = ExposureProfile(
-            grid=g, epe=positive_mean(kernel.const, kernel.wa, kernel.neg_b, v),
-            forward=kernel.forward, mean_value_undiscounted=kernel.expected,
-            se_epe=np.zeros(len(g)))
-    if collateral_book:
-        profile.collateral = _netted_plan(tuple(collateral_book), model, curve, g).forward
-    return profile
+        epe, se_epe = positive_mean(kernel.const, kernel.wa, kernel.neg_b, v), np.zeros(len(g))
+    posted = _netted_plan(tuple(s for s in book if s.collateralized), model, curve, g)
+    return ExposureProfile(grid=g, epe=epe, forward=kernel.forward,
+                           mean_value_undiscounted=kernel.expected, se_epe=se_epe,
+                           collateral=posted.forward)

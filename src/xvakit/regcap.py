@@ -109,18 +109,14 @@ def _mr_band(residual_maturity):
 
 
 def remaining_duration(curve: DiscountCurve, spec: SwapSpec, t):
-    """Discount-weighted average time to the swap's remaining payments.
-
-    Vectorized over ``t``: a float for a scalar, an array for an array; 0
-    where no payment remains.
-    """
+    """Discount-weighted average time to the swap's remaining payments at each
+    time of ``t``; 0 where no payment remains."""
     times = spec.payment_times()
     t_col = np.asarray(t, dtype=float)[..., None]
     dfs = np.where(is_live(times, t_col), curve.df(times), 0.0)
     total = dfs.sum(axis=-1)
-    out = np.divide(((times - t_col) * dfs).sum(axis=-1), total,
-                    out=np.zeros_like(total), where=total > 0)
-    return float(out) if np.ndim(t) == 0 else out
+    return np.divide(((times - t_col) * dfs).sum(axis=-1), total,
+                     out=np.zeros_like(total), where=total > 0)
 
 
 @dataclass(frozen=True)
@@ -139,22 +135,21 @@ class CapitalBase:
     k_mr: np.ndarray
 
 
-def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
-                 mr_swaps) -> CapitalBase:
+def capital_base(profile: ExposureProfile, book, curve: DiscountCurve) -> CapitalBase:
     """EAD, effective maturity and market-risk charge at every grid point.
 
     The CEM mark-to-market at each grid point is the netting set's
     undiscounted expected value, floored at zero inside the EAD as the current
     exposure method prescribes; it is a closed form, so the capital carries no
-    Monte Carlo error.  ``swaps`` are the uncollateralized trades
-    backing the exposure (add-ons, durations), one add-on per live trade;
-    ``mr_swaps`` is the full book for market-risk netting.
+    Monte Carlo error.  The add-ons and durations read the book's
+    uncollateralized swaps, which carry the exposure, one add-on per live
+    trade; the market-risk ladder nets every swap of the book.
     """
     grid = profile.grid
     addons = np.zeros_like(grid)
     weighted_duration = np.zeros_like(grid)
     total_notional = np.zeros_like(grid)
-    for spec in swaps:
+    for spec in (s for s in book if not s.collateralized):
         residual = spec.maturity - grid
         live = is_live(spec.maturity, grid)
         addons += np.where(live, spec.notional * _addon_factor(residual), 0.0)
@@ -167,7 +162,7 @@ def capital_base(profile: ExposureProfile, swaps, curve: DiscountCurve,
                          where=total_notional > 0)
 
     nets = np.zeros((len(grid), len(MR_BAND_WEIGHTS)))
-    for spec in mr_swaps:
+    for spec in book:
         residual = spec.maturity - grid
         live = np.flatnonzero(is_live(spec.maturity, grid))
         nets[live, _mr_band(residual[live])] += spec.sign * spec.notional
@@ -186,14 +181,12 @@ class CapitalProfile:
     cva: float
 
 
-def capital_profile(counterparty: CounterpartyProfile, min_ratio: float = 0.08,
-                    provider: CounterpartyProfile | None = None) -> CapitalProfile:
+def capital_profile(counterparty: CounterpartyProfile, min_ratio: float,
+                    provider: CounterpartyProfile) -> CapitalProfile:
     """One rating's charges; ``provider`` is the credit-protection seller
     whose risk weight caps the hedged CCR weight."""
     if min_ratio < 0:
         raise ValueError("min_ratio must be >= 0")
-    hedged_weight = counterparty.risk_weight
-    if provider is not None:
-        hedged_weight = min(hedged_weight, provider.risk_weight)
+    hedged_weight = min(counterparty.risk_weight, provider.risk_weight)
     return CapitalProfile(counterparty.risk_weight * min_ratio, hedged_weight * min_ratio,
                           CVA_VAR_QUANTILE * counterparty.cva_weight)

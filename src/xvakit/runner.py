@@ -1,7 +1,8 @@
 """Pipeline orchestration: config -> exposure -> capital -> breakdown columns.
 
-One exposure profile per configuration: that of the netted uncollateralized
-swaps, taken once by the configured engine (exact, or Monte Carlo) and reused
+The book goes whole to each stage, which splits it where it must: one
+exposure profile per configuration, taken once by the configured engine
+(exact, or Monte Carlo) over the netted uncollateralized swaps, and reused
 across every (psi, xi, phi, rating) combination, since the adjustment
 integrals are deterministic quadratures over it.  Rows come out ordered by
 that tuple, in configuration order, regardless of any parallelism in the
@@ -35,27 +36,21 @@ class RunResult:
 def run_config(config: RunConfig) -> RunResult:
     """Execute the full pipeline for one configuration."""
     curve, model, issuer = config.market
-    uncollateralized = tuple(s for s in config.swaps if not s.collateralized)
-    horizon = max(s.maturity for s in config.swaps)
-    grid = make_exposure_grid(horizon)
-    # Collateral held equals the collateralized legs' value; its expected
-    # discounted profile, in closed form, feeds the collateral-spread carry.
-    posted = tuple(s for s in config.swaps if s.collateralized) if config.collateral_spread else ()
+    grid = make_exposure_grid(max(s.maturity for s in config.swaps))
     profile = exposure_profile(
         config.swaps, model, curve, grid,
         n_paths=config.paths, seed=config.seed,
-        n_workers=config.workers,
-        collateral_book=posted, engine=config.engine,
+        n_workers=config.workers, engine=config.engine,
     )
     if not np.isfinite(np.concatenate(
             [v for v in vars(profile).values() if isinstance(v, np.ndarray)])).all():
         raise ConfigError([f"market.model.sigma: {model.sigma} (meanReversion "
                            f"{model.mean_reversion}) makes the exposure profile overflow"])
-    notional = sum(s.notional for s in uncollateralized)
+    notional = sum(s.notional for s in config.swaps if not s.collateralized)
     table = config.rating_table
     provider = table[config.provider_rating]
 
-    base = capital_base(profile, uncollateralized, curve, mr_swaps=config.swaps)
+    base = capital_base(profile, config.swaps, curve)
     parties = []  # per rating, its (counterparty curve, capital per unit of the base)
     for rating in config.ratings:
         cpty = table[rating]

@@ -27,8 +27,9 @@ Components and signs (received cash positive):
     TVA           tax on the capital return minus the tax credit expected
                   from warehoused default losses; either sign
 
-The exposure profile's collateral, when given, is the discounted expected
-collateral, consistent with the discounted exposure profiles.
+The exposure profile's collateral is the discounted expected collateral,
+consistent with the discounted exposure profiles; COLVA is its carry at the
+collateral spread.
 """
 
 from __future__ import annotations
@@ -170,9 +171,8 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     dva = -issuer_loss * ((weights * exposure.forward).sum(axis=-1) - epe)
     se_total = np.abs(c_cva + credit) * np.sqrt(np.square(weights * exposure.se_epe).sum(axis=-1))
 
-    colva = np.zeros(len(inputs.psi))
-    if exposure.collateral is not None:
-        colva -= inputs.collateral_spread * (weights * exposure.collateral).sum(axis=-1)
+    # 0.0 less the carry, so that a zero spread gives 0.0, never -0.0.
+    colva = 0.0 - inputs.collateral_spread * (weights * exposure.collateral).sum(axis=-1)
 
     # The capital base is deterministic, so it is discounted by the curve.
     # Each of its profiles is integrated with and without the forward rate,

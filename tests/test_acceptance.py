@@ -30,7 +30,7 @@ from xvakit import (
     solve_vhat,
     verify_decomposition,
 )
-from xvakit.config import PRESETS
+from xvakit.config import load_config
 from xvakit.regcap import CapitalBase, CapitalProfile
 from xvakit.runner import run_config
 
@@ -57,7 +57,7 @@ def preset_runs():
     elapsed = {}
     for name in ("base-case", "warehouse-pos", "warehouse-neg"):
         start = time.perf_counter()
-        results[name] = run_config(PRESETS[name]())
+        results[name] = run_config(load_config(name))
         elapsed[name] = time.perf_counter() - start
     return results, elapsed
 
@@ -85,7 +85,7 @@ def test_criterion_2_tax_capital_ratio_identity():
         epe = rng.uniform(0.0, 5.0, grid.shape)
         ene = -rng.uniform(0.0, 5.0, grid.shape)
         profile = ExposureProfile(grid=grid, epe=epe, forward=epe + ene,
-                                  mean_value_undiscounted=epe + ene, se_epe=z)
+                                  mean_value_undiscounted=epe + ene, se_epe=z, collateral=z)
         base = CapitalBase(
             grid,
             ead=rng.uniform(0.0, 30.0, grid.shape),

@@ -190,7 +190,7 @@ class TestValidation:
 class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_build(self, name):
-        cfg = PRESETS[name]()
+        cfg = load_config(name)
         assert cfg.paths == 50000
         assert len(cfg.ratings) == 4
 
@@ -205,7 +205,7 @@ class TestPresets:
     def test_shipped_configs_mirror_presets(self, filename, preset):
         root = Path(__file__).resolve().parent.parent
         loaded = load_config(root / "configs" / filename)
-        assert loaded == PRESETS[preset]()
+        assert loaded == load_config(preset)
 
     @pytest.mark.parametrize("filename", [
         "base_case.json", "warehouse_pos.json", "warehouse_neg.json", "pde_verify.json"])
@@ -227,7 +227,7 @@ class TestPresets:
         assert cfg.pde.tolerance == 0.005
 
     def test_base_case_produces_eight_ordered_rows(self):
-        cfg = replace(PRESETS["base-case"](), paths=1000)
+        cfg = replace(load_config("base-case"), paths=1000)
         rows = run_config(cfg).rows
         assert len(rows) == 8
         assert [rating for *_, rating in rows] == ["AAA", "A", "BB", "CCC"] * 2
@@ -235,7 +235,7 @@ class TestPresets:
 
     def test_m_lambda_varies_xi_by_rating(self):
         cfg = replace(
-            PRESETS["base-case"](),
+            load_config("base-case"),
             psi=(0.0,),
             price_of_risk_xi=None,
             m_lambda=(0.0002,),

@@ -169,13 +169,13 @@ class TestHedgeError:
         assert counterparty_hedge_error(4.0, 10.0, 0.25, 1.26) == pytest.approx(-3.555, rel=1e-12)
 
     def test_compensator_full_hedge_zero(self):
-        assert compensator_rate(4.0, 10.0, 1.0, 0.5, 0.02) == 0.0
+        assert compensator_rate(4.0, 10.0, 1.0, 0.5, 0.02, 0.0) == 0.0
 
     def test_compensator_example(self):
-        assert compensator_rate(4.0, 10.0, 0.0, 0.5, 0.02) == pytest.approx(0.06, rel=1e-12)
+        assert compensator_rate(4.0, 10.0, 0.0, 0.5, 0.02, 0.0) == pytest.approx(0.06, rel=1e-12)
 
     def test_compensator_no_default_risk(self):
-        assert compensator_rate(4.0, 10.0, 0.3, 0.2, 0.0) == 0.0
+        assert compensator_rate(4.0, 10.0, 0.3, 0.2, 0.0, 0.0) == 0.0
 
     def test_arrays_match_the_float_form(self):
         rows = np.array([  # close-out, economic value, psi, tax jump, xi, hazard
@@ -193,9 +193,9 @@ class TestHedgeError:
     def test_array_psi_out_of_range(self):
         psi = np.array([0.5, 1.5])
         with pytest.raises(ValueError, match=r"hedge_fraction must lie in \[0, 1\]"):
-            counterparty_hedge_error(np.array([1.0, 2.0]), np.array([1.5, 1.5]), psi)
+            counterparty_hedge_error(np.array([1.0, 2.0]), np.array([1.5, 1.5]), psi, 0.0)
         with pytest.raises(ValueError, match=r"hedge_fraction must lie in \[0, 1\]"):
-            compensator_rate(np.array([1.0, 2.0]), np.array([1.5, 1.5]), psi, 0.0, 0.02)
+            compensator_rate(np.array([1.0, 2.0]), np.array([1.5, 1.5]), psi, 0.0, 0.02, 0.0)
 
     @given(
         g_c=st.floats(-1e5, 1e5, **finite),

@@ -13,14 +13,14 @@ import pytest
 from test_exposure import FLAT, LONG_BOOK, POSTED, PROXY_CASES, exact_epe, payer_epe
 from xvakit import ShortRateModel, SwapSpec, exposure, exposure_profile, make_exposure_grid
 from xvakit.cli import main
-from xvakit.config import PRESETS, load_config
+from xvakit.config import load_config
 from xvakit.exposure import _forward_kernel, _netted_plan, positive_mean
 from xvakit.ratemodel import BLOCK_SIZE
 from xvakit.report import render_csv
 from xvakit.runner import run_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-BASE = PRESETS["base-case"]()
+BASE = load_config("base-case")
 CURVE, MODEL, _ = BASE.market
 # The three presets price one book in one market; only the sweep differs.
 ORACLE_CASES = {"presets": (BASE.swaps, 50_000), "long-book": (LONG_BOOK + POSTED, 65_536)}

@@ -16,6 +16,7 @@ from scipy.special import factorial, gammainc, ndtr
 from pathsim import block_rng, forward_mean, shared_normal, simulate_paths
 from xvakit import (
     DiscountCurve,
+    ExposureProfile,
     ShortRateModel,
     SwapSpec,
     exposure,
@@ -25,7 +26,7 @@ from xvakit import (
     ratemodel,
     runner,
 )
-from xvakit.config import PRESETS
+from xvakit.config import load_config
 from xvakit.exposure import (
     CHUNK_ROWS,
     _bachelier,
@@ -169,9 +170,9 @@ def normal_call(a, b, sd, defect=None):
 
 
 def reference_profile(book, model, curve, grid, n_paths, seed, posted=()):
-    """Whole blocks through simulate, revalue on the t-forward kernel, the linear book's pair
-    means, ``_block_stats`` and ``_reduce``; the posted book's discounted mean from its plan
-    alone."""
+    """Whole blocks of the uncollateralized ``book`` through simulate, revalue on the
+    t-forward kernel, the linear book's pair means, ``_block_stats`` and ``_reduce``; the
+    ``posted`` book's discounted mean from its plan alone."""
     kernel = _forward_kernel(_netted_plan(book, model, curve, grid), model, curve, grid)
     a, b, sd = linear_book(kernel, model, grid)
     moments = []
@@ -181,23 +182,16 @@ def reference_profile(book, model, curve, grid, n_paths, seed, posted=()):
         revalue_in_chunks(x, kernel, parts[:2])
         _pair_positive(np.multiply(b[:, None], x, out=parts[2]), a[:, None])
         moments.append(_block_stats(parts))
-    profile = _reduce(moments, grid, kernel, _bachelier(a, b, sd))
-    if posted:
-        profile.collateral = _netted_plan(posted, model, curve, grid).forward
-    return profile
+    epe, se_epe = _reduce(moments, kernel.forward, _bachelier(a, b, sd))
+    return ExposureProfile(grid=grid, epe=epe, forward=kernel.forward,
+                           mean_value_undiscounted=kernel.expected, se_epe=se_epe,
+                           collateral=_netted_plan(posted, model, curve, grid).forward)
 
 
 def assert_identical(a, b):
     """Every field of two profiles equal bit for bit, collateral mean included."""
     for field in fields(a):
-        u, v = getattr(a, field.name), getattr(b, field.name)
-        if field.name == "collateral":
-            assert (u is None) == (v is None)
-            assert u is None or np.array_equal(u, v)
-        elif isinstance(u, np.ndarray):
-            assert np.array_equal(u, v), field.name
-        else:
-            assert u == v, field.name
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 def payer_epe(swap, model, curve, grid):
@@ -391,8 +385,9 @@ class TestExposureProfile:
 
     def test_collateralized_book_is_exactly_zero_through_the_general_path(
             self, monkeypatch, model):
-        """No live swap and no posted book: every path is simulated, revalued and reduced
-        like any other book, and every field comes out exactly zero."""
+        """No uncollateralized swap: every path is simulated, revalued and reduced like any
+        other book, and every exposure field comes out exactly zero; the collateral is the
+        book's discounted mean."""
         book = tuple(replace(s, collateralized=True) for s in MIXED_BOOK)
         reduced = []
         monkeypatch.setattr(exposure, "_block_stats",
@@ -402,7 +397,8 @@ class TestExposureProfile:
         assert reduced
         for name in ("epe", "forward", "mean_value_undiscounted", "se_epe"):
             assert np.array_equal(getattr(profile, name), np.zeros(len(MIXED_GRID))), name
-        assert profile.collateral is None
+        assert np.array_equal(profile.collateral,
+                              _netted_plan(book, model, SLOPED, MIXED_GRID).forward)
 
     def test_zero_vol_in_the_money_receiver(self, flat_curve, quarterly_grid):
         frozen = ShortRateModel(mean_reversion=0.05, sigma=0.0)
@@ -485,7 +481,7 @@ class TestStreamedBlocks:
         book, grid = STREAM_CASES[case]
         n_paths = 2 * BLOCK_SIZE + 1000
         streamed = exposure_profile(book + POSTED, model, SLOPED, grid, n_paths, seed=37,
-                                    n_workers=workers, collateral_book=POSTED, engine="mc")
+                                    n_workers=workers, engine="mc")
         whole = reference_profile(book, model, SLOPED, grid, n_paths, 37, POSTED)
         assert_identical(streamed, whole)
 
@@ -502,8 +498,7 @@ class TestStreamedBlocks:
         book, grid = STREAM_CASES["long-book"]
         tracemalloc.start()
         try:
-            exposure_profile(book + POSTED, model, FLAT, grid, BLOCK_SIZE, seed=43,
-                             collateral_book=POSTED, engine="mc")
+            exposure_profile(book + POSTED, model, FLAT, grid, BLOCK_SIZE, seed=43, engine="mc")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -649,13 +644,13 @@ class TestNettedKernel:
                            payer=False, collateralized=True),)
         book = MIXED_BOOK + posted
         joint = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2,
-                                 collateral_book=posted, engine="mc")
-        alone = exposure_profile(book, model, SLOPED, MIXED_GRID, 4000, seed=19, n_workers=2,
                                  engine="mc")
-        assert alone.collateral is None
+        alone = exposure_profile(MIXED_BOOK, model, SLOPED, MIXED_GRID, 4000, seed=19,
+                                 n_workers=2, engine="mc")
+        assert np.array_equal(alone.collateral, np.zeros(len(MIXED_GRID)))
         expected = [forward_value(posted, SLOPED, t) for t in MIXED_GRID]
         np.testing.assert_allclose(joint.collateral, expected, rtol=1e-12, atol=1e-12 * 90.0)
-        joint.collateral = None  # the posted book is never revalued on a path
+        joint.collateral = alone.collateral  # the posted book is never revalued on a path
         assert_identical(joint, alone)
 
     @pytest.mark.parametrize("sigma", [0.011, 0.03])
@@ -808,7 +803,7 @@ class TestNettedKernel:
     def test_start_of_the_long_book_has_zero_standard_error(self, model):
         book, _, grid = PROXY_CASES["long-book"]
         profile = exposure_profile(book + POSTED, model, FLAT, grid, 4000, seed=53, n_workers=2,
-                                   collateral_book=POSTED, engine="mc")
+                                   engine="mc")
         assert profile.se_epe[0] == 0.0
 
     @pytest.mark.parametrize("sigma", [0.011, 0.3, 0.5, 1.0])
@@ -1122,36 +1117,32 @@ def with_n_minus_1(blocks, *args):
     had not been fitted from the same units."""
     blocks = list(blocks)
     n_units = sum(block[0] for block in blocks)
-    profile = _reduce(blocks, *args)
-    profile.se_epe = profile.se_epe * math.sqrt((n_units - 2) / (n_units - 1))
-    return profile
+    epe, se_epe = _reduce(blocks, *args)
+    return epe, se_epe * math.sqrt((n_units - 2) / (n_units - 1))
 
 
 class TestReduceDegreesOfFreedom:
     @staticmethod
-    def assert_residual_over_n_minus_2(reduce, model):
+    def assert_residual_over_n_minus_2(reduce):
         """Three hand-built pairs ``(pos, v)``: ``se_epe`` is ``sqrt(residual / ((n - 2) n))``,
         ``residual = M2(pos) - beta C(pos, v)``, since ``beta`` is fitted from the same pairs;
         ``epe`` adds the linear book's mean to the controlled mean."""
         pos, v = np.array([0.75, 0.25, 2.0]), np.array([0.5, -1.0, 2.0])
-        plan = _netted_plan((), model, FLAT, [0.0])
-        profile = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1), plan,
-                         np.array([0.125]))
+        epe, se_epe = reduce([_moments(np.stack([pos, v])[:, None, :])], np.zeros(1),
+                             np.array([0.125]))
         cp, cv = pos - pos.mean(), v - v.mean()
         beta = (cp @ cv) / (cv @ cv)
         residual = cp @ cp - beta * (cp @ cv)
         assert residual > 0.05  # three pairs off one line leave a residual
-        np.testing.assert_allclose(profile.se_epe, [math.sqrt(residual / ((3 - 2) * 3))],
-                                   rtol=1e-14)
-        np.testing.assert_allclose(profile.epe, [pos.mean() - beta * v.mean() + 0.125],
-                                   rtol=1e-14)
+        np.testing.assert_allclose(se_epe, [math.sqrt(residual / ((3 - 2) * 3))], rtol=1e-14)
+        np.testing.assert_allclose(epe, [pos.mean() - beta * v.mean() + 0.125], rtol=1e-14)
 
-    def test_three_pairs_leave_one_degree_of_freedom(self, model):
-        self.assert_residual_over_n_minus_2(_reduce, model)
+    def test_three_pairs_leave_one_degree_of_freedom(self):
+        self.assert_residual_over_n_minus_2(_reduce)
 
-    def test_n_minus_1_fails_it(self, model):
+    def test_n_minus_1_fails_it(self):
         with pytest.raises(AssertionError):
-            self.assert_residual_over_n_minus_2(with_n_minus_1, model)
+            self.assert_residual_over_n_minus_2(with_n_minus_1)
 
 
 def pair_parts(regime):
@@ -1252,15 +1243,14 @@ class TestPairReduction:
             self.assert_pair_means(monkeypatch, self.with_linear("mixed"))
 
 
-def without_beta(blocks, grid, plan, linear_mean):
+def without_beta(blocks, forward, linear_mean):
     """A planted defect: ``_reduce`` with the forward control's ``beta`` dropped from the
     estimate but not from its standard error, so ``epe`` is the mean of ``v+ - l+`` plus the
     linear book's mean, reported with the residual's error.  (Zeroing ``C(pos, v)`` drops it
     from both: a weaker estimator but an honest one, which calibration passes.)"""
     n_units, mean, co = functools.reduce(_merge_moments, blocks)
-    profile = _reduce([(n_units, mean, co)], grid, plan, linear_mean)
-    profile.epe = mean[0] + linear_mean
-    return profile
+    _, se_epe = _reduce([(n_units, mean, co)], forward, linear_mean)
+    return mean[0] + linear_mean, se_epe
 
 
 def four_bound_sum(inputs):
@@ -1285,9 +1275,9 @@ class TestTotalStandardErrorCalibration:
 
     SEEDS = range(200)
     CASES = {
-        "long-book": lambda: replace(PRESETS["base-case"](), swaps=LONG_BOOK + POSTED,
+        "long-book": lambda: replace(load_config("base-case"), swaps=LONG_BOOK + POSTED,
                                      psi=(0.0, 0.5, 1.0), price_of_risk_xi=(-0.5, 0.5)),
-        "warehouse-neg": PRESETS["warehouse-neg"],
+        "warehouse-neg": lambda: load_config("warehouse-neg"),
     }
 
     @classmethod

@@ -17,7 +17,7 @@ from xvakit import (
     make_exposure_grid,
     remaining_duration,
 )
-from xvakit.config import PRESETS
+from xvakit.config import load_config
 from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base
 from xvakit.runner import run_config
 
@@ -64,30 +64,34 @@ class TestEadCem:
             ead_cem(1.0, -100.0, 5.0)
 
 
+def charges(rating, min_ratio=0.08, provider="A"):
+    """``capital_profile`` of a rating at the Basel minimum ratio, hedged with an A seller."""
+    return capital_profile(RATING_TABLE[rating], min_ratio, RATING_TABLE[provider])
+
+
 class TestCcrCapital:
     """CCR capital is EAD x risk weight x minimum ratio: the charge is per unit of EAD."""
 
     def test_examples(self):
-        assert capital_profile(RATING_TABLE["AAA"]).ccr == pytest.approx(0.016)
-        assert 100.0 * capital_profile(RATING_TABLE["AAA"]).ccr == pytest.approx(1.6)
-        assert 100.0 * capital_profile(RATING_TABLE["CCC"]).ccr == pytest.approx(12.0)
-        assert capital_profile(RATING_TABLE["CCC"], min_ratio=0.0).ccr == 0.0
+        assert charges("AAA").ccr == pytest.approx(0.016)
+        assert 100.0 * charges("AAA").ccr == pytest.approx(1.6)
+        assert 100.0 * charges("CCC").ccr == pytest.approx(12.0)
+        assert charges("CCC", min_ratio=0.0).ccr == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):
-            capital_profile(RATING_TABLE["A"], min_ratio=-0.1)
+            charges("A", min_ratio=-0.1)
 
 
 class TestCvaVarCapital:
     """The unhedged charge 2.33 |w M EAD| is per unit of duration x EAD."""
 
     def test_unhedged_example(self):
-        assert capital_profile(RATING_TABLE["A"]).cva == pytest.approx(0.01864)
-        assert 5.0 * 100.0 * capital_profile(RATING_TABLE["A"]).cva == pytest.approx(9.32)
+        assert charges("A").cva == pytest.approx(0.01864)
+        assert 5.0 * 100.0 * charges("A").cva == pytest.approx(9.32)
 
     def test_independent_of_ratio_and_provider(self):
-        a = RATING_TABLE["A"]
-        assert capital_profile(a, 0.0, RATING_TABLE["AAA"]).cva == capital_profile(a).cva
+        assert charges("A", 0.0, "AAA").cva == charges("A", 0.08, "CCC").cva
 
 
 class TestMarketRisk:
@@ -113,7 +117,7 @@ def _flat_profile(grid, epe, mean=None):
     e = np.full_like(g, float(epe))
     m = e if mean is None else np.full_like(g, float(mean))
     return ExposureProfile(grid=g, epe=e, forward=m, mean_value_undiscounted=m,
-                           se_epe=np.zeros_like(g))
+                           se_epe=np.zeros_like(g), collateral=np.zeros_like(g))
 
 
 Components = namedtuple("Components", "k_mr k_ccr k_ccr_hedged k_cva")
@@ -147,15 +151,15 @@ class TestCapitalProfile:
     def profile(self, mean=2.0):
         return _flat_profile(self.grid, epe=max(mean, 0.0) + 1.0, mean=mean)
 
-    def capital(self, rating, profile=None, swaps=None, mr_swaps=None, provider=None):
-        """One rating's profiles on a base of ``swaps`` (the single swap by default)."""
-        swaps = (self.swap,) if swaps is None else swaps
-        base = capital_base(self.profile() if profile is None else profile, swaps, self.curve,
-                            swaps if mr_swaps is None else mr_swaps)
-        return components(base, capital_profile(RATING_TABLE[rating], provider=provider))
+    def capital(self, rating, profile=None, book=None):
+        """One rating's profiles, hedged with an A seller, on a base of ``book`` (the single
+        swap by default)."""
+        book = (self.swap,) if book is None else book
+        base = capital_base(self.profile() if profile is None else profile, book, self.curve)
+        return components(base, charges(rating))
 
     def test_components_nonnegative_and_relief_bounded(self):
-        cap = self.capital("BB", provider=RATING_TABLE["A"])
+        cap = self.capital("BB")
         assert np.all(cap.k_mr >= 0) and np.all(cap.k_ccr >= 0) and np.all(cap.k_cva >= 0)
         relief = cap.k_cva + (cap.k_ccr - cap.k_ccr_hedged)
         assert np.all(relief <= unhedged(cap) + 1e-15)
@@ -166,11 +170,11 @@ class TestCapitalProfile:
         assert np.all(cva_component == 0.0)
 
     def test_no_hedge_keeps_everything(self):
-        cap = self.capital("BB", provider=RATING_TABLE["A"])
+        cap = self.capital("BB")
         assert np.array_equal(net_total(cap, 0.0), unhedged(cap))
 
     def test_net_total_affine_in_hedge_fraction(self):
-        cap = self.capital("CCC", provider=RATING_TABLE["A"])
+        cap = self.capital("CCC")
         mid = net_total(cap, 0.5)
         chord = 0.5 * (net_total(cap, 0.0) + net_total(cap, 1.0))
         assert np.allclose(mid, chord, rtol=1e-14)
@@ -178,7 +182,7 @@ class TestCapitalProfile:
     def test_netting_commutes_with_integration(self):
         """Netting is affine in psi, so a weighted sum of the netted profile
         equals the netting of the components' weighted sums, row by row."""
-        cap = self.capital("CCC", provider=RATING_TABLE["A"])
+        cap = self.capital("CCC")
         psi = np.array([0.0, 0.3, 1.0])
         weights = np.exp(-np.multiply.outer([0.01, 0.05, 0.2], self.grid))  # (rows, grid)
         integrals = Components(*((weights * k).sum(axis=-1) for k in cap))
@@ -190,7 +194,7 @@ class TestCapitalProfile:
     def test_provider_substitution_only_when_better(self):
         prof = self.profile()
         for rating, cpty in RATING_TABLE.items():
-            cap = self.capital(rating, prof, provider=RATING_TABLE["A"])
+            cap = self.capital(rating, prof)
             _, ccr_unhedged, _ = net(cap, 0.0)
             _, ccr_hedged, _ = net(cap, 1.0)
             assert np.all(ccr_unhedged >= ccr_hedged - 1e-15), rating
@@ -199,7 +203,7 @@ class TestCapitalProfile:
             assert np.allclose(ccr_hedged, ccr_unhedged * ratio, rtol=1e-12)
 
     def test_zero_book_gives_zero_capital(self):
-        cap = self.capital("A", _flat_profile(self.grid, epe=0.0, mean=0.0), swaps=())
+        cap = self.capital("A", _flat_profile(self.grid, epe=0.0, mean=0.0), book=())
         assert np.all(unhedged(cap) == 0.0)
 
     def test_capital_vanishes_at_maturity(self):
@@ -209,7 +213,7 @@ class TestCapitalProfile:
         small = self.capital("A")
         doubled_swap = SwapSpec(notional=200.0, fixed_rate=0.027, maturity=10.0)
         doubled_prof = _flat_profile(self.grid, epe=2 * 3.0, mean=4.0)
-        big = self.capital("A", doubled_prof, swaps=(doubled_swap,))
+        big = self.capital("A", doubled_prof, book=(doubled_swap,))
         assert np.allclose(unhedged(big), 2.0 * unhedged(small), rtol=1e-12)
 
     def test_negative_expected_value_leaves_addon_only(self):
@@ -218,12 +222,15 @@ class TestCapitalProfile:
         assert np.array_equal(cap_neg.k_ccr, cap_zero.k_ccr)
 
     def test_back_to_back_book_has_zero_market_risk(self):
+        """The posted leg nets the live one on the ladder, and adds nothing to its EAD."""
         legs = (
             self.swap,
             SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0, payer=False,
                      collateralized=True),
         )
-        assert np.all(self.capital("A", mr_swaps=legs).k_mr == 0.0)
+        cap = self.capital("A", book=legs)
+        assert np.all(cap.k_mr == 0.0)
+        assert np.array_equal(cap.k_ccr, self.capital("A").k_ccr)
 
     def test_unhedged_single_swap_attracts_market_risk(self):
         assert np.all(self.capital("A").k_mr[:-1] > 0.0)
@@ -232,8 +239,8 @@ class TestCapitalProfile:
 def test_remaining_duration_decreases():
     curve = DiscountCurve((50.0,), (0.02,))
     swap = SwapSpec(notional=100.0, fixed_rate=0.027, maturity=10.0)
-    durations = [remaining_duration(curve, swap, t) for t in (0.0, 3.0, 7.0, 9.8, 10.0)]
-    assert durations[0] > durations[1] > durations[2] > durations[3]
+    durations = remaining_duration(curve, swap, np.array([0.0, 3.0, 7.0, 9.8, 10.0]))
+    assert np.all(np.diff(durations[:-1]) < 0)
     assert durations[-1] == 0.0
     assert durations[0] == pytest.approx(5.2, abs=0.2)
 
@@ -245,12 +252,13 @@ def test_rating_table_contents():
     assert RATING_TABLE["AAA"].cva_weight == pytest.approx(0.007)
 
 
-def loop_capital(profile, counterparty, swaps, curve, min_ratio, provider, mr_swaps):
-    """Reference: the scalar rules at one grid point and one swap at a time."""
+def loop_capital(profile, counterparty, book, curve, min_ratio, provider):
+    """Reference: the scalar rules at one grid point and one swap at a time, the add-ons
+    and durations over the uncollateralized swaps and the ladder over the whole book."""
     hedged = min(counterparty.risk_weight, provider.risk_weight)
     rows = []
     for i, u in enumerate(profile.grid):
-        live = [s for s in swaps if s.maturity - u > 1e-12]
+        live = [s for s in book if not s.collateralized and s.maturity - u > 1e-12]
         ead = sum(ead_cem(0.0, s.notional, s.maturity - u) for s in live)
         ead += max(float(profile.mean_value_undiscounted[i]), 0.0)
         weighted = 0.0
@@ -261,7 +269,7 @@ def loop_capital(profile, counterparty, swaps, curve, min_ratio, provider, mr_sw
         notional = sum(s.notional for s in live)
         duration = weighted / notional if notional else 0.0
         nets = np.zeros(len(MR_BAND_WEIGHTS))
-        for s in mr_swaps:
+        for s in book:
             if s.maturity - u > 1e-12:
                 band = next(j for j, (upper, _) in enumerate(MR_BAND_WEIGHTS)
                             if s.maturity - u < upper)
@@ -288,16 +296,15 @@ class TestCapitalBase:
     def profile(self):
         mean = np.random.default_rng(3).normal(0.0, 4.0, len(self.grid))
         return ExposureProfile(grid=self.grid, epe=np.maximum(mean, 0.0), forward=mean,
-                               mean_value_undiscounted=mean, se_epe=np.zeros_like(mean))
+                               mean_value_undiscounted=mean, se_epe=np.zeros_like(mean),
+                               collateral=np.zeros_like(mean))
 
     def test_matches_the_per_point_loop(self):
         prof = self.profile()
-        base = capital_base(prof, self.swaps, self.curve, self.book)
-        for cpty in RATING_TABLE.values():
-            charges = capital_profile(cpty, min_ratio=0.08, provider=RATING_TABLE["A"])
-            reference = loop_capital(prof, cpty, self.swaps, self.curve, 0.08,
-                                     RATING_TABLE["A"], self.book)
-            computed = np.array(components(base, charges))
+        base = capital_base(prof, self.book, self.curve)
+        for rating, cpty in RATING_TABLE.items():
+            reference = loop_capital(prof, cpty, self.book, self.curve, 0.08, RATING_TABLE["A"])
+            computed = np.array(components(base, charges(rating)))
             np.testing.assert_allclose(computed, reference, rtol=1e-14, atol=0.0)
 
 
@@ -305,7 +312,7 @@ def test_kva_of_a_book_with_positive_expected_mtm_does_not_depend_on_the_seed():
     """The base case's uncollateralized payer turned receiver has a positive
     expected MtM, so its EAD reads it; that mean is a closed form, so the
     capital, and every KVA cell, are the same at any seed."""
-    base = PRESETS["base-case"]()
+    base = load_config("base-case")
     swaps = tuple(replace(s, payer=s.collateralized) for s in base.swaps)  # receiver + posted
     results = [run_config(replace(base, swaps=swaps, seed=seed, paths=2000, engine="mc"))
                for seed in (1, 2, 3)]

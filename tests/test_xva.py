@@ -21,7 +21,7 @@ from xvakit import (
     verify_decomposition,
 )
 from xvakit import pde, runner, xva
-from xvakit.config import PRESETS, PdeVerifyConfig
+from xvakit.config import PdeVerifyConfig, load_config
 from xvakit.regcap import CapitalBase, CapitalProfile
 from xvakit.runner import run_config
 
@@ -29,12 +29,13 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 
 def flat_profile(grid, epe=0.0, ene=0.0, collateral=None):
-    """A profile whose ENE, the forward less the EPE, is ``ene``."""
+    """A profile whose ENE, the forward less the EPE, is ``ene``; no collateral by default."""
     g = np.asarray(grid, dtype=float)
     e = np.full_like(g, float(epe))
     forward = e + float(ene)
     return ExposureProfile(grid=g, epe=e, forward=forward, mean_value_undiscounted=forward,
-                           se_epe=np.zeros_like(g), collateral=collateral)
+                           se_epe=np.zeros_like(g),
+                           collateral=np.zeros_like(g) if collateral is None else collateral)
 
 
 def flat_base(grid, mr=0.0):
@@ -670,7 +671,7 @@ class TestSweep:
 
         monkeypatch.setattr(runner, "breakdown", counted)
         monkeypatch.setattr(xva._Quadrature, "__init__", counted_init)
-        one = replace(PRESETS["warehouse-neg"](), ratings=("BB",), phi=(0.0,), paths=1000)
+        one = replace(load_config("warehouse-neg"), ratings=("BB",), phi=(0.0,), paths=1000)
         many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi=(0.0, 0.5, 1.0),
                        price_of_risk_xi=(-0.5, 0.5), phi=(0.0, 1.0))
         assert len(run_config(one).rows) == 1 and calls == built == [1]
