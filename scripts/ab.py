@@ -39,7 +39,6 @@ LONG_BOOK = [
 LONG = dict(swaps=LONG_BOOK, psi=[0.0, 0.5, 1.0], priceOfRiskXi=[-0.5, 0.5], workers=2)
 SPREAD = dict(collateralSpread=0.002)
 TAXED = dict(SPREAD, accrualsTaxed=True, compensatorTaxed=True)
-MC = dict(engine="mc", paths=20000)
 FORMATS = ("table", "csv", "json")
 
 
@@ -60,8 +59,6 @@ def configs() -> dict[str, dict]:
         out[f"{preset}-spread-taxed"] = shipped(preset, TAXED)
     out["long_book"] = shipped("base_case", LONG)
     out["long_book-spread"] = shipped("base_case", LONG, SPREAD)
-    out["base_case-mc"] = shipped("base_case", MC)
-    out["long_book-spread-mc"] = shipped("base_case", LONG, SPREAD, MC)
     out["pde_verify"] = shipped("pde_verify")
     return out
 

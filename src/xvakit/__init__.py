@@ -1,6 +1,6 @@
 """Valuation adjustments under partial credit hedging, with capital and tax.
 
-Public surface: market/credit primitives, the exposure engines,
+Public surface: market/credit primitives, the exposure profile,
 standardized-capital profiles, the adjustment integrals, and a
 finite-difference verifier that recomputes the same economics independently.
 """

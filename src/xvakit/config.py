@@ -25,16 +25,16 @@ resolved relative to the configuration file.  Example::
 
 The market price of default risk can be given either as the dimensionless
 ``priceOfRiskXi`` or as an absolute ``mLambda`` (hazard-rate units, converted
-per rating); supplying both is an error.  ``engine`` picks how the exposure
-is taken: ``"exact"`` (the default) in closed form, or ``"mc"`` by Monte
-Carlo, the only engine that reads ``seed``, ``paths`` and ``workers``.
+per rating); supplying both is an error.  ``seed``, ``paths`` and
+``workers`` are accepted and checked, and read by nothing: the exposure is
+a closed form, and the benchmark's inputs still set them.
 
 Each setting is declared once, in a block's field table (``_RUN`` for the
 top level): its key, kind, default and bounds.  ``RunConfig`` has one field
-per top-level key, its snake_case form, and the market is validated into the
-model objects a run prices with (``Market``).  The ``pde`` block takes the
-camelCase names of ``PdeProblem``'s and ``Grid``'s fields; their bounds are
-those classes' own, reported as ``pde.<field>``.
+per top-level key that a run reads, its snake_case form, and the market is
+validated into the model objects a run prices with (``Market``).  The
+``pde`` block takes the camelCase names of ``PdeProblem``'s and ``Grid``'s
+fields; their bounds are those classes' own, reported as ``pde.<field>``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .credit import CreditCurve, hazard_from_spread
 from .curves import DiscountCurve
-from .exposure import ENGINES, SwapSpec
+from .exposure import SwapSpec
 from .pde import TOLERANCE, Grid, PdeProblem, check_verifiable
 from .ratemodel import ShortRateModel
 from .regcap import RATING_TABLE, CounterpartyProfile
@@ -92,7 +92,8 @@ class PdeVerifyConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run: each field is the snake_case form of a key of ``_RUN``."""
+    """A validated run: each field is the snake_case form of a key of ``_RUN``, whose
+    ``seed``, ``paths`` and ``workers`` it drops."""
 
     market: Market
     swaps: tuple[SwapSpec, ...]
@@ -107,13 +108,9 @@ class RunConfig:
     accruals_taxed: bool
     compensator_taxed: bool
     collateral_spread: float
-    seed: int
-    paths: int
     provider_rating: str
     hedge_source_label: str
     min_capital_ratio: float
-    workers: int
-    engine: str
     pde: PdeVerifyConfig
 
     def price_of_risk_grid(self, counterparty_hazard: float) -> tuple[tuple[float, float | None], ...]:
@@ -196,16 +193,16 @@ _RUN = {
     "accrualsTaxed": (bool, False),
     "compensatorTaxed": (bool, False),
     "collateralSpread": (float, 0.0, _RATE),
+    # seed, paths and workers are read by nothing; they keep their checks so that
+    # the configs that still set them stay valid and a bad value is still named.
     "seed": (int, 20150106, _NON_NEGATIVE),
-    "paths": (int, 50000, (lambda v: v >= 6, "must be >= 6"),  # three antithetic pairs
+    "paths": (int, 50000, (lambda v: v >= 6, "must be >= 6"),
               (lambda v: v % 2 == 0, "must be even"),
               (lambda v: v <= 100_000_000, "must be <= 100000000")),
     "providerRating": (str, "A"),
     "hedgeSourceLabel": (str, None, _LABEL),  # None: the provider rating
     "minCapitalRatio": (float, 0.08, _NON_NEGATIVE, _AT_MOST_ONE),
-    "workers": (int, 1, _AT_LEAST_ONE, (lambda v: v <= 64, "must be <= 64")),  # one thread each
-    # How EPE is taken; seed, paths and workers are read only by "mc".
-    "engine": (str, ENGINES[0], (lambda v: v in ENGINES, f"must be one of {', '.join(ENGINES)}")),
+    "workers": (int, 1, _AT_LEAST_ONE, (lambda v: v <= 64, "must be <= 64")),
     "pde": (dict, None),
 }
 # The pde block takes each field of PdeProblem and the grid, camelCased.

@@ -19,82 +19,39 @@ one weight per date with ``A`` folded in, zero once the date is paid, so
 means are closed forms.  A discounted bond is a martingale, so the
 discounted mean at ``t_k`` is ``c_k P(0, t_k) + w_k @ P(0, T)``, today's
 value of the remaining flows; the posted-collateral book needs nothing else
-and is never revalued on a path.  Under Q, ``x_t ~ N(0, v_k)`` with
+and is never revalued.  Under Q, ``x_t ~ N(0, v_k)`` with
 ``v_k = sigma^2 B(2 t_k) / 2``, so the undiscounted mean, the expected MtM
 that the capital rules read, is ``c_k + (w_k A_k) @ exp(B_k^2 v_k / 2)``.
 
 The adjustments read only discounted means, and under the t-forward
 measure ``E[D_t g(x_t)] = P(0, t) E[g(x_t + m_t)]``, ``m_t = -sigma^2
-B(t)^2 / 2``, over the factor simulated under Q.  ``f_k(x + m)`` is the same
+B(t)^2 / 2``, over the factor's law under Q.  ``f_k(x + m)`` is the same
 exponential sum with weights ``w_k A_k e^{-B_k m}``, so ``_forward_kernel``
-scales each row once: its value at a path is the discounted value, and no
-path carries a discount factor.
+scales each row once: its value at a factor is the discounted value.
 
 So each row's EPE is ``E[k(X)+]``, ``k`` the row's t-forward kernel and ``X
-~ N(0, v_k)``, and ``exposure_profile`` takes it by one of ``ENGINES``, its
-``engine`` argument and the run configuration's ``engine`` key.  ``"exact"``,
-the default, is ``positive_mean``: ``k`` is a sum of exponentials in one
-Gaussian factor, so between two of its roots each term's mean is a
-difference of ``Phi`` (Jamshidian, *J. Finance* 44(1), 1989), and the roots
-are certified cell by cell.  It has no standard error and reads none of
-``n_paths``, ``seed`` and ``n_workers``.  ``"mc"``, the Monte Carlo engine
-below, reads all three.
+~ N(0, v_k)``, and ``exposure_profile`` takes it by ``positive_mean``: ``k``
+is a sum of exponentials in one Gaussian factor, so between two of its roots
+each term's mean is a difference of ``Phi`` (Jamshidian, *J. Finance* 44(1),
+1989), and the roots are certified cell by cell.  It has no sampling error.
 
-``f_k`` is an entire function of one scalar, so the Monte Carlo engine
-revalues a chunk of grid rows through its Taylor series at 0
-(``_taylor_revalue``) rather than one exponential per (path, date).  The
-sampling unit is an antithetic pair (Glasserman, *Monte Carlo Methods in
-Financial Engineering*, 2004, section 4.2): a block draws half its paths,
-and each drawn factor ``x`` is paired with its exact negation ``-x``, which
-is never drawn.  The series' even and
-odd parts are evaluated by Horner in ``s^2``, ``s = x / max|x|``, so a
-pair's values are ``E ± O``, bit for bit what sampling ``-x`` would give.
-Its coefficients are closed forms and its term count is not a setting: at
-most 22 on a 30y book in the built-in market, where the exact kernel
-spends up to 120 exponentials per path.
-
-Exposure profiles estimate one quantity per grid row, the mean of the
-positive part of the t-forward kernel's value ``v``, with two control
-variates (ibid., section 4.1): ``v``, whose mean is ``forward``, and the
-kernel's tangent at the factor's mean, ``l = a + b x``, whose positive part
-has Bachelier's mean ``H`` (``_bachelier``).  So ``epe = mean(v+ - l+) - beta
-(mean(v) - forward) + H``, ``beta = C(v+ - l+, v) / M2(v)`` over the pairs;
-``l+``'s coefficient is 1, not fitted.  A row takes ``a = b = 0`` where
-``|a|`` passes ``_REACH`` s.d. of ``l``, whose tail no sample would correct,
-or ``B x`` spreads past ``_MAX_SPREAD`` s.d., where ``l`` misses the kernel.
-A pair's values are ``E ± O`` (``a ± b x`` for ``l``): its mean value is ``E``
-and its positive parts' ``max(E, (E + |O|) / 2, 0)`` (``_pair_positive``).
-The negative part's mean is ``forward - epe``.  The standard error is the
-residual's, ``M2(v+ - l+) - beta C`` over ``n - 2`` degrees of freedom,
-since ``beta`` is fitted from the same ``n`` pairs, so a run needs three
-pairs; where every pair agrees (``M2(v) = 0``) ``beta`` is 0.
-A path block is streamed in chunks of ``CHUNK_ROWS`` grid rows.  Each row
-draws its own normals from the factor's law at its time, so nothing carries
-from one chunk to the next; the chunk is revalued and reduced to per-row
-moments while it is in a core's cache, so a block never holds a
-``(grid x block)`` array.  Chunks start at multiples of ``CHUNK_ROWS``, as
-the Taylor term count is chosen per chunk.  Blocks are merged in index
-order as they finish, so a profile is byte-identical for a given seed no
-matter how many workers ran.
+``_sampled_epe`` estimates the same means by plain Monte Carlo on the exact
+kernel.  No run calls it: it is the tests' independent reference for
+``positive_mean``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .curves import DiscountCurve
-from .ratemodel import ShortRateModel, _simulate_block, _validate_grid, map_blocks
+from .ratemodel import ShortRateModel, _validate_grid
 
 POINTS_PER_YEAR = 4  # of the exposure grid; every swap frequency divides it
-ENGINES = ("exact", "mc")  # how ``exposure_profile`` takes EPE; the first is the default
-CHUNK_ROWS = 8  # grid rows per streamed chunk: 8 x 8192 paths is 0.5 MB per temporary and book
-_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
-_REACH, _MAX_SPREAD = 3.0, 0.5  # s.d. of a row's linear book, and of its largest B x_t
-# The exact engine: rows per chunk (a 32-row scan is 0.5 MB at 121 dates), the s.d. past
+# ``positive_mean``: rows per chunk (a 32-row scan is 0.5 MB at 121 dates), the s.d. past
 # which no term's Gaussian holds 2^-53 of its mass (Phi(-9) = 1.1e-19), the scan's cells,
 # and the halvings a cell may take before its row is refused.
 _EXACT_ROWS, _TAIL, _SCAN_CELLS, _SPLITS = 32, 9.0, 16, 40
@@ -155,8 +112,7 @@ class _NettedPlan:
 
     ``const`` is ``(rows,)``, and ``neg_b`` and ``wa`` are ``(rows, dates)``
     over the union of the swaps' payment dates.  A date that is not
-    ``is_live`` has zero weight and zero ``neg_b``.  ``b_max`` is each row's
-    largest live ``B``, 0 with none live.  ``forward`` is the discounted mean
+    ``is_live`` has zero weight and zero ``neg_b``.  ``forward`` is the discounted mean
     ``E[D_t f_k(x_t)]``, today's value of the remaining flows, and
     ``expected`` the undiscounted mean ``E[f_k(x_t)]``.  Indexing selects rows.
     """
@@ -164,7 +120,6 @@ class _NettedPlan:
     const: np.ndarray
     neg_b: np.ndarray
     wa: np.ndarray
-    b_max: np.ndarray
     forward: np.ndarray
     expected: np.ndarray
 
@@ -197,7 +152,6 @@ def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _Ne
     wa = np.where(live, weights * np.exp(log_a), 0.0)
     v = model.variance(g)[:, None]
     return _NettedPlan(const=const, neg_b=neg_b, wa=wa,
-                       b_max=np.max(b, axis=1, where=live, initial=0.0),
                        forward=const * curve.df(g) + np.where(live, weights, 0.0) @ curve.df(dates),
                        expected=const + np.sum(wa * np.exp(0.5 * v * neg_b * neg_b), axis=1))
 
@@ -206,7 +160,7 @@ def _forward_kernel(plan: _NettedPlan, model: ShortRateModel, curve: DiscountCur
                     grid) -> _NettedPlan:
     """``plan`` under each row's t-forward measure, ``P(0, t_k) f_k(x + m_k)``: constant
     ``P(0, t_k) c_k`` and weights ``P(0, t_k) wa_kj e^{-B_kj m_k}``, so its mean over
-    factors simulated under Q is ``forward``.  The other fields are ``plan``'s.
+    the factor's law under Q is ``forward``.  The other fields are ``plan``'s.
     """
     g = np.asarray(grid, dtype=float)
     df, m = curve.df(g), model.forward_drift(g)
@@ -228,81 +182,13 @@ def portfolio_value(
     return _revalue(np.atleast_1d(np.asarray(x, dtype=float))[None], plan)[0]
 
 
-def _taylor_terms(r: float) -> int:
-    """Taylor terms that hold ``exp(-B x)`` to 2^-53 of its value at 0 where ``B |x| <= r``.
-
-    The tail from degree ``n`` is ``sum_{m>=n} r^m / m! <= r^n / (n! (1 - q))``, ``q = r /
-    (n + 1) < 1``, since ``m! >= n! (n + 1)^(m-n)``; it grows with ``r``, so ``r = h max B``
-    covers every date at once.  The smallest ``n`` whose bound is at most 2^-53 is returned.
-    """
-    if not math.isfinite(r):
-        raise ValueError(f"Taylor radius must be finite, got {r}")
-    # In logs, since the factors overflow long before their product is small.
-    n, log_eps = 1, -53 * math.log(2.0)
-    while r > 0 and not (r < n + 1 and n * math.log(r) - math.lgamma(n + 1)
-                         - math.log1p(-r / (n + 1)) <= log_eps):
-        n += 1
-    return n
-
-
-def _taylor_coefficients(plan: _NettedPlan, half: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` Taylor coefficients at 0 of each row's kernel in ``s = x / h_k``,
-    ``(rows, n)``: ``f_k(0)``, taken as ``_revalue`` takes it, then ``sum_j wa_kj
-    (-B_kj h_k)^m / m!``, with ``h_k`` the row's ``half``."""
-    powers = np.multiply.outer(plan.neg_b * half[:, None], 1.0 / np.arange(1, n))
-    np.cumprod(powers, axis=-1, out=powers)  # (-B h)^m / m!, (rows, dates, n - 1)
-    return np.hstack([_revalue(np.zeros((len(half), 1)), plan),
-                      (plan.wa[:, None, :] @ powers)[:, 0]])
-
-
-def _taylor_revalue(x: np.ndarray, plan: _NettedPlan, out: np.ndarray) -> None:
-    """The netted book at the antithetic pairs of grid-major rows ``x``: into ``out``
-    ``(2, rows, pairs)``, the odd and even parts ``(O, E)`` of each pair, whose paths
-    at ``x`` and ``-x`` take ``E + O`` and ``E - O``.
-
-    Each row is its Taylor series at 0 in ``s = x / h_k``, ``h_k = max|x[k]|``, cut at
-    ``_taylor_terms`` of the chunk's radius ``r = max h_k B_k``; ``E`` and ``G`` are its
-    even and odd parts, by Horner in ``s^2``, and ``O = s G``.  A row with ``h_k = 0`` or
-    no live date is its constant term, the exact value at 0.  Where ``r`` passes
-    ``_LOG_MAX`` the kernel overflows too, and ``out`` is NaN.
-
-    No path needs the exact kernel.  The coefficients ``q_m`` in ``s`` have ``sum_m |q_m|
-    |s|^m <= |c| + sum_j |wa_j| e^{B_j |x|}``, the scale at which ``_revalue`` rounds at
-    the pair's lower path ``-|x|``.  So
-    Horner's error, with the coefficients' and ``s^2``'s rounding, is a few ``n 2^-53``
-    of that scale (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    section 5.1), below 1e-12 for every ``n`` before overflow (1962 at ``_LOG_MAX``).
-    In ``x`` itself the coefficients ``B^m / m!`` that carry the terms near ``m = r``
-    would underflow once ``|x|`` is in the hundreds.
-    """
-    half = np.maximum(x.max(axis=1), -x.min(axis=1))
-    radius = np.max(half * plan.b_max, initial=0.0)
-    if not radius <= _LOG_MAX:  # an infinite or NaN radius too
-        out[...] = np.nan
-        return
-    coef = _taylor_coefficients(plan, half, _taylor_terms(radius))
-    n = coef.shape[-1]
-    parts = np.zeros((2, len(coef), (n + 1) // 2))  # G's and E's coefficients in s^2
-    parts[0, :, :n // 2], parts[1] = coef[:, 1::2], coef[:, ::2]
-    h = half[:, None]
-    w = np.divide(x, h, out=np.zeros_like(x), where=h > 0)  # s; 0 where h = 0, as x is
-    w *= w
-    out[...] = parts[..., -1:]
-    for i in range(parts.shape[-1] - 2, -1, -1):
-        out *= w
-        out += parts[..., i, None]
-    out[0] *= np.divide(x, h, out=w, where=h > 0)  # s again: one temporary, not two
-
-
 @dataclass(kw_only=True)
 class ExposureProfile:
     """Discounted expected exposure of a netting set on a time grid.
 
     ``epe`` is the discounted mean of the positive value part, priced
-    through the t-forward kernel by the engine that took it; the negative
-    part's mean is ``forward - epe``, the book's known discounted mean less
-    ``epe``.  ``se_epe`` is its standard error per grid point: 0 under the
-    exact engine, the Monte Carlo's control-variate residual under ``"mc"``.
+    through the t-forward kernel by ``positive_mean``; the negative part's
+    mean is ``forward - epe``, the book's known discounted mean less ``epe``.
     The undiscounted mean value, a closed form, feeds the capital rules.
     ``collateral`` is the collateral held, the discounted mean value of the
     collateralized swaps, in closed form: zero where the book has none.
@@ -312,12 +198,11 @@ class ExposureProfile:
     epe: np.ndarray
     forward: np.ndarray
     mean_value_undiscounted: np.ndarray
-    se_epe: np.ndarray
     collateral: np.ndarray
 
     def __post_init__(self):
         n = len(self.grid)
-        for name in ("epe", "forward", "mean_value_undiscounted", "se_epe", "collateral"):
+        for name in ("epe", "forward", "mean_value_undiscounted", "collateral"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must match the grid length")
 
@@ -328,64 +213,11 @@ def make_exposure_grid(maturity: float) -> np.ndarray:
     return np.linspace(0.0, maturity, int(round(maturity * POINTS_PER_YEAR)) + 1)
 
 
-# The co-moments kept per row, as index pairs into the means of (pos, v):
-# each one's centred sum of squares M2, then C(pos, v).
-_LEFT, _RIGHT = [0, 1, 0], [0, 1, 1]
-
-
-def _moments(units: np.ndarray):
-    """Per-row (count, means, co-moments) of ``(max(v, 0), v)`` stacked ``(2, rows, m)``.
-
-    The means are ``(2, rows)`` and the co-moments ``(3, rows)``, ordered as
-    ``_LEFT``/``_RIGHT``, each summed by the same kernel: on a row where the
-    value is positive on every unit, ``C(pos, v)`` is ``M2_v`` bit for bit, so
-    ``beta`` is 1 and the residual 0.  ``units`` is centred in place.
-    """
-    first = units[..., :1].copy()
-    units -= first  # shifted first, a row of equal values centres to exactly 0
-    shift = units.mean(axis=-1, keepdims=True)
-    units -= shift
-    mean, co = (first + shift)[..., 0], np.empty((len(_LEFT), units.shape[1]))
-    np.einsum("kij,kij->ki", units, units, out=co[:2])
-    np.einsum("ij,ij->i", units[0], units[1], out=co[2])
-    return units.shape[-1], mean, co
-
-
-def _merge_moments(a, b):
-    """Chan, Golub & LeVeque's (1983) pairwise update of two ``_moments`` triples,
-    in its covariance form: ``C = C_a + C_b + delta_x delta_y n_a n_b / n``."""
-    n_a, mean_a, co_a = a
-    n_b, mean_b, co_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return (n, mean_a + delta * (n_b / n),
-            co_a + co_b + delta[_LEFT] * delta[_RIGHT] * (n_a * n_b / n))
-
-
-def _pair_positive(odd, even):
-    """Into ``odd``: the mean positive part ``max(E, (E + |O|) / 2, 0)`` of each pair of
-    values ``E ± O``, which is ``E`` bit for bit where both are positive."""
-    np.abs(odd, out=odd)
-    odd += even
-    odd *= 0.5
-    np.maximum(odd, even, out=odd)
-    return np.maximum(odd, 0.0, out=odd)
-
-
 def normal_cdf(z):
     """The standard normal ``Phi(z) = erfc(-z / sqrt 2) / 2``, element by element through
     ``math.erfc``, so the lower tail keeps its relative accuracy; a float or an array."""
     erfc = np.frompyfunc(math.erfc, 1, 1)
     return 0.5 * np.asarray(erfc(-np.asarray(z) / math.sqrt(2.0)), float)
-
-
-def _bachelier(a, b, sd):
-    """``E[(a + b X)+]``, ``X ~ N(0, sd^2)``: Bachelier's ``a Phi(a/s) + s phi(a/s)``,
-    ``s = |b| sd``, or ``max(a, 0)`` where ``s = 0``."""
-    s = np.abs(b) * sd
-    z = np.divide(a, s, out=np.zeros_like(s), where=s > 0)
-    return np.where(s > 0, a * normal_cdf(z) + s * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
-                    np.maximum(a, 0.0))
 
 
 def _delta_phi(lo, hi):
@@ -542,92 +374,56 @@ def positive_mean(const, wa, neg_b, variance) -> np.ndarray:
         for k0 in range(0, len(const), _EXACT_ROWS))])
 
 
-def _block_stats(parts: np.ndarray):
-    """The ``_moments`` of one chunk's pairs from ``(O, E, L)`` ``(3, n_points, pairs)``, in
-    place: the book's odd and even parts, and ``L``, the linear book's ``_pair_positive``.
-    ``O`` is overwritten with the book's ``_pair_positive`` less ``L``; the mean value is ``E``.
+def _exposed_kernel(book, model: ShortRateModel, curve: DiscountCurve, g) -> _NettedPlan:
+    """The t-forward kernel of the uncollateralized swaps of ``book``: the exposed ones."""
+    return _forward_kernel(
+        _netted_plan(tuple(s for s in book if not s.collateralized), model, curve, g),
+        model, curve, g)
+
+
+def _simulate_block(sd: np.ndarray, rng: np.random.Generator, k: int, n_paths: int):
+    """Grid row ``k``'s factor on ``n_paths`` paths, ``(1, n_paths)``: its law under Q."""
+    return sd[k] * rng.standard_normal((1, n_paths))
+
+
+def _block_stats(values: np.ndarray):
+    """The mean positive part of one row's sampled ``values`` and its standard error."""
+    positive = np.maximum(values, 0.0)
+    return positive.mean(), positive.std(ddof=1) / math.sqrt(len(positive))
+
+
+def _sampled_epe(book, model: ShortRateModel, curve: DiscountCurve, grid, n_paths: int,
+                 seed: int):
+    """``(epe, se)`` of ``exposure_profile``'s EPE by plain Monte Carlo on ``n_paths`` paths.
+
+    Each grid row in turn draws its factor from one generator of ``seed``
+    (``_simulate_block``) and values the exact t-forward kernel there
+    (``_revalue``); ``_block_stats`` takes the mean positive part and its
+    standard error.  No proxy, control variate, antithetic twin, block or
+    thread.  No run calls this: it is the tests' independent reference for
+    ``positive_mean``.  The benchmark's tracer wraps its two halves by name,
+    so its move to the tests waits on ROADMAP item 13.
     """
-    _pair_positive(parts[0], parts[1])
-    parts[0] -= parts[2]
-    return _moments(parts[:2])
+    g = _validate_grid(grid)
+    kernel = _exposed_kernel(book, model, curve, g)
+    sd, rng = np.sqrt(model.variance(g)), np.random.default_rng(seed)
+    stats = [_block_stats(_revalue(_simulate_block(sd, rng, k, n_paths), kernel[k:k + 1])[0])
+             for k in range(len(g))]
+    return tuple(np.array(column) for column in zip(*stats))
 
 
-def _reduce(blocks, forward: np.ndarray, linear_mean: np.ndarray):
-    """Blocks' ``_moments`` folded in block order, which keeps results worker-count invariant:
-    ``(epe, se_epe)``.
-
-    ``blocks`` may be an iterator: each block is merged as it arrives.  The
-    controls are the kernel's ``forward`` and the linear book's ``linear_mean`` (see
-    the module docstring); the residual has ``n - 2`` degrees of freedom, as
-    ``beta`` is fitted from the same ``n`` pairs.
-    """
-    n_units, mean, co = functools.reduce(_merge_moments, blocks)
-    m2_v = co[1]
-    beta = np.divide(co[2], m2_v, out=np.zeros_like(m2_v), where=m2_v > 0)
-    residual = np.maximum(co[0] - beta * co[2], 0.0)
-    return (mean[0] - beta * (mean[1] - forward) + linear_mean,
-            np.sqrt(residual / (n_units - 2) / n_units))
-
-
-def _mc_epe(kernel: _NettedPlan, sd: np.ndarray, n_paths: int, seed: int, n_workers: int):
-    """``(epe, se_epe)`` of the t-forward ``kernel`` estimated on ``n_paths`` paths: each
-    deterministic block streamed in ``CHUNK_ROWS`` row chunks, never materializing a
-    block's paths, with the two control variates of the module docstring."""
-    n_rows = len(sd)
-    a = kernel.const + kernel.wa.sum(axis=1)  # the linear book: the kernel at 0, its slope
-    b = np.sum(kernel.wa * kernel.neg_b, axis=1)
-    off = (np.abs(a) > _REACH * np.abs(b) * sd) | (kernel.b_max * sd > _MAX_SPREAD)
-    a, b = np.where(off, 0.0, (a, b))
-
-    def run_block(idx, size):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        x = np.empty((CHUNK_ROWS, size // 2))  # each pair's drawn path; its twin is at -x
-        parts = np.empty((3, *x.shape))
-        mean, co = np.empty((2, n_rows)), np.empty((len(_LEFT), n_rows))
-        for k0 in range(0, n_rows, CHUNK_ROWS):
-            rows = min(CHUNK_ROWS, n_rows - k0)
-            _simulate_block(sd, rng, k0, x)
-            _taylor_revalue(x[:rows], kernel[k0:k0 + rows], parts[:2, :rows])
-            np.multiply(b[k0:k0 + rows, None], x[:rows], out=parts[2, :rows])
-            _pair_positive(parts[2, :rows], a[k0:k0 + rows, None])
-            n_units, mean[:, k0:k0 + rows], co[:, k0:k0 + rows] = _block_stats(parts[:, :rows])
-        return n_units, mean, co
-
-    return _reduce(map_blocks(run_block, n_paths, n_workers), kernel.forward, _bachelier(a, b, sd))
-
-
-def exposure_profile(
-    book,
-    model: ShortRateModel,
-    curve: DiscountCurve,
-    grid,
-    n_paths: int = 0,
-    seed: int = 0,
-    n_workers: int = 1,
-    engine: str = ENGINES[0],
-) -> ExposureProfile:
-    """Exposure profile of a book of SwapSpec, its EPE taken by ``engine``.
+def exposure_profile(book, model: ShortRateModel, curve: DiscountCurve, grid) -> ExposureProfile:
+    """Exposure profile of a book of SwapSpec, its EPE taken by ``positive_mean``.
 
     The EPE, the forward and the undiscounted mean are those of the netted
     uncollateralized swaps; the collateralized ones carry no exposure.  The
     result's ``collateral`` is the collateralized swaps' discounted mean
-    value, in closed form.  ``"exact"`` takes each row's EPE from
-    ``positive_mean`` of the t-forward kernel, with ``se_epe`` 0, and reads
-    neither ``n_paths``, ``seed`` nor ``n_workers``; ``"mc"`` estimates it on
-    ``n_paths`` paths of ``seed`` on ``n_workers`` threads.
+    value, in closed form.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine: must be one of {', '.join(ENGINES)}, got {engine!r}")
     g = _validate_grid(grid)
-    kernel = _forward_kernel(
-        _netted_plan(tuple(s for s in book if not s.collateralized), model, curve, g),
-        model, curve, g)
-    v = model.variance(g)
-    if engine == "mc":
-        epe, se_epe = _mc_epe(kernel, np.sqrt(v), n_paths, seed, n_workers)
-    else:
-        epe, se_epe = positive_mean(kernel.const, kernel.wa, kernel.neg_b, v), np.zeros(len(g))
+    kernel = _exposed_kernel(book, model, curve, g)
     posted = _netted_plan(tuple(s for s in book if s.collateralized), model, curve, g)
-    return ExposureProfile(grid=g, epe=epe, forward=kernel.forward,
-                           mean_value_undiscounted=kernel.expected, se_epe=se_epe,
-                           collateral=posted.forward)
+    return ExposureProfile(
+        grid=g, epe=positive_mean(kernel.const, kernel.wa, kernel.neg_b, model.variance(g)),
+        forward=kernel.forward, mean_value_undiscounted=kernel.expected,
+        collateral=posted.forward)

@@ -456,7 +456,7 @@ def quadrature_oracle(problem: PdeProblem) -> XvaBreakdown:
     z = np.zeros_like(grid)
     return breakdown(XvaInputs(
         exposure=ExposureProfile(grid=grid, epe=df * e_pos, forward=df * (keep * e_val),
-                                 mean_value_undiscounted=e_val, se_epe=z,
+                                 mean_value_undiscounted=e_val,
                                  collateral=df * p.collateral_fraction * e_val),
         capital=CapitalBase(grid, ead=e_pos, duration=z, k_mr=z),
         issuer=CreditCurve(p.issuer_hazard, p.issuer_recovery),

@@ -8,43 +8,24 @@ exactly.  This is the minimal model with closed-form zero-coupon bonds,
     P(t, T) = P(0, T) / P(0, t) * exp(-x(t) B(t, T) - c(t, T)),
 
 with ``B(t, T) = (1 - exp(-a (T-t))) / a`` and a deterministic convexity
-term ``c``; see ``bond_price``.  Simulation is exact and needs no path:
-exposure reads only ``E[D_t g(x_t)]``, one grid time at a time, so each grid
-row draws its own normals and takes ``x_t = sqrt(v_t) z`` from the factor's
-law under Q, ``x_t ~ N(0, v_t)`` with ``v_t = sigma^2 B(2t) / 2``
-(``ShortRateModel.variance``).  Rows are independent of one another, so a
-time integral's Monte Carlo error is the root sum of squares of its rows'
-errors.  No discount factor is carried either: under the t-forward measure
-(Geman, El Karoui & Rochet, *J. Appl. Prob.* 32, 1995) ``E[D_t g(x_t)]`` is
-``P(0, t) E[g(x_t + m_t)]`` with ``m_t = -sigma^2 B(t)^2 / 2``
-(``ShortRateModel.forward_drift``) and ``x_t`` the factor sampled here, so
-the discount is folded into each grid time's kernel instead.  The moments
-are written in ``B``, so they stay exact to rounding however small ``a`` is.
-
-Determinism: paths are generated in fixed-size blocks, block ``b`` seeded
-from ``SeedSequence(seed, spawn_key=(b,))``, and ``map_blocks`` yields the
-blocks' results in block order.  Results are therefore bit-identical for a
-given (seed, n_paths) regardless of how many workers execute the blocks.
-``_simulate_block`` draws a run of grid rows' normals grid-major,
-``(rows, paths)``, and scales each row by its standard deviation, so chunks
-drawn in turn read the stream as one whole-block draw would.  The sampling
-unit is an antithetic pair: only half of a block's paths are drawn, and each
-twin is the exact IEEE negation of its drawn path, which
-``exposure_profile`` never draws.
+term ``c``; see ``bond_price``.  Exposure needs no path: it reads only
+``E[D_t g(x_t)]``, one grid time at a time, over the factor's law under Q,
+``x_t ~ N(0, v_t)`` with ``v_t = sigma^2 B(2t) / 2``
+(``ShortRateModel.variance``).  No discount factor is carried either: under
+the t-forward measure (Geman, El Karoui & Rochet, *J. Appl. Prob.* 32, 1995)
+``E[D_t g(x_t)]`` is ``P(0, t) E[g(x_t + m_t)]`` with ``m_t = -sigma^2 B(t)^2
+/ 2`` (``ShortRateModel.forward_drift``) and ``x_t`` under Q, so the discount
+is folded into each grid time's kernel instead.  The moments are written in
+``B``, so they stay exact to rounding however small ``a`` is.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import DiscountCurve
-
-BLOCK_SIZE = 8192  # paths per deterministic substream; even, so antithetic pairs fit
 
 
 @dataclass(frozen=True)
@@ -113,52 +94,3 @@ def _validate_grid(grid) -> np.ndarray:
     if np.any(np.diff(g) <= 0):
         raise ValueError("grid must be strictly increasing")
     return g
-
-
-def _block_sizes(n_paths: int) -> list[int]:
-    sizes = [BLOCK_SIZE] * (n_paths // BLOCK_SIZE)
-    if n_paths % BLOCK_SIZE:
-        sizes.append(n_paths % BLOCK_SIZE)
-    return sizes
-
-
-def map_blocks(fn, n_paths: int, n_workers: int = 1) -> Iterator:
-    """``fn(block_index, block_size)`` over the deterministic path blocks.
-
-    ``n_paths`` must be even and at least 6: three antithetic pairs, as the
-    control variate's residual has ``n - 2`` degrees of freedom.  The
-    arguments are checked at once; the results come lazily, in block
-    order, so any reduction over them is independent of the worker count.
-    On ``n_workers`` threads at most ``2 n_workers`` blocks run ahead of the
-    consumer, so a fold over the results holds only a few at a time.
-    """
-    if n_paths < 6 or n_paths % 2:
-        raise ValueError(f"n_paths must be even and >= 6, got {n_paths}")
-    jobs = list(enumerate(_block_sizes(n_paths)))
-    if n_workers > 1 and len(jobs) > 1:
-        return _map_threaded(fn, jobs, n_workers)
-    return (fn(*job) for job in jobs)
-
-
-def _map_threaded(fn, jobs, n_workers: int) -> Iterator:
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        ahead = deque()
-        for job in jobs:
-            ahead.append(pool.submit(fn, *job))
-            if len(ahead) == 2 * n_workers:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-
-
-def _simulate_block(sd: np.ndarray, rng: np.random.Generator, k0: int, x: np.ndarray) -> None:
-    """Draw one grid-major row chunk of a block's drawn paths into ``x``.
-
-    Grid rows ``k0 .. k0 + n - 1`` fill ``x[:n]``, with ``n = min(len(x),
-    len(sd) - k0)``: each row its own normals from the block's ``rng``, times
-    that row's ``sd``.  Antithetic twins are never drawn: a twin's ``x`` is
-    exactly ``-x``.
-    """
-    n = min(len(x), len(sd) - k0)
-    rng.standard_normal(out=x[:n])
-    x[:n] *= sd[k0:k0 + n, None]

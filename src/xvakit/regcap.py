@@ -140,10 +140,10 @@ def capital_base(profile: ExposureProfile, book, curve: DiscountCurve) -> Capita
 
     The CEM mark-to-market at each grid point is the netting set's
     undiscounted expected value, floored at zero inside the EAD as the current
-    exposure method prescribes; it is a closed form, so the capital carries no
-    Monte Carlo error.  The add-ons and durations read the book's
-    uncollateralized swaps, which carry the exposure, one add-on per live
-    trade; the market-risk ladder nets every swap of the book.
+    exposure method prescribes; it is a closed form.  The add-ons and
+    durations read the book's uncollateralized swaps, which carry the
+    exposure, one add-on per live trade; the market-risk ladder nets every
+    swap of the book.
     """
     grid = profile.grid
     addons = np.zeros_like(grid)

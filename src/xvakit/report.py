@@ -1,16 +1,15 @@
 """Rendering of run results as a text table, CSV or JSON: the ``RENDERERS``.
 
-All three read the same columns, built once per result: the row keys, each of
-``xva.COMPONENTS`` and the total in bps of notional (``<name>_bp``), ``se_bp``,
-the Monte Carlo standard error of the total (0 under the exact engine), and
-``warn``, true where that exceeds ``WARN_SE_BP`` (``!`` in the table).  The
+All three read the same columns, built once per result: the row keys, and each
+of ``xva.COMPONENTS`` and the total in bps of notional (``<name>_bp``).  The
 table rounds to whole bps, ties away from zero; its Total is the rounded sum of
 the unrounded components, so it can differ from the sum of the rounded cells.
 CSV and JSON carry the unrounded values, JSON also in currency, and are
-byte-stable for a given configuration and seed.  The table's footer and the
-JSON name the engine: an exact run by ``exact Gaussian exposure`` and
-``"engine"``, a Monte Carlo run by its paths and seed.  Renderers return text;
-the CLI writes files as UTF-8.
+byte-stable for a given configuration.  They also carry ``se_bp``, always 0.0,
+and ``warn``, always false: the exposure is a closed form with no sampling
+error, and the columns stay so that readers of the reports keep parsing them.
+The table's footer and the JSON's ``"engine"`` name the exposure, ``exact
+Gaussian exposure``.  Renderers return text; the CLI writes files as UTF-8.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import math
 
 from .runner import RunResult
 from .xva import COMPONENTS
-
-WARN_SE_BP = 1.0  # bp of notional
 
 _COLUMNS = (*COMPONENTS, "total")
 
@@ -43,9 +40,8 @@ def _columns(result: RunResult) -> dict[str, list]:
         "rating": list(rating),
     }
     columns.update((f"{name}_bp", values.tolist()) for name, values in b.as_bps().items())
-    se_bp = b.bps(b.se_total)
-    columns["se_bp"] = se_bp.tolist()
-    columns["warn"] = (se_bp > WARN_SE_BP).tolist()
+    columns["se_bp"] = [0.0] * len(psi)
+    columns["warn"] = [False] * len(psi)
     return columns
 
 
@@ -67,17 +63,13 @@ def render_table(result: RunResult) -> str:
         if show_colva or name != "colva":
             title = name.upper() if name != "total" else "Total"
             cells[title] = [str(round_half_away(v)) for v in columns[f"{name}_bp"]]
-    cells[""] = ["!" if warn else "" for warn in columns["warn"]]
     justified = []
     for title, texts in cells.items():
         width = max(len(title), *map(len, texts))
         justified.append([title.rjust(width), "-" * width, *(t.rjust(width) for t in texts)])
     lines = ["  ".join(line).rstrip() for line in zip(*justified)]
-    config = result.config
-    engine = (f"{config.paths} paths, seed {config.seed}" if config.engine == "mc"
-              else "exact Gaussian exposure")
     return "\n".join(lines) + (f"\n\nvalues in bps of notional {result.breakdown.notional:g}; "
-                               f"{engine}\n")
+                               "exact Gaussian exposure\n")
 
 
 def render_csv(result: RunResult) -> str:
@@ -92,12 +84,9 @@ def render_json(result: RunResult) -> str:
     b = result.breakdown
     columns = _columns(result)
     currency = [getattr(b, name).tolist() for name in _COLUMNS]
-    # A Monte Carlo payload names its engine by the seed and paths it read.
-    engine = ({"seed": result.config.seed, "paths": result.config.paths}
-              if result.config.engine == "mc" else {"engine": result.config.engine})
     payload = {
         "schemaVersion": 1,
-        **engine,
+        "engine": "exact",
         "notional": b.notional,
         "rows": [dict(zip(columns, values), currency=dict(zip(_COLUMNS, amounts)))
                  for values, amounts in zip(zip(*columns.values()), zip(*currency))],

@@ -1,12 +1,11 @@
 """Pipeline orchestration: config -> exposure -> capital -> breakdown columns.
 
 The book goes whole to each stage, which splits it where it must: one
-exposure profile per configuration, taken once by the configured engine
-(exact, or Monte Carlo) over the netted uncollateralized swaps, and reused
-across every (psi, xi, phi, rating) combination, since the adjustment
-integrals are deterministic quadratures over it.  Rows come out ordered by
-that tuple, in configuration order, regardless of any parallelism in the
-path simulation.
+exposure profile per configuration, taken once in closed form over the
+netted uncollateralized swaps, and reused across every (psi, xi, phi,
+rating) combination, since the adjustment integrals are deterministic
+quadratures over it.  Rows come out ordered by that tuple, in configuration
+order.
 """
 
 from __future__ import annotations
@@ -37,11 +36,7 @@ def run_config(config: RunConfig) -> RunResult:
     """Execute the full pipeline for one configuration."""
     curve, model, issuer = config.market
     grid = make_exposure_grid(max(s.maturity for s in config.swaps))
-    profile = exposure_profile(
-        config.swaps, model, curve, grid,
-        n_paths=config.paths, seed=config.seed,
-        n_workers=config.workers, engine=config.engine,
-    )
+    profile = exposure_profile(config.swaps, model, curve, grid)
     if not np.isfinite(np.concatenate(
             [v for v in vars(profile).values() if isinstance(v, np.ndarray)])).all():
         raise ConfigError([f"market.model.sigma: {model.sigma} (meanReversion "

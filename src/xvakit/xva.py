@@ -86,17 +86,7 @@ class XvaInputs:
 
 @dataclass(frozen=True, eq=False)
 class XvaBreakdown:
-    """All adjustments in currency, one value per row, with the notional for bps conversion.
-
-    ``se_total`` is the Monte Carlo standard error of the total, ``(rows,)``;
-    it is 0 under the exact engine, whose EPE carries no sampling error.
-    ENE is the known forward less EPE, so every Monte Carlo error enters
-    through ``int(epe)``, whose grid points are sampled independently: the
-    error is the magnitude of the total's coefficient on ``int(epe)``, that
-    of CVA plus TVA's credit term (DVA's and FCA's cancel), times the l2
-    norm of the weighted pointwise standard errors.  COLVA and KVA read
-    closed forms and carry no Monte Carlo error.
-    """
+    """All adjustments in currency, one value per row, with the notional for bps conversion."""
 
     cva: np.ndarray
     dva: np.ndarray
@@ -107,7 +97,6 @@ class XvaBreakdown:
     kva_cva: np.ndarray
     tva: np.ndarray
     notional: float
-    se_total: np.ndarray
 
     @property
     def kva(self) -> np.ndarray:
@@ -169,7 +158,6 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
     epe = (weights * exposure.epe).sum(axis=-1)
     cva, fca, tva = c_cva * epe, -issuer_loss * epe, credit * epe
     dva = -issuer_loss * ((weights * exposure.forward).sum(axis=-1) - epe)
-    se_total = np.abs(c_cva + credit) * np.sqrt(np.square(weights * exposure.se_epe).sum(axis=-1))
 
     # 0.0 less the carry, so that a zero spread gives 0.0, never -0.0.
     colva = 0.0 - inputs.collateral_spread * (weights * exposure.collateral).sum(axis=-1)
@@ -188,4 +176,4 @@ def breakdown(inputs: XvaInputs) -> XvaBreakdown:
         kva.append(inputs.phi * carry - inputs.cost_of_capital * capital)
         held = held + capital
     tva -= tax.rate * inputs.cost_of_capital * held
-    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional, se_total)
+    return XvaBreakdown(cva, dva, fca, colva, *kva, tva, inputs.notional)

@@ -32,10 +32,8 @@ def quarterly_grid():
 
 @pytest.fixture(scope="session")
 def small_profile(payer_swap, model, flat_curve, quarterly_grid):
-    """A modest-path exposure profile shared by integral-level tests."""
-    return exposure_profile(
-        (payer_swap,), model, flat_curve, quarterly_grid, n_paths=4000, seed=11, engine="mc"
-    )
+    """The payer swap's exposure profile, shared by integral-level tests."""
+    return exposure_profile((payer_swap,), model, flat_curve, quarterly_grid)
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,11 @@
 its own row loop, to check the current renderers against byte for byte.
 
 Only this docstring, the import of ``RunResult``, by its package path, and
-the engine's name in the table's footer and the JSON payload (``_footer`` and
-``_engine``), which the exact engine added, differ from that module.  Its
-``RunResult`` still carried ``se_bp``, the total's standard error in bps, so a
-result is handed to it with that field added back (see ``test_report.legacy``).
+the exposure's name in the table's footer and the JSON payload (``exact
+Gaussian exposure`` and ``"engine": "exact"``), added since, differ from that
+module.  Its ``RunResult`` still carried ``se_bp``, the total's standard error
+in bps, so a result is handed to it with that field added back, as the zeros
+of an exposure with no sampling error (see ``test_report.legacy``).
 """
 
 from __future__ import annotations
@@ -43,18 +44,6 @@ def _price_of_risk_label(psi: float, xi: float, m_lambda: float | None) -> str:
     if m_lambda is not None:
         return f"{m_lambda:+.4g}"
     return f"{xi:+.3g}"
-
-
-def _footer(config) -> str:
-    if config.engine == "exact":
-        return "exact Gaussian exposure"
-    return f"{config.paths} paths, seed {config.seed}"
-
-
-def _engine(config) -> dict:
-    if config.engine == "exact":
-        return {"engine": "exact"}
-    return {"seed": config.seed, "paths": config.paths}
 
 
 def _records(result: RunResult) -> list[dict]:
@@ -99,7 +88,7 @@ def render_table(result: RunResult) -> str:
         lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip())
     lines.append("")
     lines.append(f"values in bps of notional {result.breakdown.notional:g}; "
-                 f"{_footer(result.config)}")
+                 "exact Gaussian exposure")
     return "\n".join(lines) + "\n"
 
 
@@ -128,7 +117,7 @@ def render_json(result: RunResult) -> str:
     b = result.breakdown
     payload = {
         "schemaVersion": 1,
-        **_engine(result.config),
+        "engine": "exact",
         "notional": b.notional,
         "rows": _records(result),
     }

@@ -2,7 +2,7 @@
 
 Each test exercises one exit criterion at its stated tolerance and prints a
 single pass/fail line (run with ``pytest tests/test_acceptance.py -v -s`` to
-see them all).  The preset runs reuse one 50k-path Monte Carlo per preset.
+see them all).  The preset runs reuse one run per preset.
 """
 
 import math
@@ -85,7 +85,7 @@ def test_criterion_2_tax_capital_ratio_identity():
         epe = rng.uniform(0.0, 5.0, grid.shape)
         ene = -rng.uniform(0.0, 5.0, grid.shape)
         profile = ExposureProfile(grid=grid, epe=epe, forward=epe + ene,
-                                  mean_value_undiscounted=epe + ene, se_epe=z, collateral=z)
+                                  mean_value_undiscounted=epe + ene, collateral=z)
         base = CapitalBase(
             grid,
             ead=rng.uniform(0.0, 30.0, grid.shape),
@@ -142,7 +142,7 @@ def test_criterion_3_base_case_structure(preset_runs):
     elapsed = elapsed_by_preset["base-case"]
     report(3, "base-case: no MR or CVA-vol capital cost, small tax, CVA ordering, "
               "total flips sign with riskiness",
-           all(checks) and elapsed < 60.0, f"run took {elapsed:.2f}s at 50k paths")
+           all(checks) and elapsed < 60.0, f"run took {elapsed:.2f}s")
 
 
 def test_criterion_4_warehousing_direction(preset_runs):
@@ -192,7 +192,7 @@ def test_criterion_6_constant_intensity_closed_forms():
         z = np.zeros_like(grid)
         profile = ExposureProfile(
             grid=grid, epe=np.full_like(grid, epe), forward=np.full_like(grid, epe + ene),
-            mean_value_undiscounted=np.full_like(grid, epe + ene), se_epe=z,
+            mean_value_undiscounted=np.full_like(grid, epe + ene),
             collateral=np.full_like(grid, coll),
         )
         inputs = XvaInputs(
@@ -276,14 +276,12 @@ def test_criterion_8_monte_carlo_integrity():
     swap = SwapSpec(notional=100.0, fixed_rate=float(par_rate), maturity=10.0)
     grid = make_exposure_grid(10.0)
 
-    profile = exposure_profile((swap,), model, curve, grid, n_paths=50_000, seed=41, engine="mc")
+    profile = exposure_profile((swap,), model, curve, grid)
     # The reset-at-valuation float-leg convention is exact at t=0 and on
-    # payment dates; the discounted mean, EPE plus ENE, must vanish there.  The
-    # ENE is the forward less the EPE, so each part's s.e. is ``se_epe``.
-    band = 3.0 * (2.0 * profile.se_epe) + 1e-9 * swap.notional
+    # payment dates; the discounted mean, EPE plus ENE, must vanish there.
     on_schedule = np.isin(np.round(grid, 9), np.round(swap.payment_times(), 9))
     on_schedule[0] = True
-    par_ok = bool(np.all(np.abs(profile.forward)[on_schedule] <= band[on_schedule]))
+    par_ok = bool(np.all(np.abs(profile.forward)[on_schedule] <= 1e-9 * swap.notional))
 
     paths = simulate_paths(model, curve, grid[:9], 2000, seed=42)
     k = 5
@@ -291,17 +289,6 @@ def test_criterion_8_monte_carlo_integrity():
     dv = curve.df(grid[k]) * portfolio_value((swap,), model, curve, float(grid[k]),
                                              paths.factor[:, k] + forward_mean(model, grid[k]))
     identity_ok = bool(np.array_equal(np.maximum(dv, 0.0) + np.minimum(dv, 0.0), dv))
-
-    serial = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=1,
-                              engine="mc")
-    threaded = exposure_profile((swap,), model, curve, grid, n_paths=20_000, seed=43, n_workers=4,
-                                engine="mc")
-    workers_ok = all(
-        np.array_equal(getattr(serial, name), getattr(threaded, name))
-        for name in ("epe", "forward", "se_epe")  # the mean MtM is exact, not sampled
-    )
     elapsed = time.perf_counter() - start
-    report(8, "par swap discounted mean within 3 s.e. of zero, exact sign-split "
-              "identity, worker-count invariance",
-           par_ok and identity_ok and workers_ok and elapsed < 120.0,
-           f"{elapsed:.1f}s")
+    report(8, "par swap discounted mean zero on its schedule, exact sign-split identity",
+           par_ok and identity_ok and elapsed < 120.0, f"{elapsed:.1f}s")

@@ -1,5 +1,5 @@
-"""``run`` and ``validate`` start without scipy; ``pde-verify`` loads only ``scipy.linalg``,
-for its tridiagonal solve, and no ``scipy.special``.
+"""``run`` and ``validate`` start without scipy or a thread pool; ``pde-verify`` loads only
+``scipy.linalg``, for its tridiagonal solve, and no ``scipy.special``.
 
 The checks run in fresh interpreters, since this test process has scipy
 loaded already.
@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +25,7 @@ assert main(["run", "base-case", "--out", sys.argv[1]]) == 0
 assert main(["validate", "base-case"]) == 0
 assert main(["validate", "configs/base_case.json"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"))
 """
 
 
@@ -32,12 +35,25 @@ def _python(*args, **kwargs):
                           text=True, timeout=300, **kwargs)
 
 
-def test_run_and_validate_never_import_scipy(tmp_path):
-    out = tmp_path / "report.txt"
+@pytest.fixture(scope="module")
+def cold_run(tmp_path_factory):
+    """The modules loaded by ``_RUN_AND_VALIDATE`` in a fresh interpreter: ``(scipy's,
+    concurrent's)``, each as printed."""
+    out = tmp_path_factory.mktemp("cold") / "report.txt"
     proc = _python("-c", _RUN_AND_VALIDATE, str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
     assert "Rating" in out.read_text()
+    return proc.stdout.splitlines()[-2:]
+
+
+def test_run_and_validate_never_import_scipy(cold_run):
+    assert cold_run[0] == "[]"
+
+
+def test_run_and_validate_start_no_thread_pool(cold_run):
+    """The exposure is a closed form with no worker threads, and importing
+    ``concurrent.futures`` alone would add to every run's set-up time."""
+    assert cold_run[1] == "[]"
 
 
 _PDE_VERIFY = """

@@ -12,7 +12,7 @@ import pytest
 from xvakit.cli import main
 from xvakit.config import (_RUN, PRESETS, ConfigError, RunConfig, _camel, load_config,
                            validate_config)
-from xvakit.report import WARN_SE_BP, render_csv, render_json, render_table, round_half_away
+from xvakit.report import render_csv, render_json, render_table, round_half_away
 from xvakit.runner import run_config
 
 VALID_CONFIG = {
@@ -191,7 +191,6 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_build(self, name):
         cfg = load_config(name)
-        assert cfg.paths == 50000
         assert len(cfg.ratings) == 4
 
     @pytest.mark.parametrize(
@@ -210,15 +209,15 @@ class TestPresets:
     @pytest.mark.parametrize("filename", [
         "base_case.json", "warehouse_pos.json", "warehouse_neg.json", "pde_verify.json"])
     def test_shipped_configs_set_no_monte_carlo_inputs(self, filename):
-        # They run the exact engine, which reads neither a seed nor a path count.
+        # Nothing reads a seed, a path or a worker count, and engine is no key.
         raw = json.loads((CONFIGS / filename).read_text(encoding="utf-8"))
-        assert raw.get("engine", "exact") == "exact"
-        assert not {"seed", "paths", "workers"} & raw.keys()
+        assert not {"engine", "seed", "paths", "workers"} & raw.keys()
 
     def test_run_config_fields_are_the_run_keys(self):
-        # One declaration per setting: validate_config builds RunConfig by name.
+        # One declaration per setting: validate_config builds RunConfig by name, and
+        # drops the keys that nothing reads.
         assert [_camel(f.name) for f in fields(RunConfig)] == [
-            key for key in _RUN if key != "schemaVersion"]
+            key for key in _RUN if key not in ("schemaVersion", "seed", "paths", "workers")]
 
     def test_shipped_pde_config_valid(self):
         root = Path(__file__).resolve().parent.parent
@@ -227,8 +226,7 @@ class TestPresets:
         assert cfg.pde.tolerance == 0.005
 
     def test_base_case_produces_eight_ordered_rows(self):
-        cfg = replace(load_config("base-case"), paths=1000)
-        rows = run_config(cfg).rows
+        rows = run_config(load_config("base-case")).rows
         assert len(rows) == 8
         assert [rating for *_, rating in rows] == ["AAA", "A", "BB", "CCC"] * 2
         assert [phi for _, _, _, phi, _ in rows] == [0.0] * 4 + [1.0] * 4
@@ -239,7 +237,6 @@ class TestPresets:
             psi=(0.0,),
             price_of_risk_xi=None,
             m_lambda=(0.0002,),
-            paths=1000,
         )
         result = run_config(cfg)
         by_rating = {rating: xi for _, xi, _, phi, rating in result.rows if phi == 0.0}
@@ -386,16 +383,12 @@ class TestReports:
         assert float(cva_field) == result.breakdown.as_bps()["cva"][0]
 
     def test_json_round_trip(self, result):
-        """The payload names its engine: the exact one by name, a Monte Carlo run by the
-        seed and paths it read."""
+        """The payload names the exposure by its engine, and carries no seed or path count."""
         payload = json.loads(render_json(result))
         assert payload["engine"] == "exact" and not {"seed", "paths"} & payload.keys()
         assert len(payload["rows"]) == len(result.rows)
         row = payload["rows"][0]
         assert row["currency"]["total"] == pytest.approx(result.breakdown.total[0])
-        cfg, _ = validate_config(small_config(engine="mc"))
-        payload = json.loads(render_json(run_config(cfg)))
-        assert (payload["seed"], payload["paths"]) == (7, 2000) and "engine" not in payload
 
     def test_machine_formats_are_deterministic(self):
         cfg, _ = validate_config(small_config())
@@ -403,52 +396,6 @@ class TestReports:
         b = run_config(cfg)
         assert render_csv(a) == render_csv(b)
         assert render_json(a) == render_json(b)
-
-    def test_different_seed_changes_output(self):
-        cfg_a, _ = validate_config(small_config(engine="mc"))
-        cfg_b, _ = validate_config(small_config(seed=8, engine="mc"))
-        assert render_csv(run_config(cfg_a)) != render_csv(run_config(cfg_b))
-
-    def test_exact_engine_reads_no_seed_paths_or_workers(self):
-        """The default engine's report is the same at any seed, path and worker count, and
-        reports no standard error."""
-        texts = {render_csv(run_config(validate_config(small_config(**fields))[0]))
-                 for fields in ({}, {"seed": 8}, {"paths": 6}, {"workers": 3})}
-        assert len(texts) == 1
-        header, *rows = [line.split(",") for line in texts.pop().splitlines()]
-        assert {row[header.index("se_bp")] for row in rows} == {"0.0"}
-
-    def test_rows_past_the_fixed_threshold_are_flagged(self, capsys, tmp_path):
-        """At 6 paths and sigma 0.15 the base case's A, BB and CCC rows exceed 1 bp (A at
-        1.70 bp) and its AAA rows do not (0.70 bp).  At the preset's sigma no row does at
-        any valid path count: CCC reads 0.084 bp at 6 paths."""
-        assert WARN_SE_BP == 1.0
-        raw = json.loads((CONFIGS / "base_case.json").read_text(encoding="utf-8"))
-        market = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
-        market["model"]["sigma"] = 0.15
-        config = tmp_path / "volatile.json"
-        config.write_text(json.dumps(dict(raw, market=market, engine="mc", paths=6)),
-                          encoding="utf-8")
-        flagged = {"AAA": False, "A": True, "BB": True, "CCC": True}
-        assert main(["run", str(config), "--format", "csv"]) == 0
-        header, *lines = capsys.readouterr().out.splitlines()
-        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
-        assert len(rows) == 8
-        for row in rows:
-            assert (float(row["se_bp"]) > 1.0) == flagged[row["rating"]]
-            assert row["warn"] == ("true" if flagged[row["rating"]] else "false")
-        assert main(["run", str(config), "--format", "json"]) == 0
-        records = json.loads(capsys.readouterr().out)["rows"]
-        assert [r["warn"] for r in records] == [flagged[r["rating"]] for r in records]
-        assert main(["run", str(config)]) == 0
-        body = capsys.readouterr().out.splitlines()[2:10]
-        assert [line.endswith("  !") for line in body] == [
-            flagged[line.split()[4]] for line in body]
-        base = tmp_path / "base.json"
-        shipped = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
-        base.write_text(json.dumps(dict(raw, market=shipped, engine="mc", paths=6)))
-        assert main(["run", str(base), "--format", "csv"]) == 0
-        assert ",true" not in capsys.readouterr().out
 
     def test_collateral_spread_activates_colva(self, result):
         cfg, _ = validate_config(small_config(collateralSpread=0.001))
@@ -571,14 +518,23 @@ class TestCli:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_run_seed_and_paths_come_from_the_config(self, tmp_path):
+    def test_seed_paths_and_workers_are_read_by_nothing(self, tmp_path):
+        """A config that sets them writes the CSV bytes of one that does not, whatever
+        their values, and every row reports an se_bp of 0.0 and no warning."""
         reports = []
-        for seed, paths in ((1, 1000), (2, 1000), (1, 2000)):
-            path = self.write_config(tmp_path, engine="mc", seed=seed, paths=paths)
-            out = tmp_path / f"{seed}-{paths}.csv"
+        for settings in ({}, {"seed": 1, "paths": 1000, "workers": 2},
+                         {"seed": 8, "paths": 6, "workers": 3}):
+            raw = small_config(**settings)
+            for key in {"seed", "paths", "workers"} - settings.keys():
+                raw.pop(key, None)
+            path, out = tmp_path / "run.json", tmp_path / f"{len(reports)}.csv"
+            path.write_text(json.dumps(raw))
             assert main(["run", str(path), "--format", "csv", "--out", str(out)]) == 0
-            reports.append(out.read_text())
-        assert reports[0] != reports[1] and reports[0] != reports[2]
+            reports.append(out.read_bytes())
+        assert reports[1:] == reports[:1] * 2
+        header, *rows = [line.split(",") for line in reports[0].decode().splitlines()]
+        assert {(row[header.index("se_bp")], row[header.index("warn")]) for row in rows} == {
+            ("0.0", "false")}
 
     def test_internal_error_is_exit_4_without_traceback(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):
@@ -605,9 +561,9 @@ class TestCli:
 
     @pytest.mark.parametrize("paths", [0, -2, 2, 4])
     def test_run_refuses_fewer_than_three_pairs(self, tmp_path, capsys, paths):
-        # One or two antithetic pairs leave the control variate's residual no
-        # degree of freedom, and the reported s.e. would collapse towards 0.
-        assert main(["run", str(self.write_config(tmp_path, engine="mc", paths=paths))]) == 1
+        # Nothing reads paths, yet it keeps its bounds: a config refused before is
+        # still refused, with the key named.
+        assert main(["run", str(self.write_config(tmp_path, paths=paths))]) == 1
         assert capsys.readouterr() == ("", "paths: must be >= 6\n")
 
     def test_run_refuses_an_overflowing_exposure(self, tmp_path, capsys):
@@ -632,7 +588,7 @@ class TestCli:
 
     @pytest.mark.parametrize("sigma", [1e160, 1e200])
     def test_run_refuses_a_sigma_whose_square_overflows(self, tmp_path, capsys, sigma):
-        # The simulated factor itself is infinite, and so is the series' radius.
+        # The factor's variance itself is infinite.
         path = self.write_config(tmp_path, paths=200)
         raw = json.loads(path.read_text())
         raw["market"]["model"]["sigma"] = sigma
@@ -805,8 +761,7 @@ class TestCli:
         # On schedule, so without the bound a run asks for a 58 TiB array.
         # Checked by validation alone: never run.
         (config_with(("swaps", 0, "maturity"), 1e6), "swaps[0].maturity: must be <= 100"),
-        # Each worker is an OS thread, and each block's accumulators are kept
-        # to the end: never run either.
+        # Read by nothing, yet bounded as when they sized threads and blocks.
         (config_with(("workers",), 65), "workers: must be <= 64"),
         (config_with(("paths",), 100_000_002), "paths: must be <= 100000000"),
     ], ids=[*OUT_OF_RANGE, "huge-maturity", "too-many-workers", "too-many-paths"])
@@ -832,9 +787,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("path, name", [
         (("accrualTaxed",), "accrualTaxed"),
-        (("antithetic",), "antithetic"),  # antithetic pairs are the only sampling unit
+        (("antithetic",), "antithetic"),  # no run samples
         (("format",), "format"),  # the report's format is the CLI's --format alone
-        (("warnSeBp",), "warnSeBp"),  # the report flags rows past a fixed 1 bp
+        (("warnSeBp",), "warnSeBp"),  # the report flags no row
         (("market", "curves"), "market.curves"),
         (("market", "curve", "zeroRate"), "market.curve.zeroRate"),
         (("market", "model", "meanReverson"), "market.model.meanReverson"),

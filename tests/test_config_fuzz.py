@@ -48,7 +48,7 @@ INVALID = [
     (("ratingTable",), {"BB": {"cdsSpreadBp": 250, "riskWeight": 1e308, "cvaWeight": 0.02}}),
     (("ratingTable",), {"BB": {"cdsSpreadBp": 250, "riskWeight": 1.0, "cvaWeight": 1e308}}),
     (("mLambda",), [-1e308]),  # in place of priceOfRiskXi
-    (("workers",), 65), (("paths",), 100_000_002),  # refused before any thread starts
+    (("workers",), 65), (("paths",), 100_000_002),  # read by nothing, yet still bounded
     (("hedgeSourceLabel",), "A,B\nC"),  # would split its CSV line and shift the columns
 ]
 

@@ -1,4 +1,4 @@
-"""The exact Gaussian exposure engine, ``exposure.positive_mean``, and its Monte Carlo oracle."""
+"""The exact Gaussian exposure, ``exposure.positive_mean``, and its Monte Carlo oracle."""
 
 import functools
 import json
@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_exposure import FLAT, LONG_BOOK, POSTED, PROXY_CASES, exact_epe, payer_epe
+from test_exposure import BOOK_CASES, FLAT, LONG_BOOK, POSTED, exact_epe, payer_epe
 from xvakit import ShortRateModel, SwapSpec, exposure, exposure_profile, make_exposure_grid
 from xvakit.cli import main
 from xvakit.config import load_config
-from xvakit.exposure import _forward_kernel, _netted_plan, positive_mean
-from xvakit.ratemodel import BLOCK_SIZE
+from xvakit.exposure import _forward_kernel, _netted_plan, _sampled_epe, positive_mean
 from xvakit.report import render_csv
 from xvakit.runner import run_config
 
@@ -55,15 +54,14 @@ class TestPositiveMean:
     def test_matches_the_dense_quadrature_of_the_kernel(self):
         """Every row of the long book and of the stressed one, whose 50y swap carries B up
         to 39, against the tests' 16-node Gauss-Legendre over the kernel's own roots."""
-        for case in sorted(PROXY_CASES):
-            book, model, grid = PROXY_CASES[case]
+        for case in sorted(BOOK_CASES):
+            book, model, grid = BOOK_CASES[case]
             profile = exposure_profile(book, model, FLAT, grid)
             reference, _ = exact_epe(book, model, grid)
             scale = 1e-13 * sum(s.notional for s in book)
             np.testing.assert_allclose(profile.epe, reference, rtol=1e-11, atol=scale)
-            assert np.array_equal(profile.se_epe, np.zeros(len(grid)))
 
-    @pytest.mark.parametrize("sigma", [0.011, 0.3])
+    @pytest.mark.parametrize("sigma", [0.011, 0.03, 0.3])
     def test_matches_the_single_payer_closed_form(self, sigma):
         """One payer swap has one root, so its EPE is the brentq closed form of ``payer_epe``,
         which shares no code with the engine."""
@@ -167,52 +165,52 @@ class TestCertifiedRoots:
 
 
 @functools.lru_cache(maxsize=None)
-def mc_profile(case, seed, paths):
-    book, _ = ORACLE_CASES[case]
+def sampled(case, seed):
+    """``(grid, epe, se)`` of ``_sampled_epe`` on the case's book at its path count."""
+    book, paths = ORACLE_CASES[case]
     grid = make_exposure_grid(max(s.maturity for s in book))
-    return exposure_profile(book, MODEL, CURVE, grid, paths, seed, engine="mc")
+    return (grid, *_sampled_epe(book, MODEL, CURVE, grid, paths, seed))
 
 
-# (case, seed, paths, grid time): rows where the Monte Carlo is known to misreport, each
-# the subject of a FOUND line in CHANGES.md.
-THREE_MONTHS = "CHANGES.md FOUND, the long book's 3-month row: EPE 1.95e-6, MC 0 with s.e. 0"
+# (case, seed, grid time): rows where the plain sampler's s.e. misreports its error.  Each
+# is in the money on a few dozen sampled paths at most: the 3-month row's EPE is 1.95e-6
+# and no path finds it (mean and s.e. 0); the 6-month row reads z = -4.1 at seed 7.
 MC_DEFECTS = {
-    ("long-book", 20150106, 65_536, 0.25): THREE_MONTHS,
-    ("long-book", 7, 65_536, 0.25): THREE_MONTHS,
-    ("long-book", 31, BLOCK_SIZE, 0.5): "CHANGES.md FOUND, the long book's 6-month row: z -10.2",
+    ("long-book", 20150106, 0.25): "the 3-month row: EPE 1.95e-6, sampled 0 with s.e. 0",
+    ("long-book", 7, 0.25): "the 3-month row: EPE 1.95e-6, sampled 0 with s.e. 0",
+    ("long-book", 7, 0.5): "the 6-month row: z -4.1 on a skewed handful of paths",
 }
 
 
-def assert_mc_within_4_se(case, seed, paths, times=None):
-    """``engine: "mc"`` within 4 of its reported s.e. of the exact EPE (and 1e-12 of the
-    notional) at every row, or at the grid ``times`` given, less the ``MC_DEFECTS`` rows."""
+def assert_sampled_within_4_se(case, seed, times=None):
+    """``_sampled_epe`` within 4 of its s.e. of ``exposure_profile``'s EPE (and 1e-12 of
+    the notional) at every row, or at the grid ``times`` given, less the ``MC_DEFECTS``."""
     book, _ = ORACLE_CASES[case]
-    mc = mc_profile(case, seed, paths)
-    exact = exposure_profile(book, MODEL, CURVE, mc.grid)
-    known = [t for (c, s, n, t) in MC_DEFECTS if (c, s, n) == (case, seed, paths)]
-    rows = ~np.isin(mc.grid, known) if times is None else np.isin(mc.grid, times)
-    error = np.abs(mc.epe - exact.epe)[rows]
-    bound = 4.0 * mc.se_epe[rows] + 1e-12 * sum(s.notional for s in book)
-    assert np.all(error <= bound), (mc.grid[rows][error > bound], np.max(error / bound))
+    grid, epe, se = sampled(case, seed)
+    exact = exposure_profile(book, MODEL, CURVE, grid)
+    known = [t for (c, s, t) in MC_DEFECTS if (c, s) == (case, seed)]
+    rows = ~np.isin(grid, known) if times is None else np.isin(grid, times)
+    error = np.abs(epe - exact.epe)[rows]
+    bound = 4.0 * se[rows] + 1e-12 * sum(s.notional for s in book)
+    assert np.all(error <= bound), (grid[rows][error > bound], np.max(error / bound))
 
 
 class TestMonteCarloOracle:
-    """The Monte Carlo engine as the exact engine's independent check, and the exact
-    engine as the check of the Monte Carlo's reported error.  The long book's 18.25y row,
-    at z = (MC - exact) / s.e. = -3.38 at seed 20150106, is the farthest over both books
-    and seeds."""
+    """A plain Monte Carlo of the exact kernel as ``positive_mean``'s independent check.
+    Past the long book's 6-month row, |z| = |sampled - exact| / s.e. is at most 2.66 over
+    both books at seeds 20150106 and 7."""
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_mc_within_4_se_of_the_exact_epe(self, case, seed):
-        assert_mc_within_4_se(case, seed, ORACLE_CASES[case][1])
+        assert_sampled_within_4_se(case, seed)
 
     @pytest.mark.parametrize("defect", ["payment date shifted", "convexity dropped",
                                         "m_t dropped"])
     def test_a_planted_defect_fails_it(self, monkeypatch, defect):
-        """Each defect is planted in the exact engine's kernel only: the Monte Carlo
-        profile is taken first, unplanted."""
-        mc_profile("long-book", ORACLE_SEEDS[0], 65_536)
+        """Each defect is planted after the sampled profile is taken, so it reaches only
+        the exact engine's kernel."""
+        sampled("long-book", ORACLE_SEEDS[0])
         payment_times = SwapSpec.payment_times
 
         def principal_late(spec):
@@ -228,30 +226,27 @@ class TestMonteCarloOracle:
         }[defect]
         monkeypatch.setattr(owner, name, planted)
         with pytest.raises(AssertionError):
-            assert_mc_within_4_se("long-book", ORACLE_SEEDS[0], 65_536)
+            assert_sampled_within_4_se("long-book", ORACLE_SEEDS[0])
 
-    @pytest.mark.parametrize("case, seed, paths, t", [
+    @pytest.mark.parametrize("case, seed, t", [
         pytest.param(*key, marks=pytest.mark.xfail(strict=True, reason=reason))
         for key, reason in MC_DEFECTS.items()])
-    def test_known_monte_carlo_defects(self, case, seed, paths, t):
-        """Each known misreport stays in the oracle as a strict expected failure."""
-        assert_mc_within_4_se(case, seed, paths, times=[t])
+    def test_known_monte_carlo_defects(self, case, seed, t):
+        """Each known miss stays in the oracle as a strict expected failure."""
+        assert_sampled_within_4_se(case, seed, times=[t])
 
 
 class TestEngineKey:
-    @pytest.mark.parametrize("value", ["fast", "MC", 1, None])
-    def test_bad_engine_exits_1_naming_it(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value", ["exact", "mc", "fast", 1, None])
+    def test_engine_is_an_unknown_field(self, tmp_path, capsys, value):
+        """There is one way to take the exposure, so any ``engine`` is refused by name."""
         raw = json.loads((CONFIGS / "base_case.json").read_text())
         raw.update(market=json.loads((CONFIGS / "market_gbp_flat.json").read_text()),
                    engine=value)
         path = tmp_path / "engine.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("engine: ")
-
-    def test_exact_is_the_default_and_the_presets_take_it(self):
-        assert BASE.engine == "exact"
-        assert load_config(CONFIGS / "base_case.json").engine == "exact"
+        assert capsys.readouterr() == ("", "engine: unknown field\n")
 
     def test_a_run_overflow_under_exact_names_sigma(self, tmp_path, capsys):
         raw = json.loads((CONFIGS / "base_case.json").read_text())

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from pathsim import forward_mean, shared_normal, simulate_paths
+from pathsim import forward_mean, simulate_paths
 from xvakit import DiscountCurve, ShortRateModel, exposure_profile
-from xvakit.exposure import CHUNK_ROWS
-from xvakit.ratemodel import _simulate_block, map_blocks
+from xvakit.exposure import _simulate_block
 
 
 def test_parameter_validation():
@@ -18,13 +17,9 @@ def test_parameter_validation():
 
 def test_grid_validation(flat_curve, model, payer_swap):
     with pytest.raises(ValueError):
-        exposure_profile((payer_swap,), model, flat_curve, [0.5, 1.0], 10, seed=1)
+        exposure_profile((payer_swap,), model, flat_curve, [0.5, 1.0])
     with pytest.raises(ValueError):
-        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0, 1.0], 10, seed=1)
-    for n_paths in (0, 4, 11):  # three antithetic pairs at least, and whole pairs
-        with pytest.raises(ValueError, match="even and >= 6"):
-            exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0], n_paths, seed=1,
-                             engine="mc")
+        exposure_profile((payer_swap,), model, flat_curve, [0.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("point", [np.nan, np.inf])
@@ -34,7 +29,7 @@ def test_non_finite_grid_point_is_refused(flat_curve, model, payer_swap, point):
     # no time at all.
     for grid in ([0.0, point, 10.0], [0.0, 1.0, point]):
         with pytest.raises(ValueError, match="grid must be finite"):
-            exposure_profile((payer_swap,), model, flat_curve, grid, 10, seed=1)
+            exposure_profile((payer_swap,), model, flat_curve, grid)
 
 
 def assert_forward_bond_identity(model, curve, grid, maturity, n_paths, seed):
@@ -66,32 +61,6 @@ def test_same_seed_reproducible(flat_curve, model):
     assert np.array_equal(a.factor, b.factor)
     c = simulate_paths(model, flat_curve, grid, 256, seed=43)
     assert not np.array_equal(a.factor, c.factor)
-
-
-def test_worker_count_invariance(flat_curve, model):
-    grid = np.linspace(0.0, 5.0, 21)
-    # more paths than one block so several substreams are exercised
-    a = simulate_paths(model, flat_curve, grid, 20000, seed=9, n_workers=1)
-    b = simulate_paths(model, flat_curve, grid, 20000, seed=9, n_workers=4)
-    assert np.array_equal(a.factor, b.factor)
-
-
-def test_map_blocks_checks_its_arguments_before_any_block_runs():
-    calls = []
-    for n_paths in (0, 4, 101):
-        with pytest.raises(ValueError):
-            map_blocks(lambda *job: calls.append(job), n_paths, n_workers=2)
-    assert calls == []
-
-
-def test_antithetic_pairs_mirror(flat_curve, model):
-    grid = np.linspace(0.0, 5.0, 11)
-    paths = simulate_paths(model, flat_curve, grid, 512, seed=5)
-    h = 256
-    # Twins sampled from the negated draws are the exact negation of their
-    # drawn paths: exposure_profile never samples them and takes -x instead.
-    assert np.array_equal(paths.factor[:h], -paths.factor[h:])
-    assert paths.factor[:h, 1:].all()
 
 
 def test_forward_measure_prices_the_discounted_bond(flat_curve, model):
@@ -152,26 +121,38 @@ def test_vanishing_mean_reversion_is_brownian_motion():
 
 
 class UnitNormals:
-    """Stands in for a block's generator: the normal of the ``i``-th row drawn is 1 on
-    path ``i`` and 0 elsewhere, so path ``j``'s ``x`` at a grid row is the coefficient of
-    row ``j``'s normal in it, the linear map from the normals to the row."""
+    """Stands in for the sampler's generator: the normal of the ``i``-th row drawn is 1
+    on path ``i`` and 0 elsewhere, so path ``j``'s ``x`` at a grid row is the coefficient
+    of row ``j``'s normal in it, the linear map from the normals to the row."""
 
     def __init__(self, n_rows):
         self.eye, self.row = np.eye(n_rows), 0
 
-    def standard_normal(self, out):
-        out[...] = self.eye[self.row:self.row + len(out)]
-        self.row += len(out)
+    def standard_normal(self, size):
+        rows, _ = size
+        self.row += rows
+        return self.eye[self.row - rows:self.row]
+
+
+def shared_normal():
+    """A planted defect: ``_simulate_block`` with every row taking the first row's normals,
+    so the rows are perfectly correlated as along a path."""
+    first = []
+
+    def simulate(sd, rng, k, n_paths):
+        if not first:
+            first.append(rng.standard_normal((1, n_paths)))
+        return sd[k] * first[0]
+    return simulate
 
 
 def assert_exact_marginal_law(model, grid, simulate):
-    """The sampled rows against the factor's law under Q, chunk by chunk as
-    ``exposure_profile`` draws them: ``Var(x_t) = sigma^2 B(2t) / 2``, an independent
-    spelling of ``v_t``, and zero covariance between any two rows."""
+    """The sampled rows against the factor's law under Q, row by row as ``_sampled_epe``
+    draws them: ``Var(x_t) = sigma^2 B(2t) / 2``, an independent spelling of ``v_t``, and
+    zero covariance between any two rows."""
     n, a = len(grid), model.mean_reversion
-    rng, x = UnitNormals(n), np.empty((n, n))
-    for k0 in range(0, n, CHUNK_ROWS):
-        simulate(np.sqrt(model.variance(grid)), rng, k0, x[k0:k0 + CHUNK_ROWS])
+    rng, sd = UnitNormals(n), np.sqrt(model.variance(grid))
+    x = np.vstack([simulate(sd, rng, k, n) for k in range(n)])
     cov = x @ x.T
     var = model.sigma**2 * -np.expm1(-2 * a * grid) / (2 * a)
     np.testing.assert_allclose(np.diag(cov), var, rtol=1e-12, atol=0)
@@ -188,4 +169,4 @@ def test_rows_carry_the_exact_marginal_law(sigma, mean_reversion):
 def test_one_normal_shared_by_every_row_fails_the_law():
     grid = np.linspace(0.0, 10.0, 41)
     with pytest.raises(AssertionError):
-        assert_exact_marginal_law(ShortRateModel(0.05, 0.011), grid, shared_normal)
+        assert_exact_marginal_law(ShortRateModel(0.05, 0.011), grid, shared_normal())

@@ -34,7 +34,6 @@ def flat_profile(grid, epe=0.0, ene=0.0, collateral=None):
     e = np.full_like(g, float(epe))
     forward = e + float(ene)
     return ExposureProfile(grid=g, epe=e, forward=forward, mean_value_undiscounted=forward,
-                           se_epe=np.zeros_like(g),
                            collateral=np.zeros_like(g) if collateral is None else collateral)
 
 
@@ -96,9 +95,8 @@ def kva_split(inputs):
 
 
 def columns(result):
-    """A breakdown's eight components and the total's standard error, ``(9, rows)``."""
-    return np.vstack([result.cva, result.dva, result.fca, result.colva, result.kva_mr,
-                      result.kva_ccr, result.kva_cva, result.tva, result.se_total])
+    """A breakdown's eight components, ``(8, rows)``."""
+    return np.vstack([getattr(result, name) for name in xva.COMPONENTS])
 
 
 def decayed_integral(rate_factor, level, decay, horizon):
@@ -127,17 +125,6 @@ def tva_credit(rate, lam_b, lam_c, psi, xi, accruals_taxed, compensator_taxed, l
     warehoused = rate * (1.0 - psi) * (1.0 - xi) * lgd * lam_c
     coefficient = warehoused * ((1.0 - (1.0 + rate)) if compensator_taxed else 1.0)
     return coefficient - accruals_taxed * rate * lgd * lam_b
-
-
-def independent_error(grid, hazard, se):
-    """The standard error of ``survival_trapezoid`` over independently sampled grid points
-    with pointwise errors ``se``: the root sum of squares of ``weight * se``."""
-    return math.sqrt(math.fsum((survival_weights(grid, hazard) * se) ** 2))
-
-
-def with_errors(inputs, se_epe):
-    """``inputs`` whose exposure reports the given pointwise standard errors."""
-    return replace(inputs, exposure=replace(inputs.exposure, se_epe=se_epe))
 
 
 GRID_Q = np.linspace(0.0, 10.0, 41)
@@ -398,13 +385,13 @@ class TestBreakdown:
         values = dict.fromkeys(xva.COMPONENTS, np.zeros(1))
         values.update(cva=np.array([1e16]), dva=np.ones(1), fca=np.ones(1),
                       colva=np.array([-1e16]))
-        result = xva.XvaBreakdown(**values, notional=100.0, se_total=np.zeros(1))
+        result = xva.XvaBreakdown(**values, notional=100.0)
         assert math.fsum(v[0] for v in values.values()) == 2.0
         assert result.total[0] == 0.0
         rng = np.random.default_rng(5)
         values = {name: rng.normal(size=64) * 10.0 ** rng.integers(-3, 4, 64)
                   for name in xva.COMPONENTS}
-        result = xva.XvaBreakdown(**values, notional=1.0, se_total=np.zeros(64))
+        result = xva.XvaBreakdown(**values, notional=1.0)
         folded = result.cva
         for name in xva.COMPONENTS[1:]:
             folded = folded + getattr(result, name)
@@ -414,10 +401,10 @@ class TestBreakdown:
         """Each field of the breakdown is its own integral: a coefficient times
         the reference rule on its profile, DVA's on the forward less the EPE."""
         capital = flat_capital(GRID_Q, mr=2.0, ccr=30.0, ccr_hedged=18.0, cva_vol=20.0)
-        inputs = with_errors(make_inputs(
+        inputs = make_inputs(
             GRID_Q, epe=40.0, ene=-80.0, lambda_b=0.0167, lambda_c=0.0417,
             psi=0.4, xi=0.3, phi=0.6, gamma_e=0.21, capital=capital, rate=0.02,
-        ), se_epe=0.5 + 0.1 * GRID_Q)
+        )
         result = breakdown(inputs)
         lam_eff = 0.0417 * (0.4 + 0.6 * 0.7)
         hazard = 0.0167 + lam_eff
@@ -440,43 +427,6 @@ class TestBreakdown:
         for name, value in expected.items():
             assert getattr(result, name)[0] == pytest.approx(value, rel=1e-13, abs=1e-15), name
         assert len({result.cva[0], result.dva[0], result.fca[0], result.tva[0]}) == 4
-
-    @staticmethod
-    def assert_total_se_loads_on_the_epe_alone(price, psi, xi, accruals_taxed,
-                                               compensator_taxed):
-        """ENE is the known forward less EPE, so the total's Monte Carlo part is
-        ``(c_CVA + c_FCA + c_TVA - c_DVA) int(epe)``, in which DVA and FCA cancel: its
-        s.e. is ``|c_CVA + c_TVA|`` times the integrated error of the EPE."""
-        rate, lam_b, lam_c = 0.21, 0.0167, 0.0417
-        inputs = with_errors(make_inputs(
-            GRID_Q, epe=40.0, ene=-80.0, lambda_b=lam_b, lambda_c=lam_c, psi=psi, xi=xi,
-            gamma_e=rate, rate=0.02, accruals_taxed=accruals_taxed,
-            compensator_taxed=compensator_taxed,
-        ), se_epe=0.5 + 0.1 * GRID_Q)
-        lam_eff = lam_c * (psi + (1.0 - psi) * (1.0 - xi))
-        c_cva = -0.6 * lam_eff
-        c_tva = tva_credit(rate, lam_b, lam_c, psi, xi, accruals_taxed, compensator_taxed)
-        result = price(inputs)
-        expected = abs(c_cva + c_tva) * independent_error(GRID_Q, lam_b + lam_eff,
-                                                          inputs.exposure.se_epe)
-        assert result.se_total[0] == pytest.approx(expected, rel=1e-13)
-        assert result.se_total.shape == (1,)
-
-    @pytest.mark.parametrize("accruals_taxed", (False, True))
-    @pytest.mark.parametrize("compensator_taxed", (False, True))
-    @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
-    def test_total_se_loads_on_the_epe_alone(self, psi, xi, accruals_taxed, compensator_taxed):
-        self.assert_total_se_loads_on_the_epe_alone(breakdown, psi, xi, accruals_taxed,
-                                                    compensator_taxed)
-
-    @pytest.mark.parametrize("psi, xi, accruals_taxed, compensator_taxed",
-                             ((1.0, 0.0, True, False), (0.0, -0.5, False, True)))
-    def test_total_se_without_tva_fails_it(self, psi, xi, accruals_taxed, compensator_taxed):
-        # A planted defect: TVA's credit left out of the total's coefficient.
-        defective = mutant_breakdown("np.abs(c_cva + credit)", "np.abs(c_cva)")
-        with pytest.raises(AssertionError):
-            self.assert_total_se_loads_on_the_epe_alone(defective, psi, xi, accruals_taxed,
-                                                        compensator_taxed)
 
     def test_total_is_exact_sum(self):
         capital = flat_capital(GRID_Q, ccr=25.0, cva_vol=10.0)
@@ -638,7 +588,7 @@ class TestSweep:
         parties = inputs.parties + (other,)
         sweep = columns(breakdown(replace(inputs, parties=parties, party=party,
                                           psi=psi, xi=xi, phi=phi)))
-        assert sweep.shape == (9, len(party))
+        assert sweep.shape == (8, len(party))
         for i, j in enumerate(party):
             alone = replace(inputs, parties=(parties[j],), party=np.zeros(1, dtype=int),
                             psi=psi[i:i + 1], xi=xi[i:i + 1], phi=phi[i:i + 1])
@@ -671,7 +621,7 @@ class TestSweep:
 
         monkeypatch.setattr(runner, "breakdown", counted)
         monkeypatch.setattr(xva._Quadrature, "__init__", counted_init)
-        one = replace(load_config("warehouse-neg"), ratings=("BB",), phi=(0.0,), paths=1000)
+        one = replace(load_config("warehouse-neg"), ratings=("BB",), phi=(0.0,))
         many = replace(one, ratings=("AAA", "A", "BB", "CCC"), psi=(0.0, 0.5, 1.0),
                        price_of_risk_xi=(-0.5, 0.5), phi=(0.0, 1.0))
         assert len(run_config(one).rows) == 1 and calls == built == [1]
