@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -535,6 +536,38 @@ class TestCli:
         header, *rows = [line.split(",") for line in reports[0].decode().splitlines()]
         assert {(row[header.index("se_bp")], row[header.index("warn")]) for row in rows} == {
             ("0.0", "false")}
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("filename", ["base_case.json", "warehouse_pos.json",
+                                          "warehouse_neg.json"])
+    def test_a_shipped_config_writes_the_same_bytes_with_seed_paths_and_workers(
+            self, tmp_path, filename, fmt):
+        raw = json.loads((CONFIGS / filename).read_text(encoding="utf-8"))
+        shutil.copy(CONFIGS / raw["market"], tmp_path)
+        reports = []
+        for name, config in (("plain", raw), ("set", dict(raw, seed=3, paths=6, workers=4))):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.{fmt}"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            assert main(["run", str(path), "--format", fmt, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_row_reports_no_sampling_error(self, capsys, preset, fmt):
+        """The exposure has no sampling error: ``se_bp`` is 0.0 and ``warn`` false on every
+        row of each machine format, and the JSON names the exact engine."""
+        assert main(["run", preset, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["engine"] == "exact"
+            cells = {(row["se_bp"], row["warn"]) for row in payload["rows"]}
+            assert cells == {(0.0, False)} and len(payload["rows"]) == 8
+        else:
+            header, *rows = [line.split(",") for line in out.splitlines()]
+            cells = {(row[header.index("se_bp")], row[header.index("warn")]) for row in rows}
+            assert cells == {("0.0", "false")} and len(rows) == 8
 
     def test_internal_error_is_exit_4_without_traceback(self, tmp_path, capsys, monkeypatch):
         def broken(cfg):

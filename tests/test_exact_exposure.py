@@ -9,20 +9,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from test_exposure import BOOK_CASES, FLAT, LONG_BOOK, POSTED, exact_epe, payer_epe
+from pathsim import simulate_paths
+from test_exposure import (BOOK_CASES, FLAT, LONG_BOOK, MIXED_BOOK, POSTED, exact_epe,
+                           payer_epe)
 from xvakit import ShortRateModel, SwapSpec, exposure, exposure_profile, make_exposure_grid
 from xvakit.cli import main
 from xvakit.config import load_config
-from xvakit.exposure import _forward_kernel, _netted_plan, _sampled_epe, positive_mean
+from xvakit.exposure import (_forward_kernel, _netted_plan, _revalue, _sampled_epe,
+                             positive_mean)
 from xvakit.report import render_csv
 from xvakit.runner import run_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BASE = load_config("base-case")
 CURVE, MODEL, _ = BASE.market
-# The three presets price one book in one market; only the sweep differs.
-ORACLE_CASES = {"presets": (BASE.swaps, 50_000), "long-book": (LONG_BOOK + POSTED, 65_536)}
+VOLATILE = ShortRateModel(MODEL.mean_reversion, 0.3)
+# The three presets price one book in one market; only the sweep differs.  The receiver
+# turns the presets' exposed payer round, so its EPE is mostly its forward; at sigma 0.3
+# the presets' book moves by tens of percent of rates.
+ORACLE_CASES = {
+    "presets": (BASE.swaps, MODEL, 50_000),
+    "long-book": (LONG_BOOK + POSTED, MODEL, 65_536),
+    "mixed": (MIXED_BOOK, MODEL, 50_000),
+    "receiver": (tuple(replace(s, payer=s.collateralized) for s in BASE.swaps), MODEL, 50_000),
+    "sigma-0.3": (BASE.swaps, VOLATILE, 50_000),
+}
 ORACLE_SEEDS = (20150106, 7)
 
 
@@ -82,6 +95,15 @@ class TestPositiveMean:
         got = positive_mean(const, wa, neg_b, v)[0]
         want = mpmath_positive_mean(const[0], wa[0], neg_b[0], v[0])
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [4, 150])
+    def test_rows_of_the_stressed_book_keep_their_digits(self, k):
+        """Its 1-year row, whose 50y swap carries B near 39, and its 37.5y row."""
+        book, model, grid = BOOK_CASES["stressed"]
+        const, wa, neg_b, v = row_of(book, model, grid, k)
+        got = positive_mean(const, wa, neg_b, v)[0]
+        assert got == pytest.approx(mpmath_positive_mean(const[0], wa[0], neg_b[0], v[0]),
+                                    rel=1e-12)
 
     def test_rows_with_no_spread_or_no_live_date(self):
         """At variance 0 a row is ``max(k(0), 0)``; with no live date it is ``max(c, 0)``
@@ -164,12 +186,135 @@ class TestCertifiedRoots:
         assert out == "" and err.startswith("internal error: RuntimeError: exact exposure: ")
 
 
+def black_positive_mean(c, w, b, v):
+    """``E[(c + w e^{-b X})+]``, ``X ~ N(0, v)``, by hand: ``Y = e^{-b X}`` is lognormal
+    with log-s.d. ``s = b sqrt(v)`` and mean ``e^{s^2 / 2}``, so the row is a constant
+    plus a multiple of ``Y``, a call on ``Y`` or a put on it, or 0 (Black, 1976)."""
+    s = b * math.sqrt(v)
+    mean_y = math.exp(0.5 * s * s)
+    if c >= 0 and w >= 0:
+        return c + w * mean_y
+    if c <= 0 and w <= 0:
+        return 0.0
+    strike = -c / w
+    d1 = (-math.log(strike) + s * s) / s
+    d2 = d1 - s
+    if w > 0:
+        return w * (mean_y * ndtr(d1) - strike * ndtr(d2))
+    return -w * (strike * ndtr(-d2) - mean_y * ndtr(-d1))
+
+
+def two_term_positive_mean(a, b1, c, b2, v, sign):
+    """``E[(sign (a e^{-b1 X} - c e^{-b2 X}))+]``, ``X ~ N(0, v)``, ``a, c > 0`` and ``b1 >
+    b2``, by hand: the difference is positive below its one root ``x* = log(a / c) / (b1 -
+    b2)``, and ``E[e^{-b X} 1(X < x*)] = e^{b^2 v / 2} Phi(x* / s + b s)``, ``s = sqrt v``."""
+    s = math.sqrt(v)
+    root = math.log(a / c) / (b1 - b2)
+    below = [w * math.exp(0.5 * b * b * v) * ndtr(root / s + b * s) for w, b in ((a, b1), (c, b2))]
+    if sign > 0:
+        return below[0] - below[1]
+    return (c * math.exp(0.5 * b2 * b2 * v) - below[1]) - (a * math.exp(0.5 * b1 * b1 * v)
+                                                          - below[0])
+
+
+class TestPositiveMeanClosedForms:
+    """Rows small enough to price by hand, with code that shares nothing with the engine."""
+
+    @pytest.mark.parametrize("spread", [0.05, 1.0, 4.0])  # b sqrt(v), the log-s.d. of Y
+    @pytest.mark.parametrize("c, w", [(0.7, 1.3), (-1.1, 1.0), (1.1, -1.0), (-0.4, -2.0)],
+                             ids=["both-positive", "call", "put", "both-negative"])
+    def test_one_term_row_is_black_formula(self, c, w, spread):
+        b = 2.5
+        v = (spread / b) ** 2
+        got = positive_mean([c], [[w]], [[-b]], [v])[0]
+        want = black_positive_mean(c, w, b, v)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        if c * w < 0:  # an option, so the row has a root for the engine to find
+            assert 0.0 < got < max(c, 0.0) + max(w, 0.0) * math.exp(0.5 * spread * spread)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive-below", "positive-above"])
+    @pytest.mark.parametrize("a, b1, c, b2, v", [
+        (1.0, 9.0, 0.98, 4.5, 1e-4),  # two bonds of a 10y book at its 1y row
+        (2.0, 1.0, 1.0, 0.0, 0.5),  # a bond against cash
+        (1.0, 30.0, 1.5, 2.0, 4e-3),  # a 50y bond against a 2y one
+        (1.0, 0.25, 1.005, 0.0, 1e-2)])  # a bond a quarter out against cash: a flat root
+    def test_two_term_row_with_one_root(self, a, b1, c, b2, v, sign):
+        got = positive_mean([0.0], [[sign * a, -sign * c]], [[-b1, -b2]], [v])[0]
+        want = two_term_positive_mean(a, b1, c, b2, v, sign)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-14)
+
+
+def long_kernel():
+    """The t-forward kernel of the long book on its grid, and each row's variance."""
+    grid = make_exposure_grid(30.0)
+    kernel = _forward_kernel(_netted_plan(LONG_BOOK, MODEL, CURVE, grid), MODEL, CURVE, grid)
+    return kernel, MODEL.variance(grid)
+
+
+def assert_same_epe(got, want, gross=400.0):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * gross)
+
+
+class TestPositiveMeanInvariances:
+    """What ``E[k(X)+]`` owes to no formula: parity, scale and the order of the rows."""
+
+    PARITY_BOOKS = {
+        "presets": (tuple(s for s in BASE.swaps if not s.collateralized), 10.0),
+        "long-book": (LONG_BOOK, 30.0),
+        "mixed": (MIXED_BOOK, 7.0),
+        "stressed": (BOOK_CASES["stressed"][0], 50.0),
+    }
+
+    @pytest.mark.parametrize("sigma", [0.011, 0.03, 0.1, 0.3])
+    @pytest.mark.parametrize("case", sorted(PARITY_BOOKS))
+    def test_positive_less_negative_part_is_the_forward(self, case, sigma):
+        """``E[k+] - E[(-k)+] = E[k]``, and the t-forward kernel's mean is ``forward``,
+        today's value of the remaining flows, which reads the curve alone."""
+        book, horizon = self.PARITY_BOOKS[case]
+        model, grid = ShortRateModel(MODEL.mean_reversion, sigma), make_exposure_grid(horizon)
+        plan = _netted_plan(book, model, CURVE, grid)
+        k, v = _forward_kernel(plan, model, CURVE, grid), model.variance(grid)
+        positive = positive_mean(k.const, k.wa, k.neg_b, v)
+        negative = positive_mean(-k.const, -k.wa, k.neg_b, v)
+        assert np.all(positive >= 0.0) and np.all(negative >= 0.0)
+        assert_same_epe(positive - negative, plan.forward, sum(s.notional for s in book))
+        assert np.count_nonzero((positive > 0) & (negative > 0)) > len(grid) // 2
+
+    @pytest.mark.parametrize("scale", [1e-6, 3.0, 1e6])
+    def test_scaling_the_row_scales_its_mean(self, scale):
+        k, v = long_kernel()
+        assert_same_epe(positive_mean(scale * k.const, scale * k.wa, k.neg_b, v) / scale,
+                        positive_mean(k.const, k.wa, k.neg_b, v))
+
+    @pytest.mark.parametrize("unit", [1e-2, 1e2])
+    def test_the_factors_unit_does_not_matter(self, unit):
+        """``B X`` is the same variable with ``B`` times ``unit`` and ``X`` over it."""
+        k, v = long_kernel()
+        assert_same_epe(positive_mean(k.const, k.wa, unit * k.neg_b, v / unit**2),
+                        positive_mean(k.const, k.wa, k.neg_b, v))
+
+    @pytest.mark.parametrize("rows", [1, 7, 121])
+    def test_each_row_is_priced_alone(self, monkeypatch, rows):
+        """A row's mean is the same in a chunk of any size: a chunk drops only the dates
+        paid on all its rows."""
+        k, v = long_kernel()
+        want = positive_mean(k.const, k.wa, k.neg_b, v)
+        monkeypatch.setattr(exposure, "_EXACT_ROWS", rows)
+        assert_same_epe(positive_mean(k.const, k.wa, k.neg_b, v), want)
+
+    def test_the_order_of_the_rows_does_not_matter(self):
+        k, v = long_kernel()
+        backwards = positive_mean(k.const[::-1], k.wa[::-1], k.neg_b[::-1], v[::-1])
+        assert_same_epe(backwards[::-1], positive_mean(k.const, k.wa, k.neg_b, v))
+
+
 @functools.lru_cache(maxsize=None)
 def sampled(case, seed):
     """``(grid, epe, se)`` of ``_sampled_epe`` on the case's book at its path count."""
-    book, paths = ORACLE_CASES[case]
+    book, model, paths = ORACLE_CASES[case]
     grid = make_exposure_grid(max(s.maturity for s in book))
-    return (grid, *_sampled_epe(book, MODEL, CURVE, grid, paths, seed))
+    return (grid, *_sampled_epe(book, model, CURVE, grid, paths, seed))
 
 
 # (case, seed, grid time): rows where the plain sampler's s.e. misreports its error.  Each
@@ -185,9 +330,9 @@ MC_DEFECTS = {
 def assert_sampled_within_4_se(case, seed, times=None):
     """``_sampled_epe`` within 4 of its s.e. of ``exposure_profile``'s EPE (and 1e-12 of
     the notional) at every row, or at the grid ``times`` given, less the ``MC_DEFECTS``."""
-    book, _ = ORACLE_CASES[case]
+    book, model, _ = ORACLE_CASES[case]
     grid, epe, se = sampled(case, seed)
-    exact = exposure_profile(book, MODEL, CURVE, grid)
+    exact = exposure_profile(book, model, CURVE, grid)
     known = [t for (c, s, t) in MC_DEFECTS if (c, s) == (case, seed)]
     rows = ~np.isin(grid, known) if times is None else np.isin(grid, times)
     error = np.abs(epe - exact.epe)[rows]
@@ -198,7 +343,7 @@ def assert_sampled_within_4_se(case, seed, times=None):
 class TestMonteCarloOracle:
     """A plain Monte Carlo of the exact kernel as ``positive_mean``'s independent check.
     Past the long book's 6-month row, |z| = |sampled - exact| / s.e. is at most 2.66 over
-    both books at seeds 20150106 and 7."""
+    the books in the presets' market at seeds 20150106 and 7, and 3.04 at sigma 0.3."""
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -234,6 +379,64 @@ class TestMonteCarloOracle:
     def test_known_monte_carlo_defects(self, case, seed, t):
         """Each known miss stays in the oracle as a strict expected failure."""
         assert_sampled_within_4_se(case, seed, times=[t])
+
+
+class TestSampledEpe:
+    """The oracle itself: its estimate and standard error are the plain sample statistics
+    of the positive part, and that error is the spread of the estimate over seeds."""
+
+    BOOK = MIXED_BOOK
+    GRID = make_exposure_grid(7.0)
+
+    def test_estimate_and_error_are_the_sample_mean_and_std_over_root_n(self):
+        """Recomputed from ``pathsim.simulate_paths``, which draws the same rows of the
+        same generator, through the whole-grid kernel."""
+        n = 1_000
+        epe, se = _sampled_epe(self.BOOK, MODEL, CURVE, self.GRID, n, 11)
+        paths = simulate_paths(MODEL, CURVE, self.GRID, n, 11)
+        kernel = _forward_kernel(_netted_plan(self.BOOK, MODEL, CURVE, self.GRID), MODEL,
+                                 CURVE, self.GRID)
+        positive = np.maximum(_revalue(paths.factor.T, kernel), 0.0)
+        np.testing.assert_allclose(epe, positive.mean(axis=1), rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(se, positive.std(axis=1, ddof=1) / math.sqrt(n),
+                                   rtol=1e-10, atol=1e-15)
+        assert np.all(se[1:-1] > 0.0)
+
+    def test_error_falls_as_one_over_root_paths(self):
+        _, coarse = _sampled_epe(self.BOOK, MODEL, CURVE, self.GRID, 2_000, 3)
+        _, fine = _sampled_epe(self.BOOK, MODEL, CURVE, self.GRID, 32_000, 3)
+        ratio = fine[1:-1] / coarse[1:-1]
+        np.testing.assert_allclose(ratio, 0.25, rtol=0.15)
+
+    def test_rows_with_no_spread_are_exact(self):
+        """Today the factor is 0 on every path, and at the book's end nothing is live; the
+        receiver starts in the money."""
+        book, model, _ = ORACLE_CASES["receiver"]
+        grid = make_exposure_grid(10.0)
+        epe, se = _sampled_epe(book, model, CURVE, grid, 1_000, 5)
+        exact = exposure_profile(book, model, CURVE, grid).epe
+        assert epe[0] == pytest.approx(exact[0], rel=1e-14) and exact[0] > 0.0
+        assert se[0] <= 1e-14 * epe[0]
+        assert (epe[-1], se[-1]) == (0.0, 0.0)
+
+    def test_a_seed_reproduces_its_estimate_and_another_does_not(self):
+        a, b, c = (_sampled_epe(self.BOOK, MODEL, CURVE, self.GRID, 1_000, seed)
+                   for seed in (5, 5, 6))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], c[0])
+
+    @pytest.mark.parametrize("case", ["mixed", "presets"])
+    def test_reported_error_matches_the_spread_over_seeds(self, case):
+        """Over 48 seeds at 2,000 paths, the variance of the estimate against the mean
+        squared reported error, pooled over the rows that have one: each row's draws are
+        its own, so the pooled ratio is within a few hundredths of 1."""
+        book, model, _ = ORACLE_CASES[case]
+        grid = make_exposure_grid(max(s.maturity for s in book))
+        runs = [_sampled_epe(book, model, CURVE, grid, 2_000, seed) for seed in range(48)]
+        epe, se = (np.array(column) for column in zip(*runs))
+        rows = se.min(axis=0) > 0.0
+        ratio = np.mean(epe[:, rows].var(axis=0, ddof=1) / np.mean(se[:, rows] ** 2, axis=0))
+        assert 0.85 < ratio < 1.15, ratio
 
 
 class TestEngineKey:

@@ -299,6 +299,83 @@ class TestExposureProfile:
         assert np.all(profile.epe == 0.0) and np.all(profile.forward == 0.0)
 
 
+PROFILE_CASES = {
+    "mixed": (MIXED_BOOK, ShortRateModel(0.05, 0.011), SLOPED, MIXED_GRID),
+    **{case: (book, model, FLAT, grid) for case, (book, model, grid) in BOOK_CASES.items()},
+    "volatile": (LONG_BOOK, ShortRateModel(0.05, 0.3), FLAT, make_exposure_grid(30.0)),
+}
+
+
+def mirrored(book):
+    """Each swap of ``book`` with its legs turned round."""
+    return tuple(replace(s, payer=not s.payer) for s in book)
+
+
+class TestProfileProperties:
+    """What any book's profile owes to the positive part alone, on books with several
+    roots per row: the mixed book, and the long book in its market, at sigma 0.3 and
+    stressed."""
+
+    @staticmethod
+    def profiles(case, transform=lambda book: book):
+        book, model, curve, grid = PROFILE_CASES[case]
+        return exposure_profile(transform(book), model, curve, grid), book
+
+    @pytest.mark.parametrize("case", sorted(PROFILE_CASES))
+    def test_epe_is_at_least_the_forward_and_nothing_at_the_end(self, case):
+        """``E[k+] >= max(E[k], 0)``, with room to spare once the factor spreads, and no
+        exposure once the last swap has paid."""
+        profile, book = self.profiles(case)
+        tol = 1e-12 * sum(s.notional for s in book)
+        assert np.all(profile.epe >= np.maximum(profile.forward, 0.0) - tol)
+        assert profile.epe[-1] == 0.0 and profile.forward[-1] == 0.0
+        assert np.all(profile.epe[1:-1] > np.maximum(profile.forward[1:-1], 0.0) + tol)
+
+    @pytest.mark.parametrize("case", sorted(PROFILE_CASES))
+    def test_the_mirrored_book_trades_epe_for_ene(self, case):
+        """Turning every swap round negates the kernel: its EPE is the book's ENE turned
+        round, so the two EPEs differ by the book's forward."""
+        profile, book = self.profiles(case)
+        mirror, _ = self.profiles(case, mirrored)
+        assert np.array_equal(mirror.forward, -profile.forward)
+        np.testing.assert_allclose(profile.epe - mirror.epe, profile.forward, rtol=1e-12,
+                                   atol=1e-12 * sum(s.notional for s in book))
+
+    @pytest.mark.parametrize("case", sorted(PROFILE_CASES))
+    def test_netting_never_adds_exposure(self, case):
+        """``(a + b)+ <= a+ + b+``: the netted EPE is at most the sum of the swaps' own,
+        and below it where a payer and a receiver offset."""
+        profile, book = self.profiles(case)
+        _, model, curve, grid = PROFILE_CASES[case]
+        alone = sum(exposure_profile((s,), model, curve, grid).epe for s in book)
+        tol = 1e-12 * sum(s.notional for s in book)
+        assert np.all(profile.epe <= alone + tol)
+        assert np.any(profile.epe < 0.9 * alone)
+
+    def test_a_scaled_book_scales_its_profile(self):
+        profile, book = self.profiles("long-book")
+        scaled, _ = self.profiles("long-book",
+                                  lambda b: tuple(replace(s, notional=2.5 * s.notional)
+                                                  for s in b))
+        for name in ("epe", "forward", "mean_value_undiscounted"):
+            np.testing.assert_allclose(getattr(scaled, name), 2.5 * getattr(profile, name),
+                                       rtol=1e-12, atol=1e-12 * 1000.0, err_msg=name)
+
+    def test_the_order_of_the_book_does_not_matter(self):
+        profile, book = self.profiles("mixed")
+        reordered, _ = self.profiles("mixed", lambda b: b[::-1])
+        for name in ("epe", "forward", "mean_value_undiscounted"):
+            np.testing.assert_allclose(getattr(reordered, name), getattr(profile, name),
+                                       rtol=1e-12, atol=1e-12 * GROSS, err_msg=name)
+
+    def test_a_payers_epe_falls_as_its_fixed_rate_rises(self, model, quarterly_grid):
+        epe = [exposure_profile((SwapSpec(notional=100.0, fixed_rate=rate, maturity=10.0),),
+                                model, FLAT, quarterly_grid).epe
+               for rate in (0.015, 0.02, 0.027)]
+        live = slice(1, -1)
+        assert np.all(epe[0][live] > epe[1][live]) and np.all(epe[1][live] > epe[2][live])
+
+
 KERNEL_CASES = {
     "long-book": (LONG_BOOK, make_exposure_grid(30.0)),
     "mixed": (MIXED_BOOK, MIXED_GRID),

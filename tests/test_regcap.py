@@ -1,6 +1,7 @@
 """Standardized capital: EAD, CCR, CVA-vol, market risk and profiles."""
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from xvakit import (
     ExposureProfile,
     SwapSpec,
     capital_profile,
+    exposure,
     make_exposure_grid,
     remaining_duration,
 )
+from xvakit.config import load_config
 from xvakit.regcap import CEM_ADDON_FACTORS, MR_BAND_WEIGHTS, capital_base
+from xvakit.runner import run_config
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -302,3 +306,25 @@ class TestCapitalBase:
             reference = loop_capital(prof, cpty, self.book, self.curve, 0.08, RATING_TABLE["A"])
             computed = np.array(components(base, charges(rating)))
             np.testing.assert_allclose(computed, reference, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("payer", [True, False], ids=["payer", "receiver"])
+def test_kva_reads_the_mean_mtm_and_never_the_epe(monkeypatch, payer):
+    """The EAD reads the book's undiscounted mean MtM, a closed form, so a run whose EPE
+    is doubled keeps every KVA cell bit for bit while its CVA moves.  The base case's
+    exposed payer turned receiver has a positive mean MtM, which its EAD then reads."""
+    base = load_config("base-case")
+    swaps = tuple(s if payer or s.collateralized else replace(s, payer=False)
+                  for s in base.swaps)
+    config = replace(base, swaps=swaps)
+    plain = run_config(config)
+    positive_mean = exposure.positive_mean
+    monkeypatch.setattr(exposure, "positive_mean", lambda *row: 2.0 * positive_mean(*row))
+    doubled = run_config(config)
+    assert np.all(doubled.profile.epe == 2.0 * plain.profile.epe)
+    assert np.any(doubled.breakdown.cva != plain.breakdown.cva)
+    for name in ("kva_mr", "kva_ccr", "kva_cva"):
+        assert np.array_equal(getattr(doubled.breakdown, name),
+                              getattr(plain.breakdown, name)), name
+    assert np.any(plain.profile.mean_value_undiscounted > 0) != payer
+    assert np.all(plain.breakdown.kva_ccr != 0)

@@ -31,6 +31,23 @@ def base_case(drop=(), **fields):
     return cfg
 
 
+def market(sigma):
+    """configs/market_gbp_flat.json at volatility ``sigma``."""
+    raw = json.loads((CONFIGS / "market_gbp_flat.json").read_text(encoding="utf-8"))
+    raw["model"]["sigma"] = sigma
+    return raw
+
+
+def swap(notional, rate, maturity, frequency, payer, collateralized=False):
+    return {"notional": notional, "fixedRate": rate, "maturity": maturity,
+            "frequency": frequency, "payer": payer, "collateralized": collateralized}
+
+
+# The benchmark's long book: four uncollateralized swaps and a posted one.
+LONG_BOOK = [swap(100.0, 0.022, 5.0, 4, True), swap(100.0, 0.019, 10.0, 2, False),
+             swap(100.0, 0.024, 20.0, 4, True), swap(100.0, 0.018, 30.0, 4, False),
+             swap(100.0, 0.021, 30.0, 4, False, collateralized=True)]
+
 CASES = {
     "m_lambda": lambda: base_case(drop=["priceOfRiskXi"], mLambda=[-0.004, 0.0, 0.002],
                                   psi=[0.0, 0.3, 1.0]),
@@ -39,6 +56,14 @@ CASES = {
     "labels": lambda: base_case(
         hedgeSourceLabel=LABEL, ratings=["A", LABEL],
         ratingTable={LABEL: {"cdsSpreadBp": 150, "riskWeight": 1.0, "cvaWeight": 0.01}}),
+    "receiver": lambda: base_case(swaps=[swap(100.0, 0.027, 10.0, 2, False),
+                                         swap(100.0, 0.027, 10.0, 2, True, True)]),
+    "taxed": lambda: base_case(psi=[0.0, 0.5], accrualsTaxed=True, compensatorTaxed=True),
+    "long_book": lambda: base_case(swaps=LONG_BOOK, psi=[0.0, 0.5, 1.0],
+                                   priceOfRiskXi=[-0.5, 0.5]),
+    "volatile": lambda: base_case(market=market(0.3)),
+    "sloped": lambda: base_case(market=dict(market(0.011), curve={
+        "pillars": [1.0, 10.0, 30.0], "zeroRates": [0.01, 0.02, 0.03]})),
 }
 
 
@@ -68,6 +93,9 @@ def test_the_cases_reach_what_they_cover(results):
     assert "COLVA" in table["colva"] and "COLVA" not in table["no_colva"]
     assert table["labels"].count(LABEL) == 6  # the source of four rows, the rating of two
     assert table["no_colva"].endswith("; exact Gaussian exposure\n")
+    assert len(table["long_book"].splitlines()) == 48 + 4  # header, rule, blank, footer
+    assert table["volatile"].splitlines()[0] != table["no_colva"].splitlines()[0]  # wider
+    assert table["sloped"] != table["no_colva"]
 
 
 def run_cli(args, locale, cwd):

@@ -428,6 +428,53 @@ class TestBreakdown:
             assert getattr(result, name)[0] == pytest.approx(value, rel=1e-13, abs=1e-15), name
         assert len({result.cva[0], result.dva[0], result.fca[0], result.tva[0]}) == 4
 
+    @staticmethod
+    def assert_total_loads_on_the_epe_through_cva_and_tva(price, psi, xi, accruals_taxed,
+                                                          compensator_taxed):
+        """ENE is the known forward less EPE, so a change in the EPE at a fixed forward
+        moves the total by ``(c_CVA + c_FCA + c_TVA - c_DVA)`` times its integral, in which
+        DVA's and FCA's coefficients cancel: by ``c_CVA + c_TVA`` times it."""
+        rate, lam_b, lam_c = 0.21, 0.0167, 0.0417
+        inputs = make_inputs(
+            GRID_Q, epe=40.0, ene=-80.0, lambda_b=lam_b, lambda_c=lam_c, psi=psi, xi=xi,
+            gamma_e=rate, rate=0.02, capital=flat_capital(GRID_Q, ccr=30.0, cva_vol=20.0),
+            accruals_taxed=accruals_taxed, compensator_taxed=compensator_taxed,
+        )
+        change = 0.5 + 0.1 * GRID_Q
+        moved = replace(inputs, exposure=replace(inputs.exposure,
+                                                 epe=inputs.exposure.epe + change))
+        lam_eff = lam_c * (psi + (1.0 - psi) * (1.0 - xi))
+        c_cva = -0.6 * lam_eff
+        c_tva = tva_credit(rate, lam_b, lam_c, psi, xi, accruals_taxed, compensator_taxed)
+        before, after = price(inputs), price(moved)
+        assert after.total[0] - before.total[0] == pytest.approx(
+            (c_cva + c_tva) * survival_trapezoid(GRID_Q, lam_b + lam_eff, change),
+            rel=1e-12, abs=1e-13)
+        assert after.dva[0] != before.dva[0]  # DVA moves, by FCA's move turned round
+
+    @pytest.mark.parametrize("accruals_taxed", (False, True))
+    @pytest.mark.parametrize("compensator_taxed", (False, True))
+    @pytest.mark.parametrize("psi, xi", ((1.0, 0.0), (0.4, 0.3), (0.0, -0.5)))
+    def test_total_loads_on_the_epe_through_cva_and_tva(self, psi, xi, accruals_taxed,
+                                                        compensator_taxed):
+        self.assert_total_loads_on_the_epe_through_cva_and_tva(
+            breakdown, psi, xi, accruals_taxed, compensator_taxed)
+
+    @pytest.mark.parametrize("defect", ("tva without its credit", "dva on the forward"))
+    @pytest.mark.parametrize("psi, xi, accruals_taxed, compensator_taxed",
+                             ((1.0, 0.0, True, False), (0.0, -0.5, False, True)))
+    def test_a_planted_defect_fails_the_loading(self, defect, psi, xi, accruals_taxed,
+                                               compensator_taxed):
+        old, new = {
+            "tva without its credit": ("credit * epe", "0.0 * epe"),
+            "dva on the forward": ("(weights * exposure.forward).sum(axis=-1) - epe)",
+                                   "(weights * exposure.forward).sum(axis=-1))"),
+        }[defect]
+        defective = mutant_breakdown(old, new)
+        with pytest.raises(AssertionError):
+            self.assert_total_loads_on_the_epe_through_cva_and_tva(
+                defective, psi, xi, accruals_taxed, compensator_taxed)
+
     def test_total_is_exact_sum(self):
         capital = flat_capital(GRID_Q, ccr=25.0, cva_vol=10.0)
         inputs = make_inputs(
@@ -496,8 +543,7 @@ class TestBreakdown:
 def mutant_breakdown(old, new):
     """``xva.breakdown`` with the one occurrence of ``old`` in its source made ``new``.
 
-    Each coefficient is written once, so one edit reaches both the value and
-    its standard error."""
+    Each coefficient is written once, so one edit reaches every use of it."""
     source = inspect.getsource(xva.breakdown)
     assert source.count(old) == 1, old
     namespace = dict(vars(xva))
