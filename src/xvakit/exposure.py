@@ -51,10 +51,10 @@ from .curves import DiscountCurve
 from .ratemodel import ShortRateModel, _validate_grid
 
 POINTS_PER_YEAR = 4  # of the exposure grid; every swap frequency divides it
-# ``positive_mean``: rows per chunk (a 32-row scan is 0.5 MB at 121 dates), the s.d. past
-# which no term's Gaussian holds 2^-53 of its mass (Phi(-9) = 1.1e-19), the scan's cells,
-# and the halvings a cell may take before its row is refused.
-_EXACT_ROWS, _TAIL, _SCAN_CELLS, _SPLITS = 32, 9.0, 16, 40
+# ``positive_mean``: rows per block of its scan (0.5 MB of exponentials at 121 dates), the
+# s.d. past which no term's Gaussian holds 2^-53 of its mass (Phi(-9) = 1.1e-19), the scan's
+# cells, the halvings a cell may take before its row is refused, and ``_refine``'s last step.
+_EXACT_ROWS, _TAIL, _SCAN_CELLS, _SPLITS, _NEWTON_TOL = 32, 9.0, 16, 40, 2.0 ** -30
 
 
 def is_live(date, t):
@@ -127,15 +127,11 @@ class _NettedPlan:
         return _NettedPlan(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _NettedPlan:
-    """The swaps of ``book`` netted once, at every grid point, into the affine kernel's arrays.
-
-    ``E[D_t P(t, T)] = P(0, T)``, so ``forward`` takes the weights before
-    ``A`` is folded in: ``c_k P(0, t_k) + sum_j w_kj P(0, T_j)`` over the
-    live dates.  Under Q, ``x_t ~ N(0, v_k)`` with ``v_k = sigma^2 B(2 t_k) / 2``
-    and ``E[exp(-B x_t)] = exp(B^2 v_k / 2)``, so ``expected`` is
-    ``c_k + sum_j wa_kj exp(B_kj^2 v_k / 2)``.
-    """
+def _netted_flows(book, curve: DiscountCurve, grid):
+    """``book`` netted on the union of its payment ``dates`` at each grid point ``g``: ``(g,
+    dates, live, const, flows, forward)``, ``live`` ``is_live`` per row and date, ``const``
+    the principal to come, ``flows`` each date's flow, zero once paid, and ``forward`` the
+    discounted mean: ``E[D_t P(t, T)] = P(0, T)``, so ``c_k P(0, t_k) + flows_k @ P(0, T)``."""
     dates = np.unique(np.concatenate([np.empty(0), *(s.payment_times() for s in book)]))
     weights = np.zeros(len(dates))
     last = np.zeros(len(dates))  # sign * notional ending on each date
@@ -145,14 +141,23 @@ def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _Ne
         weights[idx[-1:]] -= s.sign * s.notional
         last[idx[-1:]] += s.sign * s.notional
     g = np.asarray(grid, dtype=float)
-    log_a, b = model.affine(curve, g[:, None], dates[None, :])
     live = is_live(dates, g[:, None])
-    const = np.where(live, last, 0.0).sum(axis=1)
+    const, flows = np.where(live, last, 0.0).sum(axis=1), np.where(live, weights, 0.0)
+    return g, dates, live, const, flows, const * curve.df(g) + flows @ curve.df(dates)
+
+
+def _netted_plan(book, model: ShortRateModel, curve: DiscountCurve, grid) -> _NettedPlan:
+    """The swaps of ``book`` netted once, at every grid point, into the affine kernel's arrays.
+
+    ``forward`` is ``_netted_flows``'.  Under Q, ``x_t ~ N(0, v_k)``, ``v_k = sigma^2 B(2 t_k)
+    / 2``, and ``E[exp(-B x_t)] = exp(B^2 v_k / 2)``, so ``expected`` is ``c_k + sum_j wa_kj
+    exp(B_kj^2 v_k / 2)``."""
+    g, dates, live, const, flows, forward = _netted_flows(book, curve, grid)
+    log_a, b = model.affine(curve, g[:, None], dates[None, :])
     neg_b = np.where(live, -b, 0.0)
-    wa = np.where(live, weights * np.exp(log_a), 0.0)
+    wa = np.where(live, flows * np.exp(log_a), 0.0)
     v = model.variance(g)[:, None]
-    return _NettedPlan(const=const, neg_b=neg_b, wa=wa,
-                       forward=const * curve.df(g) + np.where(live, weights, 0.0) @ curve.df(dates),
+    return _NettedPlan(const=const, neg_b=neg_b, wa=wa, forward=forward,
                        expected=const + np.sum(wa * np.exp(0.5 * v * neg_b * neg_b), axis=1))
 
 
@@ -215,46 +220,56 @@ def make_exposure_grid(maturity: float) -> np.ndarray:
 
 def normal_cdf(z):
     """The standard normal ``Phi(z) = erfc(-z / sqrt 2) / 2``, element by element through
-    ``math.erfc``, so the lower tail keeps its relative accuracy; a float or an array."""
-    erfc = np.frompyfunc(math.erfc, 1, 1)
-    return 0.5 * np.asarray(erfc(-np.asarray(z) / math.sqrt(2.0)), float)
+    ``math.erfc``, so the lower tail keeps its relative accuracy; a float or an array.  The
+    elements reach ``math.erfc`` as one list of floats, not one ufunc call each."""
+    z = -np.asarray(z) / math.sqrt(2.0)
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
-def _delta_phi(lo, hi):
+def _delta_phi(lo, hi, live=True):
     """``Phi(hi) - Phi(lo)``, ``lo <= hi``, from the tails ``Phi(-|z|)``: the lower tails'
     difference where both ends are at most 0, the upper tails' where both are at least 0,
     and 1 less both tails across 0, so a small difference is never a difference of two
-    numbers near 1."""
-    p, q = normal_cdf(-np.abs(lo)), normal_cdf(-np.abs(hi))
+    numbers near 1.  Tails are taken at finite ends where ``live`` (a term's weight is not 0)
+    only; elsewhere they are 0, as they are exactly at an infinite end."""
+    p, q = np.zeros(np.shape(lo)), np.zeros(np.shape(hi))
+    for z, tail in ((lo, p), (hi, q)):
+        at = np.isfinite(z) & live
+        tail[at] = normal_cdf(-np.abs(z[at]))
     return np.where(hi <= 0, q - p, np.where(lo >= 0, p - q, 1.0 - p - q))
 
 
-def _sums(x, rows, mu, weights):
-    """``weights[r] @ exp(mu[r] x)`` at each point ``x`` of row ``r = rows``, ``(points,
-    kinds)`` from ``weights`` ``(rows, kinds, terms)``: one product per point, with its
-    own row's weights.  Its summation order is einsum's; the certifier's rounding
-    allowance, ``(terms + 2) 2^-52`` of the absolute sum, bounds any order."""
-    return np.einsum("pt,pkt->pk", np.exp(mu[rows] * x[:, None]), weights[rows])
+def _sums(x, mu, weights):
+    """``weights[i] @ exp(mu[i] x[i, j])`` at the points ``x`` ``(n, points)``, ``(n, points,
+    kinds)`` from ``mu`` ``(n, terms)`` and ``weights`` ``(n, kinds, terms)``: one batched
+    product per row with its own weights.  The certifier's rounding allowance, ``(terms + 2)
+    2^-52`` of the absolute sum, bounds the product's summation order, as it would any."""
+    return np.matmul(np.exp(mu[:, None, :] * x[:, :, None]), weights.transpose(0, 2, 1))
 
 
 def _refine(rows, lo, hi, g_lo, g_hi, mu, weights, scale):
     """The one root in each of the cells ``[lo, hi]`` where row ``rows``' ``g = weights[:, 0]
     @ exp(mu x)`` is monotone and changes sign, from ``g_lo`` to ``g_hi``: Newton from the
     secant's point, bisecting where a step would leave the shrinking bracket, until a step
-    or the bracket is within ``2^-50`` of ``|x|`` plus the row's ``scale``."""
+    or the bracket is within ``_NEWTON_TOL = 2^-30`` of ``|x|`` plus the row's ``scale``.
+
+    That is all the mean needs.  At a root ``r``, ``d/dr int_r k(x) phi(x) dx = -k(r) phi(r)
+    = 0``, so a root off by ``delta`` moves the row's mean by ``O(k'(r) delta^2)``, and a
+    Newton step of ``2^-30`` leaves a ``delta`` near its square."""
+    mu, weights = mu[rows], weights[rows]
     x = np.clip(lo - g_lo * (hi - lo) / (g_hi - g_lo), lo, hi)
     active = np.arange(len(x))
     for _ in range(64):  # each step is Newton's or halves the bracket
         if not len(active):
             break
         at = x[active]
-        g, slope = _sums(at, rows[active], mu, weights).T
+        g, slope = _sums(at[:, None], mu[active], weights[active])[:, 0].T
         same = (g < 0) == (g_lo[active] < 0)  # at is the bracket's new lower end, or upper
         lo[active] = a = np.where(same, at, lo[active])
         hi[active] = b = np.where(same, hi[active], at)
         step = at - np.divide(g, slope, out=np.full_like(g, np.inf), where=slope != 0)
         new = np.where(g == 0, at, np.where((step > a) & (step < b), step, 0.5 * (a + b)))
-        tol = 2.0 ** -50 * (np.abs(new) + scale[rows[active]])
+        tol = _NEWTON_TOL * (np.abs(new) + scale[rows[active]])
         x[active] = new
         active = active[(np.abs(new - at) > tol) & (b - a > tol)]
     return x
@@ -265,11 +280,15 @@ def _certified_cells(mu, weights, lo, hi, names):
     ``positive_mean`` says: ``(rows, x0, x1, g0, g1, definite)`` per cell, in order of row
     and ``x0``, with ``g`` at both ends and whether the cell holds no root.  ``weights``
     ``(rows, 5, terms)`` give ``g``, ``g'``, and the absolute sums ``S_0``, ``S_1``, ``S_2``:
-    column ``k + 2`` is column ``k``'s rounding scale, and ``k + 3`` bounds its slope."""
+    column ``k + 2`` is column ``k``'s rounding scale, and ``k + 3`` bounds its slope.  The
+    scan goes ``_EXACT_ROWS`` rows at a time, each block over the terms not zero on all of
+    its rows."""
     n_rows, n = len(mu), mu.shape[1]
     x = lo[:, None] + np.multiply.outer(hi - lo, np.linspace(0.0, 1.0, _SCAN_CELLS + 1))
-    f = _sums(x.ravel(), np.repeat(np.arange(n_rows), _SCAN_CELLS + 1), mu, weights)
-    f = f.reshape(n_rows, _SCAN_CELLS + 1, -1)
+    f = np.empty((n_rows, _SCAN_CELLS + 1, 5))
+    for block in (slice(r, r + _EXACT_ROWS) for r in range(0, n_rows, _EXACT_ROWS)):
+        live = weights[block, 2].any(axis=0)
+        f[block] = _sums(x[block], mu[block][:, live], weights[block][:, :, live])
     cells = (np.repeat(np.arange(n_rows), _SCAN_CELLS), x[:, :-1].ravel(), x[:, 1:].ravel(),
              f[:, :-1].reshape(-1, 5), f[:, 1:].reshape(-1, 5))
     eps, certified = (n + 2) * 2.0 ** -52, []  # rounding, relative to the absolute sums
@@ -285,7 +304,7 @@ def _certified_cells(mu, weights, lo, hi, names):
             break
         rows, x0, x1, f0, f1 = (c[~ok] for c in cells)
         mid = 0.5 * (x0 + x1)
-        f_mid = _sums(mid, rows, mu, weights)
+        f_mid = _sums(mid[:, None], mu[rows], weights[rows])[:, 0]
         cells = (np.tile(rows, 2), np.concatenate([x0, mid]), np.concatenate([mid, x1]),
                  np.concatenate([f0, f_mid]), np.concatenate([f_mid, f1]))
     else:
@@ -294,53 +313,6 @@ def _certified_cells(mu, weights, lo, hi, names):
     cells = [np.concatenate(c) for c in zip(*certified)]
     order = np.lexsort((cells[1], cells[0]))
     return tuple(c[order] for c in cells)
-
-
-def _positive_chunk(k0, const, wa, neg_b, v):
-    """``positive_mean`` of rows ``k0, k0 + 1, ...``: see there."""
-    a = np.hstack([const[:, None], wa])  # the constant is the term with B = 0
-    b = np.hstack([np.zeros((len(a), 1)), -neg_b])
-    mean_w = a * np.exp(0.5 * v[:, None] * b * b)  # each term's mean
-    s = np.sqrt(v)
-    out = np.where(np.isfinite(mean_w).all(axis=1), np.maximum(a.sum(axis=1), 0.0), np.nan)
-    todo = np.flatnonzero((s > 0) & np.isfinite(out))
-    if not len(todo):
-        return out
-    live = np.any(a[todo] != 0, axis=0)  # the dates paid on every row of the chunk go
-    live[0] = True
-    a, b, mean_w, s = a[todo][:, live], b[todo][:, live], mean_w[todo][:, live], s[todo]
-    b_max = b.max(axis=1)
-    mu = b_max[:, None] - b  # g = e^{b_max x} k = a @ exp(mu x), mu >= 0
-    weights = np.stack([a, a * mu, np.abs(a), np.abs(a) * mu, np.abs(a) * mu * mu], axis=1)
-    rows, x0, x1, g0, g1, definite = _certified_cells(
-        mu, weights, -b_max * s * s - _TAIL * s, _TAIL * s, k0 + todo)
-    # Whether g > 0 just inside each end of a cell: a definite cell takes its larger end's sign.
-    sign = np.where(np.abs(g0) >= np.abs(g1), g0, g1) > 0
-    pos_l, pos_r = np.where(definite, sign, g0 > 0), np.where(definite, sign, g1 > 0)
-    first = np.r_[True, rows[1:] != rows[:-1]]
-    # g changes sign at the root of a cell whose ends differ, and where it is 0 at a cell's end.
-    root, turn = pos_l != pos_r, np.r_[False, pos_r[:-1] != pos_l[1:]] & ~first
-    at_row = np.concatenate([rows[root], rows[turn]])
-    at = np.concatenate([_refine(rows[root], x0[root], x1[root], g0[root], g1[root], mu,
-                                 weights[:, :2], s), x0[turn]])
-    order = np.lexsort((at, at_row))
-    at_row, at = at_row[order], at[order]
-    # Each row's edges are -inf, its sign changes and +inf; the intervals between them take
-    # turns being positive, from the sign at -inf, that of the row's first cell.
-    count = np.bincount(at_row, minlength=len(a)) + 2
-    start = np.cumsum(count) - count
-    edges = np.full(len(at) + 2 * len(a), np.inf)
-    edges[start] = -np.inf
-    edges[np.arange(len(at)) + 2 * at_row + 1] = at
-    edge_row = np.repeat(np.arange(len(a)), count)
-    positive = (np.arange(len(edges)) - start[edge_row]) % 2 != pos_l[first][edge_row]
-    keep = positive[:-1] & (edges[:-1] < np.inf)
-    iv_row = edge_row[:-1][keep]
-    sd, shift = s[iv_row, None], b[iv_row] * s[iv_row, None]
-    dphi = _delta_phi(edges[:-1][keep, None] / sd + shift, edges[1:][keep, None] / sd + shift)
-    out[todo] = np.bincount(iv_row, weights=np.sum(mean_w[iv_row] * dphi, axis=1),
-                            minlength=len(a))
-    return out
 
 
 def positive_mean(const, wa, neg_b, variance) -> np.ndarray:
@@ -366,12 +338,51 @@ def positive_mean(const, wa, neg_b, variance) -> np.ndarray:
     + 2) 2^-52`` times its absolute sum.  The scan's ``_SCAN_CELLS`` cells are halved until
     each passes one of them; a row where one has not after ``_SPLITS`` halvings, as at a
     double root, is an internal failure (``RuntimeError``).  Each root is then polished by
-    ``_refine``.  Rows go ``_EXACT_ROWS`` at a time, so no temporary is much over 1 MB.
+    ``_refine``.  All rows share one certifier and one ``_refine``; only the scan goes in
+    blocks of ``_EXACT_ROWS`` rows, so none of its temporaries is much over 0.5 MB.
     """
     const, wa, neg_b, variance = (np.asarray(a, dtype=float) for a in (const, wa, neg_b, variance))
-    return np.concatenate([np.empty(0), *(
-        _positive_chunk(k0, *(a[k0:k0 + _EXACT_ROWS] for a in (const, wa, neg_b, variance)))
-        for k0 in range(0, len(const), _EXACT_ROWS))])
+    a = np.hstack([const[:, None], wa])  # the constant is the term with B = 0
+    b = np.hstack([np.zeros((len(a), 1)), -neg_b])
+    mean_w = a * np.exp(0.5 * variance[:, None] * b * b)  # each term's mean
+    s = np.sqrt(variance)
+    out = np.where(np.isfinite(mean_w).all(axis=1), np.maximum(a.sum(axis=1), 0.0), np.nan)
+    todo = np.flatnonzero((s > 0) & np.isfinite(out))
+    if not len(todo):
+        return out
+    a, b, mean_w, s = a[todo], b[todo], mean_w[todo], s[todo]
+    b_max = b.max(axis=1)
+    mu = b_max[:, None] - b  # g = e^{b_max x} k = a @ exp(mu x), mu >= 0
+    weights = np.stack([a, a * mu, np.abs(a), np.abs(a) * mu, np.abs(a) * mu * mu], axis=1)
+    rows, x0, x1, g0, g1, definite = _certified_cells(
+        mu, weights, -b_max * s * s - _TAIL * s, _TAIL * s, todo)
+    # Whether g > 0 just inside each end of a cell: a definite cell takes its larger end's sign.
+    sign = np.where(np.abs(g0) >= np.abs(g1), g0, g1) > 0
+    pos_l, pos_r = np.where(definite, sign, g0 > 0), np.where(definite, sign, g1 > 0)
+    first = np.r_[True, rows[1:] != rows[:-1]]
+    # g changes sign at the root of a cell whose ends differ, and where it is 0 at a cell's end.
+    root, turn = pos_l != pos_r, np.r_[False, pos_r[:-1] != pos_l[1:]] & ~first
+    at_row = np.concatenate([rows[root], rows[turn]])
+    at = np.concatenate([_refine(rows[root], x0[root], x1[root], g0[root], g1[root], mu,
+                                 weights[:, :2], s), x0[turn]])
+    order = np.lexsort((at, at_row))
+    at_row, at = at_row[order], at[order]
+    # Each row's edges are -inf, its sign changes and +inf; the intervals between them take
+    # turns being positive, from the sign at -inf, that of the row's first cell.
+    count = np.bincount(at_row, minlength=len(a)) + 2
+    start = np.cumsum(count) - count
+    edges = np.full(len(at) + 2 * len(a), np.inf)
+    edges[start] = -np.inf
+    edges[np.arange(len(at)) + 2 * at_row + 1] = at
+    edge_row = np.repeat(np.arange(len(a)), count)
+    positive = (np.arange(len(edges)) - start[edge_row]) % 2 != pos_l[first][edge_row]
+    keep = positive[:-1] & (edges[:-1] < np.inf)
+    iv_row = edge_row[:-1][keep]
+    sd, shift, w = s[iv_row, None], b[iv_row] * s[iv_row, None], mean_w[iv_row]
+    dphi = _delta_phi(edges[:-1][keep, None] / sd + shift, edges[1:][keep, None] / sd + shift,
+                      w != 0)
+    out[todo] = np.bincount(iv_row, weights=np.sum(w * dphi, axis=1), minlength=len(a))
+    return out
 
 
 def _exposed_kernel(book, model: ShortRateModel, curve: DiscountCurve, g) -> _NettedPlan:
@@ -422,8 +433,7 @@ def exposure_profile(book, model: ShortRateModel, curve: DiscountCurve, grid) ->
     """
     g = _validate_grid(grid)
     kernel = _exposed_kernel(book, model, curve, g)
-    posted = _netted_plan(tuple(s for s in book if s.collateralized), model, curve, g)
+    *_, posted = _netted_flows(tuple(s for s in book if s.collateralized), curve, g)
     return ExposureProfile(
         grid=g, epe=positive_mean(kernel.const, kernel.wa, kernel.neg_b, model.variance(g)),
-        forward=kernel.forward, mean_value_undiscounted=kernel.expected,
-        collateral=posted.forward)
+        forward=kernel.forward, mean_value_undiscounted=kernel.expected, collateral=posted)

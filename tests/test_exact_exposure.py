@@ -96,14 +96,28 @@ class TestPositiveMean:
         want = mpmath_positive_mean(const[0], wa[0], neg_b[0], v[0])
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [4, 150])
+    @pytest.mark.parametrize("k", [4, 85, 150])
     def test_rows_of_the_stressed_book_keep_their_digits(self, k):
-        """Its 1-year row, whose 50y swap carries B near 39, and its 37.5y row."""
+        """Its 1-year row, whose 50y swap carries B near 39, its 21.25y row, the one whose
+        mean moves most with a root, and its 37.5y row."""
         book, model, grid = BOOK_CASES["stressed"]
         const, wa, neg_b, v = row_of(book, model, grid, k)
         got = positive_mean(const, wa, neg_b, v)[0]
         assert got == pytest.approx(mpmath_positive_mean(const[0], wa[0], neg_b[0], v[0]),
                                     rel=1e-12)
+
+    def test_a_loose_newton_tolerance_fails_them(self, monkeypatch):
+        """``_refine`` stops at a step of ``2^-30`` because the mean is stationary in its
+        roots; that bound is checked, not assumed.  At ``2^-10`` Newton's last step still
+        lands within about ``2^-20`` of a root, so most rows keep 12 digits, but the stressed
+        book's 21.25y row moves by 1.3e-11 of itself."""
+        monkeypatch.setattr(exposure, "_NEWTON_TOL", 2.0 ** -10)
+        with pytest.raises(AssertionError):
+            for k in (4, 85, 150):
+                self.test_rows_of_the_stressed_book_keep_their_digits(k)
+            for k in (1, 2, 73):
+                self.test_deep_rows_keep_their_digits(k)
+            TestCertifiedRoots().assert_both_roots_found()
 
     def test_rows_with_no_spread_or_no_live_date(self):
         """At variance 0 a row is ``max(k(0), 0)``; with no live date it is ``max(c, 0)``
@@ -162,9 +176,9 @@ class TestCertifiedRoots:
         root-free, so only sign changes at the scan points are found."""
         sums = exposure._sums
 
-        def no_bounds(x, rows, mu, weights):
-            out = sums(x, rows, mu, weights)
-            out[:, 3:] = 0.0
+        def no_bounds(x, mu, weights):
+            out = sums(x, mu, weights)
+            out[..., 3:] = 0.0
             return out
 
         monkeypatch.setattr(exposure, "_sums", no_bounds)
@@ -296,8 +310,8 @@ class TestPositiveMeanInvariances:
 
     @pytest.mark.parametrize("rows", [1, 7, 121])
     def test_each_row_is_priced_alone(self, monkeypatch, rows):
-        """A row's mean is the same in a chunk of any size: a chunk drops only the dates
-        paid on all its rows."""
+        """A row's mean is the same whatever the size of the scan's blocks, the only thing
+        ``_EXACT_ROWS`` sizes: a block drops only the dates paid on all its rows."""
         k, v = long_kernel()
         want = positive_mean(k.const, k.wa, k.neg_b, v)
         monkeypatch.setattr(exposure, "_EXACT_ROWS", rows)
@@ -307,6 +321,76 @@ class TestPositiveMeanInvariances:
         k, v = long_kernel()
         backwards = positive_mean(k.const[::-1], k.wa[::-1], k.neg_b[::-1], v[::-1])
         assert_same_epe(backwards[::-1], positive_mean(k.const, k.wa, k.neg_b, v))
+
+
+def counted(monkeypatch, name, size=lambda *args: 1):
+    """``exposure.<name>`` wrapped so that each call appends ``size(*args)`` to the list
+    returned."""
+    calls, fn = [], getattr(exposure, name)
+
+    def wrapper(*args):
+        calls.append(size(*args))
+        return fn(*args)
+
+    monkeypatch.setattr(exposure, name, wrapper)
+    return calls
+
+
+def per_chunk(monkeypatch):
+    """Plant the loop over chunks of ``_EXACT_ROWS`` rows that ``positive_mean`` once was:
+    one certifier and one ``_refine`` per chunk."""
+    one_pass = exposure.positive_mean
+
+    def chunked(*args):
+        return np.concatenate([one_pass(*(a[k0:k0 + exposure._EXACT_ROWS] for a in args))
+                               for k0 in range(0, len(args[0]), exposure._EXACT_ROWS)])
+
+    monkeypatch.setattr(exposure, "positive_mean", chunked)
+
+
+def phi_at_every_end(lo, hi, live=True):
+    """The planted ``_delta_phi`` that takes ``Phi`` at every end of every term."""
+    p, q = exposure.normal_cdf(-np.abs(lo)), exposure.normal_cdf(-np.abs(hi))
+    return np.where(hi <= 0, q - p, np.where(lo >= 0, p - q, 1.0 - p - q))
+
+
+class TestOnePass:
+    """The work of one ``positive_mean`` call on the long kernel: one ``_refine`` over every
+    row's roots, and ``Phi`` only at a finite end of an interval where ``k > 0``, once per
+    term of non-zero weight."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 32, 121])
+    def test_one_refine_call_for_the_whole_grid(self, monkeypatch, rows):
+        k, v = long_kernel()
+        monkeypatch.setattr(exposure, "_EXACT_ROWS", rows)
+        calls = counted(monkeypatch, "_refine")
+        exposure.positive_mean(k.const, k.wa, k.neg_b, v)
+        assert calls == [1]
+
+    def test_a_per_chunk_loop_fails_it(self, monkeypatch):
+        per_chunk(monkeypatch)
+        with pytest.raises(AssertionError):
+            self.test_one_refine_call_for_the_whole_grid(monkeypatch, 32)
+
+    def test_phi_only_at_finite_ends_of_live_terms(self, monkeypatch):
+        """Each root is the one finite end of an interval where ``k > 0``, so the entries
+        are at most the roots times the terms of non-zero weight, row by row.  The roots
+        are counted as sign changes of the kernel on 4001 points over 12 s.d. either side
+        of the scan."""
+        k, v = long_kernel()
+        s = np.sqrt(v)
+        reach = (12.0 + np.max(-k.neg_b, axis=1) * s) * s
+        values = _revalue(reach[:, None] * np.linspace(-1.0, 1.0, 4001), k)
+        roots = np.count_nonzero(np.diff(np.sign(values), axis=1), axis=1)
+        terms = np.count_nonzero(np.column_stack([k.const, k.wa]), axis=1)
+        entries = counted(monkeypatch, "normal_cdf", np.size)
+        exposure.positive_mean(k.const, k.wa, k.neg_b, v)
+        assert 0 < sum(entries) <= roots @ terms
+
+    def test_a_phi_at_every_end_fails_it(self, monkeypatch):
+        monkeypatch.setattr(exposure, "_delta_phi", phi_at_every_end)
+        with pytest.raises(AssertionError):
+            self.test_phi_only_at_finite_ends_of_live_terms(monkeypatch)
 
 
 @functools.lru_cache(maxsize=None)
