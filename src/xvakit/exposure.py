@@ -281,8 +281,8 @@ def _certified_cells(mu, weights, lo, hi, names):
     and ``x0``, with ``g`` at both ends and whether the cell holds no root.  ``weights``
     ``(rows, 5, terms)`` give ``g``, ``g'``, and the absolute sums ``S_0``, ``S_1``, ``S_2``:
     column ``k + 2`` is column ``k``'s rounding scale, and ``k + 3`` bounds its slope.  The
-    scan goes ``_EXACT_ROWS`` rows at a time, each block over the terms not zero on all of
-    its rows."""
+    scan goes ``_EXACT_ROWS`` rows at a time, each block without the terms that are zero on
+    all of its rows."""
     n_rows, n = len(mu), mu.shape[1]
     x = lo[:, None] + np.multiply.outer(hi - lo, np.linspace(0.0, 1.0, _SCAN_CELLS + 1))
     f = np.empty((n_rows, _SCAN_CELLS + 1, 5))
