@@ -375,8 +375,8 @@ class TestOnePass:
     def test_phi_only_at_finite_ends_of_live_terms(self, monkeypatch):
         """Each root is the one finite end of an interval where ``k > 0``, so the entries
         are at most the roots times the terms of non-zero weight, row by row.  The roots
-        are counted as sign changes of the kernel on 4001 points over 12 s.d. either side
-        of the scan."""
+        are counted as sign changes of the kernel on 4001 points that cover the scan and 3
+        s.d. more on each side."""
         k, v = long_kernel()
         s = np.sqrt(v)
         reach = (12.0 + np.max(-k.neg_b, axis=1) * s) * s
